@@ -102,12 +102,12 @@ def _entry(name: str, parameters: dict, discrepancy, bound) -> dict:
     }
 
 
-def _bound(args, cap: int, drop: int):
-    """Pass threshold 10^-E: the flag when given, else a digit-scaled cap."""
+def _bound(args, drop: int):
+    """Pass threshold 10^-E: the flag when given, else E = digits - drop."""
     if args.tolerance_exponent is not None:
         e = args.tolerance_exponent
     else:
-        e = max(2, min(cap, args.digits - drop))
+        e = max(2, args.digits - drop)
     return mpf(10) ** (-e)
 
 
@@ -122,7 +122,7 @@ def _zero_model(consts, cache: dict):
 
 
 def _suite_ode(consts, args, cache):
-    b = _bound(args, 20, 10)
+    b = _bound(args, 10)
     return [
         _entry(
             "factor-ode",
@@ -140,7 +140,7 @@ def _suite_ode(consts, args, cache):
 
 
 def _suite_functional(consts, args, cache):
-    b = _bound(args, 20, 10)
+    b = _bound(args, 10)
     return [
         _entry(
             "reflection-equation",
@@ -152,7 +152,7 @@ def _suite_functional(consts, args, cache):
 
 
 def _suite_quadratic(consts, args, cache):
-    b = _bound(args, 20, 10)
+    b = _bound(args, 10)
     return [
         _entry(
             "quadratic-first-integral",
@@ -238,15 +238,15 @@ def _suite_fourier(consts, args, cache):
             "transform-route-agreement",
             {"grid_points": 11, "terms": band.terms},
             route,
-            _bound(args, 15, 15),
+            _bound(args, 15),
         ),
-        _entry("band-edge-vanishing", {"u": "+-1"}, edge, _bound(args, 20, 10)),
-        _entry("band-mean", {}, mean, _bound(args, 20, 10)),
+        _entry("band-edge-vanishing", {"u": "+-1"}, edge, _bound(args, 10)),
+        _entry("band-mean", {}, mean, _bound(args, 10)),
         _entry(
             "endpoint-reflection-constants",
             {"relations": 3},
             kdev,
-            _bound(args, 25, 5),
+            _bound(args, 5),
         ),
     ]
 
@@ -261,7 +261,7 @@ def _suite_lseries(consts, args, cache):
         minus1 = l_series(consts, model, "minus", 1)
         C = mpf(consts.C)
         disc = abs(plus2.value + 4 * C * minus1.value)
-    out.append(_entry("even-odd-bridge", {"s": 2}, disc, _bound(args, 25, 5)))
+    out.append(_entry("even-odd-bridge", {"s": 2}, disc, _bound(args, 5)))
     brute_bound = mpf(10) ** (
         -(args.tolerance_exponent if args.tolerance_exponent is not None else 12)
     )

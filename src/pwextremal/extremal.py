@@ -23,13 +23,14 @@ factorially, so coefficients at order T cost roughly 2 log10(T!) extra
 digits of the inputs a and lambda.  The constants object certifies only
 its requested digits, which is nowhere near enough for deep recursions;
 operations here therefore re-solve the spectral root at whatever elevated
-precision the requested order demands (warm-started from the certified
-bracket, cached per problem) before running a recursion.
+precision the requested order demands (on a narrow bracket around the
+certified root, cached on the constants object) before running a
+recursion.  mpmath's precision is global to the process, so none of this
+is thread-safe: run parallel work in separate processes.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -93,13 +94,11 @@ def _extremal_recursion_loss(a, T: int) -> int:
 # ----------------------------------------------------------------------
 # refined spectral frames
 #
-# Cache key is a short prefix of the root, so distinct constants objects
-# for the same underlying problem share refinements.  Re-solves are
-# floored at 512 digits: one generous ladder run covers every moderate
-# request instead of several slightly different ones.
-
-_frame_cache: dict = {}
-_frame_lock = threading.Lock()
+# Re-solves are rounded up to a bucket of 64 digits and floored at 512:
+# one generous ladder run covers every moderate request instead of several
+# slightly different ones.  The most precise re-solve is kept on the
+# constants object (its `frame` field), so it lives and dies with the
+# problem it belongs to.
 
 
 def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
@@ -112,24 +111,15 @@ def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
     """
     if need_dps <= consts.digits_certified:
         return consts.a_star, consts.lambda_star
-    with mp.workdps(30):
-        key = mp.nstr(consts.a_star, 15)
+    if consts.frame is not None and consts.frame[0] >= need_dps:
+        return consts.frame[1], consts.frame[2]
     bucket = max(512, 64 * ((need_dps + 63) // 64))
-    with _frame_lock:
-        hit = _frame_cache.get(key)
-        if hit is not None and hit[0] >= need_dps:
-            return hit[1], hit[2]
     digits = consts.digits_certified
     with mp.workdps(bucket + 14):
         half = mpf(10) ** (-(digits - 3))
         bracket = (consts.a_star - half, consts.a_star + half)
-        a_root, pair, _n, _wd = _ladder_root(
-            bucket, consts.N, bracket, guard=12, n_cap=1 << 17
-        )
-    with _frame_lock:
-        hit = _frame_cache.get(key)
-        if hit is None or hit[0] < bucket:
-            _frame_cache[key] = (bucket, a_root, pair.lam)
+        a_root, pair, _n, _wd = _ladder_root(bucket, consts.N, bracket, guard=12)
+    consts.frame = (bucket, a_root, pair.lam)
     return a_root, pair.lam
 
 

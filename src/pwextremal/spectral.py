@@ -17,6 +17,15 @@ and the solver's job is:
 3. double N until the root stabilizes, then convert: C = pi/(4a) and
    L1 = -2 C lambda.
 
+Step 1 is a single mechanism.  The eigenvector is the minimal solution of
+the three-term recurrence that defines the matrix (Gautschi, SIAM Rev. 9,
+1967), so for a trial lambda one backward sweep over rows N..1, started
+from xi_{N+1} = 0 and xi_N = 1, yields it; for 0 < a < 3/2 and lambda < 2
+every term of that sweep is positive, so it runs without cancellation.
+Row 0, which the sweep leaves out, is the eigen-condition g(lambda) = 0,
+and Newton on g (with g' from the same sweep differentiated in lambda)
+finds the eigenvalue.  Step 2 is regula falsi with the Illinois fix.
+
 Truncation error decays superexponentially (the eigenvector entries die
 off faster than any geometric sequence), so the ladder stabilizes at small
 N even for high digit counts.
@@ -79,136 +88,40 @@ class EigenPair:
     residual: mpf = field(default_factory=lambda: mpf(0))
 
 
-# ----------------------------------------------------------------------
-# characteristic-polynomial machinery
-#
-# The leading principal minors p_k(lambda) of (T_N - lambda I) satisfy
-#   p_k = (diag(k) - lambda) p_{k-1} - sub(k) sup(k-1) p_{k-2}.
-# Only signs and the Newton ratio p/p' are needed, so both recurrences are
-# rescaled each step to dodge overflow.
-
-
-def _det_sign(sys: TridiagonalSystem, lam) -> int:
-    p_prev = mpf(1)
-    p = sys.diag(0) - lam
-    for k in range(1, sys.N + 1):
-        p, p_prev = (sys.diag(k) - lam) * p - sys.sub(k) * sys.sup(k - 1) * p_prev, p
-        scale = max(abs(p), abs(p_prev))
-        if scale > mpf(10) ** 100:
-            p /= scale
-            p_prev /= scale
-    if p == 0:
-        return 0
-    return 1 if p > 0 else -1
-
-
-def _det_newton_ratio(sys: TridiagonalSystem, lam):
-    """Returns p_N / p_N' at lam, jointly rescaled."""
-    p_prev, p = mpf(1), sys.diag(0) - lam
-    q_prev, q = mpf(0), mpf(-1)  # derivatives in lambda
-    for k in range(1, sys.N + 1):
-        c = sys.diag(k) - lam
-        offd = sys.sub(k) * sys.sup(k - 1)
-        p_next = c * p - offd * p_prev
-        q_next = c * q - p - offd * q_prev
-        p_prev, p, q_prev, q = p, p_next, q, q_next
-        scale = max(abs(p), abs(p_prev), abs(q), abs(q_prev))
-        if scale > mpf(10) ** 100:
-            p /= scale
-            p_prev /= scale
-            q /= scale
-            q_prev /= scale
-    if q == 0:
-        raise SolverError("zero derivative in Newton polish")
-    return p / q
-
-
-def _bisect_eigenvalue(sys: TridiagonalSystem, lo, hi, coarse_dps: int = 30):
-    """Bracket one eigenvalue by sign bisection of the characteristic minor.
-
-    Runs at a coarse precision: the bracket only feeds a Newton polish.
-    """
-    with mp.workdps(coarse_dps):
-        lo = mpf(lo)
-        hi = mpf(hi)
-        s_lo = _det_sign(sys, lo)
-        s_hi = _det_sign(sys, hi)
-        if s_lo == 0:
-            return lo, lo
-        if s_hi == 0:
-            return hi, hi
-        if s_lo == s_hi:
-            raise SolverError("no sign change in eigenvalue bracket")
-        for _ in range(90):
-            mid = (lo + hi) / 2
-            s_mid = _det_sign(sys, mid)
-            if s_mid == 0:
-                return mid, mid
-            if s_mid == s_lo:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < mpf(10) ** -20:
-                break
-        return lo, hi
-
-
-def _newton_eigenvalue(sys: TridiagonalSystem, seed, lo=None, hi=None):
-    lam = mpf(seed)
-    tol = mpf(10) ** (-(mp.dps - 2))
-    for _ in range(120):
-        step = _det_newton_ratio(sys, lam)
-        lam -= step
-        if lo is not None and (lam < lo - 1 or lam > hi + 1):
-            raise SolverError("Newton left the localization interval")
-        if abs(step) <= tol * max(1, abs(lam)):
-            lam -= _det_newton_ratio(sys, lam)
-            return lam
-    raise SolverError("eigenvalue Newton did not converge")
+# Work bounds: Newton steps per eigen-solve, regula falsi steps per root,
+# and the largest truncation either ladder may reach.
+_NEWTON_STEPS = 100
+_ROOT_STEPS = 200
+_N_CAP = 4096
 
 
 # ----------------------------------------------------------------------
-# inverse iteration
+# the backward sweep
 
 
-def _tridiag_lu_solve(dl, d, du, rhs):
-    """Solve a tridiagonal system by LU with partial pivoting.
+def _sweep(sys: TridiagonalSystem, lam):
+    """Rows N..1 of (T - lam) xi = 0 solved downward: (xi, g, g').
 
-    dl, d, du are the sub/main/super diagonals (lengths n-1, n, n-1).
-    A second superdiagonal can fill in when rows swap.
+    xi is normalized xi[0] = 1 and satisfies rows 1..N exactly.  Row 0 is
+    left over as g(lam) = -lam + sup(0) xi_1/xi_0, which vanishes exactly
+    at an eigenvalue of the truncation; g' is its lam-derivative, carried
+    through the same recurrence.
     """
-    n = len(d)
-    dl = list(dl)
-    d = list(d)
-    du = list(du) + [mpf(0)]
-    du2 = [mpf(0)] * n
-    x = list(rhs)
-    tiny = mpf(10) ** (-(2 * mp.dps + 50))
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0:
-                d[i] = tiny
-            m = dl[i] / d[i]
-            d[i + 1] -= m * du[i]
-            x[i + 1] -= m * x[i]
-        else:
-            m = d[i] / dl[i]
-            d[i] = dl[i]
-            tmp = d[i + 1]
-            d[i + 1] = du[i] - m * tmp
-            du[i] = tmp
-            if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] = -m * du[i + 1]
-            x[i], x[i + 1] = x[i + 1], x[i] - m * x[i + 1]
-    if d[n - 1] == 0:
-        d[n - 1] = tiny
-    x[n - 1] = x[n - 1] / d[n - 1]
-    if n >= 2:
-        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
-    return x
+    x, x_up = mpf(1), mpf(0)  # xi_m, xi_{m+1}; xi_{N+1} = 0 drops sup(N)
+    dx, dx_up = mpf(0), mpf(0)  # their derivatives in lam
+    tail = [x]
+    for m in range(sys.N, 0, -1):
+        c, up, low = sys.diag(m) - lam, sys.sup(m), sys.sub(m)
+        x, x_up, dx, dx_up = (
+            -(c * x + up * x_up) / low,
+            x,
+            -(c * dx - x + up * dx_up) / low,
+            dx,
+        )
+        tail.append(x)
+    g = -lam + sys.sup(0) * x_up / x
+    dg = -1 + sys.sup(0) * (dx_up * x - x_up * dx) / (x * x)
+    return [v / x for v in reversed(tail)], g, dg
 
 
 def _apply(sys: TridiagonalSystem, v):
@@ -224,66 +137,54 @@ def _apply(sys: TridiagonalSystem, v):
     return out
 
 
-def ground_eigenpair(
-    sys: TridiagonalSystem,
-    lambda_seed=None,
-    residual_slack: int = 5,
-) -> EigenPair:
+def ground_eigenpair(sys: TridiagonalSystem, lambda_seed=None) -> EigenPair:
     """Smallest eigenpair of the truncated system, normalized xi[0] = 1.
 
-    The eigenvalue sits in [0, a/3].  It is bracketed by sign bisection of
-    the characteristic minors at coarse precision (skipped when a seed from
-    a nearby solve is supplied), polished by Newton on the minor recurrence
-    at the ambient precision, and the eigenvector is recovered by inverse
-    iteration with a pivoted tridiagonal LU solve.
+    Newton on the row-0 condition g of the backward sweep, started from
+    lambda_seed (typically the eigenvalue of a nearby solve) or else from
+    a/3, the top of the interval [0, a/3] that holds the eigenvalue.  The
+    sweep at the converged lambda is the eigenvector.  Iterates must stay
+    below 2 - a, where the sweep is positive and the ground eigenvalue is
+    the only one; the residual ||(T - lambda) xi|| / ||xi|| must reach
+    10^-(dps-5).  Either failure raises SolverError.
     """
     if not (0 < sys.a < mpf(3) / 2):
         raise UsageError("ground_eigenpair requires 0 < a < 3/2")
-    margin = (2 - sys.a - sys.a / 3) / 4
-    lo, hi = mpf(0), sys.a / 3 + margin
-    lam = None
-    if lambda_seed is not None:
-        try:
-            lam = _newton_eigenvalue(sys, mpf(lambda_seed), lo, hi)
-        except SolverError:
-            lam = None  # stale seed; fall back to bisection
-    if lam is None:
-        blo, bhi = _bisect_eigenvalue(sys, lo, hi)
-        lam = _newton_eigenvalue(sys, (blo + bhi) / 2, lo, hi)
-
-    n = sys.N + 1
-    dl = [sys.sub(m) for m in range(1, n)]
-    d = [sys.diag(m) - lam for m in range(n)]
-    du = [sys.sup(m) for m in range(n - 1)]
-    v = [mpf(1)] * n
-    target = mpf(10) ** (-(mp.dps - residual_slack))
-    best = None
-    for sweep in range(6):
-        v = _tridiag_lu_solve(dl, d, du, v)
-        big = max(abs(c) for c in v)
-        v = [c / big for c in v]
-        xi = [c / v[0] for c in v]
-        tv = _apply(sys, xi)
-        scale = max(abs(c) for c in xi)
-        resid = max(abs(tv[m] - lam * xi[m]) for m in range(n)) / scale
-        if best is None or resid < best.residual:
-            best = EigenPair(lam=lam, xi=xi, residual=resid)
-        if resid <= target and sweep >= 1:
+    lam = sys.a / 3 if lambda_seed is None else mpf(lambda_seed)
+    tol = mpf(10) ** (-(mp.dps - 2))
+    converged = False
+    for _ in range(_NEWTON_STEPS):
+        xi, g, dg = _sweep(sys, lam)
+        if converged:
             break
-    if best.residual > target:
+        step = g / dg
+        lam -= step
+        if not lam < 2 - sys.a:
+            raise SolverError(
+                "eigenvalue Newton left lambda < 2 - a at N=%d, a=%s"
+                % (sys.N, mp.nstr(sys.a, 10))
+            )
+        converged = abs(step) <= tol * max(1, abs(lam))
+    else:
         raise SolverError(
-            "inverse iteration residual %s exceeds %s; raise the working precision"
-            % (mp.nstr(best.residual, 5), mp.nstr(target, 5))
+            "eigenvalue Newton did not converge in %d steps" % _NEWTON_STEPS
         )
-    return best
+    tv = _apply(sys, xi)
+    residual = max(abs(t - lam * x) for t, x in zip(tv, xi)) / max(abs(x) for x in xi)
+    target = mpf(10) ** (-(mp.dps - 5))
+    if residual > target:
+        raise SolverError(
+            "eigenpair residual %s exceeds %s; raise the working precision"
+            % (mp.nstr(residual, 5), mp.nstr(target, 5))
+        )
+    return EigenPair(lam=lam, xi=xi, residual=residual)
 
 
 def assert_ground_invariants(pair: EigenPair, a) -> None:
     """Ground-state sanity for 0 < a < 3/2: localization and positivity.
 
-    Positivity can only be resolved for entries above the inverse-iteration
-    noise floor; the far tail decays below the attainable residual and its
-    computed signs carry no information.
+    Entries below ten times the residual (relative to the largest entry)
+    count as noise, and their signs are not checked.
     """
     if not (0 <= pair.lam <= mpf(a) / 3):
         raise SolverError("ground eigenvalue escaped [0, a/3]")
@@ -319,74 +220,45 @@ def _condition_value(N: int, a, lambda_seed=None):
     return legendre_condition(pair), pair
 
 
-def _solve_root_for_N(
-    N: int,
-    bracket,
-    digits_goal: int,
-    lambda_seed=None,
-    a_seed=None,
-):
+def _solve_root_for_N(N: int, bracket, digits_goal: int, lambda_seed=None):
     """Root of S(a) = 0 for one truncation size, at the ambient precision.
 
-    Bisection narrows the bracket to about 1e-3, then a bracket-safeguarded
-    secant finishes.  A seed pair (a, lambda) from a previous truncation
-    skips most of the bisection work.
+    Regula falsi with the Illinois fix on the sign-changing bracket: each
+    step evaluates S at the secant point of the bracket ends, and when one
+    end is kept twice in a row its value is halved, so both ends move in.
+    Stops when |S| <= 10^-(dps-6), the noise floor of S, or when the
+    bracket is narrower than 10^-(digits_goal+8).  Every evaluation is one
+    eigen-solve, warm-started from the eigenvalue of the previous one.
     """
     lo, hi = mpf(bracket[0]), mpf(bracket[1])
-    s_lo, pair_lo = _condition_value(N, lo, lambda_seed)
-    s_hi, pair_hi = _condition_value(N, hi, pair_lo.lam)
-    if s_lo == 0:
-        return lo, pair_lo
-    if s_hi == 0:
-        return hi, pair_hi
-    if (s_lo > 0) == (s_hi > 0):
+    f_lo, pair = _condition_value(N, lo, lambda_seed)
+    f_hi, pair = _condition_value(N, hi, pair.lam)
+    if f_lo * f_hi > 0:
         raise SolverError("side condition does not change sign on the bracket")
-
-    seed = pair_lo.lam
-    if a_seed is not None and lo < a_seed < hi:
-        # trust but verify: shrink the bracket around the seed if signs allow
-        width = mpf(10) ** (-3)
-        cand_lo, cand_hi = a_seed - width, a_seed + width
-        if cand_lo > lo and cand_hi < hi:
-            v_lo, p_lo = _condition_value(N, cand_lo, seed)
-            v_hi, p_hi = _condition_value(N, cand_hi, p_lo.lam)
-            if v_lo != 0 and v_hi != 0 and (v_lo > 0) != (v_hi > 0):
-                lo, hi, s_lo, s_hi = cand_lo, cand_hi, v_lo, v_hi
-                seed = p_hi.lam
-    while hi - lo > mpf(10) ** (-3):
-        mid = (lo + hi) / 2
-        s_mid, pair_mid = _condition_value(N, mid, seed)
-        seed = pair_mid.lam
-        if s_mid == 0:
-            return mid, pair_mid
-        if (s_mid > 0) == (s_lo > 0):
-            lo, s_lo = mid, s_mid
+    s_tol = mpf(10) ** (-(mp.dps - 6))
+    a_tol = mpf(10) ** (-(digits_goal + 8))
+    kept = 0  # +1 when the last step kept lo, -1 when it kept hi
+    for _ in range(_ROOT_STEPS):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        f, pair = _condition_value(N, x, pair.lam)
+        if abs(f) <= s_tol:
+            return x, pair
+        if (f > 0) == (f_hi > 0):
+            hi, f_hi = x, f
+            if kept == 1:
+                f_lo /= 2
+            kept = 1
         else:
-            hi, s_hi = mid, s_mid
-
-    # secant with bracket safeguard
-    x0, f0 = lo, s_lo
-    x1, f1 = hi, s_hi
-    pair_best = None
-    tol = mpf(10) ** (-(digits_goal + 8))
-    for _ in range(200):
-        if f1 == f0:
-            x2 = (lo + hi) / 2
-        else:
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-            if not (lo < x2 < hi):
-                x2 = (lo + hi) / 2
-        f2, pair2 = _condition_value(N, x2, seed)
-        seed = pair2.lam
-        pair_best = pair2
-        if f2 == 0 or abs(x2 - x1) <= tol:
-            return x2, pair2
-        if (f2 > 0) == (s_lo > 0):
-            lo, s_lo = x2, f2
-        else:
-            hi, s_hi = x2, f2
-        x0, f0, x1, f1 = x1, f1, x2, f2
-    raise SolverError("secant iteration did not converge")
+            lo, f_lo = x, f
+            if kept == -1:
+                f_hi /= 2
+            kept = -1
+        if hi - lo <= a_tol:
+            return x, pair
+    raise SolverError(
+        "side-condition root not found in %d steps at N=%d, %d dps"
+        % (_ROOT_STEPS, N, mp.dps)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +272,9 @@ class ExtremalConstants:
     C is the extremal constant; L1 the derivative at 0 of the entire
     factor; a_star = pi/(4C) the root of the side condition in the b=1
     frame; lambda_star = -L1/(2C) the ground eigenvalue (frame-invariant);
-    xi the ground eigenvector at a_star, normalized xi[0] = 1.
+    xi the ground eigenvector at a_star, normalized xi[0] = 1.  frame is
+    the cache of extremal.refined_spectral_frame: (dps, a, lambda) from
+    the most precise re-solve so far, or None.
     """
 
     C: mpf
@@ -411,6 +285,7 @@ class ExtremalConstants:
     N: int
     digits_certified: int
     ctx: PrecisionContext
+    frame: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         d = self.digits_certified
@@ -428,26 +303,28 @@ class ExtremalConstants:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _ladder_root(digits: int, initial_N: int, bracket, guard: int, n_cap: int):
-    """Run the (N, precision) ladder; returns (a, pair, N, working_dps)."""
+def _ladder_root(digits: int, initial_N: int, bracket, guard: int):
+    """Run the (N, precision) ladder; returns (a, pair, N, working_dps).
+
+    N doubles until the root moves by at most 10^-(digits+5); a ladder that
+    passes N = _N_CAP without stabilizing raises SolverError.
+    """
     ctx = PrecisionContext(digits=digits, guard=guard)
     stop = mpf(10) ** (-(digits + 5))
-    prev_a = None
-    prev = None
+    prev_a = lam_seed = None
     N = initial_N
     with ctx.working():
-        while N <= n_cap:
-            a_seed = prev_a
-            lam_seed = prev.lam if prev is not None else None
-            a_root, pair = _solve_root_for_N(
-                N, bracket, digits, lambda_seed=lam_seed, a_seed=a_seed
-            )
+        while N <= _N_CAP:
+            a_root, pair = _solve_root_for_N(N, bracket, digits, lambda_seed=lam_seed)
             assert_ground_invariants(pair, a_root)
             if prev_a is not None and abs(a_root - prev_a) <= stop:
                 return a_root, pair, N, ctx.working_dps
-            prev_a, prev = a_root, pair
+            prev_a, lam_seed = a_root, pair.lam
             N *= 2
-    raise SolverError("truncation ladder exhausted at N=%d without stabilizing" % n_cap)
+    raise SolverError(
+        "truncation ladder exhausted at N=%d without stabilizing at %d dps"
+        % (_N_CAP, ctx.working_dps)
+    )
 
 
 def solve_constants(
@@ -455,7 +332,6 @@ def solve_constants(
     initial_N: int = 64,
     bracket=("1.44", "1.46"),
     guard: Optional[int] = None,
-    n_cap: int = 4096,
 ) -> ExtremalConstants:
     """Compute the extremal constants certified to `digits` decimals.
 
@@ -469,7 +345,7 @@ def solve_constants(
 
     runs = []
     for g in (guard, 2 * guard):
-        a_root, pair, N, wdps = _ladder_root(digits, initial_N, bracket, g, n_cap)
+        a_root, pair, N, wdps = _ladder_root(digits, initial_N, bracket, g)
         with mp.workdps(wdps):
             C = mp.pi / (4 * a_root)
             L1 = -2 * C * pair.lam
@@ -495,32 +371,3 @@ def solve_constants(
         digits_certified=digits,
         ctx=ctx,
     )
-
-
-def eigenvalue_table(a, k_max: int, N: int) -> list:
-    """The k_max+1 smallest eigenvalues, each localized in its own interval.
-
-    Interval for lambda_k: [k(k+1) - ka/(2k-1), k(k+1) + (k+1)a/(2k+3)];
-    the intervals are pairwise disjoint for 0 < a < 3/2, and each contains
-    exactly one eigenvalue of the truncation.
-    """
-    a = mpf(a)
-    if not (0 < a < mpf(3) / 2):
-        raise UsageError("eigenvalue_table requires 0 < a < 3/2")
-    if N < 4 * max(k_max, 1):
-        raise UsageError("N should comfortably exceed k_max")
-    sys = build_matrix(N, a)
-    intervals = []
-    for k in range(k_max + 1):
-        lo = mpf(k * (k + 1)) - (a * k / (2 * k - 1) if k else mpf(0))
-        hi = mpf(k * (k + 1)) + a * (k + 1) / (2 * k + 3)
-        intervals.append((lo, hi))
-    for (lo1, hi1), (lo2, hi2) in zip(intervals, intervals[1:]):
-        if hi1 >= lo2:
-            raise UsageError("localization intervals overlap; parameters misused")
-    out = []
-    for k, (lo, hi) in enumerate(intervals):
-        blo, bhi = _bisect_eigenvalue(sys, lo, hi)
-        lam = _newton_eigenvalue(sys, (blo + bhi) / 2, lo, hi)
-        out.append(lam)
-    return out

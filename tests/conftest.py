@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from pwextremal import spectral
 from pwextremal.spectral import solve_constants
 
 _timings = {}
@@ -39,3 +40,17 @@ def consts30():
 @pytest.fixture(scope="session")
 def consts50():
     return timed_solve(50)
+
+
+@pytest.fixture
+def eigen_solves(monkeypatch):
+    """The N of every spectral.ground_eigenpair call made while it is active."""
+    calls = []
+    solve = spectral.ground_eigenpair
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].N)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "ground_eigenpair", counted)
+    return calls

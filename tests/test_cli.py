@@ -106,6 +106,16 @@ def test_verify_quadratic_passes():
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
+def test_verify_gate_scales_with_digits(capsys):
+    # in process: the residual gate at 50 digits is 10^-(50-10)
+    from pwextremal.cli import main
+
+    assert main(["verify", "--suite", "quadratic", "--digits", "50"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    assert [c["bound"] for c in report["checks"]] == ["1.0e-40", "1.0e-40"]
+
+
 def test_verify_exit_code_reflects_failure():
     # an absurd threshold forces a fail status and a nonzero exit
     proc = run_cli(

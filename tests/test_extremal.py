@@ -93,6 +93,17 @@ def test_truncation_validation(consts30):
         extremal.taylor_extremal(consts30, 0)
 
 
+def test_refined_frame_cached_on_constants(consts30, eigen_solves):
+    # a second request inside the solved bucket makes no eigen-solve, and
+    # the cache stays out of the payload
+    first = extremal.refined_spectral_frame(consts30, 100)
+    eigen_solves.clear()
+    assert extremal.refined_spectral_frame(consts30, 200) == first
+    assert eigen_solves == []
+    assert consts30.frame[0] >= 200
+    assert "frame" not in consts30.to_json_dict()
+
+
 def test_envelope_detector_trips(consts30):
     # run the raw recursion at a precision far below what order 120 needs;
     # the parasitic branch must be caught, not returned

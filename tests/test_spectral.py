@@ -1,5 +1,5 @@
 """Tests for the tridiagonal solver: matrix construction, eigenpairs,
-the side-condition root, the truncation ladder, and eigenvalue tables."""
+the side-condition root, and the truncation ladder."""
 
 import json
 
@@ -13,7 +13,6 @@ from pwextremal.spectral import (
     SolverError,
     _solve_root_for_N,
     build_matrix,
-    eigenvalue_table,
     ground_eigenpair,
     legendre_condition,
     solve_constants,
@@ -87,9 +86,28 @@ def test_ground_pair_against_dense_oracle():
     with mp.workdps(40):
         pair = ground_eigenpair(build_matrix(40, 1))
         lam_mp = float(pair.lam)
-    eigs = np.linalg.eigvals(dense_matrix(20, 1.0))
-    lam_oracle = sorted(e.real for e in eigs)[0]
+        xi_mp = [float(x) for x in pair.xi[:9]]
+    eigs, vecs = np.linalg.eig(dense_matrix(20, 1.0))
+    k = int(np.argmin(eigs.real))
+    lam_oracle = eigs[k].real
     assert abs(lam_mp - lam_oracle) < 1e-10
+    v = vecs[:, k].real / vecs[0, k].real
+    for n in range(9):
+        assert abs(xi_mp[n] - v[n]) < 1e-12, n
+
+
+def test_ground_pair_seed_independent():
+    # Newton on the sweep condition reaches the same eigenvalue from the
+    # bottom and top of [0, a/3] and from the eigenvalue of another a
+    with mp.workdps(50):
+        sys = build_matrix(64, mpf("1.45"))
+        stale = ground_eigenpair(build_matrix(64, mpf("1.2"))).lam
+        lams = [
+            ground_eigenpair(sys, lambda_seed=seed).lam
+            for seed in (mpf(0), sys.a / 3, stale)
+        ]
+        for lam in lams[1:]:
+            assert abs(lam - lams[0]) <= mpf(10) ** -(mp.dps - 5)
 
 
 def test_ground_pair_positivity_range():
@@ -168,6 +186,13 @@ def test_solve_constants_invariances(consts12):
         assert abs(alt.a_star - consts12.a_star) < mpf(10) ** -12
 
 
+def test_solve_constants_work_count(eigen_solves):
+    # each side-condition evaluation is one eigen-solve; the ladder at 30
+    # digits needs two rungs per guard and about ten regula falsi steps each
+    solve_constants(30)
+    assert 0 < len(eigen_solves) <= 60
+
+
 def test_solve_constants_rejects_low_digits():
     with pytest.raises(UsageError):
         solve_constants(9)
@@ -190,45 +215,3 @@ def test_constants_json_fields(consts12):
     assert doc["digits_certified"] == 12
     assert isinstance(doc["N"], int)
     assert doc["C"].startswith("0.540928821901")
-
-
-def test_eigenvalue_table_decoupled_limit():
-    with mp.workdps(30):
-        lams = eigenvalue_table(mpf("1e-6"), 4, 40)
-        for k, lam in enumerate(lams):
-            assert abs(lam - k * (k + 1)) < mpf("1e-5")
-
-
-def test_eigenvalue_table_localization():
-    with mp.workdps(40):
-        a = mpf(1)
-        lams = eigenvalue_table(a, 20, 96)
-        for k, lam in enumerate(lams):
-            lo = k * (k + 1) - (a * k / (2 * k - 1) if k else mpf(0))
-            hi = k * (k + 1) + a * (k + 1) / (2 * k + 3)
-            assert lo <= lam <= hi, k
-
-
-def test_eigenvalue_table_proximity_bound():
-    # |lambda_k - k(k+1)| <= 1/k for |a| < 1, k >= 1
-    with mp.workdps(40):
-        for a in ("0.5", "0.99"):
-            lams = eigenvalue_table(mpf(a), 20, 96)
-            for k in range(1, 21):
-                assert abs(lams[k] - k * (k + 1)) <= mpf(1) / k
-
-
-def test_eigenvalue_table_against_dense_oracle():
-    with mp.workdps(40):
-        lam5 = eigenvalue_table(mpf("0.5"), 5, 40)[5]
-    eigs = np.linalg.eigvals(dense_matrix(40, 0.5))
-    oracle = sorted(e.real for e in eigs)[5]
-    assert abs(float(lam5) - oracle) < 1e-10
-
-
-def test_eigenvalue_table_parameter_checks():
-    with mp.workdps(30):
-        with pytest.raises(UsageError):
-            eigenvalue_table(mpf(2), 3, 40)
-        with pytest.raises(UsageError):
-            eigenvalue_table(mpf(1), 20, 30)
