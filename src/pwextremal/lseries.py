@@ -15,19 +15,18 @@ discrepancy in the check functions comes with the bound that justifies
 calling it zero or not.
 
 check_integrality is the odd one out: it runs the coefficient recursion
-of the even minimizer in exact rational arithmetic over the formal
-symbols b^2 and lambda and reports whether every polynomial stays over
-the integers.  No floating point is involved anywhere on that path.
+of the even minimizer over the formal symbols b^2 and lambda in Python
+integers, each polynomial a table of integer numerators over one common
+positive denominator, and reports whether every denominator stays 1.  No
+floating point is involved anywhere on that path.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp, mpf
 
 from .mpcore import (
-    ExactPolynomial,
     UsageError,
     alternating_halfinteger_tail,
     series_exp0,
@@ -367,31 +366,59 @@ def check_symmetry_conjecture(
 # exact integrality probe
 
 
-def recursion_polynomials(n_max: int) -> list:
-    """u_0..u_n_max in exact rational arithmetic over (b^2, lambda).
+def recursion_polynomials(n_max: int):
+    """Iterator over u_0..u_n_max, exact polynomials in (b^2, lambda).
 
     The recursion is the coefficient recursion of the even minimizer with
     the frame constant scaled out:
 
-        u_{n+1} = (4n+2)/(n+1) * (n(n+1) - lambda) u_n
-                  + 4n/(n+1) * b^2 u_{n-1},
+        (n+1) u_{n+1} = (4n+2) (n(n+1) - lambda) u_n + 4n b^2 u_{n-1},
 
-    u_0 = 1.  Division by (n+1) is the only source of denominators, so
-    integrality of every coefficient is the nontrivial claim under test.
+    u_0 = 1, u_{-1} = 0.  Each u_n is yielded as (rows, den): rows[i][j]
+    is the integer numerator of the coefficient of b^{2i} lambda^j, for
+    0 <= i <= n/2 and 0 <= j <= n - 2i, and den > 0 is the least common
+    denominator of the coefficients, so u_n = rows / den.  Division
+    by (n+1) is the only source of denominators, so den == 1 throughout is
+    the nontrivial claim under test.  Only the last two polynomials are
+    kept between steps.
     """
     if n_max < 0:
         raise UsageError("n_max must be nonnegative")
-    out = [ExactPolynomial.constant(1)]
-    if n_max == 0:
-        return out
-    out.append(ExactPolynomial({(0, 1): Fraction(-2)}))
-    for n in range(1, n_max):
-        drift = out[n].scale(n * (n + 1)).add(out[n].mul_lambda().scale(-1))
-        nxt = drift.scale(Fraction(4 * n + 2, n + 1)).add(
-            out[n - 1].mul_bsq().scale(Fraction(4 * n, n + 1))
-        )
-        out.append(nxt)
-    return out
+    return _recursion_steps(n_max)
+
+
+def _recursion_steps(n_max: int):
+    """Generator behind recursion_polynomials, which validates n_max first."""
+    prev, prev_den = (), 1
+    rows, den = ((1,),), 1
+    yield rows, den
+    for n in range(n_max):
+        # numerator of (n+1) u_{n+1} over lcm(den, prev_den)
+        common = den * prev_den // math.gcd(den, prev_den)
+        drift = (4 * n + 2) * (common // den)
+        constant = n * (n + 1) * drift
+        shift = 4 * n * (common // prev_den)
+        out = []
+        for i in range((n + 1) // 2 + 1):
+            row = [0] * (n - 2 * i + 2)
+            if i < len(rows):
+                for j, c in enumerate(rows[i]):
+                    row[j] += constant * c
+                    row[j + 1] -= drift * c
+            if i:
+                for j, c in enumerate(prev[i - 1]):
+                    row[j] += shift * c
+            out.append(row)
+        scale = (n + 1) * common
+        g = scale
+        for row in out:
+            g = math.gcd(g, *row)
+            if g == 1:
+                break
+        prev, prev_den = rows, den
+        rows = tuple(tuple(c // g for c in row) for row in out)
+        den = scale // g
+        yield rows, den
 
 
 def check_integrality(n_max: int) -> dict:
@@ -400,10 +427,9 @@ def check_integrality(n_max: int) -> dict:
     Conjecture probe, so the status is always report-only. The report
     names the first index with a non-integer coefficient if one exists.
     """
-    polys = recursion_polynomials(n_max)
     first_violation = None
-    for n, poly in enumerate(polys):
-        if not poly.is_integral():
+    for n, (_, den) in enumerate(recursion_polynomials(n_max)):
+        if den != 1:
             first_violation = n
             break
     return {

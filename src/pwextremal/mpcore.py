@@ -8,8 +8,7 @@ Everything downstream runs on top of four ingredients collected here:
 * :class:`TruncatedLaurentSeries` plus the handful of series operations the
   project actually needs (Cauchy product, integer powers, reciprocal,
   log(1+f), exp, rescaling of the variable);
-* Legendre polynomial evaluation and Gauss-Legendre quadrature with cached
-  node tables;
+* Legendre polynomial evaluation and Clenshaw summation of Legendre series;
 * exact integer-point values of the Riemann zeta and Dirichlet beta
   functions backed by Bernoulli and Euler numbers, with high-precision
   numeric fallbacks.
@@ -28,7 +27,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from mpmath import mp, mpf, bernfrac
 
@@ -331,60 +330,7 @@ def series_derivative(f: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
 
 
 # ----------------------------------------------------------------------
-# exact polynomials in (b^2, lambda)
-
-
-@dataclass
-class ExactPolynomial:
-    """Exact rational polynomial in two formal symbols.
-
-    Key (i, j) holds the coefficient of b^{2i} lambda^j as a Fraction.
-    Zero coefficients are never stored.
-    """
-
-    terms: dict
-
-    def __post_init__(self):
-        clean = {}
-        for key, val in self.terms.items():
-            fv = Fraction(val)
-            if fv != 0:
-                clean[(int(key[0]), int(key[1]))] = fv
-        self.terms = clean
-
-    @classmethod
-    def constant(cls, value) -> "ExactPolynomial":
-        return cls({(0, 0): Fraction(value)})
-
-    def add(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return ExactPolynomial(out)
-
-    def scale(self, factor) -> "ExactPolynomial":
-        factor = Fraction(factor)
-        return ExactPolynomial({k: v * factor for k, v in self.terms.items()})
-
-    def mul_bsq(self) -> "ExactPolynomial":
-        return ExactPolynomial({(i + 1, j): v for (i, j), v in self.terms.items()})
-
-    def mul_lambda(self) -> "ExactPolynomial":
-        return ExactPolynomial({(i, j + 1): v for (i, j), v in self.terms.items()})
-
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.terms.values())
-
-    def evaluate(self, bsq, lam):
-        """Numeric evaluation with b^2 = bsq and the formal lambda = lam."""
-        total = mpf(0)
-        for (i, j), v in self.terms.items():
-            total += mpf(v.numerator) / mpf(v.denominator) * bsq ** i * lam ** j
-        return total
-
-
-# ----------------------------------------------------------------------
-# Legendre polynomials and Gauss-Legendre quadrature
+# Legendre polynomials
 
 
 def legendre_pair(n: int, x):
@@ -423,92 +369,6 @@ def clenshaw_legendre(coeffs: Sequence, x):
             b1,
         )
     return b1
-
-
-_gl_cache: dict = {}
-_gl_lock = threading.Lock()
-
-
-def _gl_nodes(n: int):
-    """Gauss-Legendre nodes/weights on [-1,1] at the current precision."""
-    key = (n, mp.dps)
-    with _gl_lock:
-        hit = _gl_cache.get(key)
-    if hit is not None:
-        return hit
-    half = []  # strictly positive nodes, descending
-    center_weight = None
-    for i in range((n + 1) // 2):
-        # Chebyshev-flavored initial guess, then Newton on P_n
-        x = mp.cos(mp.pi * (4 * i + 3) / (4 * n + 2))
-        for _ in range(60):
-            p, p_prev = legendre_pair(n, x)
-            dp = n * (x * p - p_prev) / (x * x - 1)
-            dx = p / dp
-            x -= dx
-            if abs(dx) < mpf(10) ** (-(mp.dps + 5)):
-                break
-        if abs(x) < mpf(10) ** (-mp.dps // 2):
-            x = mpf(0)
-        p, p_prev = legendre_pair(n, x)
-        dp = n * (x * p - p_prev) / (x * x - 1)
-        w = 2 / ((1 - x * x) * dp * dp)
-        if x == 0:
-            center_weight = w
-        else:
-            half.append((x, w))
-    full_nodes = [-x for x, _ in half]
-    full_weights = [w for _, w in half]
-    if center_weight is not None:
-        full_nodes.append(mpf(0))
-        full_weights.append(center_weight)
-    full_nodes.extend(x for x, _ in reversed(half))
-    full_weights.extend(w for _, w in reversed(half))
-    result = (full_nodes, full_weights)
-    with _gl_lock:
-        _gl_cache[key] = result
-    return result
-
-
-def gauss_legendre_integrate(f: Callable, lo, hi, nodes: int):
-    """Gauss-Legendre approximation of the integral of f over [lo, hi]."""
-    if nodes < 2:
-        raise UsageError("need at least 2 nodes")
-    lo = mpf(lo)
-    hi = mpf(hi)
-    if lo >= hi:
-        raise UsageError("lo must be strictly below hi")
-    xs, ws = _gl_nodes(nodes)
-    mid = (lo + hi) / 2
-    half = (hi - lo) / 2
-    total = mpf(0)
-    for x, w in zip(xs, ws):
-        total += w * f(mid + half * x)
-    return half * total
-
-
-def integrate_adaptive(f: Callable, lo, hi, tol, nodes: int = 24, max_level: int = 12):
-    """Panelled Gauss-Legendre with interval halving.
-
-    Splits [lo, hi] into 2^k equal panels with a fixed rule per panel and
-    doubles the panel count until two successive refinements agree to tol.
-    Returns (value, estimated_error).
-    """
-    lo = mpf(lo)
-    hi = mpf(hi)
-    prev = None
-    for level in range(max_level + 1):
-        panels = 2 ** level
-        h = (hi - lo) / panels
-        total = mpf(0)
-        for i in range(panels):
-            total += gauss_legendre_integrate(f, lo + i * h, lo + (i + 1) * h, nodes)
-        if prev is not None:
-            err = abs(total - prev)
-            if err <= tol:
-                return total, err
-        prev = total
-    raise UsageError("quadrature failed to reach tolerance %s" % tol)
 
 
 # ----------------------------------------------------------------------
@@ -623,38 +483,38 @@ def decimal_truncated(x, digits: int) -> str:
     """Decimal string with `digits` significant digits, truncated not rounded.
 
     Truncation keeps the certified-digits semantics literal: every digit
-    printed is a true digit of the value.  Falls back to rounded nstr output
-    in the degenerate case where the cut would land left of the decimal
-    point (never happens for the O(1)-sized quantities serialized here).
+    printed is a true digit of the value.  The digits come from integer
+    arithmetic on the exact binary mantissa and exponent, so no rounding
+    carry can reach them.  The layout is mp.nstr's: fixed point for a
+    decimal exponent e with min(-((digits + 12) // 3), -5) < e < digits,
+    scientific notation otherwise.
     """
+    if digits < 1:
+        raise UsageError("digits must be positive")
     if not isinstance(x, mpf):
         # convert at a precision that covers the requested digits; an mpf
         # input keeps whatever precision it was computed at
         with mp.workdps(digits + 15):
             x = mpf(x)
-    s = mp.nstr(x, digits + 12, strip_zeros=False)
-    mant, _, exp = s.partition("e")
-    out = []
-    sig = 0
-    seen_nonzero = False
-    seen_dot = False
-    for ch in mant:
-        if ch.isdigit():
-            if ch != "0":
-                seen_nonzero = True
-            if seen_nonzero:
-                sig += 1
-                if sig > digits:
-                    if not seen_dot:
-                        return mp.nstr(mpf(x), digits, strip_zeros=False)
-                    break
-        elif ch == ".":
-            seen_dot = True
-        out.append(ch)
-    text = "".join(out)
-    if text.endswith("."):
-        text = text[:-1]
-    return text + ("e" + exp if exp else "")
+    if x == 0 or not mp.isfinite(x):
+        return mp.nstr(x, digits, strip_zeros=False)
+    man, exp = x.man_exp
+    man = abs(man)
+    num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    # 2^(bits-1) <= |x| < 2^bits, so floor(log10|x|) is e or e + 1
+    e = math.floor((man.bit_length() + exp - 1) * math.log10(2))
+    k = e - digits + 1
+    head = num // (den * 10 ** k) if k >= 0 else num * 10 ** -k // den
+    if head >= 10 ** digits:
+        e += 1
+        head //= 10
+    kept = str(head)
+    sign = "-" if x < 0 else ""
+    if min(-((digits + 12) // 3), -5) < e < 0:
+        return sign + "0." + "0" * (-e - 1) + kept
+    if 0 <= e < digits:
+        return sign + (kept[: e + 1] + "." + kept[e + 1 :]).rstrip(".")
+    return sign + (kept[0] + "." + kept[1:]).rstrip(".") + "e%+d" % e
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ offset coefficients in numpy and never touches the continuation
 machinery, so the 1e-12 agreement is an independent confirmation.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -116,35 +117,83 @@ def test_symmetry_conjecture_reports(consts50, zeros50):
 
 
 def test_integrality_scan():
-    rep = lseries.check_integrality(120)
+    rep = lseries.check_integrality(200)
     assert rep["first_violation"] is None
-    assert rep["integral_through"] == 120
+    assert rep["integral_through"] == 200
     assert rep["status"] == "report-only"
 
 
-def test_recursion_polynomial_heads():
-    polys = lseries.recursion_polynomials(2)
-    assert polys[0].terms == {(0, 0): Fraction(1)}
-    assert polys[1].terms == {(0, 1): Fraction(-2)}
-    assert polys[2].terms == {
-        (0, 1): Fraction(-12),
-        (0, 2): Fraction(6),
-        (1, 0): Fraction(2),
+def test_integrality_scan_memory():
+    # only the last two polynomials are live during the scan
+    tracemalloc.start()
+    try:
+        lseries.check_integrality(80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def _fraction_recursion(n_max):
+    """u_0..u_n_max as {(i, j): Fraction} dicts, straight from the recursion."""
+    out = [{(0, 0): Fraction(1)}]
+    prev = {}
+    for n in range(n_max):
+        nxt = {}
+        for (i, j), v in out[n].items():
+            v = v * Fraction(4 * n + 2, n + 1)
+            nxt[i, j] = nxt.get((i, j), 0) + n * (n + 1) * v
+            nxt[i, j + 1] = nxt.get((i, j + 1), 0) - v
+        for (i, j), v in prev.items():
+            nxt[i + 1, j] = nxt.get((i + 1, j), 0) + Fraction(4 * n, n + 1) * v
+        prev = out[n]
+        out.append({key: v for key, v in nxt.items() if v})
+    return out
+
+
+def _as_fractions(rows, den):
+    return {
+        (i, j): Fraction(c, den)
+        for i, row in enumerate(rows)
+        for j, c in enumerate(row)
+        if c
     }
+
+
+def test_recursion_matches_fraction_oracle():
+    oracle = _fraction_recursion(40)
+    polys = list(lseries.recursion_polynomials(40))
+    assert len(polys) == 41
+    for n, (rows, den) in enumerate(polys):
+        assert den > 0
+        assert len(rows) == n // 2 + 1
+        assert [len(row) for row in rows] == [n - 2 * i + 1 for i in range(len(rows))]
+        assert _as_fractions(rows, den) == oracle[n], n
+
+
+def test_recursion_polynomial_heads():
+    polys = list(lseries.recursion_polynomials(2))
+    assert polys[0] == (((1,),), 1)
+    assert polys[1] == (((0, -2),), 1)
+    assert polys[2] == (((0, -12, 6), (2,)), 1)
 
 
 def test_recursion_matches_taylor_coefficients(consts30):
     # evaluating the formal polynomials on the invariant frame data
     # reproduces the minimizer's Taylor coefficients after undoing the
     # frame scaling z -> (2 a / pi) z
-    polys = lseries.recursion_polynomials(6)
+    polys = list(lseries.recursion_polynomials(6))
     ext = extremal.taylor_extremal(consts30, 7, cross_check=False)
     with mp.workdps(45):
         astar = mpf(consts30.a_star)
         lam = mpf(consts30.lambda_star)
         scale = (2 * astar / mp.pi) ** 2
-        for n in range(7):
-            formal = polys[n].evaluate(astar ** 2, lam)
+        for n, (rows, den) in enumerate(polys):
+            formal = sum(
+                mpf(c) / den * astar ** (2 * i) * lam ** j
+                for i, row in enumerate(rows)
+                for j, c in enumerate(row)
+            )
             direct = ext.coeffs.coefficient(2 * n) * scale ** n
             assert abs(formal - direct) < mpf("1e-20")
 

@@ -1,14 +1,14 @@
 """Tests for the arithmetic substrate: series algebra, Legendre machinery,
-quadrature, and exact zeta/beta values."""
+exact zeta/beta values and truncated decimal output."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 from mpmath import mp, mpf
 
 from pwextremal.mpcore import (
-    ExactPolynomial,
     PrecisionContext,
     TruncatedLaurentSeries,
     UsageError,
@@ -17,10 +17,9 @@ from pwextremal.mpcore import (
     beta_int,
     beta_numeric,
     clenshaw_legendre,
+    decimal_truncated,
     default_guard,
     euler_number,
-    gauss_legendre_integrate,
-    integrate_adaptive,
     legendre_derivative,
     legendre_eval,
     legendre_pair,
@@ -286,35 +285,6 @@ def test_bernoulli_euler_tables():
     assert euler_number(7) == 0
 
 
-def test_gauss_legendre_examples():
-    one = gauss_legendre_integrate(lambda x: mpf(1), 0, 1, 6)
-    assert abs(one - 1) < mpf(10) ** -(mp.dps - 4)
-    odd = gauss_legendre_integrate(lambda x: x ** 3, -1, 1, 2)
-    assert abs(odd) < mpf(10) ** -(mp.dps - 4)
-    sine = gauss_legendre_integrate(mp.sin, 0, mp.pi, 20)
-    assert abs(sine - 2) < mpf(10) ** -30
-
-
-def test_gauss_legendre_polynomial_exactness():
-    # rule with n nodes integrates degree 2n-1 exactly
-    for n in (2, 5, 8):
-        deg = 2 * n - 1
-        val = gauss_legendre_integrate(lambda x: x ** deg + x ** (deg - 1), -1, 1, n)
-        exact = mpf(2) / deg  # odd top power integrates to 0
-        assert abs(val - exact) < mpf(10) ** -(mp.dps - 5)
-
-
-def test_gauss_legendre_rejects_bad_interval():
-    with pytest.raises(UsageError):
-        gauss_legendre_integrate(lambda x: x, 1, 1, 4)
-
-
-def test_integrate_adaptive():
-    val, err = integrate_adaptive(mp.cos, 0, 1, mpf(10) ** -30)
-    assert abs(val - mp.sin(1)) < mpf(10) ** -28
-    assert err < mpf(10) ** -30
-
-
 def test_alternating_halfinteger_tail_matches_bruteforce():
     w = mpf(3)
     for n_start in (4, 5, 40):
@@ -347,14 +317,48 @@ def test_richardson_doubling():
     assert abs(richardson_doubling(values) - 1) < mpf(10) ** -20
 
 
-def test_exact_polynomial():
-    p = ExactPolynomial({(0, 0): Fraction(1)})
-    q = p.mul_lambda().scale(Fraction(-2)).add(p.mul_bsq())
-    assert q.terms == {(0, 1): Fraction(-2), (1, 0): Fraction(1)}
-    assert not q.mul_lambda().scale(Fraction(1, 3)).is_integral()
-    assert q.is_integral()
-    val = q.evaluate(mpf(4), mpf("0.5"))
-    assert abs(val - (4 - 1)) < mpf(10) ** -30
-    # zero coefficients are dropped on construction
-    r = ExactPolynomial({(1, 1): Fraction(0), (0, 0): Fraction(2)})
-    assert (1, 1) not in r.terms
+def _exact(x):
+    man, exp = x.man_exp
+    return Fraction(abs(man)) * Fraction(2) ** exp * (-1 if x < 0 else 1)
+
+
+_decimals = st.builds(
+    "{}{}.{}{}{}e{}".format,
+    st.sampled_from(["", "-"]),
+    st.integers(1, 9),
+    st.text("0123456789", max_size=20),
+    st.integers(0, 30).map(lambda k: "9" * k),
+    st.text("0123456789", max_size=10),
+    st.integers(-30, 30),
+)
+
+
+@given(_decimals, st.integers(1, 60))
+@example("0.1234" + "9" * 20 + "1", 4)
+@example("0." + "9" * 25, 3)
+def test_decimal_truncated_properties(text, digits):
+    with mp.workdps(60):
+        x = mpf(text)
+        out = decimal_truncated(x, digits)
+    exact = _exact(x)
+    value = Fraction(out)
+    mant, _, exp = out.partition("e")
+    places = len(mant.partition(".")[2])
+    unit = Fraction(10) ** (int(exp or 0) - places)
+    assert len(mant.lstrip("-").replace(".", "").lstrip("0")) == digits
+    assert (value < 0) == (exact < 0)
+    assert abs(value) <= abs(exact)
+    assert abs(exact) - abs(value) < unit
+
+
+def test_decimal_truncated_layout():
+    assert decimal_truncated(mpf(0), 5) == "0.0"
+    assert decimal_truncated(mp.inf, 5) == "+inf"
+    assert decimal_truncated(mpf(1000), 4) == "1000"
+    assert decimal_truncated(mpf("-0.000123456"), 3) == "-0.000123"
+    assert decimal_truncated(mpf("1.23456e-9"), 3) == "1.23e-9"
+    # an integer part longer than the kept digits goes to scientific form,
+    # still truncated
+    assert decimal_truncated(mpf("12345.678"), 4) == "1.234e+4"
+    with pytest.raises(UsageError):
+        decimal_truncated(mpf(1), 0)
