@@ -96,18 +96,21 @@ def _extremal_recursion_loss(a, T: int) -> int:
 #
 # Re-solves are rounded up to a bucket of 64 digits and floored at 512:
 # one generous ladder run covers every moderate request instead of several
-# slightly different ones.  The most precise re-solve is kept on the
-# constants object (its `frame` field), so it lives and dies with the
-# problem it belongs to.
+# slightly different ones.  The re-solve starts from the certified root, so
+# only its first rungs do real work: a rung whose truncation no longer
+# moves the root costs one eigen-solve.  The most precise re-solve is kept
+# on the constants object (its `frame` field), so it lives and dies with
+# the problem it belongs to.
 
 
 def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
     """(a_star, lambda) in the b=1 frame, good to at least need_dps decimals.
 
     Within the certification of `consts` the stored values are returned;
-    beyond it the side-condition root is re-solved at elevated precision
-    over a bracket of width 2*10^-(digits-3) around the certified root,
-    with the truncation ladder restarted from the certified matrix size.
+    beyond it the side-condition root is re-solved at elevated precision by
+    the truncation ladder from the certified matrix size, each rung starting
+    from the best root known so far (the certified a_star for the first),
+    inside a bracket of width 2*10^-(digits-3) around the certified root.
     """
     if need_dps <= consts.digits_certified:
         return consts.a_star, consts.lambda_star
@@ -118,7 +121,9 @@ def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
     with mp.workdps(bucket + 14):
         half = mpf(10) ** (-(digits - 3))
         bracket = (consts.a_star - half, consts.a_star + half)
-        a_root, pair, _n, _wd = _ladder_root(bucket, consts.N, bracket, guard=12)
+        a_root, pair, _n, _wd = _ladder_root(
+            bucket, consts.N, bracket, guard=12, guess=consts.a_star
+        )
     consts.frame = (bucket, a_root, pair.lam)
     return a_root, pair.lam
 

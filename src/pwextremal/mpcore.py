@@ -9,9 +9,8 @@ Everything downstream runs on top of four ingredients collected here:
   project actually needs (Cauchy product, integer powers, reciprocal,
   log(1+f), exp, rescaling of the variable);
 * Legendre polynomial evaluation and Clenshaw summation of Legendre series;
-* exact integer-point values of the Riemann zeta and Dirichlet beta
-  functions backed by Bernoulli and Euler numbers, with high-precision
-  numeric fallbacks.
+* the Dirichlet beta function and alternating half-integer tails, through
+  Hurwitz zeta values.
 
 Scalars are plain ``mpmath.mpf`` values ("big reals").  All functions expect
 to be called with the global mpmath precision already set, normally via
@@ -24,12 +23,10 @@ precision happened to be active then.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
-from mpmath import mp, mpf, bernfrac
+from mpmath import mp, mpf
 
 
 class UsageError(ValueError):
@@ -349,16 +346,6 @@ def legendre_eval(n: int, x):
     return legendre_pair(n, x)[0]
 
 
-def legendre_derivative(n: int, x):
-    if n == 0:
-        return mpf(0)
-    p, p_prev = legendre_pair(n, x)
-    denom = x * x - 1
-    if denom == 0:
-        return mpf(n * (n + 1)) / 2 * (mpf(1) if x > 0 else mpf(-1)) ** (n + 1)
-    return n * (x * p - p_prev) / denom
-
-
 def clenshaw_legendre(coeffs: Sequence, x):
     """sum_k coeffs[k] P_k(x) by Clenshaw's backward recurrence."""
     b1 = mpf(0)
@@ -372,80 +359,7 @@ def clenshaw_legendre(coeffs: Sequence, x):
 
 
 # ----------------------------------------------------------------------
-# Bernoulli and Euler numbers, zeta and beta at integers
-
-_euler_cache = [1]  # E_0, even-index Euler numbers E_{2k} stored at index k
-_euler_lock = threading.Lock()
-
-
-def bernoulli_fraction(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
-    if n < 0:
-        raise UsageError("n must be nonnegative")
-    if n == 1:
-        return Fraction(-1, 2)
-    p, q = bernfrac(n)
-    return Fraction(int(p), int(q))
-
-
-def euler_number(n: int) -> int:
-    """Exact integer Euler number E_n; odd indices vanish."""
-    if n < 0:
-        raise UsageError("n must be nonnegative")
-    if n % 2:
-        return 0
-    k = n // 2
-    with _euler_lock:
-        while len(_euler_cache) <= k:
-            m = len(_euler_cache)  # computing E_{2m}
-            s = 0
-            for j in range(m):
-                s += math.comb(2 * m, 2 * j) * _euler_cache[j]
-            _euler_cache.append(-s)
-        return _euler_cache[k]
-
-
-def zeta_int(s: int):
-    """zeta(s) at an integer s != 1.
-
-    Returns a Fraction for s <= 0, a pair (rational, pi_power) for positive
-    even s (value = rational * pi**pi_power), and an mpf computed at the
-    active precision for odd s >= 3.
-    """
-    s = int(s)
-    if s == 1:
-        raise UsageError("zeta has a pole at s=1")
-    if s == 0:
-        # the -B_{n+1}/(n+1) closed form needs the B_1 = +1/2 convention here
-        return Fraction(-1, 2)
-    if s < 0:
-        n = -s
-        return -bernoulli_fraction(n + 1) / (n + 1)
-    if s % 2 == 0:
-        k = s // 2
-        rational = (
-            Fraction((-1) ** (k + 1))
-            * bernoulli_fraction(2 * k)
-            * Fraction(2 ** (2 * k), 2)
-            / Fraction(math.factorial(2 * k))
-        )
-        return rational, s
-    return mp.zeta(s)
-
-
-def beta_int(s: int):
-    """Dirichlet beta at an integer: exact at s <= 0, numeric otherwise."""
-    s = int(s)
-    if s <= 0:
-        return Fraction(euler_number(-s), 2)
-    return beta_numeric(s)
-
-
-def zeta_numeric(s):
-    """Numeric zeta for real s != 1 (continuation included)."""
-    if s == 1:
-        raise UsageError("zeta has a pole at s=1")
-    return mp.zeta(s)
+# Dirichlet beta and alternating tails
 
 
 def beta_numeric(s):

@@ -13,9 +13,10 @@ and the solver's job is:
    its eigenvector (normalized so the leading entry is 1);
 2. root-find on a so that the alternating Legendre-endpoint sum
    S = sum_n (-1)^{floor((n-1)/2)} xi_n vanishes (this is the phase
-   condition selecting the extremal eigenfunction);
-3. double N until the root stabilizes, then convert: C = pi/(4a) and
-   L1 = -2 C lambda.
+   condition selecting the extremal eigenfunction), starting from the best
+   root already known when there is one;
+3. double N until the root stabilizes, each rung starting from the root of
+   the rung before, then convert: C = pi/(4a) and L1 = -2 C lambda.
 
 Step 1 is a single mechanism.  The eigenvector is the minimal solution of
 the three-term recurrence that defines the matrix (Gautschi, SIAM Rev. 9,
@@ -24,7 +25,14 @@ from xi_{N+1} = 0 and xi_N = 1, yields it; for 0 < a < 3/2 and lambda < 2
 every term of that sweep is positive, so it runs without cancellation.
 Row 0, which the sweep leaves out, is the eigen-condition g(lambda) = 0,
 and Newton on g (with g' from the same sweep differentiated in lambda)
-finds the eigenvalue.  Step 2 is regula falsi with the Illinois fix.
+finds the eigenvalue.  Step 2 is regula falsi with the Illinois fix.  A
+search given a starting root first evaluates S there and keeps it when S is
+already at its noise floor; otherwise it grows a sign-changing bracket
+outward from it (S' is about 1.1 near the root, so the first half-width,
+twice |S|, usually holds the root) and runs regula falsi on that.  A rung
+whose truncation no longer moves the root then costs one eigen-solve and
+other warm searches three to nine, against nine to thirteen from the
+bracket.
 
 Truncation error decays superexponentially (the eigenvector entries die
 off faster than any geometric sequence), so the ladder stabilizes at small
@@ -89,9 +97,14 @@ class EigenPair:
 
 
 # Work bounds: Newton steps per eigen-solve, regula falsi steps per root,
-# and the largest truncation either ladder may reach.
+# widenings of a bracket grown from a starting root, and the largest
+# truncation either ladder may reach.  A grown bracket starts at half-width
+# _GROW_FIRST |S(guess)| and widens by _GROW_FACTOR.
 _NEWTON_STEPS = 100
 _ROOT_STEPS = 200
+_GROW_STEPS = 8
+_GROW_FIRST = 2
+_GROW_FACTOR = 10
 _N_CAP = 4096
 
 
@@ -186,12 +199,15 @@ def assert_ground_invariants(pair: EigenPair, a) -> None:
     Entries below ten times the residual (relative to the largest entry)
     count as noise, and their signs are not checked.
     """
+    where = "at N=%d, a=%s" % (len(pair.xi) - 1, mp.nstr(mpf(a), 20))
     if not (0 <= pair.lam <= mpf(a) / 3):
-        raise SolverError("ground eigenvalue escaped [0, a/3]")
+        raise SolverError(
+            "ground eigenvalue %s escaped [0, a/3] %s" % (mp.nstr(pair.lam, 10), where)
+        )
     floor = 10 * pair.residual * max(abs(x) for x in pair.xi)
     for n, x in enumerate(pair.xi):
         if x <= 0 and abs(x) > floor:
-            raise SolverError("ground eigenvector entry %d is not positive" % n)
+            raise SolverError("ground eigenvector entry %d is not positive %s" % (n, where))
 
 
 # ----------------------------------------------------------------------
@@ -220,22 +236,66 @@ def _condition_value(N: int, a, lambda_seed=None):
     return legendre_condition(pair), pair
 
 
-def _solve_root_for_N(N: int, bracket, digits_goal: int, lambda_seed=None):
+def _grow_bracket(N: int, lo, hi, x, f, pair):
+    """Sign-changing bracket around a starting root x with S(x) = f.
+
+    Probes x -+ w, clipped to [lo, hi], for w = _GROW_FIRST |f| widened
+    _GROW_FACTOR-fold up to _GROW_STEPS times.  The side the root should be
+    on (below x when f > 0, since S' > 0 near it) is probed first.  Returns
+    (lo, f_lo, hi, f_hi, pair): x and the first probe past a sign change,
+    or the outermost probes when none was found.
+    """
+    ends = [(x, f), (x, f)]  # lowest and highest point probed so far
+    first = 0 if f > 0 else 1
+    w = _GROW_FIRST * abs(f)
+    for _ in range(_GROW_STEPS):
+        for side in (first, 1 - first):
+            y = max(x - w, lo) if side == 0 else min(x + w, hi)
+            if y == ends[side][0]:
+                continue  # clipped to an end already probed
+            f_y, pair = _condition_value(N, y, pair.lam)
+            ends[side] = (y, f_y)
+            if f_y * f <= 0:
+                ends[1 - side] = (x, f)
+                return (*ends[0], *ends[1], pair)
+        w *= _GROW_FACTOR
+    return (*ends[0], *ends[1], pair)
+
+
+def _solve_root_for_N(N: int, bracket, digits_goal: int, lambda_seed=None, guess=None):
     """Root of S(a) = 0 for one truncation size, at the ambient precision.
 
-    Regula falsi with the Illinois fix on the sign-changing bracket: each
-    step evaluates S at the secant point of the bracket ends, and when one
-    end is kept twice in a row its value is halved, so both ends move in.
-    Stops when |S| <= 10^-(dps-6), the noise floor of S, or when the
+    Without a guess the search starts from the caller's bracket.  With one
+    (a root from a nearby solve, inside the bracket) S is evaluated there
+    first, and the guess is returned when |S| <= 10^-(dps-6), the noise
+    floor of S; otherwise the bracket is grown outward from the guess
+    inside the caller's (see _grow_bracket).  Then regula falsi with the
+    Illinois fix: each step evaluates S at the secant point of the bracket
+    ends, and when one end is kept twice in a row its value is halved, so
+    both ends move in.  It stops at the same noise floor, or when the
     bracket is narrower than 10^-(digits_goal+8).  Every evaluation is one
-    eigen-solve, warm-started from the eigenvalue of the previous one.
+    eigen-solve, warm-started from the eigenvalue of the previous one.  A
+    bracket without a sign change raises SolverError.
     """
     lo, hi = mpf(bracket[0]), mpf(bracket[1])
-    f_lo, pair = _condition_value(N, lo, lambda_seed)
-    f_hi, pair = _condition_value(N, hi, pair.lam)
-    if f_lo * f_hi > 0:
-        raise SolverError("side condition does not change sign on the bracket")
     s_tol = mpf(10) ** (-(mp.dps - 6))
+    if guess is None:
+        f_lo, pair = _condition_value(N, lo, lambda_seed)
+        f_hi, pair = _condition_value(N, hi, pair.lam)
+    else:
+        x = mpf(guess)
+        if not lo <= x <= hi:
+            raise UsageError("the starting root lies outside the bracket")
+        f, pair = _condition_value(N, x, lambda_seed)
+        if abs(f) <= s_tol:
+            return x, pair
+        lo, f_lo, hi, f_hi, pair = _grow_bracket(N, lo, hi, x, f, pair)
+    if f_lo * f_hi > 0:
+        raise SolverError(
+            "side condition does not change sign on the bracket [%s, %s] "
+            "(width %s) at N=%d, %d dps"
+            % (mp.nstr(lo, 20), mp.nstr(hi, 20), mp.nstr(hi - lo, 5), N, mp.dps)
+        )
     a_tol = mpf(10) ** (-(digits_goal + 8))
     kept = 0  # +1 when the last step kept lo, -1 when it kept hi
     for _ in range(_ROOT_STEPS):
@@ -303,10 +363,13 @@ class ExtremalConstants:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _ladder_root(digits: int, initial_N: int, bracket, guard: int):
+def _ladder_root(digits: int, initial_N: int, bracket, guard: int, guess=None):
     """Run the (N, precision) ladder; returns (a, pair, N, working_dps).
 
-    N doubles until the root moves by at most 10^-(digits+5); a ladder that
+    The first rung starts from guess (or from the bracket when there is
+    none) and every later rung from the root of the rung before, so a rung
+    whose truncation no longer moves the root costs one eigen-solve.  N
+    doubles until the root moves by at most 10^-(digits+5); a ladder that
     passes N = _N_CAP without stabilizing raises SolverError.
     """
     ctx = PrecisionContext(digits=digits, guard=guard)
@@ -315,11 +378,14 @@ def _ladder_root(digits: int, initial_N: int, bracket, guard: int):
     N = initial_N
     with ctx.working():
         while N <= _N_CAP:
-            a_root, pair = _solve_root_for_N(N, bracket, digits, lambda_seed=lam_seed)
+            a_root, pair = _solve_root_for_N(
+                N, bracket, digits, lambda_seed=lam_seed, guess=guess
+            )
             assert_ground_invariants(pair, a_root)
             if prev_a is not None and abs(a_root - prev_a) <= stop:
                 return a_root, pair, N, ctx.working_dps
-            prev_a, lam_seed = a_root, pair.lam
+            prev_a = guess = a_root
+            lam_seed = pair.lam
             N *= 2
     raise SolverError(
         "truncation ladder exhausted at N=%d without stabilizing at %d dps"
@@ -336,7 +402,13 @@ def solve_constants(
     """Compute the extremal constants certified to `digits` decimals.
 
     Runs the truncation ladder twice, at guard and 2*guard extra digits,
-    and demands agreement of C to the requested digits before reporting.
+    and demands agreement of C to 10^-(digits+1) before reporting.  The
+    second run starts from the first run's root, inside a bracket of
+    half-width 10^-(digits-3) around it.  That bracket is 10^4 times wider
+    than the agreement tolerance, so the second run is free to land where
+    its own precision puts the root, and agreement does not follow from
+    the bracket.  What the check backs is that doubling the guard digits
+    moves C by less than 10^-(digits+1).
     """
     if digits < 10:
         raise UsageError("digits must be at least 10")
@@ -344,11 +416,14 @@ def solve_constants(
         guard = default_guard(max(initial_N * 4, 1000))
 
     runs = []
+    guess = None
     for g in (guard, 2 * guard):
-        a_root, pair, N, wdps = _ladder_root(digits, initial_N, bracket, g)
+        a_root, pair, N, wdps = _ladder_root(digits, initial_N, bracket, g, guess=guess)
         with mp.workdps(wdps):
             C = mp.pi / (4 * a_root)
             L1 = -2 * C * pair.lam
+            half = mpf(10) ** (-(digits - 3))
+            bracket, guess = (a_root - half, a_root + half), a_root
         runs.append((a_root, pair, N, wdps, C, L1))
 
     (a1, pair1, N1, w1, C1, L11), (a2, pair2, N2, w2, C2, L12) = runs

@@ -6,6 +6,8 @@ every pipeline stage is checked against an expression that never ran
 through the code under test.
 """
 
+import dataclasses
+
 import pytest
 from mpmath import mp, mpf
 
@@ -102,6 +104,17 @@ def test_refined_frame_cached_on_constants(consts30, eigen_solves):
     assert eigen_solves == []
     assert consts30.frame[0] >= 200
     assert "frame" not in consts30.to_json_dict()
+
+
+def test_refined_frame_work_count(consts30, eigen_solves):
+    # the re-solve starts from the certified root, so only its first rungs
+    # do real work and the top rung confirms the root with one solve
+    fresh = dataclasses.replace(consts30, frame=None)
+    a1, _lam = extremal.refined_spectral_frame(fresh, 200)
+    assert 0 < len(eigen_solves) <= 16
+    assert eigen_solves.count(max(eigen_solves)) <= 2
+    with mp.workdps(130):
+        assert abs(a1 - mp.pi / (4 * mpf(refvals.C_REF))) < mpf(10) ** -100
 
 
 def test_envelope_detector_trips(consts30):

@@ -1,5 +1,5 @@
 """Tests for the arithmetic substrate: series algebra, Legendre machinery,
-exact zeta/beta values and truncated decimal output."""
+the Dirichlet beta function and truncated decimal output."""
 
 import random
 from fractions import Fraction
@@ -13,14 +13,10 @@ from pwextremal.mpcore import (
     TruncatedLaurentSeries,
     UsageError,
     alternating_halfinteger_tail,
-    bernoulli_fraction,
-    beta_int,
     beta_numeric,
     clenshaw_legendre,
     decimal_truncated,
     default_guard,
-    euler_number,
-    legendre_derivative,
     legendre_eval,
     legendre_pair,
     richardson_doubling,
@@ -33,8 +29,6 @@ from pwextremal.mpcore import (
     series_reciprocal,
     series_rescale_variable,
     series_scale,
-    zeta_int,
-    zeta_numeric,
 )
 
 
@@ -224,13 +218,6 @@ def test_legendre_bonnet_residual():
             assert abs(resid) < mpf(10) ** -(mp.dps - 6)
 
 
-def test_legendre_derivative_endpoints():
-    for n in (1, 2, 7):
-        assert legendre_derivative(n, mpf(1)) == mpf(n * (n + 1)) / 2
-        want = mpf((-1) ** (n + 1)) * n * (n + 1) / 2
-        assert legendre_derivative(n, mpf(-1)) == want
-
-
 def test_clenshaw_matches_direct():
     rng = random.Random(3)
     coeffs = [mpf(rng.uniform(-2, 2)) for _ in range(12)]
@@ -239,50 +226,11 @@ def test_clenshaw_matches_direct():
     assert abs(clenshaw_legendre(coeffs, x) - direct) < mpf(10) ** -(mp.dps - 6)
 
 
-def test_zeta_exact_values():
-    assert zeta_int(-1) == Fraction(-1, 12)
-    assert zeta_int(-2) == Fraction(0)
-    assert zeta_int(0) == Fraction(-1, 2)
-    rational, power = zeta_int(2)
-    assert rational == Fraction(1, 6)
-    assert power == 2
-    rational4, power4 = zeta_int(4)
-    assert rational4 == Fraction(1, 90)
-    assert power4 == 4
-    with pytest.raises(UsageError):
-        zeta_int(1)
-
-
-def test_zeta_numeric_branch_certified():
-    v1 = zeta_int(3)
-    with mp.workdps(80):
-        v2 = zeta_int(3)
-    assert abs(v1 - v2) < mpf(10) ** -38
-    # continuation branch for real s
-    assert abs(zeta_numeric(mpf("2.5")) - mp.zeta(mpf("2.5"))) == 0
-
-
 def test_beta_values():
-    assert beta_int(0) == Fraction(1, 2)
-    assert beta_int(-1) == Fraction(0)
-    assert beta_int(-2) == Fraction(-1, 2)
-    b1 = beta_int(1)
-    assert abs(b1 - mp.pi / 4) < mpf(10) ** -38
-    # Catalan's constant as a spot check of the numeric branch
-    assert abs(beta_int(2) - mp.catalan) < mpf(10) ** -38
+    # the Leibniz value at s=1 and Catalan's constant at s=2
+    assert abs(beta_numeric(1) - mp.pi / 4) < mpf(10) ** -38
+    assert abs(beta_numeric(2) - mp.catalan) < mpf(10) ** -38
     assert abs(beta_numeric(mpf(2)) - mp.catalan) < mpf(10) ** -38
-
-
-def test_bernoulli_euler_tables():
-    assert bernoulli_fraction(0) == 1
-    assert bernoulli_fraction(1) == Fraction(-1, 2)
-    assert bernoulli_fraction(12) == Fraction(-691, 2730)
-    assert euler_number(0) == 1
-    assert euler_number(2) == -1
-    assert euler_number(4) == 5
-    assert euler_number(6) == -61
-    assert euler_number(10) == -50521
-    assert euler_number(7) == 0
 
 
 def test_alternating_halfinteger_tail_matches_bruteforce():

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from pwextremal.mpcore import UsageError
+from pwextremal import spectral
+from pwextremal.mpcore import PrecisionContext, UsageError
 from pwextremal.spectral import (
     EigenPair,
     SolverError,
     _solve_root_for_N,
+    assert_ground_invariants,
     build_matrix,
     ground_eigenpair,
     legendre_condition,
@@ -187,10 +189,85 @@ def test_solve_constants_invariances(consts12):
 
 
 def test_solve_constants_work_count(eigen_solves):
-    # each side-condition evaluation is one eigen-solve; the ladder at 30
-    # digits needs two rungs per guard and about ten regula falsi steps each
+    # each side-condition evaluation is one eigen-solve; only the first
+    # rung of the first run searches the whole bracket (about ten steps),
+    # every later search starts from the root found before it
     solve_constants(30)
-    assert 0 < len(eigen_solves) <= 60
+    assert 0 < len(eigen_solves) <= 20
+
+
+def test_warm_start_matches_cold_search():
+    # a guess 10^-digits off the root and a guess on either bracket end
+    # lead to the root the search from the bracket finds
+    digits = 30
+    bracket = (mpf("1.44"), mpf("1.46"))
+    with PrecisionContext(digits=digits, guard=18).working():
+        cold, _ = _solve_root_for_N(64, bracket, digits)
+        for guess in (cold + mpf(10) ** -digits, bracket[0], bracket[1]):
+            warm, pair = _solve_root_for_N(64, bracket, digits, guess=guess)
+            assert abs(warm - cold) <= mpf(10) ** -(digits + 5), guess
+            assert bracket[0] <= warm <= bracket[1]
+            assert abs(legendre_condition(pair)) <= mpf(10) ** -(mp.dps - 6)
+
+
+def test_warm_start_guess_already_a_root(eigen_solves):
+    # a guess at the noise floor of S is returned after one evaluation
+    with mp.workdps(40):
+        bracket = (mpf("1.44"), mpf("1.46"))
+        root, _ = _solve_root_for_N(64, bracket, 30)
+        eigen_solves.clear()
+        again, _ = _solve_root_for_N(64, bracket, 30, guess=root)
+        assert again == root
+        assert len(eigen_solves) == 1
+        with pytest.raises(UsageError):
+            _solve_root_for_N(64, bracket, 30, guess=mpf("1.47"))
+
+
+def test_grown_bracket_widenings_are_bounded(monkeypatch):
+    # a side condition that never changes sign: the bracket grown from
+    # the guess widens _GROW_STEPS times inside the caller's bracket, then
+    # the search gives up with the grown bracket in the message
+    probes = []
+
+    def positive(N, a, lambda_seed=None):
+        probes.append(a)
+        return mpf("1e-20"), EigenPair(lam=mpf(0), xi=[mpf(1)] * (N + 1))
+
+    monkeypatch.setattr(spectral, "_condition_value", positive)
+    monkeypatch.setattr(spectral, "_GROW_STEPS", 3)
+    with mp.workdps(40):
+        guess = mpf("1.45")
+        with pytest.raises(SolverError) as err:
+            _solve_root_for_N(64, ("1.44", "1.46"), 30, guess=guess)
+        assert len(probes) == 1 + 2 * 3
+        widest = max(abs(a - guess) for a in probes)
+        last = spectral._GROW_FIRST * mpf("1e-20") * spectral._GROW_FACTOR ** 2
+        assert abs(widest / last - 1) < mpf(10) ** -10
+        assert all(mpf("1.44") <= a <= mpf("1.46") for a in probes)
+    message = str(err.value)
+    assert "does not change sign" in message
+    assert "N=64" in message and "40 dps" in message
+    assert "1.45" in message
+
+
+def test_sign_change_error_names_the_search():
+    with mp.workdps(30):
+        with pytest.raises(SolverError) as err:
+            _solve_root_for_N(64, ("1.30", "1.40"), 20)
+    message = str(err.value)
+    assert "N=64" in message and "30 dps" in message
+    assert "[1.3, 1.4]" in message
+
+
+def test_ground_invariant_errors_name_N_and_a():
+    with mp.workdps(30):
+        a = mpf("1.45")
+        high = EigenPair(lam=mpf(1), xi=[mpf(1), mpf("0.5"), mpf("0.1")])
+        with pytest.raises(SolverError, match=r"escaped .* at N=2, a=1\.45"):
+            assert_ground_invariants(high, a)
+        signed = EigenPair(lam=mpf("0.1"), xi=[mpf(1), mpf("-0.5"), mpf("0.1")])
+        with pytest.raises(SolverError, match=r"entry 1 .* at N=2, a=1\.45"):
+            assert_ground_invariants(signed, a)
 
 
 def test_solve_constants_rejects_low_digits():
