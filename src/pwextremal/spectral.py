@@ -29,7 +29,8 @@ finds the eigenvalue.  Step 2 is regula falsi with the Illinois fix.  A
 search given a starting root first evaluates S there and keeps it when S is
 already at its noise floor; otherwise it grows a sign-changing bracket
 outward from it (S' is about 1.1 near the root, so the first half-width,
-twice |S|, usually holds the root) and runs regula falsi on that.  A rung
+twice |S|, usually holds the root) and runs regula falsi on that, or on
+the caller's whole bracket when the grown one never changes sign.  A rung
 whose truncation no longer moves the root then costs one eigen-solve and
 other warm searches three to nine, against nine to thirteen from the
 bracket.
@@ -243,7 +244,9 @@ def _grow_bracket(N: int, lo, hi, x, f, pair):
     _GROW_FACTOR-fold up to _GROW_STEPS times.  The side the root should be
     on (below x when f > 0, since S' > 0 near it) is probed first.  Returns
     (lo, f_lo, hi, f_hi, pair): x and the first probe past a sign change,
-    or the outermost probes when none was found.
+    or, when none was found, the caller's ends lo and hi, so a warm start
+    costs at most two extra solves over the search from the bracket and
+    never loses a root that search would find.
     """
     ends = [(x, f), (x, f)]  # lowest and highest point probed so far
     first = 0 if f > 0 else 1
@@ -259,6 +262,10 @@ def _grow_bracket(N: int, lo, hi, x, f, pair):
                 ends[1 - side] = (x, f)
                 return (*ends[0], *ends[1], pair)
         w *= _GROW_FACTOR
+    for side, y in ((0, lo), (1, hi)):
+        if y != ends[side][0]:
+            f_y, pair = _condition_value(N, y, pair.lam)
+            ends[side] = (y, f_y)
     return (*ends[0], *ends[1], pair)
 
 
@@ -269,7 +276,8 @@ def _solve_root_for_N(N: int, bracket, digits_goal: int, lambda_seed=None, guess
     (a root from a nearby solve, inside the bracket) S is evaluated there
     first, and the guess is returned when |S| <= 10^-(dps-6), the noise
     floor of S; otherwise the bracket is grown outward from the guess
-    inside the caller's (see _grow_bracket).  Then regula falsi with the
+    inside the caller's, falling back to the caller's when it never
+    changes sign (see _grow_bracket).  Then regula falsi with the
     Illinois fix: each step evaluates S at the secant point of the bracket
     ends, and when one end is kept twice in a row its value is halved, so
     both ends move in.  It stops at the same noise floor, or when the
@@ -403,12 +411,12 @@ def solve_constants(
 
     Runs the truncation ladder twice, at guard and 2*guard extra digits,
     and demands agreement of C to 10^-(digits+1) before reporting.  The
-    second run starts from the first run's root, inside a bracket of
-    half-width 10^-(digits-3) around it.  That bracket is 10^4 times wider
-    than the agreement tolerance, so the second run is free to land where
-    its own precision puts the root, and agreement does not follow from
-    the bracket.  What the check backs is that doubling the guard digits
-    moves C by less than 10^-(digits+1).
+    second run searches the same bracket, starting from the first run's
+    root: its ladder begins again at initial_N, whose root may lie far
+    from that start, and its search stops where its own precision puts the
+    root, so agreement does not follow from the start.  What the check
+    backs is that doubling the guard digits moves C by less than
+    10^-(digits+1).
     """
     if digits < 10:
         raise UsageError("digits must be at least 10")
@@ -422,8 +430,7 @@ def solve_constants(
         with mp.workdps(wdps):
             C = mp.pi / (4 * a_root)
             L1 = -2 * C * pair.lam
-            half = mpf(10) ** (-(digits - 3))
-            bracket, guess = (a_root - half, a_root + half), a_root
+        guess = a_root
         runs.append((a_root, pair, N, wdps, C, L1))
 
     (a1, pair1, N1, w1, C1, L11), (a2, pair2, N2, w2, C2, L12) = runs

@@ -225,8 +225,9 @@ def test_warm_start_guess_already_a_root(eigen_solves):
 
 def test_grown_bracket_widenings_are_bounded(monkeypatch):
     # a side condition that never changes sign: the bracket grown from
-    # the guess widens _GROW_STEPS times inside the caller's bracket, then
-    # the search gives up with the grown bracket in the message
+    # the guess widens _GROW_STEPS times inside the caller's bracket, the
+    # caller's ends are probed last, then the search gives up with the
+    # caller's bracket in the message
     probes = []
 
     def positive(N, a, lambda_seed=None):
@@ -239,15 +240,47 @@ def test_grown_bracket_widenings_are_bounded(monkeypatch):
         guess = mpf("1.45")
         with pytest.raises(SolverError) as err:
             _solve_root_for_N(64, ("1.44", "1.46"), 30, guess=guess)
-        assert len(probes) == 1 + 2 * 3
-        widest = max(abs(a - guess) for a in probes)
+        assert len(probes) == 1 + 2 * 3 + 2
+        widest = max(abs(a - guess) for a in probes[:-2])
         last = spectral._GROW_FIRST * mpf("1e-20") * spectral._GROW_FACTOR ** 2
         assert abs(widest / last - 1) < mpf(10) ** -10
-        assert all(mpf("1.44") <= a <= mpf("1.46") for a in probes)
+        assert probes[-2:] == [mpf("1.44"), mpf("1.46")]
     message = str(err.value)
     assert "does not change sign" in message
     assert "N=64" in message and "40 dps" in message
-    assert "1.45" in message
+    assert "[1.44, 1.46]" in message
+
+
+def test_grown_bracket_falls_back_to_caller_bracket(monkeypatch):
+    # a root farther from the guess than the widest grown probe: the
+    # search from the caller's ends still finds it
+    def far_root(N, a, lambda_seed=None):
+        f = (a - mpf("1.45")) ** 3 + mpf("1e-21")
+        return f, EigenPair(lam=mpf(0), xi=[mpf(1)] * (N + 1))
+
+    monkeypatch.setattr(spectral, "_condition_value", far_root)
+    monkeypatch.setattr(spectral, "_GROW_STEPS", 3)
+    with mp.workdps(40):
+        root, _ = _solve_root_for_N(64, ("1.44", "1.46"), 30, guess=mpf("1.45"))
+        assert abs(root - (mpf("1.45") - mpf("1e-7"))) < mpf(10) ** -18
+
+
+def test_solve_constants_long_first_ladder(consts30):
+    # from N=8 the first run climbs several rungs, so the second run's
+    # first rung (N=8 again) has its root far from the first run's root
+    alt = solve_constants(30, initial_N=8)
+    with alt.ctx.working():
+        assert abs(alt.C - consts30.C) < mpf(10) ** -30
+        assert abs(alt.a_star - consts30.a_star) < mpf(10) ** -30
+
+
+def test_solve_constants_two_hundred_digits():
+    # the first run stops at N=256, three rungs past N=64, where the
+    # second run starts again
+    consts = solve_constants(200)
+    assert consts.N == 256
+    with consts.ctx.working():
+        assert abs(consts.C - mpf(refvals.C_REF)) < mpf(10) ** -110
 
 
 def test_sign_change_error_names_the_search():
