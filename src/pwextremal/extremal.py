@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_cos_sin, mpf_rdiv_int, to_fixed
 
 from .mpcore import (
     TruncatedLaurentSeries,
@@ -471,11 +472,6 @@ def tau(model: ZeroModel, n: int):
             % (mp.nstr(bound, 3), n)
         )
     return tau_series(model, n)
-
-
-def zeros_unsigned(model: ZeroModel, count: int):
-    """tau_1..tau_count, refined head first, certified series beyond."""
-    return [tau(model, n) for n in range(1, count + 1)]
 
 
 def zeros_signed(model: ZeroModel, count: int):
@@ -1013,27 +1009,98 @@ def summation_check(
 # its reflection, whose positive zeros fill the even rungs.  At the
 # extremal drift these are exactly pi/2 times the tau ladder; at other
 # drifts they provide the second zero system of the summation identity.
+#
+# Evaluating F(x) = sum_{m<=M} c_m j_m(x), c_m = (+-1)^m xi_m.  With
+# u = 1/x every spherical Bessel function is j_m(x) = sin x A_m(u) +
+# cos x B_m(u), where A_m and B_m are integer polynomials of degree m + 1:
+# both obey the recurrence P_{m+1} = (2m+1) u P_m - P_{m-1} of j_m, from
+# A_{-1} = 0, B_{-1} = u (j_{-1} = cos x / x) and A_0 = u, B_0 = 0
+# (j_0 = sin x / x).  So F(x) = sin x A(u) + cos x B(u) exactly, with
+# A = sum c_m A_m and B = sum c_m B_m of degree M + 1, built once per
+# ladder.  Two regimes:
+#
+# * x > M + 4, the oscillatory regime holding all zeros past about the
+#   seventh of each ladder: A, B, A' and B' by Horner's rule in
+#   fixed-point integers at prec + 20 bits, plus one cos/sin per point.
+#   Here u < 1, so a truncation error is never magnified by later Horner
+#   steps, and Horner's rule is off by at most deg + 1 = M + 2 units of
+#   2^-(prec+20) in A(u) and B(u); the whole error budget is in the
+#   docstring of _bessel_series_eval.
+# * x <= M + 4, the head scan and the first zeros: j_0..j_M by downward
+#   recurrence from a damped seed, normalized through j_0 (Miller's
+#   device).  Near and below the turning point x ~ m the polynomial terms
+#   grow like (2m-1)!! u^{m+1} and cancel, as the upward recurrence's
+#   factorial contamination does.
+
+_HORNER_GUARD_BITS = 20
+
+
+@dataclass(frozen=True)
+class _BesselSeries:
+    """F = sum_m coeffs[m] j_m, with F(x) = sin x A(1/x) + cos x B(1/x):
+    sin_poly and cos_poly are the coefficients of A and B, lowest power
+    first, as integers scaled by 2^wp."""
+
+    coeffs: list
+    sin_poly: list
+    cos_poly: list
+    wp: int
+
+    @property
+    def M(self) -> int:
+        return len(self.coeffs) - 1
+
+
+def _bessel_step(p, q, m: int):
+    """(2m+1) u p - q on integer coefficient lists in powers of u."""
+    out = [0] + [(2 * m + 1) * c for c in p]
+    for k, c in enumerate(q):
+        out[k] -= c
+    return out
+
+
+def _bessel_series(xi, alternate: bool) -> _BesselSeries:
+    """Closed form of sum_m (+-1)^m xi_m j_m at the ambient precision.
+
+    Each coefficient of A and B is sum_m c_m times the integer coefficient
+    of A_m or B_m.  The c_m are taken to g extra bits, g covering the
+    largest integer coefficient and the M + 1 terms, so the sum is within
+    one unit of 2^-wp; truncating it to wp bits adds at most one more.
+    """
+    coeffs = [-v if (alternate and m % 2) else v for m, v in enumerate(xi)]
+    M = len(coeffs) - 1
+    wp = mp.prec + _HORNER_GUARD_BITS
+    rows = []  # (A_m, B_m) for m = 0..M
+    prev, cur = ([0, 0], [0, 1]), ([0, 1], [0, 0])
+    for m in range(M + 1):
+        rows.append(cur)
+        prev, cur = cur, tuple(_bessel_step(p, q, m) for p, q in zip(cur, prev))
+    g = max(abs(c).bit_length() for row in rows for P in row for c in P)
+    g += M.bit_length()
+    fixed = [to_fixed(c._mpf_, wp + g) for c in coeffs]
+
+    def combine(which):
+        out = [0] * (M + 2)
+        for f, row in zip(fixed, rows):
+            for k, c in enumerate(row[which]):
+                out[k] += f * c
+        return [v >> g for v in out]
+
+    return _BesselSeries(coeffs, combine(0), combine(1), wp)
 
 
 def _bessel_j_ladder(x, M: int):
-    """Spherical Bessel values (j_{-1}, [j_0, ..., j_M]) at x > 0.
+    """Spherical Bessel values (j_{-1}, [j_0, ..., j_M]) at 0 < x <= M + 4,
+    by Miller's downward recurrence normalized through j_0.
 
-    Upward recurrence is used in the oscillatory regime x > M + 4 where it
-    is stable; below that the sequence is generated by downward recurrence
-    from a damped seed and normalized through j_0 (Miller's device), which
-    avoids the factorial contamination of upward steps at small argument.
+    The relative error of j_m is about (j_start(x) / j_m(x))^2.  Started
+    at M + x + 20 that is near 10^-40 at x = M + 4; past n = 2x each rung
+    shrinks j_n at least fourfold, so dps/2 more rungs take it below
+    10^-dps.
     """
     jm1 = mp.cos(x) / x
     j0 = mp.sin(x) / x
-    if x > M + 4:
-        js = [j0]
-        prev, cur = jm1, j0
-        for m in range(M):
-            nxt = (2 * m + 1) / x * cur - prev
-            js.append(nxt)
-            prev, cur = cur, nxt
-        return jm1, js
-    start = M + 20 + int(x)
+    start = M + 20 + int(x) + mp.dps // 2
     hi = mpf(0)
     cur = mpf(10) ** (-40)
     tail = [cur]
@@ -1065,20 +1132,49 @@ def _eigen_bessel_coefficients(a, digits: int):
     return xi
 
 
-def _bessel_series_eval(xi, alternate: bool, x):
-    """Value and derivative of sum_m (+-1)^m xi_m j_m at x."""
-    M = len(xi) - 1
-    jm1, js = _bessel_j_ladder(x, M)
-    val = mpf(0)
-    der = mpf(0)
-    for m in range(M + 1):
-        c = -xi[m] if (alternate and m % 2) else xi[m]
-        val += c * js[m]
-        der += c * ((js[m - 1] if m else jm1) - (m + 1) / x * js[m])
-    return val, der
+def _bessel_series_eval(series: _BesselSeries, x):
+    """Value and derivative of F = sum_m c_m j_m at x > 0.
+
+    For x <= M + 4 from the Miller ladder.  Beyond it from the closed form
+    F = sin x A(u) + cos x B(u), F' = cos x A - sin x B - u^2 (sin x A' +
+    cos x B'), u = 1/x, in integers scaled by 2^wp, wp = prec + 20.
+
+    Error bound, in units of 2^-wp.  Every product is truncated by less
+    than one unit, and as u < 1 no later Horner step magnifies an error
+    already made, so Horner's rule adds at most deg + 1 = M + 2 units to
+    A(u) and B(u), whatever the size of their coefficients a_k.  The a_k
+    are within two units each (see _bessel_series), u, sin x and cos x
+    within two; A'(u) and B'(u) are within (M + 2)(3M + 7) units, which
+    the factor u^2 < 1/(M + 4)^2 scales below 3.  So F and F' are within
+    8 (M + 3) + 6 K units, K = sum_k (k + 1) |a_k| over both polynomials.
+    At a = 1, 20 digits: M = 18, K = 6.3, under 2^8 units; every term
+    |a_k| u^k is below 0.05 there, so the terms do not cancel either.
+    """
+    x = mpf(x)
+    if x <= series.M + 4:
+        jm1, js = _bessel_j_ladder(x, series.M)
+        val = mpf(0)
+        der = mpf(0)
+        for m, c in enumerate(series.coeffs):
+            val += c * js[m]
+            der += c * ((js[m - 1] if m else jm1) - (m + 1) / x * js[m])
+        return val, der
+    wp = series.wp
+    cos, sin = mpf_cos_sin(x._mpf_, wp)
+    C, S = to_fixed(cos, wp), to_fixed(sin, wp)
+    u = to_fixed(mpf_rdiv_int(1, x._mpf_, wp), wp)
+    a = b = da = db = 0
+    for ak, bk in zip(reversed(series.sin_poly), reversed(series.cos_poly)):
+        da = (da * u >> wp) + a
+        db = (db * u >> wp) + b
+        a = (a * u >> wp) + ak
+        b = (b * u >> wp) + bk
+    val = (S * a + C * b) >> wp
+    der = ((C * a - S * b) >> wp) - ((u * u >> wp) * ((S * da + C * db) >> wp) >> wp)
+    return mpf((val, -wp)), mpf((der, -wp))
 
 
-def _bessel_zero_ladder(xi, alternate: bool, count: int, digits: int):
+def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
     """First `count` positive zeros of the Bessel-series eigenfunction.
 
     The head is located by a sign-change scan; after two zeros are known
@@ -1092,7 +1188,7 @@ def _bessel_zero_ladder(xi, alternate: bool, count: int, digits: int):
     def refine(seed, lo, hi):
         r = seed
         for _ in range(80):
-            v, d = _bessel_series_eval(xi, alternate, r)
+            v, d = _bessel_series_eval(series, r)
             step = v / d
             r -= step
             if r <= lo or r >= hi:
@@ -1103,10 +1199,10 @@ def _bessel_zero_ladder(xi, alternate: bool, count: int, digits: int):
 
     step = mpf(2) / 5
     x = step
-    pv, _ = _bessel_series_eval(xi, alternate, x)
+    pv, _ = _bessel_series_eval(series, x)
     while len(zeros) < min(count, 3) and x < 40:
         x += step
-        v, _ = _bessel_series_eval(xi, alternate, x)
+        v, _ = _bessel_series_eval(series, x)
         if v == 0:
             zeros.append(x)
         elif v * pv < 0:
@@ -1131,9 +1227,10 @@ def summation_system(a, count: int, digits: int = 20):
     Returns (a_param, zeros) ready for :func:`summation_check`: positive
     entries are the scaled zeros of the alternating Bessel series, negative
     entries the reflected zeros of its companion, merged in increasing
-    absolute value.  They must interleave; a collision or an inversion is
-    reported as a solver failure.  At the extremal drift the result
-    reproduces 1/(2C) and the signed tau ladder.
+    absolute value.  They must interleave; two neighbours of one sign, or
+    of opposite signs within 10^-(digits+5) of each other, are reported as
+    a solver failure.  At the extremal drift the result reproduces 1/(2C)
+    and the signed tau ladder.
     """
     if count < 2:
         raise UsageError("count must be at least 2")
@@ -1143,14 +1240,20 @@ def summation_system(a, count: int, digits: int = 20):
             raise UsageError("summation_system requires 0 < a < 3/2")
         xi = _eigen_bessel_coefficients(a, digits)
         half = count // 2 + 2
-        plus = _bessel_zero_ladder(xi, True, half, digits)
-        minus = _bessel_zero_ladder(xi, False, half, digits)
+        plus = _bessel_zero_ladder(_bessel_series(xi, True), half, digits)
+        minus = _bessel_zero_ladder(_bessel_series(xi, False), half, digits)
         merged = sorted(
             [(t, 1) for t in plus] + [(t, -1) for t in minus], key=lambda p: p[0]
         )
+        collision = mpf(10) ** (-(digits + 5))
         for (t1, s1), (t2, s2) in zip(merged, merged[1:]):
             if s1 == s2:
                 raise SolverError("zero ladders do not interleave at a=%s" % a)
+            if t2 - t1 <= collision:
+                raise SolverError(
+                    "zeros of the two ladders collide at %s (a=%s)"
+                    % (mp.nstr(t1, 15), a)
+                )
         scale = 2 / mp.pi
         out = [s * scale * t for t, s in merged[:count]]
         return a * scale, out

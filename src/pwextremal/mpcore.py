@@ -6,8 +6,8 @@ Everything downstream runs on top of four ingredients collected here:
   request into mpmath working precision (with guard digits and a doubled
   certification precision);
 * :class:`TruncatedLaurentSeries` plus the handful of series operations the
-  project actually needs (Cauchy product, integer powers, reciprocal,
-  log(1+f), exp, rescaling of the variable);
+  project actually needs (scaling, Cauchy product, reciprocal, log(1+f),
+  exp, derivative);
 * Legendre polynomial evaluation and Clenshaw summation of Legendre series;
 * the Dirichlet beta function and alternating half-integer tails, through
   Hurwitz zeta values.
@@ -172,15 +172,6 @@ def series_from_coeffs(coeffs: Sequence, low: int = 0, parity: str = "none") -> 
     return TruncatedLaurentSeries(low=low, coeffs=list(coeffs), parity=parity)
 
 
-def series_add(f: TruncatedLaurentSeries, g: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
-    _require_same_dps(f, g)
-    low = min(f.low, g.low)
-    high = max(f.high, g.high)
-    coeffs = [f.coefficient(e) + g.coefficient(e) for e in range(low, high + 1)]
-    parity = f.parity if f.parity == g.parity else "none"
-    return TruncatedLaurentSeries(low=low, coeffs=coeffs, parity=parity, dps=f.dps)
-
-
 def series_scale(f: TruncatedLaurentSeries, c) -> TruncatedLaurentSeries:
     return TruncatedLaurentSeries(
         low=f.low, coeffs=[mpf(c) * a for a in f.coeffs], parity=f.parity, dps=f.dps
@@ -208,24 +199,6 @@ def series_multiply(
     return TruncatedLaurentSeries(
         low=low, coeffs=out, parity=_combine_parity(f.parity, g.parity), dps=f.dps
     )
-
-
-def series_pow_int(f: TruncatedLaurentSeries, k: int, T: int) -> TruncatedLaurentSeries:
-    """f**k truncated to T coefficients, by binary exponentiation."""
-    if k < 0:
-        raise UsageError("negative powers go through series_reciprocal")
-    one = TruncatedLaurentSeries(low=0, coeffs=[mpf(1)], parity="even", dps=f.dps)
-    if k == 0:
-        return one
-    result = None
-    base = f
-    while k:
-        if k & 1:
-            result = base if result is None else series_multiply(result, base, T)
-        k >>= 1
-        if k:
-            base = series_multiply(base, base, T)
-    return result
 
 
 def series_reciprocal(f: TruncatedLaurentSeries, T: int) -> TruncatedLaurentSeries:
@@ -297,13 +270,6 @@ def series_exp0(f: TruncatedLaurentSeries, T: int) -> TruncatedLaurentSeries:
         E[e] = s / e
     parity = "even" if f.parity == "even" else "none"
     return TruncatedLaurentSeries(low=0, coeffs=E, parity=parity, dps=f.dps)
-
-
-def series_rescale_variable(f: TruncatedLaurentSeries, c) -> TruncatedLaurentSeries:
-    """Compose with z -> c*z: coefficient at exponent e picks up c**e."""
-    c = mpf(c) if not isinstance(c, (mpf, complex)) else c
-    coeffs = [f.coeffs[k] * c ** (f.low + k) for k in range(len(f))]
-    return TruncatedLaurentSeries(low=f.low, coeffs=coeffs, parity=f.parity, dps=f.dps)
 
 
 def series_derivative(f: TruncatedLaurentSeries) -> TruncatedLaurentSeries:

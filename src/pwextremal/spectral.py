@@ -269,7 +269,7 @@ def _grow_bracket(N: int, lo, hi, x, f, pair):
     return (*ends[0], *ends[1], pair)
 
 
-def _solve_root_for_N(N: int, bracket, digits_goal: int, lambda_seed=None, guess=None):
+def _solve_root_for_N(N: int, bracket, lambda_seed=None, guess=None):
     """Root of S(a) = 0 for one truncation size, at the ambient precision.
 
     Without a guess the search starts from the caller's bracket.  With one
@@ -281,9 +281,10 @@ def _solve_root_for_N(N: int, bracket, digits_goal: int, lambda_seed=None, guess
     Illinois fix: each step evaluates S at the secant point of the bracket
     ends, and when one end is kept twice in a row its value is halved, so
     both ends move in.  It stops at the same noise floor, or when the
-    bracket is narrower than 10^-(digits_goal+8).  Every evaluation is one
-    eigen-solve, warm-started from the eigenvalue of the previous one.  A
-    bracket without a sign change raises SolverError.
+    bracket is narrower than it: S' is about 1 near the root, so a bracket
+    that narrow holds no point where S rises above its noise.  Every
+    evaluation is one eigen-solve, warm-started from the eigenvalue of the
+    previous one.  A bracket without a sign change raises SolverError.
     """
     lo, hi = mpf(bracket[0]), mpf(bracket[1])
     s_tol = mpf(10) ** (-(mp.dps - 6))
@@ -304,7 +305,6 @@ def _solve_root_for_N(N: int, bracket, digits_goal: int, lambda_seed=None, guess
             "(width %s) at N=%d, %d dps"
             % (mp.nstr(lo, 20), mp.nstr(hi, 20), mp.nstr(hi - lo, 5), N, mp.dps)
         )
-    a_tol = mpf(10) ** (-(digits_goal + 8))
     kept = 0  # +1 when the last step kept lo, -1 when it kept hi
     for _ in range(_ROOT_STEPS):
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
@@ -321,7 +321,7 @@ def _solve_root_for_N(N: int, bracket, digits_goal: int, lambda_seed=None, guess
             if kept == -1:
                 f_hi /= 2
             kept = -1
-        if hi - lo <= a_tol:
+        if hi - lo <= s_tol:
             return x, pair
     raise SolverError(
         "side-condition root not found in %d steps at N=%d, %d dps"
@@ -387,7 +387,7 @@ def _ladder_root(digits: int, initial_N: int, bracket, guard: int, guess=None):
     with ctx.working():
         while N <= _N_CAP:
             a_root, pair = _solve_root_for_N(
-                N, bracket, digits, lambda_seed=lam_seed, guess=guess
+                N, bracket, lambda_seed=lam_seed, guess=guess
             )
             assert_ground_invariants(pair, a_root)
             if prev_a is not None and abs(a_root - prev_a) <= stop:

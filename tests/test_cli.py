@@ -116,6 +116,20 @@ def test_verify_gate_scales_with_digits(capsys):
     assert [c["bound"] for c in report["checks"]] == ["1.0e-40", "1.0e-40"]
 
 
+def test_verify_summation_passes(capsys):
+    # in process: the tau ladder and the second (drift 1) zero system
+    from pwextremal.cli import main
+
+    argv = ["verify", "--suite", "summation", "--digits", "12", "--count", "2000"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["check"] for c in report["checks"]] == [
+        "summation-extremal",
+        "summation-second-system",
+    ]
+    assert [c["status"] for c in report["checks"]] == ["pass", "pass"]
+
+
 def test_verify_exit_code_reflects_failure():
     # an absurd threshold forces a fail status and a nonzero exit
     proc = run_cli(

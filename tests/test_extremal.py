@@ -276,7 +276,7 @@ def test_signed_zeros_alternate(consts30):
 
 def test_fixed_point_converged_stays(consts30):
     model = extremal.build_zero_model(consts30)
-    head = extremal.zeros_unsigned(model, 4)
+    head = [extremal.tau(model, n) for n in range(1, 5)]
     log = []
     extremal.refine_zeros_fixed_point(consts30, head, 1, model=model, sweep_log=log)
     assert log[0] < mpf("1e-24")
@@ -285,7 +285,7 @@ def test_fixed_point_converged_stays(consts30):
 def test_fixed_point_contracts(consts30):
     model = extremal.build_zero_model(consts30)
     with mp.workdps(45):
-        head = [t + mpf("1e-3") for t in extremal.zeros_unsigned(model, 4)]
+        head = [extremal.tau(model, n) + mpf("1e-3") for n in range(1, 5)]
     log = []
     extremal.refine_zeros_fixed_point(consts30, head, 3, model=model, sweep_log=log)
     assert log[1] / log[0] < mpf("0.5")
@@ -441,6 +441,73 @@ def test_summation_system_other_drift(consts30):
         decay = (mpf(5) / mp.pi) ** 5
         report = extremal.summation_check(consts30, f, 1, a_param, mu, decay)
         assert report.defect <= report.tail_bound
+
+
+def test_summation_system_rejects_colliding_zeros(monkeypatch):
+    # a zero shared by the two ladders keeps the signs alternating, so
+    # only the distance check can catch it; the alternating series is the
+    # one with c_1 = -xi_1 < 0
+    def ladder(series, count, digits):
+        first = 1 if series.coeffs[1] < 0 else 2
+        zeros = [mpf(first + 2 * k) for k in range(count)]
+        if first == 2:
+            zeros[1] = mpf(3)
+        return zeros
+
+    monkeypatch.setattr(extremal, "_bessel_zero_ladder", ladder)
+    with pytest.raises(SolverError, match="collide"):
+        extremal.summation_system(mpf(1), 10)
+
+
+def test_bessel_series_matches_besselj_oracle():
+    # closed form beyond M + 4, Miller ladder below it, against
+    # j_m(x) = sqrt(pi/(2x)) J_{m+1/2}(x) from mpmath's own Bessel function
+    with mp.workdps(50):
+        xi = extremal._eigen_bessel_coefficients(mpf(1), 20)
+        M = len(xi) - 1
+        points = [mpf("0.4"), mpf(7), M + mpf("3.9"), M + mpf("4.1"),
+                  mpf("100.3"), mpf("2718.28"), mpf(30000)]
+        tol = mpf(10) ** -(mp.dps - 10)
+        for alternate in (True, False):
+            series = extremal._bessel_series(xi, alternate)
+            for x in points:
+                val, der = extremal._bessel_series_eval(series, x)
+                with mp.workdps(80):
+                    ref_val = ref_der = mpf(0)
+                    w = mp.sqrt(mp.pi / (2 * x))
+                    for m, c in enumerate(xi):
+                        c = -c if (alternate and m % 2) else c
+                        J = mp.besselj(m + mpf(1) / 2, x)
+                        dJ = mp.besselj(m + mpf(1) / 2, x, derivative=1)
+                        ref_val += c * w * J
+                        ref_der += c * w * (dJ - J / (2 * x))
+                assert abs(val - ref_val) < tol, (alternate, x)
+                assert abs(der - ref_der) < tol, (alternate, x)
+
+
+def test_summation_system_work_count(monkeypatch):
+    # past the head scan each zero costs its Newton steps alone: 3.15
+    # evaluations a zero at 200 zeros, falling to 2.3 at 10000 as the
+    # continuation seeds improve; counted by wrapping the series evaluator
+    calls = []
+    evaluate = extremal._bessel_series_eval
+
+    def counted(series, x):
+        calls.append((series.coeffs[1] < 0, x))
+        return evaluate(series, x)
+
+    monkeypatch.setattr(extremal, "_bessel_series_eval", counted)
+    count = 200
+    _a, mu = extremal.summation_system(mpf(1), count, digits=20)
+    half = count // 2 + 2
+    with mp.workdps(50):
+        for alternate in (True, False):
+            ladder = sorted(abs(m) * mp.pi / 2 for m in mu if (m > 0) == alternate)
+            # the scan stops one step of 0.4 past the third zero, and every
+            # later Newton iterate lies half a gap (about pi/2) beyond it
+            scan_end = ladder[2] + mpf("0.4")
+            past_scan = [x for alt, x in calls if alt == alternate and x > scan_end]
+            assert len(past_scan) <= mpf("3.5") * (half - 3), alternate
 
 
 def test_summation_system_validation():

@@ -20,14 +20,11 @@ from pwextremal.mpcore import (
     legendre_eval,
     legendre_pair,
     richardson_doubling,
-    series_add,
     series_exp0,
     series_from_coeffs,
     series_log1p,
     series_multiply,
-    series_pow_int,
     series_reciprocal,
-    series_rescale_variable,
     series_scale,
 )
 
@@ -161,8 +158,6 @@ def test_reciprocal_and_pow():
     r = series_reciprocal(f, 5)
     for e in range(5):
         assert abs(r.coefficient(e) - (-1) ** e) < mpf(10) ** -35
-    sq = series_pow_int(f, 2, 4)
-    assert sq.coeffs[:3] == [mpf(1), mpf(2), mpf(1)]
     prod = series_multiply(f, r, 5)
     assert prod.coeffs[0] == 1
     for e in range(1, 5):
@@ -176,19 +171,8 @@ def test_reciprocal_keeps_even_parity():
     assert r.coefficient(1) == 0
 
 
-def test_rescale_variable():
-    f = series_from_coeffs([1, 1, 1])
-    g = series_rescale_variable(f, mpf(2))
-    assert g.coeffs == [mpf(1), mpf(2), mpf(4)]
-
-
 def test_add_and_scale():
     f = series_from_coeffs([1, 2])
-    g = TruncatedLaurentSeries(low=-1, coeffs=[mpf(5)])
-    s = series_add(f, g)
-    assert s.low == -1
-    assert s.coefficient(-1) == 5
-    assert s.coefficient(0) == 1
     assert series_scale(f, 3).coeffs == [mpf(3), mpf(6)]
 
 

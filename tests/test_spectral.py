@@ -196,15 +196,24 @@ def test_solve_constants_work_count(eigen_solves):
     assert 0 < len(eigen_solves) <= 20
 
 
+def test_solve_constants_fifty_digit_work_count(eigen_solves):
+    # the root search stops at the noise floor of S, not at a bracket
+    # width tied to the digit goal: at 50 digits that width lay above the
+    # floor, and the N=128 rung warm-started from the N=64 root it left
+    # spent 3 solves instead of 1 (18 in all before)
+    solve_constants(50)
+    assert 0 < len(eigen_solves) <= 17
+
+
 def test_warm_start_matches_cold_search():
     # a guess 10^-digits off the root and a guess on either bracket end
     # lead to the root the search from the bracket finds
     digits = 30
     bracket = (mpf("1.44"), mpf("1.46"))
     with PrecisionContext(digits=digits, guard=18).working():
-        cold, _ = _solve_root_for_N(64, bracket, digits)
+        cold, _ = _solve_root_for_N(64, bracket)
         for guess in (cold + mpf(10) ** -digits, bracket[0], bracket[1]):
-            warm, pair = _solve_root_for_N(64, bracket, digits, guess=guess)
+            warm, pair = _solve_root_for_N(64, bracket, guess=guess)
             assert abs(warm - cold) <= mpf(10) ** -(digits + 5), guess
             assert bracket[0] <= warm <= bracket[1]
             assert abs(legendre_condition(pair)) <= mpf(10) ** -(mp.dps - 6)
@@ -214,13 +223,13 @@ def test_warm_start_guess_already_a_root(eigen_solves):
     # a guess at the noise floor of S is returned after one evaluation
     with mp.workdps(40):
         bracket = (mpf("1.44"), mpf("1.46"))
-        root, _ = _solve_root_for_N(64, bracket, 30)
+        root, _ = _solve_root_for_N(64, bracket)
         eigen_solves.clear()
-        again, _ = _solve_root_for_N(64, bracket, 30, guess=root)
+        again, _ = _solve_root_for_N(64, bracket, guess=root)
         assert again == root
         assert len(eigen_solves) == 1
         with pytest.raises(UsageError):
-            _solve_root_for_N(64, bracket, 30, guess=mpf("1.47"))
+            _solve_root_for_N(64, bracket, guess=mpf("1.47"))
 
 
 def test_grown_bracket_widenings_are_bounded(monkeypatch):
@@ -239,7 +248,7 @@ def test_grown_bracket_widenings_are_bounded(monkeypatch):
     with mp.workdps(40):
         guess = mpf("1.45")
         with pytest.raises(SolverError) as err:
-            _solve_root_for_N(64, ("1.44", "1.46"), 30, guess=guess)
+            _solve_root_for_N(64, ("1.44", "1.46"), guess=guess)
         assert len(probes) == 1 + 2 * 3 + 2
         widest = max(abs(a - guess) for a in probes[:-2])
         last = spectral._GROW_FIRST * mpf("1e-20") * spectral._GROW_FACTOR ** 2
@@ -261,7 +270,7 @@ def test_grown_bracket_falls_back_to_caller_bracket(monkeypatch):
     monkeypatch.setattr(spectral, "_condition_value", far_root)
     monkeypatch.setattr(spectral, "_GROW_STEPS", 3)
     with mp.workdps(40):
-        root, _ = _solve_root_for_N(64, ("1.44", "1.46"), 30, guess=mpf("1.45"))
+        root, _ = _solve_root_for_N(64, ("1.44", "1.46"), guess=mpf("1.45"))
         assert abs(root - (mpf("1.45") - mpf("1e-7"))) < mpf(10) ** -18
 
 
@@ -286,7 +295,7 @@ def test_solve_constants_two_hundred_digits():
 def test_sign_change_error_names_the_search():
     with mp.workdps(30):
         with pytest.raises(SolverError) as err:
-            _solve_root_for_N(64, ("1.30", "1.40"), 20)
+            _solve_root_for_N(64, ("1.30", "1.40"))
     message = str(err.value)
     assert "N=64" in message and "30 dps" in message
     assert "[1.3, 1.4]" in message
@@ -314,8 +323,8 @@ def test_truncation_doubling_stability():
 
     ctx = PrecisionContext(digits=50, guard=20)
     with ctx.working():
-        a128, _ = _solve_root_for_N(128, (mpf("1.44"), mpf("1.46")), 50)
-        a256, _ = _solve_root_for_N(256, (mpf("1.44"), mpf("1.46")), 50)
+        a128, _ = _solve_root_for_N(128, (mpf("1.44"), mpf("1.46")))
+        a256, _ = _solve_root_for_N(256, (mpf("1.44"), mpf("1.46")))
         assert abs(a128 - a256) < mpf(10) ** (-mpf("0.05") * 128)
 
 
