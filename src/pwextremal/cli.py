@@ -6,12 +6,15 @@ named identity suites and sets the exit code from their outcome, and
 ``export`` writes coefficient tables of the series representations.
 
 Output conventions.  The payload goes to stdout, or to --out when given;
-numeric content is serialized as decimal strings (truncated, so every
-printed digit is a true digit), and a payload rerun with the same
-parameters is byte-identical.  Each run also emits a manifest recording
-the command, parameters, and output files: as a ``.manifest.json``
-sidecar in file mode, as one line on stderr otherwise (the manifest
-carries a timestamp, which is why it never shares the payload channel).
+numeric content is serialized as decimal strings truncated to the
+requested digits, and a payload rerun with the same parameters is
+byte-identical.  What backs the printed constants: two solves, at guard g
+and 2g extra digits, agree to 10^-(digits+1), and the truncation size N is
+picked from an estimate of the eigenvector's tail decay, not from a proved
+bound.  Each run also emits a manifest recording the command, parameters,
+and output files: as a ``.manifest.json`` sidecar in file mode, as one
+line on stderr otherwise (the manifest carries a timestamp, which is why
+it never shares the payload channel).
 
 Exit codes: 0 on success and on a verify run whose theorem-backed checks
 all pass; 1 on solver or certification failure, or on any failed check;

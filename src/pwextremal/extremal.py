@@ -53,7 +53,8 @@ from .mpcore import (
 from .spectral import (
     ExtremalConstants,
     SolverError,
-    _ladder_root,
+    _side_root,
+    _tail_size,
     build_matrix,
     ground_eigenpair,
 )
@@ -95,36 +96,38 @@ def _extremal_recursion_loss(a, T: int) -> int:
 # ----------------------------------------------------------------------
 # refined spectral frames
 #
-# Re-solves are rounded up to a bucket of 64 digits and floored at 512:
-# one generous ladder run covers every moderate request instead of several
-# slightly different ones.  The re-solve starts from the certified root, so
-# only its first rungs do real work: a rung whose truncation no longer
-# moves the root costs one eigen-solve.  The most precise re-solve is kept
-# on the constants object (its `frame` field), so it lives and dies with
-# the problem it belongs to.
+# Re-solves are rounded up to a bucket of 64 digits and floored at 512, so
+# one re-solve covers every moderate request instead of several slightly
+# different ones.  The re-solve continues the Newton of solve_constants
+# from its root, which already holds the constants' working digits, so it
+# takes one sweep per precision doubling and two at the top.  The most
+# precise re-solve is kept on the constants object (its `frame` field), so
+# it lives and dies with the problem it belongs to.
+
+_FRAME_GUARD = 12
 
 
 def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
     """(a_star, lambda) in the b=1 frame, good to at least need_dps decimals.
 
     Within the certification of `consts` the stored values are returned;
-    beyond it the side-condition root is re-solved at elevated precision by
-    the truncation ladder from the certified matrix size, each rung starting
-    from the best root known so far (the certified a_star for the first),
-    inside a bracket of width 2*10^-(digits-3) around the certified root.
+    beyond it the root is re-solved at the bucket's digits plus
+    _FRAME_GUARD by the Newton of spectral._side_root, started from the
+    certified (a_star, lambda_star), on the first power-of-two multiple of
+    the certified N whose tail estimate clears that precision, inside a
+    bracket of width 2*10^-(digits-3) around the certified root.
     """
     if need_dps <= consts.digits_certified:
         return consts.a_star, consts.lambda_star
     if consts.frame is not None and consts.frame[0] >= need_dps:
         return consts.frame[1], consts.frame[2]
     bucket = max(512, 64 * ((need_dps + 63) // 64))
-    digits = consts.digits_certified
-    with mp.workdps(bucket + 14):
-        half = mpf(10) ** (-(digits - 3))
+    dps = bucket + _FRAME_GUARD
+    start = (consts.a_star, consts.lambda_star, consts.ctx.working_dps - 6)
+    with mp.workdps(dps):
+        half = mpf(10) ** (-(consts.digits_certified - 3))
         bracket = (consts.a_star - half, consts.a_star + half)
-        a_root, pair, _n, _wd = _ladder_root(
-            bucket, consts.N, bracket, guard=12, guess=consts.a_star
-        )
+        a_root, pair = _side_root(_tail_size(consts.N, dps), bracket, start)
     consts.frame = (bucket, a_root, pair.lam)
     return a_root, pair.lam
 

@@ -9,35 +9,39 @@ coefficients through the infinite tridiagonal matrix with row m
 
 and the solver's job is:
 
-1. for a truncation size N and coupling a, find the smallest eigenvalue and
-   its eigenvector (normalized so the leading entry is 1);
-2. root-find on a so that the alternating Legendre-endpoint sum
-   S = sum_n (-1)^{floor((n-1)/2)} xi_n vanishes (this is the phase
-   condition selecting the extremal eigenfunction), starting from the best
-   root already known when there is one;
-3. double N until the root stabilizes, each rung starting from the root of
-   the rung before, then convert: C = pi/(4a) and L1 = -2 C lambda.
+1. truncate the matrix to rows 0..N, with N chosen before the solve;
+2. find the coupling a and the smallest eigenvalue lambda of the
+   truncation at which the alternating Legendre-endpoint sum
+   S = sum_n (-1)^{floor((n-1)/2)} xi_n of the ground eigenvector
+   vanishes (this is the phase condition selecting the extremal
+   eigenfunction);
+3. convert: C = pi/(4a) and L1 = -2 C lambda.
 
-Step 1 is a single mechanism.  The eigenvector is the minimal solution of
-the three-term recurrence that defines the matrix (Gautschi, SIAM Rev. 9,
-1967), so for a trial lambda one backward sweep over rows N..1, started
-from xi_{N+1} = 0 and xi_N = 1, yields it; for 0 < a < 3/2 and lambda < 2
-every term of that sweep is positive, so it runs without cancellation.
-Row 0, which the sweep leaves out, is the eigen-condition g(lambda) = 0,
-and Newton on g (with g' from the same sweep differentiated in lambda)
-finds the eigenvalue.  Step 2 is regula falsi with the Illinois fix.  A
-search given a starting root first evaluates S there and keeps it when S is
-already at its noise floor; otherwise it grows a sign-changing bracket
-outward from it (S' is about 1.1 near the root, so the first half-width,
-twice |S|, usually holds the root) and runs regula falsi on that, or on
-the caller's whole bracket when the grown one never changes sign.  A rung
-whose truncation no longer moves the root then costs one eigen-solve and
-other warm searches three to nine, against nine to thirteen from the
-bracket.
+The eigenvector is the minimal solution of the three-term recurrence that
+defines the matrix (Gautschi, SIAM Rev. 9, 1967), so for a trial
+(a, lambda) one backward sweep over rows N..1, started from xi_{N+1} = 0
+and xi_N = 1, yields it; for 0 < a < 3/2 and lambda < 2 - a every term of
+that sweep is positive, so it runs without cancellation.  Row 0, which
+the sweep leaves out, is the eigen-condition g(a, lambda) = 0.  The sweep
+carries the derivatives of its entries in lambda and, since sub and sup
+are linear in a, in a, and sums S and its two derivatives as it goes, so
+one sweep gives both equations g = 0 and S = 0 and their Jacobian.
 
-Truncation error decays superexponentially (the eigenvector entries die
-off faster than any geometric sequence), so the ladder stabilizes at small
-N even for high digit counts.
+Step 2 is Newton on that 2x2 system with precision doubling (Brent and
+Zimmermann, Modern Computer Arithmetic, section 4.2): a seed from the
+bracket midpoint at 20 digits and a small N, then one sweep per step at
+twice the digits the last step is known to hold, up to the working
+precision; there the first step within the noise floor 10^-(dps-6) of S,
+from an iterate made at that precision, ends the solve.  The sweep at the
+final iterate is the eigenpair.
+With a fixed, Newton on g alone over the same sweep is ground_eigenpair.
+
+Step 1 rests on the decay of the eigenvector: the root moves with N by
+about the last entry xi_N (measured: 1e-31, 1e-78, 1e-191, 1e-454 at
+N = 16, 32, 64, 128 against 1e-29, 1e-75, 1e-187, 1e-449 for xi_N), and
+log10 |xi_N| is close to N log10(a/2) - 2 log10 N!.  N is taken where that
+estimate, at a = 3/2, clears the digit goal; it is an estimate of the
+tail, not a proved bound on the truncation error.
 
 All numeric kernels here run under the ambient mpmath precision; only
 solve_constants manages PrecisionContext objects itself.
@@ -46,6 +50,7 @@ solve_constants manages PrecisionContext objects itself.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -97,15 +102,15 @@ class EigenPair:
     residual: mpf = field(default_factory=lambda: mpf(0))
 
 
-# Work bounds: Newton steps per eigen-solve, regula falsi steps per root,
-# widenings of a bracket grown from a starting root, and the largest
-# truncation either ladder may reach.  A grown bracket starts at half-width
-# _GROW_FIRST |S(guess)| and widens by _GROW_FACTOR.
+# Work bounds and the precision schedule.  Every Newton loop stops after
+# _NEWTON_STEPS sweeps.  The side-condition root is seeded at _SEED_DPS
+# digits on _SEED_N rows; solve_constants truncates at twice the first
+# power of two from _N_FLOOR whose tail clears its digits, and no
+# truncation passes _N_CAP.
 _NEWTON_STEPS = 100
-_ROOT_STEPS = 200
-_GROW_STEPS = 8
-_GROW_FIRST = 2
-_GROW_FACTOR = 10
+_SEED_DPS = 20
+_SEED_N = 32
+_N_FLOOR = 64
 _N_CAP = 4096
 
 
@@ -113,29 +118,57 @@ _N_CAP = 4096
 # the backward sweep
 
 
-def _sweep(sys: TridiagonalSystem, lam):
-    """Rows N..1 of (T - lam) xi = 0 solved downward: (xi, g, g').
+def _side_sign(n: int) -> int:
+    """Sign of xi_n in the side condition S: -,+,+,-,-,+,... from n = 0."""
+    return -1 if ((n - 1) // 2) % 2 else 1
 
-    xi is normalized xi[0] = 1 and satisfies rows 1..N exactly.  Row 0 is
-    left over as g(lam) = -lam + sup(0) xi_1/xi_0, which vanishes exactly
-    at an eigenvalue of the truncation; g' is its lam-derivative, carried
-    through the same recurrence.
+
+def _sweep(sys: TridiagonalSystem, lam, side: bool = False):
+    """Rows N..1 of (T - lam) xi = 0 solved downward.
+
+    Returns (xi, g, g_lam, extra).  xi is normalized xi[0] = 1 and
+    satisfies rows 1..N exactly.  Row 0 is left over as
+    g = -lam + sup(0) xi_1/xi_0, which vanishes exactly at an eigenvalue of
+    the truncation; g_lam is its lam-derivative, carried through the same
+    recurrence.  With side=True the sweep also carries the a-derivative
+    (sub and sup are linear in a) and sums the side condition S and its
+    partials over the unnormalized entries as it goes, so no derivative
+    vector is stored: extra is (g_a, S, S_lam, S_a).  Otherwise it is None.
     """
     x, x_up = mpf(1), mpf(0)  # xi_m, xi_{m+1}; xi_{N+1} = 0 drops sup(N)
     dx, dx_up = mpf(0), mpf(0)  # their derivatives in lam
+    ex, ex_up = mpf(0), mpf(0)  # and in a
+    s, ds, es = _side_sign(sys.N) * x, mpf(0), mpf(0)  # S and partials, times xi_0
+    inv_a = 1 / sys.a
     tail = [x]
     for m in range(sys.N, 0, -1):
         c, up, low = sys.diag(m) - lam, sys.sup(m), sys.sub(m)
+        cx = c * x
+        if side:
+            # low and up are proportional to a, so c x / (a low) is what
+            # the a-dependence of the row adds to the derivative
+            ex, ex_up = -(c * ex + up * ex_up - cx * inv_a) / low, ex
         x, x_up, dx, dx_up = (
-            -(c * x + up * x_up) / low,
+            -(cx + up * x_up) / low,
             x,
             -(c * dx - x + up * dx_up) / low,
             dx,
         )
+        if side:
+            if _side_sign(m - 1) > 0:
+                s, ds, es = s + x, ds + dx, es + ex
+            else:
+                s, ds, es = s - x, ds - dx, es - ex
         tail.append(x)
-    g = -lam + sys.sup(0) * x_up / x
-    dg = -1 + sys.sup(0) * (dx_up * x - x_up * dx) / (x * x)
-    return [v / x for v in reversed(tail)], g, dg
+    sup0 = sys.sup(0)
+    g = -lam + sup0 * x_up / x
+    g_lam = -1 + sup0 * (dx_up * x - x_up * dx) / (x * x)
+    xi = [v / x for v in reversed(tail)]
+    if not side:
+        return xi, g, g_lam, None
+    g_a = (g + lam) * inv_a + sup0 * (ex_up * x - x_up * ex) / (x * x)
+    S = s / x
+    return xi, g, g_lam, (g_a, S, (ds - S * dx) / x, (es - S * ex) / x)
 
 
 def _apply(sys: TridiagonalSystem, v):
@@ -151,6 +184,24 @@ def _apply(sys: TridiagonalSystem, v):
     return out
 
 
+def _where(N: int, a, lam) -> str:
+    fields = (N, mp.dps, mp.nstr(mpf(a), 20), mp.nstr(mpf(lam), 20))
+    return "at N=%d, %d dps, a=%s, lambda=%s" % fields
+
+
+def _checked_pair(sys: TridiagonalSystem, lam, xi) -> EigenPair:
+    """(lam, xi) from a sweep, once ||(T - lam) xi|| / ||xi|| <= 10^-(dps-5)."""
+    tv = _apply(sys, xi)
+    residual = max(abs(t - lam * x) for t, x in zip(tv, xi)) / max(abs(x) for x in xi)
+    target = mpf(10) ** (-(mp.dps - 5))
+    if residual > target:
+        raise SolverError(
+            "eigenpair residual %s exceeds %s %s; raise the working precision"
+            % (mp.nstr(residual, 5), mp.nstr(target, 5), _where(sys.N, sys.a, lam))
+        )
+    return EigenPair(lam=lam, xi=xi, residual=residual)
+
+
 def ground_eigenpair(sys: TridiagonalSystem, lambda_seed=None) -> EigenPair:
     """Smallest eigenpair of the truncated system, normalized xi[0] = 1.
 
@@ -160,7 +211,8 @@ def ground_eigenpair(sys: TridiagonalSystem, lambda_seed=None) -> EigenPair:
     sweep at the converged lambda is the eigenvector.  Iterates must stay
     below 2 - a, where the sweep is positive and the ground eigenvalue is
     the only one; the residual ||(T - lambda) xi|| / ||xi|| must reach
-    10^-(dps-5).  Either failure raises SolverError.
+    10^-(dps-5).  Either failure, or no convergence in _NEWTON_STEPS
+    sweeps, raises SolverError.
     """
     if not (0 < sys.a < mpf(3) / 2):
         raise UsageError("ground_eigenpair requires 0 < a < 3/2")
@@ -168,30 +220,22 @@ def ground_eigenpair(sys: TridiagonalSystem, lambda_seed=None) -> EigenPair:
     tol = mpf(10) ** (-(mp.dps - 2))
     converged = False
     for _ in range(_NEWTON_STEPS):
-        xi, g, dg = _sweep(sys, lam)
+        xi, g, dg, _extra = _sweep(sys, lam)
         if converged:
             break
         step = g / dg
         lam -= step
         if not lam < 2 - sys.a:
             raise SolverError(
-                "eigenvalue Newton left lambda < 2 - a at N=%d, a=%s"
-                % (sys.N, mp.nstr(sys.a, 10))
+                "eigenvalue Newton left lambda < 2 - a " + _where(sys.N, sys.a, lam)
             )
         converged = abs(step) <= tol * max(1, abs(lam))
     else:
         raise SolverError(
-            "eigenvalue Newton did not converge in %d steps" % _NEWTON_STEPS
+            "eigenvalue Newton did not converge in %d steps %s"
+            % (_NEWTON_STEPS, _where(sys.N, sys.a, lam))
         )
-    tv = _apply(sys, xi)
-    residual = max(abs(t - lam * x) for t, x in zip(tv, xi)) / max(abs(x) for x in xi)
-    target = mpf(10) ** (-(mp.dps - 5))
-    if residual > target:
-        raise SolverError(
-            "eigenpair residual %s exceeds %s; raise the working precision"
-            % (mp.nstr(residual, 5), mp.nstr(target, 5))
-        )
-    return EigenPair(lam=lam, xi=xi, residual=residual)
+    return _checked_pair(sys, lam, xi)
 
 
 def assert_ground_invariants(pair: EigenPair, a) -> None:
@@ -220,112 +264,93 @@ def legendre_condition(pair: EigenPair) -> mpf:
 
     The extremal parameter a is the root of S(a) = 0: vanishing of this
     alternating endpoint sum is the phase condition picking out the
-    eigenfunction whose zeros interlace correctly.
+    eigenfunction whose zeros interlace correctly.  The solver sums S
+    inside the sweep; this is the plain sum over a stored vector.
     """
     total = mpf(0)
     for n, x in enumerate(pair.xi):
-        if ((n - 1) // 2) % 2:
-            total -= x
-        else:
-            total += x
+        total += _side_sign(n) * x
     return total
 
 
-def _condition_value(N: int, a, lambda_seed=None):
-    sys = build_matrix(N, a)
-    pair = ground_eigenpair(sys, lambda_seed=lambda_seed)
-    return legendre_condition(pair), pair
+def _tail_size(N: int, digits: int) -> int:
+    """First of N, 2N, 4N, ... whose tail estimate |xi_N| is <= 10^-digits.
 
-
-def _grow_bracket(N: int, lo, hi, x, f, pair):
-    """Sign-changing bracket around a starting root x with S(x) = f.
-
-    Probes x -+ w, clipped to [lo, hi], for w = _GROW_FIRST |f| widened
-    _GROW_FACTOR-fold up to _GROW_STEPS times.  The side the root should be
-    on (below x when f > 0, since S' > 0 near it) is probed first.  Returns
-    (lo, f_lo, hi, f_hi, pair): x and the first probe past a sign change,
-    or, when none was found, the caller's ends lo and hi, so a warm start
-    costs at most two extra solves over the search from the bracket and
-    never loses a root that search would find.
+    The estimate is log10 |xi_N| ~ N log10(a/2) - 2 log10 N! at a = 3/2,
+    the top of the range of a where the sweep runs; it decays faster than
+    any geometric sequence.  Past _N_CAP it raises UsageError.
     """
-    ends = [(x, f), (x, f)]  # lowest and highest point probed so far
-    first = 0 if f > 0 else 1
-    w = _GROW_FIRST * abs(f)
-    for _ in range(_GROW_STEPS):
-        for side in (first, 1 - first):
-            y = max(x - w, lo) if side == 0 else min(x + w, hi)
-            if y == ends[side][0]:
-                continue  # clipped to an end already probed
-            f_y, pair = _condition_value(N, y, pair.lam)
-            ends[side] = (y, f_y)
-            if f_y * f <= 0:
-                ends[1 - side] = (x, f)
-                return (*ends[0], *ends[1], pair)
-        w *= _GROW_FACTOR
-    for side, y in ((0, lo), (1, hi)):
-        if y != ends[side][0]:
-            f_y, pair = _condition_value(N, y, pair.lam)
-            ends[side] = (y, f_y)
-    return (*ends[0], *ends[1], pair)
+    while N * math.log10(0.75) - 2 * math.lgamma(N + 1) / math.log(10) > -digits:
+        N *= 2
+        if N > _N_CAP:
+            raise UsageError(
+                "%d digits need a truncation past N=%d" % (digits, _N_CAP)
+            )
+    return N
 
 
-def _solve_root_for_N(N: int, bracket, lambda_seed=None, guess=None):
-    """Root of S(a) = 0 for one truncation size, at the ambient precision.
+def truncation_size(digits: int) -> int:
+    """N of the root solve for `digits` decimals: 2 N', where N' is the first
+    power of two from _N_FLOOR whose tail estimate clears 10^-(digits+5).
 
-    Without a guess the search starts from the caller's bracket.  With one
-    (a root from a nearby solve, inside the bracket) S is evaluated there
-    first, and the guess is returned when |S| <= 10^-(dps-6), the noise
-    floor of S; otherwise the bracket is grown outward from the guess
-    inside the caller's, falling back to the caller's when it never
-    changes sign (see _grow_bracket).  Then regula falsi with the
-    Illinois fix: each step evaluates S at the secant point of the bracket
-    ends, and when one end is kept twice in a row its value is halved, so
-    both ends move in.  It stops at the same noise floor, or when the
-    bracket is narrower than it: S' is about 1 near the root, so a bracket
-    that narrow holds no point where S rises above its noise.  Every
-    evaluation is one eigen-solve, warm-started from the eigenvalue of the
-    previous one.  A bracket without a sign change raises SolverError.
+    The factor two keeps the N a truncation ladder doubling from _N_FLOOR
+    reaches when it stops one rung after the root stands still.
     """
+    return 2 * _tail_size(_N_FLOOR, digits + 5)
+
+
+def _side_root(N: int, bracket, start=None):
+    """Root (a, lambda) of g = S = 0 on N + 1 rows, at the ambient precision.
+
+    Returns (a, pair), pair the ground eigenpair at a from the final sweep,
+    checked by its residual and assert_ground_invariants.  Newton starts
+    from start = (a, lambda, the digits they hold), or else from (m, m/3),
+    m the bracket midpoint.  An iterate holding d digits is swept at 2d + 4
+    (at least _SEED_DPS, on _SEED_N rows while there; at most the ambient
+    dps); a step of 10^-k leaves one holding 2k - 2.  The solve ends at a
+    sweep at the ambient dps, of an iterate a step at that dps made, whose
+    step in a and lambda is within 10^-(dps-6), the noise floor of S; an
+    iterate from a lower dps can pass that test with g above the residual
+    gate of _checked_pair.  Leaving the bracket or 0 <= lambda < 2 - a, or
+    _NEWTON_STEPS sweeps without an end, raises SolverError.
+    """
+    dps = mp.dps
     lo, hi = mpf(bracket[0]), mpf(bracket[1])
-    s_tol = mpf(10) ** (-(mp.dps - 6))
-    if guess is None:
-        f_lo, pair = _condition_value(N, lo, lambda_seed)
-        f_hi, pair = _condition_value(N, hi, pair.lam)
+    if start is None:
+        a = (lo + hi) / 2
+        lam, held = a / 3, 0
     else:
-        x = mpf(guess)
-        if not lo <= x <= hi:
-            raise UsageError("the starting root lies outside the bracket")
-        f, pair = _condition_value(N, x, lambda_seed)
-        if abs(f) <= s_tol:
-            return x, pair
-        lo, f_lo, hi, f_hi, pair = _grow_bracket(N, lo, hi, x, f, pair)
-    if f_lo * f_hi > 0:
-        raise SolverError(
-            "side condition does not change sign on the bracket [%s, %s] "
-            "(width %s) at N=%d, %d dps"
-            % (mp.nstr(lo, 20), mp.nstr(hi, 20), mp.nstr(hi - lo, 5), N, mp.dps)
-        )
-    kept = 0  # +1 when the last step kept lo, -1 when it kept hi
-    for _ in range(_ROOT_STEPS):
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        f, pair = _condition_value(N, x, pair.lam)
-        if abs(f) <= s_tol:
-            return x, pair
-        if (f > 0) == (f_hi > 0):
-            hi, f_hi = x, f
-            if kept == 1:
-                f_lo /= 2
-            kept = 1
-        else:
-            lo, f_lo = x, f
-            if kept == -1:
-                f_hi /= 2
-            kept = -1
-        if hi - lo <= s_tol:
-            return x, pair
+        a, lam, held = start
+    tol = mpf(10) ** (-(dps - 6))
+    last = None  # precision of the step that made the iterate
+    for _ in range(_NEWTON_STEPS):
+        prec = min(dps, max(_SEED_DPS, 2 * held + 4))
+        n = min(N, _SEED_N) if prec == _SEED_DPS else N
+        with mp.workdps(prec):
+            sys = build_matrix(n, a)
+            xi, g, g_lam, (g_a, S, S_lam, S_a) = _sweep(sys, lam, side=True)
+            det = g_a * S_lam - g_lam * S_a
+            da = (g * S_lam - g_lam * S) / det
+            dl = (g_a * S - S_a * g) / det
+            step = max(abs(da), abs(dl))
+            if prec == dps == last and step <= tol:
+                pair = _checked_pair(sys, lam, xi)
+                assert_ground_invariants(pair, sys.a)
+                return sys.a, pair
+            a, lam = sys.a - da, lam - dl
+            if not (lo <= a <= hi and 0 <= lam < 2 - a):
+                raise SolverError(
+                    "side-condition Newton left the bracket [%s, %s] or "
+                    "0 <= lambda < 2 - a %s"
+                    % (mp.nstr(lo, 20), mp.nstr(hi, 20), _where(n, a, lam))
+                )
+            held = prec - 6
+            if step:
+                held = min(held, 2 * int(-mp.mag(step) * math.log10(2)) - 2)
+        last = prec
     raise SolverError(
-        "side-condition root not found in %d steps at N=%d, %d dps"
-        % (_ROOT_STEPS, N, mp.dps)
+        "side-condition Newton did not converge in %d sweeps %s"
+        % (_NEWTON_STEPS, _where(N, a, lam))
     )
 
 
@@ -371,85 +396,51 @@ class ExtremalConstants:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _ladder_root(digits: int, initial_N: int, bracket, guard: int, guess=None):
-    """Run the (N, precision) ladder; returns (a, pair, N, working_dps).
-
-    The first rung starts from guess (or from the bracket when there is
-    none) and every later rung from the root of the rung before, so a rung
-    whose truncation no longer moves the root costs one eigen-solve.  N
-    doubles until the root moves by at most 10^-(digits+5); a ladder that
-    passes N = _N_CAP without stabilizing raises SolverError.
-    """
-    ctx = PrecisionContext(digits=digits, guard=guard)
-    stop = mpf(10) ** (-(digits + 5))
-    prev_a = lam_seed = None
-    N = initial_N
-    with ctx.working():
-        while N <= _N_CAP:
-            a_root, pair = _solve_root_for_N(
-                N, bracket, lambda_seed=lam_seed, guess=guess
-            )
-            assert_ground_invariants(pair, a_root)
-            if prev_a is not None and abs(a_root - prev_a) <= stop:
-                return a_root, pair, N, ctx.working_dps
-            prev_a = guess = a_root
-            lam_seed = pair.lam
-            N *= 2
-    raise SolverError(
-        "truncation ladder exhausted at N=%d without stabilizing at %d dps"
-        % (_N_CAP, ctx.working_dps)
-    )
-
-
 def solve_constants(
     digits: int,
-    initial_N: int = 64,
     bracket=("1.44", "1.46"),
     guard: Optional[int] = None,
 ) -> ExtremalConstants:
-    """Compute the extremal constants certified to `digits` decimals.
+    """Compute the extremal constants to `digits` decimals.
 
-    Runs the truncation ladder twice, at guard and 2*guard extra digits,
-    and demands agreement of C to 10^-(digits+1) before reporting.  The
-    second run searches the same bracket, starting from the first run's
-    root: its ladder begins again at initial_N, whose root may lie far
-    from that start, and its search stops where its own precision puts the
-    root, so agreement does not follow from the start.  What the check
-    backs is that doubling the guard digits moves C by less than
-    10^-(digits+1).
+    Solves the root twice on N = truncation_size(digits) rows, at guard
+    and at 2*guard extra digits; the second solve continues the first's
+    Newton from its root at the higher precision.  C from the two must
+    agree to 10^-(digits+1).  What that backs is that doubling the guard
+    digits moves C by less than 10^-(digits+1) at this N; that N clears
+    the truncation error rests on the tail estimate of truncation_size,
+    not on a proved bound.
     """
     if digits < 10:
         raise UsageError("digits must be at least 10")
     if guard is None:
-        guard = default_guard(max(initial_N * 4, 1000))
+        guard = default_guard(1000)
+    N = truncation_size(digits)
 
-    runs = []
-    guess = None
+    C = start = None
     for g in (guard, 2 * guard):
-        a_root, pair, N, wdps = _ladder_root(digits, initial_N, bracket, g, guess=guess)
-        with mp.workdps(wdps):
+        first, ctx = C, PrecisionContext(digits=digits, guard=g)
+        with ctx.working():
+            a_root, pair = _side_root(N, bracket, start)
             C = mp.pi / (4 * a_root)
-            L1 = -2 * C * pair.lam
-        guess = a_root
-        runs.append((a_root, pair, N, wdps, C, L1))
+        start = (a_root, pair.lam, ctx.working_dps - 6)
 
-    (a1, pair1, N1, w1, C1, L11), (a2, pair2, N2, w2, C2, L12) = runs
-    with mp.workdps(w2):
-        disagreement = abs(C1 - C2)
+    with ctx.working():
+        disagreement = abs(first - C)
         allowed = mpf(10) ** (-(digits + 1))
         if disagreement > allowed:
             raise SolverError(
                 "certification failed: runs at guard %d and %d disagree by %s"
                 % (guard, 2 * guard, mp.nstr(disagreement, 5))
             )
-    ctx = PrecisionContext(digits=digits, guard=2 * guard)
+        L1 = -2 * C * pair.lam
     return ExtremalConstants(
-        C=C2,
-        L1=L12,
-        a_star=a2,
-        lambda_star=pair2.lam,
-        xi=pair2.xi,
-        N=N2,
+        C=C,
+        L1=L1,
+        a_star=a_root,
+        lambda_star=pair.lam,
+        xi=pair.xi,
+        N=N,
         digits_certified=digits,
         ctx=ctx,
     )

@@ -8,6 +8,7 @@ can assert the runtime bounds without re-solving.
 import time
 
 import pytest
+from mpmath import mp
 
 from pwextremal import spectral
 from pwextremal.spectral import solve_constants
@@ -43,14 +44,14 @@ def consts50():
 
 
 @pytest.fixture
-def eigen_solves(monkeypatch):
-    """The N of every spectral.ground_eigenpair call made while it is active."""
+def sweeps(monkeypatch):
+    """(N, dps) of every backward sweep made while it is active."""
     calls = []
-    solve = spectral.ground_eigenpair
+    sweep = spectral._sweep
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].N)
-        return solve(*args, **kwargs)
+    def counted(sys, lam, side=False):
+        calls.append((sys.N, mp.dps))
+        return sweep(sys, lam, side)
 
-    monkeypatch.setattr(spectral, "ground_eigenpair", counted)
+    monkeypatch.setattr(spectral, "_sweep", counted)
     return calls

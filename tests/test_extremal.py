@@ -95,24 +95,25 @@ def test_truncation_validation(consts30):
         extremal.taylor_extremal(consts30, 0)
 
 
-def test_refined_frame_cached_on_constants(consts30, eigen_solves):
-    # a second request inside the solved bucket makes no eigen-solve, and
-    # the cache stays out of the payload
+def test_refined_frame_cached_on_constants(consts30, sweeps):
+    # a second request inside the solved bucket makes no sweep, and the
+    # cache stays out of the payload
     first = extremal.refined_spectral_frame(consts30, 100)
-    eigen_solves.clear()
+    sweeps.clear()
     assert extremal.refined_spectral_frame(consts30, 200) == first
-    assert eigen_solves == []
+    assert sweeps == []
     assert consts30.frame[0] >= 200
     assert "frame" not in consts30.to_json_dict()
 
 
-def test_refined_frame_work_count(consts30, eigen_solves):
-    # the re-solve starts from the certified root, so only its first rungs
-    # do real work and the top rung confirms the root with one solve
+def test_refined_frame_work_count(consts30, sweeps):
+    # the re-solve continues Newton from the certified root, one sweep per
+    # precision doubling, on N=256, the first N from the certified 128
+    # whose tail clears the 524-digit frame
     fresh = dataclasses.replace(consts30, frame=None)
     a1, _lam = extremal.refined_spectral_frame(fresh, 200)
-    assert 0 < len(eigen_solves) <= 16
-    assert eigen_solves.count(max(eigen_solves)) <= 2
+    assert 0 < sum(1 for _N, dps in sweeps if dps == 524) <= 3
+    assert max(N for N, _dps in sweeps) <= 256
     with mp.workdps(130):
         assert abs(a1 - mp.pi / (4 * mpf(refvals.C_REF))) < mpf(10) ** -100
 

@@ -1,7 +1,8 @@
 """Tests for the tridiagonal solver: matrix construction, eigenpairs,
-the side-condition root, and the truncation ladder."""
+the backward sweep, the side-condition root, and the truncation size."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from pwextremal.mpcore import PrecisionContext, UsageError
 from pwextremal.spectral import (
     EigenPair,
     SolverError,
-    _solve_root_for_N,
+    _side_root,
+    _sweep,
     assert_ground_invariants,
     build_matrix,
     ground_eigenpair,
     legendre_condition,
     solve_constants,
+    truncation_size,
 )
 
 import refvals
@@ -182,110 +185,80 @@ def test_solve_constants_internal_identities(consts30):
 
 
 def test_solve_constants_invariances(consts12):
-    alt = solve_constants(12, initial_N=32, bracket=("1.41", "1.48"), guard=25)
+    alt = solve_constants(12, bracket=("1.41", "1.48"), guard=25)
     with alt.ctx.working():
         assert abs(alt.C - consts12.C) < mpf(10) ** -12
         assert abs(alt.a_star - consts12.a_star) < mpf(10) ** -12
 
 
-def test_solve_constants_work_count(eigen_solves):
-    # each side-condition evaluation is one eigen-solve; only the first
-    # rung of the first run searches the whole bracket (about ten steps),
-    # every later search starts from the root found before it
-    solve_constants(30)
-    assert 0 < len(eigen_solves) <= 20
+def _top_sweeps(sweeps, consts):
+    """Sweeps at the working precision of each of the two runs."""
+    guard = consts.ctx.guard // 2
+    return [
+        sum(1 for _N, dps in sweeps if dps == consts.digits_certified + g)
+        for g in (guard, 2 * guard)
+    ]
 
 
-def test_solve_constants_fifty_digit_work_count(eigen_solves):
-    # the root search stops at the noise floor of S, not at a bracket
-    # width tied to the digit goal: at 50 digits that width lay above the
-    # floor, and the N=128 rung warm-started from the N=64 root it left
-    # spent 3 solves instead of 1 (18 in all before)
-    solve_constants(50)
-    assert 0 < len(eigen_solves) <= 17
+def test_solve_constants_work_count(sweeps):
+    # each run ends with one Newton step at its working precision and one
+    # sweep that finds the step at the noise floor; the steps below it
+    # cost one sweep each
+    consts = solve_constants(30)
+    assert all(0 < n <= 3 for n in _top_sweeps(sweeps, consts))
+    assert len(sweeps) <= 12
 
 
-def test_warm_start_matches_cold_search():
-    # a guess 10^-digits off the root and a guess on either bracket end
-    # lead to the root the search from the bracket finds
-    digits = 30
-    bracket = (mpf("1.44"), mpf("1.46"))
-    with PrecisionContext(digits=digits, guard=18).working():
-        cold, _ = _solve_root_for_N(64, bracket)
-        for guess in (cold + mpf(10) ** -digits, bracket[0], bracket[1]):
-            warm, pair = _solve_root_for_N(64, bracket, guess=guess)
-            assert abs(warm - cold) <= mpf(10) ** -(digits + 5), guess
-            assert bracket[0] <= warm <= bracket[1]
-            assert abs(legendre_condition(pair)) <= mpf(10) ** -(mp.dps - 6)
+def test_solve_constants_fifty_digit_work_count(sweeps):
+    consts = solve_constants(50)
+    assert all(0 < n <= 3 for n in _top_sweeps(sweeps, consts))
 
 
-def test_warm_start_guess_already_a_root(eigen_solves):
-    # a guess at the noise floor of S is returned after one evaluation
-    with mp.workdps(40):
-        bracket = (mpf("1.44"), mpf("1.46"))
-        root, _ = _solve_root_for_N(64, bracket)
-        eigen_solves.clear()
-        again, _ = _solve_root_for_N(64, bracket, guess=root)
-        assert again == root
-        assert len(eigen_solves) == 1
-        with pytest.raises(UsageError):
-            _solve_root_for_N(64, bracket, guess=mpf("1.47"))
+def test_sweep_partials_match_finite_differences():
+    # the partials of g and S in lambda and a that the sweep carries agree
+    # with central differences taken at higher precision, and its S with
+    # the plain sum over the normalized vector
+    a, lam = mpf("1.45"), mpf("0.41")
+    with mp.workdps(50):
+        xi, _g, g_lam, (g_a, S, S_lam, S_a) = _sweep(build_matrix(64, a), lam, side=True)
+        assert abs(S - legendre_condition(EigenPair(lam=lam, xi=xi))) < mpf(10) ** -40
+    with mp.workdps(90):
+        h = mpf(10) ** -25
+
+        def values(da, dl):
+            _xi, g, _g_lam, extra = _sweep(build_matrix(64, a + da), lam + dl, side=True)
+            return g, extra[1]
+
+        for (da, dl), dg, dS in (((0, h), g_lam, S_lam), ((h, 0), g_a, S_a)):
+            (g_hi, s_hi), (g_lo, s_lo) = values(da, dl), values(-da, -dl)
+            assert abs((g_hi - g_lo) / (2 * h) - dg) < mpf(10) ** -30, (da, dl)
+            assert abs((s_hi - s_lo) / (2 * h) - dS) < mpf(10) ** -30, (da, dl)
 
 
-def test_grown_bracket_widenings_are_bounded(monkeypatch):
-    # a side condition that never changes sign: the bracket grown from
-    # the guess widens _GROW_STEPS times inside the caller's bracket, the
-    # caller's ends are probed last, then the search gives up with the
-    # caller's bracket in the message
-    probes = []
-
-    def positive(N, a, lambda_seed=None):
-        probes.append(a)
-        return mpf("1e-20"), EigenPair(lam=mpf(0), xi=[mpf(1)] * (N + 1))
-
-    monkeypatch.setattr(spectral, "_condition_value", positive)
-    monkeypatch.setattr(spectral, "_GROW_STEPS", 3)
-    with mp.workdps(40):
-        guess = mpf("1.45")
-        with pytest.raises(SolverError) as err:
-            _solve_root_for_N(64, ("1.44", "1.46"), guess=guess)
-        assert len(probes) == 1 + 2 * 3 + 2
-        widest = max(abs(a - guess) for a in probes[:-2])
-        last = spectral._GROW_FIRST * mpf("1e-20") * spectral._GROW_FACTOR ** 2
-        assert abs(widest / last - 1) < mpf(10) ** -10
-        assert probes[-2:] == [mpf("1.44"), mpf("1.46")]
-    message = str(err.value)
-    assert "does not change sign" in message
-    assert "N=64" in message and "40 dps" in message
-    assert "[1.44, 1.46]" in message
+def test_truncation_size_chosen_in_advance():
+    # twice the first power of two from 64 whose tail estimate clears the
+    # digits: the N at which a ladder doubling from 64 sees the root stand
+    assert [truncation_size(d) for d in (12, 30, 100, 200, 400, 1000)] == [
+        128,
+        128,
+        128,
+        256,
+        256,
+        512,
+    ]
 
 
-def test_grown_bracket_falls_back_to_caller_bracket(monkeypatch):
-    # a root farther from the guess than the widest grown probe: the
-    # search from the caller's ends still finds it
-    def far_root(N, a, lambda_seed=None):
-        f = (a - mpf("1.45")) ** 3 + mpf("1e-21")
-        return f, EigenPair(lam=mpf(0), xi=[mpf(1)] * (N + 1))
-
-    monkeypatch.setattr(spectral, "_condition_value", far_root)
-    monkeypatch.setattr(spectral, "_GROW_STEPS", 3)
-    with mp.workdps(40):
-        root, _ = _solve_root_for_N(64, ("1.44", "1.46"), guess=mpf("1.45"))
-        assert abs(root - (mpf("1.45") - mpf("1e-7"))) < mpf(10) ** -18
-
-
-def test_solve_constants_long_first_ladder(consts30):
-    # from N=8 the first run climbs several rungs, so the second run's
-    # first rung (N=8 again) has its root far from the first run's root
-    alt = solve_constants(30, initial_N=8)
-    with alt.ctx.working():
-        assert abs(alt.C - consts30.C) < mpf(10) ** -30
-        assert abs(alt.a_star - consts30.a_star) < mpf(10) ** -30
+def test_solve_constants_thousand_digits(sweeps):
+    consts = solve_constants(1000)
+    assert consts.N == 512
+    assert all(0 < n <= 3 for n in _top_sweeps(sweeps, consts))
+    with consts.ctx.working():
+        for value, ref in ((consts.C, refvals.C_REF), (consts.L1, refvals.L1_REF)):
+            places = len(ref.split(".")[1])
+            assert abs(value - mpf(ref)) < mpf(10) ** -(places - 1), ref[:12]
 
 
 def test_solve_constants_two_hundred_digits():
-    # the first run stops at N=256, three rungs past N=64, where the
-    # second run starts again
     consts = solve_constants(200)
     assert consts.N == 256
     with consts.ctx.working():
@@ -293,11 +266,12 @@ def test_solve_constants_two_hundred_digits():
 
 
 def test_sign_change_error_names_the_search():
+    # a bracket that holds no root: Newton leaves it on its way to the root
     with mp.workdps(30):
         with pytest.raises(SolverError) as err:
-            _solve_root_for_N(64, ("1.30", "1.40"))
+            _side_root(64, ("1.30", "1.40"))
     message = str(err.value)
-    assert "N=64" in message and "30 dps" in message
+    assert re.search(r"N=\d+, \d+ dps, a=\S+, lambda=\S+", message), message
     assert "[1.3, 1.4]" in message
 
 
@@ -317,14 +291,32 @@ def test_solve_constants_rejects_low_digits():
         solve_constants(9)
 
 
+def test_side_root_seed_independent():
+    # Newton from either end of the paper bracket, and from 1.30 far below
+    # the root, reaches the root the midpoint seed finds
+    with mp.workdps(40):
+        bracket = ("1.25", "1.50")
+        root, _ = _side_root(64, bracket)
+        for x in ("1.44", "1.46", "1.30"):
+            other, _ = _side_root(64, bracket, start=(mpf(x), mpf(x) / 3, 0))
+            assert abs(other - root) <= mpf(10) ** -(mp.dps - 6), x
+
+
+def test_side_root_work_is_bounded(monkeypatch):
+    monkeypatch.setattr(spectral, "_NEWTON_STEPS", 3)
+    with mp.workdps(40):
+        with pytest.raises(SolverError) as err:
+            _side_root(64, ("1.44", "1.46"))
+    message = str(err.value)
+    assert "did not converge in 3 sweeps" in message
+    assert re.search(r"N=64, 40 dps, a=\S+, lambda=\S+", message), message
+
+
 def test_truncation_doubling_stability():
     # at 50-digit working precision the root barely moves past N=128
-    from pwextremal.mpcore import PrecisionContext
-
-    ctx = PrecisionContext(digits=50, guard=20)
-    with ctx.working():
-        a128, _ = _solve_root_for_N(128, (mpf("1.44"), mpf("1.46")))
-        a256, _ = _solve_root_for_N(256, (mpf("1.44"), mpf("1.46")))
+    with PrecisionContext(digits=50, guard=20).working():
+        a128, _ = _side_root(128, ("1.44", "1.46"))
+        a256, _ = _side_root(256, ("1.44", "1.46"))
         assert abs(a128 - a256) < mpf(10) ** (-mpf("0.05") * 128)
 
 
