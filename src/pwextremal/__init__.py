@@ -20,4 +20,4 @@ Entry points:
 
 __version__ = "0.1.0"
 
-from .mpcore import PrecisionContext, UsageError, make_context  # noqa: F401
+from .mpcore import UsageError  # noqa: F401

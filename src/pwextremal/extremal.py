@@ -11,11 +11,11 @@ rebuilds the two functions everything else is made of:
   reflection.
 
 On top of the Taylor models sit the zero pipeline (offset expansion
-tau_n = n + 1/2 - rho(1/(n+1/2)), Newton refinement against the factor
-series, an arctangent fixed-point refinement) and residual checkers for
-the differential equations, the quadratic Wronskian relation, and the
-reflection identity, plus two independent reconstructions of the central
-constant from the zeros alone.
+tau_n = n + 1/2 - rho(1/(n+1/2)) and Newton refinement against the factor
+series), residual checkers for the differential equations, the quadratic
+Wronskian relation and the reflection identity, the summation identity
+over the zeros, and a reconstruction of the central constant from the
+offset coefficients alone.
 
 A note on precision.  The coefficient recursions are badly unstable: the
 parasitic solution grows factorially while the wanted one decays
@@ -39,9 +39,7 @@ from mpmath.libmp import mpf_cos_sin, mpf_rdiv_int, to_fixed
 from .mpcore import (
     TruncatedLaurentSeries,
     UsageError,
-    alternating_halfinteger_tail,
     beta_numeric,
-    richardson_doubling,
     series_derivative,
     series_exp0,
     series_from_coeffs,
@@ -123,7 +121,7 @@ def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
         return consts.frame[1], consts.frame[2]
     bucket = max(512, 64 * ((need_dps + 63) // 64))
     dps = bucket + _FRAME_GUARD
-    start = (consts.a_star, consts.lambda_star, consts.ctx.working_dps - 6)
+    start = (consts.a_star, consts.lambda_star, consts.dps - 6)
     with mp.workdps(dps):
         half = mpf(10) ** (-(consts.digits_certified - 3))
         bracket = (consts.a_star - half, consts.a_star + half)
@@ -190,40 +188,13 @@ def _factor_coefficients(a, b, lam, T: int):
     return coeffs
 
 
-def taylor_eigenfunction(a, b, lam, T: int, digits: int) -> TaylorModel:
-    """Factor-type eigenfunction Taylor model for an arbitrary (a, b, lambda).
-
-    The caller is responsible for supplying lambda with enough digits: the
-    recursion needs roughly digits + 2 log10(T!) - T log10(ab) true digits
-    of the eigenvalue, and a breach is reported, not repaired (there is
-    nothing to re-solve for a frame this routine knows nothing about).
-    """
-    if T < 2:
-        raise UsageError("T must be at least 2")
-    with mp.workdps(30):
-        if mpf(a) <= 0 or mpf(b) <= 0:
-            raise UsageError("a and b must be positive")
-        ab_est = mpf(a) * mpf(b)
-    need = digits + _factor_recursion_loss(ab_est, T) + 30
-    # conversions happen inside the working-precision block so that
-    # high-precision inputs are not rounded at the ambient precision
-    with mp.workdps(need):
-        a = mpf(a)
-        b = mpf(b)
-        lam = mpf(lam)
-        series = TruncatedLaurentSeries(
-            low=0, coeffs=_factor_coefficients(a, b, lam, T), parity="none"
-        )
-    return TaylorModel(which="factor", coeffs=series, a=a, b=b, lam=lam, digits=digits)
-
-
 def taylor_factor(consts: ExtremalConstants, T: int, digits: int = None) -> TaylorModel:
     """Taylor model of the entire factor in its own frame (b = pi/2).
 
     Coefficients start 1, L1, L1^2/2 + 2 L1 C, ...; the spectral root is
-    re-solved internally at the precision the order T requires, and the
-    recursion is retried at escalated precision if the growth envelope
-    still trips.
+    re-solved internally at the precision the order T requires, so the
+    recursion gets a and lambda to at least the digits it destroys.  A
+    trip of the growth envelope raises SolverError.
     """
     if T < 2:
         raise UsageError("T must be at least 2")
@@ -231,25 +202,14 @@ def taylor_factor(consts: ExtremalConstants, T: int, digits: int = None) -> Tayl
     with mp.workdps(25):
         ab = mpf(consts.a_star)  # the product a*b is frame-invariant
     need = digits + _factor_recursion_loss(ab, T) + 30
-    last_exc = None
-    for _attempt in range(3):
-        a1, lam = refined_spectral_frame(consts, need)
-        try:
-            with mp.workdps(need):
-                a = 2 * a1 / mp.pi
-                b = mp.pi / 2
-                series = TruncatedLaurentSeries(
-                    low=0, coeffs=_factor_coefficients(a, b, lam, T), parity="none"
-                )
-            return TaylorModel(
-                which="factor", coeffs=series, a=a, b=b, lam=lam, digits=digits
-            )
-        except SolverError as exc:
-            last_exc = exc
-            need += need // 2 + 64
-    raise SolverError(
-        "factor recursion failed after precision escalation"
-    ) from last_exc
+    a1, lam = refined_spectral_frame(consts, need)
+    with mp.workdps(need):
+        a = 2 * a1 / mp.pi
+        b = mp.pi / 2
+        series = TruncatedLaurentSeries(
+            low=0, coeffs=_factor_coefficients(a, b, lam, T), parity="none"
+        )
+    return TaylorModel(which="factor", coeffs=series, a=a, b=b, lam=lam, digits=digits)
 
 
 def taylor_extremal(
@@ -333,24 +293,6 @@ def eigenfunction_odd_sums(model: TaylorModel, M: int):
         return [-(model.a / 2) * recip.coefficient(2 * m) for m in range(1, M + 1)]
 
 
-def theta_series(model: TaylorModel, M: int) -> TruncatedLaurentSeries:
-    """Laurent series -(a/2) z^{-1} / psi(z) truncated at exponent 2M - 1.
-
-    Its z^{-1} coefficient is -a/2 (the summation-formula weight) and the
-    positive odd coefficients are the alternating power sums.
-    """
-    if model.which != "extremal":
-        raise UsageError("theta_series needs the even model")
-    if 2 * M > model.coeffs.high:
-        raise UsageError("model order too small for exponent %d" % (2 * M - 1))
-    with mp.workdps(model.coeffs.dps):
-        recip = series_reciprocal(model.coeffs, 2 * M + 1)
-        scaled = series_scale(recip, -model.a / 2)
-        return TruncatedLaurentSeries(
-            low=-1, coeffs=scaled.coeffs, parity="odd", dps=scaled.dps
-        )
-
-
 def alternating_sums_odd(consts: ExtremalConstants, M: int, digits: int = None):
     """Alternating odd power sums over the zero parameters, orders 1..2M-1."""
     if M < 1:
@@ -421,6 +363,10 @@ def rho_tail_bound(M: int, x):
 
     Nonnegative coefficients summing against 2^m to at most 1/2 give
     a_m <= 2^{-m-1}, hence a tail below (x/2)^{M+1} / (2 (1 - x/2)).
+    That premise is checked only on the computed a_1..a_M
+    (offset_coefficients rejects a negative one, build_zero_model a
+    weighted sum past 1/2); no theorem here covers the coefficients past
+    M, which the bound is about.
     """
     x = mpf(x)
     if not (0 < x < 2):
@@ -439,8 +385,9 @@ class ZeroModel:
 
     rho_coeffs are the offset coefficients a_1..a_M; refined holds
     tau_1..tau_n0 polished by Newton against the factor series; beyond the
-    crossover n0 the plain series value is certified by the geometric tail
-    bound to the model's digits.
+    crossover n0 the plain series value is taken, within the geometric
+    tail bound of rho_tail_bound to the model's digits.  That bound's
+    premise (a_m >= 0, sum_m a_m 2^m <= 1/2) is checked on a_1..a_M only.
     """
 
     rho_coeffs: list
@@ -564,12 +511,21 @@ def build_zero_model(
     """Offset coefficients plus a Newton-refined head.
 
     The crossover n0 defaults to the smallest index whose series tail
-    bound clears the digit target with one spare order of magnitude.
+    bound clears the digit target with one spare order of magnitude.  A
+    weighted sum sum_{m<=M} a_m 2^m above 1/2 breaks the premise of
+    rho_tail_bound and raises SolverError.
     """
     digits = digits if digits is not None else consts.digits_certified
     if M is None:
         M = int(digits / 1.23) + 2
     rho = offset_coefficients(consts, M, digits=digits)
+    with mp.workdps(digits + 15):
+        weighted = sum(a_m * mpf(2) ** m for m, a_m in enumerate(rho, start=1))
+        if weighted > mpf(1) / 2:
+            raise SolverError(
+                "offset coefficients give sum a_m 2^m = %s > 1/2 at M=%d; "
+                "the series tail bound does not apply" % (mp.nstr(weighted, 10), M)
+            )
     if n0 is None:
         n0 = 1
         while rho_tail_bound(M, mpf(2) / (2 * n0 + 1)) >= mpf(10) ** (-(digits + 1)):
@@ -592,8 +548,8 @@ def build_zero_model(
 #
 # tau_m = (m + 1/2)(1 - x rho(x)) at x = 1/(m + 1/2), so tau_m^{-s}
 # expands into shifted half-integer powers with the binomial-series
-# coefficients of (1 - x rho(x))^{-s}; the alternating lattice tails then
-# resum exactly through Hurwitz zeta differences.
+# coefficients of (1 - x rho(x))^{-s}; lseries.l_series then resums the
+# alternating lattice tails exactly through Hurwitz zeta differences.
 
 
 def binomial_tail_expansion(rho_coeffs, s, K: int):
@@ -602,139 +558,6 @@ def binomial_tail_expansion(rho_coeffs, s, K: int):
     f = series_from_coeffs([-c for c in xrho[1 : K + 1]], low=1)
     expanded = series_exp0(series_scale(series_log1p(f, K + 1), -mpf(s)), K + 1)
     return [expanded.coefficient(k) for k in range(K + 1)]
-
-
-def alternating_tau_tail(model: ZeroModel, s, n_start: int, target_exponent: int):
-    """sum_{m > n_start} (-1)^{m+1} tau_m^{-s} to 10^-target_exponent.
-
-    Zeros between n_start and an analytic cut are summed explicitly from
-    the model; past the cut the binomial expansion of the offset form is
-    resummed with Hurwitz zeta differences.  The cut is pushed out until
-    both the expansion truncation and the model's own tail floor clear the
-    target.
-    """
-    s_val = mpf(s)
-    if s_val < 1:
-        raise UsageError("tail exponent must be at least 1")
-    tol = mpf(10) ** (-target_exponent)
-    K = model.M
-    cut = n_start
-    while True:
-        X = mpf(2 * cut + 3) / 2
-        expansion_floor = X ** (-(s_val + K))
-        model_floor = rho_tail_bound(model.M, 1 / X) * X ** (-s_val) * (1 + s_val / X)
-        if expansion_floor < tol and model_floor < tol:
-            break
-        cut += 8
-        if cut > n_start + 8192:
-            raise UsageError("offset model too short for the requested tail accuracy")
-    explicit = mpf(0)
-    for m in range(n_start + 1, cut + 1):
-        term = tau(model, m) ** (-s_val)
-        explicit += term if m % 2 else -term
-    e = binomial_tail_expansion(model.rho_coeffs, s_val, K)
-    resummed = mpf(0)
-    for k in range(K + 1):
-        if e[k] == 0:
-            continue
-        resummed += e[k] * alternating_halfinteger_tail(s_val + k, cut)
-        if k >= 2 and abs(e[k]) * X ** (-(s_val + k)) < tol:
-            break
-    return explicit + resummed
-
-
-# ----------------------------------------------------------------------
-# fixed-point refinement
-
-
-def refine_zeros_fixed_point(
-    consts: ExtremalConstants,
-    zeros,
-    sweeps: int,
-    model: ZeroModel = None,
-    sweep_log: list = None,
-):
-    """Jacobi sweeps of the arctangent fixed-point map
-
-        tau_n <- n + 1/2 - (2/pi) sum_m (-1)^{m+1}
-                 arctan(1 / (2 pi C tau_n tau_m)),
-
-    over the supplied increasing head tau_1..tau_N; the sum over m runs
-    explicitly through the head and analytically (offset model plus
-    Hurwitz resummation) beyond it.  When sweep_log is a list, the l1
-    displacement of each sweep is appended to it; ratios of successive
-    entries estimate the contraction factor.
-    """
-    if sweeps < 1:
-        raise UsageError("sweeps must be positive")
-    if not zeros:
-        raise UsageError("empty zero list")
-    digits = consts.digits_certified
-    model = model if model is not None else build_zero_model(consts, digits=digits)
-    Nz = len(zeros)
-    with mp.workdps(digits + 25):
-        current = [mpf(t) for t in zeros]
-        for i in range(1, Nz):
-            if current[i] <= current[i - 1]:
-                raise UsageError("zeros must be the increasing head tau_1..tau_N")
-        C = mpf(consts.C)
-        two_pi_c = 2 * mp.pi * C
-        tol_exp = digits + 5
-        tol = mpf(10) ** (-tol_exp)
-        r = 1 / (two_pi_c * current[0] * (mpf(2 * Nz + 3) / 2))
-        J = 0
-        term = r
-        while term > tol:
-            J += 1
-            term *= r * r
-            if J > 400:
-                raise SolverError("arctangent tail expansion does not converge")
-        tails = [
-            alternating_tau_tail(model, 2 * j + 1, Nz, tol_exp) for j in range(J + 1)
-        ]
-        for _sweep in range(sweeps):
-            new = []
-            for n in range(1, Nz + 1):
-                q = 1 / (two_pi_c * current[n - 1])
-                acc = mpf(0)
-                for m in range(1, Nz + 1):
-                    t = mp.atan(q / current[m - 1])
-                    acc += t if m % 2 else -t
-                qpow = q
-                for j in range(J + 1):
-                    acc += (-1) ** j * qpow * tails[j] / (2 * j + 1)
-                    qpow *= q * q
-                new.append(mpf(2 * n + 1) / 2 - 2 / mp.pi * acc)
-            if sweep_log is not None:
-                sweep_log.append(sum(abs(new[i] - current[i]) for i in range(Nz)))
-            current = new
-    return current
-
-
-def fixed_point_contraction_bound(
-    consts: ExtremalConstants, model: ZeroModel, terms: int = 2000
-):
-    """Upper bound for the l1 operator norm of the fixed-point map's Jacobian.
-
-    Differentiating the map and bounding every zero from below by tau_1
-    gives
-
-        16 C tau_1 / (4 pi^2 C^2 tau_1^4 + 1)
-        + sum_{m>=2} 8 C tau_1 / (4 pi^2 C^2 tau_1^2 tau_m^2 + 1),
-
-    with the remainder past `terms` bounded by an integral comparison.  A
-    value below 1/2 certifies the sweeps contract near the solution.
-    """
-    with mp.workdps(consts.digits_certified + 10):
-        C = mpf(consts.C)
-        t1 = tau(model, 1)
-        base = 4 * mp.pi ** 2 * C ** 2 * t1 ** 2
-        total = 16 * C * t1 / (base * t1 ** 2 + 1)
-        for m in range(2, terms + 1):
-            tm = tau(model, m)
-            total += 8 * C * t1 / (base * tm * tm + 1)
-        total += 8 * C * t1 / base / terms
-    return total
 
 
 # ----------------------------------------------------------------------
@@ -1281,26 +1104,3 @@ def constant_from_zeros_alternating(consts: ExtremalConstants, M: int = None):
                 continue
             total += a_m * mpf(2) ** m * (beta_numeric(m) - 1)
         return 1 / (2 + 4 * total)
-
-
-def constant_wallis_product(
-    consts: ExtremalConstants, model: ZeroModel = None, base: int = 64, levels: int = 8
-):
-    """The central constant from the product (1/2) prod_n tau_n^2 / (n(n+1)).
-
-    Partial products converge only like c/N, so they are sampled at
-    doubling N and Richardson-extrapolated across `levels` doublings.
-    """
-    model = model if model is not None else build_zero_model(consts)
-    digits = consts.digits_certified
-    with mp.workdps(digits + 15):
-        partials = []
-        prod = mpf(1) / 2
-        n = 1
-        for stop in (base * 2 ** k for k in range(levels)):
-            while n <= stop:
-                t = tau(model, n)
-                prod *= t * t / (n * (n + 1))
-                n += 1
-            partials.append(prod)
-        return richardson_doubling(partials)

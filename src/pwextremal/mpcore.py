@@ -1,20 +1,18 @@
 """Precision-managed arithmetic substrate.
 
-Everything downstream runs on top of four ingredients collected here:
+Everything downstream runs on top of the ingredients collected here:
 
-* :class:`PrecisionContext`, a small policy object that converts a digit
-  request into mpmath working precision (with guard digits and a doubled
-  certification precision);
 * :class:`TruncatedLaurentSeries` plus the handful of series operations the
   project actually needs (scaling, Cauchy product, reciprocal, log(1+f),
   exp, derivative);
 * Legendre polynomial evaluation and Clenshaw summation of Legendre series;
 * the Dirichlet beta function and alternating half-integer tails, through
-  Hurwitz zeta values.
+  Hurwitz zeta values;
+* exact decimal truncation for the serialized output.
 
 Scalars are plain ``mpmath.mpf`` values ("big reals").  All functions expect
 to be called with the global mpmath precision already set, normally via
-``with ctx.working():``.  Decimal constants must always be parsed from
+``with mp.workdps(...):``.  Decimal constants must always be parsed from
 strings under the active precision, never stored as module-level mpf
 literals, because a literal parsed at import time is frozen at whatever
 precision happened to be active then.
@@ -31,66 +29,6 @@ from mpmath import mp, mpf
 
 class UsageError(ValueError):
     """Raised when an operation is invoked outside its contract."""
-
-
-# ----------------------------------------------------------------------
-# precision policy
-
-
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Digit request plus guard-digit policy.
-
-    ``digits`` is what the caller wants certified; ``guard`` is the extra
-    padding used while computing.  Certification runs the same computation
-    again with twice the guard and compares.
-    """
-
-    digits: int
-    guard: int
-
-    def __post_init__(self):
-        if self.digits < 1 or self.guard < 1:
-            raise UsageError("digits and guard must be positive")
-
-    @property
-    def working_dps(self) -> int:
-        return self.digits + self.guard
-
-    @property
-    def certify_dps(self) -> int:
-        return self.digits + 2 * self.guard
-
-    def working(self):
-        """Context manager setting mp.dps to the working precision."""
-        return mp.workdps(self.working_dps)
-
-    def certifying(self):
-        return mp.workdps(self.certify_dps)
-
-    def parse(self, decimal_string: str) -> mpf:
-        """Parse a decimal constant under the working precision."""
-        with self.working():
-            return mpf(decimal_string)
-
-    def tolerance(self, slack: int = 0) -> mpf:
-        """10^-(digits - slack) as an mpf under the working precision."""
-        with self.working():
-            return mpf(10) ** (-(self.digits - slack))
-
-
-def default_guard(n_max: int = 1, longest_series: int = 0) -> int:
-    """Guard digits: 15 + ceil(log10(N)) + T/10.
-
-    N is the largest truncation (matrix size, series length, zero count)
-    that will be used under the context; T the longest series order.
-    """
-    n_max = max(int(n_max), 1)
-    return 15 + math.ceil(math.log10(n_max)) + int(longest_series) // 10
-
-
-def make_context(digits: int, n_max: int = 1, longest_series: int = 0) -> PrecisionContext:
-    return PrecisionContext(digits=digits, guard=default_guard(n_max, longest_series))
 
 
 # ----------------------------------------------------------------------
@@ -395,26 +333,3 @@ def decimal_truncated(x, digits: int) -> str:
     if 0 <= e < digits:
         return sign + (kept[: e + 1] + "." + kept[e + 1 :]).rstrip(".")
     return sign + (kept[0] + "." + kept[1:]).rstrip(".") + "e%+d" % e
-
-
-# ----------------------------------------------------------------------
-# sequence extrapolation
-
-
-def richardson_doubling(values: Sequence):
-    """Richardson extrapolation for S(N), S(2N), S(4N), ...
-
-    Assumes S(N) = S + c1/N + c2/N^2 + ...; eliminates one power per level.
-    Returns the extrapolated limit.
-    """
-    if not values:
-        raise UsageError("no values to extrapolate")
-    row = [mpf(v) for v in values]
-    level = 1
-    while len(row) > 1:
-        factor = mpf(2) ** level
-        row = [
-            (factor * row[i + 1] - row[i]) / (factor - 1) for i in range(len(row) - 1)
-        ]
-        level += 1
-    return row[0]

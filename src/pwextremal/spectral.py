@@ -44,19 +44,18 @@ estimate, at a = 3/2, clears the digit goal; it is an estimate of the
 tail, not a proved bound on the truncation error.
 
 All numeric kernels here run under the ambient mpmath precision; only
-solve_constants manages PrecisionContext objects itself.
+solve_constants sets it, to digits plus guard for each of its two runs.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from mpmath import mp, mpf
 
-from .mpcore import PrecisionContext, UsageError, decimal_truncated, default_guard
+from .mpcore import UsageError, decimal_truncated
 
 
 class SolverError(RuntimeError):
@@ -104,10 +103,12 @@ class EigenPair:
 
 # Work bounds and the precision schedule.  Every Newton loop stops after
 # _NEWTON_STEPS sweeps.  The side-condition root is seeded at _SEED_DPS
-# digits on _SEED_N rows; solve_constants truncates at twice the first
+# digits on _SEED_N rows; solve_constants works at _GUARD digits past the
+# request (twice that in its second run), truncates at twice the first
 # power of two from _N_FLOOR whose tail clears its digits, and no
 # truncation passes _N_CAP.
 _NEWTON_STEPS = 100
+_GUARD = 18
 _SEED_DPS = 20
 _SEED_N = 32
 _N_FLOOR = 64
@@ -365,9 +366,10 @@ class ExtremalConstants:
     C is the extremal constant; L1 the derivative at 0 of the entire
     factor; a_star = pi/(4C) the root of the side condition in the b=1
     frame; lambda_star = -L1/(2C) the ground eigenvalue (frame-invariant);
-    xi the ground eigenvector at a_star, normalized xi[0] = 1.  frame is
-    the cache of extremal.refined_spectral_frame: (dps, a, lambda) from
-    the most precise re-solve so far, or None.
+    xi the ground eigenvector at a_star, normalized xi[0] = 1.  dps is the
+    working precision of the solve's final run.  frame is the cache of
+    extremal.refined_spectral_frame: (dps, a, lambda) from the most
+    precise re-solve so far, or None.
     """
 
     C: mpf
@@ -377,12 +379,12 @@ class ExtremalConstants:
     xi: list
     N: int
     digits_certified: int
-    ctx: PrecisionContext
+    dps: int
     frame: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         d = self.digits_certified
-        with self.ctx.working():
+        with mp.workdps(self.dps):
             return {
                 "C": decimal_truncated(self.C, d),
                 "L1": decimal_truncated(self.L1, d),
@@ -392,14 +394,11 @@ class ExtremalConstants:
                 "digits_certified": d,
             }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 def solve_constants(
     digits: int,
     bracket=("1.44", "1.46"),
-    guard: Optional[int] = None,
+    guard: int = _GUARD,
 ) -> ExtremalConstants:
     """Compute the extremal constants to `digits` decimals.
 
@@ -413,19 +412,19 @@ def solve_constants(
     """
     if digits < 10:
         raise UsageError("digits must be at least 10")
-    if guard is None:
-        guard = default_guard(1000)
+    if guard < 1:
+        raise UsageError("guard must be positive")
     N = truncation_size(digits)
 
     C = start = None
     for g in (guard, 2 * guard):
-        first, ctx = C, PrecisionContext(digits=digits, guard=g)
-        with ctx.working():
+        first, dps = C, digits + g
+        with mp.workdps(dps):
             a_root, pair = _side_root(N, bracket, start)
             C = mp.pi / (4 * a_root)
-        start = (a_root, pair.lam, ctx.working_dps - 6)
+        start = (a_root, pair.lam, dps - 6)
 
-    with ctx.working():
+    with mp.workdps(dps):
         disagreement = abs(first - C)
         allowed = mpf(10) ** (-(digits + 1))
         if disagreement > allowed:
@@ -442,5 +441,5 @@ def solve_constants(
         xi=pair.xi,
         N=N,
         digits_certified=digits,
-        ctx=ctx,
+        dps=dps,
     )

@@ -13,7 +13,7 @@ from mpmath import mp, mpf
 
 import refvals
 from pwextremal import extremal
-from pwextremal.mpcore import UsageError, series_multiply
+from pwextremal.mpcore import UsageError
 from pwextremal.spectral import SolverError
 
 
@@ -52,14 +52,13 @@ def test_general_frame_rescaling(consts30):
     # the same eigenfunction written in the b=1 frame has coefficients
     # scaled by (2/pi)^n relative to its own frame
     a1, lam = extremal.refined_spectral_frame(consts30, 60)
-    unit = extremal.taylor_eigenfunction(a1, 1, lam, 10, digits=25)
     native = extremal.taylor_factor(consts30, 10, digits=25)
     with mp.workdps(60):
+        unit = extremal._factor_coefficients(a1, 1, lam, 10)
         scale = 2 / mp.pi
         for n in range(11):
-            lhs = unit.coeffs.coefficient(n)
             rhs = native.coeffs.coefficient(n) * scale ** n
-            assert abs(lhs - rhs) < mpf("1e-20")
+            assert abs(unit[n] - rhs) < mpf("1e-20")
 
 
 def test_extremal_leading_coefficients(consts30):
@@ -128,17 +127,8 @@ def test_envelope_detector_trips(consts30):
             extremal._factor_coefficients(a, mp.pi / 2, lam, 120)
 
 
-def test_eigenfunction_rejects_starved_eigenvalue(consts30):
-    # a 30-digit eigenvalue cannot support order 120 in any frame; the
-    # general-frame entry point reports rather than repairs
-    with pytest.raises(SolverError):
-        extremal.taylor_eigenfunction(
-            consts30.a_star, 1, consts30.lambda_star, 120, digits=30
-        )
-
-
 # ----------------------------------------------------------------------
-# odd sums and the theta series
+# odd sums
 
 
 def test_odd_sums_closed_forms(consts30):
@@ -156,22 +146,8 @@ def test_odd_sums_closed_forms(consts30):
         assert abs(sums[2] - L5) < mpf("1e-26")
 
 
-def test_theta_series_annihilates_model(consts30):
-    model = extremal.taylor_extremal(consts30, 10, cross_check=False)
-    theta = extremal.theta_series(model, 6)
-    assert theta.low == -1
-    assert theta.parity == "odd"
-    with mp.workdps(theta.dps):
-        prod = series_multiply(theta, model.coeffs, 14)
-        assert abs(prod.coefficient(-1) + model.a / 2) < mpf("1e-28")
-        for e in (1, 3, 5, 7, 9, 11):
-            assert abs(prod.coefficient(e)) < mpf("1e-28")
-
-
-def test_theta_series_needs_even_model(consts30):
+def test_odd_sums_need_even_model(consts30):
     factor = extremal.taylor_factor(consts30, 6)
-    with pytest.raises(UsageError):
-        extremal.theta_series(factor, 2)
     with pytest.raises(UsageError):
         extremal.eigenfunction_odd_sums(factor, 2)
 
@@ -264,56 +240,22 @@ def test_tau_gate(consts30):
         extremal.tau(model, 0)
 
 
+def test_zero_model_rejects_heavy_offset_coefficients(consts30, monkeypatch):
+    # the series tail bound assumes sum_m a_m 2^m <= 1/2; here it is
+    # 0.2 * 2 + 0.05 * 8 = 0.8
+    def heavy(consts, M, digits=None):
+        return [mpf("0.2"), mpf(0), mpf("0.05")]
+
+    monkeypatch.setattr(extremal, "offset_coefficients", heavy)
+    with pytest.raises(SolverError, match="1/2"):
+        extremal.build_zero_model(consts30, M=3)
+
+
 def test_signed_zeros_alternate(consts30):
     model = extremal.build_zero_model(consts30)
     signed = extremal.zeros_signed(model, 6)
     for n, mu in enumerate(signed, start=1):
         assert (mu > 0) == (n % 2 == 1)
-
-
-# ----------------------------------------------------------------------
-# fixed-point refinement
-
-
-def test_fixed_point_converged_stays(consts30):
-    model = extremal.build_zero_model(consts30)
-    head = [extremal.tau(model, n) for n in range(1, 5)]
-    log = []
-    extremal.refine_zeros_fixed_point(consts30, head, 1, model=model, sweep_log=log)
-    assert log[0] < mpf("1e-24")
-
-
-def test_fixed_point_contracts(consts30):
-    model = extremal.build_zero_model(consts30)
-    with mp.workdps(45):
-        head = [extremal.tau(model, n) + mpf("1e-3") for n in range(1, 5)]
-    log = []
-    extremal.refine_zeros_fixed_point(consts30, head, 3, model=model, sweep_log=log)
-    assert log[1] / log[0] < mpf("0.5")
-    assert log[2] / log[1] < mpf("0.5")
-
-
-def test_fixed_point_single_unknown(consts30):
-    model = extremal.build_zero_model(consts30)
-    newton = extremal.tau(model, 1)
-    out = extremal.refine_zeros_fixed_point(consts30, [newton], 2, model=model)
-    assert abs(out[0] - newton) < mpf("1e-20")
-
-
-def test_fixed_point_validation(consts30):
-    model = extremal.build_zero_model(consts30)
-    with pytest.raises(UsageError):
-        extremal.refine_zeros_fixed_point(consts30, [], 1, model=model)
-    with pytest.raises(UsageError):
-        extremal.refine_zeros_fixed_point(
-            consts30, [mpf(2), mpf(1)], 1, model=model
-        )
-
-
-def test_contraction_certificate(consts30):
-    model = extremal.build_zero_model(consts30)
-    bound = extremal.fixed_point_contraction_bound(consts30, model)
-    assert bound < mpf("0.5")
 
 
 # ----------------------------------------------------------------------
@@ -525,9 +467,3 @@ def test_summation_system_validation():
 def test_constant_from_alternating_series(consts30):
     recon = extremal.constant_from_zeros_alternating(consts30)
     assert abs(recon - consts30.C) < mpf("1e-20")
-
-
-def test_constant_from_wallis_product(consts30):
-    model = extremal.build_zero_model(consts30)
-    recon = extremal.constant_wallis_product(consts30, model)
-    assert abs(recon - consts30.C) < mpf("1e-8")

@@ -9,17 +9,14 @@ from hypothesis import example, given, strategies as st
 from mpmath import mp, mpf
 
 from pwextremal.mpcore import (
-    PrecisionContext,
     TruncatedLaurentSeries,
     UsageError,
     alternating_halfinteger_tail,
     beta_numeric,
     clenshaw_legendre,
     decimal_truncated,
-    default_guard,
     legendre_eval,
     legendre_pair,
-    richardson_doubling,
     series_exp0,
     series_from_coeffs,
     series_log1p,
@@ -33,28 +30,6 @@ from pwextremal.mpcore import (
 def _fixed_precision():
     with mp.workdps(40):
         yield
-
-
-def test_context_basics():
-    ctx = PrecisionContext(digits=30, guard=20)
-    assert ctx.working_dps == 50
-    assert ctx.certify_dps == 70
-    with ctx.working():
-        assert mp.dps == 50
-    x = ctx.parse("0.1")
-    with ctx.working():
-        assert abs(x - mpf(1) / 10) < mpf(10) ** -45
-
-
-def test_context_rejects_nonpositive():
-    with pytest.raises(UsageError):
-        PrecisionContext(digits=0, guard=5)
-
-
-def test_default_guard_floor():
-    assert default_guard(1) == 15
-    assert default_guard(1000) == 18
-    assert default_guard(64, 200) == 15 + 2 + 20
 
 
 def test_multiply_difference_of_squares():
@@ -241,12 +216,6 @@ def test_alternating_halfinteger_tail_at_one():
             # partial alternating sum is within half the first dropped term
             gap = abs(closed - brute)
             assert gap < mpf(1) / (2 * (n_start + 200001)), n_start
-
-
-def test_richardson_doubling():
-    # S(N) = 1 + 1/N + 1/N^2
-    values = [1 + mpf(1) / n + mpf(1) / n ** 2 for n in (8, 16, 32, 64)]
-    assert abs(richardson_doubling(values) - 1) < mpf(10) ** -20
 
 
 def _exact(x):

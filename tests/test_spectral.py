@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp, mpf
 
 from pwextremal import spectral
-from pwextremal.mpcore import PrecisionContext, UsageError
+from pwextremal.mpcore import UsageError
 from pwextremal.spectral import (
     EigenPair,
     SolverError,
@@ -163,13 +163,13 @@ def test_side_condition_sign_change_on_bracket():
 
 
 def test_solve_constants_within_paper_bracket(consts12):
-    with consts12.ctx.working():
+    with mp.workdps(consts12.dps):
         assert mpf("0.5409288219") <= consts12.C <= mpf("0.5409288220")
         assert consts12.digits_certified == 12
 
 
 def test_solve_constants_matches_reference_50(consts50):
-    with consts50.ctx.working():
+    with mp.workdps(consts50.dps):
         assert abs(consts50.C - mpf(refvals.C_REF)) < mpf(10) ** -50
         assert abs(consts50.L1 - mpf(refvals.L1_REF)) < mpf(10) ** -50
         assert abs(consts50.a_star - mpf(refvals.A_STAR_REF)) < mpf(10) ** -39
@@ -177,7 +177,7 @@ def test_solve_constants_matches_reference_50(consts50):
 
 
 def test_solve_constants_internal_identities(consts30):
-    with consts30.ctx.working():
+    with mp.workdps(consts30.dps):
         assert abs(consts30.C - mp.pi / (4 * consts30.a_star)) < mpf(10) ** -(mp.dps - 3)
         assert abs(consts30.L1 + 2 * consts30.C * consts30.lambda_star) < mpf(10) ** -(
             mp.dps - 3
@@ -186,14 +186,14 @@ def test_solve_constants_internal_identities(consts30):
 
 def test_solve_constants_invariances(consts12):
     alt = solve_constants(12, bracket=("1.41", "1.48"), guard=25)
-    with alt.ctx.working():
+    with mp.workdps(alt.dps):
         assert abs(alt.C - consts12.C) < mpf(10) ** -12
         assert abs(alt.a_star - consts12.a_star) < mpf(10) ** -12
 
 
 def _top_sweeps(sweeps, consts):
     """Sweeps at the working precision of each of the two runs."""
-    guard = consts.ctx.guard // 2
+    guard = (consts.dps - consts.digits_certified) // 2
     return [
         sum(1 for _N, dps in sweeps if dps == consts.digits_certified + g)
         for g in (guard, 2 * guard)
@@ -252,7 +252,7 @@ def test_solve_constants_thousand_digits(sweeps):
     consts = solve_constants(1000)
     assert consts.N == 512
     assert all(0 < n <= 3 for n in _top_sweeps(sweeps, consts))
-    with consts.ctx.working():
+    with mp.workdps(consts.dps):
         for value, ref in ((consts.C, refvals.C_REF), (consts.L1, refvals.L1_REF)):
             places = len(ref.split(".")[1])
             assert abs(value - mpf(ref)) < mpf(10) ** -(places - 1), ref[:12]
@@ -261,7 +261,7 @@ def test_solve_constants_thousand_digits(sweeps):
 def test_solve_constants_two_hundred_digits():
     consts = solve_constants(200)
     assert consts.N == 256
-    with consts.ctx.working():
+    with mp.workdps(consts.dps):
         assert abs(consts.C - mpf(refvals.C_REF)) < mpf(10) ** -110
 
 
@@ -289,6 +289,8 @@ def test_ground_invariant_errors_name_N_and_a():
 def test_solve_constants_rejects_low_digits():
     with pytest.raises(UsageError):
         solve_constants(9)
+    with pytest.raises(UsageError):
+        solve_constants(12, guard=0)
 
 
 def test_side_root_seed_independent():
@@ -313,15 +315,15 @@ def test_side_root_work_is_bounded(monkeypatch):
 
 
 def test_truncation_doubling_stability():
-    # at 50-digit working precision the root barely moves past N=128
-    with PrecisionContext(digits=50, guard=20).working():
+    # at 50 digits plus a guard of 20 the root barely moves past N=128
+    with mp.workdps(70):
         a128, _ = _side_root(128, ("1.44", "1.46"))
         a256, _ = _side_root(256, ("1.44", "1.46"))
         assert abs(a128 - a256) < mpf(10) ** (-mpf("0.05") * 128)
 
 
 def test_constants_json_fields(consts12):
-    doc = json.loads(consts12.to_json())
+    doc = json.loads(json.dumps(consts12.to_json_dict()))
     assert set(doc) == {"C", "L1", "a_star", "lambda_star", "N", "digits_certified"}
     assert doc["digits_certified"] == 12
     assert isinstance(doc["N"], int)
