@@ -350,12 +350,33 @@ def offset_coefficients(consts: ExtremalConstants, M: int, digits: int = None):
     return out
 
 
+# guard bits of the fixed-point Horner loops, above the working precision
+_HORNER_GUARD_BITS = 20
+
+
 def rho_series_value(rho_coeffs, x):
-    """rho(x) = sum_m a_m x^m by Horner."""
-    acc = mpf(0)
+    """rho(x) = sum_m a_m x^m, m = 1..M, by Horner's rule in integers.
+
+    The loop runs in fixed point at wp = prec + 20 bits on 0 < x < 1,
+    with x rounded to the working precision; other x raise UsageError.
+    Error bound, in units of 2^-wp: each coefficient is truncated to wp
+    bits by less than one unit (exact zeros are skipped), and each of the
+    M Horner steps multiplies by the exact mantissa of x and truncates
+    once, by less than one unit.  As x < 1, no later step magnifies an
+    error already made, so the result is within 2M units of rho(x) before
+    it is rounded to the working precision.
+    """
+    x = mpf(x)
+    if not 0 < x < 1:
+        raise UsageError("rho series evaluated only on 0 < x < 1")
+    wp = mp.prec + _HORNER_GUARD_BITS
+    _sign, man, exp, _bc = x._mpf_
+    acc = 0
     for a_m in reversed(rho_coeffs):
-        acc = acc * x + a_m
-    return acc * x
+        if a_m:
+            acc += to_fixed(a_m._mpf_, wp)
+        acc = acc * man >> -exp
+    return mpf((acc, -wp))
 
 
 def rho_tail_bound(M: int, x):
@@ -425,8 +446,18 @@ def tau(model: ZeroModel, n: int):
 
 
 def zeros_signed(model: ZeroModel, count: int):
-    """The factor's actual zeros (-1)^{n+1} tau_n for n = 1..count."""
-    return [(-1) ** (n + 1) * tau(model, n) for n in range(1, count + 1)]
+    """The factor's actual zeros (-1)^{n+1} tau_n for n = 1..count.
+
+    The series tail is checked once, by tau at n0 + 1: its bound
+    (x/2)^{M+1} / (2 (1 - x/2)) increases in x = 1/(n + 1/2), which
+    decreases in n, so the check holds for every later n, whose values
+    come from tau_series directly.
+    """
+    checked = model.n0 + 1
+    return [
+        (-1) ** (n + 1) * (tau(model, n) if n <= checked else tau_series(model, n))
+        for n in range(1, count + 1)
+    ]
 
 
 def _truncation_order(radius, target_exponent: int) -> int:
@@ -799,17 +830,25 @@ def summation_check(
 ) -> SummationReport:
     """Defect of a f'(0) = sum_mu (f(mu) - f(-mu)) over the signed zeros.
 
-    The test function must be entire of exponential type at most pi and
-    integrable on the line, with |f(x)| <= decay_constant |x|^{-decay_power}
-    beyond the covered range; decay_power below 4 is rejected because the
-    omitted tail would not certify below any useful tolerance.
+    The test function must be odd, entire of exponential type at most pi
+    and integrable on the line, with |f(x)| <= decay_constant
+    |x|^{-decay_power} beyond the covered range; decay_power below 4 is
+    rejected because the omitted tail would not certify below any useful
+    tolerance.  The identity sees only the odd part of f, so oddness loses
+    nothing and halves the work: the sum is taken as 2 sum_mu f(mu).  The
+    zeros are rounded to the working precision, where negation is exact,
+    and f(-mu_1) = -f(mu_1) must hold bit for bit at the first zero, else
+    UsageError.
     """
     if decay_power < 4:
         raise UsageError("slow-decay test function rejected (need |f| = O(x^-4))")
     if not zeros:
         raise UsageError("empty zero list")
     with mp.workdps(max(mp.dps, consts.digits_certified + 10)):
-        total = mp.fsum(f(mu) - f(-mu) for mu in zeros)
+        mu1 = mpf(zeros[0])
+        if f(-mu1) != -f(mu1):
+            raise UsageError("summation_check needs an odd test function")
+        total = 2 * mp.fsum(f(mpf(mu)) for mu in zeros)
         defect = abs(mpf(a_param) * mpf(f_prime_0) - total)
         X = max(abs(mpf(z)) for z in zeros)
         tail = (
@@ -857,9 +896,6 @@ def summation_check(
 #   device).  Near and below the turning point x ~ m the polynomial terms
 #   grow like (2m-1)!! u^{m+1} and cancel, as the upward recurrence's
 #   factorial contamination does.
-
-_HORNER_GUARD_BITS = 20
-
 
 @dataclass(frozen=True)
 class _BesselSeries:
@@ -1003,10 +1039,12 @@ def _bessel_series_eval(series: _BesselSeries, x):
 def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
     """First `count` positive zeros of the Bessel-series eigenfunction.
 
-    The head is located by a sign-change scan; after two zeros are known
-    the next seed is linear continuation (consecutive zeros approach a pi
-    spacing) and safeguarded Newton finishes.  Loss of monotonicity or a
-    non-converging step reports a solver failure rather than bad zeros.
+    The head of three zeros is located by a sign-change scan; from there
+    each seed extrapolates the last three zeros by their second difference
+    (consecutive gaps approach pi, differing from it by O(1/x^2)), and
+    safeguarded Newton finishes inside half a gap either side of linear
+    continuation.  Loss of monotonicity or a non-converging step reports a
+    solver failure rather than bad zeros.
     """
     target = mpf(10) ** (-(digits + 5))
     zeros = []
@@ -1038,8 +1076,8 @@ def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
         raise SolverError("zero scan found no ladder head at this drift")
     while len(zeros) < count:
         gap = zeros[-1] - zeros[-2]
-        seed = zeros[-1] + gap
-        nxt = refine(seed, zeros[-1] + gap / 2, seed + gap / 2)
+        seed = zeros[-1] + 2 * gap - (zeros[-2] - zeros[-3])
+        nxt = refine(seed, zeros[-1] + gap / 2, zeros[-1] + 3 * gap / 2)
         if nxt <= zeros[-1]:
             raise SolverError("zero ladder lost monotonicity")
         zeros.append(nxt)

@@ -130,6 +130,21 @@ def test_verify_summation_passes(capsys):
     assert [c["status"] for c in report["checks"]] == ["pass", "pass"]
 
 
+def test_verify_summation_payload_pinned(capsys):
+    # in process, at the benchmark's digits and the default 10000 zeros:
+    # the printed discrepancies hold every digit through changes to the
+    # zero ladders and the summation
+    from pwextremal.cli import main
+
+    assert main(["verify", "--suite", "summation", "--digits", "30"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    assert [c["discrepancy"] for c in report["checks"]] == [
+        "4.254842022e-13",
+        "3.651529655e-13",
+    ]
+
+
 def test_verify_exit_code_reflects_failure():
     # an absurd threshold forces a fail status and a nonzero exit
     proc = run_cli(

@@ -7,8 +7,10 @@ through the code under test.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 import refvals
@@ -194,6 +196,50 @@ def test_offset_coefficients_structure(consts30):
         assert partial < mpf("0.5")
 
 
+def _horner_oracle(rho_coeffs, x):
+    """rho(x) by mpf Horner at the ambient precision."""
+    acc = mpf(0)
+    for a_m in reversed(rho_coeffs):
+        acc = acc * x + a_m
+    return acc * x
+
+
+_half = st.fractions(-Fraction(1, 2), Fraction(1, 2), max_denominator=10**12)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(_half, min_size=1, max_size=80),
+    st.booleans(),
+    st.fractions(0, Fraction(2, 3), max_denominator=10**9).filter(lambda q: q > 0),
+    st.integers(15, 1000),
+)
+def test_rho_series_value_matches_oracle(coeffs, zero_even, x, dps):
+    # coefficients carry more bits than the working precision, as
+    # offset_coefficients' do; the bound is the docstring's 2M units of
+    # 2^-(prec + 20) plus the final rounding to prec bits, so it catches
+    # any error that survives that rounding (a coefficient rounded to
+    # prec bits first fails it)
+    if zero_even:
+        coeffs = [0 if m % 2 == 0 else c for m, c in enumerate(coeffs, start=1)]
+    with mp.workdps(dps + 10):
+        rho = [mpf(c.numerator) / c.denominator for c in coeffs]
+    with mp.workdps(dps):
+        xm = mpf(x.numerator) / x.denominator
+        value = extremal.rho_series_value(rho, xm)
+        prec = mp.prec
+    with mp.workdps(dps + 40):
+        exact = _horner_oracle(rho, xm)
+        units = 2 * len(rho) * mpf(2) ** -(prec + 20)
+        assert abs(value - exact) <= units + abs(exact) * mpf(2) ** -prec
+
+
+def test_rho_series_value_domain():
+    for x in (mpf(0), mpf("-0.5"), mpf(1), mpf("1.5")):
+        with pytest.raises(UsageError):
+            extremal.rho_series_value([mpf("0.1")], x)
+
+
 # ----------------------------------------------------------------------
 # the zero model
 
@@ -238,6 +284,37 @@ def test_tau_gate(consts30):
         extremal.tau(stub, 4)
     with pytest.raises(UsageError):
         extremal.tau(model, 0)
+
+
+def test_zeros_signed_checks_tail_once(consts30, monkeypatch):
+    # the tail bound increases in x = 1/(n + 1/2), so one check at n0 + 1
+    # covers the ladder
+    model = extremal.build_zero_model(consts30)
+    calls = []
+    bound = extremal.rho_tail_bound
+
+    def counted(M, x):
+        calls.append(x)
+        return bound(M, x)
+
+    monkeypatch.setattr(extremal, "rho_tail_bound", counted)
+    with mp.workdps(45):
+        signed = extremal.zeros_signed(model, 800)
+        assert len(calls) == 1
+        for n in (1, model.n0, model.n0 + 1, model.n0 + 2, 800):
+            assert signed[n - 1] == (-1) ** (n + 1) * extremal.tau(model, n)
+
+    stub = extremal.ZeroModel(
+        rho_coeffs=model.rho_coeffs[:6],
+        refined=model.refined[:3],
+        n0=3,
+        digits=model.digits,
+    )
+    with pytest.raises(UsageError) as by_tau:
+        extremal.tau(stub, 4)
+    with pytest.raises(UsageError) as by_ladder:
+        extremal.zeros_signed(stub, 4)
+    assert str(by_ladder.value) == str(by_tau.value)
 
 
 def test_zero_model_rejects_heavy_offset_coefficients(consts30, monkeypatch):
@@ -297,20 +374,29 @@ def test_reflection_coefficients(consts30):
 # summation identity
 
 
-def test_summation_even_function_vanishes(consts30):
+def test_summation_rejects_non_odd_functions(consts30):
+    # the identity sees only the odd part of f, which summation_check
+    # takes as given: an even f, or one with an even part, is refused
     model = extremal.build_zero_model(consts30)
     zeros = extremal.zeros_signed(model, 40)
 
-    def f(x):
+    def sinc4(x):
         if x == 0:
             return mpf(1)
         u = mp.pi * x / 4
         return (mp.sin(u) / u) ** 4
 
-    report = extremal.summation_check(
-        consts30, f, 0, consts30.a_star, zeros, (4 / mp.pi) ** 4
-    )
-    assert report.defect == 0
+    def mixed(x):
+        if x == 0:
+            return mpf(1)
+        u = mp.pi * x / 5
+        return x * (mp.sin(u) / u) ** 5 + sinc4(x)
+
+    for f, f_prime_0 in ((sinc4, 0), (mixed, 1)):
+        with pytest.raises(UsageError, match="odd"):
+            extremal.summation_check(
+                consts30, f, f_prime_0, consts30.a_star, zeros, (5 / mp.pi) ** 4
+            )
 
 
 def test_summation_odd_function(consts30):
@@ -429,9 +515,10 @@ def test_bessel_series_matches_besselj_oracle():
 
 
 def test_summation_system_work_count(monkeypatch):
-    # past the head scan each zero costs its Newton steps alone: 3.15
-    # evaluations a zero at 200 zeros, falling to 2.3 at 10000 as the
-    # continuation seeds improve; counted by wrapping the series evaluator
+    # past the head scan each zero costs its Newton steps alone, seeded by
+    # the second difference of the three zeros before it: 3.1 evaluations
+    # a zero at 200 zeros and 2.4 at 2000 (linear continuation took 3.15
+    # and 3.0); counted by wrapping the series evaluator
     calls = []
     evaluate = extremal._bessel_series_eval
 
@@ -440,17 +527,26 @@ def test_summation_system_work_count(monkeypatch):
         return evaluate(series, x)
 
     monkeypatch.setattr(extremal, "_bessel_series_eval", counted)
-    count = 200
-    _a, mu = extremal.summation_system(mpf(1), count, digits=20)
-    half = count // 2 + 2
-    with mp.workdps(50):
-        for alternate in (True, False):
-            ladder = sorted(abs(m) * mp.pi / 2 for m in mu if (m > 0) == alternate)
-            # the scan stops one step of 0.4 past the third zero, and every
-            # later Newton iterate lies half a gap (about pi/2) beyond it
-            scan_end = ladder[2] + mpf("0.4")
-            past_scan = [x for alt, x in calls if alt == alternate and x > scan_end]
-            assert len(past_scan) <= mpf("3.5") * (half - 3), alternate
+    for count, per_zero in ((200, "3.5"), (2000, "2.6")):
+        calls.clear()
+        _a, mu = extremal.summation_system(mpf(1), count, digits=20)
+        half = count // 2 + 2
+        with mp.workdps(50):
+            for alternate in (True, False):
+                ladder = sorted(
+                    abs(m) * mp.pi / 2 for m in mu if (m > 0) == alternate
+                )
+                # the scan stops one step of 0.4 past the third zero, and
+                # every later Newton iterate lies half a gap (about pi/2)
+                # beyond it
+                scan_end = ladder[2] + mpf("0.4")
+                past_scan = [
+                    x for alt, x in calls if alt == alternate and x > scan_end
+                ]
+                assert len(past_scan) <= mpf(per_zero) * (half - 3), (
+                    count,
+                    alternate,
+                )
 
 
 def test_summation_system_validation():
