@@ -49,7 +49,10 @@ from .extremal import (
     zeros_signed,
 )
 from .fourier import (
+    MAX_PAIRS,
+    MAX_WINDOW,
     build_band_transform,
+    default_pairs,
     endpoint_reflection_constants,
     legendre_band_coefficients,
     legendre_band_value,
@@ -166,7 +169,7 @@ def _suite_quadratic(consts, args, cache):
         _entry(
             "zero-curvature",
             {"n": 1},
-            zero_curvature_residual(consts, 1),
+            zero_curvature_residual(consts),
             b,
         ),
     ]
@@ -330,9 +333,22 @@ def _cmd_zeros(args):
     return buf.getvalue(), 0
 
 
+def _check_pairs(args, command: str) -> None:
+    """Refuse, before the solve, a --digits whose default Legendre pair
+    count passes MAX_PAIRS."""
+    if default_pairs(args.digits) > MAX_PAIRS:
+        largest = 3 * (MAX_PAIRS - 8) + 2
+        raise UsageError(
+            "%s needs --digits %d or less: its Legendre pair count, "
+            "digits // 3 + 8, is capped at %d" % (command, largest, MAX_PAIRS)
+        )
+
+
 def _cmd_verify(args):
-    consts = solve_constants(args.digits)
     names = [s for s in SUITES if s != "all"] if args.suite == "all" else [args.suite]
+    if "fourier" in names:
+        _check_pairs(args, "verify --suite " + args.suite)
+    consts = solve_constants(args.digits)
     cache = {}
     checks = []
     for name in names:
@@ -384,6 +400,14 @@ def _series_export(consts, args):
 
 
 def _cmd_export(args):
+    if args.what == "legendre":
+        _check_pairs(args, "export legendre")
+    if args.what == "c-basis" and args.terms is None and args.digits // 2 > MAX_WINDOW:
+        raise UsageError(
+            "export c-basis needs --digits %d or less, or --terms %d or less: "
+            "its default order, digits // 2, is capped at %d"
+            % (2 * MAX_WINDOW + 1, MAX_WINDOW, MAX_WINDOW)
+        )
     consts = solve_constants(args.digits)
     if args.what == "lvalues":
         model = build_zero_model(consts)

@@ -49,6 +49,7 @@ from .mpcore import (
     series_scale,
 )
 from .spectral import (
+    _N_FLOOR,
     ExtremalConstants,
     SolverError,
     _side_root,
@@ -106,19 +107,22 @@ _FRAME_GUARD = 12
 
 
 def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
-    """(a_star, lambda) in the b=1 frame, good to at least need_dps decimals.
+    """(a_star, lambda, xi) in the b=1 frame, good to at least need_dps
+    decimals; xi is the ground eigenvector at a_star, normalized xi[0] = 1.
 
     Within the certification of `consts` the stored values are returned;
     beyond it the root is re-solved at the bucket's digits plus
     _FRAME_GUARD by the Newton of spectral._side_root, started from the
     certified (a_star, lambda_star), on the first power-of-two multiple of
     the certified N whose tail estimate clears that precision, inside a
-    bracket of width 2*10^-(digits-3) around the certified root.
+    bracket of width 2*10^-(digits-3) around the certified root.  The
+    eigenvector is that solve's final sweep, whose residual
+    _side_root checked at 10^-(dps-5).
     """
     if need_dps <= consts.digits_certified:
-        return consts.a_star, consts.lambda_star
+        return consts.a_star, consts.lambda_star, consts.xi
     if consts.frame is not None and consts.frame[0] >= need_dps:
-        return consts.frame[1], consts.frame[2]
+        return consts.frame[1:]
     bucket = max(512, 64 * ((need_dps + 63) // 64))
     dps = bucket + _FRAME_GUARD
     start = (consts.a_star, consts.lambda_star, consts.dps - 6)
@@ -126,8 +130,8 @@ def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
         half = mpf(10) ** (-(consts.digits_certified - 3))
         bracket = (consts.a_star - half, consts.a_star + half)
         a_root, pair = _side_root(_tail_size(consts.N, dps), bracket, start)
-    consts.frame = (bucket, a_root, pair.lam)
-    return a_root, pair.lam
+    consts.frame = (bucket, a_root, pair.lam, pair.xi)
+    return consts.frame[1:]
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +206,7 @@ def taylor_factor(consts: ExtremalConstants, T: int, digits: int = None) -> Tayl
     with mp.workdps(25):
         ab = mpf(consts.a_star)  # the product a*b is frame-invariant
     need = digits + _factor_recursion_loss(ab, T) + 30
-    a1, lam = refined_spectral_frame(consts, need)
+    a1, lam, _xi = refined_spectral_frame(consts, need)
     with mp.workdps(need):
         a = 2 * a1 / mp.pi
         b = mp.pi / 2
@@ -236,7 +240,7 @@ def taylor_extremal(
     if cross_check:
         loss = max(loss, _factor_recursion_loss(ab, 2 * T))
     need = digits + loss + 30
-    a1, lam = refined_spectral_frame(consts, need)
+    a1, lam, _xi = refined_spectral_frame(consts, need)
     with mp.workdps(need):
         a = 2 * a1 / mp.pi
         b = mp.pi / 2
@@ -323,7 +327,7 @@ def offset_coefficients(consts: ExtremalConstants, M: int, digits: int = None):
     K = (M + 1) // 2 + 1
     wd = digits + M + 40
     sums = alternating_sums_odd(consts, K, digits=wd)
-    a_ref, _lam = refined_spectral_frame(consts, wd)
+    a_ref, _lam, _xi = refined_spectral_frame(consts, wd)
     with mp.workdps(wd):
         C = mp.pi / (4 * a_ref)
         g = [1 / (2 * C)]
@@ -536,19 +540,17 @@ def refine_zeros_newton(consts: ExtremalConstants, n0: int, seeds=None, digits: 
     return out
 
 
-def build_zero_model(
-    consts: ExtremalConstants, M: int = None, n0: int = None, digits: int = None
-) -> ZeroModel:
-    """Offset coefficients plus a Newton-refined head.
+def build_zero_model(consts: ExtremalConstants) -> ZeroModel:
+    """Offset coefficients a_1..a_M plus a Newton-refined head, to the
+    certified digits, with M = digits / 1.23 + 2.
 
-    The crossover n0 defaults to the smallest index whose series tail
-    bound clears the digit target with one spare order of magnitude.  A
-    weighted sum sum_{m<=M} a_m 2^m above 1/2 breaks the premise of
-    rho_tail_bound and raises SolverError.
+    The crossover n0 is the smallest index whose series tail bound clears
+    the digit target with one spare order of magnitude.  A weighted sum
+    sum_{m<=M} a_m 2^m above 1/2 breaks the premise of rho_tail_bound and
+    raises SolverError.
     """
-    digits = digits if digits is not None else consts.digits_certified
-    if M is None:
-        M = int(digits / 1.23) + 2
+    digits = consts.digits_certified
+    M = int(digits / 1.23) + 2
     rho = offset_coefficients(consts, M, digits=digits)
     with mp.workdps(digits + 15):
         weighted = sum(a_m * mpf(2) ** m for m, a_m in enumerate(rho, start=1))
@@ -557,14 +559,13 @@ def build_zero_model(
                 "offset coefficients give sum a_m 2^m = %s > 1/2 at M=%d; "
                 "the series tail bound does not apply" % (mp.nstr(weighted, 10), M)
             )
-    if n0 is None:
-        n0 = 1
-        while rho_tail_bound(M, mpf(2) / (2 * n0 + 1)) >= mpf(10) ** (-(digits + 1)):
-            n0 += 1
-            if n0 > 64:
-                raise UsageError(
-                    "series order M=%d cannot certify any practical crossover" % M
-                )
+    n0 = 1
+    while rho_tail_bound(M, mpf(2) / (2 * n0 + 1)) >= mpf(10) ** (-(digits + 1)):
+        n0 += 1
+        if n0 > 64:
+            raise UsageError(
+                "series order M=%d cannot certify any practical crossover" % M
+            )
     with mp.workdps(digits + 15):
         seeds = [
             mpf(2 * n + 1) / 2 - rho_series_value(rho, mpf(2) / (2 * n + 1))
@@ -595,28 +596,27 @@ def binomial_tail_expansion(rho_coeffs, s, K: int):
 # residual checks
 
 
-def _disk_grid(radius, count: int = 20):
-    """Deterministic spread of nonzero sample points in the closed disk."""
+def _disk_grid(radius):
+    """Deterministic spread of 20 nonzero sample points in the closed disk:
+    four on each of the circles at 2/10, 4/10, .., 10/10 of the radius."""
     pts = []
-    rads = [mpf(radius) * mpf(k) / 10 for k in (2, 4, 6, 8, 10)]
-    per = max(1, count // len(rads))
-    for i, r in enumerate(rads):
-        for j in range(per):
-            theta = 2 * mp.pi * (j + mpf(i) / 5 + mpf(3) / 17) / per
+    for i, k in enumerate((2, 4, 6, 8, 10)):
+        r = mpf(radius) * k / 10
+        for j in range(4):
+            theta = 2 * mp.pi * (j + mpf(i) / 5 + mpf(3) / 17) / 4
             pts.append(r * mp.exp(mp.mpc(0, 1) * theta))
-    return pts[:count]
+    return pts
 
 
-def check_ode_residual(consts: ExtremalConstants, points=None, digits: int = None):
+def check_ode_residual(consts: ExtremalConstants):
     """Worst residual of the factor's second-order equation
 
         z^2 F'' + (2z - 1/(2C)) F' + (pi^2 z^2 / 4 + L1/(2C)) F
 
-    over the sample points (default: 20 points in |z| <= 5)."""
-    digits = digits if digits is not None else consts.digits_certified
+    over 20 points in |z| <= 5, to the certified digits."""
+    digits = consts.digits_certified
     with mp.workdps(digits + 30):
-        if points is None:
-            points = _disk_grid(5)
+        points = _disk_grid(5)
         radius = max(abs(z) for z in points)
     cancel = _cancellation_digits(radius)
     T = _truncation_order(radius, digits + cancel + 10)
@@ -638,8 +638,9 @@ def check_ode_residual(consts: ExtremalConstants, points=None, digits: int = Non
     return worst
 
 
-def check_extremal_ode_residual(consts: ExtremalConstants, points=None, digits: int = None):
-    """Worst residual of the third-order equation for the even minimizer.
+def check_extremal_ode_residual(consts: ExtremalConstants):
+    """Worst residual of the third-order equation for the even minimizer,
+    over 20 points in |z| <= 5, to the certified digits.
 
     Evaluated in the singularity-cleared form (multiplied through by z^4):
 
@@ -647,14 +648,11 @@ def check_extremal_ode_residual(consts: ExtremalConstants, points=None, digits: 
         + (pi^2 z^4 + (6 + 2 L1/C) z^2 - 1/(4 C^2)) p'
         + (2 pi^2 z^3 + (2 L1/C) z) p,
 
-    which vanishes identically for the true function; z = 0 is excluded
-    (the cleared form is trivial there).
+    which vanishes identically for the true function.
     """
-    digits = digits if digits is not None else consts.digits_certified
+    digits = consts.digits_certified
     with mp.workdps(digits + 30):
-        if points is None:
-            points = _disk_grid(5)
-        points = [z for z in points if z != 0]
+        points = _disk_grid(5)
         radius = max(abs(z) for z in points)
     cancel = 2 * _cancellation_digits(radius)
     Tz = _truncation_order(2 * float(radius), digits + cancel + 10)
@@ -681,13 +679,13 @@ def check_extremal_ode_residual(consts: ExtremalConstants, points=None, digits: 
     return worst
 
 
-def check_quadratic_relation(consts: ExtremalConstants, points=None, digits: int = None):
+def check_quadratic_relation(consts: ExtremalConstants):
     """Worst deviation of z^2 (F'(z)F(-z) + F'(-z)F(z)) - F(z)F(-z)/(2C)
-    from its constant value -1/(2C) (default: 20 points in |z| <= 3)."""
-    digits = digits if digits is not None else consts.digits_certified
+    from its constant value -1/(2C) over 20 points in |z| <= 3, to the
+    certified digits."""
+    digits = consts.digits_certified
     with mp.workdps(digits + 30):
-        if points is None:
-            points = _disk_grid(3)
+        points = _disk_grid(3)
         radius = max(abs(z) for z in points)
     cancel = _cancellation_digits(radius)
     T = _truncation_order(radius, digits + cancel + 10)
@@ -705,24 +703,23 @@ def check_quadratic_relation(consts: ExtremalConstants, points=None, digits: int
     return worst
 
 
-def zero_curvature_residual(consts: ExtremalConstants, n: int = 1, digits: int = None):
-    """Residual of tau_n^2 F''(w) = (2 (-1)^n tau_n + 1/(2C)) F'(w) at the
-    n-th zero w = (-1)^{n+1} tau_n (the quadratic relation differentiated
-    and restricted to a zero, where it closes without the function term).
+def zero_curvature_residual(consts: ExtremalConstants):
+    """Residual of tau_1^2 F''(tau_1) = (1/(2C) - 2 tau_1) F'(tau_1) at the
+    first zero, to the certified digits (the quadratic relation
+    differentiated and restricted to a zero, where it closes without the
+    function term).
     """
-    digits = digits if digits is not None else consts.digits_certified
-    zs = refine_zeros_newton(consts, n, digits=digits)
-    radius = float(zs[-1]) + 1
+    digits = consts.digits_certified
+    t = refine_zeros_newton(consts, 1)[0]
+    radius = float(t) + 1
     cancel = _cancellation_digits(radius)
     T = _truncation_order(radius, digits + cancel + 10)
     factor = taylor_factor(consts, T, digits=digits + 10)
     d1 = series_derivative(factor.coeffs)
     d2 = series_derivative(d1)
     with mp.workdps(digits + cancel + 20):
-        t = zs[n - 1]
-        w = (-1) ** (n + 1) * t
-        lhs = t * t * d2.evaluate(w)
-        rhs = (2 * (-1) ** n * t + factor.a) * d1.evaluate(w)
+        lhs = t * t * d2.evaluate(t)
+        rhs = (factor.a - 2 * t) * d1.evaluate(t)
     return abs(lhs - rhs)
 
 
@@ -745,21 +742,20 @@ def _self_dual_circle(C, count: int, offset: int):
     ]
 
 
-def check_functional_equation(consts: ExtremalConstants, points=None, digits: int = None):
+def check_functional_equation(consts: ExtremalConstants):
     """Worst residual of the reflection identity
 
         F(z) e^{1/(4Cz)} = [e^{i pi/4 - i pi z/2} F(i/(2 pi C z))
                             + e^{-i pi/4 + i pi z/2} F(-i/(2 pi C z))]
                            / (2 sqrt(pi C) z)
 
-    at the sample points (default: 20 points on the self-dual circle)."""
-    digits = digits if digits is not None else consts.digits_certified
+    at 20 points on the self-dual circle, to the certified digits."""
+    digits = consts.digits_certified
     T = _truncation_order(0.6, digits + 25)
     factor = taylor_factor(consts, T, digits=digits + 10)
     with mp.workdps(digits + 25):
         C = 1 / (2 * factor.a)
-        if points is None:
-            points = _self_dual_circle(C, 20, 37)
+        points = _self_dual_circle(C, 20, 37)
         i = mp.mpc(0, 1)
         e_plus = mp.exp(i * mp.pi / 4)
         e_minus = mp.exp(-i * mp.pi / 4)
@@ -773,21 +769,21 @@ def check_functional_equation(consts: ExtremalConstants, points=None, digits: in
     return worst
 
 
-def fit_reflection_coefficients(consts: ExtremalConstants, points=None, digits: int = None):
+def fit_reflection_coefficients(consts: ExtremalConstants):
     """Least-squares fit of the two reflection constants.
 
     Writes z F(z) e^{1/(4Cz)} = k_plus e^{-i pi z/2} F(i/(2 pi C z))
     + k_minus e^{+i pi z/2} F(-i/(2 pi C z)) and solves the 2x2 complex
-    normal equations over the sample points.  At the true constants the
-    fit returns k_pm = e^{+-i pi/4} / sqrt(4 pi C).
+    normal equations over 24 points on the self-dual circle, to the
+    certified digits.  At the true constants the fit returns
+    k_pm = e^{+-i pi/4} / sqrt(4 pi C).
     """
-    digits = digits if digits is not None else consts.digits_certified
+    digits = consts.digits_certified
     T = _truncation_order(0.6, digits + 25)
     factor = taylor_factor(consts, T, digits=digits + 10)
     with mp.workdps(digits + 25):
         C = 1 / (2 * factor.a)
-        if points is None:
-            points = _self_dual_circle(C, 24, 41)
+        points = _self_dual_circle(C, 24, 41)
         m00 = m01 = m11 = rhs0 = rhs1 = mp.mpc(0)
         for z in points:
             y = z * factor.coeffs.evaluate(z) * mp.exp(1 / (4 * C * z))
@@ -825,23 +821,19 @@ def summation_check(
     a_param,
     zeros,
     decay_constant,
-    decay_power: int = 4,
-    tolerance=None,
 ) -> SummationReport:
     """Defect of a f'(0) = sum_mu (f(mu) - f(-mu)) over the signed zeros.
 
     The test function must be odd, entire of exponential type at most pi
-    and integrable on the line, with |f(x)| <= decay_constant
-    |x|^{-decay_power} beyond the covered range; decay_power below 4 is
-    rejected because the omitted tail would not certify below any useful
-    tolerance.  The identity sees only the odd part of f, so oddness loses
+    and integrable on the line, with |f(x)| <= decay_constant |x|^-4
+    beyond the covered range, which bounds the omitted tail by
+    2 decay_constant (X^-3 / 3 + X^-4), X the largest |mu| summed.  The
+    identity sees only the odd part of f, so oddness loses
     nothing and halves the work: the sum is taken as 2 sum_mu f(mu).  The
     zeros are rounded to the working precision, where negation is exact,
     and f(-mu_1) = -f(mu_1) must hold bit for bit at the first zero, else
     UsageError.
     """
-    if decay_power < 4:
-        raise UsageError("slow-decay test function rejected (need |f| = O(x^-4))")
     if not zeros:
         raise UsageError("empty zero list")
     with mp.workdps(max(mp.dps, consts.digits_certified + 10)):
@@ -851,16 +843,7 @@ def summation_check(
         total = 2 * mp.fsum(f(mpf(mu)) for mu in zeros)
         defect = abs(mpf(a_param) * mpf(f_prime_0) - total)
         X = max(abs(mpf(z)) for z in zeros)
-        tail = (
-            2
-            * mpf(decay_constant)
-            * (X ** (1 - decay_power) / (decay_power - 1) + X ** (-decay_power))
-        )
-    if tolerance is not None and tail > mpf(tolerance):
-        raise UsageError(
-            "tail bound %s exceeds the requested tolerance; supply more zeros"
-            % mp.nstr(tail, 3)
-        )
+        tail = 2 * mpf(decay_constant) * (X ** -3 / 3 + X ** -4)
     return SummationReport(defect=defect, tail_bound=tail, zeros_used=len(zeros))
 
 
@@ -882,20 +865,12 @@ def summation_check(
 # A_{-1} = 0, B_{-1} = u (j_{-1} = cos x / x) and A_0 = u, B_0 = 0
 # (j_0 = sin x / x).  So F(x) = sin x A(u) + cos x B(u) exactly, with
 # A = sum c_m A_m and B = sum c_m B_m of degree M + 1, built once per
-# ladder.  Two regimes:
-#
-# * x > M + 4, the oscillatory regime holding all zeros past about the
-#   seventh of each ladder: A, B, A' and B' by Horner's rule in
-#   fixed-point integers at prec + 20 bits, plus one cos/sin per point.
-#   Here u < 1, so a truncation error is never magnified by later Horner
-#   steps, and Horner's rule is off by at most deg + 1 = M + 2 units of
-#   2^-(prec+20) in A(u) and B(u); the whole error budget is in the
-#   docstring of _bessel_series_eval.
-# * x <= M + 4, the head scan and the first zeros: j_0..j_M by downward
-#   recurrence from a damped seed, normalized through j_0 (Miller's
-#   device).  Near and below the turning point x ~ m the polynomial terms
-#   grow like (2m-1)!! u^{m+1} and cancel, as the upward recurrence's
-#   factorial contamination does.
+# ladder.  A, B, A' and B' are evaluated by Horner's rule in fixed-point
+# integers, plus one cos/sin per point, at every x from the start of the
+# zero scan, 2/5, on.  Below x ~ M + 4 the terms of A and B cancel and,
+# with u > 1, each Horner step can magnify an earlier error by u, so the
+# fixed point carries 2 bits a step beyond the 20 guard bits; the error
+# budget is in the docstring of _bessel_series_eval.
 
 @dataclass(frozen=True)
 class _BesselSeries:
@@ -907,10 +882,6 @@ class _BesselSeries:
     sin_poly: list
     cos_poly: list
     wp: int
-
-    @property
-    def M(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def _bessel_step(p, q, m: int):
@@ -924,14 +895,17 @@ def _bessel_step(p, q, m: int):
 def _bessel_series(xi, alternate: bool) -> _BesselSeries:
     """Closed form of sum_m (+-1)^m xi_m j_m at the ambient precision.
 
-    Each coefficient of A and B is sum_m c_m times the integer coefficient
-    of A_m or B_m.  The c_m are taken to g extra bits, g covering the
-    largest integer coefficient and the M + 1 terms, so the sum is within
-    one unit of 2^-wp; truncating it to wp bits adds at most one more.
+    The fixed point has wp = prec + 20 + 2 (M + 2) bits: from x = 2/5 on,
+    u = 1/x < 2^2, so 2 bits for each of the M + 2 Horner steps cover
+    their magnification (see _bessel_series_eval).  Each coefficient of A
+    and B is sum_m c_m times the integer coefficient of A_m or B_m.  The
+    c_m are taken to g extra bits, g covering the largest integer
+    coefficient and the M + 1 terms, so the sum is within one unit of
+    2^-wp; truncating it to wp bits adds at most one more.
     """
     coeffs = [-v if (alternate and m % 2) else v for m, v in enumerate(xi)]
     M = len(coeffs) - 1
-    wp = mp.prec + _HORNER_GUARD_BITS
+    wp = mp.prec + _HORNER_GUARD_BITS + 2 * (M + 2)
     rows = []  # (A_m, B_m) for m = 0..M
     prev, cur = ([0, 0], [0, 1]), ([0, 1], [0, 0])
     for m in range(M + 1):
@@ -951,35 +925,13 @@ def _bessel_series(xi, alternate: bool) -> _BesselSeries:
     return _BesselSeries(coeffs, combine(0), combine(1), wp)
 
 
-def _bessel_j_ladder(x, M: int):
-    """Spherical Bessel values (j_{-1}, [j_0, ..., j_M]) at 0 < x <= M + 4,
-    by Miller's downward recurrence normalized through j_0.
-
-    The relative error of j_m is about (j_start(x) / j_m(x))^2.  Started
-    at M + x + 20 that is near 10^-40 at x = M + 4; past n = 2x each rung
-    shrinks j_n at least fourfold, so dps/2 more rungs take it below
-    10^-dps.
-    """
-    jm1 = mp.cos(x) / x
-    j0 = mp.sin(x) / x
-    start = M + 20 + int(x) + mp.dps // 2
-    hi = mpf(0)
-    cur = mpf(10) ** (-40)
-    tail = [cur]
-    for m in range(start, 0, -1):
-        hi, cur = cur, (2 * m + 1) / x * cur - hi
-        tail.append(cur)
-    tail.reverse()
-    scale = j0 / tail[0]
-    return jm1, [tail[m] * scale for m in range(M + 1)]
-
-
 def _eigen_bessel_coefficients(a, digits: int):
-    """Ground eigenvector at drift a, truncated where its decay clears
-    the digit target with room to spare."""
+    """Ground eigenvector at drift a, solved on the rows whose tail
+    estimate (spectral._tail_size) clears 10^-(digits+20) and cut where
+    its entries fall below that."""
     wd = digits + 50
     cut = mpf(10) ** (-(digits + 20))
-    N = max(96, 3 * digits)
+    N = _tail_size(_N_FLOOR, digits + 20)
     with mp.workdps(wd):
         pair = ground_eigenpair(build_matrix(N, mpf(a)))
         xi = []
@@ -995,32 +947,27 @@ def _eigen_bessel_coefficients(a, digits: int):
 
 
 def _bessel_series_eval(series: _BesselSeries, x):
-    """Value and derivative of F = sum_m c_m j_m at x > 0.
+    """Value and derivative of F = sum_m c_m j_m at x >= 2/5, where the
+    zero scan starts; smaller x raise UsageError.
 
-    For x <= M + 4 from the Miller ladder.  Beyond it from the closed form
-    F = sin x A(u) + cos x B(u), F' = cos x A - sin x B - u^2 (sin x A' +
-    cos x B'), u = 1/x, in integers scaled by 2^wp, wp = prec + 20.
+    From the closed form F = sin x A(u) + cos x B(u), F' = cos x A -
+    sin x B - u^2 (sin x A' + cos x B'), u = 1/x, in integers scaled by
+    2^wp, wp = prec + 20 + 2 (M + 2).
 
-    Error bound, in units of 2^-wp.  Every product is truncated by less
-    than one unit, and as u < 1 no later Horner step magnifies an error
-    already made, so Horner's rule adds at most deg + 1 = M + 2 units to
-    A(u) and B(u), whatever the size of their coefficients a_k.  The a_k
-    are within two units each (see _bessel_series), u, sin x and cos x
-    within two; A'(u) and B'(u) are within (M + 2)(3M + 7) units, which
-    the factor u^2 < 1/(M + 4)^2 scales below 3.  So F and F' are within
-    8 (M + 3) + 6 K units, K = sum_k (k + 1) |a_k| over both polynomials.
-    At a = 1, 20 digits: M = 18, K = 6.3, under 2^8 units; every term
-    |a_k| u^k is below 0.05 there, so the terms do not cancel either.
+    Error bound, in units of 2^-wp, with U = max(1, u) <= 5/2.  Every
+    product is truncated by less than one unit, and each later Horner step
+    magnifies an error already made by at most U, so by at most U^(M+1)
+    in all.  The a_k are within two units each (see _bessel_series), u
+    within four, sin x and cos x within two.  So F and F' are within
+    (8 (M + 3) + 6 K + (M + 2)(3M + 7)) U^(M+3) units, K = sum_k (k + 1)
+    |a_k| U^k over both polynomials; U^(M+3) also covers the factor u^2
+    of F'.  As U^(M+3) < 4^(M+2), the 2 (M + 2) extra bits of wp absorb
+    it.  At a = 1, 20 digits: M = 18 and K = 57 at x = 2/5, 6.3 at
+    x = 1, so under 2^11 units of 2^-(prec+20).
     """
     x = mpf(x)
-    if x <= series.M + 4:
-        jm1, js = _bessel_j_ladder(x, series.M)
-        val = mpf(0)
-        der = mpf(0)
-        for m, c in enumerate(series.coeffs):
-            val += c * js[m]
-            der += c * ((js[m - 1] if m else jm1) - (m + 1) / x * js[m])
-        return val, der
+    if x < mpf(2) / 5:
+        raise UsageError("Bessel series evaluated only at x >= 2/5")
     wp = series.wp
     cos, sin = mpf_cos_sin(x._mpf_, wp)
     C, S = to_fixed(cos, wp), to_fixed(sin, wp)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .mpcore import UsageError, clenshaw_legendre, series_multiply
-from .spectral import ExtremalConstants, SolverError, build_matrix, ground_eigenpair
+from .spectral import ExtremalConstants, SolverError
 from .extremal import (
     fit_reflection_coefficients,
     refined_spectral_frame,
@@ -54,6 +54,11 @@ class BandTransform:
         return len(self.coeffs) - 1
 
 
+# Largest Legendre pair count and window-basis order the package supports.
+MAX_PAIRS = 64
+MAX_WINDOW = 40
+
+
 def _transform_terms(digits: int, C) -> int:
     """Smallest series order with a certified sub-target tail on the band.
 
@@ -73,17 +78,15 @@ def _transform_terms(digits: int, C) -> int:
     raise SolverError("transform series did not reach the tail target")
 
 
-def build_band_transform(
-    consts: ExtremalConstants, terms: int = None, digits: int = None
-) -> BandTransform:
+def build_band_transform(consts: ExtremalConstants, terms: int = None) -> BandTransform:
     """Series for the transform in powers of (1 - u), u the frequency / pi.
 
     The n-th coefficient is pi / (n! (2C)^n) times the (n-1)-st Taylor
     coefficient of the squared factor, assembled at a working precision
-    that keeps the requested digits after the factorial weights.
+    that keeps the certified digits after the factorial weights.
     """
-    digits = digits if digits is not None else consts.digits_certified
-    a1, _lam = refined_spectral_frame(consts, digits + 35)
+    digits = consts.digits_certified
+    a1, _lam, _xi = refined_spectral_frame(consts, digits + 35)
     with mp.workdps(digits + 35):
         C = mp.pi / (4 * a1)
     N = terms if terms is not None else _transform_terms(digits, C)
@@ -139,9 +142,12 @@ def _double_factorial_log10(n: int) -> float:
     ) / math.log(10)
 
 
-def legendre_band_coefficients(
-    consts: ExtremalConstants, pairs: int = None, digits: int = None
-) -> list:
+def default_pairs(digits: int) -> int:
+    """Pair count legendre_band_coefficients takes when none is given."""
+    return digits // 3 + 8
+
+
+def legendre_band_coefficients(consts: ExtremalConstants, pairs: int = None) -> list:
     """Even Legendre coefficients of the band transform, from the eigenvector.
 
     Rescaling the even extremal function to exponential type 1 makes its
@@ -156,12 +162,12 @@ def legendre_band_coefficients(
     The forward substitution runs at two working precisions and the kept
     coefficients must agree to the certified digits.
     """
-    digits = digits if digits is not None else consts.digits_certified
-    K = pairs if pairs is not None else digits // 3 + 8
+    digits = consts.digits_certified
+    K = pairs if pairs is not None else default_pairs(digits)
     if K < 2:
         raise UsageError("pairs must be at least 2")
-    if K > 64:
-        raise UsageError("pairs beyond 64 exceeds the supported range")
+    if K > MAX_PAIRS:
+        raise UsageError("pairs beyond %d exceeds the supported range" % MAX_PAIRS)
     # precision budget: the triangular substitution multiplies by (4m+1)!!
     # while the incoming terms carry (2C/pi)^m, and the bracket cancels
     # down to the final coefficient size
@@ -185,18 +191,15 @@ def legendre_band_coefficients(
 
 
 def _legendre_forward(consts: ExtremalConstants, K: int, wd: int) -> list:
-    """One forward-substitution pass at working precision wd."""
-    a1, lam = refined_spectral_frame(consts, wd)
-    N = max(192, wd + 64)
+    """One forward-substitution pass at working precision wd, on the
+    eigenvector of the spectral frame rounded to wd."""
+    a1, _lam, xi = refined_spectral_frame(consts, wd)
     with mp.workdps(wd):
-        pair = ground_eigenpair(build_matrix(N, a1), lambda_seed=lam)
-        if pair.residual > mpf(10) ** (-(wd - 10)):
-            raise SolverError("eigenpair residual too large for the transform")
         C = mp.pi / (4 * a1)
         scale = -2 * C / mp.pi
         bessel_coeffs = []
         for m in range(K + 1):
-            taylor_m = pair.xi[m] * scale ** m / (2 * m + 1)
+            taylor_m = mpf(xi[m]) * scale ** m / (2 * m + 1)
             acc = taylor_m
             for k in range(m):
                 j = m - k
@@ -223,7 +226,7 @@ def legendre_band_value(coeffs: list, u):
 # endpoint reflection constants
 
 
-def endpoint_reflection_constants(consts: ExtremalConstants, digits: int = None):
+def endpoint_reflection_constants(consts: ExtremalConstants):
     """The two complex endpoint constants of the factor's reflection law.
 
     Computed by least squares against the functional equation (nothing
@@ -232,14 +235,14 @@ def endpoint_reflection_constants(consts: ExtremalConstants, digits: int = None)
     k_plus^2 - k_minus^2 = i / (2 pi C) and
     k_plus e^{i pi/4} + k_minus e^{-i pi/4} = 0.
     """
-    return fit_reflection_coefficients(consts, digits=digits)
+    return fit_reflection_coefficients(consts)
 
 
 # ----------------------------------------------------------------------
 # even-window basis
 
 
-def window_basis_fit(model: BandTransform, K: int, digits: int = None):
+def window_basis_fit(model: BandTransform, K: int):
     """Least-squares fit of the transform onto (1 - u^2)^n, n = 1..K.
 
     Returns (coefficients, residual) where the residual is the largest
@@ -250,9 +253,9 @@ def window_basis_fit(model: BandTransform, K: int, digits: int = None):
     """
     if K < 1:
         raise UsageError("K must be at least 1")
-    if K > 40:
-        raise UsageError("K beyond 40 exceeds the supported range")
-    digits = digits if digits is not None else model.digits
+    if K > MAX_WINDOW:
+        raise UsageError("K beyond %d exceeds the supported range" % MAX_WINDOW)
+    digits = model.digits
     points = max(3 * K, 48)
     wd = digits + 3 * K + 40
     with mp.workdps(wd):
@@ -281,19 +284,6 @@ def window_basis_fit(model: BandTransform, K: int, digits: int = None):
     return coeffs, worst
 
 
-def window_basis_coefficients(
-    model: BandTransform, K: int, max_residual=None
-) -> list:
-    """Coefficient list of the (1 - u^2)^n fit; see window_basis_fit.
-
-    When max_residual is given, a reconstruction residual above it is
-    reported as a solver failure (the detector for an ill-conditioned or
-    under-resolved fit).
-    """
-    coeffs, residual = window_basis_fit(model, K)
-    if max_residual is not None and residual > mpf(max_residual):
-        raise SolverError(
-            "window basis fit residual %s exceeds %s"
-            % (mp.nstr(residual, 3), mp.nstr(mpf(max_residual), 3))
-        )
-    return coeffs
+def window_basis_coefficients(model: BandTransform, K: int) -> list:
+    """Coefficient list of the (1 - u^2)^n fit; see window_basis_fit."""
+    return window_basis_fit(model, K)[0]

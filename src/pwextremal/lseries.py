@@ -87,16 +87,20 @@ def _is_integer(s) -> bool:
         return False
 
 
-def _expansion_order(s_float: float, n0: int, digits: int) -> int:
+# zeros summed directly before the lattice sums take over
+_N0 = 8
+
+
+def _expansion_order(s_float: float, digits: int) -> int:
     """Smallest truncation order whose certified tail clears the target.
 
     The tail of sum_j e_j(s) T(s+j) past order J is below
-    (1+q) q^{-s} (3/2)^p x0^{J+1} / (1 - x0) with x0 = 1/q, q = n0 + 3/2
+    (1+q) q^{-s} (3/2)^p x0^{J+1} / (1 - x0) with x0 = 1/q, q = _N0 + 3/2
     and p = max(1, ceil|s|); solve for the first even J that pushes this
     under 10^-(digits+5), keeping J large enough that every bounded term
     has exponent s + j >= 2.
     """
-    q = n0 + 1.5
+    q = _N0 + 1.5
     lx = math.log10(1.0 / q)
     p = max(1, math.ceil(abs(s_float)))
     fixed = (
@@ -109,13 +113,13 @@ def _expansion_order(s_float: float, n0: int, digits: int) -> int:
     while fixed + (J + 1) * lx > -(digits + 5):
         J += 2
         if J > 600:
-            raise SolverError("continuation order exceeds 600; raise n0")
+            raise SolverError("continuation order exceeds 600 at s=%s" % s_float)
     return J + J % 2
 
 
-def _certified_tail(s, n0: int, J: int, M: int):
+def _certified_tail(s, J: int, M: int):
     """(tail past J, offset-series truncation term) at current precision."""
-    q = mpf(2 * n0 + 3) / 2
+    q = mpf(2 * _N0 + 3) / 2
     x0 = 1 / q
     p = max(1, int(mp.ceil(abs(s))))
     scale = (1 + q) * q ** (-s)
@@ -132,11 +136,10 @@ def l_series(
     zeros: ZeroModel,
     kind: str,
     s,
-    n0: int = 8,
     order: int = None,
-    digits: int = None,
 ) -> LSeriesValue:
-    """Continuation value of the zero-ladder series at real s.
+    """Continuation value of the zero-ladder series at real s, to the
+    certified digits of `consts`, with the first _N0 zeros summed directly.
 
     The plus kind has simple poles at s = 1 and the negative odd
     integers; there the returned record carries the residue instead of a
@@ -145,15 +148,12 @@ def l_series(
     if kind not in ("plus", "minus"):
         raise UsageError("kind must be 'plus' or 'minus'")
     _as_real(s)
-    digits = digits if digits is not None else consts.digits_certified
+    digits = consts.digits_certified
     if zeros.digits < digits:
         raise UsageError(
             "zero model certified to %d digits, %d requested"
             % (zeros.digits, digits)
         )
-    if n0 < 2:
-        raise UsageError("n0 must be at least 2")
-    source_digits = min(zeros.digits, consts.digits_certified)
 
     if kind == "plus" and _is_integer(s) and int(mpf(s)) <= 1 and (1 - int(mpf(s))) % 2 == 0:
         k = int(mpf(s))
@@ -161,7 +161,7 @@ def l_series(
         with mp.workdps(digits + 25):
             e = binomial_tail_expansion(zeros.rho_coeffs, mpf(k), J)
             residue = e[1 - k]
-            bound = (2 + abs(k)) * mpf(10) ** (-(source_digits - 2))
+            bound = (2 + abs(k)) * mpf(10) ** (-(digits - 2))
         return LSeriesValue(
             s=k, kind=kind, value=None, error_bound=bound, is_pole=True,
             residue=residue,
@@ -169,15 +169,15 @@ def l_series(
 
     with mp.workdps(30):
         s_float = float(mpf(s))
-    J = order if order is not None else _expansion_order(s_float, n0, digits)
-    amp = max(0, int(-s_float * math.log10(n0 + 1.5)) + 1) if s_float < 0 else 0
+    J = order if order is not None else _expansion_order(s_float, digits)
+    amp = max(0, int(-s_float * math.log10(_N0 + 1.5)) + 1) if s_float < 0 else 0
     wd = digits + 30 + amp
     with mp.workdps(wd):
         s_mp = mpf(s)
-        q = mpf(2 * n0 + 3) / 2
+        q = mpf(2 * _N0 + 3) / 2
         head = mpf(0)
         head_abs = mpf(0)
-        for n in range(1, n0 + 1):
+        for n in range(1, _N0 + 1):
             term = tau(zeros, n) ** (-s_mp)
             if kind == "minus" and n % 2 == 1:
                 term = -term
@@ -193,13 +193,13 @@ def l_series(
             if kind == "plus":
                 T = mp.zeta(w, q)
             else:
-                T = -alternating_halfinteger_tail(w, n0)
+                T = -alternating_halfinteger_tail(w, _N0)
             tail_sum += ej * T
             tail_abs += abs(ej * T)
         value = head + tail_sum
-        tail, rho_term = _certified_tail(s_mp, n0, J, zeros.M)
+        tail, rho_term = _certified_tail(s_mp, J, zeros.M)
         input_term = 4 * (1 + abs(s_mp)) * (head_abs + tail_abs) * mpf(10) ** (
-            -source_digits
+            -digits
         )
         bound = tail + rho_term + input_term
     return LSeriesValue(s=s, kind=kind, value=value, error_bound=bound)
@@ -242,19 +242,17 @@ def _status(discrepancy, certified) -> str:
     return "pass" if abs(discrepancy) <= certified else "fail"
 
 
-def check_Lodd(
-    consts: ExtremalConstants, zeros: ZeroModel, m_max: int, digits: int = None
-) -> list:
+def check_Lodd(consts: ExtremalConstants, zeros: ZeroModel, m_max: int) -> list:
     """Alternating series at the negative odd integers.
 
     The value at -1 must be -1/(4C) and the values at -3, -5, .. must
     vanish; the value at 0 carries no claim and is reported as is.
     """
-    digits = digits if digits is not None else consts.digits_certified
+    digits = consts.digits_certified
     reports = []
-    slack = mpf(10) ** (-(min(digits, consts.digits_certified) - 2))
+    slack = mpf(10) ** (-(digits - 2))
     with mp.workdps(digits + 20):
-        val = l_series(consts, zeros, "minus", -1, digits=digits)
+        val = l_series(consts, zeros, "minus", -1)
         target = -1 / (4 * mpf(consts.C))
         disc = val.value - target
         certified = val.error_bound + slack
@@ -262,7 +260,7 @@ def check_Lodd(
             _report("lodd", {"s": -1}, disc, certified, _status(disc, certified))
         )
         for m in range(1, m_max + 1):
-            val = l_series(consts, zeros, "minus", -1 - 2 * m, digits=digits)
+            val = l_series(consts, zeros, "minus", -1 - 2 * m)
             certified = val.error_bound + slack
             reports.append(
                 _report(
@@ -273,31 +271,28 @@ def check_Lodd(
                     _status(val.value, certified),
                 )
             )
-        zero_val = l_series(consts, zeros, "minus", 0, digits=digits)
+        zero_val = l_series(consts, zeros, "minus", 0)
         report = _report("lodd", {"s": 0}, zero_val.value, zero_val.error_bound, "report-only")
         report["note"] = "no claimed value; reported for the record"
         reports.append(report)
     return reports
 
 
-def check_residue_identity(
-    consts: ExtremalConstants, zeros: ZeroModel, k_max: int, digits: int = None
-) -> list:
+def check_residue_identity(consts: ExtremalConstants, zeros: ZeroModel, k_max: int) -> list:
     """Residues of the plus series against the alternating odd values.
 
     The residue at s = 1-2k equals, after the phase powers cancel to a
     real sign, (2/pi) (-1)^{k-1} times the alternating value at 2k-1
     divided by (2 pi C)^{2k-1}.
     """
-    digits = digits if digits is not None else consts.digits_certified
     reports = []
-    with mp.workdps(digits + 20):
+    with mp.workdps(consts.digits_certified + 20):
         C = mpf(consts.C)
         for k in range(1, k_max + 1):
-            pole = l_series(consts, zeros, "plus", 1 - 2 * k, digits=digits)
+            pole = l_series(consts, zeros, "plus", 1 - 2 * k)
             if not pole.is_pole:
                 raise SolverError("expected a pole at s=%d" % (1 - 2 * k))
-            odd = l_series(consts, zeros, "minus", 2 * k - 1, digits=digits)
+            odd = l_series(consts, zeros, "minus", 2 * k - 1)
             rhs = (
                 (2 / mp.pi)
                 * (-1) ** (k - 1)
@@ -323,9 +318,7 @@ def check_residue_identity(
     return reports
 
 
-def check_symmetry_conjecture(
-    consts: ExtremalConstants, zeros: ZeroModel, k_max: int, digits: int = None
-) -> list:
+def check_symmetry_conjecture(consts: ExtremalConstants, zeros: ZeroModel, k_max: int) -> list:
     """Conjectured reflection between the plus values at -2k and 2k.
 
     Report-only by policy: the comparison is
@@ -333,16 +326,16 @@ def check_symmetry_conjecture(
     truncation doubled once to show the discrepancy is not an artifact of
     the order choice.
     """
-    digits = digits if digits is not None else consts.digits_certified
+    digits = consts.digits_certified
     reports = []
     with mp.workdps(digits + 20):
         C = mpf(consts.C)
         for k in range(1, k_max + 1):
             with mp.workdps(30):
-                J = _expansion_order(float(-2 * k), 8, digits)
-            neg = l_series(consts, zeros, "plus", -2 * k, order=J, digits=digits)
-            neg2 = l_series(consts, zeros, "plus", -2 * k, order=2 * J, digits=digits)
-            pos = l_series(consts, zeros, "plus", 2 * k, digits=digits)
+                J = _expansion_order(float(-2 * k), digits)
+            neg = l_series(consts, zeros, "plus", -2 * k, order=J)
+            neg2 = l_series(consts, zeros, "plus", -2 * k, order=2 * J)
+            pos = l_series(consts, zeros, "plus", 2 * k)
             rhs = (-1) ** k * pos.value / (2 * mp.pi * C) ** (2 * k)
             disc = neg.value - rhs
             certified = (
@@ -501,7 +494,6 @@ def brute_force_value(
     kind: str,
     s,
     n_terms: int = 4000,
-    digits: int = None,
 ):
     """Direct summation of the series for real s > 1, with an
     Euler-Maclaurin tail (paired terms for the alternating kind).
@@ -517,9 +509,7 @@ def brute_force_value(
     with mp.workdps(25):
         if mpf(s) <= 1:
             raise UsageError("direct summation needs s > 1")
-    digits = digits if digits is not None else min(
-        consts.digits_certified, zeros.digits
-    )
+    digits = min(consts.digits_certified, zeros.digits)
     if n_terms < 64:
         raise UsageError("n_terms too small for the tail expansion")
     wd = digits + 20

@@ -103,11 +103,12 @@ class EigenPair:
 
 # Work bounds and the precision schedule.  Every Newton loop stops after
 # _NEWTON_STEPS sweeps.  The side-condition root is seeded at _SEED_DPS
-# digits on _SEED_N rows; solve_constants works at _GUARD digits past the
-# request (twice that in its second run), truncates at twice the first
-# power of two from _N_FLOOR whose tail clears its digits, and no
-# truncation passes _N_CAP.
+# digits on _SEED_N rows; solve_constants searches it in _BRACKET, works
+# at _GUARD digits past the request (twice that in its second run),
+# truncates at twice the first power of two from _N_FLOOR whose tail
+# clears its digits, and no truncation passes _N_CAP.
 _NEWTON_STEPS = 100
+_BRACKET = ("1.44", "1.46")
 _GUARD = 18
 _SEED_DPS = 20
 _SEED_N = 32
@@ -203,11 +204,10 @@ def _checked_pair(sys: TridiagonalSystem, lam, xi) -> EigenPair:
     return EigenPair(lam=lam, xi=xi, residual=residual)
 
 
-def ground_eigenpair(sys: TridiagonalSystem, lambda_seed=None) -> EigenPair:
+def ground_eigenpair(sys: TridiagonalSystem) -> EigenPair:
     """Smallest eigenpair of the truncated system, normalized xi[0] = 1.
 
     Newton on the row-0 condition g of the backward sweep, started from
-    lambda_seed (typically the eigenvalue of a nearby solve) or else from
     a/3, the top of the interval [0, a/3] that holds the eigenvalue.  The
     sweep at the converged lambda is the eigenvector.  Iterates must stay
     below 2 - a, where the sweep is positive and the ground eigenvalue is
@@ -217,7 +217,7 @@ def ground_eigenpair(sys: TridiagonalSystem, lambda_seed=None) -> EigenPair:
     """
     if not (0 < sys.a < mpf(3) / 2):
         raise UsageError("ground_eigenpair requires 0 < a < 3/2")
-    lam = sys.a / 3 if lambda_seed is None else mpf(lambda_seed)
+    lam = sys.a / 3
     tol = mpf(10) ** (-(mp.dps - 2))
     converged = False
     for _ in range(_NEWTON_STEPS):
@@ -368,7 +368,7 @@ class ExtremalConstants:
     frame; lambda_star = -L1/(2C) the ground eigenvalue (frame-invariant);
     xi the ground eigenvector at a_star, normalized xi[0] = 1.  dps is the
     working precision of the solve's final run.  frame is the cache of
-    extremal.refined_spectral_frame: (dps, a, lambda) from the most
+    extremal.refined_spectral_frame: (dps, a, lambda, xi) from the most
     precise re-solve so far, or None.
     """
 
@@ -395,16 +395,12 @@ class ExtremalConstants:
             }
 
 
-def solve_constants(
-    digits: int,
-    bracket=("1.44", "1.46"),
-    guard: int = _GUARD,
-) -> ExtremalConstants:
+def solve_constants(digits: int) -> ExtremalConstants:
     """Compute the extremal constants to `digits` decimals.
 
-    Solves the root twice on N = truncation_size(digits) rows, at guard
-    and at 2*guard extra digits; the second solve continues the first's
-    Newton from its root at the higher precision.  C from the two must
+    Solves the root in _BRACKET twice on N = truncation_size(digits) rows,
+    at _GUARD and at 2*_GUARD extra digits; the second solve continues the
+    first's Newton from its root at the higher precision.  C from the two must
     agree to 10^-(digits+1).  What that backs is that doubling the guard
     digits moves C by less than 10^-(digits+1) at this N; that N clears
     the truncation error rests on the tail estimate of truncation_size,
@@ -412,15 +408,13 @@ def solve_constants(
     """
     if digits < 10:
         raise UsageError("digits must be at least 10")
-    if guard < 1:
-        raise UsageError("guard must be positive")
     N = truncation_size(digits)
 
     C = start = None
-    for g in (guard, 2 * guard):
+    for g in (_GUARD, 2 * _GUARD):
         first, dps = C, digits + g
         with mp.workdps(dps):
-            a_root, pair = _side_root(N, bracket, start)
+            a_root, pair = _side_root(N, _BRACKET, start)
             C = mp.pi / (4 * a_root)
         start = (a_root, pair.lam, dps - 6)
 
@@ -430,7 +424,7 @@ def solve_constants(
         if disagreement > allowed:
             raise SolverError(
                 "certification failed: runs at guard %d and %d disagree by %s"
-                % (guard, 2 * guard, mp.nstr(disagreement, 5))
+                % (_GUARD, 2 * _GUARD, mp.nstr(disagreement, 5))
             )
         L1 = -2 * C * pair.lam
     return ExtremalConstants(

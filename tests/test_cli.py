@@ -145,6 +145,32 @@ def test_verify_summation_payload_pinned(capsys):
     ]
 
 
+def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
+    # in process, with no solve: past the --digits whose default window
+    # order (digits // 2) or Legendre pair count (digits // 3 + 8) passes
+    # its cap, the command is a usage error naming the largest --digits;
+    # at that --digits it goes on to the solve
+    from pwextremal import cli
+
+    def solve(digits):
+        raise cli.SolverError("solve reached")
+
+    monkeypatch.setattr(cli, "solve_constants", solve)
+    for argv, largest in (
+        (["export", "c-basis"], 81),
+        (["export", "legendre"], 170),
+        (["verify", "--suite", "fourier"], 170),
+        (["verify", "--suite", "all"], 170),
+    ):
+        assert cli.main(argv + ["--digits", str(largest + 1)]) == 2, argv
+        assert "--digits %d or less" % largest in capsys.readouterr().err
+        assert cli.main(argv + ["--digits", str(largest)]) == 1, argv
+        assert "solve reached" in capsys.readouterr().err
+    # a c-basis order given within its cap lifts the limit on --digits
+    argv = ["export", "c-basis", "--digits", "100", "--terms", "40"]
+    assert cli.main(argv) == 1
+
+
 def test_verify_exit_code_reflects_failure():
     # an absurd threshold forces a fail status and a nonzero exit
     proc = run_cli(

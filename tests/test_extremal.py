@@ -53,7 +53,7 @@ def test_factor_frame_constants(consts30):
 def test_general_frame_rescaling(consts30):
     # the same eigenfunction written in the b=1 frame has coefficients
     # scaled by (2/pi)^n relative to its own frame
-    a1, lam = extremal.refined_spectral_frame(consts30, 60)
+    a1, lam, _xi = extremal.refined_spectral_frame(consts30, 60)
     native = extremal.taylor_factor(consts30, 10, digits=25)
     with mp.workdps(60):
         unit = extremal._factor_coefficients(a1, 1, lam, 10)
@@ -112,7 +112,7 @@ def test_refined_frame_work_count(consts30, sweeps):
     # precision doubling, on N=256, the first N from the certified 128
     # whose tail clears the 524-digit frame
     fresh = dataclasses.replace(consts30, frame=None)
-    a1, _lam = extremal.refined_spectral_frame(fresh, 200)
+    a1, _lam, _xi = extremal.refined_spectral_frame(fresh, 200)
     assert 0 < sum(1 for _N, dps in sweeps if dps == 524) <= 3
     assert max(N for N, _dps in sweeps) <= 256
     with mp.workdps(130):
@@ -122,7 +122,7 @@ def test_refined_frame_work_count(consts30, sweeps):
 def test_envelope_detector_trips(consts30):
     # run the raw recursion at a precision far below what order 120 needs;
     # the parasitic branch must be caught, not returned
-    a1, lam = extremal.refined_spectral_frame(consts30, 30)
+    a1, lam, _xi = extremal.refined_spectral_frame(consts30, 30)
     with mp.workdps(40):
         a = 2 * a1 / mp.pi
         with pytest.raises(SolverError):
@@ -325,7 +325,7 @@ def test_zero_model_rejects_heavy_offset_coefficients(consts30, monkeypatch):
 
     monkeypatch.setattr(extremal, "offset_coefficients", heavy)
     with pytest.raises(SolverError, match="1/2"):
-        extremal.build_zero_model(consts30, M=3)
+        extremal.build_zero_model(consts30)
 
 
 def test_signed_zeros_alternate(consts30):
@@ -352,7 +352,7 @@ def test_quadratic_relation(consts30):
 
 
 def test_zero_curvature(consts30):
-    assert extremal.zero_curvature_residual(consts30, n=1) < mpf("1e-20")
+    assert extremal.zero_curvature_residual(consts30) < mpf("1e-20")
 
 
 def test_functional_equation(consts30):
@@ -403,7 +403,7 @@ def test_summation_odd_function(consts30):
     # f(x) = x sinc(pi x / 5)^5 has type pi, f'(0) = 1, and O(x^-4) decay
     model = extremal.build_zero_model(consts30)
     zeros = extremal.zeros_signed(model, 800)
-    a1, _lam = extremal.refined_spectral_frame(consts30, 30)
+    a1, _lam, _xi = extremal.refined_spectral_frame(consts30, 30)
 
     def f(x):
         if x == 0:
@@ -419,25 +419,6 @@ def test_summation_odd_function(consts30):
         assert report.zeros_used == 800
         assert report.defect <= report.tail_bound
         assert report.tail_bound < mpf("1e-7")
-
-
-def test_summation_validation(consts30):
-    model = extremal.build_zero_model(consts30)
-    zeros = extremal.zeros_signed(model, 10)
-    with pytest.raises(UsageError):
-        extremal.summation_check(
-            consts30, lambda x: x, 1, consts30.a_star, zeros, 1, decay_power=2
-        )
-    with pytest.raises(UsageError):
-        extremal.summation_check(
-            consts30,
-            lambda x: x,
-            1,
-            consts30.a_star,
-            zeros,
-            1,
-            tolerance=mpf("1e-30"),
-        )
 
 
 def test_summation_system_recovers_extremal_ladder(consts30):
@@ -489,7 +470,7 @@ def test_summation_system_rejects_colliding_zeros(monkeypatch):
 
 
 def test_bessel_series_matches_besselj_oracle():
-    # closed form beyond M + 4, Miller ladder below it, against
+    # the closed form from the scan start 2/5 on, against
     # j_m(x) = sqrt(pi/(2x)) J_{m+1/2}(x) from mpmath's own Bessel function
     with mp.workdps(50):
         xi = extremal._eigen_bessel_coefficients(mpf(1), 20)
@@ -512,6 +493,8 @@ def test_bessel_series_matches_besselj_oracle():
                         ref_der += c * w * (dJ - J / (2 * x))
                 assert abs(val - ref_val) < tol, (alternate, x)
                 assert abs(der - ref_der) < tol, (alternate, x)
+            with pytest.raises(UsageError):
+                extremal._bessel_series_eval(series, mpf("0.39"))
 
 
 def test_summation_system_work_count(monkeypatch):

@@ -5,6 +5,7 @@ offset coefficients in numpy and never touches the continuation
 machinery, so the 1e-12 agreement is an independent confirmation.
 """
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -228,9 +229,9 @@ def test_validation(consts30, zeros30):
     with pytest.raises(UsageError):
         lseries.l_series(consts30, zeros30, "plus", 2 + 1j)
     with pytest.raises(UsageError):
-        lseries.l_series(consts30, zeros30, "plus", 2, digits=50)
-    with pytest.raises(UsageError):
-        lseries.l_series(consts30, zeros30, "plus", 2, n0=1)
+        # a zero model certified to fewer digits than the constants
+        short = dataclasses.replace(zeros30, digits=consts30.digits_certified - 1)
+        lseries.l_series(consts30, short, "plus", 2)
     with pytest.raises(UsageError):
         lseries.brute_force_value(consts30, zeros30, "plus", 1)
     with pytest.raises(UsageError):

@@ -11,6 +11,12 @@ naming them, and the names in its class body.  Every function, class and
 method left unreached must be on ORACLES, the reference implementations
 that tests compare the package against.
 
+The same scan keeps options out that no command sets: every defaulted
+parameter of a function or method reached from ``cli.main`` must be
+passed, by keyword or by position, by some call in the package, or be on
+UNSET_DEFAULTS with the reason it stays.  Callees are matched by name
+here too, so a call to any function of that name counts.
+
 The limit: matching is by name across all modules, so definitions that
 share a name are reached together, and an attribute of any object counts
 as a use.  The scan can therefore miss dead code, but it never flags code
@@ -40,6 +46,12 @@ ORACLES = {
     ("spectral", "legendre_condition"),
 }
 
+# (module, function, parameter) -> why its default stays unset
+UNSET_DEFAULTS = {
+    ("cli", "main", "argv"): "the pwx script calls main() with no argument, "
+    "which reads sys.argv; tests pass their own",
+}
+
 
 def _names(nodes):
     """Every bare name and attribute name used under the given nodes."""
@@ -54,7 +66,8 @@ def _names(nodes):
 
 
 def _definitions():
-    """(module, qualified name) -> (kind, names it uses, dunder methods).
+    """(module, qualified name) -> (kind, names it uses, dunder methods,
+    the FunctionDef of a function or method, else None).
 
     The statements a module runs on import, other than definitions,
     assignments and imports, are kept under the name "<import>".
@@ -66,7 +79,7 @@ def _definitions():
         on_import = []
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs[module, stmt.name] = ("function", _names([stmt]), ())
+                defs[module, stmt.name] = ("function", _names([stmt]), (), stmt)
             elif isinstance(stmt, ast.ClassDef):
                 methods = [
                     s
@@ -78,19 +91,21 @@ def _definitions():
                 dunders = []
                 for m in methods:
                     key = (module, "%s.%s" % (stmt.name, m.name))
-                    defs[key] = ("method", _names([m]), ())
+                    defs[key] = ("method", _names([m]), (), m)
                     if m.name.startswith("__") and m.name.endswith("__"):
                         dunders.append(key)
-                defs[module, stmt.name] = ("class", own, tuple(dunders))
+                defs[module, stmt.name] = ("class", own, tuple(dunders), None)
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 for target in targets:
                     for sub in ast.walk(target):
                         if isinstance(sub, ast.Name):
-                            defs[module, sub.id] = ("assignment", _names([stmt.value]), ())
+                            defs[module, sub.id] = (
+                                "assignment", _names([stmt.value]), (), None
+                            )
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 on_import.append(stmt)
-        defs[module, "<import>"] = ("import", _names(on_import), ())
+        defs[module, "<import>"] = ("import", _names(on_import), (), None)
     return defs
 
 
@@ -105,11 +120,67 @@ def _reached(defs, roots):
         if key in reached:
             continue
         reached.add(key)
-        _kind, used, dunders = defs[key]
+        _kind, used, dunders, _fn = defs[key]
         frontier.extend(dunders)
         for name in used:
             frontier.extend(by_name.get(name, ()))
     return reached
+
+
+def _defaulted(fn):
+    """(position among the explicit arguments or None, name) of each
+    parameter of fn that has a default; self and cls are not counted."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    if positional and positional[0].arg in ("self", "cls"):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [
+        (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+    return out
+
+
+def _calls():
+    """Callee name -> (positional count, keyword names) of every call in the
+    package.  The package unpacks no *args or **kwargs into a call, so
+    these counts are what each call passes."""
+    out = defaultdict(list)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            out[name].append((len(node.args), {k.arg for k in node.keywords}))
+    return out
+
+
+def _unset_defaults():
+    """(module, function, parameter) of each defaulted parameter of a
+    function or method reached from cli.main that no package call passes."""
+    defs = _definitions()
+    reached = _reached(defs, ROOTS)
+    calls = _calls()
+    unset = set()
+    for key, (_kind, _used, _d, fn) in defs.items():
+        if fn is None or key not in reached:
+            continue
+        name = key[1].rsplit(".", 1)[-1]
+        for position, param in _defaulted(fn):
+            passed = any(
+                param in keywords or (position is not None and count > position)
+                for count, keywords in calls.get(name, ())
+            )
+            if not passed:
+                unset.add((key[0], key[1], param))
+    return unset
 
 
 def test_every_definition_is_reached_or_an_oracle():
@@ -117,7 +188,7 @@ def test_every_definition_is_reached_or_an_oracle():
     reached = _reached(defs, ROOTS | PENDING)
     dead = sorted(
         "%s.%s" % key
-        for key, (kind, _used, _d) in defs.items()
+        for key, (kind, _used, _d, _fn) in defs.items()
         if kind in ("function", "class", "method")
         and key not in reached
         and key not in ORACLES
@@ -136,3 +207,14 @@ def test_named_lists_are_current():
         assert key not in from_main, "%s.%s is wired; drop it from PENDING" % key
     for key in ORACLES:
         assert key not in from_all, "%s.%s is reached; drop it from ORACLES" % key
+    unset = _unset_defaults()
+    for key in UNSET_DEFAULTS:
+        assert key in unset, "%s.%s(%s) is set or gone; drop it from the list" % key
+
+
+def test_every_reached_default_is_set_by_a_call():
+    # a default that no call overrides is a configuration no command runs
+    unset = sorted(
+        "%s.%s(%s)" % key for key in _unset_defaults() if key not in UNSET_DEFAULTS
+    )
+    assert unset == [], "set by no call in the package: " + ", ".join(unset)
