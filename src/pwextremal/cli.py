@@ -68,8 +68,8 @@ from .lseries import (
     check_symmetry_conjecture,
     l_series,
 )
-from .mpcore import UsageError, decimal_truncated
-from .spectral import SolverError, solve_constants
+from .mpcore import SolverError, UsageError, decimal_truncated
+from .spectral import solve_constants
 
 SUITES = (
     "ode",
@@ -388,26 +388,39 @@ def _series_export(consts, args):
         k_top = terms if terms is not None else max(1, args.digits // 2)
         return "basis", [mpf(0)] + window_basis_coefficients(band, k_top)
     if what == "legendre":
-        # the pair count is a convergence knob, not a row count: compute at
-        # the natural depth and trim, widening only when more rows are asked
-        leg = legendre_band_coefficients(consts)
-        if terms is not None:
-            if len(leg) < terms + 1:
-                leg = legendre_band_coefficients(consts, pairs=(terms + 2) // 2)
-            leg = leg[: terms + 1]
-        return "basis", leg
+        leg = legendre_band_coefficients(consts, pairs=_legendre_pairs(args))
+        return "basis", leg if terms is None else leg[: terms + 1]
     raise UsageError("unknown export target %r" % what)
 
 
+def _legendre_pairs(args) -> int:
+    """Legendre pair count of export legendre: the default depth, widened
+    only when --terms asks for more rows than its 2 * pairs + 1."""
+    pairs = default_pairs(args.digits)
+    if args.terms is not None and args.terms > 2 * pairs:
+        pairs = (args.terms + 2) // 2
+    return pairs
+
+
 def _cmd_export(args):
+    # every cap a target puts on --digits or --terms is checked before the
+    # solve; --terms, when given, is at least 1
     if args.what == "legendre":
         _check_pairs(args, "export legendre")
-    if args.what == "c-basis" and args.terms is None and args.digits // 2 > MAX_WINDOW:
+        if _legendre_pairs(args) > MAX_PAIRS:
+            raise UsageError(
+                "export legendre needs --terms %d or less: its Legendre pair "
+                "count, (terms + 2) // 2, is capped at %d"
+                % (2 * MAX_PAIRS - 1, MAX_PAIRS)
+            )
+    if args.what == "c-basis" and (args.terms or args.digits // 2) > MAX_WINDOW:
         raise UsageError(
-            "export c-basis needs --digits %d or less, or --terms %d or less: "
-            "its default order, digits // 2, is capped at %d"
-            % (2 * MAX_WINDOW + 1, MAX_WINDOW, MAX_WINDOW)
+            "export c-basis needs --terms %d or less, or without --terms "
+            "--digits %d or less: its window order, terms or digits // 2, is "
+            "capped at %d" % (MAX_WINDOW, 2 * MAX_WINDOW + 1, MAX_WINDOW)
         )
+    if args.what == "h" and args.terms == 1:
+        raise UsageError("export h needs --terms 2 or more")
     consts = solve_constants(args.digits)
     if args.what == "lvalues":
         model = build_zero_model(consts)

@@ -10,12 +10,15 @@ rebuilds the two functions everything else is made of:
   cross-checked against the Cauchy product of the factor with its
   reflection.
 
-On top of the Taylor models sit the zero pipeline (offset expansion
-tau_n = n + 1/2 - rho(1/(n+1/2)) and Newton refinement against the factor
-series), residual checkers for the differential equations, the quadratic
+Both are truncated power series in z (mpcore.PowerSeries).  On top of
+them sit the zero pipeline (offset expansion tau_n = n + 1/2 -
+rho(1/(n+1/2)) and Newton refinement against the factor series),
+residual checkers for the differential equations, the quadratic
 Wronskian relation and the reflection identity, the summation identity
-over the zeros, and a reconstruction of the central constant from the
-offset coefficients alone.
+over the zeros with the zero ladders of a second eigenfunction system,
+and a reconstruction of the central constant from the offset
+coefficients alone.  Every Newton iteration here, on the zeros of the
+factor and of the Bessel series, is mpcore.newton_root.
 
 A note on precision.  The coefficient recursions are badly unstable: the
 parasitic solution grows factorially while the wanted one decays
@@ -37,9 +40,11 @@ from mpmath import mp, mpf
 from mpmath.libmp import mpf_cos_sin, mpf_rdiv_int, to_fixed
 
 from .mpcore import (
-    TruncatedLaurentSeries,
+    PowerSeries,
+    SolverError,
     UsageError,
     beta_numeric,
+    newton_root,
     series_derivative,
     series_exp0,
     series_from_coeffs,
@@ -51,7 +56,6 @@ from .mpcore import (
 from .spectral import (
     _N_FLOOR,
     ExtremalConstants,
-    SolverError,
     _side_root,
     _tail_size,
     build_matrix,
@@ -140,24 +144,15 @@ def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
 
 @dataclass
 class TaylorModel:
-    """Truncated Taylor expansion of one of the reconstructed functions.
-
-    which is 'factor' for the alternately-zeroed entire factor (arbitrary
-    (a, b, lambda) frames included) and 'extremal' for the even minimizer.
-    digits is the accuracy target the coefficients were built to support;
-    the series itself is stored at the much higher internal precision the
+    """Truncated Taylor expansion of the entire factor or of the even
+    minimizer, with the frame values a = 1/(2C) and lambda it was built
+    from; the series is stored at the much higher internal precision the
     recursion needed.
     """
 
-    which: str
-    coeffs: TruncatedLaurentSeries
+    coeffs: PowerSeries
     a: mpf
-    b: mpf
     lam: mpf
-    digits: int
-
-    def evaluate(self, z):
-        return self.coeffs.evaluate(z)
 
 
 def _factor_coefficients(a, b, lam, T: int):
@@ -210,10 +205,8 @@ def taylor_factor(consts: ExtremalConstants, T: int, digits: int = None) -> Tayl
     with mp.workdps(need):
         a = 2 * a1 / mp.pi
         b = mp.pi / 2
-        series = TruncatedLaurentSeries(
-            low=0, coeffs=_factor_coefficients(a, b, lam, T), parity="none"
-        )
-    return TaylorModel(which="factor", coeffs=series, a=a, b=b, lam=lam, digits=digits)
+        series = PowerSeries(coeffs=_factor_coefficients(a, b, lam, T))
+    return TaylorModel(coeffs=series, a=a, lam=lam)
 
 
 def taylor_extremal(
@@ -253,15 +246,11 @@ def taylor_extremal(
         coeffs = [mpf(0)] * (2 * T + 1)
         for n in range(T + 1):
             coeffs[2 * n] = u[n]
-        series = TruncatedLaurentSeries(low=0, coeffs=coeffs, parity="even")
+        series = PowerSeries(coeffs=coeffs, parity="even")
         if cross_check:
             alphas = _factor_coefficients(a, b, lam, 2 * T)
-            plus = TruncatedLaurentSeries(low=0, coeffs=alphas, parity="none")
-            minus = TruncatedLaurentSeries(
-                low=0,
-                coeffs=[(-1) ** k * alphas[k] for k in range(len(alphas))],
-                parity="none",
-            )
+            plus = PowerSeries(coeffs=alphas)
+            minus = PowerSeries(coeffs=[(-1) ** k * c for k, c in enumerate(alphas)])
             prod = series_multiply(plus, minus, 2 * T + 1)
             tol = mpf(10) ** (-(digits + 5))
             worst = max(
@@ -271,39 +260,28 @@ def taylor_extremal(
                 raise SolverError(
                     "three-term and product routes disagree by %s" % mp.nstr(worst, 5)
                 )
-    return TaylorModel(
-        which="extremal", coeffs=series, a=a, b=b, lam=lam, digits=digits
-    )
+    return TaylorModel(coeffs=series, a=a, lam=lam)
 
 
 # ----------------------------------------------------------------------
 # alternating odd power sums over the zeros, read off the reciprocal
 
 
-def eigenfunction_odd_sums(model: TaylorModel, M: int):
-    """First M odd-power sums S(1), S(3), ... for an even model.
+def alternating_sums_odd(consts: ExtremalConstants, M: int, digits: int = None):
+    """The first M alternating odd power sums S(1), S(3), .., S(2M-1).
 
-    With psi the even model and Theta = -(a/2) z^{-1} / psi, the Laurent
+    With psi the even minimizer and Theta = -(a/2) z^{-1} / psi, the
     coefficient of Theta at exponent 2m-1 is exactly the alternating sum
     S(2m-1) = sum_n (-1)^n tau_n^{-(2m-1)} over the unsigned zero
     parameters (S(1) is the classical first-derivative constant L1 < 0).
     """
-    if model.which != "extremal":
-        raise UsageError("odd sums are read off the even model")
-    if 2 * M > model.coeffs.high:
-        raise UsageError("model order too small for %d odd sums" % M)
-    with mp.workdps(model.coeffs.dps):
-        recip = series_reciprocal(model.coeffs, 2 * M + 1)
-        return [-(model.a / 2) * recip.coefficient(2 * m) for m in range(1, M + 1)]
-
-
-def alternating_sums_odd(consts: ExtremalConstants, M: int, digits: int = None):
-    """Alternating odd power sums over the zero parameters, orders 1..2M-1."""
     if M < 1:
         raise UsageError("M must be at least 1")
     digits = digits if digits is not None else consts.digits_certified
     model = taylor_extremal(consts, M + 2, digits=digits, cross_check=False)
-    return eigenfunction_odd_sums(model, M)
+    with mp.workdps(model.coeffs.dps):
+        recip = series_reciprocal(model.coeffs, 2 * M + 1)
+        return [-(model.a / 2) * recip.coefficient(2 * m) for m in range(1, M + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -491,17 +469,34 @@ def _cancellation_digits(radius) -> int:
         return int(mp.pi / 2 * mpf(radius) / mp.log(10)) + 2
 
 
-def refine_zeros_newton(consts: ExtremalConstants, n0: int, seeds=None, digits: int = None):
-    """Newton-polished tau_1..tau_n0 against the factor's Taylor series.
+def _factor_near(consts: ExtremalConstants, radius, derivatives: int):
+    """Taylor model of the factor on |z| <= radius, its series and first
+    `derivatives` derivatives, and wd, the certified digits plus the
+    cancellation headroom of _cancellation_digits: callers evaluate at wd
+    plus a guard, and the truncation error is below 10^-(wd+10).
+    """
+    digits = consts.digits_certified + _cancellation_digits(radius)
+    T = _truncation_order(radius, digits + 10)
+    factor = taylor_factor(consts, T, digits=consts.digits_certified + 10)
+    series = [factor.coeffs]
+    for _ in range(derivatives):
+        series.append(series_derivative(series[-1]))
+    return factor, series, digits
+
+
+def refine_zeros_newton(consts: ExtremalConstants, n0: int, seeds=None):
+    """Newton-polished tau_1..tau_n0 against the factor's Taylor series,
+    to the certified digits.
 
     Seeds default to offset-series values from a small model (they land
-    well inside the Newton basins).  The factor order is chosen so the
-    Taylor truncation at the largest zero sits below the evaluation noise
-    floor, including the exponential cancellation headroom.
+    well inside the Newton basins).  mpcore.newton_root searches each
+    zero within half a unit of its seed.  The factor order is chosen so
+    the Taylor truncation at the largest zero sits below the evaluation
+    noise floor, including the exponential cancellation headroom.
     """
     if n0 < 1:
         raise UsageError("n0 must be at least 1")
-    digits = digits if digits is not None else consts.digits_certified
+    digits = consts.digits_certified
     if seeds is None:
         rho = offset_coefficients(consts, 21, digits=min(digits, 30))
         with mp.workdps(digits + 15):
@@ -509,34 +504,19 @@ def refine_zeros_newton(consts: ExtremalConstants, n0: int, seeds=None, digits: 
                 mpf(2 * n + 1) / 2 - rho_series_value(rho, mpf(2) / (2 * n + 1))
                 for n in range(1, n0 + 1)
             ]
-    radius = float(seeds[-1]) + 1
-    cancel = _cancellation_digits(radius)
-    T = _truncation_order(radius, digits + cancel + 10)
-    factor = taylor_factor(consts, T, digits=digits + 10)
-    deriv = series_derivative(factor.coeffs)
+    _factor, (F, dF), wd = _factor_near(consts, float(seeds[-1]) + 1, 1)
+
+    def f(w):
+        return F.evaluate(w), dF.evaluate(w)
+
     out = []
-    for n in range(1, n0 + 1):
-        sign = 1 if n % 2 else -1
-        with mp.workdps(digits + cancel + 20):
-            t = mpf(seeds[n - 1])
-            tol = mpf(10) ** (-(digits + 5))
-            prev_step = None
-            for _ in range(80):
-                w = sign * t
-                step = factor.coeffs.evaluate(w) / (sign * deriv.evaluate(w))
-                t -= step
-                if abs(step) <= tol:
-                    break
-                if (
-                    prev_step is not None
-                    and abs(step) > 4 * prev_step
-                    and abs(step) > mpf("1e-3")
-                ):
-                    raise SolverError("Newton diverging at zero %d" % n)
-                prev_step = abs(step)
-            else:
-                raise SolverError("Newton did not converge at zero %d" % n)
-            out.append(t)
+    with mp.workdps(wd + 20):
+        half = mpf(1) / 2
+        tol = mpf(10) ** (-(digits + 5))
+        for n in range(1, n0 + 1):
+            sign = 1 if n % 2 else -1  # the factor vanishes at sign * tau_n
+            w = sign * mpf(seeds[n - 1])
+            out.append(sign * newton_root(f, w, w - half, w + half, tol))
     return out
 
 
@@ -571,7 +551,7 @@ def build_zero_model(consts: ExtremalConstants) -> ZeroModel:
             mpf(2 * n + 1) / 2 - rho_series_value(rho, mpf(2) / (2 * n + 1))
             for n in range(1, n0 + 1)
         ]
-    refined = refine_zeros_newton(consts, n0, seeds=seeds, digits=digits)
+    refined = refine_zeros_newton(consts, n0, seeds=seeds)
     return ZeroModel(rho_coeffs=rho, refined=refined, n0=n0, digits=digits)
 
 
@@ -587,7 +567,7 @@ def build_zero_model(consts: ExtremalConstants) -> ZeroModel:
 def binomial_tail_expansion(rho_coeffs, s, K: int):
     """Coefficients e_0..e_K of (1 - x rho(x))^{-s} as a series in x."""
     xrho = [mpf(0), mpf(0)] + [mpf(c) for c in rho_coeffs]
-    f = series_from_coeffs([-c for c in xrho[1 : K + 1]], low=1)
+    f = series_from_coeffs([-c for c in xrho[: K + 1]])
     expanded = series_exp0(series_scale(series_log1p(f, K + 1), -mpf(s)), K + 1)
     return [expanded.coefficient(k) for k in range(K + 1)]
 
@@ -614,16 +594,10 @@ def check_ode_residual(consts: ExtremalConstants):
         z^2 F'' + (2z - 1/(2C)) F' + (pi^2 z^2 / 4 + L1/(2C)) F
 
     over 20 points in |z| <= 5, to the certified digits."""
-    digits = consts.digits_certified
-    with mp.workdps(digits + 30):
+    with mp.workdps(consts.digits_certified + 30):
         points = _disk_grid(5)
-        radius = max(abs(z) for z in points)
-    cancel = _cancellation_digits(radius)
-    T = _truncation_order(radius, digits + cancel + 10)
-    factor = taylor_factor(consts, T, digits=digits + 10)
-    d1 = series_derivative(factor.coeffs)
-    d2 = series_derivative(d1)
-    with mp.workdps(digits + cancel + 25):
+    factor, (F, d1, d2), wd = _factor_near(consts, 5, 2)
+    with mp.workdps(wd + 25):
         drift = factor.a  # 1/(2C) in this frame
         lam_term = factor.lam  # L1/(2C) equals minus the eigenvalue
         pi2 = mp.pi ** 2
@@ -632,7 +606,7 @@ def check_ode_residual(consts: ExtremalConstants):
             val = (
                 z * z * d2.evaluate(z)
                 + (2 * z - drift) * d1.evaluate(z)
-                + (pi2 * z * z / 4 - lam_term) * factor.coeffs.evaluate(z)
+                + (pi2 * z * z / 4 - lam_term) * F.evaluate(z)
             )
             worst = max(worst, abs(val))
     return worst
@@ -653,9 +627,8 @@ def check_extremal_ode_residual(consts: ExtremalConstants):
     digits = consts.digits_certified
     with mp.workdps(digits + 30):
         points = _disk_grid(5)
-        radius = max(abs(z) for z in points)
-    cancel = 2 * _cancellation_digits(radius)
-    Tz = _truncation_order(2 * float(radius), digits + cancel + 10)
+    cancel = 2 * _cancellation_digits(5)
+    Tz = _truncation_order(10, digits + cancel + 10)
     T = Tz // 2 + 4
     ext = taylor_extremal(consts, T, digits=digits + 10, cross_check=False)
     d1 = series_derivative(ext.coeffs)
@@ -683,20 +656,15 @@ def check_quadratic_relation(consts: ExtremalConstants):
     """Worst deviation of z^2 (F'(z)F(-z) + F'(-z)F(z)) - F(z)F(-z)/(2C)
     from its constant value -1/(2C) over 20 points in |z| <= 3, to the
     certified digits."""
-    digits = consts.digits_certified
-    with mp.workdps(digits + 30):
+    with mp.workdps(consts.digits_certified + 30):
         points = _disk_grid(3)
-        radius = max(abs(z) for z in points)
-    cancel = _cancellation_digits(radius)
-    T = _truncation_order(radius, digits + cancel + 10)
-    factor = taylor_factor(consts, T, digits=digits + 10)
-    d1 = series_derivative(factor.coeffs)
-    with mp.workdps(digits + cancel + 25):
+    factor, (F, d1), wd = _factor_near(consts, 3, 1)
+    with mp.workdps(wd + 25):
         drift = factor.a
         worst = mpf(0)
         for z in points:
-            fp = factor.coeffs.evaluate(z)
-            fm = factor.coeffs.evaluate(-z)
+            fp = F.evaluate(z)
+            fm = F.evaluate(-z)
             val = z * z * (d1.evaluate(z) * fm + d1.evaluate(-z) * fp)
             val -= drift * fp * fm
             worst = max(worst, abs(val + drift))
@@ -709,37 +677,37 @@ def zero_curvature_residual(consts: ExtremalConstants):
     differentiated and restricted to a zero, where it closes without the
     function term).
     """
-    digits = consts.digits_certified
     t = refine_zeros_newton(consts, 1)[0]
-    radius = float(t) + 1
-    cancel = _cancellation_digits(radius)
-    T = _truncation_order(radius, digits + cancel + 10)
-    factor = taylor_factor(consts, T, digits=digits + 10)
-    d1 = series_derivative(factor.coeffs)
-    d2 = series_derivative(d1)
-    with mp.workdps(digits + cancel + 20):
+    factor, (_F, d1, d2), wd = _factor_near(consts, float(t) + 1, 2)
+    with mp.workdps(wd + 20):
         lhs = t * t * d2.evaluate(t)
         rhs = (factor.a - 2 * t) * d1.evaluate(t)
     return abs(lhs - rhs)
 
 
-def _reflection_terms(factor: TaylorModel, C, z):
-    """The two reflected components e^{-+ i pi z/2} F(+-i/(2 pi C z))."""
-    i = mp.mpc(0, 1)
-    w = 1 / (2 * mp.pi * C * z)
-    g_plus = mp.exp(-i * mp.pi * z / 2) * factor.coeffs.evaluate(i * w)
-    g_minus = mp.exp(i * mp.pi * z / 2) * factor.coeffs.evaluate(-i * w)
-    return g_plus, g_minus
-
-
-def _self_dual_circle(C, count: int, offset: int):
-    """Points on |z| = 1/sqrt(2 pi C), where z and the reflected argument
-    1/(2 pi C z) share the same modulus."""
-    r = 1 / mp.sqrt(2 * mp.pi * C)
-    return [
-        r * mp.exp(mp.mpc(0, 1) * 2 * mp.pi * (j + mpf(offset) / 100) / count)
-        for j in range(count)
-    ]
+def _reflection_samples(consts: ExtremalConstants, count: int, offset: int):
+    """C and, at `count` points z of the self-dual circle |z| = 1/sqrt(2 pi C)
+    turned by offset/100 of their spacing, the values (z, F(z), e^{1/(4Cz)},
+    e^{-i pi z/2} F(i w), e^{i pi z/2} F(-i w)), w = 1/(2 pi C z) of the same
+    modulus as z; all to the certified digits plus 25, as is the factor
+    model's truncation on |z| <= 0.6.
+    """
+    digits = consts.digits_certified
+    T = _truncation_order(0.6, digits + 25)
+    factor = taylor_factor(consts, T, digits=digits + 10)
+    F = factor.coeffs.evaluate
+    with mp.workdps(digits + 25):
+        C = 1 / (2 * factor.a)
+        i = mp.mpc(0, 1)
+        r = 1 / mp.sqrt(2 * mp.pi * C)
+        samples = []
+        for j in range(count):
+            z = r * mp.exp(i * 2 * mp.pi * (j + mpf(offset) / 100) / count)
+            w = 1 / (2 * mp.pi * C * z)
+            g_plus = mp.exp(-i * mp.pi * z / 2) * F(i * w)
+            g_minus = mp.exp(i * mp.pi * z / 2) * F(-i * w)
+            samples.append((z, F(z), mp.exp(1 / (4 * C * z)), g_plus, g_minus))
+    return C, samples
 
 
 def check_functional_equation(consts: ExtremalConstants):
@@ -750,22 +718,16 @@ def check_functional_equation(consts: ExtremalConstants):
                            / (2 sqrt(pi C) z)
 
     at 20 points on the self-dual circle, to the certified digits."""
-    digits = consts.digits_certified
-    T = _truncation_order(0.6, digits + 25)
-    factor = taylor_factor(consts, T, digits=digits + 10)
-    with mp.workdps(digits + 25):
-        C = 1 / (2 * factor.a)
-        points = _self_dual_circle(C, 20, 37)
+    C, samples = _reflection_samples(consts, 20, 37)
+    with mp.workdps(consts.digits_certified + 25):
         i = mp.mpc(0, 1)
         e_plus = mp.exp(i * mp.pi / 4)
         e_minus = mp.exp(-i * mp.pi / 4)
         norm = 2 * mp.sqrt(mp.pi * C)
         worst = mpf(0)
-        for z in points:
-            lhs = factor.coeffs.evaluate(z) * mp.exp(1 / (4 * C * z))
-            g_plus, g_minus = _reflection_terms(factor, C, z)
+        for z, fz, ez, g_plus, g_minus in samples:
             rhs = (e_plus * g_plus + e_minus * g_minus) / (norm * z)
-            worst = max(worst, abs(lhs - rhs))
+            worst = max(worst, abs(fz * ez - rhs))
     return worst
 
 
@@ -778,16 +740,11 @@ def fit_reflection_coefficients(consts: ExtremalConstants):
     certified digits.  At the true constants the fit returns
     k_pm = e^{+-i pi/4} / sqrt(4 pi C).
     """
-    digits = consts.digits_certified
-    T = _truncation_order(0.6, digits + 25)
-    factor = taylor_factor(consts, T, digits=digits + 10)
-    with mp.workdps(digits + 25):
-        C = 1 / (2 * factor.a)
-        points = _self_dual_circle(C, 24, 41)
+    _C, samples = _reflection_samples(consts, 24, 41)
+    with mp.workdps(consts.digits_certified + 25):
         m00 = m01 = m11 = rhs0 = rhs1 = mp.mpc(0)
-        for z in points:
-            y = z * factor.coeffs.evaluate(z) * mp.exp(1 / (4 * C * z))
-            g_plus, g_minus = _reflection_terms(factor, C, z)
+        for z, fz, ez, g_plus, g_minus in samples:
+            y = z * fz * ez
             m00 += mp.conj(g_plus) * g_plus
             m01 += mp.conj(g_plus) * g_minus
             m11 += mp.conj(g_minus) * g_minus
@@ -989,24 +946,17 @@ def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
     The head of three zeros is located by a sign-change scan; from there
     each seed extrapolates the last three zeros by their second difference
     (consecutive gaps approach pi, differing from it by O(1/x^2)), and
-    safeguarded Newton finishes inside half a gap either side of linear
-    continuation.  Loss of monotonicity or a non-converging step reports a
-    solver failure rather than bad zeros.
+    mpcore.newton_root finishes inside half a gap either side of linear
+    continuation.  Loss of monotonicity or a non-converging Newton reports
+    a solver failure rather than bad zeros.
     """
     target = mpf(10) ** (-(digits + 5))
     zeros = []
 
     def refine(seed, lo, hi):
-        r = seed
-        for _ in range(80):
-            v, d = _bessel_series_eval(series, r)
-            step = v / d
-            r -= step
-            if r <= lo or r >= hi:
-                r = (lo + hi) / 2
-            if abs(step) < target:
-                return r
-        raise SolverError("Newton stalled near %s" % mp.nstr(seed, 8))
+        return newton_root(
+            lambda r: _bessel_series_eval(series, r), seed, lo, hi, target
+        )
 
     step = mpf(2) / 5
     x = step

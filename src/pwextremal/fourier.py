@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .mpcore import UsageError, clenshaw_legendre, series_multiply
-from .spectral import ExtremalConstants, SolverError
+from .mpcore import SolverError, UsageError, clenshaw_legendre, series_multiply
+from .spectral import ExtremalConstants
 from .extremal import (
     fit_reflection_coefficients,
     refined_spectral_frame,

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .mpcore import (
+    SolverError,
     UsageError,
     alternating_halfinteger_tail,
     series_exp0,
@@ -34,7 +35,7 @@ from .mpcore import (
     series_log1p,
     series_scale,
 )
-from .spectral import ExtremalConstants, SolverError
+from .spectral import ExtremalConstants
 from .extremal import (
     ZeroModel,
     binomial_tail_expansion,
@@ -218,8 +219,8 @@ def l_plus_even_from_phi(consts: ExtremalConstants, k_max: int, digits: int = No
     model = taylor_extremal(consts, k_max + 1, digits=digits + 10)
     with mp.workdps(digits + 20):
         T = 2 * k_max + 1
-        dense = [model.coeffs.coefficient(k) for k in range(2, T)]
-        f = series_from_coeffs(dense, low=2, parity="even")
+        dense = [0, 0] + [model.coeffs.coefficient(k) for k in range(2, T)]
+        f = series_from_coeffs(dense, parity="even")
         lg = series_log1p(f, T)
         return [-k * lg.coefficient(2 * k) for k in range(1, k_max + 1)]
 
@@ -466,7 +467,7 @@ def _tau_jet(zeros: ZeroModel, t, K: int):
 
 def _inverse_power_jet(c, s, K: int):
     """Series of tau(t+h)^{-s} in h given the jet of tau; c[0] > 0."""
-    g = series_from_coeffs([ci / c[0] for ci in c[1:]], low=1)
+    g = series_from_coeffs([0] + [ci / c[0] for ci in c[1:]])
     lg = series_scale(series_log1p(g, K + 1), -mpf(s))
     f = series_exp0(lg, K + 1)
     lead = c[0] ** (-mpf(s))

@@ -2,9 +2,11 @@
 
 Everything downstream runs on top of the ingredients collected here:
 
-* :class:`TruncatedLaurentSeries` plus the handful of series operations the
-  project actually needs (scaling, Cauchy product, reciprocal, log(1+f),
-  exp, derivative);
+* :class:`PowerSeries` plus the handful of series operations the project
+  actually needs (scaling, Cauchy product, reciprocal, log(1+f), exp,
+  derivative);
+* :func:`newton_root`, the package's scalar Newton iteration (the 2x2
+  side-condition root of :mod:`pwextremal.spectral` is the only other);
 * Legendre polynomial evaluation and Clenshaw summation of Legendre series;
 * the Dirichlet beta function and alternating half-integer tails, through
   Hurwitz zeta values;
@@ -31,8 +33,43 @@ class UsageError(ValueError):
     """Raised when an operation is invoked outside its contract."""
 
 
+class SolverError(RuntimeError):
+    """Numerical failure: residual bound or certification not reached."""
+
+
 # ----------------------------------------------------------------------
-# truncated Laurent series
+# scalar Newton
+
+# every Newton iteration of the package stops after this many steps
+_NEWTON_STEPS = 100
+
+
+def newton_root(f, seed, lo, hi, tol):
+    """Root of f inside (lo, hi) by Newton's method from seed.
+
+    f(r) returns (value, derivative).  A step that would leave (lo, hi)
+    goes half way from r to the end it points at instead.  The first step
+    smaller than tol ends the search and returns the iterate it made;
+    _NEWTON_STEPS steps without one raise SolverError.
+    """
+    r = seed
+    for _ in range(_NEWTON_STEPS):
+        value, slope = f(r)
+        step = value / slope
+        nxt = r - step
+        if not lo < nxt < hi:
+            nxt = (r + (lo if step > 0 else hi)) / 2
+        r = nxt
+        if abs(step) < tol:
+            return r
+    raise SolverError(
+        "Newton from %s did not converge in %d steps"
+        % (mp.nstr(seed, 20), _NEWTON_STEPS)
+    )
+
+
+# ----------------------------------------------------------------------
+# truncated power series
 
 _PARITIES = ("even", "odd", "none")
 
@@ -44,8 +81,8 @@ def _combine_parity(p: str, q: str) -> str:
 
 
 @dataclass
-class TruncatedLaurentSeries:
-    """Dense truncated series sum_k coeffs[k] * z**(low+k).
+class PowerSeries:
+    """Dense truncated power series sum_k coeffs[k] * z**k.
 
     ``parity`` is metadata: for an even series every coefficient sitting at
     an odd exponent must be exactly zero (and mirrored for odd).  ``dps``
@@ -53,7 +90,6 @@ class TruncatedLaurentSeries:
     mix series built under different precisions.
     """
 
-    low: int
     coeffs: list
     parity: str = "none"
     dps: int = field(default=0)
@@ -70,60 +106,48 @@ class TruncatedLaurentSeries:
         if self.parity == "none":
             return
         want_odd = self.parity == "odd"
-        for k, c in enumerate(self.coeffs):
-            e = self.low + k
+        for e, c in enumerate(self.coeffs):
             if (e % 2 != 0) != want_odd and c != 0:
                 raise UsageError(
-                    "parity %r violated by nonzero coefficient at exponent %d" % (self.parity, e)
+                    "parity %r violated by nonzero coefficient at exponent %d"
+                    % (self.parity, e)
                 )
 
     def __len__(self):
         return len(self.coeffs)
 
-    @property
-    def high(self) -> int:
-        return self.low + len(self.coeffs) - 1
-
     def coefficient(self, exponent: int) -> mpf:
         """Coefficient of z**exponent (zero outside the stored window)."""
-        k = exponent - self.low
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= exponent < len(self.coeffs):
+            return self.coeffs[exponent]
         return mpf(0)
 
     def evaluate(self, z):
-        """Horner evaluation; z may be real or complex, nonzero if low < 0."""
-        if self.low < 0 and z == 0:
-            raise UsageError("evaluation at 0 with negative low exponent")
+        """Horner evaluation; z may be real or complex."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * z + c
-        return acc * z ** self.low if self.low else acc
+        return acc
 
 
-def _require_same_dps(f: TruncatedLaurentSeries, g: TruncatedLaurentSeries):
+def _require_same_dps(f: PowerSeries, g: PowerSeries):
     if f.dps != g.dps:
         raise UsageError("operands built under different precision contexts")
 
 
-def series_from_coeffs(coeffs: Sequence, low: int = 0, parity: str = "none") -> TruncatedLaurentSeries:
-    return TruncatedLaurentSeries(low=low, coeffs=list(coeffs), parity=parity)
+def series_from_coeffs(coeffs: Sequence, parity: str = "none") -> PowerSeries:
+    return PowerSeries(coeffs=list(coeffs), parity=parity)
 
 
-def series_scale(f: TruncatedLaurentSeries, c) -> TruncatedLaurentSeries:
-    return TruncatedLaurentSeries(
-        low=f.low, coeffs=[mpf(c) * a for a in f.coeffs], parity=f.parity, dps=f.dps
-    )
+def series_scale(f: PowerSeries, c) -> PowerSeries:
+    return PowerSeries(coeffs=[mpf(c) * a for a in f.coeffs], parity=f.parity, dps=f.dps)
 
 
-def series_multiply(
-    f: TruncatedLaurentSeries, g: TruncatedLaurentSeries, T: int
-) -> TruncatedLaurentSeries:
-    """Cauchy product keeping T coefficients from exponent f.low+g.low up."""
+def series_multiply(f: PowerSeries, g: PowerSeries, T: int) -> PowerSeries:
+    """Cauchy product keeping the T lowest coefficients."""
     _require_same_dps(f, g)
     if T < 1:
         raise UsageError("T must be positive")
-    low = f.low + g.low
     n = min(T, len(f) + len(g) - 1)
     out = [mpf(0)] * n
     for i, a in enumerate(f.coeffs):
@@ -134,15 +158,13 @@ def series_multiply(
             b = g.coeffs[j]
             if b != 0:
                 out[i + j] += a * b
-    return TruncatedLaurentSeries(
-        low=low, coeffs=out, parity=_combine_parity(f.parity, g.parity), dps=f.dps
-    )
+    return PowerSeries(coeffs=out, parity=_combine_parity(f.parity, g.parity), dps=f.dps)
 
 
-def series_reciprocal(f: TruncatedLaurentSeries, T: int) -> TruncatedLaurentSeries:
-    """1/f truncated to T coefficients; leading coefficient must be nonzero."""
+def series_reciprocal(f: PowerSeries, T: int) -> PowerSeries:
+    """1/f truncated to T coefficients; f(0) must be nonzero."""
     if not f.coeffs or f.coeffs[0] == 0:
-        raise UsageError("reciprocal needs a nonzero leading coefficient")
+        raise UsageError("reciprocal needs a nonzero constant term")
     a0 = f.coeffs[0]
     inv0 = 1 / a0
     out = [inv0] + [mpf(0)] * (T - 1)
@@ -154,25 +176,19 @@ def series_reciprocal(f: TruncatedLaurentSeries, T: int) -> TruncatedLaurentSeri
                 s += f.coeffs[j] * out[n - j]
         out[n] = -inv0 * s
     parity = f.parity if f.parity == "even" else "none"
-    return TruncatedLaurentSeries(low=-f.low, coeffs=out, parity=parity, dps=f.dps)
+    return PowerSeries(coeffs=out, parity=parity, dps=f.dps)
 
 
-def series_log1p(f: TruncatedLaurentSeries, T: int) -> TruncatedLaurentSeries:
-    """log(1+f) = sum_{k>=1} (-1)^{k+1} f^k / k, truncated at T coefficients.
+def series_log1p(f: PowerSeries, T: int) -> PowerSeries:
+    """log(1+f) = sum_{k>=1} (-1)^{k+1} f^k / k for f(0) = 0, through
+    exponent T.
 
     Computed through the derivative identity (log(1+f))' = f'/(1+f), which
-    yields the same truncated series in O(T^2) coefficient operations. The
-    result starts at exponent 1 (constant term of a logarithm of 1+f is 0)
-    and is returned with low=1 dropped zeros trimmed away implicitly.
+    yields the same truncated series in O(T^2) coefficient operations.
     """
-    if f.low <= 0:
-        raise UsageError("series_log1p requires low >= 1")
-    # densify f onto exponents 1..T
-    a = [mpf(0)] * (T + 1)  # a[e] = coeff of z^e in f
-    for k, c in enumerate(f.coeffs):
-        e = f.low + k
-        if 1 <= e <= T:
-            a[e] = c
+    if f.coefficient(0) != 0:
+        raise UsageError("series_log1p requires f(0) = 0")
+    a = [f.coefficient(e) for e in range(T + 1)]  # a[e] = coeff of z^e in f
     # L' (1+f) = f'  with L = sum l_e z^e:
     # (e) l_e = e*a_e - sum_{j=1}^{e-1} (j l_j) a_{e-j}
     l = [mpf(0)] * (T + 1)
@@ -183,21 +199,17 @@ def series_log1p(f: TruncatedLaurentSeries, T: int) -> TruncatedLaurentSeries:
                 s -= j * l[j] * a[e - j]
         l[e] = s / e
     parity = "even" if f.parity == "even" else "none"
-    return TruncatedLaurentSeries(low=1, coeffs=l[1:], parity=parity, dps=f.dps)
+    return PowerSeries(coeffs=l, parity=parity, dps=f.dps)
 
 
-def series_exp0(f: TruncatedLaurentSeries, T: int) -> TruncatedLaurentSeries:
-    """exp(f) for a series with f(0)=0 (low >= 1), truncated at T coefficients.
+def series_exp0(f: PowerSeries, T: int) -> PowerSeries:
+    """exp(f) for f(0) = 0, through exponent T.
 
     Uses E' = f' E, so E_0 = 1 and e*E_e = sum_{j=1}^{e} j a_j E_{e-j}.
     """
-    if f.low <= 0:
-        raise UsageError("series_exp0 requires low >= 1")
-    a = [mpf(0)] * (T + 1)
-    for k, c in enumerate(f.coeffs):
-        e = f.low + k
-        if 1 <= e <= T:
-            a[e] = c
+    if f.coefficient(0) != 0:
+        raise UsageError("series_exp0 requires f(0) = 0")
+    a = [f.coefficient(e) for e in range(T + 1)]  # a[e] = coeff of z^e in f
     E = [mpf(0)] * (T + 1)
     E[0] = mpf(1)
     for e in range(1, T + 1):
@@ -207,27 +219,22 @@ def series_exp0(f: TruncatedLaurentSeries, T: int) -> TruncatedLaurentSeries:
                 s += j * a[j] * E[e - j]
         E[e] = s / e
     parity = "even" if f.parity == "even" else "none"
-    return TruncatedLaurentSeries(low=0, coeffs=E, parity=parity, dps=f.dps)
+    return PowerSeries(coeffs=E, parity=parity, dps=f.dps)
 
 
-def series_derivative(f: TruncatedLaurentSeries) -> TruncatedLaurentSeries:
-    """Term-wise derivative; parity flips, constant terms drop out.
+def series_derivative(f: PowerSeries) -> PowerSeries:
+    """Term-wise derivative; parity flips, the constant term drops out.
 
     Runs at the series' own construction precision so that coefficients
     built under a high-precision context are not rounded down when the
     derivative is taken under a lower ambient one.
     """
     with mp.workdps(max(f.dps, mp.dps)):
-        if f.low == 0:
-            coeffs = [(k + 1) * f.coeffs[k + 1] for k in range(len(f) - 1)]
-            if not coeffs:
-                coeffs = [mpf(0)]
-            low = 0
-        else:
-            coeffs = [(f.low + k) * f.coeffs[k] for k in range(len(f))]
-            low = f.low - 1
+        coeffs = [(k + 1) * f.coeffs[k + 1] for k in range(len(f) - 1)]
+        if not coeffs:
+            coeffs = [mpf(0)]
         parity = {"even": "odd", "odd": "even"}.get(f.parity, "none")
-        return TruncatedLaurentSeries(low=low, coeffs=coeffs, parity=parity, dps=f.dps)
+        return PowerSeries(coeffs=coeffs, parity=parity, dps=f.dps)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,8 @@ twice the digits the last step is known to hold, up to the working
 precision; there the first step within the noise floor 10^-(dps-6) of S,
 from an iterate made at that precision, ends the solve.  The sweep at the
 final iterate is the eigenpair.
-With a fixed, Newton on g alone over the same sweep is ground_eigenpair.
+With a fixed, ground_eigenpair runs the package's scalar Newton
+(mpcore.newton_root) on g alone over the same sweep.
 
 Step 1 rests on the decay of the eigenvector: the root moves with N by
 about the last entry xi_N (measured: 1e-31, 1e-78, 1e-191, 1e-454 at
@@ -55,11 +56,7 @@ from typing import Optional
 
 from mpmath import mp, mpf
 
-from .mpcore import UsageError, decimal_truncated
-
-
-class SolverError(RuntimeError):
-    """Numerical failure: residual bound or certification not reached."""
+from .mpcore import _NEWTON_STEPS, SolverError, UsageError, decimal_truncated, newton_root
 
 
 # ----------------------------------------------------------------------
@@ -101,13 +98,12 @@ class EigenPair:
     residual: mpf = field(default_factory=lambda: mpf(0))
 
 
-# Work bounds and the precision schedule.  Every Newton loop stops after
-# _NEWTON_STEPS sweeps.  The side-condition root is seeded at _SEED_DPS
-# digits on _SEED_N rows; solve_constants searches it in _BRACKET, works
-# at _GUARD digits past the request (twice that in its second run),
-# truncates at twice the first power of two from _N_FLOOR whose tail
-# clears its digits, and no truncation passes _N_CAP.
-_NEWTON_STEPS = 100
+# Work bounds and the precision schedule.  The side-condition Newton stops
+# after _NEWTON_STEPS sweeps, the bound of mpcore.newton_root.  Its root is
+# seeded at _SEED_DPS digits on _SEED_N rows; solve_constants searches it
+# in _BRACKET, works at _GUARD digits past the request (twice that in its
+# second run), truncates at twice the first power of two from _N_FLOOR
+# whose tail clears its digits, and no truncation passes _N_CAP.
 _BRACKET = ("1.44", "1.46")
 _GUARD = 18
 _SEED_DPS = 20
@@ -207,36 +203,19 @@ def _checked_pair(sys: TridiagonalSystem, lam, xi) -> EigenPair:
 def ground_eigenpair(sys: TridiagonalSystem) -> EigenPair:
     """Smallest eigenpair of the truncated system, normalized xi[0] = 1.
 
-    Newton on the row-0 condition g of the backward sweep, started from
-    a/3, the top of the interval [0, a/3] that holds the eigenvalue.  The
-    sweep at the converged lambda is the eigenvector.  Iterates must stay
-    below 2 - a, where the sweep is positive and the ground eigenvalue is
-    the only one; the residual ||(T - lambda) xi|| / ||xi|| must reach
-    10^-(dps-5).  Either failure, or no convergence in _NEWTON_STEPS
-    sweeps, raises SolverError.
+    mpcore.newton_root on the row-0 condition g of the backward sweep,
+    started from a/3, the top of the interval [0, a/3] that holds the
+    eigenvalue, inside (a - 2, 2 - a): below 2 - a the sweep is positive
+    and the ground eigenvalue is the only one.  It stops at a step within
+    10^-(dps-2); one more sweep at that lambda is the eigenvector, whose
+    residual ||(T - lambda) xi|| / ||xi|| must reach 10^-(dps-5).  Either
+    failure, or no convergence in _NEWTON_STEPS sweeps, raises SolverError.
     """
     if not (0 < sys.a < mpf(3) / 2):
         raise UsageError("ground_eigenpair requires 0 < a < 3/2")
-    lam = sys.a / 3
     tol = mpf(10) ** (-(mp.dps - 2))
-    converged = False
-    for _ in range(_NEWTON_STEPS):
-        xi, g, dg, _extra = _sweep(sys, lam)
-        if converged:
-            break
-        step = g / dg
-        lam -= step
-        if not lam < 2 - sys.a:
-            raise SolverError(
-                "eigenvalue Newton left lambda < 2 - a " + _where(sys.N, sys.a, lam)
-            )
-        converged = abs(step) <= tol * max(1, abs(lam))
-    else:
-        raise SolverError(
-            "eigenvalue Newton did not converge in %d steps %s"
-            % (_NEWTON_STEPS, _where(sys.N, sys.a, lam))
-        )
-    return _checked_pair(sys, lam, xi)
+    lam = newton_root(lambda x: _sweep(sys, x)[1:3], sys.a / 3, sys.a - 2, 2 - sys.a, tol)
+    return _checked_pair(sys, lam, _sweep(sys, lam)[0])
 
 
 def assert_ground_invariants(pair: EigenPair, a) -> None:

@@ -145,11 +145,30 @@ def test_verify_summation_payload_pinned(capsys):
     ]
 
 
+def test_verify_residual_payloads_pinned(capsys):
+    # in process, at the benchmark's digits: the printed discrepancies of
+    # the residual and transform suites hold every digit through changes
+    # to the Taylor models, the zero Newton and the reflection samples
+    from pwextremal.cli import main
+
+    pinned = {
+        "ode": ["4.210342109e-45", "2.629675564e-56"],
+        "functional": ["8.407662363e-56"],
+        "quadratic": ["3.344379696e-45", "2.610121787e-54"],
+        "fourier": ["6.985144713e-51", "1.85931756e-51", "0.0", "1.08142665e-56"],
+    }
+    for suite, discrepancies in pinned.items():
+        assert main(["verify", "--suite", suite, "--digits", "30"]) == 0, suite
+        report = json.loads(capsys.readouterr().out)
+        assert [c["discrepancy"] for c in report["checks"]] == discrepancies, suite
+
+
 def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
     # in process, with no solve: past the --digits whose default window
     # order (digits // 2) or Legendre pair count (digits // 3 + 8) passes
     # its cap, the command is a usage error naming the largest --digits;
-    # at that --digits it goes on to the solve
+    # at that --digits it goes on to the solve.  The same holds for an
+    # explicit --terms past its target's cap, and the error names --terms
     from pwextremal import cli
 
     def solve(digits):
@@ -169,6 +188,16 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
     # a c-basis order given within its cap lifts the limit on --digits
     argv = ["export", "c-basis", "--digits", "100", "--terms", "40"]
     assert cli.main(argv) == 1
+    for target, outside, inside, message in (
+        ("legendre", 128, 127, "--terms 127 or less"),
+        ("c-basis", 41, 40, "--terms 40 or less"),
+        ("h", 1, 2, "--terms 2 or more"),
+    ):
+        argv = ["export", target, "--digits", "30", "--terms"]
+        assert cli.main(argv + [str(outside)]) == 2, target
+        assert message in capsys.readouterr().err
+        assert cli.main(argv + [str(inside)]) == 1, target
+        assert "solve reached" in capsys.readouterr().err
 
 
 def test_verify_exit_code_reflects_failure():

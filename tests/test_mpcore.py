@@ -1,5 +1,6 @@
-"""Tests for the arithmetic substrate: series algebra, Legendre machinery,
-the Dirichlet beta function and truncated decimal output."""
+"""Tests for the arithmetic substrate: series algebra, the scalar Newton,
+Legendre machinery, the Dirichlet beta function and truncated decimal
+output."""
 
 import random
 from fractions import Fraction
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 from mpmath import mp, mpf
 
+from pwextremal import mpcore
 from pwextremal.mpcore import (
-    TruncatedLaurentSeries,
+    SolverError,
     UsageError,
     alternating_halfinteger_tail,
     beta_numeric,
@@ -17,6 +19,7 @@ from pwextremal.mpcore import (
     decimal_truncated,
     legendre_eval,
     legendre_pair,
+    newton_root,
     series_exp0,
     series_from_coeffs,
     series_log1p,
@@ -36,23 +39,14 @@ def test_multiply_difference_of_squares():
     f = series_from_coeffs([1, 1])
     g = series_from_coeffs([1, -1])
     h = series_multiply(f, g, 3)
-    assert h.low == 0
     assert h.coeffs[0] == 1
     assert h.coeffs[1] == 0
     assert h.coeffs[2] == -1
 
 
-def test_multiply_low_exponents_add():
-    f = TruncatedLaurentSeries(low=-1, coeffs=[mpf(1)])
-    g = TruncatedLaurentSeries(low=1, coeffs=[mpf(1)])
-    h = series_multiply(f, g, 1)
-    assert h.low == 0
-    assert h.coeffs == [mpf(1)]
-
-
 def test_multiply_parity_algebra():
     even = series_from_coeffs([1, 0, 2], parity="even")
-    odd = TruncatedLaurentSeries(low=1, coeffs=[mpf(3), mpf(0), mpf(5)], parity="odd")
+    odd = series_from_coeffs([0, 3, 0, 5], parity="odd")
     assert series_multiply(even, even, 5).parity == "even"
     assert series_multiply(odd, odd, 5).parity == "even"
     assert series_multiply(even, odd, 5).parity == "odd"
@@ -90,16 +84,16 @@ def test_parity_violation_rejected():
 
 
 def test_log1p_mercator():
-    f = TruncatedLaurentSeries(low=1, coeffs=[mpf(1)])
+    f = series_from_coeffs([0, 1])
     L = series_log1p(f, 3)
-    assert L.low == 1
-    assert L.coeffs[0] == 1
-    assert abs(L.coeffs[1] + mpf(1) / 2) < mpf(10) ** -35
-    assert abs(L.coeffs[2] - mpf(1) / 3) < mpf(10) ** -35
+    assert L.coeffs[0] == 0
+    assert L.coeffs[1] == 1
+    assert abs(L.coeffs[2] + mpf(1) / 2) < mpf(10) ** -35
+    assert abs(L.coeffs[3] - mpf(1) / 3) < mpf(10) ** -35
 
 
 def test_log1p_substitution():
-    f = TruncatedLaurentSeries(low=2, coeffs=[mpf(-1)], parity="even")
+    f = series_from_coeffs([0, 0, -1], parity="even")
     L = series_log1p(f, 6)
     # -z^2 - z^4/2 - z^6/3
     assert L.coefficient(2) == -1
@@ -119,8 +113,8 @@ def test_exp_log_roundtrip_random():
     rng = random.Random(2024)
     for trial in range(5):
         T = rng.randrange(8, 33)
-        coeffs = [mpf(rng.uniform(-1, 1)) for _ in range(T - 1)]
-        f = TruncatedLaurentSeries(low=1, coeffs=coeffs)
+        coeffs = [mpf(0)] + [mpf(rng.uniform(-1, 1)) for _ in range(T - 1)]
+        f = series_from_coeffs(coeffs)
         back = series_exp0(series_log1p(f, T), T)
         assert back.coeffs[0] == 1
         for e in range(1, T):
@@ -151,11 +145,24 @@ def test_add_and_scale():
     assert series_scale(f, 3).coeffs == [mpf(3), mpf(6)]
 
 
-def test_evaluate_laurent():
-    f = TruncatedLaurentSeries(low=-1, coeffs=[mpf(2), mpf(0), mpf(1)])
-    assert abs(f.evaluate(mpf(2)) - (1 + 2)) < mpf(10) ** -35
-    with pytest.raises(UsageError):
-        f.evaluate(0)
+def test_newton_root_halves_toward_the_bracket():
+    # plain Newton on atan diverges from 1.5 (it oscillates outward from
+    # any |x| > 1.39); the half-way rule keeps it in (-2, 2) and it lands
+    f = lambda x: (mp.atan(x), 1 / (1 + x * x))
+    root = newton_root(f, mpf("1.5"), -2, 2, mpf(10) ** -30)
+    assert abs(root) < mpf(10) ** -30
+
+
+def test_newton_root_gives_up_naming_the_seed():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x * x + 1, 2 * x
+
+    with pytest.raises(SolverError, match=r"from 0\.3 did not converge in 100 steps"):
+        newton_root(f, mpf("0.3"), -10, 10, mpf(10) ** -30)
+    assert len(calls) == mpcore._NEWTON_STEPS == 100
 
 
 def test_legendre_values():
