@@ -12,9 +12,10 @@ byte-identical.  What backs the printed constants: two solves, at guard g
 and 2g extra digits, agree to 10^-(digits+1), and the truncation size N is
 picked from an estimate of the eigenvector's tail decay, not from a proved
 bound.  Each run also emits a manifest recording the command, parameters,
-and output files: as a ``.manifest.json`` sidecar in file mode, as one
-line on stderr otherwise (the manifest carries a timestamp, which is why
-it never shares the payload channel).
+and output files: as a ``.manifest.json`` sidecar beside a regular
+--out file, as one line on stderr otherwise, a device --out included
+(the manifest carries a timestamp, which is why it never shares the
+payload channel).
 
 Exit codes: 0 on success and on a verify run whose theorem-backed checks
 all pass; 1 on solver or certification failure, or on any failed check;
@@ -28,6 +29,8 @@ import argparse
 import csv
 import io
 import json
+import os
+import stat
 import sys
 from datetime import datetime, timezone
 
@@ -569,15 +572,21 @@ def _manifest(args) -> dict:
 
 
 def _emit(args, payload: str) -> None:
+    """Payload to --out or stdout; the manifest to a sidecar beside a
+    regular --out file, else (stdout, or a device such as /dev/null) as
+    one line on stderr."""
     manifest = _manifest(args)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
-        with open(args.out + ".manifest.json", "w") as fh:
-            fh.write(json.dumps(manifest, indent=2) + "\n")
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        if regular:
+            with open(args.out + ".manifest.json", "w") as fh:
+                fh.write(json.dumps(manifest, indent=2) + "\n")
+            return
     else:
         sys.stdout.write(payload)
-        print(json.dumps(manifest), file=sys.stderr)
+    print(json.dumps(manifest), file=sys.stderr)
 
 
 def main(argv=None) -> int:

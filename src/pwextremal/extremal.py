@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_cos_sin, mpf_rdiv_int, to_fixed
+from mpmath.libmp import mpf_cos_sin, mpf_pi, mpf_rdiv_int, to_fixed
 
 from .mpcore import (
     PowerSeries,
@@ -828,6 +828,17 @@ def summation_check(
 # with u > 1, each Horner step can magnify an earlier error by u, so the
 # fixed point carries 2 bits a step beyond the 20 guard bits; the error
 # budget is in the docstring of _bessel_series_eval.
+#
+# The phase form places the zeros.  Every A_m and B_m vanishes at u = 0,
+# so A = u a(u) and B = u b(u), and F = u R(u) sin(x + psi(u)) with
+# R = sqrt(a^2 + b^2) and psi = atan2(b, a), a power series in u built
+# once per ladder (_phase_series).  The k-th zero solves
+# x + psi(1/x) = k pi, so past a head of three zeros, found by a
+# sign-change scan, each zero is seeded by the fixed point
+# x <- k pi - psi(1/x).  The seed is only a seed: mpcore.newton_root on F
+# itself certifies each zero by a step under 10^-(digits+5), and a seed
+# that is poor, or falls outside the Newton bracket, costs extra steps,
+# never a wrong zero.
 
 @dataclass(frozen=True)
 class _BesselSeries:
@@ -940,15 +951,64 @@ def _bessel_series_eval(series: _BesselSeries, x):
     return mpf((val, -wp)), mpf((der, -wp))
 
 
+def _phase_series(series: _BesselSeries, u_max) -> list:
+    """Coefficients psi_0, psi_1, ... of the phase psi(u) = atan2(b, a)
+    of F, A = u a(u) and B = u b(u), for the fixed point at
+    wp = prec + 20 bits that evaluates it.
+
+    psi_0 = atan2(b_0, a_0), and psi' = (a b' - b a') / (a^2 + b^2) is
+    built with the series algebra of mpcore at the working precision and
+    integrated term by term.  Terms are taken up to the first two in a
+    row with |psi_k| u_max^k < 2^-wp (two, because a and b may be close
+    to even and odd, and psi then close to odd); the window of terms
+    doubles from twice the length of a until they appear in it, or up to
+    wp terms, past which the whole window is kept.  Then the seeds may be
+    poor, but the zeros do not depend on them.
+    """
+    wp = mp.prec + _HORNER_GUARD_BITS
+    a = series_from_coeffs([mpf((c, -series.wp)) for c in series.sin_poly[1:]])
+    b = series_from_coeffs([mpf((c, -series.wp)) for c in series.cos_poly[1:]])
+    da, db = series_derivative(a), series_derivative(b)
+    T = 2 * len(a)
+    num = series_from_coeffs([p - q for p, q in zip(
+        series_multiply(a, db, T).coeffs, series_multiply(b, da, T).coeffs
+    )])
+    den = series_from_coeffs([p + q for p, q in zip(
+        series_multiply(a, a, T).coeffs, series_multiply(b, b, T).coeffs
+    )])
+    floor = mpf(2) ** -wp
+    while True:
+        slope = series_multiply(num, series_reciprocal(den, T), T).coeffs
+        psi = [mp.atan2(b.coeffs[0], a.coeffs[0])]
+        psi += [c / (k + 1) for k, c in enumerate(slope)]
+        small = [abs(c) * u_max ** k < floor for k, c in enumerate(psi)]
+        K = next((k for k in range(1, T) if small[k] and small[k + 1]), None)
+        if K is not None or T >= wp:
+            return psi[:K]
+        T *= 2
+
+
+# fixed-point steps x <- k pi - psi(1/x) at most per seed
+_SEED_STEPS = 8
+
+
 def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
     """First `count` positive zeros of the Bessel-series eigenfunction.
 
-    The head of three zeros is located by a sign-change scan; from there
-    each seed extrapolates the last three zeros by their second difference
-    (consecutive gaps approach pi, differing from it by O(1/x^2)), and
-    mpcore.newton_root finishes inside half a gap either side of linear
-    continuation.  Loss of monotonicity or a non-converging Newton reports
-    a solver failure rather than bad zeros.
+    The head of three zeros is located by a sign-change scan.  Past it
+    the k-th zero solves x + psi(1/x) = k pi, psi the phase series of F
+    (see _phase_series), with k read off the last head zero as the
+    nearest integer to (x + psi(1/x)) / pi.  Each seed starts from the
+    second difference of the last three zeros (consecutive gaps approach
+    pi, differing from it by O(1/x^2)) and runs x <- k pi - psi(1/x) in
+    fixed point at prec + 20 bits, until a step is under
+    10^-(digits+5) 2^-10 or after _SEED_STEPS steps; as x grows, the last
+    terms of psi that fall under one unit are dropped.
+    mpcore.newton_root then finishes inside half a gap either side of
+    linear continuation, and its step under 10^-(digits+5), not the seed,
+    certifies the zero; a seed that leaves that bracket is replaced by
+    the second difference.  Loss of monotonicity or a non-converging
+    Newton reports a solver failure rather than bad zeros.
     """
     target = mpf(10) ** (-(digits + 5))
     zeros = []
@@ -971,14 +1031,48 @@ def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
         pv = v
     if len(zeros) < min(count, 3):
         raise SolverError("zero scan found no ladder head at this drift")
+    if len(zeros) >= count:
+        return zeros[:count]
+
+    wp = mp.prec + _HORNER_GUARD_BITS
+    phase = [to_fixed(c._mpf_, wp) for c in _phase_series(series, 1 / zeros[-1])]
+    pi = to_fixed(mpf_pi(wp), wp)
+    small = to_fixed((target / 1024)._mpf_, wp)
+
+    def psi(X):
+        u = (1 << 2 * wp) // X
+        acc = 0
+        for c in reversed(phase):
+            acc = (acc * u >> wp) + c
+        return acc
+
+    z3, z2, z1 = (to_fixed(z._mpf_, wp) for z in zeros)
+    k = (z1 + psi(z1) + pi // 2) // pi
     while len(zeros) < count:
-        gap = zeros[-1] - zeros[-2]
-        seed = zeros[-1] + 2 * gap - (zeros[-2] - zeros[-3])
-        nxt = refine(seed, zeros[-1] + gap / 2, zeros[-1] + 3 * gap / 2)
-        if nxt <= zeros[-1]:
+        k += 1
+        gap = z1 - z2
+        guess = z1 + 2 * gap - (z2 - z3)
+        lo, hi = z1 + gap // 2, z1 + 3 * gap // 2
+        # a last term under one unit at x = lo stays under it at every
+        # later x: |psi_j| < 2^(j e) <= lo^j, e = floor(log2 lo)
+        e = (lo >> wp).bit_length() - 1
+        while len(phase) > 1 and abs(phase[-1]).bit_length() <= (len(phase) - 1) * e:
+            phase.pop()
+        X = guess
+        for _ in range(_SEED_STEPS):
+            nxt = k * pi - psi(X)
+            done = abs(nxt - X) < small
+            X = nxt
+            if done or not lo < X < hi:
+                break
+        if not lo < X < hi:
+            X = guess
+        root = refine(mpf((X, -wp)), mpf((lo, -wp)), mpf((hi, -wp)))
+        if root <= zeros[-1]:
             raise SolverError("zero ladder lost monotonicity")
-        zeros.append(nxt)
-    return zeros[:count]
+        zeros.append(root)
+        z3, z2, z1 = z2, z1, to_fixed(root._mpf_, wp)
+    return zeros
 
 
 def summation_system(a, count: int, digits: int = 20):
@@ -987,11 +1081,16 @@ def summation_system(a, count: int, digits: int = 20):
 
     Returns (a_param, zeros) ready for :func:`summation_check`: positive
     entries are the scaled zeros of the alternating Bessel series, negative
-    entries the reflected zeros of its companion, merged in increasing
-    absolute value.  They must interleave; two neighbours of one sign, or
-    of opposite signs within 10^-(digits+5) of each other, are reported as
-    a solver failure.  At the extremal drift the result reproduces 1/(2C)
-    and the signed tau ladder.
+    entries the reflected zeros of its companion, in increasing absolute
+    value.  Both ladders come from _bessel_zero_ladder: phase-series
+    seeds, each zero certified by a Newton step under 10^-(digits+5).
+    The two increasing ladders must interleave, so they are merged by
+    taking their zeros in turn, starting from the smaller first zero, and
+    one pass checks that the merged values increase by more than
+    10^-(digits+5): a decrease means two neighbours of one sign and a
+    smaller rise a collision, both reported as a solver failure.  Each
+    zero is scaled by +-2/pi with one multiply.  At the extremal drift
+    the result reproduces 1/(2C) and the signed tau ladder.
     """
     if count < 2:
         raise UsageError("count must be at least 2")
@@ -1003,21 +1102,26 @@ def summation_system(a, count: int, digits: int = 20):
         half = count // 2 + 2
         plus = _bessel_zero_ladder(_bessel_series(xi, True), half, digits)
         minus = _bessel_zero_ladder(_bessel_series(xi, False), half, digits)
-        merged = sorted(
-            [(t, 1) for t in plus] + [(t, -1) for t in minus], key=lambda p: p[0]
-        )
-        collision = mpf(10) ** (-(digits + 5))
-        for (t1, s1), (t2, s2) in zip(merged, merged[1:]):
-            if s1 == s2:
-                raise SolverError("zero ladders do not interleave at a=%s" % a)
-            if t2 - t1 <= collision:
-                raise SolverError(
-                    "zeros of the two ladders collide at %s (a=%s)"
-                    % (mp.nstr(t1, 15), a)
-                )
         scale = 2 / mp.pi
-        out = [s * scale * t for t, s in merged[:count]]
-        return a * scale, out
+        if plus[0] <= minus[0]:
+            pairs, scales = zip(plus, minus), (scale, -scale)
+        else:
+            pairs, scales = zip(minus, plus), (-scale, scale)
+        collision = mpf(10) ** (-(digits + 5))
+        out = []
+        prev = None
+        for pair in pairs:
+            for t, s in zip(pair, scales):
+                if prev is not None and t - prev <= collision:
+                    if t < prev:
+                        raise SolverError("zero ladders do not interleave at a=%s" % a)
+                    raise SolverError(
+                        "zeros of the two ladders collide at %s (a=%s)"
+                        % (mp.nstr(prev, 15), a)
+                    )
+                out.append(s * t)
+                prev = t
+        return a * scale, out[:count]
 
 
 def constant_from_zeros_alternating(consts: ExtremalConstants, M: int = None):

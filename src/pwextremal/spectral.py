@@ -274,9 +274,16 @@ def truncation_size(digits: int) -> int:
     power of two from _N_FLOOR whose tail estimate clears 10^-(digits+5).
 
     The factor two keeps the N a truncation ladder doubling from _N_FLOOR
-    reaches when it stops one rung after the root stands still.
+    reaches when it stops one rung after the root stands still.  An N
+    past _N_CAP, before or after the factor two, raises UsageError.
     """
-    return 2 * _tail_size(_N_FLOOR, digits + 5)
+    N = 2 * _tail_size(_N_FLOOR, digits + 5)
+    if N > _N_CAP:
+        raise UsageError(
+            "%d digits need a truncation of N=%d, past the cap N=%d"
+            % (digits, N, _N_CAP)
+        )
+    return N
 
 
 def _side_root(N: int, bracket, start=None):

@@ -6,9 +6,11 @@ sees them.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -16,12 +18,21 @@ from mpmath import mp, mpf
 from refvals import C_REF, H0_REF, L1_REF
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*argv):
+    # the child finds the package from src, as pytest's own process does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
     return subprocess.run(
         [sys.executable, "-m", "pwextremal"] + list(argv),
         capture_output=True,
         text=True,
         timeout=600,
+        env=env,
     )
 
 
@@ -231,6 +242,24 @@ def test_out_writes_payload_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "constants.json.manifest.json").read_text())
     assert manifest["command"] == "constants"
     assert manifest["outputs"] == [str(target)]
+
+
+def test_out_to_a_device_puts_the_manifest_on_stderr(capsys):
+    # in process: a device --out gets no sidecar beside it
+    from pwextremal.cli import main
+
+    sidecar = os.devnull + ".manifest.json"
+    try:
+        assert main(["constants", "--digits", "12", "--out", os.devnull]) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        manifest = json.loads(err.strip().splitlines()[-1])
+        assert manifest["command"] == "constants"
+        assert manifest["outputs"] == [os.devnull]
+        assert not os.path.exists(sidecar)
+    finally:
+        if os.path.isfile(sidecar):
+            os.remove(sidecar)
 
 
 def test_export_rho_coefficients():

@@ -236,6 +236,14 @@ def test_truncation_size_chosen_in_advance():
     ]
 
 
+def test_truncation_size_checks_the_cap_after_doubling():
+    # 15000 digits clear their tail at N' = 4096, within the cap, but the
+    # doubled N = 8192 is past it
+    with pytest.raises(UsageError, match="15000 digits.*8192.*cap N=4096"):
+        truncation_size(15000)
+    assert truncation_size(12000) == 4096
+
+
 def test_solve_constants_thousand_digits(sweeps):
     consts = solve_constants(1000)
     assert consts.N == 512
