@@ -120,17 +120,11 @@ def _bound(args, drop: int):
     return mpf(10) ** (-e)
 
 
-def _zero_model(consts, cache: dict):
-    if "zeros" not in cache:
-        cache["zeros"] = build_zero_model(consts)
-    return cache["zeros"]
-
-
 # ----------------------------------------------------------------------
 # verification suites
 
 
-def _suite_ode(consts, args, cache):
+def _suite_ode(consts, args):
     b = _bound(args, 10)
     return [
         _entry(
@@ -148,7 +142,7 @@ def _suite_ode(consts, args, cache):
     ]
 
 
-def _suite_functional(consts, args, cache):
+def _suite_functional(consts, args):
     b = _bound(args, 10)
     return [
         _entry(
@@ -160,7 +154,7 @@ def _suite_functional(consts, args, cache):
     ]
 
 
-def _suite_quadratic(consts, args, cache):
+def _suite_quadratic(consts, args):
     b = _bound(args, 10)
     return [
         _entry(
@@ -178,26 +172,17 @@ def _suite_quadratic(consts, args, cache):
     ]
 
 
-def _test_function(x):
-    # odd, exponential type pi, |f(x)| <= (5/pi)^5 x^-4 beyond the origin
-    if x == 0:
-        return mpf(0)
-    u = mp.pi * x / 5
-    return x * (mp.sin(u) / u) ** 5
-
-
-def _suite_summation(consts, args, cache):
+def _suite_summation(consts, args):
     count = args.count
     slack = mpf(10) ** (
         -(args.tolerance_exponent if args.tolerance_exponent is not None else 10)
     )
-    model = _zero_model(consts, cache)
+    model = build_zero_model(consts)
     out = []
     with mp.workdps(args.digits + 15):
-        decay = (mpf(5) / mp.pi) ** 5
         mu1 = zeros_signed(model, count)
         a1 = 2 * mpf(consts.a_star) / mp.pi
-        rep = summation_check(consts, _test_function, 1, a1, mu1, decay)
+        rep = summation_check(consts, a1, mu1)
         out.append(
             _entry(
                 "summation-extremal",
@@ -207,7 +192,7 @@ def _suite_summation(consts, args, cache):
             )
         )
         a2, mu2 = summation_system(mpf(1), count, digits=20)
-        rep2 = summation_check(consts, _test_function, 1, a2, mu2, decay)
+        rep2 = summation_check(consts, a2, mu2)
         out.append(
             _entry(
                 "summation-second-system",
@@ -223,7 +208,7 @@ def _suite_summation(consts, args, cache):
     return out
 
 
-def _suite_fourier(consts, args, cache):
+def _suite_fourier(consts, args):
     d = args.digits
     band = build_band_transform(consts)
     leg = legendre_band_coefficients(consts)
@@ -260,14 +245,13 @@ def _suite_fourier(consts, args, cache):
     ]
 
 
-def _suite_lseries(consts, args, cache):
-    model = _zero_model(consts, cache)
+def _suite_lseries(consts, args):
     out = []
-    out.extend(check_Lodd(consts, model, 3))
-    out.extend(check_residue_identity(consts, model, 3))
+    out.extend(check_Lodd(consts, 3))
+    out.extend(check_residue_identity(consts, 3))
     with mp.workdps(args.digits + 25):
-        plus2 = l_series(consts, model, "plus", 2)
-        minus1 = l_series(consts, model, "minus", 1)
+        plus2 = l_series(consts, "plus", 2)
+        minus1 = l_series(consts, "minus", 1)
         C = mpf(consts.C)
         disc = abs(plus2.value + 4 * C * minus1.value)
     out.append(_entry("even-odd-bridge", {"s": 2}, disc, _bound(args, 5)))
@@ -275,8 +259,8 @@ def _suite_lseries(consts, args, cache):
         -(args.tolerance_exponent if args.tolerance_exponent is not None else 12)
     )
     for kind in ("plus", "minus"):
-        value, _err = brute_force_value(consts, model, kind, 3, n_terms=600)
-        cont = l_series(consts, model, kind, 3)
+        value, _err = brute_force_value(consts, kind, 3, 600)
+        cont = l_series(consts, kind, 3)
         with mp.workdps(args.digits + 25):
             disc = abs(value - cont.value)
         out.append(
@@ -290,9 +274,8 @@ def _suite_lseries(consts, args, cache):
     return out
 
 
-def _suite_conjectures(consts, args, cache):
-    model = _zero_model(consts, cache)
-    out = list(check_symmetry_conjecture(consts, model, 3))
+def _suite_conjectures(consts, args):
+    out = list(check_symmetry_conjecture(consts, 3))
     depth = args.terms if args.terms is not None else 200
     out.append(check_integrality(depth))
     return out
@@ -352,10 +335,9 @@ def _cmd_verify(args):
     if "fourier" in names:
         _check_pairs(args, "verify --suite " + args.suite)
     consts = solve_constants(args.digits)
-    cache = {}
     checks = []
     for name in names:
-        checks.extend(_SUITE_RUNNERS[name](consts, args, cache))
+        checks.extend(_SUITE_RUNNERS[name](consts, args))
     failed = sum(1 for c in checks if c.get("status") == "fail")
     payload = {
         "suite": args.suite,
@@ -426,12 +408,11 @@ def _cmd_export(args):
         raise UsageError("export h needs --terms 2 or more")
     consts = solve_constants(args.digits)
     if args.what == "lvalues":
-        model = build_zero_model(consts)
         top = args.terms if args.terms is not None else 6
         values = []
         for s in range(1, top + 1):
             for kind in ("minus", "plus"):
-                values.append(l_series(consts, model, kind, s).to_json_dict())
+                values.append(l_series(consts, kind, s).to_json_dict())
         if args.format == "json":
             payload = {"table": "lvalues", "digits": args.digits, "values": values}
             return json.dumps(payload, indent=2) + "\n", 0
@@ -496,8 +477,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--out",
             default=None,
-            help="write the payload to this file (with a .manifest.json sidecar) "
-            "instead of stdout",
+            help="write the payload to this file instead of stdout; the "
+            "manifest goes to a .manifest.json sidecar beside a regular file, "
+            "else to stderr",
         )
 
     p = sub.add_parser("constants", help="compute the certified constants")

@@ -11,8 +11,10 @@ rebuilds the two functions everything else is made of:
   reflection.
 
 Both are truncated power series in z (mpcore.PowerSeries).  On top of
-them sit the zero pipeline (offset expansion tau_n = n + 1/2 -
-rho(1/(n+1/2)) and Newton refinement against the factor series),
+them sit the zero model (offset expansion tau_n = n + 1/2 -
+rho(1/(n+1/2)) and Newton refinement against the factor series; one per
+constants object, built by build_zero_model and kept on the object's
+`zeros` field, its series tail bound checked once, when it is made),
 residual checkers for the differential equations, the quadratic
 Wronskian relation and the reflection identity, the summation identity
 over the zeros with the zero ladders of a second eigenfunction system,
@@ -267,7 +269,7 @@ def taylor_extremal(
 # alternating odd power sums over the zeros, read off the reciprocal
 
 
-def alternating_sums_odd(consts: ExtremalConstants, M: int, digits: int = None):
+def alternating_sums_odd(consts: ExtremalConstants, M: int, digits: int):
     """The first M alternating odd power sums S(1), S(3), .., S(2M-1).
 
     With psi the even minimizer and Theta = -(a/2) z^{-1} / psi, the
@@ -277,7 +279,6 @@ def alternating_sums_odd(consts: ExtremalConstants, M: int, digits: int = None):
     """
     if M < 1:
         raise UsageError("M must be at least 1")
-    digits = digits if digits is not None else consts.digits_certified
     model = taylor_extremal(consts, M + 2, digits=digits, cross_check=False)
     with mp.workdps(model.coeffs.dps):
         recip = series_reciprocal(model.coeffs, 2 * M + 1)
@@ -391,12 +392,27 @@ class ZeroModel:
     crossover n0 the plain series value is taken, within the geometric
     tail bound of rho_tail_bound to the model's digits.  That bound's
     premise (a_m >= 0, sum_m a_m 2^m <= 1/2) is checked on a_1..a_M only.
+
+    The bound is checked here, when the model is made: a bound at
+    n0 + 1 of 10^-digits or more raises UsageError.  It increases in
+    x = 1/(n + 1/2), which decreases in n, so it then holds at every
+    n > n0, and tau and zeros_signed read the model without checks.
+    build_zero_model makes the one model of a constants object and keeps
+    it on the object's `zeros` field.
     """
 
     rho_coeffs: list
     refined: list
     n0: int
     digits: int
+
+    def __post_init__(self):
+        bound = rho_tail_bound(self.M, mpf(2) / (2 * self.n0 + 3))
+        if bound >= mpf(10) ** (-self.digits):
+            raise UsageError(
+                "series tail bound %s too large at n=%d; increase M"
+                % (mp.nstr(bound, 3), self.n0 + 1)
+            )
 
     @property
     def M(self) -> int:
@@ -412,34 +428,20 @@ def tau_series(model: ZeroModel, n: int):
 
 
 def tau(model: ZeroModel, n: int):
-    """n-th zero parameter tau_n; the factor vanishes at (-1)^{n+1} tau_n."""
+    """n-th zero parameter tau_n; the factor vanishes at (-1)^{n+1} tau_n.
+
+    The refined head up to n0, the series value past it, whose tail bound
+    the model checked when it was made."""
     if n < 1:
         raise UsageError("n must be at least 1")
     if n <= model.n0:
         return model.refined[n - 1]
-    X = mpf(2 * n + 1) / 2
-    bound = rho_tail_bound(model.M, 1 / X)
-    if bound >= mpf(10) ** (-model.digits):
-        raise UsageError(
-            "series tail bound %s too large at n=%d; increase M"
-            % (mp.nstr(bound, 3), n)
-        )
     return tau_series(model, n)
 
 
 def zeros_signed(model: ZeroModel, count: int):
-    """The factor's actual zeros (-1)^{n+1} tau_n for n = 1..count.
-
-    The series tail is checked once, by tau at n0 + 1: its bound
-    (x/2)^{M+1} / (2 (1 - x/2)) increases in x = 1/(n + 1/2), which
-    decreases in n, so the check holds for every later n, whose values
-    come from tau_series directly.
-    """
-    checked = model.n0 + 1
-    return [
-        (-1) ** (n + 1) * (tau(model, n) if n <= checked else tau_series(model, n))
-        for n in range(1, count + 1)
-    ]
+    """The factor's actual zeros (-1)^{n+1} tau_n for n = 1..count."""
+    return [(-1) ** (n + 1) * tau(model, n) for n in range(1, count + 1)]
 
 
 def _truncation_order(radius, target_exponent: int) -> int:
@@ -484,26 +486,20 @@ def _factor_near(consts: ExtremalConstants, radius, derivatives: int):
     return factor, series, digits
 
 
-def refine_zeros_newton(consts: ExtremalConstants, n0: int, seeds=None):
-    """Newton-polished tau_1..tau_n0 against the factor's Taylor series,
-    to the certified digits.
+def refine_zeros_newton(consts: ExtremalConstants, seeds):
+    """Newton-polished tau_1..tau_n, n = len(seeds), against the factor's
+    Taylor series, to the certified digits.
 
-    Seeds default to offset-series values from a small model (they land
-    well inside the Newton basins).  mpcore.newton_root searches each
-    zero within half a unit of its seed.  The factor order is chosen so
-    the Taylor truncation at the largest zero sits below the evaluation
-    noise floor, including the exponential cancellation headroom.
+    seeds[n-1] is a value near tau_n (build_zero_model takes the offset
+    series, which lands well inside the Newton basins).
+    mpcore.newton_root searches each zero within half a unit of its
+    seed.  The factor order is chosen so the Taylor truncation at the
+    largest zero sits below the evaluation noise floor, including the
+    exponential cancellation headroom.
     """
-    if n0 < 1:
-        raise UsageError("n0 must be at least 1")
+    if not seeds:
+        raise UsageError("refine_zeros_newton needs at least one seed")
     digits = consts.digits_certified
-    if seeds is None:
-        rho = offset_coefficients(consts, 21, digits=min(digits, 30))
-        with mp.workdps(digits + 15):
-            seeds = [
-                mpf(2 * n + 1) / 2 - rho_series_value(rho, mpf(2) / (2 * n + 1))
-                for n in range(1, n0 + 1)
-            ]
     _factor, (F, dF), wd = _factor_near(consts, float(seeds[-1]) + 1, 1)
 
     def f(w):
@@ -513,7 +509,7 @@ def refine_zeros_newton(consts: ExtremalConstants, n0: int, seeds=None):
     with mp.workdps(wd + 20):
         half = mpf(1) / 2
         tol = mpf(10) ** (-(digits + 5))
-        for n in range(1, n0 + 1):
+        for n in range(1, len(seeds) + 1):
             sign = 1 if n % 2 else -1  # the factor vanishes at sign * tau_n
             w = sign * mpf(seeds[n - 1])
             out.append(sign * newton_root(f, w, w - half, w + half, tol))
@@ -521,14 +517,18 @@ def refine_zeros_newton(consts: ExtremalConstants, n0: int, seeds=None):
 
 
 def build_zero_model(consts: ExtremalConstants) -> ZeroModel:
-    """Offset coefficients a_1..a_M plus a Newton-refined head, to the
-    certified digits, with M = digits / 1.23 + 2.
+    """The zero model of `consts`: offset coefficients a_1..a_M plus a
+    Newton-refined head, to the certified digits, with M = digits / 1.23
+    + 2.  It is made on the first call and kept on consts.zeros, which
+    later calls return.
 
     The crossover n0 is the smallest index whose series tail bound clears
     the digit target with one spare order of magnitude.  A weighted sum
     sum_{m<=M} a_m 2^m above 1/2 breaks the premise of rho_tail_bound and
     raises SolverError.
     """
+    if consts.zeros is not None:
+        return consts.zeros
     digits = consts.digits_certified
     M = int(digits / 1.23) + 2
     rho = offset_coefficients(consts, M, digits=digits)
@@ -551,8 +551,9 @@ def build_zero_model(consts: ExtremalConstants) -> ZeroModel:
             mpf(2 * n + 1) / 2 - rho_series_value(rho, mpf(2) / (2 * n + 1))
             for n in range(1, n0 + 1)
         ]
-    refined = refine_zeros_newton(consts, n0, seeds=seeds)
-    return ZeroModel(rho_coeffs=rho, refined=refined, n0=n0, digits=digits)
+    refined = refine_zeros_newton(consts, seeds)
+    consts.zeros = ZeroModel(rho_coeffs=rho, refined=refined, n0=n0, digits=digits)
+    return consts.zeros
 
 
 # ----------------------------------------------------------------------
@@ -673,11 +674,11 @@ def check_quadratic_relation(consts: ExtremalConstants):
 
 def zero_curvature_residual(consts: ExtremalConstants):
     """Residual of tau_1^2 F''(tau_1) = (1/(2C) - 2 tau_1) F'(tau_1) at the
-    first zero, to the certified digits (the quadratic relation
-    differentiated and restricted to a zero, where it closes without the
-    function term).
+    first zero of the zero model, to the certified digits (the quadratic
+    relation differentiated and restricted to a zero, where it closes
+    without the function term).
     """
-    t = refine_zeros_newton(consts, 1)[0]
+    t = build_zero_model(consts).refined[0]
     factor, (_F, d1, d2), wd = _factor_near(consts, float(t) + 1, 2)
     with mp.workdps(wd + 20):
         lhs = t * t * d2.evaluate(t)
@@ -771,36 +772,39 @@ class SummationReport:
     zeros_used: int
 
 
-def summation_check(
-    consts: ExtremalConstants,
-    f,
-    f_prime_0,
-    a_param,
-    zeros,
-    decay_constant,
-) -> SummationReport:
-    """Defect of a f'(0) = sum_mu (f(mu) - f(-mu)) over the signed zeros.
+def _test_function(x):
+    """f(x) = x sinc(pi x / 5)^5 of summation_check: odd, entire of
+    exponential type pi, f'(0) = 1, |f(x)| <= (5/pi)^5 |x|^-4."""
+    if x == 0:
+        return mpf(0)
+    u = mp.pi * x / 5
+    return x * (mp.sin(u) / u) ** 5
 
-    The test function must be odd, entire of exponential type at most pi
-    and integrable on the line, with |f(x)| <= decay_constant |x|^-4
-    beyond the covered range, which bounds the omitted tail by
-    2 decay_constant (X^-3 / 3 + X^-4), X the largest |mu| summed.  The
-    identity sees only the odd part of f, so oddness loses
-    nothing and halves the work: the sum is taken as 2 sum_mu f(mu).  The
-    zeros are rounded to the working precision, where negation is exact,
-    and f(-mu_1) = -f(mu_1) must hold bit for bit at the first zero, else
-    UsageError.
+
+def summation_check(consts: ExtremalConstants, a_param, zeros) -> SummationReport:
+    """Defect of a f'(0) = sum_mu (f(mu) - f(-mu)) over the signed zeros,
+    for f = _test_function.
+
+    The identity holds for f odd, entire of exponential type at most pi
+    and integrable on the line; |f(x)| <= K |x|^-4, K = (5/pi)^5, bounds
+    the omitted tail by 2 K (X^-3 / 3 + X^-4), X the largest |mu| summed.
+    The identity sees only the odd part of f, so oddness loses nothing
+    and halves the work: the sum is taken as 2 sum_mu f(mu), and f'(0) = 1
+    leaves a alone.  The zeros are rounded to the working precision, where
+    negation is exact, and f(-mu_1) = -f(mu_1) must hold bit for bit at
+    the first zero, else UsageError.
     """
     if not zeros:
         raise UsageError("empty zero list")
+    f = _test_function
     with mp.workdps(max(mp.dps, consts.digits_certified + 10)):
         mu1 = mpf(zeros[0])
         if f(-mu1) != -f(mu1):
             raise UsageError("summation_check needs an odd test function")
         total = 2 * mp.fsum(f(mpf(mu)) for mu in zeros)
-        defect = abs(mpf(a_param) * mpf(f_prime_0) - total)
+        defect = abs(mpf(a_param) - total)
         X = max(abs(mpf(z)) for z in zeros)
-        tail = 2 * mpf(decay_constant) * (X ** -3 / 3 + X ** -4)
+        tail = 2 * (mpf(5) / mp.pi) ** 5 * (X ** -3 / 3 + X ** -4)
     return SummationReport(defect=defect, tail_bound=tail, zeros_used=len(zeros))
 
 
@@ -934,7 +938,10 @@ def _bessel_series_eval(series: _BesselSeries, x):
     x = 1, so under 2^11 units of 2^-(prec+20).
     """
     x = mpf(x)
-    if x < mpf(2) / 5:
+    # x < mpf(2) / 5 in integers: both are multiples of 2^-(prec+1) from
+    # 1/4 on, and 2/5 rounds to the nearest one, (2^(prec+3) + 5) // 10
+    p = mp.prec
+    if to_fixed(x._mpf_, p + 1) < ((1 << (p + 3)) + 5) // 10:
         raise UsageError("Bessel series evaluated only at x >= 2/5")
     wp = series.wp
     cos, sin = mpf_cos_sin(x._mpf_, wp)
@@ -1075,7 +1082,7 @@ def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
     return zeros
 
 
-def summation_system(a, count: int, digits: int = 20):
+def summation_system(a, count: int, digits: int):
     """Drift weight and signed zero set of the eigenfunction system at
     matrix drift a, rescaled from the b = 1 frame to exponential type pi/2.
 

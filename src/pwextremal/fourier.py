@@ -242,14 +242,14 @@ def endpoint_reflection_constants(consts: ExtremalConstants):
 # even-window basis
 
 
-def window_basis_fit(model: BandTransform, K: int):
-    """Least-squares fit of the transform onto (1 - u^2)^n, n = 1..K.
+def window_basis_coefficients(model: BandTransform, K: int) -> list:
+    """Least-squares fit of the transform onto (1 - u^2)^n, n = 1..K:
+    the coefficients of n = 1..K.
 
-    Returns (coefficients, residual) where the residual is the largest
-    reconstruction error over an independent uniform grid on [0, 1];
-    evenness makes the negative half redundant.  Low K gives the classic
-    short window ansatz whose quality is measured, not assumed; K around
-    half the certified digits reaches the precision floor.
+    The fit runs on max(3K, 48) Chebyshev nodes of [0, 1]; evenness makes
+    the negative half redundant.  Low K gives the classic short window
+    ansatz whose quality is measured, not assumed; K around half the
+    certified digits reaches the precision floor.
     """
     if K < 1:
         raise UsageError("K must be at least 1")
@@ -270,20 +270,4 @@ def window_basis_fit(model: BandTransform, K: int):
                 A[i, n] = power
             b[i] = transform_value(model, u, digits=digits + 10)
         solution, _qr_residual = mp.qr_solve(A, b)
-        coeffs = [solution[n] for n in range(K)]
-        worst = mpf(0)
-        for j in range(65):
-            u = mpf(j) / 64
-            t = 1 - u * u
-            fit = mpf(0)
-            power = mpf(1)
-            for n in range(K):
-                power *= t
-                fit += coeffs[n] * power
-            worst = max(worst, abs(fit - transform_value(model, u, digits=digits + 10)))
-    return coeffs, worst
-
-
-def window_basis_coefficients(model: BandTransform, K: int) -> list:
-    """Coefficient list of the (1 - u^2)^n fit; see window_basis_fit."""
-    return window_basis_fit(model, K)[0]
+        return [solution[n] for n in range(K)]

@@ -9,10 +9,13 @@ lattice sums collapse to Hurwitz zeta values.  The one-signed series is
 meromorphic with simple poles on the negative odd integers (and at 1);
 the alternating one is entire.
 
-The continuation carries a certified error bound built from the geometric
-majorant of the offset coefficients (a_m <= 2^{-m-1}), so every reported
-discrepancy in the check functions comes with the bound that justifies
-calling it zero or not.
+The continuation carries an error bound built from the geometric
+majorant of the offset coefficients, a_m <= 2^{-m-1}, so every reported
+discrepancy in the check functions comes with the bound that decides
+calling it zero or not.  That majorant is the premise of the bound, and it
+is checked on the computed a_1..a_M only (see extremal.rho_tail_bound);
+nothing here covers the coefficients past M.  Every function reads the
+one zero model of its constants, extremal.build_zero_model(consts).
 
 check_integrality is the odd one out: it runs the coefficient recursion
 of the even minimizer over the formal symbols b^2 and lambda in Python
@@ -39,6 +42,7 @@ from .spectral import ExtremalConstants
 from .extremal import (
     ZeroModel,
     binomial_tail_expansion,
+    build_zero_model,
     tau,
     tau_series,
     taylor_extremal,
@@ -132,15 +136,10 @@ def _certified_tail(s, J: int, M: int):
     return tail, rho_term
 
 
-def l_series(
-    consts: ExtremalConstants,
-    zeros: ZeroModel,
-    kind: str,
-    s,
-    order: int = None,
-) -> LSeriesValue:
+def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSeriesValue:
     """Continuation value of the zero-ladder series at real s, to the
-    certified digits of `consts`, with the first _N0 zeros summed directly.
+    certified digits of `consts`, with the first _N0 zeros of its zero
+    model summed directly.
 
     The plus kind has simple poles at s = 1 and the negative odd
     integers; there the returned record carries the residue instead of a
@@ -150,11 +149,7 @@ def l_series(
         raise UsageError("kind must be 'plus' or 'minus'")
     _as_real(s)
     digits = consts.digits_certified
-    if zeros.digits < digits:
-        raise UsageError(
-            "zero model certified to %d digits, %d requested"
-            % (zeros.digits, digits)
-        )
+    zeros = build_zero_model(consts)
 
     if kind == "plus" and _is_integer(s) and int(mpf(s)) <= 1 and (1 - int(mpf(s))) % 2 == 0:
         k = int(mpf(s))
@@ -243,7 +238,7 @@ def _status(discrepancy, certified) -> str:
     return "pass" if abs(discrepancy) <= certified else "fail"
 
 
-def check_Lodd(consts: ExtremalConstants, zeros: ZeroModel, m_max: int) -> list:
+def check_Lodd(consts: ExtremalConstants, m_max: int) -> list:
     """Alternating series at the negative odd integers.
 
     The value at -1 must be -1/(4C) and the values at -3, -5, .. must
@@ -253,7 +248,7 @@ def check_Lodd(consts: ExtremalConstants, zeros: ZeroModel, m_max: int) -> list:
     reports = []
     slack = mpf(10) ** (-(digits - 2))
     with mp.workdps(digits + 20):
-        val = l_series(consts, zeros, "minus", -1)
+        val = l_series(consts, "minus", -1)
         target = -1 / (4 * mpf(consts.C))
         disc = val.value - target
         certified = val.error_bound + slack
@@ -261,7 +256,7 @@ def check_Lodd(consts: ExtremalConstants, zeros: ZeroModel, m_max: int) -> list:
             _report("lodd", {"s": -1}, disc, certified, _status(disc, certified))
         )
         for m in range(1, m_max + 1):
-            val = l_series(consts, zeros, "minus", -1 - 2 * m)
+            val = l_series(consts, "minus", -1 - 2 * m)
             certified = val.error_bound + slack
             reports.append(
                 _report(
@@ -272,14 +267,14 @@ def check_Lodd(consts: ExtremalConstants, zeros: ZeroModel, m_max: int) -> list:
                     _status(val.value, certified),
                 )
             )
-        zero_val = l_series(consts, zeros, "minus", 0)
+        zero_val = l_series(consts, "minus", 0)
         report = _report("lodd", {"s": 0}, zero_val.value, zero_val.error_bound, "report-only")
         report["note"] = "no claimed value; reported for the record"
         reports.append(report)
     return reports
 
 
-def check_residue_identity(consts: ExtremalConstants, zeros: ZeroModel, k_max: int) -> list:
+def check_residue_identity(consts: ExtremalConstants, k_max: int) -> list:
     """Residues of the plus series against the alternating odd values.
 
     The residue at s = 1-2k equals, after the phase powers cancel to a
@@ -290,10 +285,10 @@ def check_residue_identity(consts: ExtremalConstants, zeros: ZeroModel, k_max: i
     with mp.workdps(consts.digits_certified + 20):
         C = mpf(consts.C)
         for k in range(1, k_max + 1):
-            pole = l_series(consts, zeros, "plus", 1 - 2 * k)
+            pole = l_series(consts, "plus", 1 - 2 * k)
             if not pole.is_pole:
                 raise SolverError("expected a pole at s=%d" % (1 - 2 * k))
-            odd = l_series(consts, zeros, "minus", 2 * k - 1)
+            odd = l_series(consts, "minus", 2 * k - 1)
             rhs = (
                 (2 / mp.pi)
                 * (-1) ** (k - 1)
@@ -319,7 +314,7 @@ def check_residue_identity(consts: ExtremalConstants, zeros: ZeroModel, k_max: i
     return reports
 
 
-def check_symmetry_conjecture(consts: ExtremalConstants, zeros: ZeroModel, k_max: int) -> list:
+def check_symmetry_conjecture(consts: ExtremalConstants, k_max: int) -> list:
     """Conjectured reflection between the plus values at -2k and 2k.
 
     Report-only by policy: the comparison is
@@ -334,9 +329,9 @@ def check_symmetry_conjecture(consts: ExtremalConstants, zeros: ZeroModel, k_max
         for k in range(1, k_max + 1):
             with mp.workdps(30):
                 J = _expansion_order(float(-2 * k), digits)
-            neg = l_series(consts, zeros, "plus", -2 * k, order=J)
-            neg2 = l_series(consts, zeros, "plus", -2 * k, order=2 * J)
-            pos = l_series(consts, zeros, "plus", 2 * k)
+            neg = l_series(consts, "plus", -2 * k, order=J)
+            neg2 = l_series(consts, "plus", -2 * k, order=2 * J)
+            pos = l_series(consts, "plus", 2 * k)
             rhs = (-1) ** k * pos.value / (2 * mp.pi * C) ** (2 * k)
             disc = neg.value - rhs
             certified = (
@@ -489,15 +484,10 @@ def _em_tail(f_jet, integral):
     return value, abs(d7) / 1209600
 
 
-def brute_force_value(
-    consts: ExtremalConstants,
-    zeros: ZeroModel,
-    kind: str,
-    s,
-    n_terms: int = 4000,
-):
-    """Direct summation of the series for real s > 1, with an
-    Euler-Maclaurin tail (paired terms for the alternating kind).
+def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
+    """Direct summation of the first n_terms terms of the series for real
+    s > 1, with an Euler-Maclaurin tail (paired terms for the alternating
+    kind).
 
     Returns (value, error_estimate).  Shares only the zero model with
     l_series; the tail machinery (adaptive quadrature plus Bernoulli
@@ -510,9 +500,10 @@ def brute_force_value(
     with mp.workdps(25):
         if mpf(s) <= 1:
             raise UsageError("direct summation needs s > 1")
-    digits = min(consts.digits_certified, zeros.digits)
+    digits = consts.digits_certified
     if n_terms < 64:
         raise UsageError("n_terms too small for the tail expansion")
+    zeros = build_zero_model(consts)
     wd = digits + 20
     with mp.workdps(wd):
         s_mp = mpf(s)

@@ -7,7 +7,7 @@ Everything downstream runs on top of the ingredients collected here:
   derivative);
 * :func:`newton_root`, the package's scalar Newton iteration (the 2x2
   side-condition root of :mod:`pwextremal.spectral` is the only other);
-* Legendre polynomial evaluation and Clenshaw summation of Legendre series;
+* Clenshaw summation of Legendre series;
 * the Dirichlet beta function and alternating half-integer tails, through
   Hurwitz zeta values;
 * exact decimal truncation for the serialized output.
@@ -238,23 +238,7 @@ def series_derivative(f: PowerSeries) -> PowerSeries:
 
 
 # ----------------------------------------------------------------------
-# Legendre polynomials
-
-
-def legendre_pair(n: int, x):
-    """(P_n(x), P_{n-1}(x)) by the Bonnet recurrence; P_{-1} taken as 0."""
-    if n < 0:
-        raise UsageError("n must be nonnegative")
-    p_prev, p = mpf(1), x
-    if n == 0:
-        return mpf(1), mpf(0)
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p, p_prev
-
-
-def legendre_eval(n: int, x):
-    return legendre_pair(n, x)[0]
+# Legendre series
 
 
 def clenshaw_legendre(coeffs: Sequence, x):

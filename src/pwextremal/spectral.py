@@ -236,21 +236,7 @@ def assert_ground_invariants(pair: EigenPair, a) -> None:
 
 
 # ----------------------------------------------------------------------
-# the a-dependent side condition and its root
-
-
-def legendre_condition(pair: EigenPair) -> mpf:
-    """S = sum_n (-1)^{floor((n-1)/2)} xi_n (sign pattern -,+,+,-,-,+,...).
-
-    The extremal parameter a is the root of S(a) = 0: vanishing of this
-    alternating endpoint sum is the phase condition picking out the
-    eigenfunction whose zeros interlace correctly.  The solver sums S
-    inside the sweep; this is the plain sum over a stored vector.
-    """
-    total = mpf(0)
-    for n, x in enumerate(pair.xi):
-        total += _side_sign(n) * x
-    return total
+# the truncation size and the side-condition root
 
 
 def _tail_size(N: int, digits: int) -> int:
@@ -273,11 +259,17 @@ def truncation_size(digits: int) -> int:
     """N of the root solve for `digits` decimals: 2 N', where N' is the first
     power of two from _N_FLOOR whose tail estimate clears 10^-(digits+5).
 
-    The factor two keeps the N a truncation ladder doubling from _N_FLOOR
-    reaches when it stops one rung after the root stands still.  An N
-    past _N_CAP, before or after the factor two, raises UsageError.
+    N' alone clears that estimate.  The factor two stays until the planned
+    minimal truncation (ROADMAP.md, "Minimal truncation"), because halving
+    N changes the payload's N field.  An N past _N_CAP, before or after
+    the factor two, raises UsageError naming `digits`.
     """
-    N = 2 * _tail_size(_N_FLOOR, digits + 5)
+    try:
+        N = 2 * _tail_size(_N_FLOOR, digits + 5)
+    except UsageError:
+        raise UsageError(
+            "%d digits need a truncation past N=%d" % (digits, _N_CAP)
+        ) from None
     if N > _N_CAP:
         raise UsageError(
             "%d digits need a truncation of N=%d, past the cap N=%d"
@@ -286,20 +278,21 @@ def truncation_size(digits: int) -> int:
     return N
 
 
-def _side_root(N: int, bracket, start=None):
+def _side_root(N: int, bracket, start):
     """Root (a, lambda) of g = S = 0 on N + 1 rows, at the ambient precision.
 
     Returns (a, pair), pair the ground eigenpair at a from the final sweep,
     checked by its residual and assert_ground_invariants.  Newton starts
-    from start = (a, lambda, the digits they hold), or else from (m, m/3),
-    m the bracket midpoint.  An iterate holding d digits is swept at 2d + 4
-    (at least _SEED_DPS, on _SEED_N rows while there; at most the ambient
-    dps); a step of 10^-k leaves one holding 2k - 2.  The solve ends at a
-    sweep at the ambient dps, of an iterate a step at that dps made, whose
-    step in a and lambda is within 10^-(dps-6), the noise floor of S; an
-    iterate from a lower dps can pass that test with g above the residual
-    gate of _checked_pair.  Leaving the bracket or 0 <= lambda < 2 - a, or
-    _NEWTON_STEPS sweeps without an end, raises SolverError.
+    from start = (a, lambda, the digits they hold), or, when start is
+    None, from (m, m/3), m the bracket midpoint.  An iterate holding d
+    digits is swept at 2d + 4 (at least _SEED_DPS, on _SEED_N rows while
+    there; at most the ambient dps); a step of 10^-k leaves one holding
+    2k - 2.  The solve ends at a sweep at the ambient dps, of an iterate a
+    step at that dps made, whose step in a and lambda is within
+    10^-(dps-6), the noise floor of S; an iterate from a lower dps can pass
+    that test with g above the residual gate of _checked_pair.  Leaving the
+    bracket or 0 <= lambda < 2 - a, or _NEWTON_STEPS sweeps without an
+    end, raises SolverError.
     """
     dps = mp.dps
     lo, hi = mpf(bracket[0]), mpf(bracket[1])
@@ -355,7 +348,10 @@ class ExtremalConstants:
     xi the ground eigenvector at a_star, normalized xi[0] = 1.  dps is the
     working precision of the solve's final run.  frame is the cache of
     extremal.refined_spectral_frame: (dps, a, lambda, xi) from the most
-    precise re-solve so far, or None.
+    precise re-solve so far, or None.  zeros is the cache of
+    extremal.build_zero_model, the one zero model of these constants that
+    every zero, summation and L-series check reads, or None until the
+    first of them asks; its tail bound is checked when it is made.
     """
 
     C: mpf
@@ -367,6 +363,7 @@ class ExtremalConstants:
     digits_certified: int
     dps: int
     frame: Optional[tuple] = field(default=None, compare=False, repr=False)
+    zeros: Optional[object] = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         d = self.digits_certified

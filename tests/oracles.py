@@ -1,0 +1,37 @@
+"""Reference implementations that tests compare the package against.
+
+Each one computes its quantity the plain way, apart from the package's
+own kernels: the Legendre polynomials by the Bonnet recurrence, against
+which the Clenshaw summation is checked, and the side condition S as a
+sum over a stored eigenvector, against which the backward sweep's running
+sum is checked.
+"""
+
+from mpmath import mpf
+
+
+def legendre_pair(n: int, x):
+    """(P_n(x), P_{n-1}(x)) by the Bonnet recurrence; P_{-1} taken as 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    p_prev, p = mpf(1), x
+    if n == 0:
+        return mpf(1), mpf(0)
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, p_prev
+
+
+def legendre_condition(pair) -> mpf:
+    """S = sum_n (-1)^{floor((n-1)/2)} xi_n (sign pattern -,+,+,-,-,+,...)
+    over the eigenvector of an EigenPair.
+
+    The extremal parameter a is the root of S(a) = 0: vanishing of this
+    alternating endpoint sum is the phase condition picking out the
+    eigenfunction whose zeros interlace correctly.  The solver sums S
+    inside its sweep; this is the plain sum over a stored vector.
+    """
+    total = mpf(0)
+    for n, x in enumerate(pair.xi):
+        total += -x if ((n - 1) // 2) % 2 else x
+    return total

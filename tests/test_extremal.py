@@ -134,7 +134,7 @@ def test_envelope_detector_trips(consts30):
 
 def test_odd_sums_closed_forms(consts30):
     C, L1 = _refs()
-    sums = extremal.alternating_sums_odd(consts30, 3)
+    sums = extremal.alternating_sums_odd(consts30, 3, 30)
     with mp.workdps(60):
         L3 = 24 * L1 * C ** 2 + (mp.pi ** 2 / 2 + 2 * L1 ** 2) * C
         L5 = (
@@ -238,7 +238,7 @@ def test_rho_series_value_domain():
 
 
 def test_zero_head_reference_values(consts30):
-    zs = extremal.refine_zeros_newton(consts30, 3)
+    zs = extremal.build_zero_model(consts30).refined
     with mp.workdps(40):
         assert abs(zs[0] - mpf(refvals.TAU1_REF)) < mpf("1e-22")
         assert abs(zs[2] - mpf(refvals.TAU3_REF)) < mpf("1e-22")
@@ -250,7 +250,7 @@ def test_zero_newton_from_a_seed_near_its_bracket_edge(consts30):
     # (restarting at the bracket midpoint would return to the seed)
     with mp.workdps(40):
         tau1 = mpf(refvals.TAU1_REF)
-        (t,) = extremal.refine_zeros_newton(consts30, 1, seeds=[tau1 + mpf("0.4")])
+        (t,) = extremal.refine_zeros_newton(consts30, [tau1 + mpf("0.4")])
         assert abs(t - tau1) < mpf("1e-22")
 
 
@@ -267,7 +267,9 @@ def test_zero_model_interlacing(consts30):
 def test_newton_matches_series_within_tail_bound(consts30):
     model = extremal.build_zero_model(consts30)
     upto = model.n0 + 3
-    refined = extremal.refine_zeros_newton(consts30, upto)
+    with mp.workdps(45):
+        seeds = [extremal.tau_series(model, n) for n in range(1, upto + 1)]
+    refined = extremal.refine_zeros_newton(consts30, seeds)
     with mp.workdps(45):
         for n in range(1, upto + 1):
             series_val = extremal.tau_series(model, n)
@@ -276,22 +278,26 @@ def test_newton_matches_series_within_tail_bound(consts30):
 
 
 def test_tau_gate(consts30):
+    with pytest.raises(UsageError):
+        extremal.tau(extremal.build_zero_model(consts30), 0)
+
+
+def test_zero_model_checks_its_tail_bound_when_made(consts30):
+    # six offset coefficients leave a tail bound near 1e-7 at n = 4, far
+    # above 10^-30: the model is refused when it is made, not when read
     model = extremal.build_zero_model(consts30)
-    stub = extremal.ZeroModel(
-        rho_coeffs=model.rho_coeffs[:6],
-        refined=model.refined[:3],
-        n0=3,
-        digits=model.digits,
-    )
-    with pytest.raises(UsageError):
-        extremal.tau(stub, 4)
-    with pytest.raises(UsageError):
-        extremal.tau(model, 0)
+    with pytest.raises(UsageError, match="tail bound .* at n=4"):
+        extremal.ZeroModel(
+            rho_coeffs=model.rho_coeffs[:6],
+            refined=model.refined[:3],
+            n0=3,
+            digits=model.digits,
+        )
 
 
-def test_zeros_signed_checks_tail_once(consts30, monkeypatch):
-    # the tail bound increases in x = 1/(n + 1/2), so one check at n0 + 1
-    # covers the ladder
+def test_zeros_signed_reads_the_model_unchecked(consts30, monkeypatch):
+    # the model checked its tail bound when it was made, so reading 800
+    # zeros evaluates no bound
     model = extremal.build_zero_model(consts30)
     calls = []
     bound = extremal.rho_tail_bound
@@ -303,21 +309,9 @@ def test_zeros_signed_checks_tail_once(consts30, monkeypatch):
     monkeypatch.setattr(extremal, "rho_tail_bound", counted)
     with mp.workdps(45):
         signed = extremal.zeros_signed(model, 800)
-        assert len(calls) == 1
+        assert calls == []
         for n in (1, model.n0, model.n0 + 1, model.n0 + 2, 800):
             assert signed[n - 1] == (-1) ** (n + 1) * extremal.tau(model, n)
-
-    stub = extremal.ZeroModel(
-        rho_coeffs=model.rho_coeffs[:6],
-        refined=model.refined[:3],
-        n0=3,
-        digits=model.digits,
-    )
-    with pytest.raises(UsageError) as by_tau:
-        extremal.tau(stub, 4)
-    with pytest.raises(UsageError) as by_ladder:
-        extremal.zeros_signed(stub, 4)
-    assert str(by_ladder.value) == str(by_tau.value)
 
 
 def test_zero_model_rejects_heavy_offset_coefficients(consts30, monkeypatch):
@@ -328,7 +322,7 @@ def test_zero_model_rejects_heavy_offset_coefficients(consts30, monkeypatch):
 
     monkeypatch.setattr(extremal, "offset_coefficients", heavy)
     with pytest.raises(SolverError, match="1/2"):
-        extremal.build_zero_model(consts30)
+        extremal.build_zero_model(dataclasses.replace(consts30, zeros=None))
 
 
 def test_signed_zeros_alternate(consts30):
@@ -377,7 +371,7 @@ def test_reflection_coefficients(consts30):
 # summation identity
 
 
-def test_summation_rejects_non_odd_functions(consts30):
+def test_summation_rejects_non_odd_functions(consts30, monkeypatch):
     # the identity sees only the odd part of f, which summation_check
     # takes as given: an even f, or one with an even part, is refused
     model = extremal.build_zero_model(consts30)
@@ -395,11 +389,10 @@ def test_summation_rejects_non_odd_functions(consts30):
         u = mp.pi * x / 5
         return x * (mp.sin(u) / u) ** 5 + sinc4(x)
 
-    for f, f_prime_0 in ((sinc4, 0), (mixed, 1)):
+    for f in (sinc4, mixed):
+        monkeypatch.setattr(extremal, "_test_function", f)
         with pytest.raises(UsageError, match="odd"):
-            extremal.summation_check(
-                consts30, f, f_prime_0, consts30.a_star, zeros, (5 / mp.pi) ** 4
-            )
+            extremal.summation_check(consts30, consts30.a_star, zeros)
 
 
 def test_summation_odd_function(consts30):
@@ -407,18 +400,10 @@ def test_summation_odd_function(consts30):
     model = extremal.build_zero_model(consts30)
     zeros = extremal.zeros_signed(model, 800)
     a1, _lam, _xi = extremal.refined_spectral_frame(consts30, 30)
-
-    def f(x):
-        if x == 0:
-            return mpf(0)
-        u = mp.pi * x / 5
-        return x * (mp.sin(u) / u) ** 5
-
     with mp.workdps(40):
         # the unscaled zero set pairs with the drift constant 1/(2C)
         a_param = 2 * a1 / mp.pi
-        decay = (mpf(5) / mp.pi) ** 5
-        report = extremal.summation_check(consts30, f, 1, a_param, zeros, decay)
+        report = extremal.summation_check(consts30, a_param, zeros)
         assert report.zeros_used == 800
         assert report.defect <= report.tail_bound
         assert report.tail_bound < mpf("1e-7")
@@ -444,15 +429,8 @@ def test_summation_system_other_drift(consts30):
         assert abs(y) > abs(x)
         assert mp.sign(x) * mp.sign(y) == -1
     # the identity itself, limited only by the omitted tail
-    def f(x):
-        if x == 0:
-            return mpf(0)
-        u = mp.pi * x / 5
-        return x * (mp.sin(u) / u) ** 5
-
     with mp.workdps(40):
-        decay = (mpf(5) / mp.pi) ** 5
-        report = extremal.summation_check(consts30, f, 1, a_param, mu, decay)
+        report = extremal.summation_check(consts30, a_param, mu)
         assert report.defect <= report.tail_bound
 
 
@@ -469,7 +447,7 @@ def test_summation_system_rejects_colliding_zeros(monkeypatch):
 
     monkeypatch.setattr(extremal, "_bessel_zero_ladder", ladder)
     with pytest.raises(SolverError, match="collide"):
-        extremal.summation_system(mpf(1), 10)
+        extremal.summation_system(mpf(1), 10, 20)
 
 
 def test_summation_system_rejects_ladders_that_do_not_interleave(monkeypatch):
@@ -483,7 +461,7 @@ def test_summation_system_rejects_ladders_that_do_not_interleave(monkeypatch):
 
     monkeypatch.setattr(extremal, "_bessel_zero_ladder", ladder)
     with pytest.raises(SolverError, match="interleave"):
-        extremal.summation_system(mpf(1), 10)
+        extremal.summation_system(mpf(1), 10, 20)
 
 
 def test_bessel_series_matches_besselj_oracle():
@@ -606,9 +584,9 @@ def test_zeros_solve_the_phase_equation():
 
 def test_summation_system_validation():
     with pytest.raises(UsageError):
-        extremal.summation_system(mpf(2), 10)
+        extremal.summation_system(mpf(2), 10, 20)
     with pytest.raises(UsageError):
-        extremal.summation_system(mpf(1), 1)
+        extremal.summation_system(mpf(1), 1, 20)
 
 
 # ----------------------------------------------------------------------

@@ -18,26 +18,16 @@ from pwextremal import extremal, lseries
 from pwextremal.mpcore import UsageError
 
 
-@pytest.fixture(scope="module")
-def zeros30(consts30):
-    return extremal.build_zero_model(consts30)
-
-
-@pytest.fixture(scope="module")
-def zeros50(consts50):
-    return extremal.build_zero_model(consts50)
-
-
-def test_minus_at_one_is_the_derivative_constant(consts30, zeros30):
-    val = lseries.l_series(consts30, zeros30, "minus", 1)
+def test_minus_at_one_is_the_derivative_constant(consts30):
+    val = lseries.l_series(consts30, "minus", 1)
     with mp.workdps(50):
         assert abs(val.value - mpf(refvals.L1_REF)) < mpf("1e-28")
     assert val.error_bound > 0
     assert not val.is_pole
 
 
-def test_plus_at_two_closed_form(consts30, zeros30):
-    val = lseries.l_series(consts30, zeros30, "plus", 2)
+def test_plus_at_two_closed_form(consts30):
+    val = lseries.l_series(consts30, "plus", 2)
     with mp.workdps(60):
         C = mpf(refvals.C_REF)
         L1 = mpf(refvals.L1_REF)
@@ -45,32 +35,32 @@ def test_plus_at_two_closed_form(consts30, zeros30):
         assert abs(val.value + mpf(refvals.U1_REF)) < mpf("1e-5")
 
 
-def test_phi_route_agreement(consts30, zeros30):
+def test_phi_route_agreement(consts30):
     from_phi = lseries.l_plus_even_from_phi(consts30, 5)
     with mp.workdps(45):
         for k in range(1, 6):
-            direct = lseries.l_series(consts30, zeros30, "plus", 2 * k)
+            direct = lseries.l_series(consts30, "plus", 2 * k)
             assert abs(from_phi[k - 1] - direct.value) < mpf("1e-15")
             assert direct.value > 0
             assert from_phi[k - 1] > 0
 
 
-def test_pole_structure(consts30, zeros30):
+def test_pole_structure(consts30):
     for s in (1, -1, -3, -5):
-        val = lseries.l_series(consts30, zeros30, "plus", s)
+        val = lseries.l_series(consts30, "plus", s)
         assert val.is_pole
         assert val.value is None
         assert val.residue is not None
     for s in (3, 2, 0, -2, -4):
-        assert not lseries.l_series(consts30, zeros30, "plus", s).is_pole
+        assert not lseries.l_series(consts30, "plus", s).is_pole
     for s in (1, 0, -1, -3, -5):
-        val = lseries.l_series(consts30, zeros30, "minus", s)
+        val = lseries.l_series(consts30, "minus", s)
         assert not val.is_pole
         assert val.value is not None
 
 
-def test_residue_closed_form(consts30, zeros30):
-    pole = lseries.l_series(consts30, zeros30, "plus", -1)
+def test_residue_closed_form(consts30):
+    pole = lseries.l_series(consts30, "plus", -1)
     with mp.workdps(60):
         C = mpf(refvals.C_REF)
         L1 = mpf(refvals.L1_REF)
@@ -78,13 +68,13 @@ def test_residue_closed_form(consts30, zeros30):
         # the residue at -1 is minus the leading offset coefficient
         assert abs(pole.residue + mpf(refvals.A1_REF)) < mpf("1e-12")
     assert pole.residue < 0
-    res_at_one = lseries.l_series(consts30, zeros30, "plus", 1)
+    res_at_one = lseries.l_series(consts30, "plus", 1)
     with mp.workdps(40):
         assert abs(res_at_one.residue - 1) < mpf("1e-25")
 
 
-def test_lodd_at_fifty_digits(consts50, zeros50):
-    reports = lseries.check_Lodd(consts50, zeros50, 3)
+def test_lodd_at_fifty_digits(consts50):
+    reports = lseries.check_Lodd(consts50, 3)
     claimed = [r for r in reports if r["status"] != "report-only"]
     assert len(claimed) == 4
     for rep in claimed:
@@ -93,13 +83,13 @@ def test_lodd_at_fifty_digits(consts50, zeros50):
     assert reports[-1]["parameters"]["s"] == 0
     assert reports[-1]["status"] == "report-only"
     with mp.workdps(70):
-        val = lseries.l_series(consts50, zeros50, "minus", -1)
+        val = lseries.l_series(consts50, "minus", -1)
         C = mpf(refvals.C_REF)
         assert abs(val.value + 1 / (4 * C)) < mpf("1e-30")
 
 
-def test_residue_identity_at_fifty_digits(consts50, zeros50):
-    reports = lseries.check_residue_identity(consts50, zeros50, 3)
+def test_residue_identity_at_fifty_digits(consts50):
+    reports = lseries.check_residue_identity(consts50, 3)
     assert len(reports) == 3
     for rep in reports:
         assert rep["status"] == "pass"
@@ -108,8 +98,8 @@ def test_residue_identity_at_fifty_digits(consts50, zeros50):
     assert signs == [-1, 1, -1]
 
 
-def test_symmetry_conjecture_reports(consts50, zeros50):
-    reports = lseries.check_symmetry_conjecture(consts50, zeros50, 3)
+def test_symmetry_conjecture_reports(consts50):
+    reports = lseries.check_symmetry_conjecture(consts50, 3)
     assert len(reports) == 3
     for rep in reports:
         assert rep["status"] == "report-only"
@@ -199,58 +189,76 @@ def test_recursion_matches_taylor_coefficients(consts30):
             assert abs(formal - direct) < mpf("1e-20")
 
 
-def test_brute_force_agreement(consts30, zeros30):
+def test_brute_force_agreement(consts30):
     for kind in ("plus", "minus"):
         for s in (2, 3, 4, 5):
-            cont = lseries.l_series(consts30, zeros30, kind, s)
+            cont = lseries.l_series(consts30, kind, s)
             brute, err = lseries.brute_force_value(
-                consts30, zeros30, kind, s, n_terms=2000
+                consts30, kind, s, 2000
             )
             assert abs(cont.value - brute) <= err + cont.error_bound
 
 
-def test_brute_force_real_exponent(consts30, zeros30):
+def test_brute_force_real_exponent(consts30):
     s = mpf("2.5")
-    cont = lseries.l_series(consts30, zeros30, "plus", s)
-    brute, err = lseries.brute_force_value(consts30, zeros30, "plus", s, n_terms=2000)
+    cont = lseries.l_series(consts30, "plus", s)
+    brute, err = lseries.brute_force_value(consts30, "plus", s, 2000)
     assert abs(cont.value - brute) <= err + cont.error_bound
 
 
-def test_order_override_stays_consistent(consts30, zeros30):
-    auto = lseries.l_series(consts30, zeros30, "minus", 3)
-    short = lseries.l_series(consts30, zeros30, "minus", 3, order=12)
+def test_order_override_stays_consistent(consts30):
+    auto = lseries.l_series(consts30, "minus", 3)
+    short = lseries.l_series(consts30, "minus", 3, order=12)
     assert short.error_bound > auto.error_bound
     assert abs(short.value - auto.value) <= short.error_bound + auto.error_bound
 
 
-def test_validation(consts30, zeros30):
+def test_one_zero_model_serves_every_check(consts30, monkeypatch):
+    # on constants with no zero model yet, the zero checks share one: the
+    # offset expansion and the head Newton run once between them, and the
+    # model stays on the constants
+    fresh = dataclasses.replace(consts30, zeros=None)
+    calls = []
+    for name in ("offset_coefficients", "refine_zeros_newton"):
+        def counted(*args, _name=name, _fn=getattr(extremal, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(extremal, name, counted)
+    extremal.zero_curvature_residual(fresh)
+    extremal.zeros_signed(extremal.build_zero_model(fresh), 40)
+    lseries.l_series(fresh, "plus", 3)
+    lseries.brute_force_value(fresh, "minus", 3, 64)
+    lseries.check_symmetry_conjecture(fresh, 1)
+    assert sorted(calls) == ["offset_coefficients", "refine_zeros_newton"]
+    assert fresh.zeros is extremal.build_zero_model(fresh)
+    assert "zeros" not in fresh.to_json_dict()
+
+
+def test_validation(consts30):
     with pytest.raises(UsageError):
-        lseries.l_series(consts30, zeros30, "signed", 2)
+        lseries.l_series(consts30, "signed", 2)
     with pytest.raises(UsageError):
-        lseries.l_series(consts30, zeros30, "plus", 2 + 1j)
+        lseries.l_series(consts30, "plus", 2 + 1j)
     with pytest.raises(UsageError):
-        # a zero model certified to fewer digits than the constants
-        short = dataclasses.replace(zeros30, digits=consts30.digits_certified - 1)
-        lseries.l_series(consts30, short, "plus", 2)
+        lseries.brute_force_value(consts30, "plus", 1, 2000)
     with pytest.raises(UsageError):
-        lseries.brute_force_value(consts30, zeros30, "plus", 1)
-    with pytest.raises(UsageError):
-        lseries.brute_force_value(consts30, zeros30, "plus", 2, n_terms=10)
+        lseries.brute_force_value(consts30, "plus", 2, 10)
     with pytest.raises(UsageError):
         lseries.l_plus_even_from_phi(consts30, 0)
     with pytest.raises(UsageError):
         lseries.recursion_polynomials(-1)
 
 
-def test_json_round_trip(consts30, zeros30):
+def test_json_round_trip(consts30):
     import json
 
-    val = lseries.l_series(consts30, zeros30, "minus", 1)
+    val = lseries.l_series(consts30, "minus", 1)
     blob = json.loads(json.dumps(val.to_json_dict()))
     assert blob["kind"] == "minus"
     assert not blob["is_pole"]
     assert blob["value"].startswith("-0.4519521648844")
-    pole = lseries.l_series(consts30, zeros30, "plus", -1)
+    pole = lseries.l_series(consts30, "plus", -1)
     blob = json.loads(json.dumps(pole.to_json_dict()))
     assert blob["is_pole"]
     assert "residue" in blob
@@ -260,7 +268,8 @@ def test_json_round_trip(consts30, zeros30):
 # float64 direct-summation oracle
 
 
-def test_numpy_direct_summation_oracle(consts30, zeros30):
+def test_numpy_direct_summation_oracle(consts30):
+    zeros30 = extremal.build_zero_model(consts30)
     rho = np.array([float(c) for c in zeros30.rho_coeffs])
     n = np.arange(1.0, 100001.0)
     x = 1.0 / (n + 0.5)
@@ -273,5 +282,5 @@ def test_numpy_direct_summation_oracle(consts30, zeros30):
     # integral comparison from the midpoint, two asymptotic orders
     tail = q ** -2.0 / 2.0 + 0.75 * a1 * q ** -4.0
     oracle = partial + tail
-    cont = float(lseries.l_series(consts30, zeros30, "plus", 3).value)
+    cont = float(lseries.l_series(consts30, "plus", 3).value)
     assert abs(oracle - cont) < 1e-12

@@ -8,14 +8,16 @@ method, or a module-level assignment.  It is reached when a reached
 definition mentions its name, as a bare name or as an attribute; a
 reached class also reaches its dunder methods, which Python calls without
 naming them, and the names in its class body.  Every function, class and
-method left unreached must be on ORACLES, the reference implementations
-that tests compare the package against.
+method must be reached; the reference implementations that tests compare
+the package against live in ``tests/oracles.py``.
 
-The same scan keeps options out that no command sets: every defaulted
-parameter of a function or method reached from ``cli.main`` must be
-passed, by keyword or by position, by some call in the package, or be on
-UNSET_DEFAULTS with the reason it stays.  Callees are matched by name
-here too, so a call to any function of that name counts.
+The same scan keeps options out that no command sets, and defaults that
+only tests use: every defaulted parameter of a function or method reached
+from ``cli.main`` must be passed, by keyword or by position, by some call
+in the package, or be on UNSET_DEFAULTS with the reason it stays; and it
+must be left out by some call in the package, else its default serves
+tests alone.  Callees are matched by name here too, so a call to any
+function of that name counts.
 
 The limit: matching is by name across all modules, so definitions that
 share a name are reached together, and an attribute of any object counts
@@ -37,13 +39,6 @@ ROOTS = {("cli", "main")}
 PENDING = {
     ("extremal", "constant_from_zeros_alternating"),
     ("lseries", "l_plus_even_from_phi"),
-}
-
-# reference implementations that tests compare the package against
-ORACLES = {
-    ("mpcore", "legendre_pair"),
-    ("mpcore", "legendre_eval"),
-    ("spectral", "legendre_condition"),
 }
 
 # (module, function, parameter) -> why its default stays unset
@@ -162,36 +157,39 @@ def _calls():
     return out
 
 
-def _unset_defaults():
-    """(module, function, parameter) of each defaulted parameter of a
-    function or method reached from cli.main that no package call passes."""
+def _default_uses():
+    """(module, function, parameter) -> whether each package call passes
+    it, for each defaulted parameter of a function or method reached from
+    cli.main."""
     defs = _definitions()
     reached = _reached(defs, ROOTS)
     calls = _calls()
-    unset = set()
+    uses = {}
     for key, (_kind, _used, _d, fn) in defs.items():
         if fn is None or key not in reached:
             continue
         name = key[1].rsplit(".", 1)[-1]
         for position, param in _defaulted(fn):
-            passed = any(
+            uses[key[0], key[1], param] = [
                 param in keywords or (position is not None and count > position)
                 for count, keywords in calls.get(name, ())
-            )
-            if not passed:
-                unset.add((key[0], key[1], param))
-    return unset
+            ]
+    return uses
 
 
-def test_every_definition_is_reached_or_an_oracle():
+def _unset_defaults():
+    """Defaulted parameters reached from cli.main that no package call
+    passes."""
+    return {key for key, passed in _default_uses().items() if not any(passed)}
+
+
+def test_every_definition_is_reached():
     defs = _definitions()
     reached = _reached(defs, ROOTS | PENDING)
     dead = sorted(
         "%s.%s" % key
         for key, (kind, _used, _d, _fn) in defs.items()
-        if kind in ("function", "class", "method")
-        and key not in reached
-        and key not in ORACLES
+        if kind in ("function", "class", "method") and key not in reached
     )
     assert dead == [], "reached by no command: " + ", ".join(dead)
 
@@ -200,13 +198,9 @@ def test_named_lists_are_current():
     # a listed name must exist and must still need its place on the list
     defs = _definitions()
     from_main = _reached(defs, ROOTS)
-    from_all = _reached(defs, ROOTS | PENDING)
-    for key in PENDING | ORACLES:
-        assert key in defs, "%s.%s is not defined" % key
     for key in PENDING:
+        assert key in defs, "%s.%s is not defined" % key
         assert key not in from_main, "%s.%s is wired; drop it from PENDING" % key
-    for key in ORACLES:
-        assert key not in from_all, "%s.%s is reached; drop it from ORACLES" % key
     unset = _unset_defaults()
     for key in UNSET_DEFAULTS:
         assert key in unset, "%s.%s(%s) is set or gone; drop it from the list" % key
@@ -218,3 +212,13 @@ def test_every_reached_default_is_set_by_a_call():
         "%s.%s(%s)" % key for key in _unset_defaults() if key not in UNSET_DEFAULTS
     )
     assert unset == [], "set by no call in the package: " + ", ".join(unset)
+
+
+def test_every_reached_default_is_used_by_a_call():
+    # a default that every call overrides serves tests alone
+    always = sorted(
+        "%s.%s(%s)" % key
+        for key, passed in _default_uses().items()
+        if passed and all(passed)
+    )
+    assert always == [], "passed by every call in the package: " + ", ".join(always)

@@ -18,12 +18,12 @@ from pwextremal.spectral import (
     assert_ground_invariants,
     build_matrix,
     ground_eigenpair,
-    legendre_condition,
     solve_constants,
     truncation_size,
 )
 
 import refvals
+from oracles import legendre_condition
 
 
 def dense_matrix(N, a):
@@ -244,6 +244,14 @@ def test_truncation_size_checks_the_cap_after_doubling():
     assert truncation_size(12000) == 4096
 
 
+def test_truncation_cap_errors_name_the_requested_digits():
+    # past the cap after the doubling (15000) or before it (40000), the
+    # message names the digits asked for, not the digits plus the guard
+    for digits in (15000, 40000):
+        with pytest.raises(UsageError, match="^%d digits need" % digits):
+            truncation_size(digits)
+
+
 def test_solve_constants_thousand_digits(sweeps):
     consts = solve_constants(1000)
     assert consts.N == 512
@@ -265,7 +273,7 @@ def test_sign_change_error_names_the_search():
     # a bracket that holds no root: Newton leaves it on its way to the root
     with mp.workdps(30):
         with pytest.raises(SolverError) as err:
-            _side_root(64, ("1.30", "1.40"))
+            _side_root(64, ("1.30", "1.40"), None)
     message = str(err.value)
     assert re.search(r"N=\d+, \d+ dps, a=\S+, lambda=\S+", message), message
     assert "[1.3, 1.4]" in message
@@ -292,7 +300,7 @@ def test_side_root_seed_independent():
     # the root, reaches the root the midpoint seed finds
     with mp.workdps(40):
         bracket = ("1.25", "1.50")
-        root, _ = _side_root(64, bracket)
+        root, _ = _side_root(64, bracket, None)
         for x in ("1.44", "1.46", "1.30"):
             other, _ = _side_root(64, bracket, start=(mpf(x), mpf(x) / 3, 0))
             assert abs(other - root) <= mpf(10) ** -(mp.dps - 6), x
@@ -302,7 +310,7 @@ def test_side_root_work_is_bounded(monkeypatch):
     monkeypatch.setattr(spectral, "_NEWTON_STEPS", 3)
     with mp.workdps(40):
         with pytest.raises(SolverError) as err:
-            _side_root(64, ("1.44", "1.46"))
+            _side_root(64, ("1.44", "1.46"), None)
     message = str(err.value)
     assert "did not converge in 3 sweeps" in message
     assert re.search(r"N=64, 40 dps, a=\S+, lambda=\S+", message), message
@@ -311,8 +319,8 @@ def test_side_root_work_is_bounded(monkeypatch):
 def test_truncation_doubling_stability():
     # at 50 digits plus a guard of 20 the root barely moves past N=128
     with mp.workdps(70):
-        a128, _ = _side_root(128, ("1.44", "1.46"))
-        a256, _ = _side_root(256, ("1.44", "1.46"))
+        a128, _ = _side_root(128, ("1.44", "1.46"), None)
+        a256, _ = _side_root(256, ("1.44", "1.46"), None)
         assert abs(a128 - a256) < mpf(10) ** (-mpf("0.05") * 128)
 
 
