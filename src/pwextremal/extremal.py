@@ -17,9 +17,9 @@ constants object, built by build_zero_model and kept on the object's
 `zeros` field, its series tail bound checked once, when it is made),
 residual checkers for the differential equations, the quadratic
 Wronskian relation and the reflection identity, the summation identity
-over the zeros with the zero ladders of a second eigenfunction system,
-and a reconstruction of the central constant from the offset
-coefficients alone.  Every Newton iteration here, on the zeros of the
+over the zeros (a head of zeros plus a closed-form tail) with the zero
+ladders of a second eigenfunction system, and a reconstruction of the
+central constant from the offset coefficients alone.  Every Newton iteration here, on the zeros of the
 factor and of the Bessel series, is mpcore.newton_root.
 
 A note on precision.  The coefficient recursions are badly unstable: the
@@ -46,7 +46,9 @@ from .mpcore import (
     SolverError,
     UsageError,
     beta_numeric,
+    hurwitz_zetas,
     newton_root,
+    series_cos_sin,
     series_derivative,
     series_exp0,
     series_from_coeffs,
@@ -760,16 +762,43 @@ def fit_reflection_coefficients(consts: ExtremalConstants):
 
 # ----------------------------------------------------------------------
 # the summation identity
+#
+# a f'(0) = sum_mu (f(mu) - f(-mu)) over the signed zeros mu of a system,
+# for f = _test_function, is checked as a head of zeros summed directly
+# plus the rest in closed form.  Past its head each system's zeros lie on
+# a lattice, mu_n = +-(Y_n - sigma(1/Y_n)) with Y_n = step n + shift and
+# sigma a power series: the zero model's rho for the first system, the
+# reverted phase series for the second.  With v = 1/Y_n,
+#
+#     f(Y - sigma) = K v^4 sin^5(pi Y / 5 - pi sigma(v) / 5) (1 - v sigma(v))^-4,
+#
+# K = (5/pi)^5.  For n in one residue class mod 5 both the sign of the
+# term and sin(pi Y / 5) up to sign are fixed, so the class is one power
+# series in v, and its sum over the lattice points of the class is a
+# series in Hurwitz zeta values (_lattice_tail).
+
+
+@dataclass
+class SummationTail:
+    """The zeros past a head, in closed form: their part of
+    2 sum_mu f(mu), a bound on what the truncation of its series leaves
+    out (for the second system an estimate), and the series order."""
+
+    value: mpf
+    bound: mpf
+    order: int
 
 
 @dataclass
 class SummationReport:
     """Outcome of a summation-formula check: the measured defect, the
-    certified bound on the omitted tail, and how many zeros were summed."""
+    bound on the tail past the head, the zeros summed directly and the
+    order of the tail series."""
 
     defect: mpf
     tail_bound: mpf
-    zeros_used: int
+    head: int
+    order: int
 
 
 def _test_function(x):
@@ -781,31 +810,123 @@ def _test_function(x):
     return x * (mp.sin(u) / u) ** 5
 
 
-def summation_check(consts: ExtremalConstants, a_param, zeros) -> SummationReport:
-    """Defect of a f'(0) = sum_mu (f(mu) - f(-mu)) over the signed zeros,
-    for f = _test_function.
+def summation_check(a_param, zeros, tail: SummationTail) -> SummationReport:
+    """Defect of a f'(0) = sum_mu (f(mu) - f(-mu)) for f = _test_function,
+    with the signed zeros of `zeros` summed directly and the rest taken
+    from `tail`, at the working precision.
 
     The identity holds for f odd, entire of exponential type at most pi
-    and integrable on the line; |f(x)| <= K |x|^-4, K = (5/pi)^5, bounds
-    the omitted tail by 2 K (X^-3 / 3 + X^-4), X the largest |mu| summed.
-    The identity sees only the odd part of f, so oddness loses nothing
-    and halves the work: the sum is taken as 2 sum_mu f(mu), and f'(0) = 1
-    leaves a alone.  The zeros are rounded to the working precision, where
-    negation is exact, and f(-mu_1) = -f(mu_1) must hold bit for bit at
-    the first zero, else UsageError.
+    and integrable on the line.  It sees only the odd part of f, so
+    oddness loses nothing and halves the work: the head is summed as
+    2 sum_mu f(mu), and f'(0) = 1 leaves a alone.  The zeros are rounded
+    to the working precision, where negation is exact, and
+    f(-mu_1) = -f(mu_1) must hold bit for bit at the first zero, else
+    UsageError.
     """
     if not zeros:
         raise UsageError("empty zero list")
     f = _test_function
-    with mp.workdps(max(mp.dps, consts.digits_certified + 10)):
-        mu1 = mpf(zeros[0])
-        if f(-mu1) != -f(mu1):
-            raise UsageError("summation_check needs an odd test function")
-        total = 2 * mp.fsum(f(mpf(mu)) for mu in zeros)
-        defect = abs(mpf(a_param) - total)
-        X = max(abs(mpf(z)) for z in zeros)
-        tail = 2 * (mpf(5) / mp.pi) ** 5 * (X ** -3 / 3 + X ** -4)
-    return SummationReport(defect=defect, tail_bound=tail, zeros_used=len(zeros))
+    mu1 = mpf(zeros[0])
+    if f(-mu1) != -f(mu1):
+        raise UsageError("summation_check needs an odd test function")
+    total = 2 * mp.fsum(f(mpf(mu)) for mu in zeros) + tail.value
+    return SummationReport(
+        defect=abs(mpf(a_param) - total),
+        tail_bound=tail.bound,
+        head=len(zeros),
+        order=tail.order,
+    )
+
+
+def _lattice_order(majorant, s0, start: int, step: int, shift, digits: int):
+    """(J, bound): the first series order J of _lattice_tail whose
+    truncation bound is under 10^-(digits+5), and that bound.
+
+    It rests on `majorant` = (A, r): |sigma_m| <= A r^m for m >= 1.  On
+    |v| = R = min(1/(2r), 1/(2(|s0| + A))), s0 = sigma_0, that gives
+    |sigma - s0| <= A, |1 - v sigma| >= 1/2 and |sin| <= cosh(pi A / 5),
+    so every class series has |c_j| <= B R^-j, B = 16 K R^4
+    cosh(pi A / 5)^5.  With sum_n Y_n^-j <= Y_1^-j + Y_1^(1-j) / (step (j-1)),
+    the orders past J add at most 2 B (1 + Y_1 / (step J)) x^(J+1) / (1 - x),
+    x = 1/(R Y_1).
+    """
+    A, r = majorant
+    R = min(1 / (2 * r), 1 / (2 * (abs(s0) + A)))
+    B = 16 * (5 / mp.pi) ** 5 * R ** 4 * mp.cosh(mp.pi * A / 5) ** 5
+    Y1 = step * start + shift
+    x = 1 / (R * Y1)
+    target = mpf(10) ** (-(digits + 5))
+
+    def bound(J):
+        return 2 * B * (1 + Y1 / (step * J)) * x ** (J + 1) / (1 - x)
+
+    J = 4
+    while bound(J) >= target:
+        J += 1
+    return J, bound(J)
+
+
+def _lattice_tail(sigma, J: int, start: int, step: int, shift, alternate: bool):
+    """2 sum_{n >= start} e_n f(Y_n - sigma(1/Y_n)) through order J, for
+    Y_n = step n + shift and e_n = (-1)^(n+1) when `alternate`, else 1;
+    e_n sin^5(pi Y_n / 5) must have period 5 in n (`alternate` with step
+    odd, or neither).
+
+    Class r is K v^4 e_r sin^5(theta_r - phi(v)) (1 - v sigma)^-4, with
+    theta_r = pi (step r + shift - sigma_0) / 5 and phi = pi (sigma -
+    sigma_0) / 5, and over n = 5m + r >= start, sum Y_n^-j =
+    (5 step)^-j zeta(j, m_r + (step r + shift) / (5 step)).  Orders 4..J
+    need sigma_0..sigma_{J-4}; missing ones are zeros.
+    """
+    T = J - 3  # coefficients of v^4 .. v^J
+    sig = list(sigma[:T]) + [mpf(0)] * max(0, T - len(sigma))
+    s0 = sig[0]
+    phase = series_from_coeffs([0] + [mp.pi * c / 5 for c in sig[1:]])
+    cos_phi, sin_phi = series_cos_sin(phase, T - 1)
+    shrink = series_reciprocal(series_from_coeffs([1] + [-c for c in sig[:-1]]), T)
+    shrink = series_multiply(shrink, shrink, T)
+    weight = series_multiply(shrink, shrink, T)  # (1 - v sigma)^-4
+    scale = mpf(5 * step)
+    total = mpf(0)
+    for cls in range(5):
+        theta = mp.pi * (step * cls + shift - s0) / 5
+        sin_t, cos_t = mp.sin(theta), mp.cos(theta)
+        u = series_from_coeffs(
+            [sin_t * c - cos_t * s for c, s in zip(cos_phi.coeffs, sin_phi.coeffs)]
+        )
+        u2 = series_multiply(u, u, T)
+        g = series_multiply(series_multiply(series_multiply(u2, u2, T), u, T), weight, T)
+        first = -((cls - start) // 5)  # first m with 5m + cls >= start
+        zetas = hurwitz_zetas(first + (step * cls + shift) / scale, J)
+        part = mp.fsum(g.coeffs[j - 4] * scale ** -j * zetas[j] for j in range(4, J + 1))
+        total += -part if (alternate and cls % 2 == 0) else part
+    return 2 * (5 / mp.pi) ** 5 * total
+
+
+def zero_model_tail(model: ZeroModel, head: int) -> SummationTail:
+    """The zeros (-1)^(n+1) tau_n, n > head, of the zero model in closed
+    form, to the model's digits (_lattice_tail on Y = n + 1/2 with
+    sigma = rho).
+
+    The bound rests on the majorant a_m <= 2^(-m-1) of rho_tail_bound,
+    whose premise is checked on a_1..a_M only.  It adds the rho
+    truncation past M: each zero moves by at most rho_tail_bound(M, 1/Y),
+    where |f'| <= K (pi + 1) (Y/2)^-4 for Y >= 8, so 2 sum_n
+    16 K (pi + 1) Y_n^-4 rho_tail_bound(M, 1/Y_n) is below
+    32 K (pi + 1) rho_tail_bound(M, 1/Y_1) (Y_1^-4 + Y_1^-3 / 3).
+    """
+    if head < 7:
+        raise UsageError("zero_model_tail needs a head of at least 7 zeros")
+    half = mpf(1) / 2
+    J, bound = _lattice_order((half, half), 0, head + 1, 1, half, model.digits)
+    value = _lattice_tail([mpf(0)] + model.rho_coeffs, J, head + 1, 1, half, True)
+    Y1 = head + 3 * half
+    K = (5 / mp.pi) ** 5
+    rho_term = (
+        32 * K * (mp.pi + 1) * rho_tail_bound(model.M, 1 / Y1)
+        * (Y1 ** -4 + Y1 ** -3 / 3)
+    )
+    return SummationTail(value=value, bound=bound + rho_term, order=J)
 
 
 # ----------------------------------------------------------------------
@@ -842,7 +963,9 @@ def summation_check(consts: ExtremalConstants, a_param, zeros) -> SummationRepor
 # x <- k pi - psi(1/x).  The seed is only a seed: mpcore.newton_root on F
 # itself certifies each zero by a step under 10^-(digits+5), and a seed
 # that is poor, or falls outside the Newton bracket, costs extra steps,
-# never a wrong zero.
+# never a wrong zero.  The same psi, reverted to x = k pi - sigma(1/(k pi)),
+# puts the zeros past a ladder's head on a lattice for the summation tail
+# (_ladder_tail).
 
 @dataclass(frozen=True)
 class _BesselSeries:
@@ -1000,17 +1123,18 @@ _SEED_STEPS = 8
 
 
 def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
-    """First `count` positive zeros of the Bessel-series eigenfunction.
+    """(zeros, psi, k): the first `count` >= 3 positive zeros of the
+    Bessel-series eigenfunction, its phase series psi (_phase_series) and
+    the k with x + psi(1/x) = k pi at the last zero.
 
     The head of three zeros is located by a sign-change scan.  Past it
-    the k-th zero solves x + psi(1/x) = k pi, psi the phase series of F
-    (see _phase_series), with k read off the last head zero as the
-    nearest integer to (x + psi(1/x)) / pi.  Each seed starts from the
-    second difference of the last three zeros (consecutive gaps approach
-    pi, differing from it by O(1/x^2)) and runs x <- k pi - psi(1/x) in
-    fixed point at prec + 20 bits, until a step is under
-    10^-(digits+5) 2^-10 or after _SEED_STEPS steps; as x grows, the last
-    terms of psi that fall under one unit are dropped.
+    the k-th zero solves x + psi(1/x) = k pi, with k read off the last
+    head zero as the nearest integer to (x + psi(1/x)) / pi.  Each seed
+    starts from the second difference of the last three zeros
+    (consecutive gaps approach pi, differing from it by O(1/x^2)) and
+    runs x <- k pi - psi(1/x) in fixed point at prec + 20 bits, until a
+    step is under 10^-(digits+5) 2^-10 or after _SEED_STEPS steps; as x
+    grows, the last terms of psi that fall under one unit are dropped.
     mpcore.newton_root then finishes inside half a gap either side of
     linear continuation, and its step under 10^-(digits+5), not the seed,
     certifies the zero; a seed that leaves that bracket is replaced by
@@ -1028,7 +1152,7 @@ def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
     step = mpf(2) / 5
     x = step
     pv, _ = _bessel_series_eval(series, x)
-    while len(zeros) < min(count, 3) and x < 40:
+    while len(zeros) < 3 and x < 40:
         x += step
         v, _ = _bessel_series_eval(series, x)
         if v == 0:
@@ -1036,17 +1160,16 @@ def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
         elif v * pv < 0:
             zeros.append(refine(x - step / 2, x - step, x))
         pv = v
-    if len(zeros) < min(count, 3):
+    if len(zeros) < 3:
         raise SolverError("zero scan found no ladder head at this drift")
-    if len(zeros) >= count:
-        return zeros[:count]
 
+    psi = _phase_series(series, 1 / zeros[-1])
     wp = mp.prec + _HORNER_GUARD_BITS
-    phase = [to_fixed(c._mpf_, wp) for c in _phase_series(series, 1 / zeros[-1])]
+    phase = [to_fixed(c._mpf_, wp) for c in psi]
     pi = to_fixed(mpf_pi(wp), wp)
     small = to_fixed((target / 1024)._mpf_, wp)
 
-    def psi(X):
+    def phase_at(X):
         u = (1 << 2 * wp) // X
         acc = 0
         for c in reversed(phase):
@@ -1054,7 +1177,7 @@ def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
         return acc
 
     z3, z2, z1 = (to_fixed(z._mpf_, wp) for z in zeros)
-    k = (z1 + psi(z1) + pi // 2) // pi
+    k = (z1 + phase_at(z1) + pi // 2) // pi
     while len(zeros) < count:
         k += 1
         gap = z1 - z2
@@ -1067,7 +1190,7 @@ def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
             phase.pop()
         X = guess
         for _ in range(_SEED_STEPS):
-            nxt = k * pi - psi(X)
+            nxt = k * pi - phase_at(X)
             done = abs(nxt - X) < small
             X = nxt
             if done or not lo < X < hi:
@@ -1079,36 +1202,90 @@ def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
             raise SolverError("zero ladder lost monotonicity")
         zeros.append(root)
         z3, z2, z1 = z2, z1, to_fixed(root._mpf_, wp)
-    return zeros
+    return zeros, psi, int(k)
 
 
-def summation_system(a, count: int, digits: int):
-    """Drift weight and signed zero set of the eigenfunction system at
-    matrix drift a, rescaled from the b = 1 frame to exponential type pi/2.
+def _reverted_phase(psi, T: int) -> list:
+    """sigma_0..sigma_{T-1} with x = X - sigma(1/X) on x + psi(1/x) = X.
 
-    Returns (a_param, zeros) ready for :func:`summation_check`: positive
-    entries are the scaled zeros of the alternating Bessel series, negative
-    entries the reflected zeros of its companion, in increasing absolute
-    value.  Both ladders come from _bessel_zero_ladder: phase-series
-    seeds, each zero certified by a Newton step under 10^-(digits+5).
-    The two increasing ladders must interleave, so they are merged by
-    taking their zeros in turn, starting from the smaller first zero, and
-    one pass checks that the merged values increase by more than
-    10^-(digits+5): a decrease means two neighbours of one sign and a
-    smaller rise a collision, both reported as a solver failure.  Each
-    zero is scaled by +-2/pi with one multiply.  At the extremal drift
-    the result reproduces 1/(2C) and the signed tau ladder.
+    With v = 1/x and w = 1/X, v = w phi(v), phi = 1 + v psi(v), and
+    Lagrange-Buermann gives [w^n] v = [v^(n-1)] phi^n / n; then
+    sigma(w) = 1/w - 1/v(w).
     """
-    if count < 2:
-        raise UsageError("count must be at least 2")
+    phi = series_from_coeffs([1] + list(psi[:T]))
+    ratio = []  # v/w = sum_n [w^n] v w^(n-1)
+    power = phi
+    for n in range(1, T + 2):
+        ratio.append(power.coefficient(n - 1) / n)
+        if n <= T:
+            power = series_multiply(power, phi, T + 1)
+    inverse = series_reciprocal(series_from_coeffs(ratio), T + 1)
+    return [-c for c in inverse.coeffs[1:]]
+
+
+# coefficients of the reverted phase series that estimate its majorant
+_MAJORANT_TERMS = 8
+
+
+def _ladder_tail(psi, k: int, digits: int) -> SummationTail:
+    """The zeros x_j, j > k, of one Bessel ladder (x_j + psi(1/x_j) = j pi)
+    in closed form, as their part of 2 sum f(2 x / pi).
+
+    On the lattice Y = 2j, 2 x_j / pi = Y - sigma2(1/Y), with
+    sigma2_m = (2/pi)^(m+1) sigma_m from _reverted_phase.  psi has no
+    proven majorant, so the bound of _lattice_order is an estimate here:
+    r is 5/4 of the largest |sigma2_m|^(1/m) and A the largest
+    |sigma2_m| r^-m over m = 1.._MAJORANT_TERMS - 1, and nothing checks
+    the coefficients past them.
+    """
+    c = 2 / mp.pi
+
+    def scaled(T):
+        return [c ** (m + 1) * s for m, s in enumerate(_reverted_phase(psi, T))]
+
+    sigma = scaled(_MAJORANT_TERMS)
+    r = 5 * max(abs(s) ** (mpf(1) / m) for m, s in enumerate(sigma) if m) / 4
+    A = max(abs(s) / r ** m for m, s in enumerate(sigma) if m)
+    J, bound = _lattice_order((A, r), sigma[0], k + 1, 2, 0, digits)
+    if J - 3 > _MAJORANT_TERMS:
+        sigma = scaled(J - 3)
+    value = _lattice_tail(sigma, J, k + 1, 2, 0, False)
+    return SummationTail(value=value, bound=bound, order=J)
+
+
+def summation_system(a, head: int, digits: int):
+    """(a_param, zeros, tail) of the eigenfunction system at matrix drift
+    a, rescaled from the b = 1 frame to exponential type pi/2, for
+    :func:`summation_check`, to `digits` digits.
+
+    zeros holds the first `head` (at least 3) zeros of each sign:
+    positive entries are the scaled zeros of the alternating Bessel
+    series, negative entries the reflected zeros of its companion, in
+    increasing absolute value.  Both ladders come from
+    _bessel_zero_ladder: phase-series seeds, each zero certified by a
+    Newton step under 10^-(digits+5).  The two increasing ladders must
+    interleave, so they are merged by taking their zeros in turn,
+    starting from the smaller first zero, and one pass checks that the
+    merged values increase by more than 10^-(digits+5): a decrease means
+    two neighbours of one sign and a smaller rise a collision, both
+    reported as a solver failure.  Each zero is scaled by +-2/pi with one
+    multiply.  tail holds the zeros past the head of both ladders, each
+    through its phase series (_ladder_tail; the reflected ladder's part
+    enters with a minus sign, as f is odd); its bound is an estimate.  At
+    the extremal drift the zeros reproduce 1/(2C) and the signed tau
+    ladder.
+    """
+    if head < 3:
+        raise UsageError("head must be at least 3")
     with mp.workdps(digits + 30):
         a = mpf(a)
         if not (0 < a < mpf(3) / 2):
             raise UsageError("summation_system requires 0 < a < 3/2")
         xi = _eigen_bessel_coefficients(a, digits)
-        half = count // 2 + 2
-        plus = _bessel_zero_ladder(_bessel_series(xi, True), half, digits)
-        minus = _bessel_zero_ladder(_bessel_series(xi, False), half, digits)
+        plus, psi_plus, k_plus = _bessel_zero_ladder(_bessel_series(xi, True), head, digits)
+        minus, psi_minus, k_minus = _bessel_zero_ladder(
+            _bessel_series(xi, False), head, digits
+        )
         scale = 2 / mp.pi
         if plus[0] <= minus[0]:
             pairs, scales = zip(plus, minus), (scale, -scale)
@@ -1128,7 +1305,15 @@ def summation_system(a, count: int, digits: int):
                     )
                 out.append(s * t)
                 prev = t
-        return a * scale, out[:count]
+        with mp.workdps(digits + 15):
+            up = _ladder_tail(psi_plus, k_plus, digits)
+            down = _ladder_tail(psi_minus, k_minus, digits)
+        tail = SummationTail(
+            value=up.value - down.value,
+            bound=up.bound + down.bound,
+            order=max(up.order, down.order),
+        )
+        return a * scale, out, tail
 
 
 def constant_from_zeros_alternating(consts: ExtremalConstants, M: int = None):

@@ -4,12 +4,12 @@ Everything downstream runs on top of the ingredients collected here:
 
 * :class:`PowerSeries` plus the handful of series operations the project
   actually needs (scaling, Cauchy product, reciprocal, log(1+f), exp,
-  derivative);
+  cosine and sine, derivative);
 * :func:`newton_root`, the package's scalar Newton iteration (the 2x2
   side-condition root of :mod:`pwextremal.spectral` is the only other);
 * Clenshaw summation of Legendre series;
 * the Dirichlet beta function and alternating half-integer tails, through
-  Hurwitz zeta values;
+  Hurwitz zeta values, and a table of Hurwitz zeta values at one shift;
 * exact decimal truncation for the serialized output.
 
 Scalars are plain ``mpmath.mpf`` values ("big reals").  All functions expect
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 
 class UsageError(ValueError):
@@ -222,6 +223,31 @@ def series_exp0(f: PowerSeries, T: int) -> PowerSeries:
     return PowerSeries(coeffs=E, parity=parity, dps=f.dps)
 
 
+def series_cos_sin(f: PowerSeries, T: int):
+    """(cos f, sin f) for f(0) = 0, through exponent T.
+
+    Uses C' = -f' S and S' = f' C, so C_0 = 1, S_0 = 0 and
+    e*C_e = -sum_{j=1}^{e} j a_j S_{e-j}, e*S_e = sum_{j=1}^{e} j a_j C_{e-j}.
+    """
+    if f.coefficient(0) != 0:
+        raise UsageError("series_cos_sin requires f(0) = 0")
+    a = [f.coefficient(e) for e in range(T + 1)]
+    C = [mpf(1)] + [mpf(0)] * T
+    S = [mpf(0)] * (T + 1)
+    for e in range(1, T + 1):
+        c = s = mpf(0)
+        for j in range(1, e + 1):
+            if a[j] != 0:
+                c += j * a[j] * S[e - j]
+                s += j * a[j] * C[e - j]
+        C[e] = -c / e
+        S[e] = s / e
+    return (
+        PowerSeries(coeffs=C, dps=f.dps),
+        PowerSeries(coeffs=S, dps=f.dps),
+    )
+
+
 def series_derivative(f: PowerSeries) -> PowerSeries:
     """Term-wise derivative; parity flips, the constant term drops out.
 
@@ -282,6 +308,77 @@ def alternating_halfinteger_tail(w, n_start: int):
     else:
         val = mpf(2) ** (-w) * (mp.zeta(w, q / 2) - mp.zeta(w, (q + 1) / 2))
     return val if n_start % 2 == 0 else -val
+
+
+def hurwitz_zetas(q, J: int) -> dict:
+    """{j: zeta(j, q)} for j = 2..J and q > 0.  For q >= 1 each value is
+    within 2^-(prec+10) before it is rounded to the working precision;
+    below 1, zeta(j, q) = q^-j + zeta(j, q + 1).
+
+    One Euler-Maclaurin run serves every j.  N terms (q + m)^-j are summed
+    directly, each power by one multiply from the last, and at
+    Q = q + N >= 2 (J + 2P + 1) / pi
+
+        zeta(j, Q) = Q^(1-j) / (j-1) + Q^-j / 2
+                     + sum_{k=1}^{P} B_2k / (2k)! (j)_(2k-1) Q^(1-j-2k) + R,
+
+    (j)_i the rising factorial.  The derivatives of x^-j alternate in
+    sign, so |R| is below the first omitted term, k = P + 1; with
+    |B_2k| / (2k)! <= 4 (2 pi)^-2k and 2 pi Q >= 4 (j + 2P + 1), that term
+    is below 4^-2P times the leading term Q^(1-j) / (j-1) < 1, and
+    P = ceil((prec + 10) / 4) puts R below 2^-(prec+10).
+
+    The sums run in fixed point at wp bits.  Every value in them is at
+    most 1 but the scaled Bernoulli numbers b_k = B_2k (2 pi)^2k / (2k)!,
+    |b_k| <= 4, each product is truncated by less than one unit of 2^-wp,
+    and a truncation is never magnified: the powers are of 1/(q + m) <= 1,
+    and the Bernoulli terms are carried as t_k = (j)_(2k-1)
+    Q^(1-j-2k) / (2 pi)^2k, each k step a factor (j + 2k - 1)(j + 2k)
+    / (2 pi Q)^2 <= 1/16.  So the direct powers are within 2j units each,
+    Q^-j and Q^(1-j) / (j-1) within 2j, t_k within 8 and b_k t_k within 40:
+    at most 2 J N + 5 J + 40 P units, which the wp - prec - 10 guard bits
+    cover.
+    """
+    if J < 2 or not q > 0:
+        raise UsageError("hurwitz_zetas needs J >= 2 and q > 0")
+    if q < 1:
+        shifted = hurwitz_zetas(q + 1, J)
+        return {j: mpf(q) ** -j + z for j, z in shifted.items()}
+    prec = mp.prec
+    P = -(-(prec + 10) // 4)
+    with mp.workprec(prec + 20):
+        N = max(0, int(mp.ceil(2 * (J + 2 * P + 1) / mp.pi - q)))
+    wp = prec + 10 + (2 * J * N + 5 * J + 40 * P).bit_length()
+    one = 1 << wp
+    with mp.workprec(wp):
+        qf = to_fixed(mpf(q)._mpf_, wp)
+        c = to_fixed((1 / (4 * mp.pi ** 2))._mpf_, wp)
+        bern = [
+            to_fixed((mp.bernoulli(2 * k) * (2 * mp.pi) ** (2 * k)
+                      / mp.factorial(2 * k))._mpf_, wp)
+            for k in range(1, P + 1)
+        ]
+    sums = [0] * (J + 1)
+    for m in range(N):
+        x = (one << wp) // (qf + m * one)
+        p = x
+        for j in range(2, J + 1):
+            p = p * x >> wp
+            sums[j] += p
+    inv = (one << wp) // (qf + N * one)
+    step = (inv * inv >> wp) * c >> wp  # 1 / (2 pi Q)^2
+    out = {}
+    prev = inv  # Q^(1-j) at step j
+    for j in range(2, J + 1):
+        power = prev * inv >> wp
+        total = prev // (j - 1) + (power >> 1)
+        t = (j * power * inv >> wp) * c >> wp
+        for k, b in enumerate(bern, start=1):
+            total += b * t >> wp
+            t = (j + 2 * k - 1) * (j + 2 * k) * t * step >> wp
+        out[j] = mpf((sums[j] + total, -wp))
+        prev = power
+    return out
 
 
 # ----------------------------------------------------------------------

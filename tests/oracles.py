@@ -2,12 +2,15 @@
 
 Each one computes its quantity the plain way, apart from the package's
 own kernels: the Legendre polynomials by the Bonnet recurrence, against
-which the Clenshaw summation is checked, and the side condition S as a
-sum over a stored eigenvector, against which the backward sweep's running
-sum is checked.
+which the Clenshaw summation is checked, the side condition S as a sum
+over a stored eigenvector, against which the backward sweep's running sum
+is checked, and the summation identity as a plain sum over an explicit
+zero list, against which the head-plus-tail sums are checked.
 """
 
-from mpmath import mpf
+from mpmath import mp, mpf
+
+from pwextremal.extremal import _test_function
 
 
 def legendre_pair(n: int, x):
@@ -35,3 +38,15 @@ def legendre_condition(pair) -> mpf:
     for n, x in enumerate(pair.xi):
         total += -x if ((n - 1) // 2) % 2 else x
     return total
+
+
+def direct_summation(zeros):
+    """(2 sum_mu f(mu), tail bound) over an explicit list of signed zeros,
+    f = x sinc(pi x / 5)^5 the test function of the summation checks.
+
+    |f(x)| <= K |x|^-4, K = (5/pi)^5, bounds the zeros left out by
+    2 K (X^-3 / 3 + X^-4), X the largest |mu| summed.
+    """
+    total = 2 * mp.fsum(_test_function(mpf(mu)) for mu in zeros)
+    X = max(abs(mpf(mu)) for mu in zeros)
+    return total, 2 * (mpf(5) / mp.pi) ** 5 * (X ** -3 / 3 + X ** -4)

@@ -128,10 +128,11 @@ def test_verify_gate_scales_with_digits(capsys):
 
 
 def test_verify_summation_passes(capsys):
-    # in process: the tau ladder and the second (drift 1) zero system
+    # in process: the tau ladder and the second (drift 1) zero system,
+    # each a head of 2 digits + 40 zeros plus a closed-form tail
     from pwextremal.cli import main
 
-    argv = ["verify", "--suite", "summation", "--digits", "12", "--count", "2000"]
+    argv = ["verify", "--suite", "summation", "--digits", "12"]
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert [c["check"] for c in report["checks"]] == [
@@ -139,20 +140,76 @@ def test_verify_summation_passes(capsys):
         "summation-second-system",
     ]
     assert [c["status"] for c in report["checks"]] == ["pass", "pass"]
+    for check in report["checks"]:
+        assert check["parameters"]["head"] == 64
+        assert "zeros" not in check["parameters"]
+
+
+def test_verify_count_is_gone(capsys):
+    # the summation head follows --digits; zeros --count stays
+    from pwextremal.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "summation", "--count", "2000"])
+    assert exc.value.code == 2
+    assert "--count" in capsys.readouterr().err
+
+
+def _summation_args(digits):
+    import argparse
+
+    return argparse.Namespace(digits=digits, tolerance_exponent=None)
+
+
+@pytest.mark.parametrize("digits", [12, 30, 50])
+def test_summation_checks_pass_below_the_requested_digits(
+    digits, consts12, consts30, consts50
+):
+    # in process: both checks pass with bound tail_bound + 10^-(digits-10),
+    # and their discrepancies are under 10^-digits
+    from pwextremal import cli
+
+    consts = {12: consts12, 30: consts30, 50: consts50}[digits]
+    checks = cli._suite_summation(consts, _summation_args(digits))
+    for check in checks:
+        assert check["status"] == "pass", check
+        assert mpf(check["discrepancy"]) < mpf(10) ** -digits, check
+        with mp.workdps(20):
+            gate = mpf(check["parameters"]["tail_bound"]) + mpf(10) ** (10 - digits)
+            assert abs(mpf(check["bound"]) / gate - 1) < mpf("1e-7"), check
+
+
+def test_summation_checks_fail_on_a_shifted_drift(consts30, monkeypatch):
+    # a drift weight off by 10^-(digits-12) = 1e-18 fails both checks; the
+    # gate of a sum over 10 000 zeros, 6.8e-12 + 1e-10, could not see it
+    from pwextremal import cli
+
+    check = cli.summation_check
+
+    def shifted(a_param, zeros, tail):
+        return check(a_param + mpf(10) ** -18, zeros, tail)
+
+    monkeypatch.setattr(cli, "summation_check", shifted)
+    checks = cli._suite_summation(consts30, _summation_args(30))
+    assert [c["status"] for c in checks] == ["fail", "fail"]
 
 
 def test_verify_summation_payload_pinned(capsys):
-    # in process, at the benchmark's digits and the default 10000 zeros:
-    # the printed discrepancies hold every digit through changes to the
-    # zero ladders and the summation
+    # in process, at the benchmark's digits: the printed discrepancies and
+    # tail parameters hold every digit through changes to the zero
+    # ladders and the summation
     from pwextremal.cli import main
 
     assert main(["verify", "--suite", "summation", "--digits", "30"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
     assert [c["discrepancy"] for c in report["checks"]] == [
-        "4.254842022e-13",
-        "3.651529655e-13",
+        "5.982482083e-39",
+        "5.59328282e-42",
+    ]
+    assert [c["parameters"] for c in report["checks"]] == [
+        {"head": 100, "order": 19, "tail_bound": "1.9810866e-37"},
+        {"head": 100, "order": 19, "matrix_drift": "1.0", "tail_bound": "5.5423879e-37"},
     ]
 
 

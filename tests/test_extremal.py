@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 import refvals
+from oracles import direct_summation
 from pwextremal import extremal
 from pwextremal.mpcore import UsageError
 from pwextremal.spectral import SolverError
@@ -376,6 +377,7 @@ def test_summation_rejects_non_odd_functions(consts30, monkeypatch):
     # takes as given: an even f, or one with an even part, is refused
     model = extremal.build_zero_model(consts30)
     zeros = extremal.zeros_signed(model, 40)
+    none = extremal.SummationTail(value=mpf(0), bound=mpf(0), order=0)
 
     def sinc4(x):
         if x == 0:
@@ -392,46 +394,73 @@ def test_summation_rejects_non_odd_functions(consts30, monkeypatch):
     for f in (sinc4, mixed):
         monkeypatch.setattr(extremal, "_test_function", f)
         with pytest.raises(UsageError, match="odd"):
-            extremal.summation_check(consts30, consts30.a_star, zeros)
+            extremal.summation_check(consts30.a_star, zeros, none)
 
 
 def test_summation_odd_function(consts30):
-    # f(x) = x sinc(pi x / 5)^5 has type pi, f'(0) = 1, and O(x^-4) decay
+    # f(x) = x sinc(pi x / 5)^5 has type pi, f'(0) = 1, and O(x^-4) decay;
+    # past a head of 800 zeros the tail series needs few orders
     model = extremal.build_zero_model(consts30)
-    zeros = extremal.zeros_signed(model, 800)
     a1, _lam, _xi = extremal.refined_spectral_frame(consts30, 30)
-    with mp.workdps(40):
+    with mp.workdps(45):
+        zeros = extremal.zeros_signed(model, 800)
         # the unscaled zero set pairs with the drift constant 1/(2C)
         a_param = 2 * a1 / mp.pi
-        report = extremal.summation_check(consts30, a_param, zeros)
-        assert report.zeros_used == 800
-        assert report.defect <= report.tail_bound
-        assert report.tail_bound < mpf("1e-7")
+        tail = extremal.zero_model_tail(model, 800)
+        report = extremal.summation_check(a_param, zeros, tail)
+        assert (report.head, report.order) == (800, tail.order)
+        assert tail.order < 15
+        assert report.tail_bound < mpf("1e-35")
+        assert report.defect < mpf("1e-30")
+        # its majorant bound on f' holds from Y = 8 on
+        with pytest.raises(UsageError, match="at least 7"):
+            extremal.zero_model_tail(model, 6)
+
+
+def test_summation_tails_match_the_direct_sum(consts30):
+    # head plus closed-form tail against the plain sum over 10 000 zeros
+    # (tests/oracles.py), within that sum's own tail bound, for both
+    # systems at 30 digits
+    model = extremal.build_zero_model(consts30)
+    with mp.workdps(45):
+        direct, bound = direct_summation(extremal.zeros_signed(model, 10000))
+        assert bound < mpf("7e-12")
+        head = extremal.zeros_signed(model, 100)
+        tail = extremal.zero_model_tail(model, 100)
+        assert abs(direct_summation(head)[0] + tail.value - direct) < bound
+        _a, many, _tail = extremal.summation_system(mpf(1), 5000, 30)
+        direct, bound = direct_summation(many)
+        assert bound < mpf("7e-12")
+        _a, head, tail = extremal.summation_system(mpf(1), 50, 30)
+        assert abs(direct_summation(head)[0] + tail.value - direct) < bound
 
 
 def test_summation_system_recovers_extremal_ladder(consts30):
     # at the extremal drift the Bessel-series ladder must reproduce the
     # signed tau zeros and the drift weight 1/(2C)
-    a_param, mu = extremal.summation_system(consts30.a_star, 14, digits=24)
+    a_param, mu, _tail = extremal.summation_system(consts30.a_star, 14, digits=24)
     model = extremal.build_zero_model(consts30)
     with mp.workdps(40):
-        ref = extremal.zeros_signed(model, 14)
+        ref = extremal.zeros_signed(model, 28)
         assert abs(a_param - 1 / (2 * consts30.C)) < mpf("1e-28")
+        assert len(mu) == 28
         assert max(abs(x - y) for x, y in zip(mu, ref)) < mpf("1e-27")
 
 
 def test_summation_system_other_drift(consts30):
-    a_param, mu = extremal.summation_system(mpf(1), 60, digits=20)
+    a_param, mu, tail = extremal.summation_system(mpf(1), 60, digits=20)
     with mp.workdps(40):
         assert abs(a_param - 2 / mp.pi) < mpf("1e-30")
     # signs interleave and absolute values increase
+    assert len(mu) == 120
     for x, y in zip(mu, mu[1:]):
         assert abs(y) > abs(x)
         assert mp.sign(x) * mp.sign(y) == -1
-    # the identity itself, limited only by the omitted tail
-    with mp.workdps(40):
-        report = extremal.summation_check(consts30, a_param, mu)
-        assert report.defect <= report.tail_bound
+    # the identity itself, head plus tail, to the requested digits
+    with mp.workdps(35):
+        report = extremal.summation_check(a_param, mu, tail)
+        assert report.tail_bound < mpf("1e-25")
+        assert report.defect < mpf("1e-20")
 
 
 def test_summation_system_rejects_colliding_zeros(monkeypatch):
@@ -443,7 +472,7 @@ def test_summation_system_rejects_colliding_zeros(monkeypatch):
         zeros = [mpf(first + 2 * k) for k in range(count)]
         if first == 2:
             zeros[1] = mpf(3)
-        return zeros
+        return zeros, None, None
 
     monkeypatch.setattr(extremal, "_bessel_zero_ladder", ladder)
     with pytest.raises(SolverError, match="collide"):
@@ -457,7 +486,7 @@ def test_summation_system_rejects_ladders_that_do_not_interleave(monkeypatch):
         zeros = [mpf(first + 2 * k) for k in range(count)]
         if first == 2:
             zeros[1] = mpf("2.5")
-        return zeros
+        return zeros, None, None
 
     monkeypatch.setattr(extremal, "_bessel_zero_ladder", ladder)
     with pytest.raises(SolverError, match="interleave"):
@@ -496,8 +525,9 @@ def test_summation_system_work_count(monkeypatch):
     # past the head scan each zero costs its Newton steps alone; the
     # phase-series seed is within 10^-(digits+5) 2^-10 of the zero, so one
     # evaluation, whose step is under 10^-(digits+5), certifies it: at most
-    # 1.1 evaluations a zero at 200 and at 2000 zeros (the second-difference
-    # seed alone took 3.1 and 2.4); counted by wrapping the series evaluator
+    # 1.1 evaluations a zero at 100 and at 1000 zeros a sign (the
+    # second-difference seed alone took 3.1 and 2.4); counted by wrapping
+    # the series evaluator
     calls = []
     evaluate = extremal._bessel_series_eval
 
@@ -506,15 +536,15 @@ def test_summation_system_work_count(monkeypatch):
         return evaluate(series, x)
 
     monkeypatch.setattr(extremal, "_bessel_series_eval", counted)
-    for count in (200, 2000):
+    for head in (100, 1000):
         calls.clear()
-        _a, mu = extremal.summation_system(mpf(1), count, digits=20)
-        half = count // 2 + 2
+        _a, mu, _tail = extremal.summation_system(mpf(1), head, digits=20)
         with mp.workdps(50):
             for alternate in (True, False):
                 ladder = sorted(
                     abs(m) * mp.pi / 2 for m in mu if (m > 0) == alternate
                 )
+                assert len(ladder) == head
                 # the scan stops one step of 0.4 past the third zero, and
                 # every later Newton iterate lies half a gap (about pi/2)
                 # beyond it
@@ -522,8 +552,8 @@ def test_summation_system_work_count(monkeypatch):
                 past_scan = [
                     x for alt, x in calls if alt == alternate and x > scan_end
                 ]
-                assert len(past_scan) <= mpf("1.1") * (half - 3), (
-                    count,
+                assert len(past_scan) <= mpf("1.1") * (head - 3), (
+                    head,
                     alternate,
                 )
 
@@ -548,14 +578,14 @@ def test_zero_ladder_without_phase_seeds(monkeypatch):
     monkeypatch.setattr(extremal, "_bessel_series_eval", counted)
     with mp.workdps(50):
         both = [_drift_one_series(alternate) for alternate in (True, False)]
-        seeded = [extremal._bessel_zero_ladder(s, 60, 20) for s in both]
+        seeded = [extremal._bessel_zero_ladder(s, 60, 20)[0] for s in both]
         seeded_calls = len(calls)
         phase = extremal._phase_series
         monkeypatch.setattr(
             extremal, "_phase_series", lambda s, u: [mpf(0)] * len(phase(s, u))
         )
         calls.clear()
-        unseeded = [extremal._bessel_zero_ladder(s, 60, 20) for s in both]
+        unseeded = [extremal._bessel_zero_ladder(s, 60, 20)[0] for s in both]
         for zs, ws in zip(seeded, unseeded):
             assert max(abs(z - w) for z, w in zip(zs, ws)) < mpf(10) ** -25
         assert len(calls) > seeded_calls + 120
@@ -566,8 +596,7 @@ def test_zeros_solve_the_phase_equation():
     # head, at the 4th, 100th and 5000th zero
     with mp.workdps(50):
         series = _drift_one_series(True)
-        zeros = extremal._bessel_zero_ladder(series, 5000, 20)
-        phase = extremal._phase_series(series, 1 / zeros[2])
+        zeros, phase, k_last = extremal._bessel_zero_ladder(series, 5000, 20)
 
         def offset(n):
             x = zeros[n - 1]
@@ -580,6 +609,7 @@ def test_zeros_solve_the_phase_equation():
             k, miss = offset(n)
             assert k - k3 == n - 3
             assert miss < mpf(10) ** -25, n
+        assert k == k_last
 
 
 def test_summation_system_validation():

@@ -18,7 +18,10 @@ from pwextremal.mpcore import (
     beta_numeric,
     clenshaw_legendre,
     decimal_truncated,
+    hurwitz_zetas,
     newton_root,
+    series_cos_sin,
+    series_derivative,
     series_exp0,
     series_from_coeffs,
     series_log1p,
@@ -137,6 +140,131 @@ def test_reciprocal_keeps_even_parity():
     r = series_reciprocal(f, 5)
     assert r.parity == "even"
     assert r.coefficient(1) == 0
+
+
+# ----------------------------------------------------------------------
+# properties of the series algebra the summation tails rest on, for random
+# short series: each identity is checked coefficient by coefficient
+# against the rounding its own sums allow, 10^-(dps-8) times the sum of
+# the absolute values of the products that make the coefficient
+
+
+def _series(draw_coeffs):
+    return series_from_coeffs([mpf(c) for c in draw_coeffs])
+
+
+def _abs_series(f):
+    return series_from_coeffs([abs(c) for c in f.coeffs])
+
+
+def _close(got, want, scale):
+    tol = mpf(10) ** -(mp.dps - 8)
+    for k, (x, y) in enumerate(zip(got, want)):
+        assert abs(x - y) <= tol * (1 + scale[k]), k
+
+
+_unit = st.floats(-1, 1, allow_nan=False)
+_constant = st.one_of(st.floats(-2, -0.5), st.floats(0.5, 2))
+
+
+@given(_constant, st.lists(_unit, max_size=11))
+def test_reciprocal_inverts_multiply(c0, rest):
+    f = _series([c0] + rest)
+    T = len(f)
+    inv = series_reciprocal(f, T)
+    prod = series_multiply(f, inv, T)
+    scale = series_multiply(_abs_series(f), _abs_series(inv), T).coeffs
+    _close(prod.coeffs, [1] + [0] * (T - 1), scale)
+
+
+@given(st.lists(st.floats(-0.25, 0.25), min_size=1, max_size=11))
+def test_exp0_inverts_log1p(rest):
+    f = _series([0] + rest)
+    T = len(f) - 1
+    back = series_exp0(series_log1p(f, T), T)
+    big = series_exp0(series_log1p(_abs_series(f), T), T)
+    # |log(1 + f)| is majorized by -log(1 - |f|) and exp by exp
+    scale = series_exp0(
+        series_scale(series_log1p(series_scale(_abs_series(f), -1), T), -1), T
+    ).coeffs
+    assert back.coeffs[0] == 1
+    _close(back.coeffs, [1] + f.coeffs[1:], [max(a, b) for a, b in zip(scale, big.coeffs)])
+
+
+@given(st.lists(_unit, min_size=2, max_size=12), st.lists(_unit, min_size=2, max_size=12))
+def test_derivative_product_rule(a, b):
+    f, g = _series(a), _series(b)
+    T = len(f) + len(g) - 1
+    left = series_derivative(series_multiply(f, g, T))
+    df, dg = series_derivative(f), series_derivative(g)
+    right = [
+        x + y
+        for x, y in zip(
+            series_multiply(df, g, T - 1).coeffs + [mpf(0)] * T,
+            series_multiply(f, dg, T - 1).coeffs + [mpf(0)] * T,
+        )
+    ]
+    scale = [
+        (k + 1) * c
+        for k, c in enumerate(series_multiply(_abs_series(f), _abs_series(g), T).coeffs[1:])
+    ]
+    _close(left.coeffs, right, scale)
+
+
+@given(st.lists(_unit, min_size=1, max_size=11))
+def test_cos_sin_are_a_unit_pair(rest):
+    # cos^2 + sin^2 = 1, and both match the scalar functions at z = 1/8
+    f = _series([0] + rest)
+    T = len(f) - 1
+    C, S = series_cos_sin(f, T)
+    square = [
+        x + y
+        for x, y in zip(series_multiply(C, C, T + 1).coeffs, series_multiply(S, S, T + 1).coeffs)
+    ]
+    bound = series_exp0(_abs_series(f), T)  # majorizes cos and sin
+    scale = series_multiply(bound, bound, T + 1).coeffs
+    _close(square, [1] + [0] * T, scale)
+    with pytest.raises(UsageError):
+        series_cos_sin(series_from_coeffs([1, 1]), 3)
+
+
+def test_cos_sin_of_a_line():
+    C, S = series_cos_sin(series_from_coeffs([0, 1]), 9)
+    for k in range(10):
+        want_c = 0 if k % 2 else (-1) ** (k // 2) / mp.factorial(k)
+        want_s = (-1) ** (k // 2) / mp.factorial(k) if k % 2 else 0
+        assert abs(C.coefficient(k) - want_c) < mpf(10) ** -38
+        assert abs(S.coefficient(k) - want_s) < mpf(10) ** -38
+
+
+def test_hurwitz_zetas_closed_forms():
+    # at an integer shift zeta(j, q) = zeta(j) - sum_{m<q} m^-j: q = 1,
+    # q = 23 (a short direct sum) and q = 200 (none), within 2^-(prec+10)
+    # plus the final rounding of mpmath's Riemann zeta at three times the
+    # precision, which covers the cancellation; below 1 the shift
+    # q^-j + zeta(j, q + 1), checked relative to zeta(j, 1/2) =
+    # (2^j - 1) zeta(j)
+    def integer_shift(q):
+        return lambda j: mp.zeta(j) - mp.fsum(mpf(m) ** -j for m in range(1, q))
+
+    prec = mp.prec
+    for q in (1, 23, 200):
+        got = hurwitz_zetas(mpf(q), 24)
+        assert sorted(got) == list(range(2, 25))
+        for j in range(2, 25):
+            with mp.workdps(3 * mp.dps):
+                ref = integer_shift(q)(j)
+                tol = mpf(2) ** -(prec + 10) + mpf(2) ** -prec * ref
+                assert abs(got[j] - ref) < tol, (q, j)
+    got = hurwitz_zetas(mpf(1) / 2, 24)
+    for j in range(2, 25):
+        with mp.workdps(3 * mp.dps):
+            ref = (2 ** j - 1) * mp.zeta(j)
+        assert abs(got[j] / ref - 1) < mpf(10) ** -(mp.dps - 2), j
+    with pytest.raises(UsageError):
+        hurwitz_zetas(mpf(0), 5)
+    with pytest.raises(UsageError):
+        hurwitz_zetas(mpf(1), 1)
 
 
 def test_add_and_scale():
