@@ -50,12 +50,9 @@ from .mpcore import (
     newton_root,
     series_cos_sin,
     series_derivative,
-    series_exp0,
     series_from_coeffs,
-    series_log1p,
     series_multiply,
     series_reciprocal,
-    series_scale,
 )
 from .spectral import (
     _N_FLOOR,
@@ -568,11 +565,24 @@ def build_zero_model(consts: ExtremalConstants) -> ZeroModel:
 
 
 def binomial_tail_expansion(rho_coeffs, s, K: int):
-    """Coefficients e_0..e_K of (1 - x rho(x))^{-s} as a series in x."""
-    xrho = [mpf(0), mpf(0)] + [mpf(c) for c in rho_coeffs]
-    f = series_from_coeffs([-c for c in xrho[: K + 1]])
-    expanded = series_exp0(series_scale(series_log1p(f, K + 1), -mpf(s)), K + 1)
-    return [expanded.coefficient(k) for k in range(K + 1)]
+    """Coefficients e_0..e_K of (1 - x rho(x))^{-s} as a series in x.
+
+    With f = 1 - x rho, whose coefficient f_k is -a_(k-1), the power
+    g = f^-s solves f g' = -s f' g, so e_0 = 1 and
+
+        e_n = sum_k a_(k-1) e_(n-k) - (1 - s)/n sum_k k a_(k-1) e_(n-k),
+
+    k = 2..n: two dot products a coefficient, each of exact products
+    rounded once, so e_n is exactly zero where every term is.
+    """
+    a = [mpf(c) for c in rho_coeffs[: max(0, K - 1)]]  # a[k - 2] = a_(k-1)
+    ka = [k * c for k, c in enumerate(a, 2)]
+    u = 1 - mpf(s)
+    e = [mpf(1)] + [mpf(0)] * K
+    for n in range(2, K + 1):
+        past = e[n - 2 :: -1]  # e_(n-k) for k = 2..n
+        e[n] = mp.fdot(a, past) - u * mp.fdot(ka, past) / n
+    return e
 
 
 # ----------------------------------------------------------------------
@@ -897,8 +907,8 @@ def _lattice_tail(sigma, J: int, start: int, step: int, shift, alternate: bool):
         u2 = series_multiply(u, u, T)
         g = series_multiply(series_multiply(series_multiply(u2, u2, T), u, T), weight, T)
         first = -((cls - start) // 5)  # first m with 5m + cls >= start
-        zetas = hurwitz_zetas(first + (step * cls + shift) / scale, J)
-        part = mp.fsum(g.coeffs[j - 4] * scale ** -j * zetas[j] for j in range(4, J + 1))
+        zetas = hurwitz_zetas(first + (step * cls + shift) / scale, 4, J - 3)
+        part = mp.fsum(g.coeffs[j - 4] * scale ** -j * zetas[j - 4] for j in range(4, J + 1))
         total += -part if (alternate and cls % 2 == 0) else part
     return 2 * (5 / mp.pi) ** 5 * total
 

@@ -5,9 +5,12 @@ one-signed sum of tau_n^{-s} and its alternating companion.  Both are
 computed for real s by analytic continuation: each term is expanded as a
 half-integer power times a binomial correction series in 1/(n + 1/2), a
 short head is summed directly from the zero model, and the remaining
-lattice sums collapse to Hurwitz zeta values.  The one-signed series is
-meromorphic with simple poles on the negative odd integers (and at 1);
-the alternating one is entire.
+lattice sums collapse to Hurwitz zeta values.  Every order with exponent
+w = s + j >= 2 takes its value from one mpcore.hurwitz_zetas table per
+lattice point and call, with a stated error; mpmath's zeta (and the
+digamma at w = 1) serves only the few orders with w < 2.  The one-signed
+series is meromorphic with simple poles on the negative odd integers (and
+at 1); the alternating one is entire.
 
 The continuation carries an error bound built from the geometric
 majorant of the offset coefficients, a_m <= 2^{-m-1}, so every reported
@@ -33,6 +36,7 @@ from .mpcore import (
     SolverError,
     UsageError,
     alternating_halfinteger_tail,
+    hurwitz_zetas,
     series_exp0,
     series_from_coeffs,
     series_log1p,
@@ -136,10 +140,36 @@ def _certified_tail(s, J: int, M: int):
     return tail, rho_term
 
 
+def _lattice_sums(kind: str, w, n: int) -> list:
+    """Lattice sums of the tail past _N0 at exponents w + i, i < n, w >= 2:
+    sum_{m > _N0} (m + 1/2)^-v = zeta(v, q) for the plus kind and
+    sum_{m > _N0} (-1)^m (m + 1/2)^-v = (-1)^(_N0+1) 2^-v (zeta(v, q/2)
+    - zeta(v, (q+1)/2)) for the minus kind, q = _N0 + 3/2; one
+    hurwitz_zetas table per lattice point.
+    """
+    q = mpf(2 * _N0 + 3) / 2
+    if kind == "plus":
+        return hurwitz_zetas(q, w, n)
+    sign = 1 if _N0 % 2 else -1
+    low = hurwitz_zetas(q / 2, w, n)
+    high = hurwitz_zetas((q + 1) / 2, w, n)
+    return [
+        sign * (mpf(2) ** -(w + i) * (a - b))
+        for i, (a, b) in enumerate(zip(low, high))
+    ]
+
+
 def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSeriesValue:
     """Continuation value of the zero-ladder series at real s, to the
     certified digits of `consts`, with the first _N0 zeros of its zero
     model summed directly.
+
+    Past them the value is sum_j e_j T(s + j) through order J, e_j the
+    coefficients of binomial_tail_expansion and T the lattice sums of
+    _lattice_sums for s + j >= 2, of mp.zeta (plus) or
+    alternating_halfinteger_tail (minus) below 2.  The error bound adds
+    the truncation past J, the offset series past M, the input digits and
+    2^-(prec+10) sum |e_j| for the tables.
 
     The plus kind has simple poles at s = 1 and the negative odd
     integers; there the returned record carries the residue instead of a
@@ -180,13 +210,19 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
             head += term
             head_abs += abs(term)
         e = binomial_tail_expansion(zeros.rho_coeffs, s_mp, J)
+        j0 = max(0, int(mp.ceil(2 - s_mp)))  # first order with s + j >= 2
+        table = _lattice_sums(kind, s_mp + j0, J + 1 - j0) if J >= j0 else []
         tail_sum = mpf(0)
         tail_abs = mpf(0)
+        table_abs = mpf(0)
         for j, ej in enumerate(e):
             if ej == 0:
                 continue
             w = s_mp + j
-            if kind == "plus":
+            if j >= j0:
+                T = table[j - j0]
+                table_abs += abs(ej)
+            elif kind == "plus":
                 T = mp.zeta(w, q)
             else:
                 T = -alternating_halfinteger_tail(w, _N0)
@@ -197,7 +233,8 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
         input_term = 4 * (1 + abs(s_mp)) * (head_abs + tail_abs) * mpf(10) ** (
             -digits
         )
-        bound = tail + rho_term + input_term
+        table_term = mpf(2) ** -(mp.prec + 10) * table_abs
+        bound = tail + rho_term + input_term + table_term
     return LSeriesValue(s=s, kind=kind, value=value, error_bound=bound)
 
 

@@ -9,7 +9,8 @@ Everything downstream runs on top of the ingredients collected here:
   side-condition root of :mod:`pwextremal.spectral` is the only other);
 * Clenshaw summation of Legendre series;
 * the Dirichlet beta function and alternating half-integer tails, through
-  Hurwitz zeta values, and a table of Hurwitz zeta values at one shift;
+  Hurwitz zeta values, and a table of Hurwitz zeta values at one shift
+  for a ladder of exponents w, w + 1, .. from a real w >= 2;
 * exact decimal truncation for the serialized output.
 
 Scalars are plain ``mpmath.mpf`` values ("big reals").  All functions expect
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from mpmath import mp, mpf
@@ -310,73 +312,102 @@ def alternating_halfinteger_tail(w, n_start: int):
     return val if n_start % 2 == 0 else -val
 
 
-def hurwitz_zetas(q, J: int) -> dict:
-    """{j: zeta(j, q)} for j = 2..J and q > 0.  For q >= 1 each value is
-    within 2^-(prec+10) before it is rounded to the working precision;
-    below 1, zeta(j, q) = q^-j + zeta(j, q + 1).
-
-    One Euler-Maclaurin run serves every j.  N terms (q + m)^-j are summed
-    directly, each power by one multiply from the last, and at
-    Q = q + N >= 2 (J + 2P + 1) / pi
-
-        zeta(j, Q) = Q^(1-j) / (j-1) + Q^-j / 2
-                     + sum_{k=1}^{P} B_2k / (2k)! (j)_(2k-1) Q^(1-j-2k) + R,
-
-    (j)_i the rising factorial.  The derivatives of x^-j alternate in
-    sign, so |R| is below the first omitted term, k = P + 1; with
-    |B_2k| / (2k)! <= 4 (2 pi)^-2k and 2 pi Q >= 4 (j + 2P + 1), that term
-    is below 4^-2P times the leading term Q^(1-j) / (j-1) < 1, and
-    P = ceil((prec + 10) / 4) puts R below 2^-(prec+10).
-
-    The sums run in fixed point at wp bits.  Every value in them is at
-    most 1 but the scaled Bernoulli numbers b_k = B_2k (2 pi)^2k / (2k)!,
-    |b_k| <= 4, each product is truncated by less than one unit of 2^-wp,
-    and a truncation is never magnified: the powers are of 1/(q + m) <= 1,
-    and the Bernoulli terms are carried as t_k = (j)_(2k-1)
-    Q^(1-j-2k) / (2 pi)^2k, each k step a factor (j + 2k - 1)(j + 2k)
-    / (2 pi Q)^2 <= 1/16.  So the direct powers are within 2j units each,
-    Q^-j and Q^(1-j) / (j-1) within 2j, t_k within 8 and b_k t_k within 40:
-    at most 2 J N + 5 J + 40 P units, which the wp - prec - 10 guard bits
-    cover.
-    """
-    if J < 2 or not q > 0:
-        raise UsageError("hurwitz_zetas needs J >= 2 and q > 0")
-    if q < 1:
-        shifted = hurwitz_zetas(q + 1, J)
-        return {j: mpf(q) ** -j + z for j, z in shifted.items()}
-    prec = mp.prec
-    P = -(-(prec + 10) // 4)
-    with mp.workprec(prec + 20):
-        N = max(0, int(mp.ceil(2 * (J + 2 * P + 1) / mp.pi - q)))
-    wp = prec + 10 + (2 * J * N + 5 * J + 40 * P).bit_length()
-    one = 1 << wp
+@lru_cache(maxsize=64)
+def _euler_maclaurin_constants(P: int, wp: int):
+    """1 / (2 pi)^2 and B_2k (2 pi)^2k / (2k)!, k = 1..P, in fixed point
+    at wp bits: the constants of every hurwitz_zetas run at one wp."""
     with mp.workprec(wp):
-        qf = to_fixed(mpf(q)._mpf_, wp)
         c = to_fixed((1 / (4 * mp.pi ** 2))._mpf_, wp)
-        bern = [
+        bern = tuple(
             to_fixed((mp.bernoulli(2 * k) * (2 * mp.pi) ** (2 * k)
                       / mp.factorial(2 * k))._mpf_, wp)
             for k in range(1, P + 1)
-        ]
-    sums = [0] * (J + 1)
-    for m in range(N):
-        x = (one << wp) // (qf + m * one)
+        )
+    return c, bern
+
+
+def hurwitz_zetas(q, w, n: int) -> list:
+    """[zeta(w + i, q) for i in range(n)] for real w >= 2 and q > 0.  For
+    q >= 1 each value is within 2^-(prec+10) before it is rounded to the
+    working precision; below 1, zeta(w, q) = q^-w + zeta(w, q + 1).
+
+    One Euler-Maclaurin run serves every exponent.  N terms (q + m)^-w
+    are summed directly, the first power of each m by one real power (by
+    multiplies from 1/(q + m) when w is an integer) and each later one by
+    one multiply from the last, and at Q = q + N >= 2 (W + 2P + 1) / pi,
+    W = w + n - 1 the largest exponent,
+
+        zeta(v, Q) = Q^(1-v) / (v-1) + Q^-v / 2
+                     + sum_{k=1}^{P} B_2k / (2k)! (v)_(2k-1) Q^(1-v-2k) + R,
+
+    (v)_i the rising factorial.  The derivatives of x^-v alternate in
+    sign, so |R| is below the first omitted term, k = P + 1; with
+    |B_2k| / (2k)! <= 4 (2 pi)^-2k and 2 pi Q >= 4 (v + 2P + 1), that term
+    is below 4^-2P times the leading term Q^(1-v) / (v-1) < 1, and
+    P = ceil((prec + 10) / 4) puts R below 2^-(prec+10).
+
+    The sums run in fixed point at wp bits, where q, w and so every factor
+    v + i are exact.  Every value in them is at most 1 but the scaled
+    Bernoulli numbers b_k = B_2k (2 pi)^2k / (2k)!, |b_k| <= 4, each
+    product is truncated by less than one unit of 2^-wp, and a truncation
+    is never magnified: the powers are of 1/(q + m) <= 1, a real power is
+    taken at wp + 10 bits and is within 2 units, and the Bernoulli terms
+    are carried as t_k = (v)_(2k-1) Q^(1-v-2k) / (2 pi)^2k, each k step a
+    factor (v + 2k - 1)(v + 2k) / (2 pi Q)^2 <= 1/16.  So the direct
+    powers are within 2v units each, Q^-v and Q^(1-v) / (v-1) within 2v,
+    t_k within 8 and b_k t_k within 40: at most 2 W N + 5 W + 40 P units,
+    which the wp - prec - 10 guard bits cover.
+    """
+    if n < 1 or not w >= 2 or not q > 0:
+        raise UsageError("hurwitz_zetas needs n >= 1, w >= 2 and q > 0")
+    if q < 1:
+        shifted = hurwitz_zetas(q + 1, w, n)
+        return [mpf(q) ** -(w + i) + z for i, z in enumerate(shifted)]
+    prec = mp.prec
+    P = -(-(prec + 10) // 4)
+    with mp.workprec(prec + 20):
+        W = int(mp.ceil(w)) + n - 1
+        N = max(0, int(mp.ceil(2 * (w + n + 2 * P) / mp.pi - q)))
+    wp = prec + 10 + (2 * W * N + 5 * W + 40 * P).bit_length()
+    one = 1 << wp
+    whole = w == int(w)
+    qf = to_fixed(mpf(q)._mpf_, wp)
+    wf = to_fixed(mpf(w)._mpf_, wp)
+    c, bern = _euler_maclaurin_constants(P, wp)
+
+    def first_power(y, x, v):
+        """y^-v in fixed point, x = 1/y: multiplies for an integer v."""
+        if not whole:
+            with mp.workprec(wp + 10):
+                return to_fixed((mpf((y, -wp)) ** -v)._mpf_, wp)
         p = x
-        for j in range(2, J + 1):
+        for _ in range(int(v) - 1):
             p = p * x >> wp
-            sums[j] += p
-    inv = (one << wp) // (qf + N * one)
+        return p
+
+    sums = [0] * n
+    for m in range(N):
+        y = qf + m * one
+        x = (one << wp) // y
+        p = first_power(y, x, w)
+        sums[0] += p
+        for i in range(1, n):
+            p = p * x >> wp
+            sums[i] += p
+    y = qf + N * one
+    inv = (one << wp) // y
     step = (inv * inv >> wp) * c >> wp  # 1 / (2 pi Q)^2
-    out = {}
-    prev = inv  # Q^(1-j) at step j
-    for j in range(2, J + 1):
+    out = []
+    prev = first_power(y, inv, w - 1)  # Q^(1-v) at step v
+    for i in range(n):
+        v = wf + i * one
         power = prev * inv >> wp
-        total = prev // (j - 1) + (power >> 1)
-        t = (j * power * inv >> wp) * c >> wp
+        total = (prev << wp) // (v - one) + (power >> 1)
+        t = ((v * power >> wp) * inv >> wp) * c >> wp
         for k, b in enumerate(bern, start=1):
             total += b * t >> wp
-            t = (j + 2 * k - 1) * (j + 2 * k) * t * step >> wp
-        out[j] = mpf((sums[j] + total, -wp))
+            t = ((v + (2 * k - 1) * one) * (v + 2 * k * one) >> wp) * t * step >> 2 * wp
+        out.append(mpf((sums[i] + total, -wp)))
         prev = power
     return out
 

@@ -231,6 +231,42 @@ def test_verify_residual_payloads_pinned(capsys):
         assert [c["discrepancy"] for c in report["checks"]] == discrepancies, suite
 
 
+def test_verify_lseries_payloads_pinned(capsys):
+    # in process, at the benchmark's digits: every printed discrepancy,
+    # certified bound and order-doubling shift of the series suites holds
+    # every digit through changes to how the continuation gets its Hurwitz
+    # values and binomial coefficients
+    from pwextremal.cli import main
+
+    keys = ("discrepancy", "certified_bound", "order_doubling_shift")
+    pinned = {
+        "lseries": [
+            ("1.504428668e-36", "4.5455471e-28", None),
+            ("3.21621526e-34", "3.1813956e-26", None),
+            ("3.809779648e-32", "2.76725e-24", None),
+            ("3.778707312e-30", "2.3787111e-22", None),
+            ("0.5", "3.4000018e-29", None),
+            ("3.945834115e-39", "4.0530372e-28", None),
+            ("1.432379795e-41", "6.0018327e-28", None),
+            ("2.884552413e-44", "8.0000923e-28", None),
+            ("5.092995448e-38", None, None),
+            ("2.419548892e-29", None, None),
+            ("5.009619908e-29", None, None),
+        ],
+        "conjectures": [
+            ("2.839904191e-35", "5.9140141e-27", "6.7971818e-56"),
+            ("4.157440103e-33", "4.6765052e-25", "1.1664575e-56"),
+            ("4.584191208e-31", "3.7444186e-23", "1.9820304e-57"),
+            (None, None, None),
+        ],
+    }
+    for suite, rows in pinned.items():
+        assert main(["verify", "--suite", suite, "--digits", "30"]) == 0, suite
+        report = json.loads(capsys.readouterr().out)
+        got = [tuple(c.get(k) for k in keys) for c in report["checks"]]
+        assert got == rows, suite
+
+
 def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
     # in process, with no solve: past the --digits whose default window
     # order (digits // 2) or Legendre pair count (digits // 3 + 8) passes

@@ -16,7 +16,13 @@ from mpmath import mp, mpf
 import refvals
 from oracles import direct_summation
 from pwextremal import extremal
-from pwextremal.mpcore import UsageError
+from pwextremal.mpcore import (
+    UsageError,
+    series_exp0,
+    series_from_coeffs,
+    series_log1p,
+    series_scale,
+)
 from pwextremal.spectral import SolverError
 
 
@@ -415,6 +421,24 @@ def test_summation_odd_function(consts30):
         # its majorant bound on f' holds from Y = 8 on
         with pytest.raises(UsageError, match="at least 7"):
             extremal.zero_model_tail(model, 6)
+
+
+def test_binomial_tail_expansion_matches_log_exp(consts30):
+    # the power recurrence against exp(-s log(1 - x rho)) through the
+    # series helpers, at integer, half-integer and negative s; the odd
+    # coefficients of the even series are exactly zero
+    rho = extremal.build_zero_model(consts30).rho_coeffs
+    with mp.workdps(50):
+        f = series_from_coeffs([0, 0] + [-c for c in rho[:29]])
+        log = series_log1p(f, 30)
+        for s in (mpf(3), mpf("2.5"), mpf(1), mpf(-5), mpf(-6)):
+            got = extremal.binomial_tail_expansion(rho, s, 30)
+            ref = series_exp0(series_scale(log, -s), 30)
+            assert len(got) == 31
+            for n, value in enumerate(got):
+                want = ref.coefficient(n)
+                assert abs(value - want) <= mpf(10) ** -45 * max(1, abs(want)), (s, n)
+            assert all(value == 0 for value in got[1::2]), s
 
 
 def test_summation_tails_match_the_direct_sum(consts30):

@@ -206,6 +206,40 @@ def test_brute_force_real_exponent(consts30):
     assert abs(cont.value - brute) <= err + cont.error_bound
 
 
+def test_l_series_work_count(consts30, monkeypatch):
+    # every order with exponent w = s + j >= 2 comes from one hurwitz_zetas
+    # table per lattice point of the call (q = 19/2, or 19/4 and 21/4 for
+    # the alternating kind); mpmath's zeta serves only w < 2, once per
+    # order for the plus kind and twice for the minus kind, whose w = 1
+    # order takes the digamma instead; counted by wrapping both
+    extremal.build_zero_model(consts30)
+    zetas, tables = [], []
+    zeta = mp.zeta
+    table = lseries.hurwitz_zetas
+
+    def counted_zeta(w, q, *args, **kwargs):
+        zetas.append(int(w))
+        return zeta(w, q, *args, **kwargs)
+
+    def counted_table(q, w, n):
+        tables.append(q)
+        return table(q, w, n)
+
+    monkeypatch.setattr(mp, "zeta", counted_zeta)
+    monkeypatch.setattr(lseries, "hurwitz_zetas", counted_table)
+    for kind, s, orders, lattice in (
+        ("plus", 3, [], [9.5]),
+        ("minus", 3, [], [4.75, 5.25]),
+        ("plus", -6, [-6, -4, -2, 0], [9.5]),
+        ("minus", -5, [-5, -5, -3, -3, -1, -1], [4.75, 5.25]),
+    ):
+        zetas.clear()
+        tables.clear()
+        lseries.l_series(consts30, kind, s)
+        assert sorted(zetas) == orders, (kind, s)
+        assert sorted(tables) == lattice, (kind, s)
+
+
 def test_order_override_stays_consistent(consts30):
     auto = lseries.l_series(consts30, "minus", 3)
     short = lseries.l_series(consts30, "minus", 3, order=12)

@@ -249,22 +249,45 @@ def test_hurwitz_zetas_closed_forms():
 
     prec = mp.prec
     for q in (1, 23, 200):
-        got = hurwitz_zetas(mpf(q), 24)
-        assert sorted(got) == list(range(2, 25))
-        for j in range(2, 25):
+        got = hurwitz_zetas(mpf(q), 2, 23)
+        assert len(got) == 23
+        for j, value in enumerate(got, start=2):
             with mp.workdps(3 * mp.dps):
                 ref = integer_shift(q)(j)
                 tol = mpf(2) ** -(prec + 10) + mpf(2) ** -prec * ref
-                assert abs(got[j] - ref) < tol, (q, j)
-    got = hurwitz_zetas(mpf(1) / 2, 24)
-    for j in range(2, 25):
+                assert abs(value - ref) < tol, (q, j)
+    got = hurwitz_zetas(mpf(1) / 2, 2, 23)
+    for j, value in enumerate(got, start=2):
         with mp.workdps(3 * mp.dps):
             ref = (2 ** j - 1) * mp.zeta(j)
-        assert abs(got[j] / ref - 1) < mpf(10) ** -(mp.dps - 2), j
+        assert abs(value / ref - 1) < mpf(10) ** -(mp.dps - 2), j
     with pytest.raises(UsageError):
-        hurwitz_zetas(mpf(0), 5)
+        hurwitz_zetas(mpf(0), 2, 5)
     with pytest.raises(UsageError):
-        hurwitz_zetas(mpf(1), 1)
+        hurwitz_zetas(mpf(1), 2, 0)
+
+
+def test_hurwitz_zetas_real_first_exponent():
+    # zeta(5/2 + i, q) at q = 19/4 and at q = 1/4, which goes through the
+    # shift q^-w + zeta(w, q + 1), against a direct sum of 30 terms plus
+    # mpmath's Hurwitz zeta at q + 30, both at three times the precision:
+    # within 2^-(prec+10) plus the rounding to the working precision, one
+    # rounding at q >= 1 and two below, where the shift adds a rounded term
+    prec = mp.prec
+    w = mpf(5) / 2
+    for q, roundings in ((mpf(19) / 4, 1), (mpf(1) / 4, 2)):
+        got = hurwitz_zetas(q, w, 24)
+        assert len(got) == 24
+        for i, value in enumerate(got):
+            with mp.workdps(3 * mp.dps):
+                v = w + i
+                ref = mp.fsum((q + m) ** -v for m in range(30)) + mp.zeta(v, q + 30)
+                tol = mpf(2) ** -(prec + 10) + roundings * mpf(2) ** -prec * ref
+                assert abs(value - ref) < tol, (q, i)
+    # the error proof needs a first exponent of at least 2
+    for w in (mpf("1.5"), 1, mpf(-3)):
+        with pytest.raises(UsageError):
+            hurwitz_zetas(mpf(19) / 4, w, 4)
 
 
 def test_add_and_scale():
