@@ -72,6 +72,7 @@ from .fourier import (
     window_basis_coefficients,
 )
 from .lseries import (
+    MAX_INTEGRALITY_DEPTH,
     brute_force_value,
     check_integrality,
     check_Lodd,
@@ -335,6 +336,12 @@ def _cmd_verify(args):
     names = [s for s in SUITES if s != "all"] if args.suite == "all" else [args.suite]
     if "fourier" in names:
         _check_pairs(args, "verify --suite " + args.suite)
+    if "conjectures" in names and (args.terms or 0) > MAX_INTEGRALITY_DEPTH:
+        raise UsageError(
+            "verify --suite %s needs --terms %d or less: the integrality scan "
+            "depth is capped at %d"
+            % (args.suite, MAX_INTEGRALITY_DEPTH, MAX_INTEGRALITY_DEPTH)
+        )
     consts = solve_constants(args.digits)
     checks = []
     for name in names:
@@ -519,7 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--terms",
         type=int,
         default=None,
-        help="integrality scan depth for the conjecture suite (default 200)",
+        help="integrality scan depth for the conjecture suite (default 200, "
+        "at most %d)" % MAX_INTEGRALITY_DEPTH,
     )
     common(p)
 

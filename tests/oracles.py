@@ -4,9 +4,13 @@ Each one computes its quantity the plain way, apart from the package's
 own kernels: the Legendre polynomials by the Bonnet recurrence, against
 which the Clenshaw summation is checked, the side condition S as a sum
 over a stored eigenvector, against which the backward sweep's running sum
-is checked, and the summation identity as a plain sum over an explicit
-zero list, against which the head-plus-tail sums are checked.
+is checked, the summation identity as a plain sum over an explicit
+zero list, against which the head-plus-tail sums are checked, and the
+integrality recursion in exact rational arithmetic, against which the
+residues of the integrality scan are checked.
 """
+
+import math
 
 from mpmath import mp, mpf
 
@@ -50,3 +54,44 @@ def direct_summation(zeros):
     total = 2 * mp.fsum(_test_function(mpf(mu)) for mu in zeros)
     X = max(abs(mpf(mu)) for mu in zeros)
     return total, 2 * (mpf(5) / mp.pi) ** 5 * (X ** -3 / 3 + X ** -4)
+
+
+def recursion_polynomials(n_max: int):
+    """Iterator over u_0..u_n_max, exact polynomials in (b^2, lambda).
+
+    The recursion is the coefficient recursion of the even minimizer with
+    the frame constant scaled out:
+
+        (n+1) u_{n+1} = (4n+2) (n(n+1) - lambda) u_n + 4n b^2 u_{n-1},
+
+    u_0 = 1, u_{-1} = 0.  Each u_n is yielded as (rows, den): rows[i][j]
+    is the integer numerator of the coefficient of b^{2i} lambda^j, for
+    0 <= i <= n/2 and 0 <= j <= n - 2i, and den > 0 is the least common
+    denominator of the coefficients, so u_n = rows / den.
+    """
+    prev, prev_den = (), 1
+    rows, den = ((1,),), 1
+    yield rows, den
+    for n in range(n_max):
+        # numerator of (n+1) u_{n+1} over lcm(den, prev_den)
+        common = den * prev_den // math.gcd(den, prev_den)
+        drift = (4 * n + 2) * (common // den)
+        constant = n * (n + 1) * drift
+        shift = 4 * n * (common // prev_den)
+        out = []
+        for i in range((n + 1) // 2 + 1):
+            row = [0] * (n - 2 * i + 2)
+            if i < len(rows):
+                for j, c in enumerate(rows[i]):
+                    row[j] += constant * c
+                    row[j + 1] -= drift * c
+            if i:
+                for j, c in enumerate(prev[i - 1]):
+                    row[j] += shift * c
+            out.append(row)
+        scale = (n + 1) * common
+        g = math.gcd(scale, *(c for row in out for c in row))
+        prev, prev_den = rows, den
+        rows = tuple(tuple(c // g for c in row) for row in out)
+        den = scale // g
+        yield rows, den

@@ -292,15 +292,17 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
     # a c-basis order given within its cap lifts the limit on --digits
     argv = ["export", "c-basis", "--digits", "100", "--terms", "40"]
     assert cli.main(argv) == 1
-    for target, outside, inside, message in (
-        ("legendre", 128, 127, "--terms 127 or less"),
-        ("c-basis", 41, 40, "--terms 40 or less"),
-        ("h", 1, 2, "--terms 2 or more"),
+    for command, outside, inside, message in (
+        (["export", "legendre"], 128, 127, "--terms 127 or less"),
+        (["export", "c-basis"], 41, 40, "--terms 40 or less"),
+        (["export", "h"], 1, 2, "--terms 2 or more"),
+        (["verify", "--suite", "conjectures"], 401, 400, "--terms 400 or less"),
+        (["verify", "--suite", "all"], 401, 400, "--terms 400 or less"),
     ):
-        argv = ["export", target, "--digits", "30", "--terms"]
-        assert cli.main(argv + [str(outside)]) == 2, target
+        argv = command + ["--digits", "30", "--terms"]
+        assert cli.main(argv + [str(outside)]) == 2, command
         assert message in capsys.readouterr().err
-        assert cli.main(argv + [str(inside)]) == 1, target
+        assert cli.main(argv + [str(inside)]) == 1, command
         assert "solve reached" in capsys.readouterr().err
 
 

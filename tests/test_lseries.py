@@ -6,6 +6,7 @@ machinery, so the 1e-12 agreement is an independent confirmation.
 """
 
 import dataclasses
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 from mpmath import mp, mpf
 
 import refvals
+from oracles import recursion_polynomials
 from pwextremal import extremal, lseries
 from pwextremal.mpcore import UsageError
 
@@ -115,28 +117,33 @@ def test_integrality_scan():
 
 
 def test_integrality_scan_memory():
-    # only the last two polynomials are live during the scan
+    # at the depth verify runs, the residues modulo 200!/n! peak at about
+    # 1.5 MB of traced heap; the exact rows peaked at 7.1 MB
     tracemalloc.start()
     try:
-        lseries.check_integrality(80)
+        lseries.check_integrality(200)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
 
 
-def _fraction_recursion(n_max):
-    """u_0..u_n_max as {(i, j): Fraction} dicts, straight from the recursion."""
+def _fraction_recursion(n_max, divisor=lambda n: n + 1):
+    """u_0..u_n_max as {(i, j): Fraction} dicts, straight from the
+    recursion with step n divided by divisor(n); stops after the first
+    u_n with a non-integer coefficient."""
     out = [{(0, 0): Fraction(1)}]
     prev = {}
     for n in range(n_max):
+        if any(v.denominator != 1 for v in out[n].values()):
+            break
         nxt = {}
         for (i, j), v in out[n].items():
-            v = v * Fraction(4 * n + 2, n + 1)
+            v = v * Fraction(4 * n + 2, divisor(n))
             nxt[i, j] = nxt.get((i, j), 0) + n * (n + 1) * v
             nxt[i, j + 1] = nxt.get((i, j + 1), 0) - v
         for (i, j), v in prev.items():
-            nxt[i + 1, j] = nxt.get((i + 1, j), 0) + Fraction(4 * n, n + 1) * v
+            nxt[i + 1, j] = nxt.get((i + 1, j), 0) + Fraction(4 * n, divisor(n)) * v
         prev = out[n]
         out.append({key: v for key, v in nxt.items() if v})
     return out
@@ -153,7 +160,7 @@ def _as_fractions(rows, den):
 
 def test_recursion_matches_fraction_oracle():
     oracle = _fraction_recursion(40)
-    polys = list(lseries.recursion_polynomials(40))
+    polys = list(recursion_polynomials(40))
     assert len(polys) == 41
     for n, (rows, den) in enumerate(polys):
         assert den > 0
@@ -162,8 +169,40 @@ def test_recursion_matches_fraction_oracle():
         assert _as_fractions(rows, den) == oracle[n], n
 
 
+def test_residues_match_exact_rows():
+    # the scan's rows are the exact rows reduced modulo 40!/n!
+    residues = list(lseries.integrality_residues(40))
+    assert len(residues) == 41
+    for n, ((rows, den), got) in enumerate(zip(recursion_polynomials(40), residues)):
+        assert den == 1
+        modulus = math.factorial(40) // math.factorial(n)
+        assert got == [[c % modulus for c in row] for row in rows], n
+
+
+def test_integrality_scan_stops_at_first_violation(monkeypatch):
+    # with the divisor of the recursion changed, the scan reports the
+    # first non-integral u_n of an exact Fraction run; dividing step 12
+    # by 8 (n + 1) makes u_13 and u_14 integral and u_15 not, so the
+    # residues must carry the extra powers of 2 through two steps
+    step = lseries._recursion_step
+    for divisor, expected in (
+        (lambda n: n + 3, 1),
+        (lambda n: 2 * (n + 1) if n >= 10 else n + 1, 12),
+        (lambda n: 8 * (n + 1) if n == 12 else n + 1, 15),
+    ):
+        exact = _fraction_recursion(40, divisor)
+        assert len(exact) - 1 == expected
+        assert any(v.denominator != 1 for v in exact[-1].values())
+        monkeypatch.setattr(
+            lseries, "_recursion_step", lambda n, d=divisor: step(n)[:3] + (d(n),)
+        )
+        rep = lseries.check_integrality(40)
+        assert rep["first_violation"] == expected
+        assert rep["integral_through"] == expected - 1
+
+
 def test_recursion_polynomial_heads():
-    polys = list(lseries.recursion_polynomials(2))
+    polys = list(recursion_polynomials(2))
     assert polys[0] == (((1,),), 1)
     assert polys[1] == (((0, -2),), 1)
     assert polys[2] == (((0, -12, 6), (2,)), 1)
@@ -173,7 +212,7 @@ def test_recursion_matches_taylor_coefficients(consts30):
     # evaluating the formal polynomials on the invariant frame data
     # reproduces the minimizer's Taylor coefficients after undoing the
     # frame scaling z -> (2 a / pi) z
-    polys = list(lseries.recursion_polynomials(6))
+    polys = list(recursion_polynomials(6))
     ext = extremal.taylor_extremal(consts30, 7, cross_check=False)
     with mp.workdps(45):
         astar = mpf(consts30.a_star)
@@ -280,8 +319,9 @@ def test_validation(consts30):
         lseries.brute_force_value(consts30, "plus", 2, 10)
     with pytest.raises(UsageError):
         lseries.l_plus_even_from_phi(consts30, 0)
-    with pytest.raises(UsageError):
-        lseries.recursion_polynomials(-1)
+    for depth in (-1, lseries.MAX_INTEGRALITY_DEPTH + 1):
+        with pytest.raises(UsageError):
+            lseries.check_integrality(depth)
 
 
 def test_json_round_trip(consts30):
