@@ -336,6 +336,10 @@ def _cmd_verify(args):
     names = [s for s in SUITES if s != "all"] if args.suite == "all" else [args.suite]
     if "fourier" in names:
         _check_pairs(args, "verify --suite " + args.suite)
+    if args.terms is not None and "conjectures" not in names:
+        raise UsageError(
+            "verify --suite %s does not read --terms; conjectures and all do" % args.suite
+        )
     if "conjectures" in names and (args.terms or 0) > MAX_INTEGRALITY_DEPTH:
         raise UsageError(
             "verify --suite %s needs --terms %d or less: the integrality scan "
@@ -527,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="integrality scan depth for the conjecture suite (default 200, "
-        "at most %d)" % MAX_INTEGRALITY_DEPTH,
+        "at most %d); other suites reject it" % MAX_INTEGRALITY_DEPTH,
     )
     common(p)
 

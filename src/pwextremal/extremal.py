@@ -6,9 +6,9 @@ rebuilds the two functions everything else is made of:
 * the entire factor F (normalized F(0) = 1, F'(0) = L1) whose alternately
   signed zeros carry all the structure, via the coefficient recursion of
   its second-order differential equation;
-* the even minimizer itself, F(z) F(-z), via its own three-term relation,
-  cross-checked against the Cauchy product of the factor with its
-  reflection.
+* the even minimizer itself, F(z) F(-z), in closed form from the ground
+  eigenvector, cross-checked against the Cauchy product of the factor
+  with its reflection.
 
 Both are truncated power series in z (mpcore.PowerSeries).  On top of
 them sit the zero model (offset expansion tau_n = n + 1/2 -
@@ -22,20 +22,22 @@ ladders of a second eigenfunction system, and a reconstruction of the
 central constant from the offset coefficients alone.  Every Newton iteration here, on the zeros of the
 factor and of the Bessel series, is mpcore.newton_root.
 
-A note on precision.  The coefficient recursions are badly unstable: the
-parasitic solution grows factorially while the wanted one decays
-factorially, so coefficients at order T cost roughly 2 log10(T!) extra
-digits of the inputs a and lambda.  The constants object certifies only
-its requested digits, which is nowhere near enough for deep recursions;
-operations here therefore re-solve the spectral root at whatever elevated
-precision the requested order demands (on a narrow bracket around the
-certified root, cached on the constants object) before running a
-recursion.  mpmath's precision is global to the process, so none of this
-is thread-safe: run parallel work in separate processes.
+A note on precision.  Callers ask for the digits they need, their own
+cancellation headroom included, and both Taylor models run at that plus
+the fixed guard _TAYLOR_GUARD, on refined_spectral_frame at the same
+precision, because both are read off stable routes: the minimizer off
+the ground eigenvector, the minimal solution of its recurrence
+(Gautschi, SIAM Rev. 9, 1967), and the factor off its recursion run
+backward from order T + 40 or later (Olver, J. Res. NBS 71B, 1967), with
+the row that run leaves out as a residual check.  Their error statements
+are estimates, not proved bounds.  mpmath's precision is global to the
+process, so none of this is thread-safe: run parallel work in separate
+processes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -58,6 +60,8 @@ from .spectral import (
     _N_FLOOR,
     ExtremalConstants,
     _side_root,
+    _sweep,
+    _tail_log10,
     _tail_size,
     build_matrix,
     ground_eigenpair,
@@ -65,90 +69,68 @@ from .spectral import (
 
 
 # ----------------------------------------------------------------------
-# precision bookkeeping for the unstable recursions
-
-
-def _log10_factorial(n: int) -> mpf:
-    return mp.loggamma(n + 1) / mp.log(10)
-
-
-def _factor_recursion_loss(ab, T: int) -> int:
-    """Decimal digits destroyed by the factor recursion up to order T.
-
-    The parasitic branch of the three-term recursion grows like T!/a^T
-    while the true coefficients decay like b^T/T!; the quotient
-    (T!)^2/(ab)^T measures how far an initial relative perturbation of the
-    inputs is amplified relative to the answer.
-    """
-    with mp.workdps(25):
-        loss = 2 * _log10_factorial(T) - T * mp.log10(mpf(ab))
-        return max(0, int(loss) + 1)
-
-
-def _extremal_recursion_loss(a, T: int) -> int:
-    """Same estimate for the even three-term relation (T powers of z^2)."""
-    with mp.workdps(25):
-        loss = (
-            T * mp.log10(mpf(2))
-            + _log10_factorial(2 * T + 1)
-            + _log10_factorial(2 * T)
-            - 2 * T * mp.log10(mpf(a) * mp.pi)
-        )
-        return max(0, int(loss) + 1)
-
-
-# ----------------------------------------------------------------------
 # refined spectral frames
 #
-# Re-solves are rounded up to a bucket of 64 digits and floored at 512, so
-# one re-solve covers every moderate request instead of several slightly
-# different ones.  The re-solve continues the Newton of solve_constants
-# from its root, which already holds the constants' working digits, so it
-# takes one sweep per precision doubling and two at the top.  The most
-# precise re-solve is kept on the constants object (its `frame` field), so
-# it lives and dies with the problem it belongs to.
+# A re-solve continues Newton from the most precise root held: one sweep
+# per precision doubling, two at the top.  It is kept on the constants
+# object (its `frame` field), to live and die with its problem.
 
 _FRAME_GUARD = 12
 
 
 def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
-    """(a_star, lambda, xi) in the b=1 frame, good to at least need_dps
-    decimals; xi is the ground eigenvector at a_star, normalized xi[0] = 1.
+    """(a_star, lambda, xi) in the b=1 frame, a_star and lambda good to at
+    least need_dps decimals; xi is the ground eigenvector at a_star,
+    normalized xi[0] = 1, good where the tail estimate says (see
+    taylor_extremal).
 
-    Within the certification of `consts` the stored values are returned;
-    beyond it the root is re-solved at the bucket's digits plus
-    _FRAME_GUARD by the Newton of spectral._side_root, started from the
-    certified (a_star, lambda_star), on the first power-of-two multiple of
-    the certified N whose tail estimate clears that precision, inside a
-    bracket of width 2*10^-(digits-3) around the certified root.  The
-    eigenvector is that solve's final sweep, whose residual
-    _side_root checked at 10^-(dps-5).
+    Within the certification of `consts`, or the digits of the frame held
+    on consts.frame, the held values are returned.  Otherwise the root is
+    re-solved at need_dps + _FRAME_GUARD digits by the Newton of
+    spectral._side_root, started from the most precise (a, lambda) held
+    (that frame, else the certified root), on the first power-of-two
+    multiple of the certified N whose tail estimate clears that
+    precision, inside a bracket of width 2*10^-(digits-3) around the
+    certified root; it replaces the held frame.  The eigenvector is that
+    solve's final sweep, whose residual _side_root checked at
+    10^-(dps-5).
     """
     if need_dps <= consts.digits_certified:
         return consts.a_star, consts.lambda_star, consts.xi
-    if consts.frame is not None and consts.frame[0] >= need_dps:
-        return consts.frame[1:]
-    bucket = max(512, 64 * ((need_dps + 63) // 64))
-    dps = bucket + _FRAME_GUARD
-    start = (consts.a_star, consts.lambda_star, consts.dps - 6)
+    if consts.frame is None:
+        start = (consts.a_star, consts.lambda_star, consts.dps - 6)
+    else:
+        held, a, lam, xi = consts.frame
+        if held >= need_dps:
+            return a, lam, xi
+        start = (a, lam, held)
+    dps = need_dps + _FRAME_GUARD
     with mp.workdps(dps):
         half = mpf(10) ** (-(consts.digits_certified - 3))
         bracket = (consts.a_star - half, consts.a_star + half)
         a_root, pair = _side_root(_tail_size(consts.N, dps), bracket, start)
-    consts.frame = (bucket, a_root, pair.lam, pair.xi)
+    consts.frame = (need_dps, a_root, pair.lam, pair.xi)
     return consts.frame[1:]
 
 
 # ----------------------------------------------------------------------
 # Taylor models
+#
+# The models' guard digits, and the least start of the factor's backward
+# run past the highest order wanted.
+
+_TAYLOR_GUARD = 10
+_BACKWARD_START = 40
 
 
 @dataclass
 class TaylorModel:
     """Truncated Taylor expansion of the entire factor or of the even
     minimizer, with the frame values a = 1/(2C) and lambda it was built
-    from; the series is stored at the much higher internal precision the
-    recursion needed.
+    from, stored at the requested digits plus _TAYLOR_GUARD.  That it
+    holds the requested digits is an estimate, backed for the minimizer
+    by the eigenvector being the minimal solution (Gautschi), for the
+    factor by Olver's backward start L >= T + 40 and its row-0 residual.
     """
 
     coeffs: PowerSeries
@@ -157,110 +139,111 @@ class TaylorModel:
 
 
 def _factor_coefficients(a, b, lam, T: int):
-    """c_0..c_T from a(n+1) c_{n+1} = (n(n+1) - lam) c_n + b^2 c_{n-2}.
+    """c_0..c_T from a(n+1) c_{n+1} = (n(n+1) - lam) c_n + b^2 c_{n-2},
+    c_0 = 1, at the ambient precision.
 
-    Raises SolverError when the growth envelope |c_n| n! / b^n leaves a
-    polynomial corridor, which is the fingerprint of the parasitic branch
-    taking over (rounding noise, or an eigenvalue supplied with too few
-    digits).
+    Rows n >= 2 have one solution growing like n!/a^n and two, the factor
+    among them, decaying like b^n/n!, so the rows run backward, Olver's
+    boundary-value method (J. Res. NBS 71B, 1967; J. Wimp, Computation
+    with Recurrence Relations, 1984, for order 3): two runs down from L,
+    started from (c_{L+1}, c_L, c_{L-1}) = (0, 1, 0) and (0, 0, 1), are
+    combined so that row 1 holds with c_{-1} = 0.  The start leaves the
+    growing solution at a relative (n!/L!)^2 (ab)^(L-n) at order n, an
+    estimate; L is the first order from T + _BACKWARD_START on where that
+    is under 10^-dps at n = T.  Row 0, a c_1 + lam c_0 = 0, holds only
+    when lam is the eigenvalue at a; its residual, a check on the inputs
+    and the run, raises SolverError above 10^-(dps - _TAYLOR_GUARD), the
+    digits the models promise.
     """
-    coeffs = [mpf(1), -lam / a]
+    L = T + _BACKWARD_START
+    growth = math.log10(a * b)
+    while 2 * math.log10(math.perm(L, L - T)) < mp.dps + (L - T) * growth:
+        L += 1
     b2 = b * b
-    fact = mpf(1)
-    bpow = mpf(1)
-    cap = None
-    for n in range(1, T):
-        nxt = (n * (n + 1) - lam) * coeffs[n]
-        if n >= 2:
-            nxt += b2 * coeffs[n - 2]
-        coeffs.append(nxt / (a * (n + 1)))
-        fact *= n + 1
-        bpow *= b
-        env = abs(coeffs[n + 1]) * fact / (bpow * b)
-        if n <= 6:
-            cap = env if cap is None else max(cap, env)
-        elif env > 100 * max(cap, mpf(1)) * mpf(n + 1) ** 6:
-            raise SolverError(
-                "factor recursion left its growth envelope at order %d; "
-                "the working precision or the eigenvalue precision is too low"
-                % (n + 1)
-            )
+    runs = []
+    for top in (L, L - 1):  # c_top = 1, the other two start entries 0
+        c = [mpf(0)] * (L + 2)
+        c[top] = mpf(1)
+        for n in range(L, 1, -1):
+            c[n - 2] = (a * (n + 1) * c[n + 1] - (n * (n + 1) - lam) * c[n]) / b2
+        runs.append(c)
+    p, q = runs
+    rp, rq = (2 * a * r[2] - (2 - lam) * r[1] for r in runs)  # row 1
+    scale = rq * p[0] - rp * q[0]
+    coeffs = [mpf(1)] + [(rq * p[n] - rp * q[n]) / scale for n in range(1, T + 1)]
+    residual = abs(a * coeffs[1] + lam)
+    if residual > mpf(10) ** (-(mp.dps - _TAYLOR_GUARD)):
+        raise SolverError(
+            "factor recursion to order %d leaves row 0 at %s, above 10^-%d; "
+            "lambda is not the eigenvalue at a to the working precision"
+            % (T, mp.nstr(residual, 5), mp.dps - _TAYLOR_GUARD)
+        )
     return coeffs
 
 
 def taylor_factor(consts: ExtremalConstants, T: int, digits: int = None) -> TaylorModel:
-    """Taylor model of the entire factor in its own frame (b = pi/2).
+    """Taylor model of the entire factor in its own frame (b = pi/2), to
+    `digits` (default: the certified digits).
 
-    Coefficients start 1, L1, L1^2/2 + 2 L1 C, ...; the spectral root is
-    re-solved internally at the precision the order T requires, so the
-    recursion gets a and lambda to at least the digits it destroys.  A
-    trip of the growth envelope raises SolverError.
+    Coefficients start 1, L1, L1^2/2 + 2 L1 C, ...; they come from the
+    backward run of _factor_coefficients at digits + _TAYLOR_GUARD, on
+    a and lambda from refined_spectral_frame at that precision, and a
+    residual of its dropped row above 10^-digits raises SolverError.
     """
     if T < 2:
         raise UsageError("T must be at least 2")
     digits = digits if digits is not None else consts.digits_certified
-    with mp.workdps(25):
-        ab = mpf(consts.a_star)  # the product a*b is frame-invariant
-    need = digits + _factor_recursion_loss(ab, T) + 30
-    a1, lam, _xi = refined_spectral_frame(consts, need)
-    with mp.workdps(need):
+    wd = digits + _TAYLOR_GUARD
+    a1, lam, _xi = refined_spectral_frame(consts, wd)
+    with mp.workdps(wd):
         a = 2 * a1 / mp.pi
-        b = mp.pi / 2
-        series = PowerSeries(coeffs=_factor_coefficients(a, b, lam, T))
+        series = PowerSeries(coeffs=_factor_coefficients(a, mp.pi / 2, lam, T))
     return TaylorModel(coeffs=series, a=a, lam=lam)
 
 
 def taylor_extremal(
-    consts: ExtremalConstants, T: int, digits: int = None, cross_check: bool = True
+    consts: ExtremalConstants, T: int, digits: int = None
 ) -> TaylorModel:
-    """Even minimizer as a series in z (parity even, T powers of z^2).
+    """Even minimizer as a series in z (parity even, T powers of z^2), to
+    `digits` (default: the certified digits).
 
-    Built from the three-term relation solved forward,
-
-        u_{n+1} = ((n(n+1) - lam) u_n + 2 b^2 n/(2n+1) u_{n-1})
-                  * 2(2n+1) / (a^2 (n+1)),
-
-    and, unless disabled, cross-checked coefficient by coefficient against
-    the product of the factor with its reflection; disagreement beyond the
-    accuracy target signals precision loss and raises.
+    The coefficient of z^{2m} is xi_m (-2 C pi)^m / (2m+1), xi the ground
+    eigenvector of refined_spectral_frame at wd = digits + _TAYLOR_GUARD.
+    As the minimal solution (Gautschi 1967), xi truncated at N is off by
+    a relative |xi_N / xi_m|^2 at m, an estimate; where spectral's tail
+    estimate puts that above 10^-wd at m = T, xi is swept again at the
+    frame's (a, lambda), on the first power-of-two multiple of N where it
+    is not.  The series must agree with the product of the factor
+    (_factor_coefficients to order 2T) and its reflection to
+    10^-(digits+5), else SolverError.
     """
     if T < 2:
         raise UsageError("T must be at least 2")
     digits = digits if digits is not None else consts.digits_certified
-    with mp.workdps(25):
-        ab = mpf(consts.a_star)
-        a_phi = 2 * ab / mp.pi
-    loss = _extremal_recursion_loss(a_phi, T)
-    if cross_check:
-        loss = max(loss, _factor_recursion_loss(ab, 2 * T))
-    need = digits + loss + 30
-    a1, lam, _xi = refined_spectral_frame(consts, need)
-    with mp.workdps(need):
+    wd = digits + _TAYLOR_GUARD
+    a1, lam, xi = refined_spectral_frame(consts, wd)
+    N = _tail_size(len(xi) - 1, math.ceil(wd / 2 - _tail_log10(T)))
+    with mp.workdps(wd):
+        if N >= len(xi):
+            xi = _sweep(build_matrix(N, a1), lam)[0]
         a = 2 * a1 / mp.pi
-        b = mp.pi / 2
-        a2 = a * a
-        b2 = b * b
-        u = [mpf(1), -2 * lam / a2]
-        for n in range(1, T):
-            nxt = (n * (n + 1) - lam) * u[n] + 2 * b2 * u[n - 1] * n / (2 * n + 1)
-            u.append(nxt * (2 * (2 * n + 1)) / (a2 * (n + 1)))
+        ratio = -mp.pi ** 2 / (2 * a1)  # -2 C pi, C = pi / (4 a1)
         coeffs = [mpf(0)] * (2 * T + 1)
-        for n in range(T + 1):
-            coeffs[2 * n] = u[n]
+        for m in range(T + 1):
+            coeffs[2 * m] = xi[m] * ratio ** m / (2 * m + 1)
         series = PowerSeries(coeffs=coeffs, parity="even")
-        if cross_check:
-            alphas = _factor_coefficients(a, b, lam, 2 * T)
-            plus = PowerSeries(coeffs=alphas)
-            minus = PowerSeries(coeffs=[(-1) ** k * c for k, c in enumerate(alphas)])
-            prod = series_multiply(plus, minus, 2 * T + 1)
-            tol = mpf(10) ** (-(digits + 5))
-            worst = max(
-                abs(series.coeffs[k] - prod.coefficient(k)) for k in range(2 * T + 1)
+        # z^{2m} of F(z) F(-z), its terms paired as j and 2m - j (the odd
+        # powers cancel exactly)
+        c = _factor_coefficients(a, mp.pi / 2, lam, 2 * T)
+        signed = [-v if k % 2 else v for k, v in enumerate(c)]
+        worst = max(
+            abs(u - 2 * mp.fdot(signed[:m], c[2 * m : m : -1]) - signed[m] * c[m])
+            for m, u in enumerate(coeffs[::2])
+        )
+        if worst > mpf(10) ** (-(digits + 5)):
+            raise SolverError(
+                "closed-form and product routes disagree by %s" % mp.nstr(worst, 5)
             )
-            if worst > tol:
-                raise SolverError(
-                    "three-term and product routes disagree by %s" % mp.nstr(worst, 5)
-                )
     return TaylorModel(coeffs=series, a=a, lam=lam)
 
 
@@ -278,7 +261,7 @@ def alternating_sums_odd(consts: ExtremalConstants, M: int, digits: int):
     """
     if M < 1:
         raise UsageError("M must be at least 1")
-    model = taylor_extremal(consts, M + 2, digits=digits, cross_check=False)
+    model = taylor_extremal(consts, M + 2, digits=digits)
     with mp.workdps(model.coeffs.dps):
         recip = series_reciprocal(model.coeffs, 2 * M + 1)
         return [-(model.a / 2) * recip.coefficient(2 * m) for m in range(1, M + 1)]
@@ -294,10 +277,10 @@ def offset_coefficients(consts: ExtremalConstants, M: int, digits: int = None):
     Lagrange inversion on all-real data: with G(w) = 1/(2C)
     + sum_k 2 S(2k-1) w^k / (2k-1) built from the alternating odd sums,
     the m-th offset coefficient for odd m is (-1)^{(m+1)/2} [w^{(m+1)/2}]
-    G(w)^m / (2 C m pi^{m+1}); even entries vanish by the symmetry of the
-    zero counting function and are returned as exact zeros.  The odd
-    entries are provably nonnegative, so a negative value beyond roundoff
-    raises.
+    G(w)^m / (2 C m pi^{m+1}), the odd powers of G stepped by G^2; even
+    entries vanish by the symmetry of the zero counting function and are
+    returned as exact zeros.  The odd entries are provably nonnegative,
+    so a negative value beyond roundoff raises.
     """
     if M < 1:
         raise UsageError("M must be at least 1")
@@ -312,23 +295,21 @@ def offset_coefficients(consts: ExtremalConstants, M: int, digits: int = None):
         for k in range(1, K + 1):
             g.append(2 * sums[k - 1] / (2 * k - 1))
         G = series_from_coeffs(g)
-        out = []
+        square = series_multiply(G, G, K + 1)
+        out = [mpf(0)] * M
         power = G
         tol = mpf(10) ** (-(digits + 5))
-        for m in range(1, M + 1):
-            if m % 2:
-                j = (m + 1) // 2
-                val = power.coefficient(j) * (-1) ** j / (2 * C * m * mp.pi ** (m + 1))
-                if val < -tol:
-                    raise SolverError(
-                        "offset coefficient %d negative beyond roundoff: %s"
-                        % (m, mp.nstr(val, 5))
-                    )
-                out.append(val if val > 0 else mpf(0))
-            else:
-                out.append(mpf(0))
-            if m < M:
-                power = series_multiply(power, G, K + 1)
+        for m in range(1, M + 1, 2):
+            j = (m + 1) // 2
+            val = power.coefficient(j) * (-1) ** j / (2 * C * m * mp.pi ** (m + 1))
+            if val < -tol:
+                raise SolverError(
+                    "offset coefficient %d negative beyond roundoff: %s"
+                    % (m, mp.nstr(val, 5))
+                )
+            out[m - 1] = val if val > 0 else mpf(0)
+            if m + 2 <= M:
+                power = series_multiply(power, square, K + 1)
     return out
 
 
@@ -473,12 +454,13 @@ def _cancellation_digits(radius) -> int:
 def _factor_near(consts: ExtremalConstants, radius, derivatives: int):
     """Taylor model of the factor on |z| <= radius, its series and first
     `derivatives` derivatives, and wd, the certified digits plus the
-    cancellation headroom of _cancellation_digits: callers evaluate at wd
-    plus a guard, and the truncation error is below 10^-(wd+10).
+    cancellation headroom of _cancellation_digits: the model is asked for
+    wd digits, callers evaluate at wd plus a guard, and the truncation
+    error is below 10^-(wd+10).
     """
     digits = consts.digits_certified + _cancellation_digits(radius)
     T = _truncation_order(radius, digits + 10)
-    factor = taylor_factor(consts, T, digits=consts.digits_certified + 10)
+    factor = taylor_factor(consts, T, digits=digits)
     series = [factor.coeffs]
     for _ in range(derivatives):
         series.append(series_derivative(series[-1]))
@@ -643,7 +625,7 @@ def check_extremal_ode_residual(consts: ExtremalConstants):
     cancel = 2 * _cancellation_digits(5)
     Tz = _truncation_order(10, digits + cancel + 10)
     T = Tz // 2 + 4
-    ext = taylor_extremal(consts, T, digits=digits + 10, cross_check=False)
+    ext = taylor_extremal(consts, T, digits=digits + cancel + 10)
     d1 = series_derivative(ext.coeffs)
     d2 = series_derivative(d1)
     d3 = series_derivative(d2)
@@ -1032,23 +1014,28 @@ def _bessel_series(xi, alternate: bool) -> _BesselSeries:
 
 def _eigen_bessel_coefficients(a, digits: int):
     """Ground eigenvector at drift a, solved on the rows whose tail
-    estimate (spectral._tail_size) clears 10^-(digits+20) and cut where
-    its entries fall below that."""
+    estimate (spectral._tail_size) clears 10^-(digits+20), and cut before
+    its first entry past the fifth under that.
+
+    As the minimal solution (Gautschi 1967), its entries fall by about
+    (a/2)/m^2 a row, so the first under the cut bounds all later ones, and
+    the truncation at N moves entry m by a relative |xi_N / xi_m|^2, so by
+    under |xi_N| <= 10^-(digits+20) wherever |xi_m| is above the cut.  A
+    cut anywhere inside N is sound; an eigenvector with no entry under the
+    cut does not decay and raises SolverError.
+    """
     wd = digits + 50
     cut = mpf(10) ** (-(digits + 20))
     N = _tail_size(_N_FLOOR, digits + 20)
     with mp.workdps(wd):
         pair = ground_eigenpair(build_matrix(N, mpf(a)))
-        xi = []
-        for v in pair.xi:
-            if len(xi) > 4 and abs(v) < cut:
-                break
-            xi.append(v)
-        if len(xi) > N // 2:
-            raise SolverError(
-                "eigenvector at a=%s does not decay; cannot truncate" % mp.nstr(a, 8)
-            )
-    return xi
+        for m, v in enumerate(pair.xi):
+            if m > 4 and abs(v) < cut:
+                return pair.xi[:m]
+        raise SolverError(
+            "eigenvector at a=%s does not fall below 10^-%d within N=%d; "
+            "cannot truncate" % (mp.nstr(a, 8), digits + 20, N)
+        )
 
 
 def _bessel_series_eval(series: _BesselSeries, x):

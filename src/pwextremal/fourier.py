@@ -28,8 +28,9 @@ from mpmath import mp, mpf
 from .mpcore import SolverError, UsageError, clenshaw_legendre, series_multiply
 from .spectral import ExtremalConstants
 from .extremal import (
+    _TAYLOR_GUARD,
     fit_reflection_coefficients,
-    refined_spectral_frame,
+    taylor_extremal,
     taylor_factor,
 )
 
@@ -83,19 +84,18 @@ def build_band_transform(consts: ExtremalConstants, terms: int = None) -> BandTr
 
     The n-th coefficient is pi / (n! (2C)^n) times the (n-1)-st Taylor
     coefficient of the squared factor, assembled at a working precision
-    that keeps the certified digits after the factorial weights.
+    that keeps the certified digits after the factorial weights, from a
+    factor model as precise (window_basis_coefficients magnifies errors).
     """
     digits = consts.digits_certified
-    a1, _lam, _xi = refined_spectral_frame(consts, digits + 35)
-    with mp.workdps(digits + 35):
-        C = mp.pi / (4 * a1)
-    N = terms if terms is not None else _transform_terms(digits, C)
+    N = terms if terms is not None else _transform_terms(digits, consts.C)
     if N < 2:
         raise UsageError("terms must be at least 2")
-    factor = taylor_factor(consts, N + 1, digits=digits + 12)
+    factor = taylor_factor(consts, N + 1, digits=digits + 35)
     with mp.workdps(factor.coeffs.dps):
         squared = series_multiply(factor.coeffs, factor.coeffs, N)
     with mp.workdps(digits + 35):
+        C = 1 / (2 * factor.a)
         coeffs = [mpf(0)]
         weight = mpf(1)
         for n in range(1, N + 1):
@@ -191,16 +191,15 @@ def legendre_band_coefficients(consts: ExtremalConstants, pairs: int = None) -> 
 
 
 def _legendre_forward(consts: ExtremalConstants, K: int, wd: int) -> list:
-    """One forward-substitution pass at working precision wd, on the
-    eigenvector of the spectral frame rounded to wd."""
-    a1, _lam, xi = refined_spectral_frame(consts, wd)
+    """One forward-substitution pass at working precision wd, on the even
+    minimizer's Taylor coefficients (extremal.taylor_extremal, whose frame
+    is asked for wd digits) rescaled to type 1 by pi^{-2m}."""
+    model = taylor_extremal(consts, K, digits=wd - _TAYLOR_GUARD)
     with mp.workdps(wd):
-        C = mp.pi / (4 * a1)
-        scale = -2 * C / mp.pi
+        shrink = mp.pi ** -2
         bessel_coeffs = []
         for m in range(K + 1):
-            taylor_m = mpf(xi[m]) * scale ** m / (2 * m + 1)
-            acc = taylor_m
+            acc = model.coeffs.coefficient(2 * m) * shrink ** m
             for k in range(m):
                 j = m - k
                 acc -= (

@@ -239,14 +239,18 @@ def assert_ground_invariants(pair: EigenPair, a) -> None:
 # the truncation size and the side-condition root
 
 
-def _tail_size(N: int, digits: int) -> int:
-    """First of N, 2N, 4N, ... whose tail estimate |xi_N| is <= 10^-digits.
+def _tail_log10(n: int) -> float:
+    """Tail estimate log10 |xi_n| ~ n log10(a/2) - 2 log10 n! (xi_0 = 1) at
+    a = 3/2, the top of the range of a where the sweep runs."""
+    return n * math.log10(0.75) - 2 * math.lgamma(n + 1) / math.log(10)
 
-    The estimate is log10 |xi_N| ~ N log10(a/2) - 2 log10 N! at a = 3/2,
-    the top of the range of a where the sweep runs; it decays faster than
-    any geometric sequence.  Past _N_CAP it raises UsageError.
+
+def _tail_size(N: int, digits: int) -> int:
+    """First of N, 2N, 4N, ... whose tail estimate |xi_N| (_tail_log10) is
+    <= 10^-digits; it decays faster than any geometric sequence.  Past
+    _N_CAP it raises UsageError.
     """
-    while N * math.log10(0.75) - 2 * math.lgamma(N + 1) / math.log(10) > -digits:
+    while _tail_log10(N) > -digits:
         N *= 2
         if N > _N_CAP:
             raise UsageError(
@@ -347,11 +351,13 @@ class ExtremalConstants:
     frame; lambda_star = -L1/(2C) the ground eigenvalue (frame-invariant);
     xi the ground eigenvector at a_star, normalized xi[0] = 1.  dps is the
     working precision of the solve's final run.  frame is the cache of
-    extremal.refined_spectral_frame: (dps, a, lambda, xi) from the most
-    precise re-solve so far, or None.  zeros is the cache of
-    extremal.build_zero_model, the one zero model of these constants that
-    every zero, summation and L-series check reads, or None until the
-    first of them asks; its tail bound is checked when it is made.
+    extremal.refined_spectral_frame, or None: (digits, a, lambda, xi) of
+    its last, most precise re-solve, a and lambda good to `digits` by a
+    solve past them on an N whose tail estimate clears that, xi its
+    minimal solution (Gautschi), good where the tail estimate says.  zeros
+    is the cache of extremal.build_zero_model, the one zero model of these
+    constants that every zero, summation and L-series check reads, or None
+    until the first of them asks; its tail bound is checked when made.
     """
 
     C: mpf

@@ -8,7 +8,7 @@ tests can bound it without timing anything.
 import pytest
 from mpmath import mp
 
-from pwextremal import spectral
+from pwextremal import extremal, spectral
 from pwextremal.spectral import solve_constants
 
 
@@ -29,7 +29,8 @@ def consts50():
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """(N, dps) of every backward sweep made while it is active."""
+    """(N, dps) of every backward sweep made while it is active, through
+    either module that calls the sweep."""
     calls = []
     sweep = spectral._sweep
 
@@ -37,5 +38,6 @@ def sweeps(monkeypatch):
         calls.append((sys.N, mp.dps))
         return sweep(sys, lam, side)
 
-    monkeypatch.setattr(spectral, "_sweep", counted)
+    for module in (spectral, extremal):
+        monkeypatch.setattr(module, "_sweep", counted)
     return calls

@@ -5,9 +5,12 @@ own kernels: the Legendre polynomials by the Bonnet recurrence, against
 which the Clenshaw summation is checked, the side condition S as a sum
 over a stored eigenvector, against which the backward sweep's running sum
 is checked, the summation identity as a plain sum over an explicit
-zero list, against which the head-plus-tail sums are checked, and the
+zero list, against which the head-plus-tail sums are checked, the
 integrality recursion in exact rational arithmetic, against which the
-residues of the integrality scan are checked.
+residues of the integrality scan are checked, and the Taylor
+coefficients of the factor and of the even minimizer by their
+coefficient recursions run forward, against which the closed form on
+the eigenvector and the backward factor run are checked.
 """
 
 import math
@@ -54,6 +57,34 @@ def direct_summation(zeros):
     total = 2 * mp.fsum(_test_function(mpf(mu)) for mu in zeros)
     X = max(abs(mpf(mu)) for mu in zeros)
     return total, 2 * (mpf(5) / mp.pi) ** 5 * (X ** -3 / 3 + X ** -4)
+
+
+def forward_factor_coefficients(a, b, lam, T: int):
+    """c_0..c_T from a(n+1) c_{n+1} = (n(n+1) - lam) c_n + b^2 c_{n-2},
+    c_0 = 1, run forward.  A solution growing like n!/a^n takes over, so
+    order T costs about 2 log10(T!) digits of the working precision."""
+    c = [mpf(1), -lam / a]
+    for n in range(1, T):
+        nxt = (n * (n + 1) - lam) * c[n]
+        if n >= 2:
+            nxt += b * b * c[n - 2]
+        c.append(nxt / (a * (n + 1)))
+    return c
+
+
+def forward_even_coefficients(a, b, lam, T: int):
+    """u_0..u_T, the coefficients of z^0, z^2, .., z^{2T} of the even
+    minimizer, from its three-term relation run forward,
+
+        u_{n+1} = ((n(n+1) - lam) u_n + 2 b^2 n/(2n+1) u_{n-1})
+                  * 2(2n+1) / (a^2 (n+1)),
+
+    with the same loss of digits as forward_factor_coefficients."""
+    u = [mpf(1), -2 * lam / (a * a)]
+    for n in range(1, T):
+        nxt = (n * (n + 1) - lam) * u[n] + 2 * b * b * u[n - 1] * n / (2 * n + 1)
+        u.append(nxt * (2 * (2 * n + 1)) / (a * a * (n + 1)))
+    return u
 
 
 def recursion_polynomials(n_max: int):

@@ -145,6 +145,42 @@ def test_verify_summation_passes(capsys):
         assert "zeros" not in check["parameters"]
 
 
+@pytest.mark.parametrize("digits", [70, 100])
+def test_verify_summation_passes_past_sixty_digits(digits, capsys):
+    # in process: the second system's eigenvector is cut where it falls
+    # under 10^-(digits+20), wherever that is inside its truncation; at
+    # 70 digits it falls there only past half of N = 64
+    from pwextremal.cli import main
+
+    assert main(["verify", "--suite", "summation", "--digits", str(digits)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["status"] for c in report["checks"]] == ["pass", "pass"]
+
+
+def test_verify_all_passes_at_100_digits(capsys):
+    # in process: every suite at once, where the Taylor models run at
+    # their callers' digits plus a guard and the frame at the largest
+    # request plus its own
+    from pwextremal.cli import main
+
+    assert main(["verify", "--suite", "all", "--digits", "100"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["passed"], report["failed"], len(report["checks"])) == (True, 0, 26)
+
+
+def test_verify_all_sweeps_stay_at_the_needed_precision(capsys, sweeps):
+    # in process: at the benchmark's digits every backward sweep, those of
+    # the frame re-solves included, runs on at most N = 128 rows and at
+    # most 170 digits; the largest frame request is the second Legendre
+    # pass, 157 digits, solved at 157 + 12
+    from pwextremal.cli import main
+
+    assert main(["verify", "--suite", "all", "--digits", "30"]) == 0
+    capsys.readouterr()
+    assert max(N for N, _dps in sweeps) <= 128
+    assert max(dps for _N, dps in sweeps) <= 170
+
+
 def test_verify_count_is_gone(capsys):
     # the summation head follows --digits; zeros --count stays
     from pwextremal.cli import main
@@ -220,10 +256,10 @@ def test_verify_residual_payloads_pinned(capsys):
     from pwextremal.cli import main
 
     pinned = {
-        "ode": ["4.210342109e-45", "2.629675564e-56"],
-        "functional": ["8.407662363e-56"],
-        "quadratic": ["3.344379696e-45", "2.610121787e-54"],
-        "fourier": ["6.985144713e-51", "1.85931756e-51", "0.0", "1.08142665e-56"],
+        "ode": ["8.877219791e-43", "6.472143087e-53"],
+        "functional": ["5.872878055e-52"],
+        "quadratic": ["1.536719919e-42", "5.99573266e-44"],
+        "fourier": ["6.985144713e-51", "1.85931756e-51", "0.0", "1.734660431e-52"],
     }
     for suite, discrepancies in pinned.items():
         assert main(["verify", "--suite", suite, "--digits", "30"]) == 0, suite
@@ -241,22 +277,22 @@ def test_verify_lseries_payloads_pinned(capsys):
     keys = ("discrepancy", "certified_bound", "order_doubling_shift")
     pinned = {
         "lseries": [
-            ("1.504428668e-36", "4.5455471e-28", None),
-            ("3.21621526e-34", "3.1813956e-26", None),
-            ("3.809779648e-32", "2.76725e-24", None),
-            ("3.778707312e-30", "2.3787111e-22", None),
+            ("1.504428656e-36", "4.5455471e-28", None),
+            ("3.21621524e-34", "3.1813956e-26", None),
+            ("3.80977963e-32", "2.76725e-24", None),
+            ("3.778707298e-30", "2.3787111e-22", None),
             ("0.5", "3.4000018e-29", None),
-            ("3.945834115e-39", "4.0530372e-28", None),
-            ("1.432379795e-41", "6.0018327e-28", None),
-            ("2.884552413e-44", "8.0000923e-28", None),
-            ("5.092995448e-38", None, None),
+            ("3.945834075e-39", "4.0530372e-28", None),
+            ("1.432379771e-41", "6.0018327e-28", None),
+            ("2.88455184e-44", "8.0000923e-28", None),
+            ("5.092995407e-38", None, None),
             ("2.419548892e-29", None, None),
             ("5.009619908e-29", None, None),
         ],
         "conjectures": [
-            ("2.839904191e-35", "5.9140141e-27", "6.7971818e-56"),
-            ("4.157440103e-33", "4.6765052e-25", "1.1664575e-56"),
-            ("4.584191208e-31", "3.7444186e-23", "1.9820304e-57"),
+            ("2.839904205e-35", "5.9140141e-27", "6.7971818e-56"),
+            ("4.157440119e-33", "4.6765052e-25", "1.1664575e-56"),
+            ("4.584191222e-31", "3.7444186e-23", "1.9820304e-57"),
             (None, None, None),
         ],
     }
@@ -272,7 +308,8 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
     # order (digits // 2) or Legendre pair count (digits // 3 + 8) passes
     # its cap, the command is a usage error naming the largest --digits;
     # at that --digits it goes on to the solve.  The same holds for an
-    # explicit --terms past its target's cap, and the error names --terms
+    # explicit --terms past its target's cap, and the error names --terms;
+    # a verify suite that does not read --terms rejects it at any value
     from pwextremal import cli
 
     def solve(digits):
@@ -298,11 +335,14 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
         (["export", "h"], 1, 2, "--terms 2 or more"),
         (["verify", "--suite", "conjectures"], 401, 400, "--terms 400 or less"),
         (["verify", "--suite", "all"], 401, 400, "--terms 400 or less"),
+        (["verify", "--suite", "quadratic"], 1, None, "does not read --terms"),
     ):
-        argv = command + ["--digits", "30", "--terms"]
-        assert cli.main(argv + [str(outside)]) == 2, command
+        argv = command + ["--digits", "30"]
+        assert cli.main(argv + ["--terms", str(outside)]) == 2, command
         assert message in capsys.readouterr().err
-        assert cli.main(argv + [str(inside)]) == 1, command
+        if inside is not None:
+            argv += ["--terms", str(inside)]
+        assert cli.main(argv) == 1, command
         assert "solve reached" in capsys.readouterr().err
 
 

@@ -14,7 +14,11 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 import refvals
-from oracles import direct_summation
+from oracles import (
+    direct_summation,
+    forward_even_coefficients,
+    forward_factor_coefficients,
+)
 from pwextremal import extremal
 from pwextremal.mpcore import (
     UsageError,
@@ -82,7 +86,7 @@ def test_extremal_leading_coefficients(consts30):
 
 
 def test_extremal_parity_exact(consts30):
-    model = extremal.taylor_extremal(consts30, 6, cross_check=False)
+    model = extremal.taylor_extremal(consts30, 6)
     assert model.coeffs.parity == "even"
     for k in range(1, len(model.coeffs), 2):
         assert model.coeffs.coefficient(k) == 0
@@ -91,8 +95,44 @@ def test_extremal_parity_exact(consts30):
 def test_extremal_cross_check_runs(consts30):
     # the product route is recomputed inside and must agree; a pass here
     # is the two-route consistency statement
-    model = extremal.taylor_extremal(consts30, 12, cross_check=True)
+    model = extremal.taylor_extremal(consts30, 12)
     assert model.coeffs.parity == "even"
+
+
+def test_taylor_models_match_the_forward_recursions(consts30):
+    # the closed form on the eigenvector and the backward factor run
+    # against the forward recursions at 700 digits, where their loss of
+    # about 2 log10(T!) digits (400 at T = 120) still leaves 300
+    fresh = dataclasses.replace(consts30, frame=None)
+    a1, lam, _xi = extremal.refined_spectral_frame(fresh, 700)
+    with mp.workdps(700):
+        a = 2 * a1 / mp.pi
+        even = forward_even_coefficients(a, mp.pi / 2, lam, 61)
+        factor = forward_factor_coefficients(a, mp.pi / 2, lam, 120)
+    ext = extremal.taylor_extremal(consts30, 61, digits=50)
+    fac = extremal.taylor_factor(consts30, 120, digits=50)
+    with mp.workdps(700):
+        for m, u in enumerate(even):
+            assert abs(ext.coeffs.coefficient(2 * m) / u - 1) < mpf(10) ** -55, m
+        for n, c in enumerate(factor):
+            assert abs(fac.coeffs.coefficient(n) / c - 1) < mpf(10) ** -55, n
+
+
+def test_extremal_sweeps_past_the_frame_for_high_orders(consts30, sweeps):
+    # at 100 digits plus the guard the N = 128 frame holds xi_m only to
+    # about m = 115 by the tail estimate; order 120 sweeps again on
+    # N = 256 and keeps its digits there, against the forward recursion
+    fresh = dataclasses.replace(consts30, frame=None)
+    a1, lam, _xi = extremal.refined_spectral_frame(fresh, 1000)
+    with mp.workdps(1000):
+        u = forward_even_coefficients(2 * a1 / mp.pi, mp.pi / 2, lam, 120)
+    fresh.frame = None
+    sweeps.clear()
+    ext = extremal.taylor_extremal(fresh, 120, digits=100)
+    assert max(N for N, _dps in sweeps) == 256
+    with mp.workdps(1000):
+        for m in (60, 110, 120):
+            assert abs(ext.coeffs.coefficient(2 * m) / u[m] - 1) < mpf(10) ** -100, m
 
 
 def test_truncation_validation(consts30):
@@ -103,36 +143,54 @@ def test_truncation_validation(consts30):
 
 
 def test_refined_frame_cached_on_constants(consts30, sweeps):
-    # a second request inside the solved bucket makes no sweep, and the
-    # cache stays out of the payload
+    # a request at or below the held frame's digits makes no sweep, and
+    # the cache stays out of the payload
     first = extremal.refined_spectral_frame(consts30, 100)
+    held = consts30.frame[0]
+    assert held >= 100
     sweeps.clear()
-    assert extremal.refined_spectral_frame(consts30, 200) == first
+    for need in (40, 100, held):
+        assert extremal.refined_spectral_frame(consts30, need) == first
     assert sweeps == []
-    assert consts30.frame[0] >= 200
     assert "frame" not in consts30.to_json_dict()
 
 
 def test_refined_frame_work_count(consts30, sweeps):
-    # the re-solve continues Newton from the certified root, one sweep per
-    # precision doubling, on N=256, the first N from the certified 128
-    # whose tail clears the 524-digit frame
+    # the re-solve continues Newton from the certified root at the
+    # request plus the frame guard, 212 digits, on the certified N = 128,
+    # whose tail already clears them; one sweep per precision doubling
     fresh = dataclasses.replace(consts30, frame=None)
     a1, _lam, _xi = extremal.refined_spectral_frame(fresh, 200)
-    assert 0 < sum(1 for _N, dps in sweeps if dps == 524) <= 3
-    assert max(N for N, _dps in sweeps) <= 256
+    assert fresh.frame[0] == 200
+    assert 0 < len(sweeps) <= 4
+    assert max(dps for _N, dps in sweeps) <= 212
+    assert max(N for N, _dps in sweeps) <= 128
     with mp.workdps(130):
         assert abs(a1 - mp.pi / (4 * mpf(refvals.C_REF))) < mpf(10) ** -100
 
 
-def test_envelope_detector_trips(consts30):
-    # run the raw recursion at a precision far below what order 120 needs;
-    # the parasitic branch must be caught, not returned
-    a1, lam, _xi = extremal.refined_spectral_frame(consts30, 30)
-    with mp.workdps(40):
+def test_refined_frame_starts_from_the_held_frame(consts30, sweeps):
+    # a request past the held frame starts from it: its 150 digits need
+    # no sweep below the target precision
+    fresh = dataclasses.replace(consts30, frame=None)
+    extremal.refined_spectral_frame(fresh, 150)
+    sweeps.clear()
+    extremal.refined_spectral_frame(fresh, 250)
+    assert [dps for _N, dps in sweeps] == [262, 262]
+
+
+def test_dropped_row_trips(consts30):
+    # the backward factor run leaves row 0 out; an eigenvalue off by
+    # 10^-(digits-5) must trip its residual, not return coefficients
+    digits = 30
+    a1, lam, _xi = extremal.refined_spectral_frame(consts30, digits + 10)
+    with mp.workdps(digits + 10):
         a = 2 * a1 / mp.pi
-        with pytest.raises(SolverError):
-            extremal._factor_coefficients(a, mp.pi / 2, lam, 120)
+        extremal._factor_coefficients(a, mp.pi / 2, lam, 120)
+        with pytest.raises(SolverError, match="row 0"):
+            extremal._factor_coefficients(
+                a, mp.pi / 2, lam + mpf(10) ** -(digits - 5), 120
+            )
 
 
 # ----------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_legendre_decay(legendre30):
 def test_eigenvector_taylor_relation(consts30):
     # the stated closed form for the even Taylor coefficients in terms of
     # the ground eigenvector, against the recursion route
-    ext = extremal.taylor_extremal(consts30, 8, cross_check=False)
+    ext = extremal.taylor_extremal(consts30, 8)
     with mp.workdps(45):
         C = mpf(consts30.C)
         for m in range(7):

@@ -213,7 +213,7 @@ def test_recursion_matches_taylor_coefficients(consts30):
     # reproduces the minimizer's Taylor coefficients after undoing the
     # frame scaling z -> (2 a / pi) z
     polys = list(recursion_polynomials(6))
-    ext = extremal.taylor_extremal(consts30, 7, cross_check=False)
+    ext = extremal.taylor_extremal(consts30, 7)
     with mp.workdps(45):
         astar = mpf(consts30.a_star)
         lam = mpf(consts30.lambda_star)
