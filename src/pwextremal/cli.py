@@ -445,8 +445,12 @@ def _cmd_export(args):
         return buf.getvalue(), 0
 
     key, coeffs = _series_export(consts, args)
+    # the Legendre coefficients hold an absolute 10^-(digits+5), what the
+    # two-pass check of legendre_band_coefficients backs, and print no digit
+    # below it
+    lowest = -(args.digits + 5) if args.what == "legendre" else None
     with mp.workdps(args.digits + 15):
-        strings = [decimal_truncated(c, args.digits) for c in coeffs]
+        strings = [decimal_truncated(c, args.digits, lowest) for c in coeffs]
     label = {"h": "h", "c-basis": "c", "legendre": "legendre"}.get(args.what, args.what)
     if args.format == "json":
         payload = {key: label, "digits": args.digits, "coeffs": strings}

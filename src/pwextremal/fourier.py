@@ -159,8 +159,10 @@ def legendre_band_coefficients(consts: ExtremalConstants, pairs: int = None) -> 
 
     Returns the full list d_0, 0, d_2, 0, ... suitable for Clenshaw
     evaluation; d_0 = 1 holds identically (the normalized band mean).
-    The forward substitution runs at two working precisions and the kept
-    coefficients must agree to the certified digits.
+    The forward substitution runs at two working precisions, and the
+    coefficients must agree to an absolute 10^-(digits+5); that is all
+    they are known to, however small an entry is (export legendre prints
+    them down to that place).
     """
     digits = consts.digits_certified
     K = pairs if pairs is not None else default_pairs(digits)

@@ -416,15 +416,18 @@ def hurwitz_zetas(q, w, n: int) -> list:
 # deterministic decimal serialization
 
 
-def decimal_truncated(x, digits: int) -> str:
+def decimal_truncated(x, digits: int, lowest: int = None) -> str:
     """Decimal string with `digits` significant digits, truncated not rounded.
 
     Truncation keeps the certified-digits semantics literal: every digit
     printed is a true digit of the value.  The digits come from integer
     arithmetic on the exact binary mantissa and exponent, so no rounding
-    carry can reach them.  The layout is mp.nstr's: fixed point for a
-    decimal exponent e with min(-((digits + 12) // 3), -5) < e < digits,
-    scientific notation otherwise.
+    carry can reach them.  A value known only to an absolute 10^lowest
+    (`lowest` given, a negative place) prints no digit below that place,
+    and reads 0.0 when it lies under 10^lowest.  The layout is mp.nstr's:
+    fixed point for a decimal exponent e with
+    min(-((digits + 12) // 3), -5) < e < digits, scientific notation
+    otherwise, whatever `lowest` drops.
     """
     if digits < 1:
         raise UsageError("digits must be positive")
@@ -438,13 +441,15 @@ def decimal_truncated(x, digits: int) -> str:
     man, exp = x.man_exp
     man = abs(man)
     num, den = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-    # 2^(bits-1) <= |x| < 2^bits, so floor(log10|x|) is e or e + 1
+    # 2^(bits-1) <= |x| < 2^bits, so floor(log10|x|) is e or e + 1: settle
+    # which before the cut, which `lowest` may move
     e = math.floor((man.bit_length() + exp - 1) * math.log10(2))
-    k = e - digits + 1
-    head = num // (den * 10 ** k) if k >= 0 else num * 10 ** -k // den
-    if head >= 10 ** digits:
+    if (num >= den * 10 ** (e + 1)) if e >= -1 else (num * 10 ** -(e + 1) >= den):
         e += 1
-        head //= 10
+    if lowest is not None and e < lowest:
+        return mp.nstr(mpf(0), digits, strip_zeros=False)
+    k = e - digits + 1 if lowest is None else max(e - digits + 1, lowest)
+    head = num // (den * 10 ** k) if k >= 0 else num * 10 ** -k // den
     kept = str(head)
     sign = "-" if x < 0 else ""
     if min(-((digits + 12) // 3), -5) < e < 0:

@@ -44,17 +44,22 @@ log10 |xi_N| is close to N log10(a/2) - 2 log10 N!.  N is taken where that
 estimate, at a = 3/2, clears the digit goal; it is an estimate of the
 tail, not a proved bound on the truncation error.
 
-All numeric kernels here run under the ambient mpmath precision; only
-solve_constants sets it, to digits plus guard for each of its two runs.
+The sweep and the residual gate run on Python integers, in block fixed
+point with guard bits past the ambient mpmath precision (see _sweep and
+_checked_pair), and hand back mpf values rounded to it; the rest runs in
+mpf at that precision.  Only solve_constants sets it, to digits plus
+guard for each of its two runs.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_div, mpf_rdiv_int, to_fixed
 
 from .mpcore import _NEWTON_STEPS, SolverError, UsageError, decimal_truncated, newton_root
 
@@ -65,7 +70,8 @@ from .mpcore import _NEWTON_STEPS, SolverError, UsageError, decimal_truncated, n
 
 @dataclass
 class TridiagonalSystem:
-    """Truncated (N+1)x(N+1) tridiagonal matrix in the b=1 frame."""
+    """Truncated (N+1)x(N+1) tridiagonal matrix in the b=1 frame: rows
+    0..N of the matrix in the module docstring at coupling a."""
 
     N: int
     a: mpf
@@ -74,17 +80,6 @@ class TridiagonalSystem:
         if self.N < 2:
             raise UsageError("N must be at least 2")
         self.a = mpf(self.a)
-
-    def sub(self, m: int) -> mpf:
-        """Entry (m, m-1), defined for 1 <= m <= N."""
-        return -self.a * m / (2 * m - 1)
-
-    def diag(self, m: int) -> mpf:
-        return mpf(m * (m + 1))
-
-    def sup(self, m: int) -> mpf:
-        """Entry (m, m+1), defined for 0 <= m <= N-1."""
-        return self.a * (m + 1) / (2 * m + 3)
 
 
 def build_matrix(N: int, a) -> TridiagonalSystem:
@@ -111,6 +106,12 @@ _SEED_N = 32
 _N_FLOOR = 64
 _N_CAP = 4096
 
+# The sweep's fixed point: guard bits past the working precision and the
+# bit length of N, and the headroom above them that its state may grow
+# into before it is shifted down.
+_SWEEP_GUARD_BITS = 10
+_SWEEP_HEADROOM_BITS = 64
+
 
 # ----------------------------------------------------------------------
 # the backward sweep
@@ -121,35 +122,97 @@ def _side_sign(n: int) -> int:
     return -1 if ((n - 1) // 2) % 2 else 1
 
 
-def _sweep(sys: TridiagonalSystem, lam, side: bool = False):
-    """Rows N..1 of (T - lam) xi = 0 solved downward.
-
-    Returns (xi, g, g_lam, extra).  xi is normalized xi[0] = 1 and
-    satisfies rows 1..N exactly.  Row 0 is left over as
-    g = -lam + sup(0) xi_1/xi_0, which vanishes exactly at an eigenvalue of
-    the truncation; g_lam is its lam-derivative, carried through the same
-    recurrence.  With side=True the sweep also carries the a-derivative
-    (sub and sup are linear in a) and sums the side condition S and its
-    partials over the unnormalized entries as it goes, so no derivative
-    vector is stored: extra is (g_a, S, S_lam, S_a).  Otherwise it is None.
+class _SweptVector(Sequence):
+    """The entries xi_0..xi_N a sweep stored, as integers: xi_m is
+    proportional to man[m] 2^exp[m], man[m] a mantissa of frac (the
+    sweep's F) bits or more.  Reading entry m gives it as an mpf
+    normalized to xi_0 = 1, rounded to the ambient precision from within
+    2^-(frac-1) relative; a sweep whose vector no caller reads converts
+    nothing.
     """
-    x, x_up = mpf(1), mpf(0)  # xi_m, xi_{m+1}; xi_{N+1} = 0 drops sup(N)
-    dx, dx_up = mpf(0), mpf(0)  # their derivatives in lam
-    ex, ex_up = mpf(0), mpf(0)  # and in a
-    s, ds, es = _side_sign(sys.N) * x, mpf(0), mpf(0)  # S and partials, times xi_0
-    inv_a = 1 / sys.a
-    tail = [x]
-    for m in range(sys.N, 0, -1):
-        c, up, low = sys.diag(m) - lam, sys.sup(m), sys.sub(m)
-        cx = c * x
+
+    def __init__(self, man, exp, frac):
+        self.man, self.exp, self.frac = man, exp, frac
+        self._scale = frac + man[0].bit_length()
+        self._inv = (1 << self._scale) // man[0]  # 2^scale / xi_0, >= 2^(frac-1)
+
+    def __len__(self):
+        return len(self.man)
+
+    def __getitem__(self, m):
+        return mpf((self.man[m] * self._inv, self.exp[m] - self.exp[0] - self._scale))
+
+
+def _sweep(sys: TridiagonalSystem, lam, side: bool = False):
+    """Rows N..1 of (T - lam) xi = 0 solved downward, in block fixed point.
+
+    lam is an mpf, taken at its own precision.  Returns (xi, g, g_lam,
+    extra).  xi is the _SweptVector of the sweep, read normalized
+    xi[0] = 1; it satisfies rows 1..N to the rounding below.  Row 0 is
+    left over as g = -lam + sup(0) xi_1/xi_0, which vanishes exactly at an
+    eigenvalue of the truncation; g_lam is its lam-derivative, carried
+    through the same recurrence.  With side=True the sweep also carries
+    the a-derivative and sums the side condition S and its partials over
+    the unnormalized entries as it goes, so no derivative vector is
+    stored: extra is (g_a, S, S_lam, S_a).  Otherwise it is None.
+
+    Row m, divided by its sub-diagonal entry, reads
+
+        xi_{m-1} = (2m-1) ((2m+3) (c/a) xi_m + (m+1) xi_{m+1}) / ((2m+3) m),
+
+    c = m(m+1) - lam: up(m)/low(m) is an exact rational, and c/a =
+    m(m+1) alpha - nu in alpha = 1/a and nu = lam/a.  In those two
+    parameters c/a is linear with the exact slopes m(m+1) and -1, so the
+    sweep carries the derivatives in alpha and nu, and the chain rule
+    turns them into the a- and lam-derivatives after row 1.  A row costs
+    one big product per carried quantity, small-integer products and one
+    division by the small integer (2m+3) m.
+
+    Number format: integers scaled by 2^F, F = prec + bitlen(N) +
+    _SWEEP_GUARD_BITS guard bits; alpha and nu are rounded to F bits once.
+    The carried state (xi_m, xi_{m+1}, their nu- and alpha-derivatives, S
+    and its two partials) shares one binary exponent.  Renormalisation:
+    the state is linear in the start vector xi_N = 1, xi_{N+1} = 0, so when
+    xi_m passes F + _SWEEP_HEADROOM_BITS bits the whole state is shifted
+    down together until xi_m has F + 1.  Each stored entry keeps the
+    exponent of its block, so every xi_m keeps F bits relative to itself,
+    however far below xi_0 it lies (taylor_extremal reads small entries
+    to a relative precision).
+
+    Rounding, an estimate rather than a proved bound: each row truncates
+    by under three units of its block, and alpha and nu are off by under
+    two units, which moves each row's c/a by a few units of 2^-F relative.
+    The sweep runs in the direction in which xi, the minimal solution, is
+    the dominant one (Gautschi 1967), so an error once made is carried
+    along at the relative size it had.  Summed over the N rows, xi_m is
+    within about 3 N 2^-F < 2^-(prec + _SWEEP_GUARD_BITS - 2) relative,
+    and g, S and their partials within as much relative to the largest
+    terms they are made of; they are then rounded to the working precision.
+    """
+    N = sys.N
+    F = mp.prec + N.bit_length() + _SWEEP_GUARD_BITS
+    top = F + _SWEEP_HEADROOM_BITS
+    a = sys.a
+    alpha = to_fixed(mpf_rdiv_int(1, a._mpf_, F), F)
+    nu = to_fixed(mpf_div(lam._mpf_, a._mpf_, F), F)
+    x, x_up = 1 << F, 0  # xi_m, xi_{m+1}; xi_{N+1} = 0 drops sup(N)
+    dx, dx_up = 0, 0  # their derivatives in nu
+    ex, ex_up = 0, 0  # and in alpha
+    s, ds, es = _side_sign(N) * x, 0, 0  # S and partials, times xi_0
+    shift = 0
+    man, exp = [x], [shift]
+    for m in range(N, 0, -1):
+        k = m * (m + 1) * alpha - nu  # c/a
+        odd, p, q = 2 * m - 1, 2 * m + 3, m * (2 * m + 3)
         if side:
-            # low and up are proportional to a, so c x / (a low) is what
-            # the a-dependence of the row adds to the derivative
-            ex, ex_up = -(c * ex + up * ex_up - cx * inv_a) / low, ex
+            ex, ex_up = (
+                odd * (p * ((k * ex >> F) + m * (m + 1) * x) + (m + 1) * ex_up) // q,
+                ex,
+            )
         x, x_up, dx, dx_up = (
-            -(cx + up * x_up) / low,
+            odd * (p * (k * x >> F) + (m + 1) * x_up) // q,
             x,
-            -(c * dx - x + up * dx_up) / low,
+            odd * (p * ((k * dx >> F) - x) + (m + 1) * dx_up) // q,
             dx,
         )
         if side:
@@ -157,29 +220,32 @@ def _sweep(sys: TridiagonalSystem, lam, side: bool = False):
                 s, ds, es = s + x, ds + dx, es + ex
             else:
                 s, ds, es = s - x, ds - dx, es - ex
-        tail.append(x)
-    sup0 = sys.sup(0)
-    g = -lam + sup0 * x_up / x
-    g_lam = -1 + sup0 * (dx_up * x - x_up * dx) / (x * x)
-    xi = [v / x for v in reversed(tail)]
+        if x.bit_length() > top:
+            t = x.bit_length() - F - 1
+            x, x_up, dx, dx_up = x >> t, x_up >> t, dx >> t, dx_up >> t
+            ex, ex_up, s, ds, es = ex >> t, ex_up >> t, s >> t, ds >> t, es >> t
+            shift += t
+        man.append(x)
+        exp.append(shift)
+    man.reverse()
+    exp.reverse()
+    xi = _SweptVector(man, exp, F)
+    # row 0 from xi_1/xi_0 = r and its partials in nu and alpha, each a
+    # difference of exact integer products, rounded once; d/dlam = d/dnu / a
+    # and d/da = -(d/dalpha + lam d/dnu) / a^2
+    xx = x * x
+    r = mpf(x_up) / x
+    r_nu = mpf(dx_up * x - x_up * dx) / xx
+    g = -lam + a * r / 3
+    g_lam = -1 + r_nu / 3
     if not side:
         return xi, g, g_lam, None
-    g_a = (g + lam) * inv_a + sup0 * (ex_up * x - x_up * ex) / (x * x)
-    S = s / x
-    return xi, g, g_lam, (g_a, S, (ds - S * dx) / x, (es - S * ex) / x)
-
-
-def _apply(sys: TridiagonalSystem, v):
-    n = sys.N + 1
-    out = []
-    for m in range(n):
-        acc = sys.diag(m) * v[m]
-        if m > 0:
-            acc += sys.sub(m) * v[m - 1]
-        if m < n - 1:
-            acc += sys.sup(m) * v[m + 1]
-        out.append(acc)
-    return out
+    r_alpha = mpf(ex_up * x - x_up * ex) / xx
+    g_a = (r - (r_alpha + lam * r_nu) / a) / 3
+    S = mpf(s) / x
+    S_nu = mpf(ds * x - s * dx) / xx
+    S_alpha = mpf(es * x - s * ex) / xx
+    return xi, g, g_lam, (g_a, S, S_nu / a, -(S_alpha + lam * S_nu) / (a * a))
 
 
 def _where(N: int, a, lam) -> str:
@@ -187,17 +253,39 @@ def _where(N: int, a, lam) -> str:
     return "at N=%d, %d dps, a=%s, lambda=%s" % fields
 
 
-def _checked_pair(sys: TridiagonalSystem, lam, xi) -> EigenPair:
-    """(lam, xi) from a sweep, once ||(T - lam) xi|| / ||xi|| <= 10^-(dps-5)."""
-    tv = _apply(sys, xi)
-    residual = max(abs(t - lam * x) for t, x in zip(tv, xi)) / max(abs(x) for x in xi)
+def _checked_pair(sys: TridiagonalSystem, lam, xi: _SweptVector) -> EigenPair:
+    """(lam, xi) from a sweep, once ||(T - lam) xi|| / ||xi|| <= 10^-(dps-5).
+
+    The residual is evaluated on the sweep's integers: its entries on the
+    scale of xi_0 (those below one unit of it read as 0), a and lam cut to
+    the sweep's F fraction bits (exact for values of the working precision
+    above 2^-(F-prec)), and row m times (2m-1)(2m+3), which makes the
+    matrix rationals integers:
+
+        -a m(2m+3) xi_{m-1} + (2m-1)(2m+3)(m(m+1) - lam) xi_m
+            + a (m+1)(2m-1) xi_{m+1}.
+
+    Only the division of each row by its factor is truncated, by under a
+    unit.  The pair's xi reads the same stored entries as mpf.
+    """
+    F, top = xi.frac, xi.exp[0]
+    y = [v >> (top - e) for v, e in zip(xi.man, xi.exp)]
+    y.append(0)  # xi_{N+1} = 0, and y[-1] stands for xi_{-1} in row 0
+    A, L = to_fixed(sys.a._mpf_, F), to_fixed(lam._mpf_, F)
+    worst = 0
+    for m in range(sys.N + 1):
+        odd, p = 2 * m - 1, 2 * m + 3
+        row = A * ((m + 1) * odd * y[m + 1] - m * p * y[m - 1])
+        row += odd * p * ((m * (m + 1) * y[m] << F) - L * y[m])
+        worst = max(worst, abs(row) // abs(odd * p))
+    residual = mpf(worst) / (max(map(abs, y)) << F)
     target = mpf(10) ** (-(mp.dps - 5))
     if residual > target:
         raise SolverError(
             "eigenpair residual %s exceeds %s %s; raise the working precision"
             % (mp.nstr(residual, 5), mp.nstr(target, 5), _where(sys.N, sys.a, lam))
         )
-    return EigenPair(lam=lam, xi=xi, residual=residual)
+    return EigenPair(lam=lam, xi=list(xi), residual=residual)
 
 
 def ground_eigenpair(sys: TridiagonalSystem) -> EigenPair:

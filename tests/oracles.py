@@ -4,13 +4,14 @@ Each one computes its quantity the plain way, apart from the package's
 own kernels: the Legendre polynomials by the Bonnet recurrence, against
 which the Clenshaw summation is checked, the side condition S as a sum
 over a stored eigenvector, against which the backward sweep's running sum
-is checked, the summation identity as a plain sum over an explicit
-zero list, against which the head-plus-tail sums are checked, the
-integrality recursion in exact rational arithmetic, against which the
-residues of the integrality scan are checked, and the Taylor
-coefficients of the factor and of the even minimizer by their
-coefficient recursions run forward, against which the closed form on
-the eigenvector and the backward factor run are checked.
+is checked, the backward sweep itself in plain mpf arithmetic, against
+which its block fixed-point kernel is checked, the summation identity as
+a plain sum over an explicit zero list, against which the head-plus-tail
+sums are checked, the integrality recursion in exact rational
+arithmetic, against which the residues of the integrality scan are
+checked, and the Taylor coefficients of the factor and of the even
+minimizer by their coefficient recursions run forward, against which the
+closed form on the eigenvector and the backward factor run are checked.
 """
 
 import math
@@ -45,6 +46,59 @@ def legendre_condition(pair) -> mpf:
     for n, x in enumerate(pair.xi):
         total += -x if ((n - 1) // 2) % 2 else x
     return total
+
+
+def reference_sweep(N: int, a, lam, side: bool = False):
+    """The backward sweep of spectral._sweep in plain mpf arithmetic, with
+    the matrix entries of each row formed as they stand: rows N..1 of
+    (T - lam) xi = 0 solved downward from xi_{N+1} = 0, xi_N = 1.
+
+    Returns (xi, g, g_lam, extra) as the kernel does, xi a list normalized
+    xi[0] = 1, g = -lam + sup(0) xi_1/xi_0 and g_lam its lam-derivative;
+    with side=True extra is (g_a, S, S_lam, S_a), the a-derivative of g
+    and the side condition with its partials, else None.
+    """
+    a, lam = mpf(a), mpf(lam)
+
+    def sub(m):
+        return -a * m / (2 * m - 1)
+
+    def sup(m):
+        return a * (m + 1) / (2 * m + 3)
+
+    x, x_up = mpf(1), mpf(0)  # xi_m, xi_{m+1}
+    dx, dx_up = mpf(0), mpf(0)  # their derivatives in lam
+    ex, ex_up = mpf(0), mpf(0)  # and in a
+    sign = -1 if ((N - 1) // 2) % 2 else 1
+    s, ds, es = sign * x, mpf(0), mpf(0)  # S and partials, times xi_0
+    tail = [x]
+    for m in range(N, 0, -1):
+        c, up, low = m * (m + 1) - lam, sup(m), sub(m)
+        cx = c * x
+        if side:
+            # low and up are proportional to a, so c x / (a low) is what
+            # the a-dependence of the row adds to the derivative
+            ex, ex_up = -(c * ex + up * ex_up - cx / a) / low, ex
+        x, x_up, dx, dx_up = (
+            -(cx + up * x_up) / low,
+            x,
+            -(c * dx - x + up * dx_up) / low,
+            dx,
+        )
+        if side:
+            if ((m - 2) // 2) % 2:
+                s, ds, es = s - x, ds - dx, es - ex
+            else:
+                s, ds, es = s + x, ds + dx, es + ex
+        tail.append(x)
+    g = -lam + sup(0) * x_up / x
+    g_lam = -1 + sup(0) * (dx_up * x - x_up * dx) / (x * x)
+    xi = [v / x for v in reversed(tail)]
+    if not side:
+        return xi, g, g_lam, None
+    g_a = (g + lam) / a + sup(0) * (ex_up * x - x_up * ex) / (x * x)
+    S = s / x
+    return xi, g, g_lam, (g_a, S, (ds - S * dx) / x, (es - S * ex) / x)
 
 
 def direct_summation(zeros):

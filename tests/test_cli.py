@@ -5,6 +5,7 @@ exit codes, and the stdout/stderr split are exercised exactly as a user
 sees them.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -19,6 +20,7 @@ from refvals import C_REF, H0_REF, L1_REF
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 
 
 def run_cli(*argv):
@@ -445,6 +447,45 @@ def test_export_legendre_even_support():
     assert rows[1][1] == "0.0"
     assert rows[2][1].startswith("-1.013")
     assert len(rows) == 7
+
+
+def test_export_legendre_prints_only_true_digits(capsys):
+    # in process: each entry is printed down to 10^-(digits+5), the
+    # absolute accuracy that the two-pass check backs, so a 130-digit run
+    # cut at that place agrees with a 100-digit run in every printed digit
+    from pwextremal.cli import main
+    from pwextremal.mpcore import decimal_truncated
+
+    runs = {}
+    for digits in (100, 130):
+        assert main(["export", "legendre", "--digits", str(digits)]) == 0
+        runs[digits] = json.loads(capsys.readouterr().out)["coeffs"]
+    short, long = runs[100], runs[130]
+    assert len(long) >= len(short)
+    with mp.workdps(200):
+        assert [decimal_truncated(mpf(v), 100, -105) for v in long[: len(short)]] == short
+    # the tail below the place reads 0.0, and d_20 ~ 3.1e-34 keeps 72 digits
+    assert short[-1] == "0.0"
+    assert len(short[20].lstrip("0.")) == 72
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "constants --digits 30",
+        "constants --digits 50",
+        "constants --digits 100",
+        "zeros --count 40 --digits 20",
+    ],
+)
+def test_payloads_match_the_benchmark_digests(command, capsys):
+    # in process, against the benchmark's stored sha256 (read only); its
+    # verify entry predates the current verify payload and is left out
+    from pwextremal.cli import main
+
+    assert main(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == json.loads(DIGESTS.read_text())[command]
 
 
 def test_export_lvalues_csv():

@@ -409,6 +409,32 @@ def test_decimal_truncated_properties(text, digits):
     assert abs(exact) - abs(value) < unit
 
 
+@given(_decimals, st.integers(1, 60), st.integers(-40, -1))
+@example("0." + "9" * 25, 30, -3)
+@example("-0.000123456", 5, -6)
+def test_decimal_truncated_stops_at_the_lowest_place(text, digits, lowest):
+    # the digits down to 10^lowest, never more than `digits` of them, in
+    # the layout of the untruncated string; a value under the place is 0.0
+    with mp.workdps(60):
+        x = mpf(text)
+        out = decimal_truncated(x, digits, lowest)
+        full = decimal_truncated(x, digits)
+    exact = _exact(x)
+    if abs(exact) < Fraction(10) ** lowest:
+        assert out == "0.0"
+        return
+    value = Fraction(out)
+    mant, _, exp = out.partition("e")
+    places = len(mant.partition(".")[2])
+    unit = Fraction(10) ** (int(exp or 0) - places)
+    assert unit >= Fraction(10) ** lowest
+    assert (value < 0) == (exact < 0)
+    assert abs(value) <= abs(exact)
+    assert abs(exact) - abs(value) < unit
+    full_mant, _, full_exp = full.partition("e")
+    assert full_mant.startswith(mant) and full_exp == exp
+
+
 def test_decimal_truncated_layout():
     assert decimal_truncated(mpf(0), 5) == "0.0"
     assert decimal_truncated(mp.inf, 5) == "+inf"

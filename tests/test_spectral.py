@@ -13,6 +13,7 @@ from pwextremal.mpcore import UsageError
 from pwextremal.spectral import (
     EigenPair,
     SolverError,
+    _checked_pair,
     _side_root,
     _sweep,
     assert_ground_invariants,
@@ -23,12 +24,13 @@ from pwextremal.spectral import (
 )
 
 import refvals
-from oracles import legendre_condition
+from oracles import legendre_condition, reference_sweep
 
 
-def dense_matrix(N, a):
-    """Double-precision dense copy of the truncation, for oracle use."""
-    M = np.zeros((N + 1, N + 1))
+def dense_matrix(N, a, exact=False):
+    """Dense copy of the truncation, for oracle use: in double precision,
+    or with exact=True as an mp.matrix at the working precision."""
+    M = mp.matrix(N + 1, N + 1) if exact else np.zeros((N + 1, N + 1))
     for m in range(N + 1):
         M[m, m] = m * (m + 1)
         if m > 0:
@@ -38,31 +40,44 @@ def dense_matrix(N, a):
     return M
 
 
+def _row_defects(N, a, lam):
+    """(T - lam) xi on the dense matrix for the sweep's vector at (a, lam),
+    and the sweep's row-0 value g: the sweep solves rows 1..N and leaves
+    row 0 as g xi_0."""
+    xi, g, _g_lam, _extra = _sweep(build_matrix(N, a), lam)
+    v = mp.matrix(list(xi))
+    return dense_matrix(N, a, exact=True) * v - lam * v, g
+
+
 def test_build_matrix_entries():
+    M = dense_matrix(2, 1.0)
+    assert [M[m, m] for m in range(3)] == [0, 2, 6]
+    assert M[0, 1] == pytest.approx(1 / 3) and M[1, 2] == pytest.approx(2 / 5)
+    assert M[1, 0] == -1 and M[2, 1] == pytest.approx(-2 / 3)
     with mp.workdps(30):
-        sys = build_matrix(2, 1)
-        assert [sys.diag(m) for m in range(3)] == [0, 2, 6]
-        assert abs(sys.sup(0) - mpf(1) / 3) < mpf(10) ** -25
-        assert abs(sys.sup(1) - mpf(2) / 5) < mpf(10) ** -25
-        assert abs(sys.sub(1) + 1) < mpf(10) ** -25
-        assert abs(sys.sub(2) + mpf(2) / 3) < mpf(10) ** -25
+        defects, g = _row_defects(2, mpf(1), mpf("0.2"))
+        assert abs(defects[0] - g) < mpf(10) ** -25
+        assert all(abs(d) < mpf(10) ** -25 for d in defects[1:])
 
 
 def test_build_matrix_zero_coupling_is_diagonal():
+    M = dense_matrix(2, 1e-30)
+    assert abs(M[1, 0]) < 1e-29 and abs(M[1, 2]) < 1e-29
     with mp.workdps(30):
-        sys = build_matrix(2, mpf("1e-30"))
-        assert abs(sys.sub(1)) < mpf("1e-29")
-        assert abs(sys.sup(1)) < mpf("1e-29")
+        xi, g, _g_lam, _extra = _sweep(build_matrix(2, mpf("1e-30")), mpf(0))
+        # xi = (1, a/2, a^2/18) and g = a^2/6 to first order in a
+        assert abs(xi[1]) < mpf("1e-29") and abs(xi[2]) < mpf("1e-59")
+        assert abs(g) < mpf("1e-59")
 
 
 def test_build_matrix_entries_rational_in_a():
+    # the sweep's exact row rationals reproduce the dense matrix's entries,
+    # which are linear in a, at any a and order
     with mp.workdps(40):
-        a = mpf("1.45")
-        sys = build_matrix(4, a)
-        for m in range(1, 5):
-            assert sys.sub(m) == -a * m / (2 * m - 1)
-        for m in range(4):
-            assert sys.sup(m) == a * (m + 1) / (2 * m + 3)
+        for N, a in ((4, mpf("1.45")), (40, mpf("0.7"))):
+            defects, g = _row_defects(N, a, mpf("0.41"))
+            assert abs(defects[0] - g) < mpf(10) ** -35
+            assert all(abs(d) < mpf(10) ** -35 for d in defects[1:]), N
 
 
 def test_build_matrix_rejects_small_N():
@@ -221,6 +236,40 @@ def test_sweep_partials_match_finite_differences():
             (g_hi, s_hi), (g_lo, s_lo) = values(da, dl), values(-da, -dl)
             assert abs((g_hi - g_lo) / (2 * h) - dg) < mpf(10) ** -30, (da, dl)
             assert abs((s_hi - s_lo) / (2 * h) - dS) < mpf(10) ** -30, (da, dl)
+
+
+@pytest.mark.parametrize("N, dps", [(32, 20), (128, 66), (128, 169), (256, 524)])
+def test_sweep_matches_the_mpf_reference(N, dps):
+    # the block fixed-point kernel against the plain mpf sweep: g, S and
+    # their partials, and every entry relative to itself; the entries span
+    # more than one block of the kernel, so it renormalises (at N = 256
+    # they fall to about 1e-1051)
+    with mp.workdps(dps):
+        a, lam = mpf(refvals.A_STAR_REF), mpf(refvals.LAMBDA_STAR_REF)
+        tol = mpf(10) ** -(dps - 5)
+        for side in (False, True):
+            xi, g, g_lam, extra = _sweep(build_matrix(N, a), lam, side=side)
+            ref_xi, ref_g, ref_g_lam, ref_extra = reference_sweep(N, a, lam, side=side)
+            got, want = [g, g_lam], [ref_g, ref_g_lam]
+            if side:
+                got, want = got + list(extra), want + list(ref_extra)
+            for k, (u, v) in enumerate(zip(got, want)):
+                assert abs(u - v) <= tol * max(1, abs(v)), (side, k)
+            assert len(xi) == len(ref_xi) == N + 1
+            for m, (u, v) in enumerate(zip(xi, ref_xi)):
+                assert abs(u - v) <= tol * abs(v), (side, m)
+        assert ref_xi[-1] < mpf(2) ** -(mp.prec + 100)
+
+
+def test_residual_gate_trips_on_a_moved_eigenvalue():
+    with mp.workdps(40):
+        sys = build_matrix(64, mpf("1.45"))
+        lam = ground_eigenpair(sys).lam + mpf(10) ** -(mp.dps - 8)
+        with pytest.raises(SolverError) as err:
+            _checked_pair(sys, lam, _sweep(sys, lam)[0])
+    message = str(err.value)
+    assert "eigenpair residual" in message
+    assert re.search(r"N=64, 40 dps, a=1\.45, lambda=0\.\d+", message), message
 
 
 def test_truncation_size_chosen_in_advance():
