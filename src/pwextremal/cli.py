@@ -362,31 +362,39 @@ def _cmd_verify(args):
 
 
 def _series_export(consts, args):
-    """Dense coefficient list (index 0 upward) for the series targets."""
+    """(key, dense coefficient list from index 0 upward, lowest) for the
+    series targets: lowest is the absolute place 10^lowest that the
+    target's accuracy backs, below which no digit is printed, or None
+    where every significant digit printed is backed."""
     what = args.what
     terms = args.terms
     if what == "taylor-phi":
         n = terms if terms is not None else 24
         model = taylor_extremal(consts, max(2, n // 2 + 1))
-        return "series", [model.coeffs.coefficient(k) for k in range(n + 1)]
+        return "series", model.coeffs[: n + 1], None
     if what == "taylor-Phi":
         n = terms if terms is not None else 24
         model = taylor_factor(consts, max(2, n))
-        return "series", [model.coeffs.coefficient(k) for k in range(n + 1)]
+        return "series", model.coeffs[: n + 1], None
     if what == "rho":
         m_top = terms if terms is not None else int(args.digits / 1.23) + 2
         rho = offset_coefficients(consts, m_top)
-        return "series", [mpf(0)] + rho
+        return "series", [mpf(0)] + rho, None
     if what == "h":
         band = build_band_transform(consts, terms=terms)
-        return "basis", list(band.coeffs)
+        return "basis", list(band.coeffs), None
     if what == "c-basis":
         band = build_band_transform(consts)
         k_top = terms if terms is not None else max(1, args.digits // 2)
-        return "basis", [mpf(0)] + window_basis_coefficients(band, k_top)
+        coeffs, error = window_basis_coefficients(band, k_top)
+        with mp.workdps(15):
+            lowest = int(mp.ceil(mp.log10(error)))
+        return "basis", [mpf(0)] + coeffs, lowest
     if what == "legendre":
+        # an absolute 10^-(digits+5), what the two-pass check of
+        # legendre_band_coefficients backs
         leg = legendre_band_coefficients(consts, pairs=_legendre_pairs(args))
-        return "basis", leg if terms is None else leg[: terms + 1]
+        return "basis", leg if terms is None else leg[: terms + 1], -(args.digits + 5)
     raise UsageError("unknown export target %r" % what)
 
 
@@ -444,11 +452,7 @@ def _cmd_export(args):
             )
         return buf.getvalue(), 0
 
-    key, coeffs = _series_export(consts, args)
-    # the Legendre coefficients hold an absolute 10^-(digits+5), what the
-    # two-pass check of legendre_band_coefficients backs, and print no digit
-    # below it
-    lowest = -(args.digits + 5) if args.what == "legendre" else None
+    key, coeffs, lowest = _series_export(consts, args)
     with mp.workdps(args.digits + 15):
         strings = [decimal_truncated(c, args.digits, lowest) for c in coeffs]
     label = {"h": "h", "c-basis": "c", "legendre": "legendre"}.get(args.what, args.what)

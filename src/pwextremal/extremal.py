@@ -10,7 +10,8 @@ rebuilds the two functions everything else is made of:
   eigenvector, cross-checked against the Cauchy product of the factor
   with its reflection.
 
-Both are truncated power series in z (mpcore.PowerSeries).  On top of
+Both are truncated power series in z, kept as plain coefficient lists
+(lowest power first) at the precision their model records.  On top of
 them sit the zero model (offset expansion tau_n = n + 1/2 -
 rho(1/(n+1/2)) and Newton refinement against the factor series; one per
 constants object, built by build_zero_model and kept on the object's
@@ -44,7 +45,6 @@ from mpmath import mp, mpf
 from mpmath.libmp import mpf_cos_sin, mpf_pi, mpf_rdiv_int, to_fixed
 
 from .mpcore import (
-    PowerSeries,
     SolverError,
     UsageError,
     beta_numeric,
@@ -52,7 +52,7 @@ from .mpcore import (
     newton_root,
     series_cos_sin,
     series_derivative,
-    series_from_coeffs,
+    series_eval,
     series_multiply,
     series_reciprocal,
 )
@@ -109,7 +109,7 @@ def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
         half = mpf(10) ** (-(consts.digits_certified - 3))
         bracket = (consts.a_star - half, consts.a_star + half)
         a_root, pair = _side_root(_tail_size(consts.N, dps), bracket, start)
-    consts.frame = (need_dps, a_root, pair.lam, pair.xi)
+        consts.frame = (need_dps, a_root, pair.lam, list(pair.xi))
     return consts.frame[1:]
 
 
@@ -126,16 +126,19 @@ _BACKWARD_START = 40
 @dataclass
 class TaylorModel:
     """Truncated Taylor expansion of the entire factor or of the even
-    minimizer, with the frame values a = 1/(2C) and lambda it was built
-    from, stored at the requested digits plus _TAYLOR_GUARD.  That it
-    holds the requested digits is an estimate, backed for the minimizer
-    by the eigenvector being the minimal solution (Gautschi), for the
-    factor by Olver's backward start L >= T + 40 and its row-0 residual.
+    minimizer: coeffs[k] multiplies z^k.  It keeps the frame values
+    a = 1/(2C) and lambda it was built from and dps, the requested digits
+    plus _TAYLOR_GUARD, at which all of them are stored; work on the
+    coefficients runs at that precision.  That they hold the requested
+    digits is an estimate, backed for the minimizer by the eigenvector
+    being the minimal solution (Gautschi), for the factor by Olver's
+    backward start L >= T + 40 and its row-0 residual.
     """
 
-    coeffs: PowerSeries
+    coeffs: list
     a: mpf
     lam: mpf
+    dps: int
 
 
 def _factor_coefficients(a, b, lam, T: int):
@@ -197,15 +200,15 @@ def taylor_factor(consts: ExtremalConstants, T: int, digits: int = None) -> Tayl
     a1, lam, _xi = refined_spectral_frame(consts, wd)
     with mp.workdps(wd):
         a = 2 * a1 / mp.pi
-        series = PowerSeries(coeffs=_factor_coefficients(a, mp.pi / 2, lam, T))
-    return TaylorModel(coeffs=series, a=a, lam=lam)
+        coeffs = _factor_coefficients(a, mp.pi / 2, lam, T)
+    return TaylorModel(coeffs=coeffs, a=a, lam=lam, dps=wd)
 
 
 def taylor_extremal(
     consts: ExtremalConstants, T: int, digits: int = None
 ) -> TaylorModel:
-    """Even minimizer as a series in z (parity even, T powers of z^2), to
-    `digits` (default: the certified digits).
+    """Even minimizer as a series in z (T powers of z^2, every odd power an
+    exact zero), to `digits` (default: the certified digits).
 
     The coefficient of z^{2m} is xi_m (-2 C pi)^m / (2m+1), xi the ground
     eigenvector of refined_spectral_frame at wd = digits + _TAYLOR_GUARD.
@@ -231,7 +234,6 @@ def taylor_extremal(
         coeffs = [mpf(0)] * (2 * T + 1)
         for m in range(T + 1):
             coeffs[2 * m] = xi[m] * ratio ** m / (2 * m + 1)
-        series = PowerSeries(coeffs=coeffs, parity="even")
         # z^{2m} of F(z) F(-z), its terms paired as j and 2m - j (the odd
         # powers cancel exactly)
         c = _factor_coefficients(a, mp.pi / 2, lam, 2 * T)
@@ -244,7 +246,7 @@ def taylor_extremal(
             raise SolverError(
                 "closed-form and product routes disagree by %s" % mp.nstr(worst, 5)
             )
-    return TaylorModel(coeffs=series, a=a, lam=lam)
+    return TaylorModel(coeffs=coeffs, a=a, lam=lam, dps=wd)
 
 
 # ----------------------------------------------------------------------
@@ -262,9 +264,9 @@ def alternating_sums_odd(consts: ExtremalConstants, M: int, digits: int):
     if M < 1:
         raise UsageError("M must be at least 1")
     model = taylor_extremal(consts, M + 2, digits=digits)
-    with mp.workdps(model.coeffs.dps):
+    with mp.workdps(model.dps):
         recip = series_reciprocal(model.coeffs, 2 * M + 1)
-        return [-(model.a / 2) * recip.coefficient(2 * m) for m in range(1, M + 1)]
+        return [-(model.a / 2) * recip[2 * m] for m in range(1, M + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -294,14 +296,13 @@ def offset_coefficients(consts: ExtremalConstants, M: int, digits: int = None):
         g = [1 / (2 * C)]
         for k in range(1, K + 1):
             g.append(2 * sums[k - 1] / (2 * k - 1))
-        G = series_from_coeffs(g)
-        square = series_multiply(G, G, K + 1)
+        square = series_multiply(g, g, K + 1)
         out = [mpf(0)] * M
-        power = G
+        power = g
         tol = mpf(10) ** (-(digits + 5))
         for m in range(1, M + 1, 2):
             j = (m + 1) // 2
-            val = power.coefficient(j) * (-1) ** j / (2 * C * m * mp.pi ** (m + 1))
+            val = power[j] * (-1) ** j / (2 * C * m * mp.pi ** (m + 1))
             if val < -tol:
                 raise SolverError(
                     "offset coefficient %d negative beyond roundoff: %s"
@@ -462,8 +463,9 @@ def _factor_near(consts: ExtremalConstants, radius, derivatives: int):
     T = _truncation_order(radius, digits + 10)
     factor = taylor_factor(consts, T, digits=digits)
     series = [factor.coeffs]
-    for _ in range(derivatives):
-        series.append(series_derivative(series[-1]))
+    with mp.workdps(factor.dps):
+        for _ in range(derivatives):
+            series.append(series_derivative(series[-1]))
     return factor, series, digits
 
 
@@ -484,7 +486,7 @@ def refine_zeros_newton(consts: ExtremalConstants, seeds):
     _factor, (F, dF), wd = _factor_near(consts, float(seeds[-1]) + 1, 1)
 
     def f(w):
-        return F.evaluate(w), dF.evaluate(w)
+        return series_eval(F, w), series_eval(dF, w)
 
     out = []
     with mp.workdps(wd + 20):
@@ -599,9 +601,9 @@ def check_ode_residual(consts: ExtremalConstants):
         worst = mpf(0)
         for z in points:
             val = (
-                z * z * d2.evaluate(z)
-                + (2 * z - drift) * d1.evaluate(z)
-                + (pi2 * z * z / 4 - lam_term) * F.evaluate(z)
+                z * z * series_eval(d2, z)
+                + (2 * z - drift) * series_eval(d1, z)
+                + (pi2 * z * z / 4 - lam_term) * series_eval(F, z)
             )
             worst = max(worst, abs(val))
     return worst
@@ -626,9 +628,10 @@ def check_extremal_ode_residual(consts: ExtremalConstants):
     Tz = _truncation_order(10, digits + cancel + 10)
     T = Tz // 2 + 4
     ext = taylor_extremal(consts, T, digits=digits + cancel + 10)
-    d1 = series_derivative(ext.coeffs)
-    d2 = series_derivative(d1)
-    d3 = series_derivative(d2)
+    with mp.workdps(ext.dps):
+        d1 = series_derivative(ext.coeffs)
+        d2 = series_derivative(d1)
+        d3 = series_derivative(d2)
     with mp.workdps(digits + cancel + 25):
         C = 1 / (2 * ext.a)
         l1_over_c = -2 * ext.lam  # L1/C = -2 lambda
@@ -637,11 +640,11 @@ def check_extremal_ode_residual(consts: ExtremalConstants):
         for z in points:
             z2 = z * z
             val = (
-                z2 * z2 * d3.evaluate(z)
-                + 6 * z2 * z * d2.evaluate(z)
+                z2 * z2 * series_eval(d3, z)
+                + 6 * z2 * z * series_eval(d2, z)
                 + (pi2 * z2 * z2 + (6 + 2 * l1_over_c) * z2 - 1 / (4 * C * C))
-                * d1.evaluate(z)
-                + (2 * pi2 * z2 * z + 2 * l1_over_c * z) * ext.coeffs.evaluate(z)
+                * series_eval(d1, z)
+                + (2 * pi2 * z2 * z + 2 * l1_over_c * z) * series_eval(ext.coeffs, z)
             )
             worst = max(worst, abs(val))
     return worst
@@ -658,9 +661,9 @@ def check_quadratic_relation(consts: ExtremalConstants):
         drift = factor.a
         worst = mpf(0)
         for z in points:
-            fp = F.evaluate(z)
-            fm = F.evaluate(-z)
-            val = z * z * (d1.evaluate(z) * fm + d1.evaluate(-z) * fp)
+            fp = series_eval(F, z)
+            fm = series_eval(F, -z)
+            val = z * z * (series_eval(d1, z) * fm + series_eval(d1, -z) * fp)
             val -= drift * fp * fm
             worst = max(worst, abs(val + drift))
     return worst
@@ -675,8 +678,8 @@ def zero_curvature_residual(consts: ExtremalConstants):
     t = build_zero_model(consts).refined[0]
     factor, (_F, d1, d2), wd = _factor_near(consts, float(t) + 1, 2)
     with mp.workdps(wd + 20):
-        lhs = t * t * d2.evaluate(t)
-        rhs = (factor.a - 2 * t) * d1.evaluate(t)
+        lhs = t * t * series_eval(d2, t)
+        rhs = (factor.a - 2 * t) * series_eval(d1, t)
     return abs(lhs - rhs)
 
 
@@ -690,7 +693,7 @@ def _reflection_samples(consts: ExtremalConstants, count: int, offset: int):
     digits = consts.digits_certified
     T = _truncation_order(0.6, digits + 25)
     factor = taylor_factor(consts, T, digits=digits + 10)
-    F = factor.coeffs.evaluate
+    F = factor.coeffs
     with mp.workdps(digits + 25):
         C = 1 / (2 * factor.a)
         i = mp.mpc(0, 1)
@@ -699,9 +702,11 @@ def _reflection_samples(consts: ExtremalConstants, count: int, offset: int):
         for j in range(count):
             z = r * mp.exp(i * 2 * mp.pi * (j + mpf(offset) / 100) / count)
             w = 1 / (2 * mp.pi * C * z)
-            g_plus = mp.exp(-i * mp.pi * z / 2) * F(i * w)
-            g_minus = mp.exp(i * mp.pi * z / 2) * F(-i * w)
-            samples.append((z, F(z), mp.exp(1 / (4 * C * z)), g_plus, g_minus))
+            g_plus = mp.exp(-i * mp.pi * z / 2) * series_eval(F, i * w)
+            g_minus = mp.exp(i * mp.pi * z / 2) * series_eval(F, -i * w)
+            samples.append(
+                (z, series_eval(F, z), mp.exp(1 / (4 * C * z)), g_plus, g_minus)
+            )
     return C, samples
 
 
@@ -873,9 +878,9 @@ def _lattice_tail(sigma, J: int, start: int, step: int, shift, alternate: bool):
     T = J - 3  # coefficients of v^4 .. v^J
     sig = list(sigma[:T]) + [mpf(0)] * max(0, T - len(sigma))
     s0 = sig[0]
-    phase = series_from_coeffs([0] + [mp.pi * c / 5 for c in sig[1:]])
+    phase = [0] + [mp.pi * c / 5 for c in sig[1:]]
     cos_phi, sin_phi = series_cos_sin(phase, T - 1)
-    shrink = series_reciprocal(series_from_coeffs([1] + [-c for c in sig[:-1]]), T)
+    shrink = series_reciprocal([1] + [-c for c in sig[:-1]], T)
     shrink = series_multiply(shrink, shrink, T)
     weight = series_multiply(shrink, shrink, T)  # (1 - v sigma)^-4
     scale = mpf(5 * step)
@@ -883,14 +888,12 @@ def _lattice_tail(sigma, J: int, start: int, step: int, shift, alternate: bool):
     for cls in range(5):
         theta = mp.pi * (step * cls + shift - s0) / 5
         sin_t, cos_t = mp.sin(theta), mp.cos(theta)
-        u = series_from_coeffs(
-            [sin_t * c - cos_t * s for c, s in zip(cos_phi.coeffs, sin_phi.coeffs)]
-        )
+        u = [sin_t * c - cos_t * s for c, s in zip(cos_phi, sin_phi)]
         u2 = series_multiply(u, u, T)
         g = series_multiply(series_multiply(series_multiply(u2, u2, T), u, T), weight, T)
         first = -((cls - start) // 5)  # first m with 5m + cls >= start
         zetas = hurwitz_zetas(first + (step * cls + shift) / scale, 4, J - 3)
-        part = mp.fsum(g.coeffs[j - 4] * scale ** -j * zetas[j - 4] for j in range(4, J + 1))
+        part = mp.fsum(g[j - 4] * scale ** -j * zetas[j - 4] for j in range(4, J + 1))
         total += -part if (alternate and cls % 2 == 0) else part
     return 2 * (5 / mp.pi) ** 5 * total
 
@@ -1093,20 +1096,16 @@ def _phase_series(series: _BesselSeries, u_max) -> list:
     poor, but the zeros do not depend on them.
     """
     wp = mp.prec + _HORNER_GUARD_BITS
-    a = series_from_coeffs([mpf((c, -series.wp)) for c in series.sin_poly[1:]])
-    b = series_from_coeffs([mpf((c, -series.wp)) for c in series.cos_poly[1:]])
+    a = [mpf((c, -series.wp)) for c in series.sin_poly[1:]]
+    b = [mpf((c, -series.wp)) for c in series.cos_poly[1:]]
     da, db = series_derivative(a), series_derivative(b)
     T = 2 * len(a)
-    num = series_from_coeffs([p - q for p, q in zip(
-        series_multiply(a, db, T).coeffs, series_multiply(b, da, T).coeffs
-    )])
-    den = series_from_coeffs([p + q for p, q in zip(
-        series_multiply(a, a, T).coeffs, series_multiply(b, b, T).coeffs
-    )])
+    num = [p - q for p, q in zip(series_multiply(a, db, T), series_multiply(b, da, T))]
+    den = [p + q for p, q in zip(series_multiply(a, a, T), series_multiply(b, b, T))]
     floor = mpf(2) ** -wp
     while True:
-        slope = series_multiply(num, series_reciprocal(den, T), T).coeffs
-        psi = [mp.atan2(b.coeffs[0], a.coeffs[0])]
+        slope = series_multiply(num, series_reciprocal(den, T), T)
+        psi = [mp.atan2(b[0], a[0])]
         psi += [c / (k + 1) for k, c in enumerate(slope)]
         small = [abs(c) * u_max ** k < floor for k, c in enumerate(psi)]
         K = next((k for k in range(1, T) if small[k] and small[k + 1]), None)
@@ -1209,15 +1208,15 @@ def _reverted_phase(psi, T: int) -> list:
     Lagrange-Buermann gives [w^n] v = [v^(n-1)] phi^n / n; then
     sigma(w) = 1/w - 1/v(w).
     """
-    phi = series_from_coeffs([1] + list(psi[:T]))
+    phi = [mpf(1)] + list(psi[:T])
     ratio = []  # v/w = sum_n [w^n] v w^(n-1)
     power = phi
     for n in range(1, T + 2):
-        ratio.append(power.coefficient(n - 1) / n)
+        ratio.append(power[n - 1] / n)
         if n <= T:
             power = series_multiply(power, phi, T + 1)
-    inverse = series_reciprocal(series_from_coeffs(ratio), T + 1)
-    return [-c for c in inverse.coeffs[1:]]
+    inverse = series_reciprocal(ratio, T + 1)
+    return [-c for c in inverse[1:]]
 
 
 # coefficients of the reverted phase series that estimate its majorant

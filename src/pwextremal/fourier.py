@@ -92,7 +92,7 @@ def build_band_transform(consts: ExtremalConstants, terms: int = None) -> BandTr
     if N < 2:
         raise UsageError("terms must be at least 2")
     factor = taylor_factor(consts, N + 1, digits=digits + 35)
-    with mp.workdps(factor.coeffs.dps):
+    with mp.workdps(factor.dps):
         squared = series_multiply(factor.coeffs, factor.coeffs, N)
     with mp.workdps(digits + 35):
         C = 1 / (2 * factor.a)
@@ -100,7 +100,7 @@ def build_band_transform(consts: ExtremalConstants, terms: int = None) -> BandTr
         weight = mpf(1)
         for n in range(1, N + 1):
             weight /= 2 * C * n
-            coeffs.append(mp.pi * squared.coefficient(n - 1) * weight)
+            coeffs.append(mp.pi * squared[n - 1] * weight)
     return BandTransform(coeffs=coeffs, C=C, digits=digits)
 
 
@@ -201,7 +201,7 @@ def _legendre_forward(consts: ExtremalConstants, K: int, wd: int) -> list:
         shrink = mp.pi ** -2
         bessel_coeffs = []
         for m in range(K + 1):
-            acc = model.coeffs.coefficient(2 * m) * shrink ** m
+            acc = model.coeffs[2 * m] * shrink ** m
             for k in range(m):
                 j = m - k
                 acc -= (
@@ -243,14 +243,24 @@ def endpoint_reflection_constants(consts: ExtremalConstants):
 # even-window basis
 
 
-def window_basis_coefficients(model: BandTransform, K: int) -> list:
+def window_basis_coefficients(model: BandTransform, K: int):
     """Least-squares fit of the transform onto (1 - u^2)^n, n = 1..K:
-    the coefficients of n = 1..K.
+    (the coefficients of n = 1..K, an absolute bound on their error).
 
     The fit runs on max(3K, 48) Chebyshev nodes of [0, 1]; evenness makes
     the negative half redundant.  Low K gives the classic short window
     ansatz whose quality is measured, not assumed; K around half the
     certified digits reaches the precision floor.
+
+    The bound is ||A^+||_2 sqrt(points) 10^-(digits+12), A the fit matrix:
+    the least-squares solution moves by at most ||A^+||_2 times the
+    2-norm of an error in the fitted values, and each value of a
+    transform at the default order of build_band_transform is within
+    10^-(digits+12), its tail target on the band (its factor model, at
+    digits + 35, adds far less).  ||A^+||_2 = 1/sigma_min(A) is read off
+    the singular values of A; it is 57, 1.2e10 and 8.8e28 at K = 4, 15
+    and 40.  The fit's own rounding, at 3K + 40 digits past the certified
+    ones, lies far below.
     """
     if K < 1:
         raise UsageError("K must be at least 1")
@@ -271,4 +281,6 @@ def window_basis_coefficients(model: BandTransform, K: int) -> list:
                 A[i, n] = power
             b[i] = transform_value(model, u, digits=digits + 10)
         solution, _qr_residual = mp.qr_solve(A, b)
-        return [solution[n] for n in range(K)]
+        amplify = 1 / min(mp.svd_r(A, compute_uv=False))
+        error = amplify * mp.sqrt(points) * mpf(10) ** -(digits + 12)
+        return [solution[n] for n in range(K)], error

@@ -39,9 +39,7 @@ from .mpcore import (
     alternating_halfinteger_tail,
     hurwitz_zetas,
     series_exp0,
-    series_from_coeffs,
     series_log1p,
-    series_scale,
 )
 from .spectral import ExtremalConstants
 from .extremal import (
@@ -252,10 +250,8 @@ def l_plus_even_from_phi(consts: ExtremalConstants, k_max: int, digits: int = No
     model = taylor_extremal(consts, k_max + 1, digits=digits + 10)
     with mp.workdps(digits + 20):
         T = 2 * k_max + 1
-        dense = [0, 0] + [model.coeffs.coefficient(k) for k in range(2, T)]
-        f = series_from_coeffs(dense, parity="even")
-        lg = series_log1p(f, T)
-        return [-k * lg.coefficient(2 * k) for k in range(1, k_max + 1)]
+        lg = series_log1p([0, 0] + model.coeffs[2:T], T)
+        return [-k * lg[2 * k] for k in range(1, k_max + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -496,11 +492,11 @@ def _tau_jet(zeros: ZeroModel, t, K: int):
 
 def _inverse_power_jet(c, s, K: int):
     """Series of tau(t+h)^{-s} in h given the jet of tau; c[0] > 0."""
-    g = series_from_coeffs([0] + [ci / c[0] for ci in c[1:]])
-    lg = series_scale(series_log1p(g, K + 1), -mpf(s))
-    f = series_exp0(lg, K + 1)
+    g = [0] + [ci / c[0] for ci in c[1:]]
+    scale = -mpf(s)
+    f = series_exp0([scale * a for a in series_log1p(g, K + 1)], K + 1)
     lead = c[0] ** (-mpf(s))
-    return [lead * f.coefficient(k) for k in range(K + 1)]
+    return [lead * a for a in f[: K + 1]]
 
 
 def _em_tail(f_jet, integral):

@@ -2,9 +2,10 @@
 
 Everything downstream runs on top of the ingredients collected here:
 
-* :class:`PowerSeries` plus the handful of series operations the project
-  actually needs (scaling, Cauchy product, reciprocal, log(1+f), exp,
-  cosine and sine, derivative);
+* truncated power series as plain coefficient lists, lowest power first,
+  at the ambient precision, and the handful of operations the project
+  actually needs (Horner evaluation, Cauchy product, reciprocal, log(1+f),
+  exp, cosine and sine, derivative);
 * :func:`newton_root`, the package's scalar Newton iteration (the 2x2
   side-condition root of :mod:`pwextremal.spectral` is the only other);
 * Clenshaw summation of Legendre series;
@@ -24,7 +25,6 @@ precision happened to be active then.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -73,125 +73,71 @@ def newton_root(f, seed, lo, hi, tol):
 
 # ----------------------------------------------------------------------
 # truncated power series
-
-_PARITIES = ("even", "odd", "none")
-
-
-def _combine_parity(p: str, q: str) -> str:
-    if p == "none" or q == "none":
-        return "none"
-    return "even" if p == q else "odd"
+#
+# A series is the list of its coefficients, lowest power first, computed at
+# the ambient precision.  Callers may build one with int entries ([0] + ..,
+# [1] + ..); the operations below make mpf values of those without rounding
+# an mpf entry again.
 
 
-@dataclass
-class PowerSeries:
-    """Dense truncated power series sum_k coeffs[k] * z**k.
-
-    ``parity`` is metadata: for an even series every coefficient sitting at
-    an odd exponent must be exactly zero (and mirrored for odd).  ``dps``
-    records the mp.dps active at construction; binary operations refuse to
-    mix series built under different precisions.
-    """
-
-    coeffs: list
-    parity: str = "none"
-    dps: int = field(default=0)
-
-    def __post_init__(self):
-        if self.parity not in _PARITIES:
-            raise UsageError("parity must be even, odd, or none")
-        if self.dps == 0:
-            self.dps = mp.dps
-        self.coeffs = [mpf(c) if not isinstance(c, mpf) else c for c in self.coeffs]
-        self._check_parity()
-
-    def _check_parity(self):
-        if self.parity == "none":
-            return
-        want_odd = self.parity == "odd"
-        for e, c in enumerate(self.coeffs):
-            if (e % 2 != 0) != want_odd and c != 0:
-                raise UsageError(
-                    "parity %r violated by nonzero coefficient at exponent %d"
-                    % (self.parity, e)
-                )
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def coefficient(self, exponent: int) -> mpf:
-        """Coefficient of z**exponent (zero outside the stored window)."""
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
-        return mpf(0)
-
-    def evaluate(self, z):
-        """Horner evaluation; z may be real or complex."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+def series_eval(f, z):
+    """Horner evaluation of the series f at z, real or complex."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * z + c
+    return acc
 
 
-def _require_same_dps(f: PowerSeries, g: PowerSeries):
-    if f.dps != g.dps:
-        raise UsageError("operands built under different precision contexts")
+def _padded(f, n: int) -> list:
+    """The coefficients of z^0 .. z^(n-1) of f as mpf values, zero past
+    its end; an mpf entry is kept as it is."""
+    a = [c if isinstance(c, mpf) else mpf(c) for c in f[:n]]
+    return a + [mpf(0)] * (n - len(a))
 
 
-def series_from_coeffs(coeffs: Sequence, parity: str = "none") -> PowerSeries:
-    return PowerSeries(coeffs=list(coeffs), parity=parity)
-
-
-def series_scale(f: PowerSeries, c) -> PowerSeries:
-    return PowerSeries(coeffs=[mpf(c) * a for a in f.coeffs], parity=f.parity, dps=f.dps)
-
-
-def series_multiply(f: PowerSeries, g: PowerSeries, T: int) -> PowerSeries:
+def series_multiply(f, g, T: int) -> list:
     """Cauchy product keeping the T lowest coefficients."""
-    _require_same_dps(f, g)
     if T < 1:
         raise UsageError("T must be positive")
     n = min(T, len(f) + len(g) - 1)
     out = [mpf(0)] * n
-    for i, a in enumerate(f.coeffs):
+    for i, a in enumerate(f):
         if a == 0:
             continue
         jmax = min(len(g), n - i)
         for j in range(jmax):
-            b = g.coeffs[j]
+            b = g[j]
             if b != 0:
                 out[i + j] += a * b
-    return PowerSeries(coeffs=out, parity=_combine_parity(f.parity, g.parity), dps=f.dps)
+    return out
 
 
-def series_reciprocal(f: PowerSeries, T: int) -> PowerSeries:
+def series_reciprocal(f, T: int) -> list:
     """1/f truncated to T coefficients; f(0) must be nonzero."""
-    if not f.coeffs or f.coeffs[0] == 0:
+    if not f or f[0] == 0:
         raise UsageError("reciprocal needs a nonzero constant term")
-    a0 = f.coeffs[0]
-    inv0 = 1 / a0
+    inv0 = mpf(1) / f[0]
     out = [inv0] + [mpf(0)] * (T - 1)
     for n in range(1, T):
         s = mpf(0)
         jmax = min(n, len(f) - 1)
         for j in range(1, jmax + 1):
-            if f.coeffs[j] != 0:
-                s += f.coeffs[j] * out[n - j]
+            if f[j] != 0:
+                s += f[j] * out[n - j]
         out[n] = -inv0 * s
-    parity = f.parity if f.parity == "even" else "none"
-    return PowerSeries(coeffs=out, parity=parity, dps=f.dps)
+    return out
 
 
-def series_log1p(f: PowerSeries, T: int) -> PowerSeries:
+def series_log1p(f, T: int) -> list:
     """log(1+f) = sum_{k>=1} (-1)^{k+1} f^k / k for f(0) = 0, through
     exponent T.
 
     Computed through the derivative identity (log(1+f))' = f'/(1+f), which
     yields the same truncated series in O(T^2) coefficient operations.
     """
-    if f.coefficient(0) != 0:
+    if f and f[0] != 0:
         raise UsageError("series_log1p requires f(0) = 0")
-    a = [f.coefficient(e) for e in range(T + 1)]  # a[e] = coeff of z^e in f
+    a = _padded(f, T + 1)  # a[e] = coeff of z^e in f
     # L' (1+f) = f'  with L = sum l_e z^e:
     # (e) l_e = e*a_e - sum_{j=1}^{e-1} (j l_j) a_{e-j}
     l = [mpf(0)] * (T + 1)
@@ -201,18 +147,17 @@ def series_log1p(f: PowerSeries, T: int) -> PowerSeries:
             if l[j] != 0 and a[e - j] != 0:
                 s -= j * l[j] * a[e - j]
         l[e] = s / e
-    parity = "even" if f.parity == "even" else "none"
-    return PowerSeries(coeffs=l, parity=parity, dps=f.dps)
+    return l
 
 
-def series_exp0(f: PowerSeries, T: int) -> PowerSeries:
+def series_exp0(f, T: int) -> list:
     """exp(f) for f(0) = 0, through exponent T.
 
     Uses E' = f' E, so E_0 = 1 and e*E_e = sum_{j=1}^{e} j a_j E_{e-j}.
     """
-    if f.coefficient(0) != 0:
+    if f and f[0] != 0:
         raise UsageError("series_exp0 requires f(0) = 0")
-    a = [f.coefficient(e) for e in range(T + 1)]  # a[e] = coeff of z^e in f
+    a = _padded(f, T + 1)  # a[e] = coeff of z^e in f
     E = [mpf(0)] * (T + 1)
     E[0] = mpf(1)
     for e in range(1, T + 1):
@@ -221,19 +166,18 @@ def series_exp0(f: PowerSeries, T: int) -> PowerSeries:
             if a[j] != 0 and E[e - j] != 0:
                 s += j * a[j] * E[e - j]
         E[e] = s / e
-    parity = "even" if f.parity == "even" else "none"
-    return PowerSeries(coeffs=E, parity=parity, dps=f.dps)
+    return E
 
 
-def series_cos_sin(f: PowerSeries, T: int):
+def series_cos_sin(f, T: int):
     """(cos f, sin f) for f(0) = 0, through exponent T.
 
     Uses C' = -f' S and S' = f' C, so C_0 = 1, S_0 = 0 and
     e*C_e = -sum_{j=1}^{e} j a_j S_{e-j}, e*S_e = sum_{j=1}^{e} j a_j C_{e-j}.
     """
-    if f.coefficient(0) != 0:
+    if f and f[0] != 0:
         raise UsageError("series_cos_sin requires f(0) = 0")
-    a = [f.coefficient(e) for e in range(T + 1)]
+    a = _padded(f, T + 1)
     C = [mpf(1)] + [mpf(0)] * T
     S = [mpf(0)] * (T + 1)
     for e in range(1, T + 1):
@@ -244,25 +188,14 @@ def series_cos_sin(f: PowerSeries, T: int):
                 s += j * a[j] * C[e - j]
         C[e] = -c / e
         S[e] = s / e
-    return (
-        PowerSeries(coeffs=C, dps=f.dps),
-        PowerSeries(coeffs=S, dps=f.dps),
-    )
+    return C, S
 
 
-def series_derivative(f: PowerSeries) -> PowerSeries:
-    """Term-wise derivative; parity flips, the constant term drops out.
-
-    Runs at the series' own construction precision so that coefficients
-    built under a high-precision context are not rounded down when the
-    derivative is taken under a lower ambient one.
-    """
-    with mp.workdps(max(f.dps, mp.dps)):
-        coeffs = [(k + 1) * f.coeffs[k + 1] for k in range(len(f) - 1)]
-        if not coeffs:
-            coeffs = [mpf(0)]
-        parity = {"even": "odd", "odd": "even"}.get(f.parity, "none")
-        return PowerSeries(coeffs=coeffs, parity=parity, dps=f.dps)
+def series_derivative(f) -> list:
+    """Term-wise derivative; the constant term drops out.  Like every
+    operation here it rounds to the ambient precision, so a series built
+    at a higher one is differentiated under that (a Taylor model's dps)."""
+    return [(k + 1) * f[k + 1] for k in range(len(f) - 1)] or [mpf(0)]
 
 
 # ----------------------------------------------------------------------

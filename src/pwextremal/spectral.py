@@ -88,9 +88,13 @@ def build_matrix(N: int, a) -> TridiagonalSystem:
 
 @dataclass
 class EigenPair:
+    """Eigenvalue lam, eigenvector xi normalized xi[0] = 1 (a list, or the
+    _SweptVector of a sweep until a caller stores it) and the residual
+    ||(T - lam) xi|| / ||xi|| it was checked at."""
+
     lam: mpf
-    xi: list
-    residual: mpf = field(default_factory=lambda: mpf(0))
+    xi: Sequence
+    residual: mpf
 
 
 # Work bounds and the precision schedule.  The side-condition Newton stops
@@ -254,7 +258,10 @@ def _where(N: int, a, lam) -> str:
 
 
 def _checked_pair(sys: TridiagonalSystem, lam, xi: _SweptVector) -> EigenPair:
-    """(lam, xi) from a sweep, once ||(T - lam) xi|| / ||xi|| <= 10^-(dps-5).
+    """(lam, xi) from a sweep, once ||(T - lam) xi|| / ||xi|| <= 10^-(dps-5)
+    and the ground invariants for 0 < a < 3/2 hold: lam in [0, a/3], and
+    no entry below minus ten times the residual relative to the largest
+    (smaller entries count as noise, their signs unchecked).
 
     The residual is evaluated on the sweep's integers: its entries on the
     scale of xi_0 (those below one unit of it read as 0), a and lam cut to
@@ -266,7 +273,8 @@ def _checked_pair(sys: TridiagonalSystem, lam, xi: _SweptVector) -> EigenPair:
             + a (m+1)(2m-1) xi_{m+1}.
 
     Only the division of each row by its factor is truncated, by under a
-    unit.  The pair's xi reads the same stored entries as mpf.
+    unit.  The signs are read off the same integers.  The pair keeps xi,
+    which converts its entries to mpf only when a caller reads them.
     """
     F, top = xi.frac, xi.exp[0]
     y = [v >> (top - e) for v, e in zip(xi.man, xi.exp)]
@@ -285,7 +293,19 @@ def _checked_pair(sys: TridiagonalSystem, lam, xi: _SweptVector) -> EigenPair:
             "eigenpair residual %s exceeds %s %s; raise the working precision"
             % (mp.nstr(residual, 5), mp.nstr(target, 5), _where(sys.N, sys.a, lam))
         )
-    return EigenPair(lam=lam, xi=list(xi), residual=residual)
+    if not 0 <= lam <= sys.a / 3:
+        raise SolverError(
+            "ground eigenvalue %s escaped [0, a/3] %s"
+            % (mp.nstr(lam, 10), _where(sys.N, sys.a, lam))
+        )
+    # an entry below -10 residual max|y| has -y_m 2^F > 10 worst
+    for m, v in enumerate(y[:-1]):
+        if -v << F > 10 * worst:
+            raise SolverError(
+                "ground eigenvector entry %d is not positive %s"
+                % (m, _where(sys.N, sys.a, lam))
+            )
+    return EigenPair(lam=lam, xi=xi, residual=residual)
 
 
 def ground_eigenpair(sys: TridiagonalSystem) -> EigenPair:
@@ -303,24 +323,9 @@ def ground_eigenpair(sys: TridiagonalSystem) -> EigenPair:
         raise UsageError("ground_eigenpair requires 0 < a < 3/2")
     tol = mpf(10) ** (-(mp.dps - 2))
     lam = newton_root(lambda x: _sweep(sys, x)[1:3], sys.a / 3, sys.a - 2, 2 - sys.a, tol)
-    return _checked_pair(sys, lam, _sweep(sys, lam)[0])
-
-
-def assert_ground_invariants(pair: EigenPair, a) -> None:
-    """Ground-state sanity for 0 < a < 3/2: localization and positivity.
-
-    Entries below ten times the residual (relative to the largest entry)
-    count as noise, and their signs are not checked.
-    """
-    where = "at N=%d, a=%s" % (len(pair.xi) - 1, mp.nstr(mpf(a), 20))
-    if not (0 <= pair.lam <= mpf(a) / 3):
-        raise SolverError(
-            "ground eigenvalue %s escaped [0, a/3] %s" % (mp.nstr(pair.lam, 10), where)
-        )
-    floor = 10 * pair.residual * max(abs(x) for x in pair.xi)
-    for n, x in enumerate(pair.xi):
-        if x <= 0 and abs(x) > floor:
-            raise SolverError("ground eigenvector entry %d is not positive %s" % (n, where))
+    pair = _checked_pair(sys, lam, _sweep(sys, lam)[0])
+    pair.xi = list(pair.xi)
+    return pair
 
 
 # ----------------------------------------------------------------------
@@ -374,9 +379,9 @@ def _side_root(N: int, bracket, start):
     """Root (a, lambda) of g = S = 0 on N + 1 rows, at the ambient precision.
 
     Returns (a, pair), pair the ground eigenpair at a from the final sweep,
-    checked by its residual and assert_ground_invariants.  Newton starts
-    from start = (a, lambda, the digits they hold), or, when start is
-    None, from (m, m/3), m the bracket midpoint.  An iterate holding d
+    checked by _checked_pair, its xi still the sweep's _SweptVector.
+    Newton starts from start = (a, lambda, the digits they hold), or, when
+    start is None, from (m, m/3), m the bracket midpoint.  An iterate holding d
     digits is swept at 2d + 4 (at least _SEED_DPS, on _SEED_N rows while
     there; at most the ambient dps); a step of 10^-k leaves one holding
     2k - 2.  The solve ends at a sweep at the ambient dps, of an iterate a
@@ -406,9 +411,7 @@ def _side_root(N: int, bracket, start):
             dl = (g_a * S - S_a * g) / det
             step = max(abs(da), abs(dl))
             if prec == dps == last and step <= tol:
-                pair = _checked_pair(sys, lam, xi)
-                assert_ground_invariants(pair, sys.a)
-                return sys.a, pair
+                return sys.a, _checked_pair(sys, lam, xi)
             a, lam = sys.a - da, lam - dl
             if not (lo <= a <= hi and 0 <= lam < 2 - a):
                 raise SolverError(
@@ -496,6 +499,7 @@ def solve_constants(digits: int) -> ExtremalConstants:
         start = (a_root, pair.lam, dps - 6)
 
     with mp.workdps(dps):
+        xi = list(pair.xi)  # the first run's vector is never read
         disagreement = abs(first - C)
         allowed = mpf(10) ** (-(digits + 1))
         if disagreement > allowed:
@@ -509,7 +513,7 @@ def solve_constants(digits: int) -> ExtremalConstants:
         L1=L1,
         a_star=a_root,
         lambda_star=pair.lam,
-        xi=pair.xi,
+        xi=xi,
         N=N,
         digits_certified=digits,
         dps=dps,

@@ -11,6 +11,7 @@ import os
 import shutil
 import subprocess
 import sys
+from decimal import ROUND_DOWN, Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -469,6 +470,28 @@ def test_export_legendre_prints_only_true_digits(capsys):
     assert len(short[20].lstrip("0.")) == 72
 
 
+def test_export_c_basis_prints_only_true_digits(capsys):
+    # in process: each c_k is printed down to the absolute place that the
+    # fit's error bound backs, so every digit printed at 30 digits is one
+    # of a 60-digit run of the same window order (15, the default at 30)
+    from pwextremal.cli import main
+
+    runs = {}
+    for argv in (["--digits", "30"], ["--digits", "60", "--terms", "15"]):
+        assert main(["export", "c-basis"] + argv) == 0
+        runs[argv[1]] = json.loads(capsys.readouterr().out)["coeffs"]
+    short, long = runs["30"], runs["60"]
+    assert len(short) == len(long) == 16
+    with localcontext() as ctx:
+        ctx.prec = 100
+        for k, (s, v) in enumerate(zip(short, long)):
+            place = Decimal(1).scaleb(Decimal(s).as_tuple().exponent)
+            assert Decimal(v).quantize(place, rounding=ROUND_DOWN) == Decimal(s), k
+    # c_10 ~ 4.1e-29 keeps 3 digits above the bound, c_11 ~ 1.5e-33 none
+    assert short[10] == "4.08e-29"
+    assert short[11] == "0.0"
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -486,6 +509,35 @@ def test_payloads_match_the_benchmark_digests(command, capsys):
     assert main(command.split()) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == json.loads(DIGESTS.read_text())[command]
+
+
+# sha256 of payloads that run through the series layer (Taylor models,
+# series products and reciprocals, the zero model).  Refresh a digest only
+# when a change alters that payload by design, and name the change in
+# CHANGES.md; any other mismatch is a regression.
+SERIES_PAYLOADS = {
+    "export taylor-phi --terms 300 --digits 30":
+        "486794eab8a2f48cd949aaf9bca90300b2f347235e99d8547c3dd76c3065576e",
+    "export taylor-Phi --terms 200 --digits 100":
+        "26d31901227e58b45046bb1fdcbac0884936cf3f3fd2579cf2f5bb6a97c22bdc",
+    "export rho --digits 100":
+        "2e8a14f3649643a7c08313135fdb8b49d027b315030d8fc074365493ece52291",
+    "export h --digits 100":
+        "1fee39444495f635fb3615f0b926629b349ae42bcf65185597d7c8be9a93ff45",
+    "export lvalues --digits 30":
+        "373cf76068a25b4a1576084b1cb704fd7b8ab6e5cfef0e83f4ef0bcaed10d9df",
+    "zeros --count 40 --digits 100":
+        "22542e31e3b4fc3ecdb1c1a3c39c12f566142ec03584f9bf4d88a6716896111d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SERIES_PAYLOADS))
+def test_series_payloads_pinned(command, capsys):
+    from pwextremal.cli import main
+
+    assert main(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SERIES_PAYLOADS[command]
 
 
 def test_export_lvalues_csv():

@@ -224,7 +224,7 @@ def test_recursion_matches_taylor_coefficients(consts30):
                 for i, row in enumerate(rows)
                 for j, c in enumerate(row)
             )
-            direct = ext.coeffs.coefficient(2 * n) * scale ** n
+            direct = ext.coeffs[2 * n] * scale ** n
             assert abs(formal - direct) < mpf("1e-20")
 
 

@@ -16,7 +16,7 @@ from pwextremal.spectral import (
     _checked_pair,
     _side_root,
     _sweep,
-    assert_ground_invariants,
+    _SweptVector,
     build_matrix,
     ground_eigenpair,
     solve_constants,
@@ -145,12 +145,13 @@ def test_ground_pair_rejects_bad_coupling():
 
 def test_legendre_condition_examples():
     with mp.workdps(30):
-        unit = EigenPair(lam=mpf(0), xi=[mpf(1)] + [mpf(0)] * 8)
+        zero = mpf(0)
+        unit = EigenPair(lam=zero, xi=[mpf(1)] + [zero] * 8, residual=zero)
         assert legendre_condition(unit) == -1
-        two = EigenPair(lam=mpf(0), xi=[mpf(1), mpf(1)] + [mpf(0)] * 7)
+        two = EigenPair(lam=zero, xi=[mpf(1), mpf(1)] + [zero] * 7, residual=zero)
         assert legendre_condition(two) == 0
         # sign pattern -,+,+,-,-,+ on the first six entries
-        probe = EigenPair(lam=mpf(0), xi=[mpf(1)] * 6)
+        probe = EigenPair(lam=zero, xi=[mpf(1)] * 6, residual=zero)
         assert legendre_condition(probe) == -1 + 1 + 1 - 1 - 1 + 1
 
 
@@ -224,7 +225,8 @@ def test_sweep_partials_match_finite_differences():
     a, lam = mpf("1.45"), mpf("0.41")
     with mp.workdps(50):
         xi, _g, g_lam, (g_a, S, S_lam, S_a) = _sweep(build_matrix(64, a), lam, side=True)
-        assert abs(S - legendre_condition(EigenPair(lam=lam, xi=xi))) < mpf(10) ** -40
+        pair = EigenPair(lam=lam, xi=xi, residual=mpf(0))
+        assert abs(S - legendre_condition(pair)) < mpf(10) ** -40
     with mp.workdps(90):
         h = mpf(10) ** -25
 
@@ -329,14 +331,37 @@ def test_sign_change_error_names_the_search():
 
 
 def test_ground_invariant_errors_name_N_and_a():
+    # _checked_pair refuses a pair that passes its residual gate but is not
+    # the ground state: the second eigenpair of rows 0..2, lambda > a/3
     with mp.workdps(30):
-        a = mpf("1.45")
-        high = EigenPair(lam=mpf(1), xi=[mpf(1), mpf("0.5"), mpf("0.1")])
-        with pytest.raises(SolverError, match=r"escaped .* at N=2, a=1\.45"):
-            assert_ground_invariants(high, a)
-        signed = EigenPair(lam=mpf("0.1"), xi=[mpf(1), mpf("-0.5"), mpf("0.1")])
-        with pytest.raises(SolverError, match=r"entry 1 .* at N=2, a=1\.45"):
-            assert_ground_invariants(signed, a)
+        sys = build_matrix(2, mpf("1.45"))
+        eigenvalues = mp.eig(dense_matrix(2, sys.a, exact=True), right=False)
+        second = sorted(mp.re(v) for v in eigenvalues)[1]
+        with pytest.raises(SolverError, match=r"escaped .* at N=2, 30 dps, a=1\.45"):
+            _checked_pair(sys, second, _sweep(sys, second)[0])
+        # and a crafted vector with a negative entry; no vector can have one
+        # beyond ten times its residual and pass the residual gate, which
+        # trips first
+        F = 100
+        signed = _SweptVector([1 << F, -(1 << (F - 1)), 1 << (F - 3)], [0, 0, 0], F)
+        with pytest.raises(SolverError, match=r"at N=2, 30 dps, a=1\.45"):
+            _checked_pair(sys, mpf("0.1"), signed)
+
+
+def test_solve_constants_reads_one_vector(monkeypatch):
+    # the first run's eigenvector is never read: solve_constants converts
+    # only the N + 1 entries of the vector it keeps
+    reads = []
+    getitem = _SweptVector.__getitem__
+
+    def counted(self, m):
+        value = getitem(self, m)
+        reads.append(m)
+        return value
+
+    monkeypatch.setattr(_SweptVector, "__getitem__", counted)
+    consts = solve_constants(30)
+    assert reads == list(range(consts.N + 1))
 
 
 def test_solve_constants_rejects_low_digits():
