@@ -531,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override residual pass thresholds, and the slack the "
-        "summation checks add to their tail bound, to 10^-E "
+        "summation checks add to their tail bound, to 10^-E, E at least 2 "
         "(certified-bound checks keep their own bounds)",
     )
     p.add_argument(
@@ -603,6 +603,11 @@ def main(argv=None) -> int:
         parser.error("--count must be positive")
     if getattr(args, "terms", None) is not None and args.terms < 1:
         parser.error("--terms must be positive")
+    # the floor _bound puts on its default: at -3 every bound would be
+    # 1000 and every check would pass
+    exponent = getattr(args, "tolerance_exponent", None)
+    if exponent is not None and exponent < 2:
+        parser.error("--tolerance-exponent must be at least 2")
     try:
         payload, code = _HANDLERS[args.command](args)
     except UsageError as exc:

@@ -53,8 +53,10 @@ from .mpcore import (
     series_cos_sin,
     series_derivative,
     series_eval,
+    series_eval_orbit,
     series_multiply,
     series_reciprocal,
+    _times_i,
 )
 from .spectral import (
     _N_FLOOR,
@@ -574,15 +576,25 @@ def binomial_tail_expansion(rho_coeffs, s, K: int):
 
 
 def _disk_grid(radius):
-    """Deterministic spread of 20 nonzero sample points in the closed disk:
-    four on each of the circles at 2/10, 4/10, .., 10/10 of the radius."""
-    pts = []
+    """Deterministic spread of 20 nonzero sample points in the closed disk,
+    as five quarter-turn orbits: on each of the circles at 2/10, 4/10, ..,
+    10/10 of the radius a first point w, turned by its own fraction of a
+    quarter turn, and w i^j, j = 1..3, made exactly from it by
+    _quarter_turns.  So series_eval_orbit at w gives a series at all four
+    points of an orbit, in the order listed."""
+    orbits = []
     for i, k in enumerate((2, 4, 6, 8, 10)):
         r = mpf(radius) * k / 10
-        for j in range(4):
-            theta = 2 * mp.pi * (j + mpf(i) / 5 + mpf(3) / 17) / 4
-            pts.append(r * mp.exp(mp.mpc(0, 1) * theta))
-    return pts
+        theta = 2 * mp.pi * (mpf(i) / 5 + mpf(3) / 17) / 4
+        orbits.append(_quarter_turns(r * mp.exp(mp.mpc(0, 1) * theta)))
+    return orbits
+
+
+def _quarter_turns(w):
+    """(w, iw, -w, -iw), each exact: the points, in order, at which
+    series_eval_orbit(f, w) evaluates f."""
+    iw = _times_i(w)
+    return w, iw, -w, -iw
 
 
 def check_ode_residual(consts: ExtremalConstants):
@@ -590,28 +602,33 @@ def check_ode_residual(consts: ExtremalConstants):
 
         z^2 F'' + (2z - 1/(2C)) F' + (pi^2 z^2 / 4 + L1/(2C)) F
 
-    over 20 points in |z| <= 5, to the certified digits."""
+    over the 20 points of _disk_grid in |z| <= 5, to the certified digits:
+    F, F' and F'' are each evaluated once per quarter-turn orbit."""
     with mp.workdps(consts.digits_certified + 30):
-        points = _disk_grid(5)
-    factor, (F, d1, d2), wd = _factor_near(consts, 5, 2)
+        orbits = _disk_grid(5)
+    factor, series, wd = _factor_near(consts, 5, 2)
     with mp.workdps(wd + 25):
         drift = factor.a  # 1/(2C) in this frame
         lam_term = factor.lam  # L1/(2C) equals minus the eigenvalue
         pi2 = mp.pi ** 2
         worst = mpf(0)
-        for z in points:
-            val = (
-                z * z * series_eval(d2, z)
-                + (2 * z - drift) * series_eval(d1, z)
-                + (pi2 * z * z / 4 - lam_term) * series_eval(F, z)
-            )
-            worst = max(worst, abs(val))
+        for orbit in orbits:
+            values = [series_eval_orbit(f, orbit[0]) for f in series]
+            for z, f0, f1, f2 in zip(orbit, *values):
+                val = (
+                    z * z * f2
+                    + (2 * z - drift) * f1
+                    + (pi2 * z * z / 4 - lam_term) * f0
+                )
+                worst = max(worst, abs(val))
     return worst
 
 
 def check_extremal_ode_residual(consts: ExtremalConstants):
     """Worst residual of the third-order equation for the even minimizer,
-    over 20 points in |z| <= 5, to the certified digits.
+    over the 20 points of _disk_grid in |z| <= 5, to the certified digits;
+    the minimizer and its three derivatives are each evaluated once per
+    quarter-turn orbit, on their nonzero classes of powers mod 4 only.
 
     Evaluated in the singularity-cleared form (multiplied through by z^4):
 
@@ -623,49 +640,54 @@ def check_extremal_ode_residual(consts: ExtremalConstants):
     """
     digits = consts.digits_certified
     with mp.workdps(digits + 30):
-        points = _disk_grid(5)
+        orbits = _disk_grid(5)
     cancel = 2 * _cancellation_digits(5)
     Tz = _truncation_order(10, digits + cancel + 10)
     T = Tz // 2 + 4
     ext = taylor_extremal(consts, T, digits=digits + cancel + 10)
+    series = [ext.coeffs]
     with mp.workdps(ext.dps):
-        d1 = series_derivative(ext.coeffs)
-        d2 = series_derivative(d1)
-        d3 = series_derivative(d2)
+        for _ in range(3):
+            series.append(series_derivative(series[-1]))
     with mp.workdps(digits + cancel + 25):
         C = 1 / (2 * ext.a)
         l1_over_c = -2 * ext.lam  # L1/C = -2 lambda
         pi2 = mp.pi ** 2
         worst = mpf(0)
-        for z in points:
-            z2 = z * z
-            val = (
-                z2 * z2 * series_eval(d3, z)
-                + 6 * z2 * z * series_eval(d2, z)
-                + (pi2 * z2 * z2 + (6 + 2 * l1_over_c) * z2 - 1 / (4 * C * C))
-                * series_eval(d1, z)
-                + (2 * pi2 * z2 * z + 2 * l1_over_c * z) * series_eval(ext.coeffs, z)
-            )
-            worst = max(worst, abs(val))
+        for orbit in orbits:
+            values = [series_eval_orbit(f, orbit[0]) for f in series]
+            for z, p0, p1, p2, p3 in zip(orbit, *values):
+                z2 = z * z
+                val = (
+                    z2 * z2 * p3
+                    + 6 * z2 * z * p2
+                    + (pi2 * z2 * z2 + (6 + 2 * l1_over_c) * z2 - 1 / (4 * C * C)) * p1
+                    + (2 * pi2 * z2 * z + 2 * l1_over_c * z) * p0
+                )
+                worst = max(worst, abs(val))
     return worst
 
 
 def check_quadratic_relation(consts: ExtremalConstants):
     """Worst deviation of z^2 (F'(z)F(-z) + F'(-z)F(z)) - F(z)F(-z)/(2C)
-    from its constant value -1/(2C) over 20 points in |z| <= 3, to the
-    certified digits."""
+    from its constant value -1/(2C) over the 20 points of _disk_grid in
+    |z| <= 3, to the certified digits.  Each quarter-turn orbit holds -z
+    with z, so F and F' are evaluated once per orbit."""
     with mp.workdps(consts.digits_certified + 30):
-        points = _disk_grid(3)
+        orbits = _disk_grid(3)
     factor, (F, d1), wd = _factor_near(consts, 3, 1)
     with mp.workdps(wd + 25):
         drift = factor.a
         worst = mpf(0)
-        for z in points:
-            fp = series_eval(F, z)
-            fm = series_eval(F, -z)
-            val = z * z * (series_eval(d1, z) * fm + series_eval(d1, -z) * fp)
-            val -= drift * fp * fm
-            worst = max(worst, abs(val + drift))
+        for orbit in orbits:
+            fs = series_eval_orbit(F, orbit[0])
+            ds = series_eval_orbit(d1, orbit[0])
+            for j, z in enumerate(orbit):
+                # orbit[j - 2] is -z
+                fp, fm = fs[j], fs[j - 2]
+                val = z * z * (ds[j] * fm + ds[j - 2] * fp)
+                val -= drift * fp * fm
+                worst = max(worst, abs(val + drift))
     return worst
 
 
@@ -689,6 +711,11 @@ def _reflection_samples(consts: ExtremalConstants, count: int, offset: int):
     e^{-i pi z/2} F(i w), e^{i pi z/2} F(-i w)), w = 1/(2 pi C z) of the same
     modulus as z; all to the certified digits plus 25, as is the factor
     model's truncation on |z| <= 0.6.
+
+    4 divides count, so the points are count / 4 quarter-turn orbits: the
+    k-th quarter turn of z_0 is z_0 i^k, made exactly by _quarter_turns,
+    and its partner is w_0 i^-k, so i w and -i w lie on the orbit of w_0.
+    F is evaluated once per orbit of z_0 and once per orbit of w_0.
     """
     digits = consts.digits_certified
     T = _truncation_order(0.6, digits + 25)
@@ -698,15 +725,20 @@ def _reflection_samples(consts: ExtremalConstants, count: int, offset: int):
         C = 1 / (2 * factor.a)
         i = mp.mpc(0, 1)
         r = 1 / mp.sqrt(2 * mp.pi * C)
-        samples = []
-        for j in range(count):
-            z = r * mp.exp(i * 2 * mp.pi * (j + mpf(offset) / 100) / count)
-            w = 1 / (2 * mp.pi * C * z)
-            g_plus = mp.exp(-i * mp.pi * z / 2) * series_eval(F, i * w)
-            g_minus = mp.exp(i * mp.pi * z / 2) * series_eval(F, -i * w)
-            samples.append(
-                (z, series_eval(F, z), mp.exp(1 / (4 * C * z)), g_plus, g_minus)
-            )
+        quarter = count // 4
+        samples = [None] * count
+        for j in range(quarter):
+            z0 = r * mp.exp(i * 2 * mp.pi * (j + mpf(offset) / 100) / count)
+            w0 = 1 / (2 * mp.pi * C * z0)
+            fz = series_eval_orbit(F, z0)
+            fw = series_eval_orbit(F, w0)  # F(w0 i^m) at m = 0..3
+            for k, z in enumerate(_quarter_turns(z0)):
+                # i w = w0 i^(1-k) and -i w = w0 i^(3-k)
+                g_plus = mp.exp(-i * mp.pi * z / 2) * fw[(1 - k) % 4]
+                g_minus = mp.exp(i * mp.pi * z / 2) * fw[(3 - k) % 4]
+                samples[j + k * quarter] = (
+                    z, fz[k], mp.exp(1 / (4 * C * z)), g_plus, g_minus
+                )
     return C, samples
 
 
@@ -717,7 +749,8 @@ def check_functional_equation(consts: ExtremalConstants):
                             + e^{-i pi/4 + i pi z/2} F(-i/(2 pi C z))]
                            / (2 sqrt(pi C) z)
 
-    at 20 points on the self-dual circle, to the certified digits."""
+    at 20 points on the self-dual circle, five quarter-turn orbits (see
+    _reflection_samples), to the certified digits."""
     C, samples = _reflection_samples(consts, 20, 37)
     with mp.workdps(consts.digits_certified + 25):
         i = mp.mpc(0, 1)
@@ -736,8 +769,9 @@ def fit_reflection_coefficients(consts: ExtremalConstants):
 
     Writes z F(z) e^{1/(4Cz)} = k_plus e^{-i pi z/2} F(i/(2 pi C z))
     + k_minus e^{+i pi z/2} F(-i/(2 pi C z)) and solves the 2x2 complex
-    normal equations over 24 points on the self-dual circle, to the
-    certified digits.  At the true constants the fit returns
+    normal equations over 24 points on the self-dual circle, six
+    quarter-turn orbits (see _reflection_samples), to the certified
+    digits.  At the true constants the fit returns
     k_pm = e^{+-i pi/4} / sqrt(4 pi C).
     """
     _C, samples = _reflection_samples(consts, 24, 41)

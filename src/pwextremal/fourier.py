@@ -243,6 +243,36 @@ def endpoint_reflection_constants(consts: ExtremalConstants):
 # even-window basis
 
 
+def _value_error_on_nodes(model: BandTransform):
+    """Bound on the error of transform_value(model, u, digits + 10) for u
+    in [0, 1], where |1 - u| <= 1, from the bound pi^n / (C^n (n-1)! n!)
+    that _transform_terms puts on the n-th coefficient: that bound summed
+    past model.terms (the terms fall like 1/n!^2); the coefficients' own
+    error, a relative 10^-(digits+35) (the working digits of
+    build_band_transform and of its factor model) of the bound summed up
+    to model.terms; and Horner's rounding in transform_value, at
+    digits + 30, 2 (terms + 1) units of 10^-(digits+30) times sum |h_n|.
+    """
+    N, digits = model.terms, model.digits
+    with mp.workdps(25):
+        q = mp.pi / mpf(model.C)
+        head = tail = mpf(0)
+        term, n = q, 1  # the bound at n
+        while n <= N or term > tail * mpf(10) ** -20:
+            if n <= N:
+                head += term
+            else:
+                tail += term
+            term *= q / (n * (n + 1))
+            n += 1
+        magnitude = mp.fsum(abs(h) for h in model.coeffs)
+        return (
+            tail
+            + head * mpf(10) ** -(digits + 35)
+            + 2 * (N + 1) * magnitude * mpf(10) ** -(digits + 30)
+        )
+
+
 def window_basis_coefficients(model: BandTransform, K: int):
     """Least-squares fit of the transform onto (1 - u^2)^n, n = 1..K:
     (the coefficients of n = 1..K, an absolute bound on their error).
@@ -252,15 +282,15 @@ def window_basis_coefficients(model: BandTransform, K: int):
     ansatz whose quality is measured, not assumed; K around half the
     certified digits reaches the precision floor.
 
-    The bound is ||A^+||_2 sqrt(points) 10^-(digits+12), A the fit matrix:
-    the least-squares solution moves by at most ||A^+||_2 times the
-    2-norm of an error in the fitted values, and each value of a
-    transform at the default order of build_band_transform is within
-    10^-(digits+12), its tail target on the band (its factor model, at
-    digits + 35, adds far less).  ||A^+||_2 = 1/sigma_min(A) is read off
-    the singular values of A; it is 57, 1.2e10 and 8.8e28 at K = 4, 15
-    and 40.  The fit's own rounding, at 3K + 40 digits past the certified
-    ones, lies far below.
+    The bound is ||A^+||_2 sqrt(points) e, A the fit matrix and e the
+    bound of _value_error_on_nodes on each fitted value: the
+    least-squares solution moves by at most ||A^+||_2 times the 2-norm
+    of an error in the fitted values.  At 30 digits e is 4.0e-57, against
+    the 10^-42 tail target of _transform_terms, which holds out to
+    |1 - u| = 2.  ||A^+||_2 = 1/sigma_min(A) is read off the singular
+    values of A; it is 57, 1.2e10 and 8.8e28 at K = 4, 15 and 40.  The
+    fit's own rounding, at 3K + 40 digits past the certified ones, lies
+    far below.
     """
     if K < 1:
         raise UsageError("K must be at least 1")
@@ -282,5 +312,5 @@ def window_basis_coefficients(model: BandTransform, K: int):
             b[i] = transform_value(model, u, digits=digits + 10)
         solution, _qr_residual = mp.qr_solve(A, b)
         amplify = 1 / min(mp.svd_r(A, compute_uv=False))
-        error = amplify * mp.sqrt(points) * mpf(10) ** -(digits + 12)
+        error = amplify * mp.sqrt(points) * _value_error_on_nodes(model)
         return [solution[n] for n in range(K)], error

@@ -4,8 +4,9 @@ Everything downstream runs on top of the ingredients collected here:
 
 * truncated power series as plain coefficient lists, lowest power first,
   at the ambient precision, and the handful of operations the project
-  actually needs (Horner evaluation, Cauchy product, reciprocal, log(1+f),
-  exp, cosine and sine, derivative);
+  actually needs (Horner evaluation, at one point or at the four quarter
+  turns of one, Cauchy product, reciprocal, log(1+f), exp, cosine and
+  sine, derivative);
 * :func:`newton_root`, the package's scalar Newton iteration (the 2x2
   side-condition root of :mod:`pwextremal.spectral` is the only other);
 * Clenshaw summation of Legendre series;
@@ -86,6 +87,44 @@ def series_eval(f, z):
     for c in reversed(f):
         acc = acc * z + c
     return acc
+
+
+def _times_i(x):
+    """i x, exactly: the parts of x swap and one changes sign."""
+    return mp.mpc(-mp.im(x), mp.re(x))
+
+
+def series_eval_orbit(f, w):
+    """(f(w), f(iw), f(-w), f(-iw)) for a series f with real coefficients,
+    from one pass over f.
+
+    With S_r the Horner sum of class r, the coefficients c_k with
+    k = r mod 4, in w^4, f(i^j w) = sum_r i^(jr) w^r S_r: the four values
+    are sums of t_r = w^r S_r by +-1 and +-i, and a product by i is
+    exact.  A class whose coefficients are all exactly zero is skipped
+    (the odd ones of an even series, the even ones of an odd series).
+
+    Horner's rounding stays where _cancellation_digits of extremal
+    budgets it: a partial sum of class r, times its power of w, is a
+    partial sum of f's terms c_k w^k, so every one is bounded by
+    sum_k |c_k| |w|^k, as in Horner's pass at one point, and each of the
+    four values is off by a few units of that sum per coefficient.
+    """
+    w2 = w * w
+    w4 = w2 * w2
+    t = []
+    for r, power in enumerate((1, w, w2, w2 * w)):
+        cls = f[r::4]
+        if all(c == 0 for c in cls):
+            t.append(0)
+            continue
+        acc = 0
+        for c in reversed(cls):
+            acc = acc * w4 + c
+        t.append(acc * power)
+    even, odd = t[0] + t[2], t[1] + t[3]
+    real_turn, imag_turn = t[0] - t[2], _times_i(t[1] - t[3])
+    return even + odd, real_turn + imag_turn, even - odd, real_turn - imag_turn
 
 
 def _padded(f, n: int) -> list:

@@ -259,10 +259,10 @@ def test_verify_residual_payloads_pinned(capsys):
     from pwextremal.cli import main
 
     pinned = {
-        "ode": ["8.877219791e-43", "6.472143087e-53"],
-        "functional": ["5.872878055e-52"],
+        "ode": ["8.877219791e-43", "6.47202055e-53"],
+        "functional": ["5.872931621e-52"],
         "quadratic": ["1.536719919e-42", "5.99573266e-44"],
-        "fourier": ["6.985144713e-51", "1.85931756e-51", "0.0", "1.734660431e-52"],
+        "fourier": ["6.985144713e-51", "1.85931756e-51", "0.0", "1.734762389e-52"],
     }
     for suite, discrepancies in pinned.items():
         assert main(["verify", "--suite", suite, "--digits", "30"]) == 0, suite
@@ -358,6 +358,25 @@ def test_verify_exit_code_reflects_failure():
     assert proc.returncode == 1
     report = json.loads(proc.stdout)
     assert report["failed"] > 0
+
+
+def test_tolerance_exponent_floor_is_a_usage_error(capsys, monkeypatch):
+    # in process, with no solve: below 2 every bound would be 10^-E >= 100
+    # and every check would pass, so the flag is refused before the solve;
+    # 2, the floor of the default bound, goes on to it
+    from pwextremal import cli
+
+    def solve(digits):
+        raise cli.SolverError("solve reached")
+
+    monkeypatch.setattr(cli, "solve_constants", solve)
+    for exponent in ("-3", "0", "1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "quadratic", "--tolerance-exponent", exponent])
+        assert exc.value.code == 2, exponent
+        assert "--tolerance-exponent must be at least 2" in capsys.readouterr().err
+    assert cli.main(["verify", "--suite", "quadratic", "--tolerance-exponent", "2"]) == 1
+    assert "solve reached" in capsys.readouterr().err
 
 
 def test_verify_conjectures_report_only():
@@ -473,7 +492,9 @@ def test_export_legendre_prints_only_true_digits(capsys):
 def test_export_c_basis_prints_only_true_digits(capsys):
     # in process: each c_k is printed down to the absolute place that the
     # fit's error bound backs, so every digit printed at 30 digits is one
-    # of a 60-digit run of the same window order (15, the default at 30)
+    # of a 60-digit run of the same window order (15, the default at 30).
+    # That bound sums the band series' tail on the fit's nodes, 3.4e-46
+    # at 30 digits, so c_11..c_13 print digits
     from pwextremal.cli import main
 
     runs = {}
@@ -487,9 +508,11 @@ def test_export_c_basis_prints_only_true_digits(capsys):
         for k, (s, v) in enumerate(zip(short, long)):
             place = Decimal(1).scaleb(Decimal(s).as_tuple().exponent)
             assert Decimal(v).quantize(place, rounding=ROUND_DOWN) == Decimal(s), k
-    # c_10 ~ 4.1e-29 keeps 3 digits above the bound, c_11 ~ 1.5e-33 none
-    assert short[10] == "4.08e-29"
-    assert short[11] == "0.0"
+    # c_11 ~ 1.5e-33 keeps 13 digits above the bound, c_13 ~ 7.0e-43
+    # keeps 3 and c_14 ~ 9.6e-48 none
+    assert short[11] == "1.477066024598e-33"
+    assert short[13] == "6.98e-43"
+    assert short[14] == "0.0"
 
 
 @pytest.mark.parametrize(

@@ -427,6 +427,36 @@ def test_reflection_coefficients(consts30):
         assert abs(k_minus - want_minus) < mpf("1e-25")
 
 
+def _move_taylor_models(monkeypatch, field):
+    """Make both Taylor models come out with `field` (a or lam) moved by
+    1e-15, at the model's own precision."""
+    for name in ("taylor_factor", "taylor_extremal"):
+
+        def moved(consts, T, digits=None, build=getattr(extremal, name)):
+            model = build(consts, T, digits=digits)
+            with mp.workdps(model.dps):
+                value = getattr(model, field) + mpf("1e-15")
+            return dataclasses.replace(model, **{field: value})
+
+        monkeypatch.setattr(extremal, name, moved)
+
+
+@pytest.mark.parametrize(
+    "field, checks",
+    [
+        ("a", ["check_ode_residual", "check_quadratic_relation", "check_functional_equation"]),
+        ("lam", ["check_ode_residual", "check_extremal_ode_residual"]),
+    ],
+)
+def test_circle_checks_fail_on_a_moved_model(consts30, monkeypatch, field, checks):
+    # each circle check reads the constant it is about off the model it
+    # evaluates, so a model off by 1e-15 there fails the 1e-20 of the
+    # tests above
+    _move_taylor_models(monkeypatch, field)
+    for name in checks:
+        assert getattr(extremal, name)(consts30) > mpf("1e-20"), name
+
+
 # ----------------------------------------------------------------------
 # summation identity
 

@@ -142,8 +142,9 @@ def test_window_basis_short(band30, consts30):
     # degree-4 window: measured quality of the classic short ansatz
     coeffs, error = fourier.window_basis_coefficients(band30, 4)
     assert _window_residual(band30, coeffs) < mpf("1e-10")
-    # 1/sigma_min(A) = 57 on 48 nodes, on the band's 10^-42
-    assert mpf("3e-40") < error < mpf("5e-40")
+    # 1/sigma_min(A) = 57 on 48 nodes, sqrt(48), and the band's 4.0e-57
+    # on the nodes
+    assert mpf("1.4e-54") < error < mpf("1.7e-54")
     with mp.workdps(40):
         # the leading window coefficient is the slope constant at the edge:
         # -value'(1) / 2 = coeffs[1]/2 of the band series

@@ -23,6 +23,7 @@ from pwextremal.mpcore import (
     series_cos_sin,
     series_derivative,
     series_eval,
+    series_eval_orbit,
     series_exp0,
     series_log1p,
     series_multiply,
@@ -110,6 +111,28 @@ def test_series_eval_is_horner():
     assert series_eval(f, 2) == 1 - 4 + 12
     assert series_eval(f, mp.mpc(0, 1)) == mp.mpc(-2, -2)
     assert series_eval([], mpf(5)) == 0
+
+
+@pytest.mark.parametrize("kind", ["general", "even", "odd"])
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 120])
+def test_series_eval_orbit_matches_horner_at_each_turn(length, kind):
+    # random real series, the even and odd ones with exact zeros, at the
+    # four quarter turns of complex points, against series_eval at each,
+    # within 2^-(prec-10) sum |c_k| |w|^k: the partial sums of both passes
+    # lie under that sum
+    rng = random.Random(10 * length + len(kind))
+    f = [mpf(rng.uniform(-1, 1)) for _ in range(length)]
+    if kind != "general":
+        keep = 0 if kind == "even" else 1
+        f = [c if k % 2 == keep else mpf(0) for k, c in enumerate(f)]
+    for _ in range(4):
+        w = mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        turns = (w, mp.mpc(-w.imag, w.real), -w, mp.mpc(w.imag, -w.real))
+        tol = mpf(2) ** -(mp.prec - 10) * sum(
+            abs(c) * abs(w) ** k for k, c in enumerate(f)
+        )
+        for got, z in zip(series_eval_orbit(f, w), turns):
+            assert abs(got - series_eval(f, z)) <= tol, (z, got)
 
 
 # ----------------------------------------------------------------------
