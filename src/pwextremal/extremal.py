@@ -275,7 +275,7 @@ def alternating_sums_odd(consts: ExtremalConstants, M: int, digits: int):
 # offset expansion of the zeros
 
 
-def offset_coefficients(consts: ExtremalConstants, M: int, digits: int = None):
+def offset_coefficients(consts: ExtremalConstants, M: int):
     """a_1..a_M in tau_n = n + 1/2 - sum_m a_m (n+1/2)^{-m}.
 
     Lagrange inversion on all-real data: with G(w) = 1/(2C)
@@ -288,7 +288,7 @@ def offset_coefficients(consts: ExtremalConstants, M: int, digits: int = None):
     """
     if M < 1:
         raise UsageError("M must be at least 1")
-    digits = digits if digits is not None else consts.digits_certified
+    digits = consts.digits_certified
     K = (M + 1) // 2 + 1
     wd = digits + M + 40
     sums = alternating_sums_odd(consts, K, digits=wd)
@@ -516,7 +516,7 @@ def build_zero_model(consts: ExtremalConstants) -> ZeroModel:
         return consts.zeros
     digits = consts.digits_certified
     M = int(digits / 1.23) + 2
-    rho = offset_coefficients(consts, M, digits=digits)
+    rho = offset_coefficients(consts, M)
     with mp.workdps(digits + 15):
         weighted = sum(a_m * mpf(2) ** m for m, a_m in enumerate(rho, start=1))
         if weighted > mpf(1) / 2:
@@ -1346,7 +1346,7 @@ def summation_system(a, head: int, digits: int):
         return a * scale, out, tail
 
 
-def constant_from_zeros_alternating(consts: ExtremalConstants, M: int = None):
+def constant_from_zeros_alternating(consts: ExtremalConstants):
     """The central constant from 1/C = 2 + 4 sum_n (-1)^n (n + 1/2 - tau_n).
 
     The alternating sum collapses through the offset expansion to
@@ -1354,9 +1354,8 @@ def constant_from_zeros_alternating(consts: ExtremalConstants, M: int = None):
     evaluated at all; the remainder past M is below 3^-M / 4.
     """
     digits = consts.digits_certified
-    if M is None:
-        M = int((digits + 7) / 0.477) + 2
-    rho = offset_coefficients(consts, M, digits=digits)
+    M = int((digits + 7) / 0.477) + 2
+    rho = offset_coefficients(consts, M)
     with mp.workdps(digits + 25):
         total = mpf(0)
         for m in range(1, M + 1):

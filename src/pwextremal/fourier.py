@@ -61,10 +61,12 @@ MAX_WINDOW = 40
 
 
 def _transform_terms(digits: int, C) -> int:
-    """Smallest series order with a certified sub-target tail on the band.
+    """Series order of the band transform: the first n >= 8 at which
+    pi (2 pi / C)^(n-1) / (n! (n-1)!) falls below 10^-(digits+12).
 
-    The n-th coefficient is bounded by pi^n / (C^n (n-1)! n!) and the
-    evaluation point satisfies |1 - u| <= 2, absorbed into the bound.
+    That term is (C/2) 2^n times the coefficient bound of
+    _value_error_on_nodes and bounds no error; _value_error_on_nodes does.
+    The rule fixes the default order, and so the `export h` payload.
     """
     with mp.workdps(25):
         ratio = 2 * mp.pi / mpf(C)
@@ -246,8 +248,9 @@ def endpoint_reflection_constants(consts: ExtremalConstants):
 def _value_error_on_nodes(model: BandTransform):
     """Bound on the error of transform_value(model, u, digits + 10) for u
     in [0, 1], where |1 - u| <= 1, from the bound pi^n / (C^n (n-1)! n!)
-    that _transform_terms puts on the n-th coefficient: that bound summed
-    past model.terms (the terms fall like 1/n!^2); the coefficients' own
+    on the n-th coefficient (not proved; a test checks it on every
+    computed one at 30 and 100 digits): that bound summed past
+    model.terms (the terms fall like 1/n!^2); the coefficients' own
     error, a relative 10^-(digits+35) (the working digits of
     build_band_transform and of its factor model) of the bound summed up
     to model.terms; and Horner's rounding in transform_value, at
@@ -285,12 +288,10 @@ def window_basis_coefficients(model: BandTransform, K: int):
     The bound is ||A^+||_2 sqrt(points) e, A the fit matrix and e the
     bound of _value_error_on_nodes on each fitted value: the
     least-squares solution moves by at most ||A^+||_2 times the 2-norm
-    of an error in the fitted values.  At 30 digits e is 4.0e-57, against
-    the 10^-42 tail target of _transform_terms, which holds out to
-    |1 - u| = 2.  ||A^+||_2 = 1/sigma_min(A) is read off the singular
-    values of A; it is 57, 1.2e10 and 8.8e28 at K = 4, 15 and 40.  The
-    fit's own rounding, at 3K + 40 digits past the certified ones, lies
-    far below.
+    of an error in the fitted values.  At 30 digits e is 4.0e-57.
+    ||A^+||_2 = 1/sigma_min(A) is read off the singular values of A; it
+    is 57, 1.2e10 and 8.8e28 at K = 4, 15 and 40.  The fit's own
+    rounding, at 3K + 40 digits past the certified ones, lies far below.
     """
     if K < 1:
         raise UsageError("K must be at least 1")

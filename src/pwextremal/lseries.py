@@ -38,12 +38,12 @@ from .mpcore import (
     UsageError,
     alternating_halfinteger_tail,
     hurwitz_zetas,
-    series_exp0,
-    series_log1p,
+    series_derivative,
+    series_multiply,
+    series_reciprocal,
 )
 from .spectral import ExtremalConstants
 from .extremal import (
-    ZeroModel,
     binomial_tail_expansion,
     build_zero_model,
     tau,
@@ -99,34 +99,35 @@ def _is_integer(s) -> bool:
 _N0 = 8
 
 
-def _expansion_order(s_float: float, digits: int) -> int:
+def _expansion_order(s, digits: int) -> int:
     """Smallest truncation order whose certified tail clears the target.
 
-    The tail of sum_j e_j(s) T(s+j) past order J is below
-    (1+q) q^{-s} (3/2)^p x0^{J+1} / (1 - x0) with x0 = 1/q, q = _N0 + 3/2
-    and p = max(1, ceil|s|); solve for the first even J that pushes this
-    under 10^-(digits+5), keeping J large enough that every bounded term
-    has exponent s + j >= 2.
+    J runs from max(8, ceil|s| + 4, ceil(2 - s)), large enough that every
+    bounded term has exponent s + j >= 2, in steps of 2 until the tail
+    term of _certified_tail, at 30 digits, falls under 10^-(digits+5);
+    each step multiplies that term by x0^2.  An odd J is then rounded up
+    to even.
     """
-    q = _N0 + 1.5
-    lx = math.log10(1.0 / q)
-    p = max(1, math.ceil(abs(s_float)))
-    fixed = (
-        math.log10(1.0 + q)
-        - s_float * math.log10(q)
-        + p * math.log10(1.5)
-        - math.log10(1.0 - 1.0 / q)
-    )
-    J = max(8, math.ceil(abs(s_float)) + 4, math.ceil(2.0 - s_float))
-    while fixed + (J + 1) * lx > -(digits + 5):
-        J += 2
-        if J > 600:
-            raise SolverError("continuation order exceeds 600 at s=%s" % s_float)
+    with mp.workdps(30):
+        s = mpf(s)
+        target = mpf(10) ** -(digits + 5)
+        J = max(8, int(mp.ceil(abs(s))) + 4, int(mp.ceil(2 - s)))
+        tail = _certified_tail(s, J, 0)[0]
+        step = (2 / mpf(2 * _N0 + 3)) ** 2  # x0^2
+        while tail > target:
+            J += 2
+            tail *= step
+            if J > 600:
+                raise SolverError("continuation order exceeds 600 at s=%s" % s)
     return J + J % 2
 
 
 def _certified_tail(s, J: int, M: int):
-    """(tail past J, offset-series truncation term) at current precision."""
+    """(tail past J, offset-series truncation term) at current precision:
+    the tail of sum_j e_j(s) T(s+j) past order J is below
+    (1+q) q^{-s} (3/2)^p x0^{J+1} / (1 - x0) with x0 = 1/q, q = _N0 + 3/2
+    and p = max(1, ceil|s|), and the offset series past M adds the second.
+    """
     q = mpf(2 * _N0 + 3) / 2
     x0 = 1 / q
     p = max(1, int(mp.ceil(abs(s))))
@@ -182,7 +183,7 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
 
     if kind == "plus" and _is_integer(s) and int(mpf(s)) <= 1 and (1 - int(mpf(s))) % 2 == 0:
         k = int(mpf(s))
-        J = max(order or 0, (1 - k) + 6)
+        J = (1 - k) + 6
         with mp.workdps(digits + 25):
             e = binomial_tail_expansion(zeros.rho_coeffs, mpf(k), J)
             residue = e[1 - k]
@@ -237,21 +238,25 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
     return LSeriesValue(s=s, kind=kind, value=value, error_bound=bound)
 
 
-def l_plus_even_from_phi(consts: ExtremalConstants, k_max: int, digits: int = None):
+def l_plus_even_from_phi(consts: ExtremalConstants, k_max: int):
     """Values of the plus series at 2, 4, .., 2*k_max from the minimizer.
 
     The minimizer is the product over its zeros, so the log-derivative
     route gives the even values as scaled Taylor coefficients of the log:
-    value at 2k = -k times the coefficient of z^{2k}.
+    value at 2k = -k times the coefficient of z^{2k}, which is the
+    coefficient of z^{2k-1} in phi'/phi over 2k.
     """
     if k_max < 1:
         raise UsageError("k_max must be at least 1")
-    digits = digits if digits is not None else consts.digits_certified
+    digits = consts.digits_certified
     model = taylor_extremal(consts, k_max + 1, digits=digits + 10)
     with mp.workdps(digits + 20):
-        T = 2 * k_max + 1
-        lg = series_log1p([0, 0] + model.coeffs[2:T], T)
-        return [-k * lg[2 * k] for k in range(1, k_max + 1)]
+        T = 2 * k_max
+        phi = model.coeffs[: T + 1]
+        log_derivative = series_multiply(
+            series_derivative(phi), series_reciprocal(phi, T), T
+        )
+        return [-log_derivative[2 * k - 1] / 2 for k in range(1, k_max + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -361,8 +366,7 @@ def check_symmetry_conjecture(consts: ExtremalConstants, k_max: int) -> list:
     with mp.workdps(digits + 20):
         C = mpf(consts.C)
         for k in range(1, k_max + 1):
-            with mp.workdps(30):
-                J = _expansion_order(float(-2 * k), digits)
+            J = _expansion_order(-2 * k, digits)
             neg = l_series(consts, "plus", -2 * k, order=J)
             neg2 = l_series(consts, "plus", -2 * k, order=2 * J)
             pos = l_series(consts, "plus", 2 * k)
@@ -464,65 +468,22 @@ def check_integrality(n_max: int) -> dict:
 # brute-force route (independent of the continuation machinery)
 
 
-def _tau_jet(zeros: ZeroModel, t, K: int):
-    """Coefficients of tau(t + h) as a series in h, to order K.
-
-    Differentiating the offset-series form: with X = t + 1/2,
-    tau = X - sum_m a_m X^{-m}, and each X^{-m} expands binomially in
-    h/X.  Valid where the series itself is certified (large t).
-    """
-    X = mpf(t) + mpf(1) / 2
-    powers = [X ** (-m) for m in range(1, zeros.M + 1)]
-    c0 = X
-    c1 = mpf(1)
-    higher = [mpf(0)] * (K - 1)
-    for m in range(1, zeros.M + 1):
-        a_m = zeros.rho_coeffs[m - 1]
-        if a_m == 0:
-            continue
-        c0 -= a_m * powers[m - 1]
-        c1 += m * a_m * powers[m - 1] / X
-        binom = mpf(m)
-        for i in range(2, K + 1):
-            binom = binom * (m + i - 1) / i
-            higher[i - 2] -= a_m * (-1) ** i * binom * powers[m - 1] / X ** i
-    out = [c0, c1] + higher
-    return out[: K + 1]
-
-
-def _inverse_power_jet(c, s, K: int):
-    """Series of tau(t+h)^{-s} in h given the jet of tau; c[0] > 0."""
-    g = [0] + [ci / c[0] for ci in c[1:]]
-    scale = -mpf(s)
-    f = series_exp0([scale * a for a in series_log1p(g, K + 1)], K + 1)
-    lead = c[0] ** (-mpf(s))
-    return [lead * a for a in f[: K + 1]]
-
-
-def _em_tail(f_jet, integral):
-    """Euler-Maclaurin tail from the jet at the first unsummed index.
-
-    integral is over [a, infinity); the correction terms use the odd
-    derivatives at a, with the next omitted term as the error estimate.
-    """
-    f0 = f_jet[0]
-    d1 = f_jet[1]
-    d3 = 6 * f_jet[3]
-    d5 = 120 * f_jet[5]
-    d7 = 5040 * f_jet[7]
-    value = integral + f0 / 2 - d1 / 12 + d3 / 720 - d5 / 30240
-    return value, abs(d7) / 1209600
-
-
 def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
-    """Direct summation of the first n_terms terms of the series for real
-    s > 1, with an Euler-Maclaurin tail (paired terms for the alternating
-    kind).
+    """Direct summation of the series at real s > 1, with an
+    Euler-Maclaurin tail on the summand f: f(n) = tau_n^-s for the plus
+    kind, n <= n_terms; -tau_1^-s and then f(m) = tau_2m^-s - tau_(2m+1)^-s,
+    m <= n_terms // 2, for the alternating kind (n_terms + 1 terms for an
+    even n_terms).  From a, the first index not summed, the tail is the
+    integral of f over [a, infinity) by mp.quad plus
+    f(a)/2 - f'(a)/12 + f^(3)(a)/720 - f^(5)(a)/30240, the derivatives by
+    mp.diffs.
 
-    Returns (value, error_estimate).  Shares only the zero model with
-    l_series; the tail machinery (adaptive quadrature plus Bernoulli
-    corrections on the summand itself) is disjoint from the binomial
-    continuation, so agreement of the two is a genuine cross-check.
+    Returns (value, error estimate): |f^(7)(a)| / 1209600, the first
+    omitted correction, plus quad's error and 10^-digits.  That correction
+    caps the route at any digits: 2.42e-29 (plus) and 5.01e-29
+    (alternating) for s = 3 and 600 terms, at 30 and at 60 digits.  Only
+    the zero model is shared with l_series, so agreement of the two is a
+    genuine cross-check.
     """
     if kind not in ("plus", "minus"):
         raise UsageError("kind must be 'plus' or 'minus'")
@@ -537,33 +498,26 @@ def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
     wd = digits + 20
     with mp.workdps(wd):
         s_mp = mpf(s)
+
+        def power(t):
+            return tau_series(zeros, t) ** (-s_mp)
+
         if kind == "plus":
             total = mp.fsum(tau(zeros, n) ** (-s_mp) for n in range(1, n_terms + 1))
-            a = mpf(n_terms + 1)
-            integral, quad_err = mp.quad(
-                lambda t: tau_series(zeros, t) ** (-s_mp),
-                [a, mp.inf], error=True, maxdegree=10,
+            a, summand = mpf(n_terms + 1), power
+        else:
+            pairs = n_terms // 2
+            total = -tau(zeros, 1) ** (-s_mp)
+            total += mp.fsum(
+                tau(zeros, 2 * m) ** (-s_mp) - tau(zeros, 2 * m + 1) ** (-s_mp)
+                for m in range(1, pairs + 1)
             )
-            jet = _inverse_power_jet(_tau_jet(zeros, a, 8), s_mp, 8)
-            tail, em_err = _em_tail(jet, integral)
-            return total + tail, em_err + quad_err + mpf(10) ** (-digits)
-        pairs = n_terms // 2
-        total = -tau(zeros, 1) ** (-s_mp)
-        total += mp.fsum(
-            tau(zeros, 2 * m) ** (-s_mp) - tau(zeros, 2 * m + 1) ** (-s_mp)
-            for m in range(1, pairs + 1)
-        )
-        a = mpf(pairs + 1)
+            a = mpf(pairs + 1)
 
-        def paired(m):
-            return (
-                tau_series(zeros, 2 * m) ** (-s_mp)
-                - tau_series(zeros, 2 * m + 1) ** (-s_mp)
-            )
+            def summand(m):
+                return power(2 * m) - power(2 * m + 1)
 
-        integral, quad_err = mp.quad(paired, [a, mp.inf], error=True, maxdegree=10)
-        jet_even = _inverse_power_jet(_tau_jet(zeros, 2 * a, 8), s_mp, 8)
-        jet_odd = _inverse_power_jet(_tau_jet(zeros, 2 * a + 1, 8), s_mp, 8)
-        jet = [2 ** k * (jet_even[k] - jet_odd[k]) for k in range(9)]
-        tail, em_err = _em_tail(jet, integral)
-        return total + tail, em_err + quad_err + mpf(10) ** (-digits)
+        integral, quad_err = mp.quad(summand, [a, mp.inf], error=True, maxdegree=10)
+        f0, d1, _, d3, _, d5, _, d7 = mp.diffs(summand, a, 7)
+        tail = integral + f0 / 2 - d1 / 12 + d3 / 720 - d5 / 30240
+        return total + tail, abs(d7) / 1209600 + quad_err + mpf(10) ** (-digits)

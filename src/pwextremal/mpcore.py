@@ -5,8 +5,8 @@ Everything downstream runs on top of the ingredients collected here:
 * truncated power series as plain coefficient lists, lowest power first,
   at the ambient precision, and the handful of operations the project
   actually needs (Horner evaluation, at one point or at the four quarter
-  turns of one, Cauchy product, reciprocal, log(1+f), exp, cosine and
-  sine, derivative);
+  turns of one, Cauchy product, reciprocal, cosine and sine,
+  derivative);
 * :func:`newton_root`, the package's scalar Newton iteration (the 2x2
   side-condition root of :mod:`pwextremal.spectral` is the only other);
 * Clenshaw summation of Legendre series;
@@ -165,47 +165,6 @@ def series_reciprocal(f, T: int) -> list:
                 s += f[j] * out[n - j]
         out[n] = -inv0 * s
     return out
-
-
-def series_log1p(f, T: int) -> list:
-    """log(1+f) = sum_{k>=1} (-1)^{k+1} f^k / k for f(0) = 0, through
-    exponent T.
-
-    Computed through the derivative identity (log(1+f))' = f'/(1+f), which
-    yields the same truncated series in O(T^2) coefficient operations.
-    """
-    if f and f[0] != 0:
-        raise UsageError("series_log1p requires f(0) = 0")
-    a = _padded(f, T + 1)  # a[e] = coeff of z^e in f
-    # L' (1+f) = f'  with L = sum l_e z^e:
-    # (e) l_e = e*a_e - sum_{j=1}^{e-1} (j l_j) a_{e-j}
-    l = [mpf(0)] * (T + 1)
-    for e in range(1, T + 1):
-        s = e * a[e]
-        for j in range(1, e):
-            if l[j] != 0 and a[e - j] != 0:
-                s -= j * l[j] * a[e - j]
-        l[e] = s / e
-    return l
-
-
-def series_exp0(f, T: int) -> list:
-    """exp(f) for f(0) = 0, through exponent T.
-
-    Uses E' = f' E, so E_0 = 1 and e*E_e = sum_{j=1}^{e} j a_j E_{e-j}.
-    """
-    if f and f[0] != 0:
-        raise UsageError("series_exp0 requires f(0) = 0")
-    a = _padded(f, T + 1)  # a[e] = coeff of z^e in f
-    E = [mpf(0)] * (T + 1)
-    E[0] = mpf(1)
-    for e in range(1, T + 1):
-        s = mpf(0)
-        for j in range(1, e + 1):
-            if a[j] != 0 and E[e - j] != 0:
-                s += j * a[j] * E[e - j]
-        E[e] = s / e
-    return E
 
 
 def series_cos_sin(f, T: int):

@@ -11,7 +11,10 @@ sums are checked, the integrality recursion in exact rational
 arithmetic, against which the residues of the integrality scan are
 checked, and the Taylor coefficients of the factor and of the even
 minimizer by their coefficient recursions run forward, against which the
-closed form on the eigenvector and the backward factor run are checked.
+closed form on the eigenvector and the backward factor run are checked,
+and log(1+f) and exp(f) of a truncated power series by their derivative
+identities, against which the binomial tail expansion of the zero model
+is checked and which majorize cosine and sine of a series.
 """
 
 import math
@@ -19,6 +22,7 @@ import math
 from mpmath import mp, mpf
 
 from pwextremal.extremal import _test_function
+from pwextremal.mpcore import UsageError, _padded
 
 
 def legendre_pair(n: int, x):
@@ -180,3 +184,44 @@ def recursion_polynomials(n_max: int):
         rows = tuple(tuple(c // g for c in row) for row in out)
         den = scale // g
         yield rows, den
+
+
+def series_log1p(f, T: int) -> list:
+    """log(1+f) = sum_{k>=1} (-1)^{k+1} f^k / k for f(0) = 0, through
+    exponent T.
+
+    Computed through the derivative identity (log(1+f))' = f'/(1+f), which
+    yields the same truncated series in O(T^2) coefficient operations.
+    """
+    if f and f[0] != 0:
+        raise UsageError("series_log1p requires f(0) = 0")
+    a = _padded(f, T + 1)  # a[e] = coeff of z^e in f
+    # L' (1+f) = f'  with L = sum l_e z^e:
+    # (e) l_e = e*a_e - sum_{j=1}^{e-1} (j l_j) a_{e-j}
+    l = [mpf(0)] * (T + 1)
+    for e in range(1, T + 1):
+        s = e * a[e]
+        for j in range(1, e):
+            if l[j] != 0 and a[e - j] != 0:
+                s -= j * l[j] * a[e - j]
+        l[e] = s / e
+    return l
+
+
+def series_exp0(f, T: int) -> list:
+    """exp(f) for f(0) = 0, through exponent T.
+
+    Uses E' = f' E, so E_0 = 1 and e*E_e = sum_{j=1}^{e} j a_j E_{e-j}.
+    """
+    if f and f[0] != 0:
+        raise UsageError("series_exp0 requires f(0) = 0")
+    a = _padded(f, T + 1)  # a[e] = coeff of z^e in f
+    E = [mpf(0)] * (T + 1)
+    E[0] = mpf(1)
+    for e in range(1, T + 1):
+        s = mpf(0)
+        for j in range(1, e + 1):
+            if a[j] != 0 and E[e - j] != 0:
+                s += j * a[j] * E[e - j]
+        E[e] = s / e
+    return E

@@ -549,6 +549,8 @@ SERIES_PAYLOADS = {
         "1fee39444495f635fb3615f0b926629b349ae42bcf65185597d7c8be9a93ff45",
     "export lvalues --digits 30":
         "373cf76068a25b4a1576084b1cb704fd7b8ab6e5cfef0e83f4ef0bcaed10d9df",
+    "verify --suite lseries --digits 30":
+        "68484d7a1199823be171177e85f8eae7cf9c9f0cd53ba043f933e7bd14297339",
     "zeros --count 40 --digits 100":
         "22542e31e3b4fc3ecdb1c1a3c39c12f566142ec03584f9bf4d88a6716896111d",
 }

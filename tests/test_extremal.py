@@ -18,9 +18,11 @@ from oracles import (
     direct_summation,
     forward_even_coefficients,
     forward_factor_coefficients,
+    series_exp0,
+    series_log1p,
 )
 from pwextremal import extremal
-from pwextremal.mpcore import UsageError, series_exp0, series_log1p
+from pwextremal.mpcore import UsageError
 from pwextremal.spectral import SolverError
 
 

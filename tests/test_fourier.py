@@ -13,6 +13,7 @@ from mpmath import mp, mpf
 import refvals
 from pwextremal import extremal, fourier
 from pwextremal.mpcore import UsageError
+from pwextremal.spectral import solve_constants
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,23 @@ def test_coefficient_growth_order(band30):
             c = abs(band30.coeffs[n])
             values.append(c ** (mpf(1) / n) * n * n)
         assert max(values) / min(values) < 4
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_coefficients_lie_under_the_node_bound(digits, consts30):
+    # every computed |h_n| under pi^n / (C^n (n-1)! n!), the bound that
+    # _value_error_on_nodes sums; h_1 = pi / (2C) sits at half of it, and
+    # that ratio is the largest
+    consts = consts30 if digits == 30 else solve_constants(digits)
+    band = fourier.build_band_transform(consts)
+    with mp.workdps(40):
+        q = mp.pi / mpf(band.C)
+        ratios = [
+            abs(band.coeffs[n]) * mp.factorial(n) * mp.factorial(n - 1) / q ** n
+            for n in range(1, band.terms + 1)
+        ]
+    assert abs(ratios[0] - mpf(1) / 2) < mpf("1e-30")
+    assert max(ratios) == ratios[0]
 
 
 def test_parseval(band30):

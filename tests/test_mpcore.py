@@ -1,6 +1,7 @@
 """Tests for the arithmetic substrate: series algebra, the scalar Newton,
 Legendre machinery, the Dirichlet beta function and truncated decimal
-output."""
+output; also the reference log(1+f) and exp(f) of tests/oracles.py,
+which the series tests use as majorants."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from mpmath import mp, mpf
 
-from oracles import legendre_pair
+from oracles import legendre_pair, series_exp0, series_log1p
 from pwextremal import mpcore
 from pwextremal.mpcore import (
     SolverError,
@@ -24,8 +25,6 @@ from pwextremal.mpcore import (
     series_derivative,
     series_eval,
     series_eval_orbit,
-    series_exp0,
-    series_log1p,
     series_multiply,
     series_reciprocal,
 )
