@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .mpcore import SolverError, UsageError, clenshaw_legendre, series_multiply
+from .mpcore import SolverError, UsageError, clenshaw_legendre, series_eval, series_multiply
 from .spectral import ExtremalConstants
 from .extremal import (
     _TAYLOR_GUARD,
@@ -107,14 +107,10 @@ def build_band_transform(consts: ExtremalConstants, terms: int = None) -> BandTr
 
 
 def transform_value(model: BandTransform, u, digits: int = None):
-    """Evaluate the band transform at normalized frequency u (Horner)."""
+    """The band transform at normalized frequency u: series_eval in t = 1 - u."""
     wd = max(model.digits, digits or 0) + 20
     with mp.workdps(wd):
-        t = 1 - mp.mpmathify(u)
-        acc = mp.mpf(0)
-        for n in range(model.terms, 0, -1):
-            acc = (acc + model.coeffs[n]) * t
-        return acc
+        return series_eval(model.coeffs, 1 - mp.mpmathify(u))
 
 
 def parseval_defect(model: BandTransform):

@@ -479,8 +479,8 @@ def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
     mp.diffs.
 
     Returns (value, error estimate): |f^(7)(a)| / 1209600, the first
-    omitted correction, plus quad's error and 10^-digits.  That correction
-    caps the route at any digits: 2.42e-29 (plus) and 5.01e-29
+    omitted correction, plus quad's error and 10^-min(digits, 40).  That
+    correction caps the route at any digits: 2.42e-29 (plus) and 5.01e-29
     (alternating) for s = 3 and 600 terms, at 30 and at 60 digits.  Only
     the zero model is shared with l_series, so agreement of the two is a
     genuine cross-check.
@@ -495,8 +495,10 @@ def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
     if n_terms < 64:
         raise UsageError("n_terms too small for the tail expansion")
     zeros = build_zero_model(consts)
-    wd = digits + 20
-    with mp.workdps(wd):
+    # capped near 2.5e-29 (s = 3, 600 terms), ten significant digits of a
+    # discrepancy need about 1e-39: work past 40 digits resolves nothing
+    resolved = min(digits, 40)
+    with mp.workdps(resolved + 20):
         s_mp = mpf(s)
 
         def power(t):
@@ -520,4 +522,4 @@ def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
         integral, quad_err = mp.quad(summand, [a, mp.inf], error=True, maxdegree=10)
         f0, d1, _, d3, _, d5, _, d7 = mp.diffs(summand, a, 7)
         tail = integral + f0 / 2 - d1 / 12 + d3 / 720 - d5 / 30240
-        return total + tail, abs(d7) / 1209600 + quad_err + mpf(10) ** (-digits)
+        return total + tail, abs(d7) / 1209600 + quad_err + mpf(10) ** (-resolved)

@@ -6,7 +6,9 @@ Everything downstream runs on top of the ingredients collected here:
   at the ambient precision, and the handful of operations the project
   actually needs (Horner evaluation, at one point or at the four quarter
   turns of one, Cauchy product, reciprocal, cosine and sine,
-  derivative);
+  derivative), the coefficients [z^(k+s)] f g^k that Lagrange-Buermann
+  inversion reads (:func:`series_power_diagonal`) and Horner's rule on
+  fixed-point integers (:func:`fixed_horner`);
 * :func:`newton_root`, the package's scalar Newton iteration (the 2x2
   side-condition root of :mod:`pwextremal.spectral` is the only other);
 * Clenshaw summation of Legendre series;
@@ -89,6 +91,17 @@ def series_eval(f, z):
     return acc
 
 
+def fixed_horner(coeffs, man: int, shift: int) -> int:
+    """sum_k coeffs[k] x^k at x = man 2^-shift by Horner's rule on integers
+    of one fixed-point scale, acc <- (acc man >> shift) + c.  Each step
+    floors once, by under one unit, and at |x| <= 1 no later step magnifies
+    that: the result is within len(coeffs) - 1 units of the exact sum."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * man >> shift) + c
+    return acc
+
+
 def _times_i(x):
     """i x, exactly: the parts of x swap and one changes sign."""
     return mp.mpc(-mp.im(x), mp.re(x))
@@ -115,13 +128,7 @@ def series_eval_orbit(f, w):
     t = []
     for r, power in enumerate((1, w, w2, w2 * w)):
         cls = f[r::4]
-        if all(c == 0 for c in cls):
-            t.append(0)
-            continue
-        acc = 0
-        for c in reversed(cls):
-            acc = acc * w4 + c
-        t.append(acc * power)
+        t.append(series_eval(cls, w4) * power if any(cls) else 0)
     even, odd = t[0] + t[2], t[1] + t[3]
     real_turn, imag_turn = t[0] - t[2], _times_i(t[1] - t[3])
     return even + odd, real_turn + imag_turn, even - odd, real_turn - imag_turn
@@ -148,6 +155,18 @@ def series_multiply(f, g, T: int) -> list:
             b = g[j]
             if b != 0:
                 out[i + j] += a * b
+    return out
+
+
+def series_power_diagonal(f, g, shift: int, count: int, T: int) -> list:
+    """[z^(k+shift)] f g^k for k < count, as Lagrange-Buermann inversion
+    reads them: f g^k is truncated to T coefficients and stepped from f by
+    count - 1 products with g (series_multiply)."""
+    power = f
+    out = [power[shift]]
+    for k in range(1, count):
+        power = series_multiply(power, g, T)
+        out.append(power[k + shift])
     return out
 
 
@@ -347,6 +366,17 @@ def hurwitz_zetas(q, w, n: int) -> list:
 # deterministic decimal serialization
 
 
+def _decimal_string(n: int) -> str:
+    """str(n) for an integer n >= 0, split on a power of ten until each
+    part has under 2000 bits (603 digits), so that no single str() call
+    passes Python's integer-to-string limit, 640 digits or more."""
+    if n.bit_length() < 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half its digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal_string(high) + _decimal_string(low).zfill(k)
+
+
 def decimal_truncated(x, digits: int, lowest: int = None) -> str:
     """Decimal string with `digits` significant digits, truncated not rounded.
 
@@ -381,7 +411,7 @@ def decimal_truncated(x, digits: int, lowest: int = None) -> str:
         return mp.nstr(mpf(0), digits, strip_zeros=False)
     k = e - digits + 1 if lowest is None else max(e - digits + 1, lowest)
     head = num // (den * 10 ** k) if k >= 0 else num * 10 ** -k // den
-    kept = str(head)
+    kept = _decimal_string(head)
     sign = "-" if x < 0 else ""
     if min(-((digits + 12) // 3), -5) < e < 0:
         return sign + "0." + "0" * (-e - 1) + kept

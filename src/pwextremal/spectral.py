@@ -147,18 +147,18 @@ class _SweptVector(Sequence):
         return mpf((self.man[m] * self._inv, self.exp[m] - self.exp[0] - self._scale))
 
 
-def _sweep(sys: TridiagonalSystem, lam, side: bool = False):
+def _sweep(sys: TridiagonalSystem, lam):
     """Rows N..1 of (T - lam) xi = 0 solved downward, in block fixed point.
 
     lam is an mpf, taken at its own precision.  Returns (xi, g, g_lam,
-    extra).  xi is the _SweptVector of the sweep, read normalized
-    xi[0] = 1; it satisfies rows 1..N to the rounding below.  Row 0 is
-    left over as g = -lam + sup(0) xi_1/xi_0, which vanishes exactly at an
-    eigenvalue of the truncation; g_lam is its lam-derivative, carried
-    through the same recurrence.  With side=True the sweep also carries
-    the a-derivative and sums the side condition S and its partials over
-    the unnormalized entries as it goes, so no derivative vector is
-    stored: extra is (g_a, S, S_lam, S_a).  Otherwise it is None.
+    (g_a, S, S_lam, S_a)).  xi is the _SweptVector of the sweep, read
+    normalized xi[0] = 1; it satisfies rows 1..N to the rounding below.
+    Row 0 is left over as g = -lam + sup(0) xi_1/xi_0, which vanishes
+    exactly at an eigenvalue of the truncation; g_lam is its
+    lam-derivative, carried through the same recurrence.  The sweep also
+    carries the a-derivative and sums the side condition S and its
+    partials over the unnormalized entries as it goes, so no derivative
+    vector is stored; xi, g and g_lam do not read that state.
 
     Row m, divided by its sub-diagonal entry, reads
 
@@ -208,22 +208,20 @@ def _sweep(sys: TridiagonalSystem, lam, side: bool = False):
     for m in range(N, 0, -1):
         k = m * (m + 1) * alpha - nu  # c/a
         odd, p, q = 2 * m - 1, 2 * m + 3, m * (2 * m + 3)
-        if side:
-            ex, ex_up = (
-                odd * (p * ((k * ex >> F) + m * (m + 1) * x) + (m + 1) * ex_up) // q,
-                ex,
-            )
+        ex, ex_up = (
+            odd * (p * ((k * ex >> F) + m * (m + 1) * x) + (m + 1) * ex_up) // q,
+            ex,
+        )
         x, x_up, dx, dx_up = (
             odd * (p * (k * x >> F) + (m + 1) * x_up) // q,
             x,
             odd * (p * ((k * dx >> F) - x) + (m + 1) * dx_up) // q,
             dx,
         )
-        if side:
-            if _side_sign(m - 1) > 0:
-                s, ds, es = s + x, ds + dx, es + ex
-            else:
-                s, ds, es = s - x, ds - dx, es - ex
+        if _side_sign(m - 1) > 0:
+            s, ds, es = s + x, ds + dx, es + ex
+        else:
+            s, ds, es = s - x, ds - dx, es - ex
         if x.bit_length() > top:
             t = x.bit_length() - F - 1
             x, x_up, dx, dx_up = x >> t, x_up >> t, dx >> t, dx_up >> t
@@ -242,8 +240,6 @@ def _sweep(sys: TridiagonalSystem, lam, side: bool = False):
     r_nu = mpf(dx_up * x - x_up * dx) / xx
     g = -lam + a * r / 3
     g_lam = -1 + r_nu / 3
-    if not side:
-        return xi, g, g_lam, None
     r_alpha = mpf(ex_up * x - x_up * ex) / xx
     g_a = (r - (r_alpha + lam * r_nu) / a) / 3
     S = mpf(s) / x
@@ -405,7 +401,7 @@ def _side_root(N: int, bracket, start):
         n = min(N, _SEED_N) if prec == _SEED_DPS else N
         with mp.workdps(prec):
             sys = build_matrix(n, a)
-            xi, g, g_lam, (g_a, S, S_lam, S_a) = _sweep(sys, lam, side=True)
+            xi, g, g_lam, (g_a, S, S_lam, S_a) = _sweep(sys, lam)
             det = g_a * S_lam - g_lam * S_a
             da = (g * S_lam - g_lam * S) / det
             dl = (g_a * S - S_a * g) / det

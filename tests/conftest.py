@@ -34,9 +34,9 @@ def sweeps(monkeypatch):
     calls = []
     sweep = spectral._sweep
 
-    def counted(sys, lam, side=False):
+    def counted(sys, lam):
         calls.append((sys.N, mp.dps))
-        return sweep(sys, lam, side)
+        return sweep(sys, lam)
 
     for module in (spectral, extremal):
         monkeypatch.setattr(module, "_sweep", counted)

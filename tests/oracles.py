@@ -12,12 +12,16 @@ arithmetic, against which the residues of the integrality scan are
 checked, and the Taylor coefficients of the factor and of the even
 minimizer by their coefficient recursions run forward, against which the
 closed form on the eigenvector and the backward factor run are checked,
-and log(1+f) and exp(f) of a truncated power series by their derivative
+log(1+f) and exp(f) of a truncated power series by their derivative
 identities, against which the binomial tail expansion of the zero model
-is checked and which majorize cosine and sine of a series.
+is checked and which majorize cosine and sine of a series, and the
+Lagrange-Buermann coefficients [z^(k+s)] f g^k from each power formed in
+full in exact rationals, against which the stepped powers of
+mpcore.series_power_diagonal are checked.
 """
 
 import math
+from fractions import Fraction
 
 from mpmath import mp, mpf
 
@@ -52,15 +56,15 @@ def legendre_condition(pair) -> mpf:
     return total
 
 
-def reference_sweep(N: int, a, lam, side: bool = False):
+def reference_sweep(N: int, a, lam):
     """The backward sweep of spectral._sweep in plain mpf arithmetic, with
     the matrix entries of each row formed as they stand: rows N..1 of
     (T - lam) xi = 0 solved downward from xi_{N+1} = 0, xi_N = 1.
 
-    Returns (xi, g, g_lam, extra) as the kernel does, xi a list normalized
-    xi[0] = 1, g = -lam + sup(0) xi_1/xi_0 and g_lam its lam-derivative;
-    with side=True extra is (g_a, S, S_lam, S_a), the a-derivative of g
-    and the side condition with its partials, else None.
+    Returns (xi, g, g_lam, (g_a, S, S_lam, S_a)) as the kernel does, xi a
+    list normalized xi[0] = 1, g = -lam + sup(0) xi_1/xi_0, g_lam and g_a
+    its lam- and a-derivatives, and the side condition S with its
+    partials.
     """
     a, lam = mpf(a), mpf(lam)
 
@@ -79,27 +83,23 @@ def reference_sweep(N: int, a, lam, side: bool = False):
     for m in range(N, 0, -1):
         c, up, low = m * (m + 1) - lam, sup(m), sub(m)
         cx = c * x
-        if side:
-            # low and up are proportional to a, so c x / (a low) is what
-            # the a-dependence of the row adds to the derivative
-            ex, ex_up = -(c * ex + up * ex_up - cx / a) / low, ex
+        # low and up are proportional to a, so c x / (a low) is what the
+        # a-dependence of the row adds to the derivative
+        ex, ex_up = -(c * ex + up * ex_up - cx / a) / low, ex
         x, x_up, dx, dx_up = (
             -(cx + up * x_up) / low,
             x,
             -(c * dx - x + up * dx_up) / low,
             dx,
         )
-        if side:
-            if ((m - 2) // 2) % 2:
-                s, ds, es = s - x, ds - dx, es - ex
-            else:
-                s, ds, es = s + x, ds + dx, es + ex
+        if ((m - 2) // 2) % 2:
+            s, ds, es = s - x, ds - dx, es - ex
+        else:
+            s, ds, es = s + x, ds + dx, es + ex
         tail.append(x)
     g = -lam + sup(0) * x_up / x
     g_lam = -1 + sup(0) * (dx_up * x - x_up * dx) / (x * x)
     xi = [v / x for v in reversed(tail)]
-    if not side:
-        return xi, g, g_lam, None
     g_a = (g + lam) / a + sup(0) * (ex_up * x - x_up * ex) / (x * x)
     S = s / x
     return xi, g, g_lam, (g_a, S, (ds - S * dx) / x, (es - S * ex) / x)
@@ -225,3 +225,23 @@ def series_exp0(f, T: int) -> list:
                 s += j * a[j] * E[e - j]
         E[e] = s / e
     return E
+
+
+def power_diagonal(f, g, shift: int, count: int) -> list:
+    """[z^(k+shift)] f g^k for k < count, each power f g^k formed anew and
+    in full, without truncation, by plain convolution of exact rationals."""
+
+    def product(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    out = []
+    for k in range(count):
+        power = [Fraction(c) for c in f]
+        for _ in range(k):
+            power = product(power, g)
+        out.append(power[k + shift] if k + shift < len(power) else Fraction(0))
+    return out

@@ -167,8 +167,12 @@ def test_verify_all_passes_at_100_digits(capsys):
     from pwextremal.cli import main
 
     assert main(["verify", "--suite", "all", "--digits", "100"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    report = json.loads(out)
     assert (report["passed"], report["failed"], len(report["checks"])) == (True, 0, 26)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "85a0bb36a6ecf3b1eabbc366dfaae17ef0ae120faa753631a812e32e9a1da529"
+    )
 
 
 def test_verify_all_sweeps_stay_at_the_needed_precision(capsys, sweeps):
@@ -549,6 +553,8 @@ SERIES_PAYLOADS = {
         "1fee39444495f635fb3615f0b926629b349ae42bcf65185597d7c8be9a93ff45",
     "export lvalues --digits 30":
         "373cf76068a25b4a1576084b1cb704fd7b8ab6e5cfef0e83f4ef0bcaed10d9df",
+    "verify --suite all --digits 30":
+        "c53510207ce37f1f615d0342d12456a40547c913212c16a5d3b5d6c06f334eab",
     "verify --suite lseries --digits 30":
         "68484d7a1199823be171177e85f8eae7cf9c9f0cd53ba043f933e7bd14297339",
     "zeros --count 40 --digits 100":

@@ -4,13 +4,14 @@ output; also the reference log(1+f) and exp(f) of tests/oracles.py,
 which the series tests use as majorants."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 from mpmath import mp, mpf
 
-from oracles import legendre_pair, series_exp0, series_log1p
+from oracles import legendre_pair, power_diagonal, series_exp0, series_log1p
 from pwextremal import mpcore
 from pwextremal.mpcore import (
     SolverError,
@@ -19,6 +20,7 @@ from pwextremal.mpcore import (
     beta_numeric,
     clenshaw_legendre,
     decimal_truncated,
+    fixed_horner,
     hurwitz_zetas,
     newton_root,
     series_cos_sin,
@@ -26,6 +28,7 @@ from pwextremal.mpcore import (
     series_eval,
     series_eval_orbit,
     series_multiply,
+    series_power_diagonal,
     series_reciprocal,
 )
 
@@ -110,6 +113,74 @@ def test_series_eval_is_horner():
     assert series_eval(f, 2) == 1 - 4 + 12
     assert series_eval(f, mp.mpc(0, 1)) == mp.mpc(-2, -2)
     assert series_eval([], mpf(5)) == 0
+
+
+def _as_mpf(q):
+    return mpf(q.numerator) / q.denominator
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_power_diagonal_matches_full_powers(shift):
+    # random rational series, each f g^k formed in full and exactly by the
+    # oracle; the stepped, truncated powers agree within 10^-(dps-10) of
+    # the same coefficients of |f| |g|^k, which bound every partial sum
+    rng = random.Random(5 + shift)
+    f, g = (
+        [Fraction(rng.randint(-60, 60), rng.randint(1, 30)) for _ in range(n)]
+        for n in (7, 9)
+    )
+    count = 8
+    want = power_diagonal(f, g, shift, count)
+    scale = power_diagonal([abs(c) for c in f], [abs(c) for c in g], shift, count)
+    got = series_power_diagonal(
+        [_as_mpf(c) for c in f], [_as_mpf(c) for c in g], shift, count, count + shift
+    )
+    assert len(got) == count
+    for k, (u, v, w) in enumerate(zip(got, want, scale)):
+        assert abs(u - _as_mpf(v)) <= mpf(10) ** -(mp.dps - 10) * _as_mpf(w), k
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_power_diagonal_makes_count_minus_one_products(count, monkeypatch):
+    calls = []
+    multiply = mpcore.series_multiply
+
+    def counted(f, g, T):
+        calls.append(T)
+        return multiply(f, g, T)
+
+    monkeypatch.setattr(mpcore, "series_multiply", counted)
+    f, g = [mpf(2), mpf(3), mpf(-1)], [mpf(1), mpf(1)]
+    got = series_power_diagonal(f, g, 0, count, count)
+    assert calls == [count] * (count - 1)
+    want = power_diagonal([2, 3, -1], [1, 1], 0, count)
+    assert got == [_as_mpf(v) for v in want]
+
+
+@pytest.mark.parametrize(
+    "man, shift",
+    # x just under 1, x = 0.62.., and x = 2^-127.. with wp + exp < 0
+    [((1 << 100) - 3, 100), (0x9E3779B97F4A7C15, 64), ((1 << 52) + 12345, 180)],
+)
+def test_fixed_horner_within_a_unit_per_step(man, shift):
+    # coefficients of both signs at a scale of 2^-wp, wp = 120, against
+    # exact rational evaluation: every step floors once and x < 1 magnifies
+    # no earlier error, so the result is below the value by under
+    # len(coeffs) units
+    rng = random.Random(shift)
+    wp = 120
+    coeffs = [rng.randint(-(1 << wp), 1 << wp) for _ in range(15)]
+    assert any(c < 0 for c in coeffs)
+    x = Fraction(man, 1 << shift)
+    exact = sum(Fraction(c) * x ** k for k, c in enumerate(coeffs))
+    got = fixed_horner(coeffs, man, shift)
+    assert exact - len(coeffs) < got <= exact
+
+
+def test_fixed_horner_is_exact_on_integers():
+    # x = 1 (man = 2^shift): no step truncates
+    assert fixed_horner([3, -5, 7], 1 << 10, 10) == 5
+    assert fixed_horner([], 3, 2) == 0
 
 
 @pytest.mark.parametrize("kind", ["general", "even", "odd"])
@@ -420,6 +491,29 @@ def test_decimal_truncated_stops_at_the_lowest_place(text, digits, lowest):
     assert abs(exact) - abs(value) < unit
     full_mant, _, full_exp = full.partition("e")
     assert full_mant.startswith(mant) and full_exp == exp
+
+
+@pytest.mark.parametrize("digits", [5000, 12000])
+def test_decimal_truncated_past_the_int_string_limit(digits):
+    # more digits than one str() call may convert under Python's default
+    # limit of 4300; against mp.nstr at ten more digits, which needs the
+    # limit lifted, in fixed and in scientific layout
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with mp.workdps(digits + 20):
+            values = [mp.sqrt(2), mp.sqrt(3) * mpf(10) ** (3 * digits)]
+            got = [decimal_truncated(x, digits) for x in values]
+            sys.set_int_max_str_digits(0)
+            ref = [mp.nstr(x, digits + 10) for x in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for out, full in zip(got, ref):
+        mant, _, exp = out.partition("e")
+        full_mant, _, full_exp = full.partition("e")
+        assert len(mant.replace(".", "")) == digits
+        assert full_mant.startswith(mant) and exp == full_exp
+    assert got[1].endswith("e+%d" % (3 * digits))
 
 
 def test_decimal_truncated_layout():

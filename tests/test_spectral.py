@@ -224,14 +224,14 @@ def test_sweep_partials_match_finite_differences():
     # the plain sum over the normalized vector
     a, lam = mpf("1.45"), mpf("0.41")
     with mp.workdps(50):
-        xi, _g, g_lam, (g_a, S, S_lam, S_a) = _sweep(build_matrix(64, a), lam, side=True)
+        xi, _g, g_lam, (g_a, S, S_lam, S_a) = _sweep(build_matrix(64, a), lam)
         pair = EigenPair(lam=lam, xi=xi, residual=mpf(0))
         assert abs(S - legendre_condition(pair)) < mpf(10) ** -40
     with mp.workdps(90):
         h = mpf(10) ** -25
 
         def values(da, dl):
-            _xi, g, _g_lam, extra = _sweep(build_matrix(64, a + da), lam + dl, side=True)
+            _xi, g, _g_lam, extra = _sweep(build_matrix(64, a + da), lam + dl)
             return g, extra[1]
 
         for (da, dl), dg, dS in (((0, h), g_lam, S_lam), ((h, 0), g_a, S_a)):
@@ -249,17 +249,14 @@ def test_sweep_matches_the_mpf_reference(N, dps):
     with mp.workdps(dps):
         a, lam = mpf(refvals.A_STAR_REF), mpf(refvals.LAMBDA_STAR_REF)
         tol = mpf(10) ** -(dps - 5)
-        for side in (False, True):
-            xi, g, g_lam, extra = _sweep(build_matrix(N, a), lam, side=side)
-            ref_xi, ref_g, ref_g_lam, ref_extra = reference_sweep(N, a, lam, side=side)
-            got, want = [g, g_lam], [ref_g, ref_g_lam]
-            if side:
-                got, want = got + list(extra), want + list(ref_extra)
-            for k, (u, v) in enumerate(zip(got, want)):
-                assert abs(u - v) <= tol * max(1, abs(v)), (side, k)
-            assert len(xi) == len(ref_xi) == N + 1
-            for m, (u, v) in enumerate(zip(xi, ref_xi)):
-                assert abs(u - v) <= tol * abs(v), (side, m)
+        xi, g, g_lam, extra = _sweep(build_matrix(N, a), lam)
+        ref_xi, ref_g, ref_g_lam, ref_extra = reference_sweep(N, a, lam)
+        got, want = [g, g_lam, *extra], [ref_g, ref_g_lam, *ref_extra]
+        for k, (u, v) in enumerate(zip(got, want)):
+            assert abs(u - v) <= tol * max(1, abs(v)), k
+        assert len(xi) == len(ref_xi) == N + 1
+        for m, (u, v) in enumerate(zip(xi, ref_xi)):
+            assert abs(u - v) <= tol * abs(v), m
         assert ref_xi[-1] < mpf(2) ** -(mp.prec + 100)
 
 
