@@ -83,17 +83,6 @@ from .lseries import (
 from .mpcore import SolverError, UsageError, decimal_truncated
 from .spectral import solve_constants
 
-SUITES = (
-    "ode",
-    "functional",
-    "quadratic",
-    "summation",
-    "fourier",
-    "lseries",
-    "conjectures",
-    "all",
-)
-
 EXPORT_TARGETS = (
     "taylor-phi",
     "taylor-Phi",
@@ -103,6 +92,10 @@ EXPORT_TARGETS = (
     "legendre",
     "lvalues",
 )
+
+# zeros' work grows about as digits^3 (its zero model): with --count 40,
+# 10.0 s at 300 digits, 42.7 s at 450 and 112 s at 600 (2-core x86 VM)
+MAX_ZEROS_DIGITS = 600
 
 
 # ----------------------------------------------------------------------
@@ -133,52 +126,15 @@ def _bound(args, drop: int):
 # verification suites
 
 
-def _suite_ode(consts, args):
-    b = _bound(args, 10)
-    return [
-        _entry(
-            "factor-ode",
-            {"points": 20, "radius": 5},
-            check_ode_residual(consts),
-            b,
-        ),
-        _entry(
-            "minimizer-ode",
-            {"points": 20, "radius": 5},
-            check_extremal_ode_residual(consts),
-            b,
-        ),
-    ]
+def _residual_suite(*rows):
+    """A suite of rows (check name, parameters, check): each discrepancy
+    check(consts) passes within 10^-(digits-10)."""
 
+    def run(consts, args):
+        b = _bound(args, 10)
+        return [_entry(name, params, check(consts), b) for name, params, check in rows]
 
-def _suite_functional(consts, args):
-    b = _bound(args, 10)
-    return [
-        _entry(
-            "reflection-equation",
-            {"points": 20, "circle": "self-dual"},
-            check_functional_equation(consts),
-            b,
-        )
-    ]
-
-
-def _suite_quadratic(consts, args):
-    b = _bound(args, 10)
-    return [
-        _entry(
-            "quadratic-first-integral",
-            {"points": 20, "radius": 3},
-            check_quadratic_relation(consts),
-            b,
-        ),
-        _entry(
-            "zero-curvature",
-            {"n": 1},
-            zero_curvature_residual(consts),
-            b,
-        ),
-    ]
+    return run
 
 
 def _summation_head(digits: int) -> int:
@@ -259,23 +215,15 @@ def _suite_lseries(consts, args):
     out.append(_entry("even-odd-bridge", {"s": 2}, disc, _bound(args, 5)))
     # four Euler-Maclaurin corrections cap brute_force_value near 2.5e-29
     # at s = 3 and 600 terms (601 for minus: -tau_1^-3 and 300 pairs)
-    # whatever --digits is, so this gate stays fixed
-    brute_bound = mpf(10) ** (
-        -(args.tolerance_exponent if args.tolerance_exponent is not None else 12)
-    )
+    # whatever --digits is, so this gate stays 10^-12 unless the flag is given
+    brute_bound = _bound(args, args.digits - 12)
     for kind in ("plus", "minus"):
         value, _err = brute_force_value(consts, kind, 3, 600)
         cont = l_series(consts, kind, 3)
         with mp.workdps(args.digits + 25):
             disc = abs(value - cont.value)
-        out.append(
-            _entry(
-                "brute-vs-continuation",
-                {"kind": kind, "s": 3, "terms": 600},
-                disc,
-                brute_bound,
-            )
-        )
+        parameters = {"kind": kind, "s": 3, "terms": 600}
+        out.append(_entry("brute-vs-continuation", parameters, disc, brute_bound))
     return out
 
 
@@ -286,15 +234,39 @@ def _suite_conjectures(consts, args):
     return out
 
 
+# the verify suites, in the order `all` runs them; a residual check looks
+# its function up here when it runs, where perfbench/tracer.py wraps it
 _SUITE_RUNNERS = {
-    "ode": _suite_ode,
-    "functional": _suite_functional,
-    "quadratic": _suite_quadratic,
+    "ode": _residual_suite(
+        ("factor-ode", {"points": 20, "radius": 5}, lambda c: check_ode_residual(c)),
+        (
+            "minimizer-ode",
+            {"points": 20, "radius": 5},
+            lambda c: check_extremal_ode_residual(c),
+        ),
+    ),
+    "functional": _residual_suite(
+        (
+            "reflection-equation",
+            {"points": 20, "circle": "self-dual"},
+            lambda c: check_functional_equation(c),
+        ),
+    ),
+    "quadratic": _residual_suite(
+        (
+            "quadratic-first-integral",
+            {"points": 20, "radius": 3},
+            lambda c: check_quadratic_relation(c),
+        ),
+        ("zero-curvature", {"n": 1}, lambda c: zero_curvature_residual(c)),
+    ),
     "summation": _suite_summation,
     "fourier": _suite_fourier,
     "lseries": _suite_lseries,
     "conjectures": _suite_conjectures,
 }
+
+SUITES = tuple(_SUITE_RUNNERS) + ("all",)
 
 
 # ----------------------------------------------------------------------
@@ -306,22 +278,29 @@ def _cmd_constants(args):
     return json.dumps(consts.to_json_dict(), indent=2) + "\n", 0
 
 
-def _cmd_zeros(args):
-    consts = solve_constants(args.digits)
-    model = build_zero_model(consts)
+def _csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "tau_n", "method"])
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _cmd_zeros(args):
+    if args.digits > MAX_ZEROS_DIGITS:
+        raise UsageError("zeros needs --digits %d or less" % MAX_ZEROS_DIGITS)
+    consts = solve_constants(args.digits)
+    model = build_zero_model(consts)
     with mp.workdps(args.digits + 15):
-        for n in range(1, args.count + 1):
-            writer.writerow(
-                [
-                    n,
-                    decimal_truncated(tau(model, n), args.digits),
-                    "newton" if n <= model.n0 else "series",
-                ]
-            )
-    return buf.getvalue(), 0
+        rows = [
+            [
+                n,
+                decimal_truncated(tau(model, n), args.digits),
+                "newton" if n <= model.n0 else "series",
+            ]
+            for n in range(1, args.count + 1)
+        ]
+    return _csv(["n", "tau_n", "method"], rows), 0
 
 
 def _check_pairs(args, command: str) -> None:
@@ -336,7 +315,7 @@ def _check_pairs(args, command: str) -> None:
 
 
 def _cmd_verify(args):
-    names = [s for s in SUITES if s != "all"] if args.suite == "all" else [args.suite]
+    names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     if "fourier" in names:
         _check_pairs(args, "verify --suite " + args.suite)
     if args.terms is not None and "conjectures" not in names:
@@ -350,9 +329,7 @@ def _cmd_verify(args):
             % (args.suite, MAX_INTEGRALITY_DEPTH, MAX_INTEGRALITY_DEPTH)
         )
     consts = solve_constants(args.digits)
-    checks = []
-    for name in names:
-        checks.extend(_SUITE_RUNNERS[name](consts, args))
+    checks = [c for name in names for c in _SUITE_RUNNERS[name](consts, args)]
     failed = sum(1 for c in checks if c.get("status") == "fail")
     payload = {
         "suite": args.suite,
@@ -393,12 +370,10 @@ def _series_export(consts, args):
         with mp.workdps(15):
             lowest = int(mp.ceil(mp.log10(error)))
         return "basis", [mpf(0)] + coeffs, lowest
-    if what == "legendre":
-        # an absolute 10^-(digits+5), what the two-pass check of
-        # legendre_band_coefficients backs
-        leg = legendre_band_coefficients(consts, pairs=_legendre_pairs(args))
-        return "basis", leg if terms is None else leg[: terms + 1], -(args.digits + 5)
-    raise UsageError("unknown export target %r" % what)
+    # legendre, down to an absolute 10^-(digits+5), what the two-pass
+    # check of legendre_band_coefficients backs
+    leg = legendre_band_coefficients(consts, pairs=_legendre_pairs(args))
+    return "basis", leg if terms is None else leg[: terms + 1], -(args.digits + 5)
 
 
 def _legendre_pairs(args) -> int:
@@ -432,42 +407,24 @@ def _cmd_export(args):
     consts = solve_constants(args.digits)
     if args.what == "lvalues":
         top = args.terms if args.terms is not None else 6
-        values = []
-        for s in range(1, top + 1):
-            for kind in ("minus", "plus"):
-                values.append(l_series(consts, kind, s).to_json_dict())
-        if args.format == "json":
-            payload = {"table": "lvalues", "digits": args.digits, "values": values}
-            return json.dumps(payload, indent=2) + "\n", 0
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["kind", "s", "is_pole", "value", "residue", "error_bound"])
-        for v in values:
-            writer.writerow(
-                [
-                    v["kind"],
-                    v["s"],
-                    v["is_pole"],
-                    v.get("value", ""),
-                    v.get("residue", ""),
-                    v["error_bound"],
-                ]
-            )
-        return buf.getvalue(), 0
-
-    key, coeffs, lowest = _series_export(consts, args)
-    with mp.workdps(args.digits + 15):
-        strings = [decimal_truncated(c, args.digits, lowest) for c in coeffs]
-    label = {"h": "h", "c-basis": "c", "legendre": "legendre"}.get(args.what, args.what)
+        values = [
+            l_series(consts, kind, s).to_json_dict()
+            for s in range(1, top + 1)
+            for kind in ("minus", "plus")
+        ]
+        document = {"table": "lvalues", "digits": args.digits, "values": values}
+        header = ["kind", "s", "is_pole", "value", "residue", "error_bound"]
+        rows = [[v.get(k, "") for k in header] for v in values]
+    else:
+        key, coeffs, lowest = _series_export(consts, args)
+        with mp.workdps(args.digits + 15):
+            strings = [decimal_truncated(c, args.digits, lowest) for c in coeffs]
+        label = "c" if args.what == "c-basis" else args.what
+        document = {key: label, "digits": args.digits, "coeffs": strings}
+        header, rows = ["n", "coefficient"], enumerate(strings)
     if args.format == "json":
-        payload = {key: label, "digits": args.digits, "coeffs": strings}
-        return json.dumps(payload, indent=2) + "\n", 0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "coefficient"])
-    for n, s in enumerate(strings):
-        writer.writerow([n, s])
-    return buf.getvalue(), 0
+        return json.dumps(document, indent=2) + "\n", 0
+    return _csv(header, rows), 0
 
 
 _HANDLERS = {

@@ -88,19 +88,17 @@ def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
     normalized xi[0] = 1, good where the tail estimate says (see
     taylor_extremal).
 
-    Within the certification of `consts`, or the digits of the frame held
-    on consts.frame, the held values are returned.  Otherwise the root is
-    re-solved at need_dps + _FRAME_GUARD digits by the Newton of
-    spectral._side_root, started from the most precise (a, lambda) held
-    (that frame, else the certified root), on the first power-of-two
-    multiple of the certified N whose tail estimate clears that
-    precision, inside a bracket of width 2*10^-(digits-3) around the
-    certified root; it replaces the held frame.  The eigenvector is that
-    solve's final sweep, whose residual _side_root checked at
-    10^-(dps-5).
+    Within the digits of the frame held on consts.frame, the held values
+    are returned.  Otherwise the root is re-solved at need_dps +
+    _FRAME_GUARD digits by the Newton of spectral._side_root, started
+    from the most precise (a, lambda) held (that frame, else the
+    certified root), on the first power-of-two multiple of the certified
+    N whose tail estimate clears that precision, inside a bracket of
+    width 2*10^-(digits-3) around the certified root; it replaces the
+    held frame.  The eigenvector is that solve's final sweep, whose
+    residual _side_root checked at 10^-(dps-5).  Every caller asks for
+    more than the certified digits: at least those plus _TAYLOR_GUARD.
     """
-    if need_dps <= consts.digits_certified:
-        return consts.a_star, consts.lambda_star, consts.xi
     if consts.frame is None:
         start = (consts.a_star, consts.lambda_star, consts.dps - 6)
     else:

@@ -47,8 +47,11 @@ tail, not a proved bound on the truncation error.
 The sweep and the residual gate run on Python integers, in block fixed
 point with guard bits past the ambient mpmath precision (see _sweep and
 _checked_pair), and hand back mpf values rounded to it; the rest runs in
-mpf at that precision.  Only solve_constants sets it, to digits plus
-guard for each of its two runs.
+mpf at that precision.  The callers set it: solve_constants to digits
+plus guard for each of its two runs, and in extremal
+refined_spectral_frame around _side_root, taylor_extremal around its
+re-sweep by _sweep and _eigen_bessel_coefficients around
+ground_eigenpair.
 """
 
 from __future__ import annotations
@@ -435,8 +438,9 @@ class ExtremalConstants:
 
     C is the extremal constant; L1 the derivative at 0 of the entire
     factor; a_star = pi/(4C) the root of the side condition in the b=1
-    frame; lambda_star = -L1/(2C) the ground eigenvalue (frame-invariant);
-    xi the ground eigenvector at a_star, normalized xi[0] = 1.  dps is the
+    frame; lambda_star = -L1/(2C) the ground eigenvalue (frame-invariant).
+    The ground eigenvector is not kept: every reader asks for it past the
+    certified digits, from extremal.refined_spectral_frame.  dps is the
     working precision of the solve's final run.  frame is the cache of
     extremal.refined_spectral_frame, or None: (digits, a, lambda, xi) of
     its last, most precise re-solve, a and lambda good to `digits` by a
@@ -451,7 +455,6 @@ class ExtremalConstants:
     L1: mpf
     a_star: mpf
     lambda_star: mpf
-    xi: list
     N: int
     digits_certified: int
     dps: int
@@ -495,7 +498,6 @@ def solve_constants(digits: int) -> ExtremalConstants:
         start = (a_root, pair.lam, dps - 6)
 
     with mp.workdps(dps):
-        xi = list(pair.xi)  # the first run's vector is never read
         disagreement = abs(first - C)
         allowed = mpf(10) ** (-(digits + 1))
         if disagreement > allowed:
@@ -509,7 +511,6 @@ def solve_constants(digits: int) -> ExtremalConstants:
         L1=L1,
         a_star=a_root,
         lambda_star=pair.lam,
-        xi=xi,
         N=N,
         digits_certified=digits,
         dps=dps,

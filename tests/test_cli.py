@@ -328,6 +328,7 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
         (["export", "legendre"], 170),
         (["verify", "--suite", "fourier"], 170),
         (["verify", "--suite", "all"], 170),
+        (["zeros", "--count", "40"], cli.MAX_ZEROS_DIGITS),
     ):
         assert cli.main(argv + ["--digits", str(largest + 1)]) == 2, argv
         assert "--digits %d or less" % largest in capsys.readouterr().err
@@ -549,10 +550,14 @@ SERIES_PAYLOADS = {
         "26d31901227e58b45046bb1fdcbac0884936cf3f3fd2579cf2f5bb6a97c22bdc",
     "export rho --digits 100":
         "2e8a14f3649643a7c08313135fdb8b49d027b315030d8fc074365493ece52291",
+    "export rho --digits 30 --format csv":
+        "80bfea70b8531a0948c10175b43be7c6716ed0bcca6308f597b061b76d0a87dc",
     "export h --digits 100":
         "1fee39444495f635fb3615f0b926629b349ae42bcf65185597d7c8be9a93ff45",
     "export lvalues --digits 30":
         "373cf76068a25b4a1576084b1cb704fd7b8ab6e5cfef0e83f4ef0bcaed10d9df",
+    "export lvalues --digits 30 --format csv":
+        "f3ce50f1d95205258120fdf905375ad654236d427162a3220f9662821351e9a1",
     "verify --suite all --digits 30":
         "c53510207ce37f1f615d0342d12456a40547c913212c16a5d3b5d6c06f334eab",
     "verify --suite lseries --digits 30":
@@ -586,14 +591,27 @@ def test_export_lvalues_csv():
 
 
 def test_pwx_entry_point():
+    # the installed script when there is one, else the target that
+    # pyproject.toml names for it, run on src as the script would run it
     exe = shutil.which("pwx")
-    if exe is None:
-        pytest.skip("pwx script not on PATH")
+    if exe is not None:
+        argv, env = [exe], None
+    else:
+        import tomllib  # in the standard library from Python 3.11
+
+        pyproject = Path(SRC).parent / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["pwx"]
+        assert target == "pwextremal.cli:main"
+        module, function = target.split(":")
+        code = "import sys, %s as m; sys.exit(m.%s())" % (module, function)
+        argv = [sys.executable, "-c", code]
+        env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [exe, "constants", "--digits", "10"],
+        argv + ["constants", "--digits", "10"],
         capture_output=True,
         text=True,
         timeout=600,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["C"] == "0.5409288219"

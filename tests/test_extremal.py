@@ -492,11 +492,10 @@ def test_summation_odd_function(consts30):
     # f(x) = x sinc(pi x / 5)^5 has type pi, f'(0) = 1, and O(x^-4) decay;
     # past a head of 800 zeros the tail series needs few orders
     model = extremal.build_zero_model(consts30)
-    a1, _lam, _xi = extremal.refined_spectral_frame(consts30, 30)
     with mp.workdps(45):
         zeros = extremal.zeros_signed(model, 800)
         # the unscaled zero set pairs with the drift constant 1/(2C)
-        a_param = 2 * a1 / mp.pi
+        a_param = 2 * consts30.a_star / mp.pi
         tail = extremal.zero_model_tail(model, 800)
         report = extremal.summation_check(a_param, zeros, tail)
         assert (report.head, report.order) == (800, tail.order)

@@ -114,11 +114,12 @@ def test_eigenvector_taylor_relation(consts30):
     # the stated closed form for the even Taylor coefficients in terms of
     # the ground eigenvector, against the recursion route
     ext = extremal.taylor_extremal(consts30, 8)
+    _a, _lam, xi = extremal.refined_spectral_frame(consts30, ext.dps)
     with mp.workdps(45):
         C = mpf(consts30.C)
         for m in range(7):
             lhs = ext.coeffs[2 * m]
-            rhs = consts30.xi[m] * (-2 * mp.pi * C) ** m / (2 * m + 1)
+            rhs = xi[m] * (-2 * mp.pi * C) ** m / (2 * m + 1)
             assert abs(lhs - rhs) < mpf("1e-25")
 
 

@@ -345,9 +345,9 @@ def test_ground_invariant_errors_name_N_and_a():
             _checked_pair(sys, mpf("0.1"), signed)
 
 
-def test_solve_constants_reads_one_vector(monkeypatch):
-    # the first run's eigenvector is never read: solve_constants converts
-    # only the N + 1 entries of the vector it keeps
+def test_solve_constants_reads_no_vector(monkeypatch):
+    # neither run's eigenvector is read: the constants keep no vector, and
+    # refined_spectral_frame re-solves for it past the certified digits
     reads = []
     getitem = _SweptVector.__getitem__
 
@@ -357,8 +357,8 @@ def test_solve_constants_reads_one_vector(monkeypatch):
         return value
 
     monkeypatch.setattr(_SweptVector, "__getitem__", counted)
-    consts = solve_constants(30)
-    assert reads == list(range(consts.N + 1))
+    solve_constants(30)
+    assert reads == []
 
 
 def test_solve_constants_rejects_low_digits():
