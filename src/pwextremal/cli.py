@@ -33,13 +33,12 @@ the exit code.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import stat
 import sys
-from datetime import datetime, timezone
+import time
 
 from mpmath import mp, mpf
 
@@ -93,9 +92,19 @@ EXPORT_TARGETS = (
     "lvalues",
 )
 
-# zeros' work grows about as digits^3 (its zero model): with --count 40,
-# 10.0 s at 300 digits, 42.7 s at 450 and 112 s at 600 (2-core x86 VM)
-MAX_ZEROS_DIGITS = 600
+# The largest --digits of each command that builds the zero model or the
+# offset coefficients, where one run passes about 100 s; their work grows
+# about as digits^3.  Measured on a 2-core x86 VM, one run each: zeros with
+# --count 40 at 300, 450 and 600 digits, the others at 300 and 450 digits,
+# their caps extrapolated from the growth between the two.
+MAX_DIGITS = {
+    "zeros": 600,  # 10.0 s, 42.7 s, 112 s
+    "export rho": 600,  # 9.9 s, 37.1 s
+    "export lvalues": 500,  # 15.9 s, 60.3 s
+    "verify --suite summation": 450,  # 33.3 s, 97.4 s
+    "verify --suite lseries": 500,  # 20.0 s, 64.6 s
+    "verify --suite conjectures": 500,  # 13.2 s, 68.4 s
+}
 
 
 # ----------------------------------------------------------------------
@@ -279,6 +288,8 @@ def _cmd_constants(args):
 
 
 def _csv(header, rows) -> str:
+    import csv  # here, not at the top: only the CSV payloads need it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -286,9 +297,15 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
+def _check_digits(args, command: str) -> None:
+    """Refuse, before the solve, a --digits past the command's MAX_DIGITS."""
+    cap = MAX_DIGITS.get(command)
+    if cap is not None and args.digits > cap:
+        raise UsageError("%s needs --digits %d or less" % (command, cap))
+
+
 def _cmd_zeros(args):
-    if args.digits > MAX_ZEROS_DIGITS:
-        raise UsageError("zeros needs --digits %d or less" % MAX_ZEROS_DIGITS)
+    _check_digits(args, "zeros")
     consts = solve_constants(args.digits)
     model = build_zero_model(consts)
     with mp.workdps(args.digits + 15):
@@ -318,6 +335,8 @@ def _cmd_verify(args):
     names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     if "fourier" in names:
         _check_pairs(args, "verify --suite " + args.suite)
+    for name in names:
+        _check_digits(args, "verify --suite " + name)
     if args.terms is not None and "conjectures" not in names:
         raise UsageError(
             "verify --suite %s does not read --terms; conjectures and all do" % args.suite
@@ -388,6 +407,7 @@ def _legendre_pairs(args) -> int:
 def _cmd_export(args):
     # every cap a target puts on --digits or --terms is checked before the
     # solve; --terms, when given, is at least 1
+    _check_digits(args, "export " + args.what)
     if args.what == "legendre":
         _check_pairs(args, "export legendre")
         if _legendre_pairs(args) > MAX_PAIRS:
@@ -532,8 +552,14 @@ def _manifest(args) -> dict:
         "parameters": parameters,
         "digits": args.digits,
         "outputs": [args.out] if args.out else [],
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": _utc_timestamp(),
     }
+
+
+def _utc_timestamp() -> str:
+    """Now as ISO 8601 UTC with microseconds, YYYY-MM-DDTHH:MM:SS.ffffff+00:00."""
+    seconds, micros = divmod(time.time_ns() // 1000, 1000000)
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + ".%06d+00:00" % micros
 
 
 def _emit(args, payload: str) -> None:

@@ -39,7 +39,6 @@ processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_cos_sin, mpf_pi, mpf_rdiv_int, to_fixed
@@ -125,7 +124,6 @@ _TAYLOR_GUARD = 10
 _BACKWARD_START = 40
 
 
-@dataclass
 class TaylorModel:
     """Truncated Taylor expansion of the entire factor or of the even
     minimizer: coeffs[k] multiplies z^k.  It keeps the frame values
@@ -137,10 +135,8 @@ class TaylorModel:
     backward start L >= T + 40 and its row-0 residual.
     """
 
-    coeffs: list
-    a: mpf
-    lam: mpf
-    dps: int
+    def __init__(self, coeffs: list, a: mpf, lam: mpf, dps: int):
+        self.coeffs, self.a, self.lam, self.dps = coeffs, a, lam, dps
 
 
 def _factor_coefficients(a, b, lam, T: int):
@@ -362,7 +358,6 @@ def rho_tail_bound(M: int, x):
 # the zero model
 
 
-@dataclass
 class ZeroModel:
     """Offset-series description of the zeros with a refined head.
 
@@ -380,17 +375,13 @@ class ZeroModel:
     it on the object's `zeros` field.
     """
 
-    rho_coeffs: list
-    refined: list
-    n0: int
-    digits: int
-
-    def __post_init__(self):
-        bound = rho_tail_bound(self.M, mpf(2) / (2 * self.n0 + 3))
-        if bound >= mpf(10) ** (-self.digits):
+    def __init__(self, rho_coeffs: list, refined: list, n0: int, digits: int):
+        self.rho_coeffs, self.refined, self.n0, self.digits = rho_coeffs, refined, n0, digits
+        bound = rho_tail_bound(self.M, mpf(2) / (2 * n0 + 3))
+        if bound >= mpf(10) ** (-digits):
             raise UsageError(
                 "series tail bound %s too large at n=%d; increase M"
-                % (mp.nstr(bound, 3), self.n0 + 1)
+                % (mp.nstr(bound, 3), n0 + 1)
             )
 
     @property
@@ -805,27 +796,22 @@ def fit_reflection_coefficients(consts: ExtremalConstants):
 # series in Hurwitz zeta values (_lattice_tail).
 
 
-@dataclass
 class SummationTail:
     """The zeros past a head, in closed form: their part of
     2 sum_mu f(mu), a bound on what the truncation of its series leaves
     out (for the second system an estimate), and the series order."""
 
-    value: mpf
-    bound: mpf
-    order: int
+    def __init__(self, value: mpf, bound: mpf, order: int):
+        self.value, self.bound, self.order = value, bound, order
 
 
-@dataclass
 class SummationReport:
     """Outcome of a summation-formula check: the measured defect, the
     bound on the tail past the head, the zeros summed directly and the
     order of the tail series."""
 
-    defect: mpf
-    tail_bound: mpf
-    head: int
-    order: int
+    def __init__(self, defect: mpf, tail_bound: mpf, head: int, order: int):
+        self.defect, self.tail_bound, self.head, self.order = defect, tail_bound, head, order
 
 
 def _test_function(x):
@@ -992,16 +978,13 @@ def zero_model_tail(model: ZeroModel, head: int) -> SummationTail:
 # puts the zeros past a ladder's head on a lattice for the summation tail
 # (_ladder_tail).
 
-@dataclass(frozen=True)
 class _BesselSeries:
     """F = sum_m coeffs[m] j_m, with F(x) = sin x A(1/x) + cos x B(1/x):
     sin_poly and cos_poly are the coefficients of A and B, lowest power
     first, as integers scaled by 2^wp."""
 
-    coeffs: list
-    sin_poly: list
-    cos_poly: list
-    wp: int
+    def __init__(self, coeffs: list, sin_poly: list, cos_poly: list, wp: int):
+        self.coeffs, self.sin_poly, self.cos_poly, self.wp = coeffs, sin_poly, cos_poly, wp
 
 
 def _bessel_step(p, q, m: int):
@@ -1042,7 +1025,7 @@ def _bessel_series(xi, alternate: bool) -> _BesselSeries:
                 out[k] += f * c
         return [v >> g for v in out]
 
-    return _BesselSeries(coeffs, combine(0), combine(1), wp)
+    return _BesselSeries(coeffs=coeffs, sin_poly=combine(0), cos_poly=combine(1), wp=wp)
 
 
 def _eigen_bessel_coefficients(a, digits: int):

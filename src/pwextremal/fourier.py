@@ -21,8 +21,6 @@ F(xi) = integral f(x) exp(-i xi x) dx, so the value at u = 0 is the
 integral of the function and the normalized mean over the band is 1.
 """
 
-from dataclasses import dataclass
-
 from mpmath import mp, mpf
 
 from .mpcore import SolverError, UsageError, clenshaw_legendre, series_eval, series_multiply
@@ -35,7 +33,6 @@ from .extremal import (
 )
 
 
-@dataclass
 class BandTransform:
     """Transform of the even extremal function on its band.
 
@@ -46,9 +43,8 @@ class BandTransform:
     of the coefficients and is checked, not imposed.
     """
 
-    coeffs: list
-    C: mpf
-    digits: int
+    def __init__(self, coeffs: list, C: mpf, digits: int):
+        self.coeffs, self.C, self.digits = coeffs, C, digits
 
     @property
     def terms(self) -> int:

@@ -29,7 +29,6 @@ involved on that path.
 """
 
 import math
-from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
@@ -52,7 +51,6 @@ from .extremal import (
 )
 
 
-@dataclass
 class LSeriesValue:
     """One evaluation of a zero-ladder series.
 
@@ -61,12 +59,11 @@ class LSeriesValue:
     residue; error_bound always refers to whichever number is present.
     """
 
-    s: object
-    kind: str
-    value: object
-    error_bound: mpf
-    is_pole: bool = False
-    residue: object = None
+    def __init__(
+        self, s, kind: str, value, error_bound: mpf, is_pole: bool = False, residue=None
+    ):
+        self.s, self.kind, self.value, self.error_bound = s, kind, value, error_bound
+        self.is_pole, self.residue = is_pole, residue
 
     def to_json_dict(self) -> dict:
         out = {

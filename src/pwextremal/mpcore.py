@@ -28,8 +28,8 @@ precision happened to be active then.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import to_fixed

@@ -58,8 +58,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Optional
 
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_div, mpf_rdiv_int, to_fixed
@@ -71,33 +69,27 @@ from .mpcore import _NEWTON_STEPS, SolverError, UsageError, decimal_truncated, n
 # matrix construction
 
 
-@dataclass
 class TridiagonalSystem:
     """Truncated (N+1)x(N+1) tridiagonal matrix in the b=1 frame: rows
     0..N of the matrix in the module docstring at coupling a."""
 
-    N: int
-    a: mpf
-
-    def __post_init__(self):
-        if self.N < 2:
+    def __init__(self, N: int, a):
+        if N < 2:
             raise UsageError("N must be at least 2")
-        self.a = mpf(self.a)
+        self.N, self.a = N, mpf(a)
 
 
 def build_matrix(N: int, a) -> TridiagonalSystem:
-    return TridiagonalSystem(N=N, a=mpf(a))
+    return TridiagonalSystem(N=N, a=a)
 
 
-@dataclass
 class EigenPair:
     """Eigenvalue lam, eigenvector xi normalized xi[0] = 1 (a list, or the
     _SweptVector of a sweep until a caller stores it) and the residual
     ||(T - lam) xi|| / ||xi|| it was checked at."""
 
-    lam: mpf
-    xi: Sequence
-    residual: mpf
+    def __init__(self, lam: mpf, xi: Sequence, residual: mpf):
+        self.lam, self.xi, self.residual = lam, xi, residual
 
 
 # Work bounds and the precision schedule.  The side-condition Newton stops
@@ -258,9 +250,10 @@ def _where(N: int, a, lam) -> str:
 
 def _checked_pair(sys: TridiagonalSystem, lam, xi: _SweptVector) -> EigenPair:
     """(lam, xi) from a sweep, once ||(T - lam) xi|| / ||xi|| <= 10^-(dps-5)
-    and the ground invariants for 0 < a < 3/2 hold: lam in [0, a/3], and
-    no entry below minus ten times the residual relative to the largest
-    (smaller entries count as noise, their signs unchecked).
+    and lam lies in [0, a/3], where for 0 < a < 3/2 the ground eigenvalue
+    is the only one.  The signs of xi need no check: at lam < 2 every row
+    of the sweep adds positive multiples of xi_m and xi_{m+1} (c/a =
+    (m(m+1) - lam)/a > 0 for m >= 1), so no entry it stores is negative.
 
     The residual is evaluated on the sweep's integers: its entries on the
     scale of xi_0 (those below one unit of it read as 0), a and lam cut to
@@ -272,8 +265,8 @@ def _checked_pair(sys: TridiagonalSystem, lam, xi: _SweptVector) -> EigenPair:
             + a (m+1)(2m-1) xi_{m+1}.
 
     Only the division of each row by its factor is truncated, by under a
-    unit.  The signs are read off the same integers.  The pair keeps xi,
-    which converts its entries to mpf only when a caller reads them.
+    unit.  The pair keeps xi, which converts its entries to mpf only when a
+    caller reads them.
     """
     F, top = xi.frac, xi.exp[0]
     y = [v >> (top - e) for v, e in zip(xi.man, xi.exp)]
@@ -297,13 +290,6 @@ def _checked_pair(sys: TridiagonalSystem, lam, xi: _SweptVector) -> EigenPair:
             "ground eigenvalue %s escaped [0, a/3] %s"
             % (mp.nstr(lam, 10), _where(sys.N, sys.a, lam))
         )
-    # an entry below -10 residual max|y| has -y_m 2^F > 10 worst
-    for m, v in enumerate(y[:-1]):
-        if -v << F > 10 * worst:
-            raise SolverError(
-                "ground eigenvector entry %d is not positive %s"
-                % (m, _where(sys.N, sys.a, lam))
-            )
     return EigenPair(lam=lam, xi=xi, residual=residual)
 
 
@@ -432,7 +418,6 @@ def _side_root(N: int, bracket, start):
 # public results
 
 
-@dataclass
 class ExtremalConstants:
     """Converged constants plus the spectral data behind them.
 
@@ -451,15 +436,14 @@ class ExtremalConstants:
     until the first of them asks; its tail bound is checked when made.
     """
 
-    C: mpf
-    L1: mpf
-    a_star: mpf
-    lambda_star: mpf
-    N: int
-    digits_certified: int
-    dps: int
-    frame: Optional[tuple] = field(default=None, compare=False, repr=False)
-    zeros: Optional[object] = field(default=None, compare=False, repr=False)
+    def __init__(
+        self, C: mpf, L1: mpf, a_star: mpf, lambda_star: mpf, N: int,
+        digits_certified: int, dps: int,
+    ):
+        self.C, self.L1, self.a_star, self.lambda_star = C, L1, a_star, lambda_star
+        self.N, self.digits_certified, self.dps = N, digits_certified, dps
+        self.frame: tuple | None = None
+        self.zeros: object | None = None
 
     def to_json_dict(self) -> dict:
         d = self.digits_certified

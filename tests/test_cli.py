@@ -8,9 +8,11 @@ sees them.
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from decimal import ROUND_DOWN, Decimal, localcontext
 from pathlib import Path
 
@@ -72,6 +74,41 @@ def test_manifest_goes_to_stderr():
     assert "timestamp" in manifest
     # the payload itself must carry no timestamp, or reruns would differ
     assert "timestamp" not in proc.stdout
+
+
+_FOOTPRINT = """
+import sys
+import mpmath
+before = set(sys.modules)
+import pwextremal.cli
+added = sorted(m for m in sys.modules if m not in before and m.split(".")[0] != "pwextremal")
+print(" ".join(added))
+pwextremal.cli.main(["constants", "--digits", "12"])
+"""
+
+
+def test_import_footprint_and_utc_timestamp():
+    # past mpmath, importing the CLI loads only argparse and json (no
+    # dataclasses, datetime, csv or typing), and the manifest timestamp is
+    # ISO 8601 UTC with microseconds whatever the local zone
+    env = dict(os.environ, PYTHONPATH=SRC, TZ="XYZ-5")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.splitlines()[0].split())
+    allowed = {"argparse", "gettext", "_json"}
+    allowed |= {"json", "json.decoder", "json.encoder", "json.scanner"}
+    assert added <= allowed, sorted(added - allowed)
+    stamp = json.loads(proc.stderr.strip().splitlines()[-1])["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}\+00:00", stamp), stamp
+    when = datetime.fromisoformat(stamp)
+    assert when.utcoffset() == timedelta(0)
+    assert abs(datetime.now(timezone.utc) - when) < timedelta(minutes=10)
 
 
 def test_digits_floor_is_a_usage_error():
@@ -313,10 +350,12 @@ def test_verify_lseries_payloads_pinned(capsys):
 def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
     # in process, with no solve: past the --digits whose default window
     # order (digits // 2) or Legendre pair count (digits // 3 + 8) passes
-    # its cap, the command is a usage error naming the largest --digits;
-    # at that --digits it goes on to the solve.  The same holds for an
-    # explicit --terms past its target's cap, and the error names --terms;
-    # a verify suite that does not read --terms rejects it at any value
+    # its cap, or past the cap of a command that builds the zero model or
+    # the offset coefficients, the command is a usage error naming the
+    # largest --digits; at that --digits it goes on to the solve.  The
+    # same holds for an explicit --terms past its target's cap, and the
+    # error names --terms; a verify suite that does not read --terms
+    # rejects it at any value
     from pwextremal import cli
 
     def solve(digits):
@@ -328,7 +367,12 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
         (["export", "legendre"], 170),
         (["verify", "--suite", "fourier"], 170),
         (["verify", "--suite", "all"], 170),
-        (["zeros", "--count", "40"], cli.MAX_ZEROS_DIGITS),
+        (["zeros", "--count", "40"], 600),
+        (["export", "rho"], 600),
+        (["export", "lvalues"], 500),
+        (["verify", "--suite", "summation"], 450),
+        (["verify", "--suite", "lseries"], 500),
+        (["verify", "--suite", "conjectures"], 500),
     ):
         assert cli.main(argv + ["--digits", str(largest + 1)]) == 2, argv
         assert "--digits %d or less" % largest in capsys.readouterr().err

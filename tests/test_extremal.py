@@ -6,7 +6,7 @@ every pipeline stage is checked against an expression that never ran
 through the code under test.
 """
 
-import dataclasses
+import copy
 from fractions import Fraction
 
 import pytest
@@ -100,7 +100,8 @@ def test_taylor_models_match_the_forward_recursions(consts30):
     # the closed form on the eigenvector and the backward factor run
     # against the forward recursions at 700 digits, where their loss of
     # about 2 log10(T!) digits (400 at T = 120) still leaves 300
-    fresh = dataclasses.replace(consts30, frame=None)
+    fresh = copy.copy(consts30)
+    fresh.frame = None
     a1, lam, _xi = extremal.refined_spectral_frame(fresh, 700)
     with mp.workdps(700):
         a = 2 * a1 / mp.pi
@@ -119,7 +120,8 @@ def test_extremal_sweeps_past_the_frame_for_high_orders(consts30, sweeps):
     # at 100 digits plus the guard the N = 128 frame holds xi_m only to
     # about m = 115 by the tail estimate; order 120 sweeps again on
     # N = 256 and keeps its digits there, against the forward recursion
-    fresh = dataclasses.replace(consts30, frame=None)
+    fresh = copy.copy(consts30)
+    fresh.frame = None
     a1, lam, _xi = extremal.refined_spectral_frame(fresh, 1000)
     with mp.workdps(1000):
         u = forward_even_coefficients(2 * a1 / mp.pi, mp.pi / 2, lam, 120)
@@ -156,7 +158,8 @@ def test_refined_frame_work_count(consts30, sweeps):
     # the re-solve continues Newton from the certified root at the
     # request plus the frame guard, 212 digits, on the certified N = 128,
     # whose tail already clears them; one sweep per precision doubling
-    fresh = dataclasses.replace(consts30, frame=None)
+    fresh = copy.copy(consts30)
+    fresh.frame = None
     a1, _lam, _xi = extremal.refined_spectral_frame(fresh, 200)
     assert fresh.frame[0] == 200
     assert 0 < len(sweeps) <= 4
@@ -169,7 +172,8 @@ def test_refined_frame_work_count(consts30, sweeps):
 def test_refined_frame_starts_from_the_held_frame(consts30, sweeps):
     # a request past the held frame starts from it: its 150 digits need
     # no sweep below the target precision
-    fresh = dataclasses.replace(consts30, frame=None)
+    fresh = copy.copy(consts30)
+    fresh.frame = None
     extremal.refined_spectral_frame(fresh, 150)
     sweeps.clear()
     extremal.refined_spectral_frame(fresh, 250)
@@ -384,7 +388,17 @@ def test_zero_model_rejects_heavy_offset_coefficients(consts30, monkeypatch):
 
     monkeypatch.setattr(extremal, "offset_coefficients", heavy)
     with pytest.raises(SolverError, match="1/2"):
-        extremal.build_zero_model(dataclasses.replace(consts30, zeros=None))
+        extremal.build_zero_model(
+            extremal.ExtremalConstants(
+                C=consts30.C,
+                L1=consts30.L1,
+                a_star=consts30.a_star,
+                lambda_star=consts30.lambda_star,
+                N=consts30.N,
+                digits_certified=consts30.digits_certified,
+                dps=consts30.dps,
+            )
+        )
 
 
 def test_signed_zeros_alternate(consts30):
@@ -438,7 +452,9 @@ def _move_taylor_models(monkeypatch, field):
             model = build(consts, T, digits=digits)
             with mp.workdps(model.dps):
                 value = getattr(model, field) + mpf("1e-15")
-            return dataclasses.replace(model, **{field: value})
+            model = copy.copy(model)
+            setattr(model, field, value)
+            return model
 
         monkeypatch.setattr(extremal, name, moved)
 

@@ -5,7 +5,7 @@ offset coefficients in numpy and never touches the continuation
 machinery, so the 1e-12 agreement is an independent confirmation.
 """
 
-import dataclasses
+import copy
 import math
 import tracemalloc
 from fractions import Fraction
@@ -290,7 +290,8 @@ def test_one_zero_model_serves_every_check(consts30, monkeypatch):
     # on constants with no zero model yet, the zero checks share one: the
     # offset expansion and the head Newton run once between them, and the
     # model stays on the constants
-    fresh = dataclasses.replace(consts30, zeros=None)
+    fresh = copy.copy(consts30)
+    fresh.zeros = None
     calls = []
     for name in ("offset_coefficients", "refine_zeros_newton"):
         def counted(*args, _name=name, _fn=getattr(extremal, name), **kwargs):

@@ -17,8 +17,8 @@ from ``cli.main`` must be passed, by keyword or by position, by some call
 in the package, or be on UNSET_DEFAULTS with the reason it stays; and it
 must be left out by some call in the package, else its default serves
 tests alone.  Callees are matched by name here too, so a call to any
-function of that name counts.  A dataclass counts as a function: a call
-of the class is a call, and its fields, in order, are its parameters.
+function of that name counts.  A call of a class is a call of its
+``__init__``.
 
 The limit: matching is by name across all modules, so definitions that
 share a name are reached together, and an attribute of any object counts
@@ -46,10 +46,6 @@ PENDING = {
 UNSET_DEFAULTS = {
     ("cli", "main", "argv"): "the pwx script calls main() with no argument, "
     "which reads sys.argv; tests pass their own",
-    ("spectral", "ExtremalConstants", "frame"): "a cache that "
-    "extremal.refined_spectral_frame fills after construction",
-    ("spectral", "ExtremalConstants", "zeros"): "a cache that "
-    "extremal.build_zero_model fills after construction",
 }
 
 
@@ -65,18 +61,9 @@ def _names(nodes):
     return out
 
 
-def _is_dataclass(node):
-    return any(
-        isinstance(d, ast.Name) and d.id == "dataclass"
-        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
-        for d in node.decorator_list
-    )
-
-
 def _definitions():
     """(module, qualified name) -> (kind, names it uses, dunder methods,
-    the FunctionDef of a function or method or the ClassDef of a
-    dataclass, else None).
+    the FunctionDef of a function or method, else None).
 
     The statements a module runs on import, other than definitions,
     assignments and imports, are kept under the name "<import>".
@@ -103,8 +90,7 @@ def _definitions():
                     defs[key] = ("method", _names([m]), (), m)
                     if m.name.startswith("__") and m.name.endswith("__"):
                         dunders.append(key)
-                node = stmt if _is_dataclass(stmt) else None
-                defs[module, stmt.name] = ("class", own, tuple(dunders), node)
+                defs[module, stmt.name] = ("class", own, tuple(dunders), None)
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 for target in targets:
@@ -137,27 +123,9 @@ def _reached(defs, roots):
     return reached
 
 
-def _field_default(value):
-    """Whether a dataclass field's right-hand side gives it a default."""
-    if value is None:
-        return False
-    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
-        return any(k.arg in ("default", "default_factory") for k in value.keywords)
-    return True
-
-
 def _defaulted(fn):
     """(position among the explicit arguments or None, name) of each
-    parameter of fn that has a default; self and cls are not counted.
-    The parameters of a dataclass are its fields."""
-    if isinstance(fn, ast.ClassDef):
-        fields = [
-            s for s in fn.body
-            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-        ]
-        return [
-            (i, s.target.id) for i, s in enumerate(fields) if _field_default(s.value)
-        ]
+    parameter of fn that has a default; self and cls are not counted."""
     args = fn.args
     positional = args.posonlyargs + args.args
     if positional and positional[0].arg in ("self", "cls"):
@@ -193,7 +161,7 @@ def _calls():
 def _default_uses():
     """(module, function, parameter) -> whether each package call passes
     it, for each defaulted parameter of a function or method reached from
-    cli.main."""
+    cli.main; the calls of Cls.__init__ are the calls of Cls."""
     defs = _definitions()
     reached = _reached(defs, ROOTS)
     calls = _calls()
@@ -202,6 +170,8 @@ def _default_uses():
         if fn is None or key not in reached:
             continue
         name = key[1].rsplit(".", 1)[-1]
+        if name == "__init__":
+            name = key[1].split(".")[0]
         for position, param in _defaulted(fn):
             uses[key[0], key[1], param] = [
                 param in keywords or (position is not None and count > position)

@@ -336,9 +336,8 @@ def test_ground_invariant_errors_name_N_and_a():
         second = sorted(mp.re(v) for v in eigenvalues)[1]
         with pytest.raises(SolverError, match=r"escaped .* at N=2, 30 dps, a=1\.45"):
             _checked_pair(sys, second, _sweep(sys, second)[0])
-        # and a crafted vector with a negative entry; no vector can have one
-        # beyond ten times its residual and pass the residual gate, which
-        # trips first
+        # and a crafted vector with a negative entry, which no sweep at
+        # lambda < 2 makes: the residual gate refuses it
         F = 100
         signed = _SweptVector([1 << F, -(1 << (F - 1)), 1 << (F - 3)], [0, 0, 0], F)
         with pytest.raises(SolverError, match=r"at N=2, 30 dps, a=1\.45"):
