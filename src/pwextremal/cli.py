@@ -8,14 +8,15 @@ named identity suites and sets the exit code from their outcome, and
 Output conventions.  The payload goes to stdout, or to --out when given;
 numeric content is serialized as decimal strings truncated to the
 requested digits, and a payload rerun with the same parameters is
-byte-identical.  What backs the printed constants: two solves, at guard g
-and 2g extra digits, agree to 10^-(digits+1), and the truncation size N is
-picked from an estimate of the eigenvector's tail decay, not from a proved
-bound.  Each run also emits a manifest recording the command, parameters,
-and output files: as a ``.manifest.json`` sidecar beside a regular
---out file, as one line on stderr otherwise, a device --out included
-(the manifest carries a timestamp, which is why it never shares the
-payload channel).
+byte-identical.  Only this module turns numbers into payload text; the
+others return numbers and records.  What backs the printed constants: two
+solves, at guard g and 2g extra digits, agree to 10^-(digits+1), and the
+truncation size N is picked from an estimate of the eigenvector's tail
+decay, not from a proved bound.  Each run also emits a manifest recording
+the command, parameters, and output files: as a ``.manifest.json``
+sidecar beside a regular --out file, as one line on stderr otherwise, a
+device --out included (the manifest carries a timestamp, which is why it
+never shares the payload channel).
 
 The summation checks of ``verify`` sum a head of 2 digits + 40 zeros
 directly and the zeros past it in closed form, as power series in the
@@ -23,6 +24,12 @@ inverse lattice point whose class sums are Hurwitz zeta values; each
 passes within its tail bound plus 10^-(digits-10).  The first system's
 tail bound rests on the offset coefficients' majorant, checked on the
 computed coefficients only; the second system's is an estimate.
+
+One builder, _entry, writes every verify row.  A row's ``bound`` is a
+tolerance this module sets from --digits or --tolerance-exponent (plus
+the tail bound in the summation checks); its ``certified_bound`` is an
+error bound the computation itself carries: the L-series continuation's
+error bounds, plus 10^-(digits-2) on a claimed value.
 
 Exit codes: 0 on success and on a verify run whose theorem-backed checks
 all pass; 1 on solver or certification failure, or on any failed check;
@@ -106,20 +113,37 @@ MAX_DIGITS = {
     "verify --suite conjectures": 500,  # 13.2 s, 68.4 s
 }
 
+# The largest --count of zeros and --terms of the export targets that
+# fourier does not cap, where one run at --digits 30 passes about 100 s,
+# extrapolated from the runs listed (2-core x86 VM, one run each).
+# taylor-phi stops before that: past 6500 terms its minimizer sweep needs
+# a truncation past spectral's N cap at some --digits the solve accepts
+# (at 30 digits past 8185 terms; 8000 took 18.0 s).
+MAX_TERMS = {
+    "zeros": 2000000,  # 200 000, 500 000: 7.7 s, 22.0 s (168 MB)
+    "export rho": 750,  # 200, 400, 560: 2.6 s, 19.3 s, 45.1 s
+    "export taylor-phi": 6500,
+    "export taylor-Phi": 25000,  # 8000, 16 000, 20 000: 6.5 s, 35.6 s, 56.8 s
+    "export h": 5500,  # 1000, 2000, 4000: 2.3 s, 9.8 s, 45.3 s
+    "export lvalues": 600,  # 150, 300, 600: 3.1 s, 14.2 s, 83.6 s
+}
+
 
 # ----------------------------------------------------------------------
-# report rows
+# payload records
 
 
-def _entry(name: str, parameters: dict, discrepancy, bound) -> dict:
-    disc = abs(discrepancy)
-    return {
-        "check": name,
-        "parameters": parameters,
-        "discrepancy": mp.nstr(disc, 10),
-        "bound": mp.nstr(bound, 8),
-        "status": "pass" if disc <= bound else "fail",
-    }
+def _entry(name, parameters, discrepancy, bound, key="bound", gated=True, **scan):
+    """One verify row: |discrepancy| to 10 digits and the bound to 8 under
+    `key`, or on the integrality scan's row the `scan` fields in their
+    place, then the status: pass or fail on a gated row, report-only on
+    any other.  A suite appends its notes to the row after the status."""
+    row = {"check": name, "parameters": parameters, **scan}
+    if discrepancy is not None:
+        discrepancy = abs(discrepancy)
+        row["discrepancy"], row[key] = mp.nstr(discrepancy, 10), mp.nstr(bound, 8)
+    row["status"] = ("pass" if discrepancy <= bound else "fail") if gated else "report-only"
+    return row
 
 
 def _bound(args, drop: int):
@@ -161,17 +185,17 @@ def _suite_summation(consts, args):
     out = []
     with mp.workdps(args.digits + 15):
         a1 = 2 * mpf(consts.a_star) / mp.pi
-        rep = summation_check(a1, zeros_signed(model, head), zero_model_tail(model, head))
+        mu1, tail1 = zeros_signed(model, head), zero_model_tail(model, head)
+        defect1 = summation_check(a1, mu1, tail1)
         a2, mu2, tail2 = summation_system(mpf(1), head // 2, args.digits)
-        rep2 = summation_check(a2, mu2, tail2)
-    for name, report, extra in (
-        ("summation-extremal", rep, {}),
-        ("summation-second-system", rep2, {"matrix_drift": "1.0"}),
+        defect2 = summation_check(a2, mu2, tail2)
+    for name, defect, mu, tail, extra in (
+        ("summation-extremal", defect1, mu1, tail1, {}),
+        ("summation-second-system", defect2, mu2, tail2, {"matrix_drift": "1.0"}),
     ):
-        parameters = {"head": report.head, "order": report.order}
-        parameters.update(extra)
-        parameters["tail_bound"] = mp.nstr(report.tail_bound, 8)
-        out.append(_entry(name, parameters, report.defect, report.tail_bound + b))
+        parameters = {"head": len(mu), "order": tail.order, **extra}
+        parameters["tail_bound"] = mp.nstr(tail.bound, 8)
+        out.append(_entry(name, parameters, defect, tail.bound + b))
     return out
 
 
@@ -213,9 +237,15 @@ def _suite_fourier(consts, args):
 
 
 def _suite_lseries(consts, args):
-    out = []
-    out.extend(check_Lodd(consts, 3))
-    out.extend(check_residue_identity(consts, 3))
+    lodd, residues = check_Lodd(consts, 3), check_residue_identity(consts, 3)
+    # a certified row takes |discrepancy| at the precision its check ran at
+    with mp.workdps(consts.digits_certified + 20):
+        out = [_entry("lodd", {"s": s}, d, b, "certified_bound", s != 0) for s, d, b in lodd]
+        out[-1]["note"] = "no claimed value; reported for the record"  # s = 0
+        for k, d, b, residue, odd in residues:
+            row = _entry("residue-identity", {"k": k, "s": 1 - 2 * k}, d, b, "certified_bound")
+            row.update(residue_sign=int(mp.sign(residue)), odd_value_sign=int(mp.sign(odd)))
+            out.append(row)
     with mp.workdps(args.digits + 25):
         plus2 = l_series(consts, "plus", 2)
         minus1 = l_series(consts, "minus", 1)
@@ -237,9 +267,18 @@ def _suite_lseries(consts, args):
 
 
 def _suite_conjectures(consts, args):
-    out = list(check_symmetry_conjecture(consts, 3))
+    symmetry = check_symmetry_conjecture(consts, 3)
+    with mp.workdps(consts.digits_certified + 20):  # as in _suite_lseries
+        out = []
+        for k, d, b, shift in symmetry:
+            row = _entry("symmetry-conjecture", {"k": k}, d, b, "certified_bound", False)
+            row["order_doubling_shift"] = mp.nstr(shift, 8)
+            out.append(row)
     depth = args.terms if args.terms is not None else 200
-    out.append(check_integrality(depth))
+    through = check_integrality(depth)
+    first = None if through == depth else through + 1
+    scan = {"first_violation": first, "integral_through": through}
+    out.append(_entry("integrality", {"n_max": depth}, None, None, gated=False, **scan))
     return out
 
 
@@ -284,7 +323,12 @@ SUITES = tuple(_SUITE_RUNNERS) + ("all",)
 
 def _cmd_constants(args):
     consts = solve_constants(args.digits)
-    return json.dumps(consts.to_json_dict(), indent=2) + "\n", 0
+    d = consts.digits_certified
+    with mp.workdps(consts.dps):
+        names = ("C", "L1", "a_star", "lambda_star")
+        record = {k: decimal_truncated(getattr(consts, k), d) for k in names}
+    record.update(N=consts.N, digits_certified=d)
+    return json.dumps(record, indent=2) + "\n", 0
 
 
 def _csv(header, rows) -> str:
@@ -297,15 +341,17 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _check_digits(args, command: str) -> None:
-    """Refuse, before the solve, a --digits past the command's MAX_DIGITS."""
-    cap = MAX_DIGITS.get(command)
-    if cap is not None and args.digits > cap:
-        raise UsageError("%s needs --digits %d or less" % (command, cap))
+def _check_caps(args, command: str) -> None:
+    """Refuse, before the solve, a --digits past the command's MAX_DIGITS
+    and a --count or --terms past its MAX_TERMS."""
+    for flag, caps in (("digits", MAX_DIGITS), ("count", MAX_TERMS), ("terms", MAX_TERMS)):
+        cap, value = caps.get(command), getattr(args, flag, None)
+        if cap is not None and value is not None and value > cap:
+            raise UsageError("%s needs --%s %d or less" % (command, flag, cap))
 
 
 def _cmd_zeros(args):
-    _check_digits(args, "zeros")
+    _check_caps(args, "zeros")
     consts = solve_constants(args.digits)
     model = build_zero_model(consts)
     with mp.workdps(args.digits + 15):
@@ -336,7 +382,7 @@ def _cmd_verify(args):
     if "fourier" in names:
         _check_pairs(args, "verify --suite " + args.suite)
     for name in names:
-        _check_digits(args, "verify --suite " + name)
+        _check_caps(args, "verify --suite " + name)
     if args.terms is not None and "conjectures" not in names:
         raise UsageError(
             "verify --suite %s does not read --terms; conjectures and all do" % args.suite
@@ -407,7 +453,7 @@ def _legendre_pairs(args) -> int:
 def _cmd_export(args):
     # every cap a target puts on --digits or --terms is checked before the
     # solve; --terms, when given, is at least 1
-    _check_digits(args, "export " + args.what)
+    _check_caps(args, "export " + args.what)
     if args.what == "legendre":
         _check_pairs(args, "export legendre")
         if _legendre_pairs(args) > MAX_PAIRS:
@@ -427,11 +473,15 @@ def _cmd_export(args):
     consts = solve_constants(args.digits)
     if args.what == "lvalues":
         top = args.terms if args.terms is not None else 6
-        values = [
-            l_series(consts, kind, s).to_json_dict()
-            for s in range(1, top + 1)
-            for kind in ("minus", "plus")
-        ]
+        values = []
+        for s in range(1, top + 1):
+            for kind in ("minus", "plus"):
+                v = l_series(consts, kind, s)
+                key = "residue" if v.is_pole else "value"
+                row = {"s": str(v.s), "kind": kind, "is_pole": v.is_pole}
+                row["error_bound"] = mp.nstr(v.error_bound, 8)
+                row[key] = mp.nstr(getattr(v, key), 20)
+                values.append(row)
         document = {"table": "lvalues", "digits": args.digits, "values": values}
         header = ["kind", "s", "is_pole", "value", "residue", "error_bound"]
         rows = [[v.get(k, "") for k in header] for v in values]

@@ -805,15 +805,6 @@ class SummationTail:
         self.value, self.bound, self.order = value, bound, order
 
 
-class SummationReport:
-    """Outcome of a summation-formula check: the measured defect, the
-    bound on the tail past the head, the zeros summed directly and the
-    order of the tail series."""
-
-    def __init__(self, defect: mpf, tail_bound: mpf, head: int, order: int):
-        self.defect, self.tail_bound, self.head, self.order = defect, tail_bound, head, order
-
-
 def _test_function(x):
     """f(x) = x sinc(pi x / 5)^5 of summation_check: odd, entire of
     exponential type pi, f'(0) = 1, |f(x)| <= (5/pi)^5 |x|^-4."""
@@ -823,7 +814,7 @@ def _test_function(x):
     return x * (mp.sin(u) / u) ** 5
 
 
-def summation_check(a_param, zeros, tail: SummationTail) -> SummationReport:
+def summation_check(a_param, zeros, tail: SummationTail) -> mpf:
     """Defect of a f'(0) = sum_mu (f(mu) - f(-mu)) for f = _test_function,
     with the signed zeros of `zeros` summed directly and the rest taken
     from `tail`, at the working precision.
@@ -843,12 +834,7 @@ def summation_check(a_param, zeros, tail: SummationTail) -> SummationReport:
     if f(-mu1) != -f(mu1):
         raise UsageError("summation_check needs an odd test function")
     total = 2 * mp.fsum(f(mpf(mu)) for mu in zeros) + tail.value
-    return SummationReport(
-        defect=abs(mpf(a_param) - total),
-        tail_bound=tail.bound,
-        head=len(zeros),
-        order=tail.order,
-    )
+    return abs(mpf(a_param) - total)
 
 
 def _lattice_order(majorant, s0, start: int, step: int, shift, digits: int):

@@ -13,18 +13,22 @@ series is meromorphic with simple poles on the negative odd integers (and
 at 1); the alternating one is entire.
 
 The continuation carries an error bound built from the geometric
-majorant of the offset coefficients, a_m <= 2^{-m-1}, so every reported
-discrepancy in the check functions comes with the bound that decides
+majorant of the offset coefficients, a_m <= 2^{-m-1}, so every
+discrepancy the check functions return comes with the bound that decides
 calling it zero or not.  That majorant is the premise of the bound, and it
 is checked on the computed a_1..a_M only (see extremal.rho_tail_bound);
 nothing here covers the coefficients past M.  Every function reads the
 one zero model of its constants, extremal.build_zero_model(consts).
 
+The check functions return numbers only, one tuple per identity tested;
+cli turns them into verify rows and decides which of them gate the exit
+code.
+
 check_integrality is the odd one out: it runs the coefficient recursion
 of the even minimizer over the formal symbols b^2 and lambda in Python
 integers, each u_n modulo A_n = n_max!/n!, which is exact enough to decide
-divisibility by n+1 at every step (see check_integrality), and reports
-the first u_n with a non-integer coefficient.  No floating point is
+divisibility by n+1 at every step (see check_integrality), and returns
+how far every u_n has integer coefficients.  No floating point is
 involved on that path.
 """
 
@@ -64,19 +68,6 @@ class LSeriesValue:
     ):
         self.s, self.kind, self.value, self.error_bound = s, kind, value, error_bound
         self.is_pole, self.residue = is_pole, residue
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "s": str(self.s),
-            "kind": self.kind,
-            "is_pole": self.is_pole,
-            "error_bound": mp.nstr(self.error_bound, 8),
-        }
-        if self.is_pole:
-            out["residue"] = mp.nstr(self.residue, 20)
-        else:
-            out["value"] = mp.nstr(self.value, 20)
-        return out
 
 
 def _as_real(s):
@@ -257,67 +248,43 @@ def l_plus_even_from_phi(consts: ExtremalConstants, k_max: int):
 
 
 # ----------------------------------------------------------------------
-# verification reports
-
-
-def _report(check: str, parameters: dict, discrepancy, certified, status: str) -> dict:
-    return {
-        "check": check,
-        "parameters": parameters,
-        "discrepancy": mp.nstr(abs(discrepancy), 10),
-        "certified_bound": mp.nstr(certified, 8),
-        "status": status,
-    }
-
-
-def _status(discrepancy, certified) -> str:
-    return "pass" if abs(discrepancy) <= certified else "fail"
+# identity checks
 
 
 def check_Lodd(consts: ExtremalConstants, m_max: int) -> list:
-    """Alternating series at the negative odd integers.
+    """Alternating series at the negative odd integers, as tuples
+    (s, discrepancy, certified bound) for s = -1, -3, .., -1 - 2 m_max
+    and then s = 0.
 
     The value at -1 must be -1/(4C) and the values at -3, -5, .. must
-    vanish; the value at 0 carries no claim and is reported as is.
+    vanish; the value at 0 carries no claim, so its discrepancy is the
+    value itself, with the continuation's own error bound.
     """
     digits = consts.digits_certified
-    reports = []
+    out = []
     slack = mpf(10) ** (-(digits - 2))
     with mp.workdps(digits + 20):
         val = l_series(consts, "minus", -1)
         target = -1 / (4 * mpf(consts.C))
-        disc = val.value - target
-        certified = val.error_bound + slack
-        reports.append(
-            _report("lodd", {"s": -1}, disc, certified, _status(disc, certified))
-        )
+        out.append((-1, val.value - target, val.error_bound + slack))
         for m in range(1, m_max + 1):
             val = l_series(consts, "minus", -1 - 2 * m)
-            certified = val.error_bound + slack
-            reports.append(
-                _report(
-                    "lodd",
-                    {"s": -1 - 2 * m},
-                    val.value,
-                    certified,
-                    _status(val.value, certified),
-                )
-            )
+            out.append((-1 - 2 * m, val.value, val.error_bound + slack))
         zero_val = l_series(consts, "minus", 0)
-        report = _report("lodd", {"s": 0}, zero_val.value, zero_val.error_bound, "report-only")
-        report["note"] = "no claimed value; reported for the record"
-        reports.append(report)
-    return reports
+        out.append((0, zero_val.value, zero_val.error_bound))
+    return out
 
 
 def check_residue_identity(consts: ExtremalConstants, k_max: int) -> list:
-    """Residues of the plus series against the alternating odd values.
+    """Residues of the plus series against the alternating odd values, as
+    tuples (k, discrepancy, certified bound, residue, odd value) for
+    k = 1 .. k_max.
 
     The residue at s = 1-2k equals, after the phase powers cancel to a
     real sign, (2/pi) (-1)^{k-1} times the alternating value at 2k-1
     divided by (2 pi C)^{2k-1}.
     """
-    reports = []
+    out = []
     with mp.workdps(consts.digits_certified + 20):
         C = mpf(consts.C)
         for k in range(1, k_max + 1):
@@ -331,35 +298,27 @@ def check_residue_identity(consts: ExtremalConstants, k_max: int) -> list:
                 * odd.value
                 / (2 * mp.pi * C) ** (2 * k - 1)
             )
-            disc = pole.residue - rhs
             certified = (
                 pole.error_bound
                 + odd.error_bound / (2 * mp.pi * C) ** (2 * k - 1)
                 + mpf(10) ** (-(consts.digits_certified - 2))
             )
-            report = _report(
-                "residue-identity",
-                {"k": k, "s": 1 - 2 * k},
-                disc,
-                certified,
-                _status(disc, certified),
-            )
-            report["residue_sign"] = int(mp.sign(pole.residue))
-            report["odd_value_sign"] = int(mp.sign(odd.value))
-            reports.append(report)
-    return reports
+            out.append((k, pole.residue - rhs, certified, pole.residue, odd.value))
+    return out
 
 
 def check_symmetry_conjecture(consts: ExtremalConstants, k_max: int) -> list:
-    """Conjectured reflection between the plus values at -2k and 2k.
+    """Conjectured reflection between the plus values at -2k and 2k, as
+    tuples (k, discrepancy, certified bound, order-doubling shift) for
+    k = 1 .. k_max.
 
     Report-only by policy: the comparison is
     value(-2k) vs (-1)^k value(2k) / (2 pi C)^{2k}, with the continuation
-    truncation doubled once to show the discrepancy is not an artifact of
-    the order choice.
+    truncation doubled once; the shift that makes in value(-2k) shows the
+    discrepancy is not an artifact of the order choice.
     """
     digits = consts.digits_certified
-    reports = []
+    out = []
     with mp.workdps(digits + 20):
         C = mpf(consts.C)
         for k in range(1, k_max + 1):
@@ -368,22 +327,13 @@ def check_symmetry_conjecture(consts: ExtremalConstants, k_max: int) -> list:
             neg2 = l_series(consts, "plus", -2 * k, order=2 * J)
             pos = l_series(consts, "plus", 2 * k)
             rhs = (-1) ** k * pos.value / (2 * mp.pi * C) ** (2 * k)
-            disc = neg.value - rhs
             certified = (
                 neg.error_bound
                 + pos.error_bound / (2 * mp.pi * C) ** (2 * k)
                 + mpf(10) ** (-(consts.digits_certified - 2))
             )
-            report = _report(
-                "symmetry-conjecture",
-                {"k": k},
-                disc,
-                certified,
-                "report-only",
-            )
-            report["order_doubling_shift"] = mp.nstr(abs(neg.value - neg2.value), 8)
-            reports.append(report)
-    return reports
+            out.append((k, neg.value - rhs, certified, abs(neg.value - neg2.value)))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +377,7 @@ def integrality_residues(n_max: int):
         yield rows
 
 
-def check_integrality(n_max: int) -> dict:
+def check_integrality(n_max: int) -> int:
     """Integrality scan of the even minimizer's coefficient recursion, with
     the frame constant scaled out:
 
@@ -446,19 +396,12 @@ def check_integrality(n_max: int) -> dict:
     A_{n+1}.  So the first u_n with a non-integer coefficient is the same
     as in exact arithmetic.
 
-    Conjecture probe, so the status is always report-only.  The report
-    names that first index if one exists.
+    Returns the largest n <= n_max through which every u is integral; a
+    value below n_max names u_{n+1} as the first non-integral one.
     """
     if not 0 <= n_max <= MAX_INTEGRALITY_DEPTH:
         raise UsageError("n_max must lie in [0, %d]" % MAX_INTEGRALITY_DEPTH)
-    integral_through = sum(1 for _ in integrality_residues(n_max)) - 1
-    return {
-        "check": "integrality",
-        "parameters": {"n_max": n_max},
-        "first_violation": None if integral_through == n_max else integral_through + 1,
-        "integral_through": integral_through,
-        "status": "report-only",
-    }
+    return sum(1 for _ in integrality_residues(n_max)) - 1
 
 
 # ----------------------------------------------------------------------

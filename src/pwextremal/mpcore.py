@@ -147,14 +147,14 @@ def series_multiply(f, g, T: int) -> list:
         raise UsageError("T must be positive")
     n = min(T, len(f) + len(g) - 1)
     out = [mpf(0)] * n
-    for i, a in enumerate(f):
+    nonzero = [(j, b) for j, b in enumerate(g[:n]) if b != 0]
+    for i, a in enumerate(f[:n]):
         if a == 0:
             continue
-        jmax = min(len(g), n - i)
-        for j in range(jmax):
-            b = g[j]
-            if b != 0:
-                out[i + j] += a * b
+        for j, b in nonzero:
+            if i + j >= n:
+                break
+            out[i + j] += a * b
     return out
 
 

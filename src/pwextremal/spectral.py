@@ -62,7 +62,7 @@ from collections.abc import Sequence
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_div, mpf_rdiv_int, to_fixed
 
-from .mpcore import _NEWTON_STEPS, SolverError, UsageError, decimal_truncated, newton_root
+from .mpcore import _NEWTON_STEPS, SolverError, UsageError, newton_root
 
 
 # ----------------------------------------------------------------------
@@ -444,18 +444,6 @@ class ExtremalConstants:
         self.N, self.digits_certified, self.dps = N, digits_certified, dps
         self.frame: tuple | None = None
         self.zeros: object | None = None
-
-    def to_json_dict(self) -> dict:
-        d = self.digits_certified
-        with mp.workdps(self.dps):
-            return {
-                "C": decimal_truncated(self.C, d),
-                "L1": decimal_truncated(self.L1, d),
-                "a_star": decimal_truncated(self.a_star, d),
-                "lambda_star": decimal_truncated(self.lambda_star, d),
-                "N": self.N,
-                "digits_certified": d,
-            }
 
 
 def solve_constants(digits: int) -> ExtremalConstants:

@@ -5,6 +5,8 @@ same spectral data; the `sweeps` fixture records the solver's work so
 tests can bound it without timing anything.
 """
 
+import json
+
 import pytest
 from mpmath import mp
 
@@ -41,3 +43,18 @@ def sweeps(monkeypatch):
     for module in (spectral, extremal):
         monkeypatch.setattr(module, "_sweep", counted)
     return calls
+
+
+@pytest.fixture
+def payload(monkeypatch):
+    """The JSON payload of a pwx command on given constants, with the
+    solve replaced by those constants."""
+    from pwextremal import cli
+
+    def run(consts, *argv):
+        monkeypatch.setattr(cli, "solve_constants", lambda digits: consts)
+        digits = str(consts.digits_certified)
+        args = cli._build_parser().parse_args(list(argv) + ["--digits", digits])
+        return json.loads(cli._HANDLERS[args.command](args)[0])
+
+    return run

@@ -15,6 +15,7 @@ import sys
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_DOWN, Decimal, localcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mp, mpf
@@ -347,6 +348,56 @@ def test_verify_lseries_payloads_pinned(capsys):
         assert got == rows, suite
 
 
+def test_lseries_rows_are_written_from_the_check_numbers(consts12, monkeypatch):
+    # in process, with the checks replaced by their numbers: the claimed
+    # lodd values are gated by their certified bounds, the value at s = 0
+    # is report-only with its note, and the residue rows carry the signs
+    from pwextremal import cli
+
+    lodd = [(-1, mpf(2), mpf(1)), (-3, mpf("-1e-40"), mpf("1e-30")), (0, mpf(-5), mpf(1))]
+    residues = [(1, mpf("1e-40"), mpf("1e-30"), mpf(-2), mpf(3))]
+    monkeypatch.setattr(cli, "check_Lodd", lambda consts, m: lodd)
+    monkeypatch.setattr(cli, "check_residue_identity", lambda consts, k: residues)
+    monkeypatch.setattr(cli, "l_series", lambda consts, kind, s: SimpleNamespace(value=0))
+    monkeypatch.setattr(cli, "brute_force_value", lambda *args: (mpf(0), mpf(0)))
+    rows = cli._suite_lseries(consts12, _summation_args(12))
+    assert [(r["check"], r["status"]) for r in rows] == [
+        ("lodd", "fail"),
+        ("lodd", "pass"),
+        ("lodd", "report-only"),
+        ("residue-identity", "pass"),
+        ("even-odd-bridge", "pass"),
+        ("brute-vs-continuation", "pass"),
+        ("brute-vs-continuation", "pass"),
+    ]
+    zero = rows[2]
+    assert list(zero) == [
+        "check", "parameters", "discrepancy", "certified_bound", "status", "note"
+    ]
+    assert (zero["parameters"], zero["discrepancy"]) == ({"s": 0}, "5.0")
+    assert zero["note"] == "no claimed value; reported for the record"
+    assert (rows[3]["residue_sign"], rows[3]["odd_value_sign"]) == (-1, 1)
+    assert "bound" in rows[4] and "certified_bound" not in rows[4]
+
+
+def test_integrality_row_names_the_first_violation(consts12, monkeypatch):
+    # in process: a scan integral through depth - 3 names depth - 2
+    from pwextremal import cli
+
+    monkeypatch.setattr(cli, "check_symmetry_conjecture", lambda consts, k: [])
+    monkeypatch.setattr(cli, "check_integrality", lambda depth: depth - 3)
+    args = _summation_args(12)
+    args.terms = 40
+    [row] = cli._suite_conjectures(consts12, args)
+    assert list(row.items()) == [
+        ("check", "integrality"),
+        ("parameters", {"n_max": 40}),
+        ("first_violation", 38),
+        ("integral_through", 37),
+        ("status", "report-only"),
+    ]
+
+
 def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
     # in process, with no solve: past the --digits whose default window
     # order (digits // 2) or Legendre pair count (digits // 3 + 8) passes
@@ -385,6 +436,11 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
         (["export", "legendre"], 128, 127, "--terms 127 or less"),
         (["export", "c-basis"], 41, 40, "--terms 40 or less"),
         (["export", "h"], 1, 2, "--terms 2 or more"),
+        (["export", "h"], 5501, 5500, "--terms 5500 or less"),
+        (["export", "rho"], 751, 750, "--terms 750 or less"),
+        (["export", "taylor-phi"], 6501, 6500, "--terms 6500 or less"),
+        (["export", "taylor-Phi"], 25001, 25000, "--terms 25000 or less"),
+        (["export", "lvalues"], 601, 600, "--terms 600 or less"),
         (["verify", "--suite", "conjectures"], 401, 400, "--terms 400 or less"),
         (["verify", "--suite", "all"], 401, 400, "--terms 400 or less"),
         (["verify", "--suite", "quadratic"], 1, None, "does not read --terms"),
@@ -396,6 +452,11 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
             argv += ["--terms", str(inside)]
         assert cli.main(argv) == 1, command
         assert "solve reached" in capsys.readouterr().err
+    # the same for the --count of zeros
+    assert cli.main(["zeros", "--count", "2000001"]) == 2
+    assert "zeros needs --count 2000000 or less" in capsys.readouterr().err
+    assert cli.main(["zeros", "--count", "2000000"]) == 1
+    assert "solve reached" in capsys.readouterr().err
 
 
 def test_verify_exit_code_reflects_failure():

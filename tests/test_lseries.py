@@ -76,14 +76,12 @@ def test_residue_closed_form(consts30):
 
 
 def test_lodd_at_fifty_digits(consts50):
-    reports = lseries.check_Lodd(consts50, 3)
-    claimed = [r for r in reports if r["status"] != "report-only"]
-    assert len(claimed) == 4
-    for rep in claimed:
-        assert rep["status"] == "pass"
-        assert mpf(rep["discrepancy"]) < mpf("1e-30")
-    assert reports[-1]["parameters"]["s"] == 0
-    assert reports[-1]["status"] == "report-only"
+    rows = lseries.check_Lodd(consts50, 3)
+    assert [s for s, _disc, _bound in rows] == [-1, -3, -5, -7, 0]
+    # the claimed values hold within their certified bounds; s = 0 has none
+    for s, disc, bound in rows[:-1]:
+        assert abs(disc) <= bound, s
+        assert abs(disc) < mpf("1e-30"), s
     with mp.workdps(70):
         val = lseries.l_series(consts50, "minus", -1)
         C = mpf(refvals.C_REF)
@@ -91,29 +89,24 @@ def test_lodd_at_fifty_digits(consts50):
 
 
 def test_residue_identity_at_fifty_digits(consts50):
-    reports = lseries.check_residue_identity(consts50, 3)
-    assert len(reports) == 3
-    for rep in reports:
-        assert rep["status"] == "pass"
-        assert mpf(rep["discrepancy"]) < mpf("1e-30")
-    signs = [rep["residue_sign"] for rep in reports]
-    assert signs == [-1, 1, -1]
+    rows = lseries.check_residue_identity(consts50, 3)
+    assert [k for k, *_ in rows] == [1, 2, 3]
+    for k, disc, bound, _residue, _odd in rows:
+        assert abs(disc) <= bound, k
+        assert abs(disc) < mpf("1e-30"), k
+    assert [mp.sign(residue) for _k, _d, _b, residue, _odd in rows] == [-1, 1, -1]
 
 
 def test_symmetry_conjecture_reports(consts50):
-    reports = lseries.check_symmetry_conjecture(consts50, 3)
-    assert len(reports) == 3
-    for rep in reports:
-        assert rep["status"] == "report-only"
-        assert mpf(rep["discrepancy"]) < mpf("1e-30")
-        assert mpf(rep["order_doubling_shift"]) < mpf("1e-40")
+    rows = lseries.check_symmetry_conjecture(consts50, 3)
+    assert [k for k, *_ in rows] == [1, 2, 3]
+    for k, disc, _bound, shift in rows:
+        assert abs(disc) < mpf("1e-30"), k
+        assert shift < mpf("1e-40"), k
 
 
 def test_integrality_scan():
-    rep = lseries.check_integrality(200)
-    assert rep["first_violation"] is None
-    assert rep["integral_through"] == 200
-    assert rep["status"] == "report-only"
+    assert lseries.check_integrality(200) == 200
 
 
 def test_integrality_scan_memory():
@@ -196,9 +189,7 @@ def test_integrality_scan_stops_at_first_violation(monkeypatch):
         monkeypatch.setattr(
             lseries, "_recursion_step", lambda n, d=divisor: step(n)[:3] + (d(n),)
         )
-        rep = lseries.check_integrality(40)
-        assert rep["first_violation"] == expected
-        assert rep["integral_through"] == expected - 1
+        assert lseries.check_integrality(40) == expected - 1
 
 
 def test_recursion_polynomial_heads():
@@ -286,7 +277,7 @@ def test_order_override_stays_consistent(consts30):
     assert abs(short.value - auto.value) <= short.error_bound + auto.error_bound
 
 
-def test_one_zero_model_serves_every_check(consts30, monkeypatch):
+def test_one_zero_model_serves_every_check(consts30, monkeypatch, payload):
     # on constants with no zero model yet, the zero checks share one: the
     # offset expansion and the head Newton run once between them, and the
     # model stays on the constants
@@ -306,7 +297,7 @@ def test_one_zero_model_serves_every_check(consts30, monkeypatch):
     lseries.check_symmetry_conjecture(fresh, 1)
     assert sorted(calls) == ["offset_coefficients", "refine_zeros_newton"]
     assert fresh.zeros is extremal.build_zero_model(fresh)
-    assert "zeros" not in fresh.to_json_dict()
+    assert "zeros" not in payload(fresh, "constants")
 
 
 def test_validation(consts30):
@@ -325,18 +316,15 @@ def test_validation(consts30):
             lseries.check_integrality(depth)
 
 
-def test_json_round_trip(consts30):
-    import json
-
-    val = lseries.l_series(consts30, "minus", 1)
-    blob = json.loads(json.dumps(val.to_json_dict()))
-    assert blob["kind"] == "minus"
-    assert not blob["is_pole"]
-    assert blob["value"].startswith("-0.4519521648844")
-    pole = lseries.l_series(consts30, "plus", -1)
-    blob = json.loads(json.dumps(pole.to_json_dict()))
-    assert blob["is_pole"]
-    assert "residue" in blob
+def test_json_round_trip(consts30, payload):
+    # export lvalues writes a value, or at a pole the residue, per row
+    minus, plus = payload(consts30, "export", "lvalues", "--terms", "1")["values"]
+    assert minus["kind"] == "minus"
+    assert not minus["is_pole"]
+    assert minus["value"].startswith("-0.4519521648844")
+    assert plus["is_pole"]
+    assert plus["residue"] == "1.0"
+    assert "value" not in plus
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Tests for the tridiagonal solver: matrix construction, eigenpairs,
 the backward sweep, the side-condition root, and the truncation size."""
 
-import json
 import re
 
 import numpy as np
@@ -394,8 +393,8 @@ def test_truncation_doubling_stability():
         assert abs(a128 - a256) < mpf(10) ** (-mpf("0.05") * 128)
 
 
-def test_constants_json_fields(consts12):
-    doc = json.loads(json.dumps(consts12.to_json_dict()))
+def test_constants_json_fields(consts12, payload):
+    doc = payload(consts12, "constants")
     assert set(doc) == {"C", "L1", "a_star", "lambda_star", "N", "digits_certified"}
     assert doc["digits_certified"] == 12
     assert isinstance(doc["N"], int)
