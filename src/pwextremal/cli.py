@@ -16,7 +16,14 @@ decay, not from a proved bound.  Each run also emits a manifest recording
 the command, parameters, and output files: as a ``.manifest.json``
 sidecar beside a regular --out file, as one line on stderr otherwise, a
 device --out included (the manifest carries a timestamp, which is why it
-never shares the payload channel).
+never shares the payload channel).  CSV rows are written as they are
+made.  An --out that is a directory, or in no directory, is refused
+before the solve.
+
+One check, _check_caps, refuses before the solve every --digits, --count
+or --terms past a command's row in MAX_DIGITS, MAX_DIGITS_WITHOUT_TERMS
+(when --terms is absent) or MAX_TERMS, and any --terms of a command with
+no MAX_TERMS row; a verify run takes the smallest cap of its suites.
 
 The summation checks of ``verify`` sum a head of 2 digits + 40 zeros
 directly and the zeros past it in closed form, as power series in the
@@ -32,15 +39,16 @@ error bound the computation itself carries: the L-series continuation's
 error bounds, plus 10^-(digits-2) on a claimed value.
 
 Exit codes: 0 on success and on a verify run whose theorem-backed checks
-all pass; 1 on solver or certification failure, or on any failed check;
-2 on usage errors.  Conjecture probes are report-only and never affect
-the exit code.
+all pass; 1 on solver or certification failure, on any failed check, or
+when the payload cannot be written; 2 on usage errors.  Conjecture probes
+are report-only and never affect the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import stat
@@ -99,26 +107,38 @@ EXPORT_TARGETS = (
     "lvalues",
 )
 
-# The largest --digits of each command that builds the zero model or the
-# offset coefficients, where one run passes about 100 s; their work grows
-# about as digits^3.  Measured on a 2-core x86 VM, one run each: zeros with
-# --count 40 at 300, 450 and 600 digits, the others at 300 and 450 digits,
-# their caps extrapolated from the growth between the two.
+# The caps _check_caps puts on each flag before the solve.  The largest
+# --digits of each command: for the fourier suite and export legendre the
+# largest whose default Legendre pair count, digits // 3 + 8, fits in
+# MAX_PAIRS; for the others where one run passes about 100 s, extrapolated
+# from the growth between the runs listed (2-core x86 VM, one run each, at
+# 300 and 450 digits where no digits are named; zeros with --count 40).
 MAX_DIGITS = {
-    "zeros": 600,  # 10.0 s, 42.7 s, 112 s
+    "zeros": 600,  # 300, 450, 600: 10.0 s, 42.7 s, 112 s
     "export rho": 600,  # 9.9 s, 37.1 s
     "export lvalues": 500,  # 15.9 s, 60.3 s
+    "export legendre": 3 * (MAX_PAIRS - 8) + 2,
+    "verify --suite ode": 3400,  # 1000, 3000, 3500: 2.8 s, 64.7 s, 108.9 s
+    "verify --suite functional": 7300,  # 4000, 7000, 8000: 19.7 s, 85.2 s, 128 s
+    "verify --suite quadratic": 600,  # 300, 450, 600: 6.8 s, 30.1 s, 97.3 s
     "verify --suite summation": 450,  # 33.3 s, 97.4 s
+    "verify --suite fourier": 3 * (MAX_PAIRS - 8) + 2,
     "verify --suite lseries": 500,  # 20.0 s, 64.6 s
     "verify --suite conjectures": 500,  # 13.2 s, 68.4 s
 }
 
-# The largest --count of zeros and --terms of the export targets that
-# fourier does not cap, where one run at --digits 30 passes about 100 s,
-# extrapolated from the runs listed (2-core x86 VM, one run each).
-# taylor-phi stops before that: past 6500 terms its minimizer sweep needs
-# a truncation past spectral's N cap at some --digits the solve accepts
-# (at 30 digits past 8185 terms; 8000 took 18.0 s).
+# The largest --digits of the targets whose default order follows --digits,
+# held when --terms is absent: c-basis's window order digits // 2 is capped
+# at MAX_WINDOW, and past 1293 fourier._transform_terms finds no order of
+# h within its cap.
+MAX_DIGITS_WITHOUT_TERMS = {"export c-basis": 2 * MAX_WINDOW + 1, "export h": 1293}
+
+# The largest --count of zeros and --terms of each command that reads it;
+# those not derived from a package cap where one run at --digits 30 passes
+# about 100 s, extrapolated from the runs listed (2-core x86 VM, one run
+# each).  taylor-phi stops before that: past 6500 terms its minimizer
+# sweep needs a truncation past spectral's N cap at some --digits the solve
+# accepts (at 30 digits past 8185 terms; 8000 took 18.0 s).
 MAX_TERMS = {
     "zeros": 2000000,  # 200 000, 500 000: 7.7 s, 22.0 s (168 MB)
     "export rho": 750,  # 200, 400, 560: 2.6 s, 19.3 s, 45.1 s
@@ -126,6 +146,9 @@ MAX_TERMS = {
     "export taylor-Phi": 25000,  # 8000, 16 000, 20 000: 6.5 s, 35.6 s, 56.8 s
     "export h": 5500,  # 1000, 2000, 4000: 2.3 s, 9.8 s, 45.3 s
     "export lvalues": 600,  # 150, 300, 600: 3.1 s, 14.2 s, 83.6 s
+    "export legendre": 2 * MAX_PAIRS - 1,  # (terms + 2) // 2 pairs
+    "export c-basis": MAX_WINDOW,  # the window order
+    "verify --suite conjectures": MAX_INTEGRALITY_DEPTH,  # the scan depth
 }
 
 
@@ -318,7 +341,7 @@ SUITES = tuple(_SUITE_RUNNERS) + ("all",)
 
 
 # ----------------------------------------------------------------------
-# command handlers: each returns (payload text, exit code)
+# command handlers: each returns (payload text chunks, exit code)
 
 
 def _cmd_constants(args):
@@ -328,71 +351,57 @@ def _cmd_constants(args):
         names = ("C", "L1", "a_star", "lambda_star")
         record = {k: decimal_truncated(getattr(consts, k), d) for k in names}
     record.update(N=consts.N, digits_certified=d)
-    return json.dumps(record, indent=2) + "\n", 0
+    return [json.dumps(record, indent=2) + "\n"], 0
 
 
-def _csv(header, rows) -> str:
+def _csv(header, rows):
+    """The CSV lines of header and rows, each made when it is read."""
     import csv  # here, not at the top: only the CSV payloads need it
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    for row in itertools.chain([header], rows):
+        writer.writerow(row)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
 
 
-def _check_caps(args, command: str) -> None:
-    """Refuse, before the solve, a --digits past the command's MAX_DIGITS
-    and a --count or --terms past its MAX_TERMS."""
-    for flag, caps in (("digits", MAX_DIGITS), ("count", MAX_TERMS), ("terms", MAX_TERMS)):
-        cap, value = caps.get(command), getattr(args, flag, None)
-        if cap is not None and value is not None and value > cap:
-            raise UsageError("%s needs --%s %d or less" % (command, flag, cap))
+def _check_caps(args, commands) -> None:
+    """Refuse, before the solve, a --terms that none of `commands` reads (none
+    has a MAX_TERMS row), and a flag past the smallest cap its tables give
+    those commands, naming the command whose cap that is."""
+    tables = [("digits", MAX_DIGITS, ""), ("count", MAX_TERMS, ""), ("terms", MAX_TERMS, "")]
+    if getattr(args, "terms", None) is None:
+        tables.append(("digits", MAX_DIGITS_WITHOUT_TERMS, " without --terms"))
+    elif not any(c in MAX_TERMS for c in commands):
+        raise UsageError("%s does not read --terms" % commands[0])
+    for flag, caps, note in tables:
+        listed = [(caps[c], c) for c in commands if c in caps]
+        cap, command = min(listed, default=(float("inf"), ""))
+        if (getattr(args, flag, None) or 0) > cap:
+            raise UsageError("%s needs --%s %d or less%s" % (command, flag, cap, note))
 
 
 def _cmd_zeros(args):
-    _check_caps(args, "zeros")
+    _check_caps(args, ["zeros"])
     consts = solve_constants(args.digits)
     model = build_zero_model(consts)
-    with mp.workdps(args.digits + 15):
-        rows = [
-            [
-                n,
-                decimal_truncated(tau(model, n), args.digits),
-                "newton" if n <= model.n0 else "series",
-            ]
-            for n in range(1, args.count + 1)
-        ]
-    return _csv(["n", "tau_n", "method"], rows), 0
 
+    def rows():
+        # rows are made while _emit writes them, after this handler has
+        # returned, so the generator sets the working precision itself
+        with mp.workdps(args.digits + 15):
+            for n in range(1, args.count + 1):
+                method = "newton" if n <= model.n0 else "series"
+                yield n, decimal_truncated(tau(model, n), args.digits), method
 
-def _check_pairs(args, command: str) -> None:
-    """Refuse, before the solve, a --digits whose default Legendre pair
-    count passes MAX_PAIRS."""
-    if default_pairs(args.digits) > MAX_PAIRS:
-        largest = 3 * (MAX_PAIRS - 8) + 2
-        raise UsageError(
-            "%s needs --digits %d or less: its Legendre pair count, "
-            "digits // 3 + 8, is capped at %d" % (command, largest, MAX_PAIRS)
-        )
+    return _csv(["n", "tau_n", "method"], rows()), 0
 
 
 def _cmd_verify(args):
     names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
-    if "fourier" in names:
-        _check_pairs(args, "verify --suite " + args.suite)
-    for name in names:
-        _check_caps(args, "verify --suite " + name)
-    if args.terms is not None and "conjectures" not in names:
-        raise UsageError(
-            "verify --suite %s does not read --terms; conjectures and all do" % args.suite
-        )
-    if "conjectures" in names and (args.terms or 0) > MAX_INTEGRALITY_DEPTH:
-        raise UsageError(
-            "verify --suite %s needs --terms %d or less: the integrality scan "
-            "depth is capped at %d"
-            % (args.suite, MAX_INTEGRALITY_DEPTH, MAX_INTEGRALITY_DEPTH)
-        )
+    _check_caps(args, ["verify --suite " + name for name in names])
     consts = solve_constants(args.digits)
     checks = [c for name in names for c in _SUITE_RUNNERS[name](consts, args)]
     failed = sum(1 for c in checks if c.get("status") == "fail")
@@ -403,7 +412,7 @@ def _cmd_verify(args):
         "failed": failed,
         "passed": failed == 0,
     }
-    return json.dumps(payload, indent=2) + "\n", 0 if failed == 0 else 1
+    return [json.dumps(payload, indent=2) + "\n"], 0 if failed == 0 else 1
 
 
 def _series_export(consts, args):
@@ -451,23 +460,7 @@ def _legendre_pairs(args) -> int:
 
 
 def _cmd_export(args):
-    # every cap a target puts on --digits or --terms is checked before the
-    # solve; --terms, when given, is at least 1
-    _check_caps(args, "export " + args.what)
-    if args.what == "legendre":
-        _check_pairs(args, "export legendre")
-        if _legendre_pairs(args) > MAX_PAIRS:
-            raise UsageError(
-                "export legendre needs --terms %d or less: its Legendre pair "
-                "count, (terms + 2) // 2, is capped at %d"
-                % (2 * MAX_PAIRS - 1, MAX_PAIRS)
-            )
-    if args.what == "c-basis" and (args.terms or args.digits // 2) > MAX_WINDOW:
-        raise UsageError(
-            "export c-basis needs --terms %d or less, or without --terms "
-            "--digits %d or less: its window order, terms or digits // 2, is "
-            "capped at %d" % (MAX_WINDOW, 2 * MAX_WINDOW + 1, MAX_WINDOW)
-        )
+    _check_caps(args, ["export " + args.what])
     if args.what == "h" and args.terms == 1:
         raise UsageError("export h needs --terms 2 or more")
     consts = solve_constants(args.digits)
@@ -493,7 +486,7 @@ def _cmd_export(args):
         document = {key: label, "digits": args.digits, "coeffs": strings}
         header, rows = ["n", "coefficient"], enumerate(strings)
     if args.format == "json":
-        return json.dumps(document, indent=2) + "\n", 0
+        return [json.dumps(document, indent=2) + "\n"], 0
     return _csv(header, rows), 0
 
 
@@ -612,21 +605,32 @@ def _utc_timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds)) + ".%06d+00:00" % micros
 
 
-def _emit(args, payload: str) -> None:
-    """Payload to --out or stdout; the manifest to a sidecar beside a
-    regular --out file, else (stdout, or a device such as /dev/null) as
-    one line on stderr."""
+def _check_out(path) -> None:
+    """Refuse, before the solve, an --out that is a directory or whose
+    parent directory does not exist."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise UsageError("--out %s is a directory" % path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError("--out %s: its directory does not exist" % path)
+
+
+def _emit(args, payload) -> None:
+    """Payload chunks to --out or stdout, each written as it is made; the
+    manifest to a sidecar beside a regular --out file, else (stdout, or a
+    device such as /dev/null) as one line on stderr."""
     manifest = _manifest(args)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(payload)
+            fh.writelines(payload)
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         if regular:
             with open(args.out + ".manifest.json", "w") as fh:
                 fh.write(json.dumps(manifest, indent=2) + "\n")
             return
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(payload)
     print(json.dumps(manifest), file=sys.stderr)
 
 
@@ -645,12 +649,17 @@ def main(argv=None) -> int:
     if exponent is not None and exponent < 2:
         parser.error("--tolerance-exponent must be at least 2")
     try:
+        _check_out(args.out)
         payload, code = _HANDLERS[args.command](args)
+        # a streamed payload is made while it is written, so inside the try
+        _emit(args, payload)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except SolverError as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return 1
-    _emit(args, payload)
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (args.out or "stdout", exc), file=sys.stderr)
+        return 1
     return code

@@ -415,20 +415,13 @@ def zeros_signed(model: ZeroModel, count: int):
 
 
 def _truncation_order(radius, target_exponent: int) -> int:
-    """Smallest T with (pi/2 * radius)^T / T! below 10^-target_exponent."""
-    with mp.workdps(25):
-        x = mp.pi * mpf(radius) / 2
-        logterm = mpf(0)
-        T = 1
-        while True:
-            logterm += mp.log10(x) - mp.log10(T)
-            if logterm < -target_exponent and T >= 4:
-                return T
-            T += 1
-            if T > 100000:
-                raise SolverError(
-                    "no practical truncation order for radius %s" % radius
-                )
+    """Smallest T >= 4 with (pi/2 * radius)^T / T! below 10^-target_exponent,
+    from the closed-form log10 of that term."""
+    log_x = math.log10(math.pi * float(radius) / 2)
+    for T in range(4, 100001):
+        if T * log_x - math.lgamma(T + 1) / math.log(10) < -target_exponent:
+            return T
+    raise SolverError("no practical truncation order for radius %s" % radius)
 
 
 def _cancellation_digits(radius) -> int:
@@ -749,33 +742,6 @@ def check_functional_equation(consts: ExtremalConstants):
             rhs = (e_plus * g_plus + e_minus * g_minus) / (norm * z)
             worst = max(worst, abs(fz * ez - rhs))
     return worst
-
-
-def fit_reflection_coefficients(consts: ExtremalConstants):
-    """Least-squares fit of the two reflection constants.
-
-    Writes z F(z) e^{1/(4Cz)} = k_plus e^{-i pi z/2} F(i/(2 pi C z))
-    + k_minus e^{+i pi z/2} F(-i/(2 pi C z)) and solves the 2x2 complex
-    normal equations over 24 points on the self-dual circle, six
-    quarter-turn orbits (see _reflection_samples), to the certified
-    digits.  At the true constants the fit returns
-    k_pm = e^{+-i pi/4} / sqrt(4 pi C).
-    """
-    _C, samples = _reflection_samples(consts, 24, 41)
-    with mp.workdps(consts.digits_certified + 25):
-        m00 = m01 = m11 = rhs0 = rhs1 = mp.mpc(0)
-        for z, fz, ez, g_plus, g_minus in samples:
-            y = z * fz * ez
-            m00 += mp.conj(g_plus) * g_plus
-            m01 += mp.conj(g_plus) * g_minus
-            m11 += mp.conj(g_minus) * g_minus
-            rhs0 += mp.conj(g_plus) * y
-            rhs1 += mp.conj(g_minus) * y
-        m10 = mp.conj(m01)
-        det = m00 * m11 - m01 * m10
-        k_plus = (rhs0 * m11 - m01 * rhs1) / det
-        k_minus = (m00 * rhs1 - m10 * rhs0) / det
-    return k_plus, k_minus
 
 
 # ----------------------------------------------------------------------

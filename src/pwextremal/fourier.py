@@ -14,23 +14,23 @@ frequency u = xi / pi the transform is computed two independent ways:
 
 Agreement of the two is one of the strongest end-to-end checks in the
 package, since they consume different spectral data (Taylor recursion
-versus eigenvector) and different basis machinery.
+versus eigenvector) and different basis machinery.  Both the Clenshaw
+sum of the Legendre expansion and the least-squares fit of the endpoint
+constants of the factor's reflection law are computed here, the latter
+on the reflection samples of :mod:`pwextremal.extremal`.
 
 Everything here stays inside the band.  The transform convention is
 F(xi) = integral f(x) exp(-i xi x) dx, so the value at u = 0 is the
 integral of the function and the normalized mean over the band is 1.
 """
 
+import math
+
 from mpmath import mp, mpf
 
-from .mpcore import SolverError, UsageError, clenshaw_legendre, series_eval, series_multiply
+from .mpcore import SolverError, UsageError, series_eval, series_multiply
 from .spectral import ExtremalConstants
-from .extremal import (
-    _TAYLOR_GUARD,
-    fit_reflection_coefficients,
-    taylor_extremal,
-    taylor_factor,
-)
+from .extremal import _TAYLOR_GUARD, _reflection_samples, taylor_extremal, taylor_factor
 
 
 class BandTransform:
@@ -58,22 +58,18 @@ MAX_WINDOW = 40
 
 def _transform_terms(digits: int, C) -> int:
     """Series order of the band transform: the first n >= 8 at which
-    pi (2 pi / C)^(n-1) / (n! (n-1)!) falls below 10^-(digits+12).
+    pi (2 pi / C)^(n-1) / (n! (n-1)!) falls below 10^-(digits+12), from
+    the closed-form log10 of that term.
 
     That term is (C/2) 2^n times the coefficient bound of
     _value_error_on_nodes and bounds no error; _value_error_on_nodes does.
     The rule fixes the default order, and so the `export h` payload.
     """
-    with mp.workdps(25):
-        ratio = 2 * mp.pi / mpf(C)
-        target = mpf(10) ** (-(digits + 12))
-        term = mp.pi
-        n = 1
-        while n < 400:
-            if term < target and n >= 8:
-                return n
-            n += 1
-            term *= ratio / (n * (n - 1))
+    log_ratio = math.log10(2 * math.pi / float(C))
+    for n in range(8, 400):
+        log_term = math.log10(math.pi) + (n - 1) * log_ratio
+        if log_term - (math.lgamma(n + 1) + math.lgamma(n)) / math.log(10) < -(digits + 12):
+            return n
     raise SolverError("transform series did not reach the tail target")
 
 
@@ -129,8 +125,6 @@ def parseval_defect(model: BandTransform):
 
 
 def _double_factorial_log10(n: int) -> float:
-    import math
-
     return (
         math.lgamma(n + 1) - math.lgamma((n - 1) // 2 + 1) - ((n - 1) // 2) * math.log(2)
     ) / math.log(10)
@@ -213,8 +207,15 @@ def _legendre_forward(consts: ExtremalConstants, K: int, wd: int) -> list:
 
 
 def legendre_band_value(coeffs: list, u):
-    """Clenshaw evaluation of a Legendre coefficient list at u."""
-    return clenshaw_legendre(coeffs, u)
+    """sum_k coeffs[k] P_k(u) by Clenshaw's backward recurrence."""
+    b1 = mpf(0)
+    b2 = mpf(0)
+    for k in range(len(coeffs) - 1, -1, -1):
+        b1, b2 = (
+            coeffs[k] + mpf(2 * k + 1) / (k + 1) * u * b1 - mpf(k + 1) / (k + 2) * b2,
+            b1,
+        )
+    return b1
 
 
 # ----------------------------------------------------------------------
@@ -222,15 +223,34 @@ def legendre_band_value(coeffs: list, u):
 
 
 def endpoint_reflection_constants(consts: ExtremalConstants):
-    """The two complex endpoint constants of the factor's reflection law.
+    """The two complex endpoint constants of the factor's reflection law,
+    by least squares against the functional equation (nothing is assumed
+    about their closed form).
 
-    Computed by least squares against the functional equation (nothing
-    is assumed about their closed form); they must come out as complex
-    conjugates on the quarter diagonals with
+    Writes z F(z) e^{1/(4Cz)} = k_plus e^{-i pi z/2} F(i/(2 pi C z))
+    + k_minus e^{+i pi z/2} F(-i/(2 pi C z)) and solves the 2x2 complex
+    normal equations over 24 points on the self-dual circle, six
+    quarter-turn orbits (see extremal._reflection_samples), to the
+    certified digits.  The constants must come out as complex conjugates
+    on the quarter diagonals, k_pm = e^{+-i pi/4} / sqrt(4 pi C), with
     k_plus^2 - k_minus^2 = i / (2 pi C) and
     k_plus e^{i pi/4} + k_minus e^{-i pi/4} = 0.
     """
-    return fit_reflection_coefficients(consts)
+    _C, samples = _reflection_samples(consts, 24, 41)
+    with mp.workdps(consts.digits_certified + 25):
+        m00 = m01 = m11 = rhs0 = rhs1 = mp.mpc(0)
+        for z, fz, ez, g_plus, g_minus in samples:
+            y = z * fz * ez
+            m00 += mp.conj(g_plus) * g_plus
+            m01 += mp.conj(g_plus) * g_minus
+            m11 += mp.conj(g_minus) * g_minus
+            rhs0 += mp.conj(g_plus) * y
+            rhs1 += mp.conj(g_minus) * y
+        m10 = mp.conj(m01)
+        det = m00 * m11 - m01 * m10
+        k_plus = (rhs0 * m11 - m01 * rhs1) / det
+        k_minus = (m00 * rhs1 - m10 * rhs0) / det
+    return k_plus, k_minus
 
 
 # ----------------------------------------------------------------------

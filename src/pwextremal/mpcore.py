@@ -11,7 +11,6 @@ Everything downstream runs on top of the ingredients collected here:
   fixed-point integers (:func:`fixed_horner`);
 * :func:`newton_root`, the package's scalar Newton iteration (the 2x2
   side-condition root of :mod:`pwextremal.spectral` is the only other);
-* Clenshaw summation of Legendre series;
 * the Dirichlet beta function and alternating half-integer tails, through
   Hurwitz zeta values, and a table of Hurwitz zeta values at one shift
   for a ladder of exponents w, w + 1, .. from a real w >= 2;
@@ -28,7 +27,6 @@ precision happened to be active then.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from functools import lru_cache
 
 from mpmath import mp, mpf
@@ -213,22 +211,6 @@ def series_derivative(f) -> list:
     operation here it rounds to the ambient precision, so a series built
     at a higher one is differentiated under that (a Taylor model's dps)."""
     return [(k + 1) * f[k + 1] for k in range(len(f) - 1)] or [mpf(0)]
-
-
-# ----------------------------------------------------------------------
-# Legendre series
-
-
-def clenshaw_legendre(coeffs: Sequence, x):
-    """sum_k coeffs[k] P_k(x) by Clenshaw's backward recurrence."""
-    b1 = mpf(0)
-    b2 = mpf(0)
-    for k in range(len(coeffs) - 1, -1, -1):
-        b1, b2 = (
-            coeffs[k] + mpf(2 * k + 1) / (k + 1) * x * b1 - mpf(k + 1) / (k + 2) * b2,
-            b1,
-        )
-    return b1
 
 
 # ----------------------------------------------------------------------

@@ -55,6 +55,6 @@ def payload(monkeypatch):
         monkeypatch.setattr(cli, "solve_constants", lambda digits: consts)
         digits = str(consts.digits_certified)
         args = cli._build_parser().parse_args(list(argv) + ["--digits", digits])
-        return json.loads(cli._HANDLERS[args.command](args)[0])
+        return json.loads("".join(cli._HANDLERS[args.command](args)[0]))
 
     return run

@@ -17,7 +17,10 @@ identities, against which the binomial tail expansion of the zero model
 is checked and which majorize cosine and sine of a series, and the
 Lagrange-Buermann coefficients [z^(k+s)] f g^k from each power formed in
 full in exact rationals, against which the stepped powers of
-mpcore.series_power_diagonal are checked.
+mpcore.series_power_diagonal are checked, and the truncation orders of
+the factor's Taylor model and of the band transform's series as
+products of terms accumulated at 25 digits, against which their
+closed-form log10 searches in floats are checked.
 """
 
 import math
@@ -26,7 +29,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from pwextremal.extremal import _test_function
-from pwextremal.mpcore import UsageError, _padded
+from pwextremal.mpcore import SolverError, UsageError, _padded
 
 
 def legendre_pair(n: int, x):
@@ -245,3 +248,45 @@ def power_diagonal(f, g, shift: int, count: int) -> list:
             power = product(power, g)
         out.append(power[k + shift] if k + shift < len(power) else Fraction(0))
     return out
+
+
+def truncation_orders(radius, target_exponents) -> list:
+    """For each target exponent in ascending order, the smallest T >= 4
+    with (pi/2 * radius)^T / T! below 10^-target: log10 of the term summed
+    factor by factor at 25 digits, in one pass that serves every target
+    (the first T for a larger target is never smaller)."""
+    orders = []
+    with mp.workdps(25):
+        x = mp.pi * mpf(radius) / 2
+        logterm = mpf(0)
+        T = 1
+        while len(orders) < len(target_exponents):
+            logterm += mp.log10(x) - mp.log10(T)
+            while (
+                len(orders) < len(target_exponents)
+                and logterm < -target_exponents[len(orders)]
+                and T >= 4
+            ):
+                orders.append(T)
+            T += 1
+            if T > 100000:
+                raise SolverError(
+                    "no practical truncation order for radius %s" % radius
+                )
+    return orders
+
+
+def transform_terms(digits: int, C) -> int:
+    """First n >= 8, below 400, at which pi (2 pi / C)^(n-1) / (n! (n-1)!)
+    falls below 10^-(digits+12), by multiplying the term up at 25 digits."""
+    with mp.workdps(25):
+        ratio = 2 * mp.pi / mpf(C)
+        target = mpf(10) ** (-(digits + 12))
+        term = mp.pi
+        n = 1
+        while n < 400:
+            if term < target and n >= 8:
+                return n
+            n += 1
+            term *= ratio / (n * (n - 1))
+    raise SolverError("transform series did not reach the tail target")

@@ -401,8 +401,8 @@ def test_integrality_row_names_the_first_violation(consts12, monkeypatch):
 def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
     # in process, with no solve: past the --digits whose default window
     # order (digits // 2) or Legendre pair count (digits // 3 + 8) passes
-    # its cap, or past the cap of a command that builds the zero model or
-    # the offset coefficients, the command is a usage error naming the
+    # its cap, past the last default order of h, or past a command's
+    # measured cap, the command is a usage error naming the
     # largest --digits; at that --digits it goes on to the solve.  The
     # same holds for an explicit --terms past its target's cap, and the
     # error names --terms; a verify suite that does not read --terms
@@ -424,14 +424,19 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
         (["verify", "--suite", "summation"], 450),
         (["verify", "--suite", "lseries"], 500),
         (["verify", "--suite", "conjectures"], 500),
+        (["export", "h"], 1293),
+        (["verify", "--suite", "ode"], 3400),
+        (["verify", "--suite", "functional"], 7300),
+        (["verify", "--suite", "quadratic"], 600),
     ):
         assert cli.main(argv + ["--digits", str(largest + 1)]) == 2, argv
         assert "--digits %d or less" % largest in capsys.readouterr().err
         assert cli.main(argv + ["--digits", str(largest)]) == 1, argv
         assert "solve reached" in capsys.readouterr().err
-    # a c-basis order given within its cap lifts the limit on --digits
+    # a c-basis or h order given within its cap lifts the limit on --digits
     argv = ["export", "c-basis", "--digits", "100", "--terms", "40"]
     assert cli.main(argv) == 1
+    assert cli.main(["export", "h", "--digits", "1400", "--terms", "100"]) == 1
     for command, outside, inside, message in (
         (["export", "legendre"], 128, 127, "--terms 127 or less"),
         (["export", "c-basis"], 41, 40, "--terms 40 or less"),
@@ -457,6 +462,17 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
     assert "zeros needs --count 2000000 or less" in capsys.readouterr().err
     assert cli.main(["zeros", "--count", "2000000"]) == 1
     assert "solve reached" in capsys.readouterr().err
+
+
+def test_export_h_digit_cap_is_the_last_default_transform_order():
+    # without --terms export h takes fourier._transform_terms' order, which
+    # exists at the cap and not one digit past it
+    from pwextremal import cli, fourier
+
+    cap = cli.MAX_DIGITS_WITHOUT_TERMS["export h"]
+    assert fourier._transform_terms(cap, C_REF) == 399
+    with pytest.raises(cli.SolverError):
+        fourier._transform_terms(cap + 1, C_REF)
 
 
 def test_verify_exit_code_reflects_failure():
@@ -527,6 +543,50 @@ def test_out_to_a_device_puts_the_manifest_on_stderr(capsys):
     finally:
         if os.path.isfile(sidecar):
             os.remove(sidecar)
+
+
+def test_out_is_checked_before_the_solve(tmp_path, capsys, monkeypatch):
+    # in process: a directory, or a path in a missing directory, is a usage
+    # error naming the path before the solve; a write that fails after it
+    # is one error line and exit 1, with no traceback
+    from pwextremal import cli
+
+    solve = cli.solve_constants
+
+    def refused(digits):
+        raise cli.SolverError("solve reached")
+
+    monkeypatch.setattr(cli, "solve_constants", refused)
+    for out in (str(tmp_path), str(tmp_path / "missing" / "x.json")):
+        assert cli.main(["constants", "--digits", "12", "--out", out]) == 2
+        assert "error: --out %s" % out in capsys.readouterr().err
+    if os.path.exists("/dev/full"):  # a device every write to fails on
+        monkeypatch.setattr(cli, "solve_constants", solve)
+        assert cli.main(["constants", "--digits", "12", "--out", "/dev/full"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write /dev/full: ")
+        assert len(err.splitlines()) == 1
+
+
+def test_zeros_rows_are_written_as_they_are_made(consts12, monkeypatch):
+    # in process: the header goes out before any zero is computed and each
+    # row before the next zero, so the table is never held whole
+    from pwextremal import cli
+
+    made, written, tau = [], [], cli.tau
+
+    def counted(model, n):
+        made.append(n)
+        return tau(model, n)
+
+    monkeypatch.setattr(cli, "solve_constants", lambda digits: consts12)
+    monkeypatch.setattr(cli, "tau", counted)
+    monkeypatch.setattr(
+        cli.sys, "stdout",
+        SimpleNamespace(writelines=lambda lines: written.extend(len(made) for _ in lines)),
+    )
+    assert cli.main(["zeros", "--count", "3", "--digits", "12"]) == 0
+    assert written == [0, 1, 2, 3]
 
 
 def test_export_rho_coefficients():

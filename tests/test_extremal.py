@@ -20,8 +20,10 @@ from oracles import (
     forward_factor_coefficients,
     series_exp0,
     series_log1p,
+    transform_terms,
+    truncation_orders,
 )
-from pwextremal import extremal
+from pwextremal import extremal, fourier
 from pwextremal.mpcore import UsageError
 from pwextremal.spectral import SolverError
 
@@ -139,6 +141,19 @@ def test_truncation_validation(consts30):
         extremal.taylor_factor(consts30, 1)
     with pytest.raises(UsageError):
         extremal.taylor_extremal(consts30, 0)
+
+
+def test_closed_form_orders_match_the_accumulated_loops():
+    # the float log10 searches give the orders that accumulating the terms
+    # at 25 digits gives, on radii from the reflection samples (0.6) to past
+    # the minimizer's disk (10), and on the transform at digits 10..699
+    targets = list(range(5, 699, 3))
+    for radius in (0.6, 2.44, 3, 4.4, 5, 9.5, 10, 20.5, 40.5):
+        got = [extremal._truncation_order(radius, t) for t in targets]
+        assert got == truncation_orders(radius, targets), radius
+    for digits in range(10, 700):
+        got = fourier._transform_terms(digits, refvals.C_REF)
+        assert got == transform_terms(digits, refvals.C_REF), digits
 
 
 def test_refined_frame_cached_on_constants(consts30, sweeps, payload):
@@ -434,7 +449,7 @@ def test_functional_equation(consts30):
 
 def test_reflection_coefficients(consts30):
     C, _L1 = _refs()
-    k_plus, k_minus = extremal.fit_reflection_coefficients(consts30)
+    k_plus, k_minus = fourier.endpoint_reflection_constants(consts30)
     with mp.workdps(60):
         mag = 1 / mp.sqrt(4 * mp.pi * C)
         want_plus = mag * mp.exp(mp.mpc(0, 1) * mp.pi / 4)

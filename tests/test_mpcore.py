@@ -1,7 +1,8 @@
 """Tests for the arithmetic substrate: series algebra, the scalar Newton,
-Legendre machinery, the Dirichlet beta function and truncated decimal
-output; also the reference log(1+f) and exp(f) of tests/oracles.py,
-which the series tests use as majorants."""
+the Legendre oracle (and fourier's Clenshaw sum against it), the
+Dirichlet beta function and truncated decimal output; also the reference
+log(1+f) and exp(f) of tests/oracles.py, which the series tests use as
+majorants."""
 
 import random
 import sys
@@ -12,13 +13,12 @@ from hypothesis import example, given, strategies as st
 from mpmath import mp, mpf
 
 from oracles import legendre_pair, power_diagonal, series_exp0, series_log1p
-from pwextremal import mpcore
+from pwextremal import fourier, mpcore
 from pwextremal.mpcore import (
     SolverError,
     UsageError,
     alternating_halfinteger_tail,
     beta_numeric,
-    clenshaw_legendre,
     decimal_truncated,
     fixed_horner,
     hurwitz_zetas,
@@ -397,7 +397,7 @@ def test_clenshaw_matches_direct():
     coeffs = [mpf(rng.uniform(-2, 2)) for _ in range(12)]
     x = mpf("0.37")
     direct = sum(c * legendre_pair(k, x)[0] for k, c in enumerate(coeffs))
-    assert abs(clenshaw_legendre(coeffs, x) - direct) < mpf(10) ** -(mp.dps - 6)
+    assert abs(fourier.legendre_band_value(coeffs, x) - direct) < mpf(10) ** -(mp.dps - 6)
 
 
 def test_beta_values():
