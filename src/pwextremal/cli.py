@@ -20,6 +20,12 @@ never shares the payload channel).  CSV rows are written as they are
 made.  An --out that is a directory, or in no directory, is refused
 before the solve.
 
+Which modules a command loads.  ``extremal``, ``fourier`` and
+``lseries`` are registered on import but run only when a command first
+reads one of their functions, so ``constants`` and ``--help`` load only
+``spectral`` and ``mpcore``: without a bytecode cache, compiling the
+other three took about a fifth of each ``constants`` run.
+
 One check, _check_caps, refuses before the solve every --digits, --count
 or --terms past a command's row in MAX_DIGITS, MAX_DIGITS_WITHOUT_TERMS
 (when --terms is absent) or MAX_TERMS, and any --terms of a command with
@@ -47,6 +53,7 @@ are report-only and never affect the exit code.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import itertools
 import json
@@ -57,45 +64,34 @@ import time
 
 from mpmath import mp, mpf
 
-from .extremal import (
-    build_zero_model,
-    check_extremal_ode_residual,
-    check_functional_equation,
-    check_ode_residual,
-    check_quadratic_relation,
-    offset_coefficients,
-    summation_check,
-    summation_system,
-    tau,
-    taylor_extremal,
-    taylor_factor,
-    zero_curvature_residual,
-    zero_model_tail,
-    zeros_signed,
-)
-from .fourier import (
+from .mpcore import (
+    MAX_INTEGRALITY_DEPTH,
     MAX_PAIRS,
     MAX_WINDOW,
-    build_band_transform,
-    default_pairs,
-    endpoint_reflection_constants,
-    legendre_band_coefficients,
-    legendre_band_value,
-    parseval_defect,
-    transform_value,
-    window_basis_coefficients,
+    SolverError,
+    UsageError,
+    decimal_truncated,
 )
-from .lseries import (
-    MAX_INTEGRALITY_DEPTH,
-    brute_force_value,
-    check_integrality,
-    check_Lodd,
-    check_residue_identity,
-    check_symmetry_conjecture,
-    l_series,
-)
-from .mpcore import SolverError, UsageError, decimal_truncated
 from .spectral import solve_constants
+
+
+def _lazy(name: str):
+    """The package module `name`, registered in sys.modules and on the
+    package as an import registers it, but run only when one of its
+    attributes is first read; a module already imported is returned as
+    it is, so there is never a second copy of it."""
+    full = __package__ + "." + name
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+extremal, fourier, lseries = _lazy("extremal"), _lazy("fourier"), _lazy("lseries")
 
 EXPORT_TARGETS = (
     "taylor-phi",
@@ -204,14 +200,15 @@ def _summation_head(digits: int) -> int:
 def _suite_summation(consts, args):
     b = _bound(args, 10)
     head = _summation_head(args.digits)
-    model = build_zero_model(consts)
+    model = extremal.build_zero_model(consts)
     out = []
     with mp.workdps(args.digits + 15):
         a1 = 2 * mpf(consts.a_star) / mp.pi
-        mu1, tail1 = zeros_signed(model, head), zero_model_tail(model, head)
-        defect1 = summation_check(a1, mu1, tail1)
-        a2, mu2, tail2 = summation_system(mpf(1), head // 2, args.digits)
-        defect2 = summation_check(a2, mu2, tail2)
+        mu1 = extremal.zeros_signed(model, head)
+        tail1 = extremal.zero_model_tail(model, head)
+        defect1 = extremal.summation_check(a1, mu1, tail1)
+        a2, mu2, tail2 = extremal.summation_system(mpf(1), head // 2, args.digits)
+        defect2 = extremal.summation_check(a2, mu2, tail2)
     for name, defect, mu, tail, extra in (
         ("summation-extremal", defect1, mu1, tail1, {}),
         ("summation-second-system", defect2, mu2, tail2, {"matrix_drift": "1.0"}),
@@ -224,16 +221,19 @@ def _suite_summation(consts, args):
 
 def _suite_fourier(consts, args):
     d = args.digits
-    band = build_band_transform(consts)
-    leg = legendre_band_coefficients(consts)
+    band = fourier.build_band_transform(consts)
+    leg = fourier.legendre_band_coefficients(consts)
     with mp.workdps(d + 25):
         grid = [mpf(k) / 5 - 1 for k in range(11)]
         route = max(
-            abs(transform_value(band, u) - legendre_band_value(leg, u)) for u in grid
+            abs(fourier.transform_value(band, u) - fourier.legendre_band_value(leg, u))
+            for u in grid
         )
-        edge = max(abs(transform_value(band, 1)), abs(transform_value(band, -1)))
-        mean = parseval_defect(band)
-        k_plus, k_minus = endpoint_reflection_constants(consts)
+        edge = max(
+            abs(fourier.transform_value(band, 1)), abs(fourier.transform_value(band, -1))
+        )
+        mean = fourier.parseval_defect(band)
+        k_plus, k_minus = fourier.endpoint_reflection_constants(consts)
         C = mpf(consts.C)
         i = mp.mpc(0, 1)
         kdev = max(
@@ -260,7 +260,8 @@ def _suite_fourier(consts, args):
 
 
 def _suite_lseries(consts, args):
-    lodd, residues = check_Lodd(consts, 3), check_residue_identity(consts, 3)
+    lodd = lseries.check_Lodd(consts, 3)
+    residues = lseries.check_residue_identity(consts, 3)
     # a certified row takes |discrepancy| at the precision its check ran at
     with mp.workdps(consts.digits_certified + 20):
         out = [_entry("lodd", {"s": s}, d, b, "certified_bound", s != 0) for s, d, b in lodd]
@@ -270,8 +271,8 @@ def _suite_lseries(consts, args):
             row.update(residue_sign=int(mp.sign(residue)), odd_value_sign=int(mp.sign(odd)))
             out.append(row)
     with mp.workdps(args.digits + 25):
-        plus2 = l_series(consts, "plus", 2)
-        minus1 = l_series(consts, "minus", 1)
+        plus2 = lseries.l_series(consts, "plus", 2)
+        minus1 = lseries.l_series(consts, "minus", 1)
         C = mpf(consts.C)
         disc = abs(plus2.value + 4 * C * minus1.value)
     out.append(_entry("even-odd-bridge", {"s": 2}, disc, _bound(args, 5)))
@@ -280,8 +281,8 @@ def _suite_lseries(consts, args):
     # whatever --digits is, so this gate stays 10^-12 unless the flag is given
     brute_bound = _bound(args, args.digits - 12)
     for kind in ("plus", "minus"):
-        value, _err = brute_force_value(consts, kind, 3, 600)
-        cont = l_series(consts, kind, 3)
+        value, _err = lseries.brute_force_value(consts, kind, 3, 600)
+        cont = lseries.l_series(consts, kind, 3)
         with mp.workdps(args.digits + 25):
             disc = abs(value - cont.value)
         parameters = {"kind": kind, "s": 3, "terms": 600}
@@ -290,7 +291,7 @@ def _suite_lseries(consts, args):
 
 
 def _suite_conjectures(consts, args):
-    symmetry = check_symmetry_conjecture(consts, 3)
+    symmetry = lseries.check_symmetry_conjecture(consts, 3)
     with mp.workdps(consts.digits_certified + 20):  # as in _suite_lseries
         out = []
         for k, d, b, shift in symmetry:
@@ -298,38 +299,43 @@ def _suite_conjectures(consts, args):
             row["order_doubling_shift"] = mp.nstr(shift, 8)
             out.append(row)
     depth = args.terms if args.terms is not None else 200
-    through = check_integrality(depth)
+    through = lseries.check_integrality(depth)
     first = None if through == depth else through + 1
     scan = {"first_violation": first, "integral_through": through}
     out.append(_entry("integrality", {"n_max": depth}, None, None, gated=False, **scan))
     return out
 
 
-# the verify suites, in the order `all` runs them; a residual check looks
-# its function up here when it runs, where perfbench/tracer.py wraps it
+# the verify suites, in the order `all` runs them; a residual check reads
+# its function off extremal when it runs, so building this table loads no
+# module, and the function read is the one perfbench/tracer.py wraps
 _SUITE_RUNNERS = {
     "ode": _residual_suite(
-        ("factor-ode", {"points": 20, "radius": 5}, lambda c: check_ode_residual(c)),
+        (
+            "factor-ode",
+            {"points": 20, "radius": 5},
+            lambda c: extremal.check_ode_residual(c),
+        ),
         (
             "minimizer-ode",
             {"points": 20, "radius": 5},
-            lambda c: check_extremal_ode_residual(c),
+            lambda c: extremal.check_extremal_ode_residual(c),
         ),
     ),
     "functional": _residual_suite(
         (
             "reflection-equation",
             {"points": 20, "circle": "self-dual"},
-            lambda c: check_functional_equation(c),
+            lambda c: extremal.check_functional_equation(c),
         ),
     ),
     "quadratic": _residual_suite(
         (
             "quadratic-first-integral",
             {"points": 20, "radius": 3},
-            lambda c: check_quadratic_relation(c),
+            lambda c: extremal.check_quadratic_relation(c),
         ),
-        ("zero-curvature", {"n": 1}, lambda c: zero_curvature_residual(c)),
+        ("zero-curvature", {"n": 1}, lambda c: extremal.zero_curvature_residual(c)),
     ),
     "summation": _suite_summation,
     "fourier": _suite_fourier,
@@ -386,7 +392,7 @@ def _check_caps(args, commands) -> None:
 def _cmd_zeros(args):
     _check_caps(args, ["zeros"])
     consts = solve_constants(args.digits)
-    model = build_zero_model(consts)
+    model = extremal.build_zero_model(consts)
 
     def rows():
         # rows are made while _emit writes them, after this handler has
@@ -394,7 +400,7 @@ def _cmd_zeros(args):
         with mp.workdps(args.digits + 15):
             for n in range(1, args.count + 1):
                 method = "newton" if n <= model.n0 else "series"
-                yield n, decimal_truncated(tau(model, n), args.digits), method
+                yield n, decimal_truncated(extremal.tau(model, n), args.digits), method
 
     return _csv(["n", "tau_n", "method"], rows()), 0
 
@@ -424,36 +430,36 @@ def _series_export(consts, args):
     terms = args.terms
     if what == "taylor-phi":
         n = terms if terms is not None else 24
-        model = taylor_extremal(consts, max(2, n // 2 + 1))
+        model = extremal.taylor_extremal(consts, max(2, n // 2 + 1))
         return "series", model.coeffs[: n + 1], None
     if what == "taylor-Phi":
         n = terms if terms is not None else 24
-        model = taylor_factor(consts, max(2, n))
+        model = extremal.taylor_factor(consts, max(2, n))
         return "series", model.coeffs[: n + 1], None
     if what == "rho":
         m_top = terms if terms is not None else int(args.digits / 1.23) + 2
-        rho = offset_coefficients(consts, m_top)
+        rho = extremal.offset_coefficients(consts, m_top)
         return "series", [mpf(0)] + rho, None
     if what == "h":
-        band = build_band_transform(consts, terms=terms)
+        band = fourier.build_band_transform(consts, terms=terms)
         return "basis", list(band.coeffs), None
     if what == "c-basis":
-        band = build_band_transform(consts)
+        band = fourier.build_band_transform(consts)
         k_top = terms if terms is not None else max(1, args.digits // 2)
-        coeffs, error = window_basis_coefficients(band, k_top)
+        coeffs, error = fourier.window_basis_coefficients(band, k_top)
         with mp.workdps(15):
             lowest = int(mp.ceil(mp.log10(error)))
         return "basis", [mpf(0)] + coeffs, lowest
     # legendre, down to an absolute 10^-(digits+5), what the two-pass
     # check of legendre_band_coefficients backs
-    leg = legendre_band_coefficients(consts, pairs=_legendre_pairs(args))
+    leg = fourier.legendre_band_coefficients(consts, pairs=_legendre_pairs(args))
     return "basis", leg if terms is None else leg[: terms + 1], -(args.digits + 5)
 
 
 def _legendre_pairs(args) -> int:
     """Legendre pair count of export legendre: the default depth, widened
     only when --terms asks for more rows than its 2 * pairs + 1."""
-    pairs = default_pairs(args.digits)
+    pairs = fourier.default_pairs(args.digits)
     if args.terms is not None and args.terms > 2 * pairs:
         pairs = (args.terms + 2) // 2
     return pairs
@@ -469,7 +475,7 @@ def _cmd_export(args):
         values = []
         for s in range(1, top + 1):
             for kind in ("minus", "plus"):
-                v = l_series(consts, kind, s)
+                v = lseries.l_series(consts, kind, s)
                 key = "residue" if v.is_pole else "value"
                 row = {"s": str(v.s), "kind": kind, "is_pole": v.is_pole}
                 row["error_bound"] = mp.nstr(v.error_bound, 8)

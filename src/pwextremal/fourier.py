@@ -28,7 +28,14 @@ import math
 
 from mpmath import mp, mpf
 
-from .mpcore import SolverError, UsageError, series_eval, series_multiply
+from .mpcore import (
+    MAX_PAIRS,
+    MAX_WINDOW,
+    SolverError,
+    UsageError,
+    series_eval,
+    series_multiply,
+)
 from .spectral import ExtremalConstants
 from .extremal import _TAYLOR_GUARD, _reflection_samples, taylor_extremal, taylor_factor
 
@@ -49,11 +56,6 @@ class BandTransform:
     @property
     def terms(self) -> int:
         return len(self.coeffs) - 1
-
-
-# Largest Legendre pair count and window-basis order the package supports.
-MAX_PAIRS = 64
-MAX_WINDOW = 40
 
 
 def _transform_terms(digits: int, C) -> int:

@@ -37,6 +37,7 @@ import math
 from mpmath import mp, mpf
 
 from .mpcore import (
+    MAX_INTEGRALITY_DEPTH,
     SolverError,
     UsageError,
     alternating_halfinteger_tail,
@@ -338,11 +339,6 @@ def check_symmetry_conjecture(consts: ExtremalConstants, k_max: int) -> list:
 
 # ----------------------------------------------------------------------
 # integrality probe
-
-
-# the scan's work grows about as depth^4: 0.5 s at 200 and 7.4 s at 400
-# on one core (Python 3.11, 2-core x86 VM)
-MAX_INTEGRALITY_DEPTH = 400
 
 
 def _recursion_step(n: int):

@@ -14,7 +14,8 @@ Everything downstream runs on top of the ingredients collected here:
 * the Dirichlet beta function and alternating half-integer tails, through
   Hurwitz zeta values, and a table of Hurwitz zeta values at one shift
   for a ladder of exponents w, w + 1, .. from a real w >= 2;
-* exact decimal truncation for the serialized output.
+* exact decimal truncation for the serialized output;
+* the size caps of the Legendre, window-basis and integrality layers.
 
 Scalars are plain ``mpmath.mpf`` values ("big reals").  All functions expect
 to be called with the global mpmath precision already set, normally via
@@ -39,6 +40,16 @@ class UsageError(ValueError):
 
 class SolverError(RuntimeError):
     """Numerical failure: residual bound or certification not reached."""
+
+
+# The package's size caps, here so that cli reads them without loading
+# fourier or lseries: the largest Legendre pair count and window-basis
+# order of fourier, and the deepest integrality scan of lseries, whose work
+# grows about as depth^4: 0.5 s at 200 and 7.4 s at 400 on one core
+# (Python 3.11, 2-core x86 VM).
+MAX_PAIRS = 64
+MAX_WINDOW = 40
+MAX_INTEGRALITY_DEPTH = 400
 
 
 # ----------------------------------------------------------------------

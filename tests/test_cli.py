@@ -263,14 +263,14 @@ def test_summation_checks_pass_below_the_requested_digits(
 def test_summation_checks_fail_on_a_shifted_drift(consts30, monkeypatch):
     # a drift weight off by 10^-(digits-12) = 1e-18 fails both checks; the
     # gate of a sum over 10 000 zeros, 6.8e-12 + 1e-10, could not see it
-    from pwextremal import cli
+    from pwextremal import cli, extremal
 
-    check = cli.summation_check
+    check = extremal.summation_check
 
     def shifted(a_param, zeros, tail):
         return check(a_param + mpf(10) ** -18, zeros, tail)
 
-    monkeypatch.setattr(cli, "summation_check", shifted)
+    monkeypatch.setattr(extremal, "summation_check", shifted)
     checks = cli._suite_summation(consts30, _summation_args(30))
     assert [c["status"] for c in checks] == ["fail", "fail"]
 
@@ -352,14 +352,14 @@ def test_lseries_rows_are_written_from_the_check_numbers(consts12, monkeypatch):
     # in process, with the checks replaced by their numbers: the claimed
     # lodd values are gated by their certified bounds, the value at s = 0
     # is report-only with its note, and the residue rows carry the signs
-    from pwextremal import cli
+    from pwextremal import cli, lseries
 
     lodd = [(-1, mpf(2), mpf(1)), (-3, mpf("-1e-40"), mpf("1e-30")), (0, mpf(-5), mpf(1))]
     residues = [(1, mpf("1e-40"), mpf("1e-30"), mpf(-2), mpf(3))]
-    monkeypatch.setattr(cli, "check_Lodd", lambda consts, m: lodd)
-    monkeypatch.setattr(cli, "check_residue_identity", lambda consts, k: residues)
-    monkeypatch.setattr(cli, "l_series", lambda consts, kind, s: SimpleNamespace(value=0))
-    monkeypatch.setattr(cli, "brute_force_value", lambda *args: (mpf(0), mpf(0)))
+    monkeypatch.setattr(lseries, "check_Lodd", lambda consts, m: lodd)
+    monkeypatch.setattr(lseries, "check_residue_identity", lambda consts, k: residues)
+    monkeypatch.setattr(lseries, "l_series", lambda consts, kind, s: SimpleNamespace(value=0))
+    monkeypatch.setattr(lseries, "brute_force_value", lambda *args: (mpf(0), mpf(0)))
     rows = cli._suite_lseries(consts12, _summation_args(12))
     assert [(r["check"], r["status"]) for r in rows] == [
         ("lodd", "fail"),
@@ -382,10 +382,10 @@ def test_lseries_rows_are_written_from_the_check_numbers(consts12, monkeypatch):
 
 def test_integrality_row_names_the_first_violation(consts12, monkeypatch):
     # in process: a scan integral through depth - 3 names depth - 2
-    from pwextremal import cli
+    from pwextremal import cli, lseries
 
-    monkeypatch.setattr(cli, "check_symmetry_conjecture", lambda consts, k: [])
-    monkeypatch.setattr(cli, "check_integrality", lambda depth: depth - 3)
+    monkeypatch.setattr(lseries, "check_symmetry_conjecture", lambda consts, k: [])
+    monkeypatch.setattr(lseries, "check_integrality", lambda depth: depth - 3)
     args = _summation_args(12)
     args.terms = 40
     [row] = cli._suite_conjectures(consts12, args)
@@ -571,16 +571,16 @@ def test_out_is_checked_before_the_solve(tmp_path, capsys, monkeypatch):
 def test_zeros_rows_are_written_as_they_are_made(consts12, monkeypatch):
     # in process: the header goes out before any zero is computed and each
     # row before the next zero, so the table is never held whole
-    from pwextremal import cli
+    from pwextremal import cli, extremal
 
-    made, written, tau = [], [], cli.tau
+    made, written, tau = [], [], extremal.tau
 
     def counted(model, n):
         made.append(n)
         return tau(model, n)
 
     monkeypatch.setattr(cli, "solve_constants", lambda digits: consts12)
-    monkeypatch.setattr(cli, "tau", counted)
+    monkeypatch.setattr(extremal, "tau", counted)
     monkeypatch.setattr(
         cli.sys, "stdout",
         SimpleNamespace(writelines=lambda lines: written.extend(len(made) for _ in lines)),

@@ -7,6 +7,9 @@ package."""
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +47,24 @@ def test_traced_arguments_keep_their_attributes(tracer):
     with mp.workdps(20):
         attrs = tracer._attrs("spectral.eigenpair", (build_matrix(16, 1),), {})
     assert attrs == {"N": 16, "dps": 20}
+
+
+def test_importing_cli_registers_every_module_the_tracer_reads(tracer):
+    # install imports pwextremal.cli alone, then reads
+    # sys.modules["pwextremal." + m] for each m of MODULES; cli registers
+    # the modules it loads lazily there without running them
+    env = dict(os.environ)
+    src = str(TRACER.parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    probe = (
+        "import json, sys; import pwextremal.cli; "
+        "print(json.dumps([m for m in sys.argv[1:] if 'pwextremal.' + m not in sys.modules]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *tracer.MODULES],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
