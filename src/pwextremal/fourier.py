@@ -82,6 +82,15 @@ def build_band_transform(consts: ExtremalConstants, terms: int = None) -> BandTr
     coefficient of the squared factor, assembled at a working precision
     that keeps the certified digits after the factorial weights, from a
     factor model as precise (window_basis_coefficients magnifies errors).
+
+    The factor's coefficients c_k fall like (pi/2)^k / k!, so the absolute
+    bound of mpcore.series_multiply, 4N max|c|^2 2^-(prec+64), lies far
+    above the late squared coefficients, which export h prints to every
+    significant digit.  The product therefore runs wider, by the bits from
+    max|c|^2 down to |c_0| min|c|: that puts the bound at
+    4N 2^-(prec+64) |c_0 c_n| (1 + 2^-prec) at every n, a term of the
+    coefficient's own sum, so the n-th coefficient is as accurate,
+    relative to its sum of |c_i c_(n-1-i)|, as one mpf rounding.
     """
     digits = consts.digits_certified
     N = terms if terms is not None else _transform_terms(digits, consts.C)
@@ -89,7 +98,10 @@ def build_band_transform(consts: ExtremalConstants, terms: int = None) -> BandTr
         raise UsageError("terms must be at least 2")
     factor = taylor_factor(consts, N + 1, digits=digits + 35)
     with mp.workdps(factor.dps):
-        squared = series_multiply(factor.coeffs, factor.coeffs, N)
+        c = factor.coeffs[:N]
+        mags = [mp.mag(x) for x in c if x]  # 2^(mag-1) <= |x| < 2^mag
+        with mp.workprec(mp.prec + 2 * max(mags) - mp.mag(c[0]) - min(mags) + 2):
+            squared = series_multiply(c, c, N)
     with mp.workdps(digits + 35):
         C = 1 / (2 * factor.a)
         coeffs = [mpf(0)]

@@ -3,12 +3,16 @@
 Everything downstream runs on top of the ingredients collected here:
 
 * truncated power series as plain coefficient lists, lowest power first,
-  at the ambient precision, and the handful of operations the project
-  actually needs (Horner evaluation, at one point or at the four quarter
-  turns of one, Cauchy product, reciprocal, cosine and sine,
-  derivative), the coefficients [z^(k+s)] f g^k that Lagrange-Buermann
-  inversion reads (:func:`series_power_diagonal`) and Horner's rule on
-  fixed-point integers (:func:`fixed_horner`);
+  and the handful of operations the project actually needs (Horner
+  evaluation, at one point or at the four quarter turns of one, Cauchy
+  product, reciprocal, cosine and sine, derivative), the coefficients
+  [z^(k+s)] f g^k that Lagrange-Buermann inversion reads
+  (:func:`series_power_diagonal`) and Horner's rule on fixed-point
+  integers (:func:`fixed_horner`).  The mpf operations round every step
+  to the ambient precision, except :func:`series_multiply`, which forms
+  each coefficient as an exact sum of integer products, within an
+  absolute bound set by the factors' largest entries, and rounds it
+  once;
 * :func:`newton_root`, the package's scalar Newton iteration (the 2x2
   side-condition root of :mod:`pwextremal.spectral` is the only other);
 * the Dirichlet beta function and alternating half-integer tails, through
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 from mpmath import mp, mpf
 from mpmath.libmp import to_fixed
@@ -150,27 +155,74 @@ def _padded(f, n: int) -> list:
     return a + [mpf(0)] * (n - len(a))
 
 
+# bits past the precision at which series_multiply keeps each factor,
+# below its largest entry: they cover the rounding of the entries, summed
+# over up to n terms, and coefficients that lie under the product of the
+# factors' largest entries, by up to about 64 - log2(4n) bits
+_PRODUCT_GUARD_BITS = 64
+
+
+def _fixed_factor(f, n: int, wp: int):
+    """(ints, exp): f[0] .. f[n-1] as ints times 2^exp, one exp for all,
+    wp bits below 2^top, top the least with every |entry| < 2^top; each
+    rounded to the nearest unit, so within half a unit, and exact zeros
+    stay 0.  ints is empty when every entry is zero."""
+    raw = [c._mpf_ if isinstance(c, mpf) else mpf(c)._mpf_ for c in f[:n]]
+    top = max((e + bc for _sign, man, e, bc in raw if man), default=None)
+    if top is None:
+        return [], 0
+    exp = top - wp
+    ints = []
+    for sign, man, e, _bc in raw:
+        shift = e - exp
+        v = man << shift if shift >= 0 else ((man >> (-shift - 1)) + 1) >> 1
+        ints.append(-v if sign else v)
+    return ints, exp
+
+
 def series_multiply(f, g, T: int) -> list:
-    """Cauchy product keeping the T lowest coefficients."""
+    """Cauchy product of f and g, its coefficients of z^0 .. z^(n-1),
+    n = min(T, len(f) + len(g) - 1), as mpf values.
+
+    The first n entries of each factor become integers at one binary
+    exponent each (_fixed_factor), _PRODUCT_GUARD_BITS bits past the
+    precision below 2^E, E the least with every entry under 2^E; each
+    output coefficient is the exact integer sum of its products, rounded
+    once to the ambient precision.  With entries within half a unit and
+    at most n products a coefficient, the sum is off by under
+    n (2^(E_f+E_g) + 2^(E_f+E_g-prec-66)) 2^-(prec+64), and as
+    2^E <= 2 max |entry|, the error before the final rounding is at most
+
+        4 n max|f| max|g| 2^-(prec+64)  (1 + 2^-(prec+66)),
+
+    absolute, not relative to each coefficient: a coefficient far below
+    the product of the factors' largest entries keeps fewer correct bits
+    than the precision.  Each caller says why its coefficients can take
+    that.
+    """
     if T < 1:
         raise UsageError("T must be positive")
     n = min(T, len(f) + len(g) - 1)
-    out = [mpf(0)] * n
-    nonzero = [(j, b) for j, b in enumerate(g[:n]) if b != 0]
-    for i, a in enumerate(f[:n]):
-        if a == 0:
-            continue
-        for j, b in nonzero:
-            if i + j >= n:
-                break
-            out[i + j] += a * b
+    wp = mp.prec + _PRODUCT_GUARD_BITS
+    F, ef = _fixed_factor(f, n, wp)
+    G, eg = _fixed_factor(g, n, wp)
+    exp = ef + eg
+    last = len(G) - 1
+    rev = G[::-1]
+    out = []
+    for k in range(n):
+        lo, hi = max(0, k - last), min(k, len(F) - 1) + 1
+        out.append(mpf((sum(map(mul, F[lo:hi], rev[last - k + lo : last - k + hi])), exp)))
     return out
 
 
 def series_power_diagonal(f, g, shift: int, count: int, T: int) -> list:
     """[z^(k+shift)] f g^k for k < count, as Lagrange-Buermann inversion
     reads them: f g^k is truncated to T coefficients and stepped from f by
-    count - 1 products with g (series_multiply)."""
+    count - 1 products with g (series_multiply).  Each step is within the
+    product's absolute bound in the largest entries of that power and of
+    g, and later steps carry its error on; callers say why the
+    coefficients they read can take that."""
     power = f
     out = [power[shift]]
     for k in range(1, count):

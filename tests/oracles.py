@@ -12,9 +12,12 @@ arithmetic, against which the residues of the integrality scan are
 checked, and the Taylor coefficients of the factor and of the even
 minimizer by their coefficient recursions run forward, against which the
 closed form on the eigenvector and the backward factor run are checked,
-log(1+f) and exp(f) of a truncated power series by their derivative
-identities, against which the binomial tail expansion of the zero model
-is checked and which majorize cosine and sine of a series, and the
+the Cauchy product of two truncated power series by one mpf multiply
+and one mpf add per term, against which the integer kernel of
+mpcore.series_multiply is checked, log(1+f) and exp(f) of a truncated
+power series by their derivative identities, against which the binomial
+tail expansion of the zero model is checked and which majorize cosine
+and sine of a series, and the
 Lagrange-Buermann coefficients [z^(k+s)] f g^k from each power formed in
 full in exact rationals, against which the stepped powers of
 mpcore.series_power_diagonal are checked, and the truncation orders of
@@ -187,6 +190,23 @@ def recursion_polynomials(n_max: int):
         rows = tuple(tuple(c // g for c in row) for row in out)
         den = scale // g
         yield rows, den
+
+
+def series_product(f, g, T: int) -> list:
+    """The coefficients of z^0 .. z^(n-1) of f g, n = min(T, len(f) +
+    len(g) - 1), each summed in mpf at the ambient precision, one rounded
+    multiply and one rounded add per pair of nonzero entries."""
+    n = min(T, len(f) + len(g) - 1)
+    out = [mpf(0)] * n
+    nonzero = [(j, b) for j, b in enumerate(g[:n]) if b != 0]
+    for i, a in enumerate(f[:n]):
+        if a == 0:
+            continue
+        for j, b in nonzero:
+            if i + j >= n:
+                break
+            out[i + j] += a * b
+    return out
 
 
 def series_log1p(f, T: int) -> list:

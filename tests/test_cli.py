@@ -729,6 +729,8 @@ SERIES_PAYLOADS = {
         "68484d7a1199823be171177e85f8eae7cf9c9f0cd53ba043f933e7bd14297339",
     "zeros --count 40 --digits 100":
         "22542e31e3b4fc3ecdb1c1a3c39c12f566142ec03584f9bf4d88a6716896111d",
+    "zeros --count 40 --digits 200":
+        "1d58118e3de324acd7aad07fe372d9751c151801f12f9a465e7b84e813ee044c",
 }
 
 

@@ -278,6 +278,12 @@ def _horner_oracle(rho_coeffs, x):
     return acc * x
 
 
+def _offset_table(rho_coeffs):
+    """The offset table of a model on rho_coeffs at the working precision;
+    the model's head is never read."""
+    return extremal.ZeroModel(rho_coeffs, [], 1, 1).offset_table()
+
+
 _half = st.fractions(-Fraction(1, 2), Fraction(1, 2), max_denominator=10**12)
 
 
@@ -300,7 +306,7 @@ def test_rho_series_value_matches_oracle(coeffs, zero_even, x, dps):
         rho = [mpf(c.numerator) / c.denominator for c in coeffs]
     with mp.workdps(dps):
         xm = mpf(x.numerator) / x.denominator
-        value = extremal.rho_series_value(rho, xm)
+        value = extremal.rho_series_value(_offset_table(rho), xm)
         prec = mp.prec
     with mp.workdps(dps + 40):
         exact = _horner_oracle(rho, xm)
@@ -311,7 +317,7 @@ def test_rho_series_value_matches_oracle(coeffs, zero_even, x, dps):
 def test_rho_series_value_domain():
     for x in (mpf(0), mpf("-0.5"), mpf(1), mpf("1.5")):
         with pytest.raises(UsageError):
-            extremal.rho_series_value([mpf("0.1")], x)
+            extremal.rho_series_value([0, 1], x)
 
 
 # ----------------------------------------------------------------------
@@ -356,6 +362,20 @@ def test_newton_matches_series_within_tail_bound(consts30):
             series_val = extremal.tau_series(model, n)
             bound = extremal.rho_tail_bound(model.M, mpf(2) / (2 * n + 1))
             assert abs(refined[n - 1] - series_val) <= bound + mpf("1e-24")
+
+
+def test_offset_table_is_kept_per_precision(consts30):
+    # the working precisions of the summation suite (digits + 15) and of
+    # brute_force_value (min(digits, 40) + 20), in turn and back: each read
+    # equals a fresh model's, which has made no table yet
+    model = extremal.build_zero_model(consts30)
+    digits = model.digits
+    for dps in (digits + 15, min(digits, 40) + 20, digits + 15):
+        fresh = extremal.ZeroModel(model.rho_coeffs, model.refined, model.n0, digits)
+        with mp.workdps(dps):
+            for n in (1, model.n0, model.n0 + 1, 100):
+                assert extremal.tau_series(model, n) == extremal.tau_series(fresh, n)
+                assert extremal.tau(model, n) == extremal.tau(fresh, n)
 
 
 def test_tau_gate(consts30):

@@ -9,10 +9,16 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from oracles import legendre_pair, power_diagonal, series_exp0, series_log1p
+from oracles import (
+    legendre_pair,
+    power_diagonal,
+    series_exp0,
+    series_log1p,
+    series_product,
+)
 from pwextremal import fourier, mpcore
 from pwextremal.mpcore import (
     SolverError,
@@ -55,6 +61,60 @@ def test_multiply_associative_commutative_bitwise():
     right = series_multiply(f, series_multiply(g, h, T), T)
     for x, y in zip(left, right):
         assert abs(x - y) <= mpf(10) ** -(mp.dps - 8) * (1 + abs(x))
+
+
+# a factor entry: an exact zero, an int, or an integer of up to 200 bits
+# times 2^-500 .. 2^100, so magnitudes from 2^-500 to 2^300, either sign
+_entry = st.one_of(
+    st.just(0),
+    st.integers(-(10**6), 10**6),
+    st.tuples(st.integers(-(1 << 200), 1 << 200), st.integers(-500, 100)),
+)
+
+
+def _factor(entries, decay):
+    """The factor of _entry draws, the k-th divided by k! (rounded at 700
+    digits) when `decay` is set; undecayed int draws stay ints."""
+    out = []
+    with mp.workdps(700):
+        for k, e in enumerate(entries):
+            if isinstance(e, tuple):
+                e = mp.ldexp(mpf(e[0]), e[1])
+            out.append(e / mp.factorial(k) if decay else e)
+    return out
+
+
+@settings(deadline=None)
+@given(
+    st.lists(_entry, min_size=1, max_size=40),
+    st.lists(_entry, min_size=1, max_size=40),
+    st.booleans(),
+    st.booleans(),
+    st.integers(-6, 6),
+    st.integers(15, 300),
+)
+@example([0, 0], [3, 1], False, True, 2, 40)  # a zero factor, T past the product
+@example([3, 0, -2], [1, (5, -200)], False, False, -2, 15)
+def test_multiply_within_its_absolute_bound(a, b, decay_f, decay_g, extra, dps):
+    # against the mpf product of tests/oracles.py at 200 more digits, for T
+    # below and above len(f) + len(g) - 1: the docstring's absolute bound
+    # 4 n max|f| max|g| 2^-(prec+64) (1 + 2^-(prec+66)), plus the final
+    # rounding of each coefficient to prec bits; entries spanning many
+    # orders of magnitude make coefficients far below max|f| max|g|,
+    # where only the absolute bound holds
+    f, g = _factor(a, decay_f), _factor(b, decay_g)
+    T = max(1, len(f) + len(g) - 1 + extra)
+    n = min(T, len(f) + len(g) - 1)
+    with mp.workdps(dps):
+        got = series_multiply(f, g, T)
+        prec = mp.prec
+    assert len(got) == n and all(isinstance(c, mpf) for c in got)
+    with mp.workdps(dps + 200):
+        want = series_product(f, g, T)
+        big = max(abs(mpf(c)) for c in f) * max(abs(mpf(c)) for c in g)
+        bound = 4 * n * big * mpf(2) ** -(prec + 64) * (1 + mpf(2) ** -(prec + 66))
+        for k, (x, y) in enumerate(zip(got, want)):
+            assert abs(x - y) <= bound + abs(y) * mpf(2) ** -prec, k
 
 
 def test_log1p_mercator():
