@@ -116,7 +116,7 @@ MAX_DIGITS = {
     "export legendre": 3 * (MAX_PAIRS - 8) + 2,
     "verify --suite ode": 3400,  # 1000, 3000, 3500: 2.8 s, 64.7 s, 108.9 s
     "verify --suite functional": 7300,  # 4000, 7000, 8000: 19.7 s, 85.2 s, 128 s
-    "verify --suite quadratic": 600,  # 300, 450, 600: 6.8 s, 30.1 s, 97.3 s
+    "verify --suite quadratic": 6600,  # 4000, 6000, 7000: 29.7 s, 78.3 s, 110.9 s
     "verify --suite summation": 450,  # 33.3 s, 97.4 s
     "verify --suite fourier": 3 * (MAX_PAIRS - 8) + 2,
     "verify --suite lseries": 500,  # 20.0 s, 64.6 s

@@ -20,8 +20,8 @@ residual checkers for the differential equations, the quadratic
 Wronskian relation and the reflection identity, the summation identity
 over the zeros (a head of zeros plus a closed-form tail) with the zero
 ladders of a second eigenfunction system, and a reconstruction of the
-central constant from the offset coefficients alone.  Every Newton iteration here, on the zeros of the
-factor and of the Bessel series, is mpcore.newton_root.
+central constant from the offset coefficients alone.  Every Newton
+search here, on the factor and on the Bessel series, is mpcore.newton's.
 
 A note on precision.  Callers ask for the digits they need, their own
 cancellation headroom included, and both Taylor models run at that plus
@@ -47,9 +47,10 @@ from .mpcore import (
     SolverError,
     UsageError,
     beta_numeric,
+    bracketed_step,
     fixed_horner,
     hurwitz_zetas,
-    newton_root,
+    newton,
     series_cos_sin,
     series_derivative,
     series_eval,
@@ -62,11 +63,11 @@ from .mpcore import (
 from .spectral import (
     _N_FLOOR,
     ExtremalConstants,
+    TridiagonalSystem,
     _side_root,
     _sweep,
     _tail_log10,
     _tail_size,
-    build_matrix,
     ground_eigenpair,
 )
 
@@ -226,7 +227,7 @@ def taylor_extremal(
     N = _tail_size(len(xi) - 1, math.ceil(wd / 2 - _tail_log10(T)))
     with mp.workdps(wd):
         if N >= len(xi):
-            xi = _sweep(build_matrix(N, a1), lam)[0]
+            xi = _sweep(TridiagonalSystem(N, a1), lam)[0]
         a = 2 * a1 / mp.pi
         ratio = -mp.pi ** 2 / (2 * a1)  # -2 C pi, C = pi / (4 a1)
         coeffs = [mpf(0)] * (2 * T + 1)
@@ -476,11 +477,12 @@ def refine_zeros_newton(consts: ExtremalConstants, seeds):
     Taylor series, to the certified digits.
 
     seeds[n-1] is a value near tau_n (build_zero_model takes the offset
-    series, which lands well inside the Newton basins).
-    mpcore.newton_root searches each zero within half a unit of its
-    seed.  The factor order is chosen so the Taylor truncation at the
-    largest zero sits below the evaluation noise floor, including the
-    exponential cancellation headroom.
+    series, which lands well inside the Newton basins, holding 0.4 to all
+    of the certified digits), taken to hold them all: a series step below
+    the working precision costs about as much.  mpcore.newton searches each
+    zero within half a unit of its seed.  The factor order is chosen so the
+    Taylor truncation at the largest zero sits below the evaluation noise
+    floor, including the exponential cancellation headroom.
     """
     if not seeds:
         raise UsageError("refine_zeros_newton needs at least one seed")
@@ -497,7 +499,7 @@ def refine_zeros_newton(consts: ExtremalConstants, seeds):
         for n in range(1, len(seeds) + 1):
             sign = 1 if n % 2 else -1  # the factor vanishes at sign * tau_n
             w = sign * mpf(seeds[n - 1])
-            out.append(sign * newton_root(f, w, w - half, w + half, tol))
+            out.append(sign * newton(bracketed_step(f, w - half, w + half), w, digits, tol)[1])
     return out
 
 
@@ -694,13 +696,15 @@ def check_quadratic_relation(consts: ExtremalConstants):
 
 def zero_curvature_residual(consts: ExtremalConstants):
     """Residual of tau_1^2 F''(tau_1) = (1/(2C) - 2 tau_1) F'(tau_1) at the
-    first zero of the zero model, to the certified digits (the quadratic
-    relation differentiated and restricted to a zero, where it closes
-    without the function term).
+    first zero, to the certified digits (the quadratic relation
+    differentiated and restricted to a zero, where it closes without the
+    function term).  The factor vanishes at tau_1 in (1, 3/2), where
+    mpcore.newton finds it from 5/4 on the model of |z| <= 5/2.
     """
-    t = build_zero_model(consts).refined[0]
-    factor, (_F, d1, d2), wd = _factor_near(consts, float(t) + 1, 2)
+    factor, (F, d1, d2), wd = _factor_near(consts, 2.5, 2)
     with mp.workdps(wd + 20):
+        step = bracketed_step(lambda w: (series_eval(F, w), series_eval(d1, w)), 1, mpf(3) / 2)
+        t = newton(step, mpf(5) / 4, 0, mpf(10) ** (-(consts.digits_certified + 5)))[1]
         lhs = t * t * series_eval(d2, t)
         rhs = (factor.a - 2 * t) * series_eval(d1, t)
     return abs(lhs - rhs)
@@ -954,8 +958,8 @@ def zero_model_tail(model: ZeroModel, head: int) -> SummationTail:
 # once per ladder (_phase_series).  The k-th zero solves
 # x + psi(1/x) = k pi, so past a head of three zeros, found by a
 # sign-change scan, each zero is seeded by the fixed point
-# x <- k pi - psi(1/x).  The seed is only a seed: mpcore.newton_root on F
-# itself certifies each zero by a step under 10^-(digits+5), and a seed
+# x <- k pi - psi(1/x).  The seed is only a seed: mpcore.newton on F
+# itself certifies each zero by a step within 10^-(digits+5), and a seed
 # that is poor, or falls outside the Newton bracket, costs extra steps,
 # never a wrong zero.  The same psi, reverted to x = k pi - sigma(1/(k pi)),
 # puts the zeros past a ladder's head on a lattice for the summation tail
@@ -1027,7 +1031,7 @@ def _eigen_bessel_coefficients(a, digits: int):
     cut = mpf(10) ** (-(digits + 20))
     N = _tail_size(_N_FLOOR, digits + 20)
     with mp.workdps(wd):
-        pair = ground_eigenpair(build_matrix(N, mpf(a)))
+        pair = ground_eigenpair(TridiagonalSystem(N, a))
         for m, v in enumerate(pair.xi):
             if m > 4 and abs(v) < cut:
                 return pair.xi[:m]
@@ -1136,19 +1140,19 @@ def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
     runs x <- k pi - psi(1/x) in fixed point at prec + 20 bits, until a
     step is under 10^-(digits+5) 2^-10 or after _SEED_STEPS steps; as x
     grows, the last terms of psi that fall under one unit are dropped.
-    mpcore.newton_root then finishes inside half a gap either side of
-    linear continuation, and its step under 10^-(digits+5), not the seed,
-    certifies the zero; a seed that leaves that bracket is replaced by
-    the second difference.  Loss of monotonicity or a non-converging
-    Newton reports a solver failure rather than bad zeros.
+    mpcore.newton then finishes inside half a gap either side of linear
+    continuation from a seed holding k digits after a last step under
+    10^-k (the map contracts), or none (a head zero's, or the second
+    difference that replaces a seed leaving that bracket); its step within
+    10^-(digits+5), not the seed, certifies the zero.  Loss of monotonicity
+    or a non-converging Newton reports a solver failure rather than bad zeros.
     """
     target = mpf(10) ** (-(digits + 5))
     zeros = []
 
-    def refine(seed, lo, hi):
-        return newton_root(
-            lambda r: _bessel_series_eval(series, r), seed, lo, hi, target
-        )
+    def refine(seed, lo, hi, held):
+        step = bracketed_step(lambda r: _bessel_series_eval(series, r), lo, hi)
+        return newton(step, seed, held, target)[1]
 
     step = mpf(2) / 5
     x = step
@@ -1159,7 +1163,7 @@ def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
         if v == 0:
             zeros.append(x)
         elif v * pv < 0:
-            zeros.append(refine(x - step / 2, x - step, x))
+            zeros.append(refine(x - step / 2, x - step, x, 0))
         pv = v
     if len(zeros) < 3:
         raise SolverError("zero scan found no ladder head at this drift")
@@ -1188,13 +1192,14 @@ def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
         X = guess
         for _ in range(_SEED_STEPS):
             nxt = k * pi - phase_at(X)
-            done = abs(nxt - X) < small
+            moved = abs(nxt - X)
             X = nxt
-            if done or not lo < X < hi:
+            if moved < small or not lo < X < hi:
                 break
+        held = int((wp - moved.bit_length()) * math.log10(2))
         if not lo < X < hi:
-            X = guess
-        root = refine(mpf((X, -wp)), mpf((lo, -wp)), mpf((hi, -wp)))
+            X, held = guess, 0
+        root = refine(mpf((X, -wp)), mpf((lo, -wp)), mpf((hi, -wp)), held)
         if root <= zeros[-1]:
             raise SolverError("zero ladder lost monotonicity")
         zeros.append(root)

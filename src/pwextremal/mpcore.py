@@ -13,8 +13,8 @@ Everything downstream runs on top of the ingredients collected here:
   each coefficient as an exact sum of integer products, within an
   absolute bound set by the factors' largest entries, and rounds it
   once;
-* :func:`newton_root`, the package's scalar Newton iteration (the 2x2
-  side-condition root of :mod:`pwextremal.spectral` is the only other);
+* :func:`newton`, the package's one Newton loop, with precision doubling,
+  and :func:`bracketed_step`, the step of every scalar root search;
 * the Dirichlet beta function and alternating half-integer tails, through
   Hurwitz zeta values, and a table of Hurwitz zeta values at one shift
   for a ladder of exponents w, w + 1, .. from a real w >= 2;
@@ -58,34 +58,51 @@ MAX_INTEGRALITY_DEPTH = 400
 
 
 # ----------------------------------------------------------------------
-# scalar Newton
+# Newton with precision doubling
 
-# every Newton iteration of the package stops after this many steps
+# the step bound of every Newton search, and the least dps of its steps
 _NEWTON_STEPS = 100
+_SEED_DPS = 20
 
 
-def newton_root(f, seed, lo, hi, tol):
-    """Root of f inside (lo, hi) by Newton's method from seed.
-
-    f(r) returns (value, derivative).  A step that would leave (lo, hi)
-    goes half way from r to the end it points at instead.  The first step
-    smaller than tol ends the search and returns the iterate it made;
-    _NEWTON_STEPS steps without one raise SolverError.
+def newton(step, x, held, tol):
+    """Newton from x, holding `held` digits, with precision doubling (Brent
+    and Zimmermann, Modern Computer Arithmetic, 4.2).  step(x) returns
+    (nxt, size, state), newton (x, nxt, state) of the last step.  An
+    iterate holding d digits is stepped at 2d + 4, at least _SEED_DPS and
+    at most the working dps; a step of 10^-k leaves 2k - 2, at most its
+    dps - 6.  A step within tol at the working dps, from the seed or an
+    iterate a step there made, ends the search, so a seed within tol costs
+    one step; _NEWTON_STEPS steps without an end raise SolverError.
     """
-    r = seed
+    dps = mp.dps
+    seed, made = x, dps
     for _ in range(_NEWTON_STEPS):
-        value, slope = f(r)
-        step = value / slope
-        nxt = r - step
-        if not lo < nxt < hi:
-            nxt = (r + (lo if step > 0 else hi)) / 2
-        r = nxt
-        if abs(step) < tol:
-            return r
+        prec = min(dps, max(_SEED_DPS, 2 * held + 4))
+        with mp.workdps(prec):
+            nxt, size, state = step(x)
+            if prec == dps == made and size <= tol:
+                return x, nxt, state
+            held = min(prec - 6, 2 * int(-mp.mag(size) * math.log10(2)) - 2 if size else prec)
+        x, made = nxt, prec
     raise SolverError(
-        "Newton from %s did not converge in %d steps"
-        % (mp.nstr(seed, 20), _NEWTON_STEPS)
+        "Newton from %s did not converge in %d steps" % (mp.nstr(seed, 20), _NEWTON_STEPS)
     )
+
+
+def bracketed_step(f, lo, hi):
+    """The step for newton on f(r) = (value, derivative) inside (lo, hi): a
+    Newton step that would leave it goes half way to the end it points at."""
+
+    def step(r):
+        value, slope = f(r)
+        move = value / slope
+        nxt = r - move
+        if not lo < nxt < hi:
+            nxt = (r + (lo if move > 0 else hi)) / 2
+        return nxt, abs(move), None
+
+    return step
 
 
 # ----------------------------------------------------------------------

@@ -27,15 +27,13 @@ carries the derivatives of its entries in lambda and, since sub and sup
 are linear in a, in a, and sums S and its two derivatives as it goes, so
 one sweep gives both equations g = 0 and S = 0 and their Jacobian.
 
-Step 2 is Newton on that 2x2 system with precision doubling (Brent and
-Zimmermann, Modern Computer Arithmetic, section 4.2): a seed from the
-bracket midpoint at 20 digits and a small N, then one sweep per step at
-twice the digits the last step is known to hold, up to the working
-precision; there the first step within the noise floor 10^-(dps-6) of S,
-from an iterate made at that precision, ends the solve.  The sweep at the
-final iterate is the eigenpair.
-With a fixed, ground_eigenpair runs the package's scalar Newton
-(mpcore.newton_root) on g alone over the same sweep.
+Step 2 is Newton on that 2x2 system with precision doubling
+(mpcore.newton): a seed from the bracket midpoint at 20 digits and a
+small N, then one sweep per step at twice the digits the last step is
+known to hold, up to the working precision; there the first step within
+the noise floor 10^-(dps-6) of S, from an iterate made at that
+precision, ends the solve.  The sweep at the final iterate is the
+eigenpair.  With a fixed, ground_eigenpair runs the same loop on g alone.
 
 Step 1 rests on the decay of the eigenvector: the root moves with N by
 about the last entry xi_N (measured: 1e-31, 1e-78, 1e-191, 1e-454 at
@@ -62,7 +60,7 @@ from collections.abc import Sequence
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_div, mpf_rdiv_int, to_fixed
 
-from .mpcore import _NEWTON_STEPS, SolverError, UsageError, newton_root
+from .mpcore import _SEED_DPS, SolverError, UsageError, bracketed_step, newton
 
 
 # ----------------------------------------------------------------------
@@ -79,10 +77,6 @@ class TridiagonalSystem:
         self.N, self.a = N, mpf(a)
 
 
-def build_matrix(N: int, a) -> TridiagonalSystem:
-    return TridiagonalSystem(N=N, a=a)
-
-
 class EigenPair:
     """Eigenvalue lam, eigenvector xi normalized xi[0] = 1 (a list, or the
     _SweptVector of a sweep until a caller stores it) and the residual
@@ -92,15 +86,13 @@ class EigenPair:
         self.lam, self.xi, self.residual = lam, xi, residual
 
 
-# Work bounds and the precision schedule.  The side-condition Newton stops
-# after _NEWTON_STEPS sweeps, the bound of mpcore.newton_root.  Its root is
-# seeded at _SEED_DPS digits on _SEED_N rows; solve_constants searches it
-# in _BRACKET, works at _GUARD digits past the request (twice that in its
-# second run), truncates at twice the first power of two from _N_FLOOR
-# whose tail clears its digits, and no truncation passes _N_CAP.
+# The precision schedule.  The side-condition root is swept on _SEED_N
+# rows at _SEED_DPS; solve_constants searches it in _BRACKET, works at
+# _GUARD digits past the request (twice that in its second run),
+# truncates at twice the first power of two from _N_FLOOR whose tail
+# clears its digits, and no truncation passes _N_CAP.
 _BRACKET = ("1.44", "1.46")
 _GUARD = 18
-_SEED_DPS = 20
 _SEED_N = 32
 _N_FLOOR = 64
 _N_CAP = 4096
@@ -296,18 +288,18 @@ def _checked_pair(sys: TridiagonalSystem, lam, xi: _SweptVector) -> EigenPair:
 def ground_eigenpair(sys: TridiagonalSystem) -> EigenPair:
     """Smallest eigenpair of the truncated system, normalized xi[0] = 1.
 
-    mpcore.newton_root on the row-0 condition g of the backward sweep,
-    started from a/3, the top of the interval [0, a/3] that holds the
-    eigenvalue, inside (a - 2, 2 - a): below 2 - a the sweep is positive
-    and the ground eigenvalue is the only one.  It stops at a step within
-    10^-(dps-2); one more sweep at that lambda is the eigenvector, whose
-    residual ||(T - lambda) xi|| / ||xi|| must reach 10^-(dps-5).  Either
-    failure, or no convergence in _NEWTON_STEPS sweeps, raises SolverError.
+    mpcore.newton on the row-0 condition g of the backward sweep, from
+    a/3 (holding no digits), the top of the interval [0, a/3] that holds
+    the eigenvalue, inside (a - 2, 2 - a): below 2 - a the sweep is
+    positive and the ground eigenvalue is the only one.  Its last step, a
+    step within 10^-(dps-2), gives lambda; one more sweep there is the
+    eigenvector, whose residual ||(T - lambda) xi|| / ||xi|| must reach
+    10^-(dps-5).  Either failure, or no end, raises SolverError.
     """
     if not (0 < sys.a < mpf(3) / 2):
         raise UsageError("ground_eigenpair requires 0 < a < 3/2")
-    tol = mpf(10) ** (-(mp.dps - 2))
-    lam = newton_root(lambda x: _sweep(sys, x)[1:3], sys.a / 3, sys.a - 2, 2 - sys.a, tol)
+    step = bracketed_step(lambda x: _sweep(sys, x)[1:3], sys.a - 2, 2 - sys.a)
+    lam = newton(step, sys.a / 3, 0, mpf(10) ** (-(mp.dps - 2)))[1]
     pair = _checked_pair(sys, lam, _sweep(sys, lam)[0])
     pair.xi = list(pair.xi)
     return pair
@@ -365,53 +357,38 @@ def _side_root(N: int, bracket, start):
 
     Returns (a, pair), pair the ground eigenpair at a from the final sweep,
     checked by _checked_pair, its xi still the sweep's _SweptVector.
-    Newton starts from start = (a, lambda, the digits they hold), or, when
-    start is None, from (m, m/3), m the bracket midpoint.  An iterate holding d
-    digits is swept at 2d + 4 (at least _SEED_DPS, on _SEED_N rows while
-    there; at most the ambient dps); a step of 10^-k leaves one holding
-    2k - 2.  The solve ends at a sweep at the ambient dps, of an iterate a
-    step at that dps made, whose step in a and lambda is within
-    10^-(dps-6), the noise floor of S; an iterate from a lower dps can pass
-    that test with g above the residual gate of _checked_pair.  Leaving the
-    bracket or 0 <= lambda < 2 - a, or _NEWTON_STEPS sweeps without an
-    end, raises SolverError.
+    mpcore.newton steps (a, lambda) from start = (a, lambda, the digits
+    they hold), else from (m, m/3), m the bracket midpoint, holding none:
+    one sweep a step, on _SEED_N rows at _SEED_DPS digits.  It ends at a
+    step within 10^-(dps-6), the noise floor of S, from an iterate made at
+    the ambient dps (one from a lower dps can pass that test with g above
+    the gate of _checked_pair).  Sweeping an iterate outside the bracket
+    or 0 <= lambda < 2 - a, or no end, raises SolverError.
     """
     dps = mp.dps
     lo, hi = mpf(bracket[0]), mpf(bracket[1])
-    if start is None:
-        a = (lo + hi) / 2
-        lam, held = a / 3, 0
-    else:
-        a, lam, held = start
-    tol = mpf(10) ** (-(dps - 6))
-    last = None  # precision of the step that made the iterate
-    for _ in range(_NEWTON_STEPS):
-        prec = min(dps, max(_SEED_DPS, 2 * held + 4))
-        n = min(N, _SEED_N) if prec == _SEED_DPS else N
-        with mp.workdps(prec):
-            sys = build_matrix(n, a)
-            xi, g, g_lam, (g_a, S, S_lam, S_a) = _sweep(sys, lam)
-            det = g_a * S_lam - g_lam * S_a
-            da = (g * S_lam - g_lam * S) / det
-            dl = (g_a * S - S_a * g) / det
-            step = max(abs(da), abs(dl))
-            if prec == dps == last and step <= tol:
-                return sys.a, _checked_pair(sys, lam, xi)
-            a, lam = sys.a - da, lam - dl
-            if not (lo <= a <= hi and 0 <= lam < 2 - a):
-                raise SolverError(
-                    "side-condition Newton left the bracket [%s, %s] or "
-                    "0 <= lambda < 2 - a %s"
-                    % (mp.nstr(lo, 20), mp.nstr(hi, 20), _where(n, a, lam))
-                )
-            held = prec - 6
-            if step:
-                held = min(held, 2 * int(-mp.mag(step) * math.log10(2)) - 2)
-        last = prec
-    raise SolverError(
-        "side-condition Newton did not converge in %d sweeps %s"
-        % (_NEWTON_STEPS, _where(N, a, lam))
-    )
+    a, lam, held = start or ((lo + hi) / 2, (lo + hi) / 6, 0)
+
+    def step(x):
+        a, lam = x
+        n = min(N, _SEED_N) if mp.dps == _SEED_DPS else N
+        if not (lo <= a <= hi and 0 <= lam < 2 - a):
+            raise SolverError(
+                "Newton left the bracket [%s, %s] or 0 <= lambda < 2 - a %s"
+                % (mp.nstr(lo, 20), mp.nstr(hi, 20), _where(n, a, lam))
+            )
+        sys = TridiagonalSystem(n, a)
+        xi, g, g_lam, (g_a, S, S_lam, S_a) = _sweep(sys, lam)
+        det = g_a * S_lam - g_lam * S_a
+        da = (g * S_lam - g_lam * S) / det
+        dl = (g_a * S - S_a * g) / det
+        return (sys.a - da, lam - dl), max(abs(da), abs(dl)), (sys, xi)
+
+    try:
+        (_a, lam), _nxt, (sys, xi) = newton(step, (a, lam), held, mpf(10) ** (-(dps - 6)))
+    except SolverError as err:
+        raise SolverError("side condition on N=%d rows at %d dps: %s" % (N, dps, err)) from None
+    return sys.a, _checked_pair(sys, lam, xi)
 
 
 # ----------------------------------------------------------------------

@@ -209,7 +209,7 @@ def test_verify_all_passes_at_100_digits(capsys):
     report = json.loads(out)
     assert (report["passed"], report["failed"], len(report["checks"])) == (True, 0, 26)
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "85a0bb36a6ecf3b1eabbc366dfaae17ef0ae120faa753631a812e32e9a1da529"
+        "98bb6a9aceb80a30220d053d3edcdbe02f355709dda3406d38e5f84baa93957a"
     )
 
 
@@ -303,7 +303,7 @@ def test_verify_residual_payloads_pinned(capsys):
     pinned = {
         "ode": ["8.877219791e-43", "6.47202055e-53"],
         "functional": ["5.872931621e-52"],
-        "quadratic": ["1.536719919e-42", "5.99573266e-44"],
+        "quadratic": ["1.536719919e-42", "6.272984052e-44"],
         "fourier": ["6.985144713e-51", "1.85931756e-51", "0.0", "1.734762389e-52"],
     }
     for suite, discrepancies in pinned.items():
@@ -427,7 +427,7 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
         (["export", "h"], 1293),
         (["verify", "--suite", "ode"], 3400),
         (["verify", "--suite", "functional"], 7300),
-        (["verify", "--suite", "quadratic"], 600),
+        (["verify", "--suite", "quadratic"], 6600),
     ):
         assert cli.main(argv + ["--digits", str(largest + 1)]) == 2, argv
         assert "--digits %d or less" % largest in capsys.readouterr().err
@@ -724,7 +724,7 @@ SERIES_PAYLOADS = {
     "export lvalues --digits 30 --format csv":
         "f3ce50f1d95205258120fdf905375ad654236d427162a3220f9662821351e9a1",
     "verify --suite all --digits 30":
-        "c53510207ce37f1f615d0342d12456a40547c913212c16a5d3b5d6c06f334eab",
+        "72e915fa44af3422671335b427d4a3e8b1ba3a755721c50de13992c1ff082bca",
     "verify --suite lseries --digits 30":
         "68484d7a1199823be171177e85f8eae7cf9c9f0cd53ba043f933e7bd14297339",
     "zeros --count 40 --digits 100":

@@ -280,7 +280,7 @@ def test_order_override_stays_consistent(consts30):
 def test_one_zero_model_serves_every_check(consts30, monkeypatch, payload):
     # on constants with no zero model yet, the zero checks share one: the
     # offset expansion and the head Newton run once between them, and the
-    # model stays on the constants
+    # model stays on the constants; the zero-curvature check needs none
     fresh = copy.copy(consts30)
     fresh.zeros = None
     calls = []
@@ -291,6 +291,7 @@ def test_one_zero_model_serves_every_check(consts30, monkeypatch, payload):
 
         monkeypatch.setattr(extremal, name, counted)
     extremal.zero_curvature_residual(fresh)
+    assert calls == [] and fresh.zeros is None
     extremal.zeros_signed(extremal.build_zero_model(fresh), 40)
     lseries.l_series(fresh, "plus", 3)
     lseries.brute_force_value(fresh, "minus", 3, 64)

@@ -1,4 +1,4 @@
-"""Tests for the arithmetic substrate: series algebra, the scalar Newton,
+"""Tests for the arithmetic substrate: series algebra, the Newton loop,
 the Legendre oracle (and fourier's Clenshaw sum against it), the
 Dirichlet beta function and truncated decimal output; also the reference
 log(1+f) and exp(f) of tests/oracles.py, which the series tests use as
@@ -25,10 +25,11 @@ from pwextremal.mpcore import (
     UsageError,
     alternating_halfinteger_tail,
     beta_numeric,
+    bracketed_step,
     decimal_truncated,
     fixed_horner,
     hurwitz_zetas,
-    newton_root,
+    newton,
     series_cos_sin,
     series_derivative,
     series_eval,
@@ -413,15 +414,16 @@ def test_hurwitz_zetas_real_first_exponent():
             hurwitz_zetas(mpf(19) / 4, w, 4)
 
 
-def test_newton_root_halves_toward_the_bracket():
+def test_newton_halves_toward_the_bracket():
     # plain Newton on atan diverges from 1.5 (it oscillates outward from
     # any |x| > 1.39); the half-way rule keeps it in (-2, 2) and it lands
     f = lambda x: (mp.atan(x), 1 / (1 + x * x))
-    root = newton_root(f, mpf("1.5"), -2, 2, mpf(10) ** -30)
+    with mp.workdps(40):
+        _x, root, _state = newton(bracketed_step(f, -2, 2), mpf("1.5"), 0, mpf(10) ** -30)
     assert abs(root) < mpf(10) ** -30
 
 
-def test_newton_root_gives_up_naming_the_seed():
+def test_newton_gives_up_naming_the_seed():
     calls = []
 
     def f(x):
@@ -429,8 +431,45 @@ def test_newton_root_gives_up_naming_the_seed():
         return x * x + 1, 2 * x
 
     with pytest.raises(SolverError, match=r"from 0\.3 did not converge in 100 steps"):
-        newton_root(f, mpf("0.3"), -10, 10, mpf(10) ** -30)
+        newton(bracketed_step(f, -10, 10), mpf("0.3"), 0, mpf(10) ** -30)
     assert len(calls) == mpcore._NEWTON_STEPS == 100
+
+
+def _sqrt2_step(precisions):
+    """bracketed_step on x^2 - 2 in (1, 2), noting the dps of each call."""
+
+    def f(x):
+        precisions.append(mp.dps)
+        return x * x - 2, 2 * x
+
+    return bracketed_step(f, 1, 2)
+
+
+def test_newton_doubles_the_precision_from_a_seed_holding_nothing():
+    # from 20 digits the steps rise with the digits each leaves, and the
+    # search ends with two at the working dps: one makes an iterate there,
+    # the next finds its step within tol
+    precisions = []
+    with mp.workdps(100):
+        _x, root, _state = newton(_sqrt2_step(precisions), mpf("1.5"), 0, mpf(10) ** -95)
+        assert abs(root - mp.sqrt(2)) < mpf(10) ** -98
+    assert precisions[0] == 20
+    assert precisions == sorted(precisions)
+    assert 20 < precisions[-3] < 100
+    assert precisions.count(100) == 2
+
+
+def test_newton_seed_within_tol_costs_one_step():
+    # a seed that holds the working digits is stepped there at once, and
+    # counts as made there: one evaluation, which returns the seed and the
+    # iterate its step makes
+    precisions = []
+    with mp.workdps(50):
+        seed = mp.sqrt(2)
+        x, nxt, state = newton(_sqrt2_step(precisions), seed, 50, mpf(10) ** -45)
+        assert x == seed and state is None
+        assert nxt == seed - (seed * seed - 2) / (2 * seed)
+    assert precisions == [50]
 
 
 def test_legendre_values():

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from pwextremal import spectral
+from pwextremal import mpcore, spectral
 from pwextremal.mpcore import UsageError
 from pwextremal.spectral import (
     EigenPair,
     SolverError,
+    TridiagonalSystem,
     _checked_pair,
     _side_root,
     _sweep,
     _SweptVector,
-    build_matrix,
     ground_eigenpair,
     solve_constants,
     truncation_size,
@@ -43,7 +43,7 @@ def _row_defects(N, a, lam):
     """(T - lam) xi on the dense matrix for the sweep's vector at (a, lam),
     and the sweep's row-0 value g: the sweep solves rows 1..N and leaves
     row 0 as g xi_0."""
-    xi, g, _g_lam, _extra = _sweep(build_matrix(N, a), lam)
+    xi, g, _g_lam, _extra = _sweep(TridiagonalSystem(N, a), lam)
     v = mp.matrix(list(xi))
     return dense_matrix(N, a, exact=True) * v - lam * v, g
 
@@ -63,7 +63,7 @@ def test_build_matrix_zero_coupling_is_diagonal():
     M = dense_matrix(2, 1e-30)
     assert abs(M[1, 0]) < 1e-29 and abs(M[1, 2]) < 1e-29
     with mp.workdps(30):
-        xi, g, _g_lam, _extra = _sweep(build_matrix(2, mpf("1e-30")), mpf(0))
+        xi, g, _g_lam, _extra = _sweep(TridiagonalSystem(2, mpf("1e-30")), mpf(0))
         # xi = (1, a/2, a^2/18) and g = a^2/6 to first order in a
         assert abs(xi[1]) < mpf("1e-29") and abs(xi[2]) < mpf("1e-59")
         assert abs(g) < mpf("1e-59")
@@ -81,12 +81,12 @@ def test_build_matrix_entries_rational_in_a():
 
 def test_build_matrix_rejects_small_N():
     with pytest.raises(UsageError):
-        build_matrix(1, 1)
+        TridiagonalSystem(1, 1)
 
 
 def test_ground_pair_decoupled_limit():
     with mp.workdps(30):
-        pair = ground_eigenpair(build_matrix(20, mpf("1e-8")))
+        pair = ground_eigenpair(TridiagonalSystem(20, mpf("1e-8")))
         assert abs(pair.lam) < mpf("1e-7")
         assert abs(pair.xi[0] - 1) == 0
         for x in pair.xi[1:]:
@@ -95,7 +95,7 @@ def test_ground_pair_decoupled_limit():
 
 def test_ground_pair_localization_and_residual():
     with mp.workdps(40):
-        sys = build_matrix(40, 1)
+        sys = TridiagonalSystem(40, 1)
         pair = ground_eigenpair(sys)
         assert 0 <= pair.lam <= mpf(1) / 3
         assert pair.residual <= mpf(10) ** -(mp.dps - 5)
@@ -103,7 +103,7 @@ def test_ground_pair_localization_and_residual():
 
 def test_ground_pair_against_dense_oracle():
     with mp.workdps(40):
-        pair = ground_eigenpair(build_matrix(40, 1))
+        pair = ground_eigenpair(TridiagonalSystem(40, 1))
         lam_mp = float(pair.lam)
         xi_mp = [float(x) for x in pair.xi[:9]]
     eigs, vecs = np.linalg.eig(dense_matrix(20, 1.0))
@@ -118,7 +118,7 @@ def test_ground_pair_against_dense_oracle():
 def test_ground_pair_positivity_range():
     with mp.workdps(35):
         for a in ("0.3", "0.9", "1.45"):
-            pair = ground_eigenpair(build_matrix(48, mpf(a)))
+            pair = ground_eigenpair(TridiagonalSystem(48, mpf(a)))
             floor = 100 * pair.residual
             for x in pair.xi:
                 assert x > 0 or abs(x) <= floor
@@ -126,7 +126,7 @@ def test_ground_pair_positivity_range():
 
 def test_ground_pair_eigenvector_decay():
     with mp.workdps(60):
-        pair = ground_eigenpair(build_matrix(64, mpf("1.4519436")))
+        pair = ground_eigenpair(TridiagonalSystem(64, mpf("1.4519436")))
         # superexponential decay: consecutive ratios shrink
         ratios = []
         for n in range(2, 30, 4):
@@ -139,7 +139,7 @@ def test_ground_pair_eigenvector_decay():
 def test_ground_pair_rejects_bad_coupling():
     with mp.workdps(30):
         with pytest.raises(UsageError):
-            ground_eigenpair(build_matrix(16, mpf(2)))
+            ground_eigenpair(TridiagonalSystem(16, mpf(2)))
 
 
 def test_legendre_condition_examples():
@@ -158,7 +158,7 @@ def test_side_condition_sign_change_on_bracket():
     with mp.workdps(30):
         values = {}
         for a in ("1.44", "1.46"):
-            pair = ground_eigenpair(build_matrix(64, mpf(a)))
+            pair = ground_eigenpair(TridiagonalSystem(64, mpf(a)))
             values[a] = legendre_condition(pair)
         assert (values["1.44"] > 0) != (values["1.46"] > 0)
 
@@ -206,10 +206,12 @@ def _top_sweeps(sweeps, consts):
 def test_solve_constants_work_count(sweeps):
     # each run ends with one Newton step at its working precision and one
     # sweep that finds the step at the noise floor; the steps below it
-    # cost one sweep each
-    consts = solve_constants(30)
-    assert all(0 < n <= 3 for n in _top_sweeps(sweeps, consts))
-    assert len(sweeps) <= 12
+    # cost one sweep each, three at 20 digits on 32 rows, then one per
+    # precision doubling
+    solve_constants(30)
+    assert sweeps == (
+        [(32, 20)] * 3 + [(128, 24), (128, 40)] + [(128, 48)] * 2 + [(128, 66)] * 2
+    )
 
 
 def test_solve_constants_fifty_digit_work_count(sweeps):
@@ -223,14 +225,14 @@ def test_sweep_partials_match_finite_differences():
     # the plain sum over the normalized vector
     a, lam = mpf("1.45"), mpf("0.41")
     with mp.workdps(50):
-        xi, _g, g_lam, (g_a, S, S_lam, S_a) = _sweep(build_matrix(64, a), lam)
+        xi, _g, g_lam, (g_a, S, S_lam, S_a) = _sweep(TridiagonalSystem(64, a), lam)
         pair = EigenPair(lam=lam, xi=xi, residual=mpf(0))
         assert abs(S - legendre_condition(pair)) < mpf(10) ** -40
     with mp.workdps(90):
         h = mpf(10) ** -25
 
         def values(da, dl):
-            _xi, g, _g_lam, extra = _sweep(build_matrix(64, a + da), lam + dl)
+            _xi, g, _g_lam, extra = _sweep(TridiagonalSystem(64, a + da), lam + dl)
             return g, extra[1]
 
         for (da, dl), dg, dS in (((0, h), g_lam, S_lam), ((h, 0), g_a, S_a)):
@@ -248,7 +250,7 @@ def test_sweep_matches_the_mpf_reference(N, dps):
     with mp.workdps(dps):
         a, lam = mpf(refvals.A_STAR_REF), mpf(refvals.LAMBDA_STAR_REF)
         tol = mpf(10) ** -(dps - 5)
-        xi, g, g_lam, extra = _sweep(build_matrix(N, a), lam)
+        xi, g, g_lam, extra = _sweep(TridiagonalSystem(N, a), lam)
         ref_xi, ref_g, ref_g_lam, ref_extra = reference_sweep(N, a, lam)
         got, want = [g, g_lam, *extra], [ref_g, ref_g_lam, *ref_extra]
         for k, (u, v) in enumerate(zip(got, want)):
@@ -261,7 +263,7 @@ def test_sweep_matches_the_mpf_reference(N, dps):
 
 def test_residual_gate_trips_on_a_moved_eigenvalue():
     with mp.workdps(40):
-        sys = build_matrix(64, mpf("1.45"))
+        sys = TridiagonalSystem(64, mpf("1.45"))
         lam = ground_eigenpair(sys).lam + mpf(10) ** -(mp.dps - 8)
         with pytest.raises(SolverError) as err:
             _checked_pair(sys, lam, _sweep(sys, lam)[0])
@@ -330,7 +332,7 @@ def test_ground_invariant_errors_name_N_and_a():
     # _checked_pair refuses a pair that passes its residual gate but is not
     # the ground state: the second eigenpair of rows 0..2, lambda > a/3
     with mp.workdps(30):
-        sys = build_matrix(2, mpf("1.45"))
+        sys = TridiagonalSystem(2, mpf("1.45"))
         eigenvalues = mp.eig(dense_matrix(2, sys.a, exact=True), right=False)
         second = sorted(mp.re(v) for v in eigenvalues)[1]
         with pytest.raises(SolverError, match=r"escaped .* at N=2, 30 dps, a=1\.45"):
@@ -376,13 +378,16 @@ def test_side_root_seed_independent():
 
 
 def test_side_root_work_is_bounded(monkeypatch):
-    monkeypatch.setattr(spectral, "_NEWTON_STEPS", 3)
+    # mpcore.newton holds the one step bound; the error names the rows,
+    # the working precision and the seed (a, lambda)
+    monkeypatch.setattr(mpcore, "_NEWTON_STEPS", 3)
     with mp.workdps(40):
         with pytest.raises(SolverError) as err:
             _side_root(64, ("1.44", "1.46"), None)
     message = str(err.value)
-    assert "did not converge in 3 sweeps" in message
-    assert re.search(r"N=64, 40 dps, a=\S+, lambda=\S+", message), message
+    assert "did not converge in 3 steps" in message
+    assert "on N=64 rows at 40 dps" in message
+    assert re.search(r"from \(1\.45, 0\.48333\d+\)", message), message
 
 
 def test_truncation_doubling_stability():

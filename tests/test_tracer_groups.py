@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from pwextremal.spectral import build_matrix
+from pwextremal.spectral import TridiagonalSystem
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -43,9 +43,9 @@ def test_traced_arguments_keep_their_attributes(tracer):
     home, names = tracer.GROUPS["spectral.eigenpair"]
     solve = getattr(importlib.import_module("pwextremal." + home), names[0])
     first = next(iter(inspect.signature(solve).parameters.values()))
-    assert first.annotation in ("TridiagonalSystem", build_matrix(16, 1).__class__)
+    assert first.annotation in ("TridiagonalSystem", TridiagonalSystem)
     with mp.workdps(20):
-        attrs = tracer._attrs("spectral.eigenpair", (build_matrix(16, 1),), {})
+        attrs = tracer._attrs("spectral.eigenpair", (TridiagonalSystem(16, 1),), {})
     assert attrs == {"N": 16, "dps": 20}
 
 
