@@ -65,9 +65,11 @@ import time
 from mpmath import mp, mpf
 
 from .mpcore import (
+    ESTIMATE_DPS,
     MAX_INTEGRALITY_DEPTH,
     MAX_PAIRS,
     MAX_WINDOW,
+    TARGET_MARGIN,
     SolverError,
     UsageError,
     decimal_truncated,
@@ -202,7 +204,7 @@ def _suite_summation(consts, args):
     head = _summation_head(args.digits)
     model = extremal.build_zero_model(consts)
     out = []
-    with mp.workdps(args.digits + 15):
+    with mp.workdps(model.dps):
         a1 = 2 * mpf(consts.a_star) / mp.pi
         mu1 = extremal.zeros_signed(model, head)
         tail1 = extremal.zero_model_tail(model, head)
@@ -223,7 +225,7 @@ def _suite_fourier(consts, args):
     d = args.digits
     band = fourier.build_band_transform(consts)
     leg = fourier.legendre_band_coefficients(consts)
-    with mp.workdps(d + 25):
+    with mp.workdps(d + extremal.REFLECTION_GUARD):
         grid = [mpf(k) / 5 - 1 for k in range(11)]
         route = max(
             abs(fourier.transform_value(band, u) - fourier.legendre_band_value(leg, u))
@@ -259,31 +261,40 @@ def _suite_fourier(consts, args):
     ]
 
 
+# the digits past --digits at which the lseries suite takes the
+# discrepancies of its uncertified rows: they cover the rounding of one
+# subtraction of values held to more; nothing backs the 25
+_DISCREPANCY_GUARD = 25
+
+# brute_force_value's cap: four Euler-Maclaurin corrections leave it near
+# 2.5e-29 at s = 3 and 600 terms (601 for minus: -tau_1^-3 and 300 pairs)
+# whatever --digits is, so its gate stays 10^-_BRUTE_EXPONENT unless the
+# flag is given, a measurement
+_BRUTE_EXPONENT = 12
+
+
 def _suite_lseries(consts, args):
     lodd = lseries.check_Lodd(consts, 3)
     residues = lseries.check_residue_identity(consts, 3)
     # a certified row takes |discrepancy| at the precision its check ran at
-    with mp.workdps(consts.digits_certified + 20):
+    with mp.workdps(consts.digits_certified + lseries.CHECK_GUARD):
         out = [_entry("lodd", {"s": s}, d, b, "certified_bound", s != 0) for s, d, b in lodd]
         out[-1]["note"] = "no claimed value; reported for the record"  # s = 0
         for k, d, b, residue, odd in residues:
             row = _entry("residue-identity", {"k": k, "s": 1 - 2 * k}, d, b, "certified_bound")
             row.update(residue_sign=int(mp.sign(residue)), odd_value_sign=int(mp.sign(odd)))
             out.append(row)
-    with mp.workdps(args.digits + 25):
+    with mp.workdps(args.digits + _DISCREPANCY_GUARD):
         plus2 = lseries.l_series(consts, "plus", 2)
         minus1 = lseries.l_series(consts, "minus", 1)
         C = mpf(consts.C)
         disc = abs(plus2.value + 4 * C * minus1.value)
     out.append(_entry("even-odd-bridge", {"s": 2}, disc, _bound(args, 5)))
-    # four Euler-Maclaurin corrections cap brute_force_value near 2.5e-29
-    # at s = 3 and 600 terms (601 for minus: -tau_1^-3 and 300 pairs)
-    # whatever --digits is, so this gate stays 10^-12 unless the flag is given
-    brute_bound = _bound(args, args.digits - 12)
+    brute_bound = _bound(args, args.digits - _BRUTE_EXPONENT)
     for kind in ("plus", "minus"):
         value, _err = lseries.brute_force_value(consts, kind, 3, 600)
         cont = lseries.l_series(consts, kind, 3)
-        with mp.workdps(args.digits + 25):
+        with mp.workdps(args.digits + _DISCREPANCY_GUARD):
             disc = abs(value - cont.value)
         parameters = {"kind": kind, "s": 3, "terms": 600}
         out.append(_entry("brute-vs-continuation", parameters, disc, brute_bound))
@@ -292,7 +303,7 @@ def _suite_lseries(consts, args):
 
 def _suite_conjectures(consts, args):
     symmetry = lseries.check_symmetry_conjecture(consts, 3)
-    with mp.workdps(consts.digits_certified + 20):  # as in _suite_lseries
+    with mp.workdps(consts.digits_certified + lseries.CHECK_GUARD):
         out = []
         for k, d, b, shift in symmetry:
             row = _entry("symmetry-conjecture", {"k": k}, d, b, "certified_bound", False)
@@ -353,9 +364,8 @@ SUITES = tuple(_SUITE_RUNNERS) + ("all",)
 def _cmd_constants(args):
     consts = solve_constants(args.digits)
     d = consts.digits_certified
-    with mp.workdps(consts.dps):
-        names = ("C", "L1", "a_star", "lambda_star")
-        record = {k: decimal_truncated(getattr(consts, k), d) for k in names}
+    names = ("C", "L1", "a_star", "lambda_star")
+    record = {k: decimal_truncated(getattr(consts, k), d) for k in names}
     record.update(N=consts.N, digits_certified=d)
     return [json.dumps(record, indent=2) + "\n"], 0
 
@@ -397,7 +407,7 @@ def _cmd_zeros(args):
     def rows():
         # rows are made while _emit writes them, after this handler has
         # returned, so the generator sets the working precision itself
-        with mp.workdps(args.digits + 15):
+        with mp.workdps(model.dps):
             for n in range(1, args.count + 1):
                 method = "newton" if n <= model.n0 else "series"
                 yield n, decimal_truncated(extremal.tau(model, n), args.digits), method
@@ -437,7 +447,7 @@ def _series_export(consts, args):
         model = extremal.taylor_factor(consts, max(2, n))
         return "series", model.coeffs[: n + 1], None
     if what == "rho":
-        m_top = terms if terms is not None else int(args.digits / 1.23) + 2
+        m_top = terms if terms is not None else extremal.zero_model_order(args.digits)
         rho = extremal.offset_coefficients(consts, m_top)
         return "series", [mpf(0)] + rho, None
     if what == "h":
@@ -447,13 +457,13 @@ def _series_export(consts, args):
         band = fourier.build_band_transform(consts)
         k_top = terms if terms is not None else max(1, args.digits // 2)
         coeffs, error = fourier.window_basis_coefficients(band, k_top)
-        with mp.workdps(15):
+        with mp.workdps(ESTIMATE_DPS):
             lowest = int(mp.ceil(mp.log10(error)))
         return "basis", [mpf(0)] + coeffs, lowest
-    # legendre, down to an absolute 10^-(digits+5), what the two-pass
-    # check of legendre_band_coefficients backs
+    # legendre, down to an absolute 10^-(digits + TARGET_MARGIN), what the
+    # two-pass check of legendre_band_coefficients backs
     leg = fourier.legendre_band_coefficients(consts, pairs=_legendre_pairs(args))
-    return "basis", leg if terms is None else leg[: terms + 1], -(args.digits + 5)
+    return "basis", leg if terms is None else leg[: terms + 1], -(args.digits + TARGET_MARGIN)
 
 
 def _legendre_pairs(args) -> int:
@@ -486,8 +496,7 @@ def _cmd_export(args):
         rows = [[v.get(k, "") for k in header] for v in values]
     else:
         key, coeffs, lowest = _series_export(consts, args)
-        with mp.workdps(args.digits + 15):
-            strings = [decimal_truncated(c, args.digits, lowest) for c in coeffs]
+        strings = [decimal_truncated(c, args.digits, lowest) for c in coeffs]
         label = "c" if args.what == "c-basis" else args.what
         document = {key: label, "digits": args.digits, "coeffs": strings}
         header, rows = ["n", "coefficient"], enumerate(strings)

@@ -23,9 +23,13 @@ ladders of a second eigenfunction system, and a reconstruction of the
 central constant from the offset coefficients alone.  Every Newton
 search here, on the factor and on the Bessel series, is mpcore.newton's.
 
-A note on precision.  Callers ask for the digits they need, their own
-cancellation headroom included, and both Taylor models run at that plus
-the fixed guard _TAYLOR_GUARD, on refined_spectral_frame at the same
+A note on precision.  Every working precision and tolerance here is
+digits plus a guard named beside the stage it serves, with the loss it
+covers and what backs it, or is read from the model that owns it
+(TaylorModel.dps, ZeroModel.dps); the rules all stages share are
+mpcore's TARGET_MARGIN and ESTIMATE_DPS.  Callers ask for the digits they
+need, their own cancellation headroom included, and both Taylor models
+run at that plus _TAYLOR_GUARD, on refined_spectral_frame at the same
 precision, because both are read off stable routes: the minimizer off
 the ground eigenvector, the minimal solution of its recurrence
 (Gautschi, SIAM Rev. 9, 1967), and the factor off its recursion run
@@ -44,6 +48,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import mpf_cos_sin, mpf_pi, mpf_rdiv_int, to_fixed
 
 from .mpcore import (
+    TARGET_MARGIN,
     SolverError,
     UsageError,
     beta_numeric,
@@ -62,6 +67,7 @@ from .mpcore import (
 )
 from .spectral import (
     _N_FLOOR,
+    _SIDE_NOISE,
     ExtremalConstants,
     TridiagonalSystem,
     _side_root,
@@ -79,7 +85,13 @@ from .spectral import (
 # per precision doubling, two at the top.  It is kept on the constants
 # object (its `frame` field), to live and die with its problem.
 
+# A re-solve for need_dps digits runs at need_dps + _FRAME_GUARD: its root
+# holds _SIDE_NOISE digits fewer than that (spectral), and the rest is
+# spare; nothing backs the 12.  Its bracket is 2*10^-(digits - _FRAME_BRACKET)
+# wide around the certified root, which is good to 10^-digits; nothing
+# backs the 3 either.
 _FRAME_GUARD = 12
+_FRAME_BRACKET = 3
 
 
 def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
@@ -100,7 +112,7 @@ def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
     more than the certified digits: at least those plus _TAYLOR_GUARD.
     """
     if consts.frame is None:
-        start = (consts.a_star, consts.lambda_star, consts.dps - 6)
+        start = (consts.a_star, consts.lambda_star, consts.dps - _SIDE_NOISE)
     else:
         held, a, lam, xi = consts.frame
         if held >= need_dps:
@@ -108,7 +120,7 @@ def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
         start = (a, lam, held)
     dps = need_dps + _FRAME_GUARD
     with mp.workdps(dps):
-        half = mpf(10) ** (-(consts.digits_certified - 3))
+        half = mpf(10) ** (-(consts.digits_certified - _FRAME_BRACKET))
         bracket = (consts.a_star - half, consts.a_star + half)
         a_root, pair = _side_root(_tail_size(consts.N, dps), bracket, start)
         consts.frame = (need_dps, a_root, pair.lam, list(pair.xi))
@@ -119,7 +131,10 @@ def refined_spectral_frame(consts: ExtremalConstants, need_dps: int):
 # Taylor models
 #
 # The models' guard digits, and the least start of the factor's backward
-# run past the highest order wanted.
+# run past the highest order wanted.  The guard covers the rounding of the
+# recursions and of the closed form, on the stable routes of the note on
+# precision; no bound backs it, the row-0 residual and the two-route check
+# of taylor_extremal test it on every model.
 
 _TAYLOR_GUARD = 10
 _BACKWARD_START = 40
@@ -241,7 +256,7 @@ def taylor_extremal(
             abs(u - 2 * mp.fdot(signed[:m], c[2 * m : m : -1]) - signed[m] * c[m])
             for m, u in enumerate(coeffs[::2])
         )
-        if worst > mpf(10) ** (-(digits + 5)):
+        if worst > mpf(10) ** (-(digits + TARGET_MARGIN)):
             raise SolverError(
                 "closed-form and product routes disagree by %s" % mp.nstr(worst, 5)
             )
@@ -272,6 +287,11 @@ def alternating_sums_odd(consts: ExtremalConstants, M: int, digits: int):
 # offset expansion of the zeros
 
 
+# digits past the certified ones at which offset_coefficients works; what
+# backs the 40 is the measurement in its docstring
+_OFFSET_GUARD = 40
+
+
 def offset_coefficients(consts: ExtremalConstants, M: int):
     """a_1..a_M in tau_n = n + 1/2 - sum_m a_m (n+1/2)^{-m}.
 
@@ -282,11 +302,11 @@ def offset_coefficients(consts: ExtremalConstants, M: int):
     [w^(k+1)] G (G^2)^k, k = j - 1; even entries vanish by the symmetry
     of the zero counting function and are returned as exact zeros.  The
     odd entries are provably nonnegative, so a negative value beyond
-    roundoff raises.  The work runs at digits + 40 decimals, digits those
-    certified; its loss is an estimate, not a bound: against a run at
-    digits + M + 150, the largest relative error over a_1..a_M was
-    2.2e-70 at 30 digits (M = 26), 1.2e-139 at 100 (M = 83) and 3.1e-338
-    at 300 (M = 245).
+    roundoff raises.  The work runs at digits + _OFFSET_GUARD decimals,
+    digits those certified; its loss is an estimate, not a bound: against
+    a run at digits + M + 150, the largest relative error over a_1..a_M
+    was 2.2e-70 at 30 digits (M = 26), 1.2e-139 at 100 (M = 83) and
+    3.1e-338 at 300 (M = 245).
 
     The products are series_multiply's, within an absolute
     4n max|f| max|g| 2^-(prec+64), not relative to each coefficient.
@@ -299,7 +319,7 @@ def offset_coefficients(consts: ExtremalConstants, M: int):
         raise UsageError("M must be at least 1")
     digits = consts.digits_certified
     K = (M + 1) // 2 + 1
-    wd = digits + 40
+    wd = digits + _OFFSET_GUARD
     sums = alternating_sums_odd(consts, K, digits=wd)
     a_ref, _lam, _xi = refined_spectral_frame(consts, wd)
     with mp.workdps(wd):
@@ -309,7 +329,7 @@ def offset_coefficients(consts: ExtremalConstants, M: int):
             g.append(2 * sums[k - 1] / (2 * k - 1))
         square = series_multiply(g, g, K + 1)
         out = [mpf(0)] * M
-        tol = mpf(10) ** (-(digits + 5))
+        tol = mpf(10) ** (-(digits + TARGET_MARGIN))
         diagonal = series_power_diagonal(g, square, 1, (M + 1) // 2, K + 1)
         for j, coeff in enumerate(diagonal, start=1):
             m = 2 * j - 1
@@ -323,7 +343,9 @@ def offset_coefficients(consts: ExtremalConstants, M: int):
     return out
 
 
-# guard bits of the fixed-point Horner loops, above the working precision
+# guard bits of the fixed-point Horner loops, above the working precision:
+# they cover the loops' truncations, bounded in rho_series_value and
+# _bessel_series_eval
 _HORNER_GUARD_BITS = 20
 
 
@@ -365,6 +387,21 @@ def rho_tail_bound(M: int, x):
 # ----------------------------------------------------------------------
 # the zero model
 
+# The zero model's zeros are read at its dps, digits + _ZERO_GUARD: the
+# guard covers the offset series' rounding, which rho_series_value bounds
+# by 2M units of 2^-(prec+20), far under 10^-(digits + TARGET_MARGIN); a
+# bound backs it, with room to spare.  The crossover n0 clears
+# 10^-(digits + _CROSSOVER_SPARE), one spare order of magnitude that
+# nothing backs.
+_ZERO_GUARD = 15
+_CROSSOVER_SPARE = 1
+
+
+def zero_model_order(digits: int) -> int:
+    """M = digits / 1.23 + 2, the offset series order of the zero model
+    at `digits`, and export rho's default order."""
+    return int(digits / 1.23) + 2
+
 
 class ZeroModel:
     """Offset-series description of the zeros with a refined head.
@@ -375,10 +412,11 @@ class ZeroModel:
     tail bound of rho_tail_bound to the model's digits.  That bound's
     premise (a_m >= 0, sum_m a_m 2^m <= 1/2) is checked on a_1..a_M only.
 
-    The bound is checked here, when the model is made: a bound at
-    n0 + 1 of 10^-digits or more raises UsageError.  It increases in
-    x = 1/(n + 1/2), which decreases in n, so it then holds at every
-    n > n0, and tau and zeros_signed read the model without checks.
+    Its zeros are read at dps, digits + _ZERO_GUARD.  The bound is
+    checked here, when the model is made: a bound at n0 + 1 of 10^-digits
+    or more raises UsageError.  It increases in x = 1/(n + 1/2), which
+    decreases in n, so it then holds at every n > n0, and tau and
+    zeros_signed read the model without checks.
     build_zero_model makes the one model of a constants object and keeps
     it on the object's `zeros` field.
     """
@@ -396,6 +434,11 @@ class ZeroModel:
     @property
     def M(self) -> int:
         return len(self.rho_coeffs)
+
+    @property
+    def dps(self) -> int:
+        """The working precision at which the model's zeros are read."""
+        return self.digits + _ZERO_GUARD
 
     def offset_table(self) -> list:
         """0, a_1, .., a_M truncated to fixed point at wp = prec + 20 bits,
@@ -449,10 +492,23 @@ def _cancellation_digits(radius) -> int:
     """Headroom digits for evaluating the factor at |z| <= radius.
 
     Horner partial sums peak near e^{b |z|}; the extra working digits
-    cover the cancellation down to the O(1)-or-smaller function values.
+    cover the cancellation down to the O(1)-or-smaller function values:
+    log10 e^{b |z|} at b = pi/2, an estimate of that peak, plus 2 spare
+    digits that nothing backs.
     """
-    with mp.workdps(25):
-        return int(mp.pi / 2 * mpf(radius) / mp.log(10)) + 2
+    return int(math.pi / 2 * float(radius) / math.log(10)) + 2
+
+
+# The factor's truncation on a disk sits _TRUNCATION_MARGIN digits under
+# the digits its model is asked for, by the size of its first omitted term
+# (_truncation_order), an estimate of the tail rather than a bound.  Zeros
+# of the model are searched at the model's digits plus _ZERO_SEARCH_GUARD
+# and the residual checks evaluate on their orbits at plus _ORBIT_GUARD:
+# both cover Horner's rounding past the cancellation headroom, which is
+# already in those digits, and nothing backs either.
+_TRUNCATION_MARGIN = 10
+_ZERO_SEARCH_GUARD = 20
+_ORBIT_GUARD = 25
 
 
 def _factor_near(consts: ExtremalConstants, radius, derivatives: int):
@@ -460,10 +516,10 @@ def _factor_near(consts: ExtremalConstants, radius, derivatives: int):
     `derivatives` derivatives, and wd, the certified digits plus the
     cancellation headroom of _cancellation_digits: the model is asked for
     wd digits, callers evaluate at wd plus a guard, and the truncation
-    error is below 10^-(wd+10).
+    error is below 10^-(wd + _TRUNCATION_MARGIN).
     """
     digits = consts.digits_certified + _cancellation_digits(radius)
-    T = _truncation_order(radius, digits + 10)
+    T = _truncation_order(radius, digits + _TRUNCATION_MARGIN)
     factor = taylor_factor(consts, T, digits=digits)
     series = [factor.coeffs]
     with mp.workdps(factor.dps):
@@ -493,9 +549,9 @@ def refine_zeros_newton(consts: ExtremalConstants, seeds):
         return series_eval(F, w), series_eval(dF, w)
 
     out = []
-    with mp.workdps(wd + 20):
+    with mp.workdps(wd + _ZERO_SEARCH_GUARD):
         half = mpf(1) / 2
-        tol = mpf(10) ** (-(digits + 5))
+        tol = mpf(10) ** (-(digits + TARGET_MARGIN))
         for n in range(1, len(seeds) + 1):
             sign = 1 if n % 2 else -1  # the factor vanishes at sign * tau_n
             w = sign * mpf(seeds[n - 1])
@@ -511,18 +567,18 @@ def build_zero_model(consts: ExtremalConstants) -> ZeroModel:
 
     The crossover n0 is the smallest index whose series tail bound clears
     the digit target with one spare order of magnitude.  The head's Newton
-    seeds are the model's own series values, tau_series at digits + 15,
-    so they make the offset table that later reads at that precision use;
-    the refined head is set on the model after them.  A weighted sum
+    seeds are the model's own series values, tau_series at the model's
+    dps, so they make the offset table that later reads at that precision
+    use; the refined head is set on the model after them.  A weighted sum
     sum_{m<=M} a_m 2^m above 1/2 breaks the premise of rho_tail_bound and
     raises SolverError.
     """
     if consts.zeros is not None:
         return consts.zeros
     digits = consts.digits_certified
-    M = int(digits / 1.23) + 2
+    M = zero_model_order(digits)
     rho = offset_coefficients(consts, M)
-    with mp.workdps(digits + 15):
+    with mp.workdps(digits + _ZERO_GUARD):  # the model's dps
         weighted = sum(a_m * mpf(2) ** m for m, a_m in enumerate(rho, start=1))
         if weighted > mpf(1) / 2:
             raise SolverError(
@@ -530,14 +586,14 @@ def build_zero_model(consts: ExtremalConstants) -> ZeroModel:
                 "the series tail bound does not apply" % (mp.nstr(weighted, 10), M)
             )
     n0 = 1
-    while rho_tail_bound(M, mpf(2) / (2 * n0 + 1)) >= mpf(10) ** (-(digits + 1)):
+    while rho_tail_bound(M, mpf(2) / (2 * n0 + 1)) >= mpf(10) ** (-(digits + _CROSSOVER_SPARE)):
         n0 += 1
         if n0 > 64:
             raise UsageError(
                 "series order M=%d cannot certify any practical crossover" % M
             )
     model = ZeroModel(rho_coeffs=rho, refined=[], n0=n0, digits=digits)
-    with mp.workdps(digits + 15):
+    with mp.workdps(model.dps):
         seeds = [tau_series(model, n) for n in range(1, n0 + 1)]
     model.refined = refine_zeros_newton(consts, seeds)
     consts.zeros = model
@@ -578,18 +634,25 @@ def binomial_tail_expansion(rho_coeffs, s, K: int):
 # residual checks
 
 
-def _disk_grid(radius):
+# digits past the certified ones at which _disk_grid makes its points.
+# Their rounding costs nothing, as every residual checked on them vanishes
+# at any z; the guard only fixes the points, and so the payload's bytes.
+_GRID_GUARD = 30
+
+
+def _disk_grid(radius, digits: int):
     """Deterministic spread of 20 nonzero sample points in the closed disk,
-    as five quarter-turn orbits: on each of the circles at 2/10, 4/10, ..,
-    10/10 of the radius a first point w, turned by its own fraction of a
-    quarter turn, and w i^j, j = 1..3, made exactly from it by
-    _quarter_turns.  So series_eval_orbit at w gives a series at all four
-    points of an orbit, in the order listed."""
+    made at digits + _GRID_GUARD, as five quarter-turn orbits: on each of
+    the circles at 2/10, 4/10, .., 10/10 of the radius a first point w,
+    turned by its own fraction of a quarter turn, and w i^j, j = 1..3,
+    made exactly from it by _quarter_turns.  So series_eval_orbit at w
+    gives a series at all four points of an orbit, in the order listed."""
     orbits = []
-    for i, k in enumerate((2, 4, 6, 8, 10)):
-        r = mpf(radius) * k / 10
-        theta = 2 * mp.pi * (mpf(i) / 5 + mpf(3) / 17) / 4
-        orbits.append(_quarter_turns(r * mp.exp(mp.mpc(0, 1) * theta)))
+    with mp.workdps(digits + _GRID_GUARD):
+        for i, k in enumerate((2, 4, 6, 8, 10)):
+            r = mpf(radius) * k / 10
+            theta = 2 * mp.pi * (mpf(i) / 5 + mpf(3) / 17) / 4
+            orbits.append(_quarter_turns(r * mp.exp(mp.mpc(0, 1) * theta)))
     return orbits
 
 
@@ -607,10 +670,9 @@ def check_ode_residual(consts: ExtremalConstants):
 
     over the 20 points of _disk_grid in |z| <= 5, to the certified digits:
     F, F' and F'' are each evaluated once per quarter-turn orbit."""
-    with mp.workdps(consts.digits_certified + 30):
-        orbits = _disk_grid(5)
+    orbits = _disk_grid(5, consts.digits_certified)
     factor, series, wd = _factor_near(consts, 5, 2)
-    with mp.workdps(wd + 25):
+    with mp.workdps(wd + _ORBIT_GUARD):
         drift = factor.a  # 1/(2C) in this frame
         lam_term = factor.lam  # L1/(2C) equals minus the eigenvalue
         pi2 = mp.pi ** 2
@@ -642,17 +704,18 @@ def check_extremal_ode_residual(consts: ExtremalConstants):
     which vanishes identically for the true function.
     """
     digits = consts.digits_certified
-    with mp.workdps(digits + 30):
-        orbits = _disk_grid(5)
-    cancel = 2 * _cancellation_digits(5)
-    Tz = _truncation_order(10, digits + cancel + 10)
+    orbits = _disk_grid(5, digits)
+    # the headroom of F(z) F(-z): twice the factor's; the model is asked
+    # for the digits its truncation clears
+    wd = digits + 2 * _cancellation_digits(5)
+    Tz = _truncation_order(10, wd + _TRUNCATION_MARGIN)
     T = Tz // 2 + 4
-    ext = taylor_extremal(consts, T, digits=digits + cancel + 10)
+    ext = taylor_extremal(consts, T, digits=wd + _TRUNCATION_MARGIN)
     series = [ext.coeffs]
     with mp.workdps(ext.dps):
         for _ in range(3):
             series.append(series_derivative(series[-1]))
-    with mp.workdps(digits + cancel + 25):
+    with mp.workdps(wd + _ORBIT_GUARD):
         C = 1 / (2 * ext.a)
         l1_over_c = -2 * ext.lam  # L1/C = -2 lambda
         pi2 = mp.pi ** 2
@@ -676,10 +739,9 @@ def check_quadratic_relation(consts: ExtremalConstants):
     from its constant value -1/(2C) over the 20 points of _disk_grid in
     |z| <= 3, to the certified digits.  Each quarter-turn orbit holds -z
     with z, so F and F' are evaluated once per orbit."""
-    with mp.workdps(consts.digits_certified + 30):
-        orbits = _disk_grid(3)
+    orbits = _disk_grid(3, consts.digits_certified)
     factor, (F, d1), wd = _factor_near(consts, 3, 1)
-    with mp.workdps(wd + 25):
+    with mp.workdps(wd + _ORBIT_GUARD):
         drift = factor.a
         worst = mpf(0)
         for orbit in orbits:
@@ -702,20 +764,31 @@ def zero_curvature_residual(consts: ExtremalConstants):
     mpcore.newton finds it from 5/4 on the model of |z| <= 5/2.
     """
     factor, (F, d1, d2), wd = _factor_near(consts, 2.5, 2)
-    with mp.workdps(wd + 20):
+    with mp.workdps(wd + _ZERO_SEARCH_GUARD):
         step = bracketed_step(lambda w: (series_eval(F, w), series_eval(d1, w)), 1, mpf(3) / 2)
-        t = newton(step, mpf(5) / 4, 0, mpf(10) ** (-(consts.digits_certified + 5)))[1]
+        tol = mpf(10) ** (-(consts.digits_certified + TARGET_MARGIN))
+        t = newton(step, mpf(5) / 4, 0, tol)[1]
         lhs = t * t * series_eval(d2, t)
         rhs = (factor.a - 2 * t) * series_eval(d1, t)
     return abs(lhs - rhs)
+
+
+# The reflection samples and the checks and fits on them run at the
+# certified digits plus REFLECTION_GUARD, the factor model's truncation on
+# |z| <= 0.6 included; the model is asked for digits plus
+# _REFLECTION_MODEL_EXTRA.  On that circle |z| < 1, so Horner's partial
+# sums do not cancel; both cover the rounding of the exponentials and of
+# the 2x2 fit, and nothing backs either.
+REFLECTION_GUARD = 25
+_REFLECTION_MODEL_EXTRA = 10
 
 
 def _reflection_samples(consts: ExtremalConstants, count: int, offset: int):
     """C and, at `count` points z of the self-dual circle |z| = 1/sqrt(2 pi C)
     turned by offset/100 of their spacing, the values (z, F(z), e^{1/(4Cz)},
     e^{-i pi z/2} F(i w), e^{i pi z/2} F(-i w)), w = 1/(2 pi C z) of the same
-    modulus as z; all to the certified digits plus 25, as is the factor
-    model's truncation on |z| <= 0.6.
+    modulus as z; all to the certified digits plus REFLECTION_GUARD, as is
+    the factor model's truncation on |z| <= 0.6.
 
     4 divides count, so the points are count / 4 quarter-turn orbits: the
     k-th quarter turn of z_0 is z_0 i^k, made exactly by _quarter_turns,
@@ -723,10 +796,10 @@ def _reflection_samples(consts: ExtremalConstants, count: int, offset: int):
     F is evaluated once per orbit of z_0 and once per orbit of w_0.
     """
     digits = consts.digits_certified
-    T = _truncation_order(0.6, digits + 25)
-    factor = taylor_factor(consts, T, digits=digits + 10)
+    T = _truncation_order(0.6, digits + REFLECTION_GUARD)
+    factor = taylor_factor(consts, T, digits=digits + _REFLECTION_MODEL_EXTRA)
     F = factor.coeffs
-    with mp.workdps(digits + 25):
+    with mp.workdps(digits + REFLECTION_GUARD):
         C = 1 / (2 * factor.a)
         i = mp.mpc(0, 1)
         r = 1 / mp.sqrt(2 * mp.pi * C)
@@ -757,7 +830,7 @@ def check_functional_equation(consts: ExtremalConstants):
     at 20 points on the self-dual circle, five quarter-turn orbits (see
     _reflection_samples), to the certified digits."""
     C, samples = _reflection_samples(consts, 20, 37)
-    with mp.workdps(consts.digits_certified + 25):
+    with mp.workdps(consts.digits_certified + REFLECTION_GUARD):
         i = mp.mpc(0, 1)
         e_plus = mp.exp(i * mp.pi / 4)
         e_minus = mp.exp(-i * mp.pi / 4)
@@ -845,7 +918,7 @@ def _lattice_order(majorant, s0, start: int, step: int, shift, digits: int):
     B = 16 * (5 / mp.pi) ** 5 * R ** 4 * mp.cosh(mp.pi * A / 5) ** 5
     Y1 = step * start + shift
     x = 1 / (R * Y1)
-    target = mpf(10) ** (-(digits + 5))
+    target = mpf(10) ** (-(digits + TARGET_MARGIN))
 
     def bound(J):
         return 2 * B * (1 + Y1 / (step * J)) * x ** (J + 1) / (1 - x)
@@ -1015,29 +1088,44 @@ def _bessel_series(xi, alternate: bool) -> _BesselSeries:
     return _BesselSeries(coeffs=coeffs, sin_poly=combine(0), cos_poly=combine(1), wp=wp)
 
 
+# The second system's eigenvector is cut at 10^-(digits + _BESSEL_CUT),
+# which bounds what the cut moves (_eigen_bessel_coefficients, on the tail
+# estimate), and solved at digits + _BESSEL_SOLVE_GUARD, which covers the
+# solve's rounding and its residual gate.  The zero ladders run at
+# digits + _LADDER_GUARD, which covers the rounding of their Newton steps
+# and of the merged zeros (the Bessel series' own cancellation is covered
+# in bits, see _bessel_series_eval).  Nothing backs the 50 or the 30.  The
+# ladder tails run at digits + _LADDER_TAIL_GUARD; what backs the 15 is the
+# measurement in _reverted_phase.
+_BESSEL_SOLVE_GUARD = 50
+_BESSEL_CUT = 20
+_LADDER_GUARD = 30
+_LADDER_TAIL_GUARD = 15
+
+
 def _eigen_bessel_coefficients(a, digits: int):
     """Ground eigenvector at drift a, solved on the rows whose tail
-    estimate (spectral._tail_size) clears 10^-(digits+20), and cut before
-    its first entry past the fifth under that.
+    estimate (spectral._tail_size) clears 10^-(digits + _BESSEL_CUT), and
+    cut before its first entry past the fifth under that.
 
     As the minimal solution (Gautschi 1967), its entries fall by about
     (a/2)/m^2 a row, so the first under the cut bounds all later ones, and
     the truncation at N moves entry m by a relative |xi_N / xi_m|^2, so by
-    under |xi_N| <= 10^-(digits+20) wherever |xi_m| is above the cut.  A
-    cut anywhere inside N is sound; an eigenvector with no entry under the
-    cut does not decay and raises SolverError.
+    under |xi_N| <= 10^-(digits + _BESSEL_CUT) wherever |xi_m| is above
+    the cut.  A cut anywhere inside N is sound; an eigenvector with no
+    entry under the cut does not decay and raises SolverError.
     """
-    wd = digits + 50
-    cut = mpf(10) ** (-(digits + 20))
-    N = _tail_size(_N_FLOOR, digits + 20)
-    with mp.workdps(wd):
+    cut_digits = digits + _BESSEL_CUT
+    cut = mpf(10) ** (-cut_digits)
+    N = _tail_size(_N_FLOOR, cut_digits)
+    with mp.workdps(digits + _BESSEL_SOLVE_GUARD):
         pair = ground_eigenpair(TridiagonalSystem(N, a))
         for m, v in enumerate(pair.xi):
             if m > 4 and abs(v) < cut:
                 return pair.xi[:m]
         raise SolverError(
             "eigenvector at a=%s does not fall below 10^-%d within N=%d; "
-            "cannot truncate" % (mp.nstr(a, 8), digits + 20, N)
+            "cannot truncate" % (mp.nstr(a, 8), cut_digits, N)
         )
 
 
@@ -1147,7 +1235,7 @@ def _bessel_zero_ladder(series: _BesselSeries, count: int, digits: int):
     10^-(digits+5), not the seed, certifies the zero.  Loss of monotonicity
     or a non-converging Newton reports a solver failure rather than bad zeros.
     """
-    target = mpf(10) ** (-(digits + 5))
+    target = mpf(10) ** (-(digits + TARGET_MARGIN))
     zeros = []
 
     def refine(seed, lo, hi, held):
@@ -1218,9 +1306,9 @@ def _reverted_phase(psi, T: int) -> list:
     within an absolute 4T max|f| max|g| 2^-(prec+64), the product of
     the largest entries reaching 2^25 at 100 digits and 2^69 at 300.
     At 300 digits one product's bound is then about 2^-(prec-14) of the
-    first coefficients, inside the 33 bits that digits + 15 holds past
-    the tails' 10^-(digits+5), and sigma_m enters _lattice_tail only
-    times Y^-m, Y >= 8; the tails came out bit for bit as with exact
+    first coefficients, inside the 33 bits that digits + _LADDER_TAIL_GUARD
+    holds past the tails' 10^-(digits+5), and sigma_m enters _lattice_tail
+    only times Y^-m, Y >= 8; the tails came out bit for bit as with exact
     products (see _lattice_tail).
     """
     phi = [mpf(1)] + list(psi[:T])
@@ -1285,7 +1373,7 @@ def summation_system(a, head: int, digits: int):
     """
     if head < 3:
         raise UsageError("head must be at least 3")
-    with mp.workdps(digits + 30):
+    with mp.workdps(digits + _LADDER_GUARD):
         a = mpf(a)
         if not (0 < a < mpf(3) / 2):
             raise UsageError("summation_system requires 0 < a < 3/2")
@@ -1299,7 +1387,7 @@ def summation_system(a, head: int, digits: int):
             pairs, scales = zip(plus, minus), (scale, -scale)
         else:
             pairs, scales = zip(minus, plus), (-scale, scale)
-        collision = mpf(10) ** (-(digits + 5))
+        collision = mpf(10) ** (-(digits + TARGET_MARGIN))
         out = []
         prev = None
         for pair in pairs:
@@ -1313,7 +1401,7 @@ def summation_system(a, head: int, digits: int):
                     )
                 out.append(s * t)
                 prev = t
-        with mp.workdps(digits + 15):
+        with mp.workdps(digits + _LADDER_TAIL_GUARD):
             up = _ladder_tail(psi_plus, k_plus, digits)
             down = _ladder_tail(psi_minus, k_minus, digits)
         tail = SummationTail(
@@ -1324,17 +1412,24 @@ def summation_system(a, head: int, digits: int):
         return a * scale, out, tail
 
 
+_BETA_TAIL_MARGIN = 7
+_BETA_SUM_GUARD = 25
+
+
 def constant_from_zeros_alternating(consts: ExtremalConstants):
     """The central constant from 1/C = 2 + 4 sum_n (-1)^n (n + 1/2 - tau_n).
 
     The alternating sum collapses through the offset expansion to
     sum_m a_m 2^m (beta(m) - 1) with Dirichlet beta, so no zeros are
-    evaluated at all; the remainder past M is below 3^-M / 4.
+    evaluated at all; the remainder past M is below 3^-M / 4, which M puts
+    under 10^-(digits + _BETA_TAIL_MARGIN), a bound.  The sum runs at
+    digits + _BETA_SUM_GUARD, which covers its rounding over M terms;
+    nothing backs the 25.
     """
     digits = consts.digits_certified
-    M = int((digits + 7) / 0.477) + 2
+    M = int((digits + _BETA_TAIL_MARGIN) / 0.477) + 2
     rho = offset_coefficients(consts, M)
-    with mp.workdps(digits + 25):
+    with mp.workdps(digits + _BETA_SUM_GUARD):
         total = mpf(0)
         for m in range(1, M + 1):
             a_m = rho[m - 1]

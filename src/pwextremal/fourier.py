@@ -29,15 +29,37 @@ import math
 from mpmath import mp, mpf
 
 from .mpcore import (
+    ESTIMATE_DPS,
     MAX_PAIRS,
     MAX_WINDOW,
+    TARGET_MARGIN,
     SolverError,
     UsageError,
     series_eval,
     series_multiply,
 )
 from .spectral import ExtremalConstants
-from .extremal import _TAYLOR_GUARD, _reflection_samples, taylor_extremal, taylor_factor
+from .extremal import (
+    _TAYLOR_GUARD,
+    REFLECTION_GUARD,
+    _reflection_samples,
+    taylor_extremal,
+    taylor_factor,
+)
+
+
+# The band transform's guards.  Its coefficients are made at digits +
+# _TRANSFORM_GUARD, from a factor model as precise: the factorial weights
+# and window_basis_coefficients magnify their errors; nothing backs the
+# 35, and _value_error_on_nodes carries the error it leaves.  Its series
+# order clears 10^-(digits + _TRANSFORM_TAIL_MARGIN) in a term that bounds
+# no error, a choice that fixes the export h payload.  A value of it is
+# summed at _VALUE_GUARD digits past those asked for, which covers the
+# rounding of that sum; for transform_value, _value_error_on_nodes bounds
+# it.
+_TRANSFORM_GUARD = 35
+_TRANSFORM_TAIL_MARGIN = 12
+_VALUE_GUARD = 20
 
 
 class BandTransform:
@@ -60,7 +82,8 @@ class BandTransform:
 
 def _transform_terms(digits: int, C) -> int:
     """Series order of the band transform: the first n >= 8 at which
-    pi (2 pi / C)^(n-1) / (n! (n-1)!) falls below 10^-(digits+12), from
+    pi (2 pi / C)^(n-1) / (n! (n-1)!) falls below
+    10^-(digits + _TRANSFORM_TAIL_MARGIN), from
     the closed-form log10 of that term.
 
     That term is (C/2) 2^n times the coefficient bound of
@@ -70,7 +93,8 @@ def _transform_terms(digits: int, C) -> int:
     log_ratio = math.log10(2 * math.pi / float(C))
     for n in range(8, 400):
         log_term = math.log10(math.pi) + (n - 1) * log_ratio
-        if log_term - (math.lgamma(n + 1) + math.lgamma(n)) / math.log(10) < -(digits + 12):
+        log_size = log_term - (math.lgamma(n + 1) + math.lgamma(n)) / math.log(10)
+        if log_size < -(digits + _TRANSFORM_TAIL_MARGIN):
             return n
     raise SolverError("transform series did not reach the tail target")
 
@@ -96,13 +120,14 @@ def build_band_transform(consts: ExtremalConstants, terms: int = None) -> BandTr
     N = terms if terms is not None else _transform_terms(digits, consts.C)
     if N < 2:
         raise UsageError("terms must be at least 2")
-    factor = taylor_factor(consts, N + 1, digits=digits + 35)
+    wd = digits + _TRANSFORM_GUARD
+    factor = taylor_factor(consts, N + 1, digits=wd)
     with mp.workdps(factor.dps):
         c = factor.coeffs[:N]
         mags = [mp.mag(x) for x in c if x]  # 2^(mag-1) <= |x| < 2^mag
         with mp.workprec(mp.prec + 2 * max(mags) - mp.mag(c[0]) - min(mags) + 2):
             squared = series_multiply(c, c, N)
-    with mp.workdps(digits + 35):
+    with mp.workdps(wd):
         C = 1 / (2 * factor.a)
         coeffs = [mpf(0)]
         weight = mpf(1)
@@ -114,8 +139,7 @@ def build_band_transform(consts: ExtremalConstants, terms: int = None) -> BandTr
 
 def transform_value(model: BandTransform, u, digits: int = None):
     """The band transform at normalized frequency u: series_eval in t = 1 - u."""
-    wd = max(model.digits, digits or 0) + 20
-    with mp.workdps(wd):
+    with mp.workdps(max(model.digits, digits or 0) + _VALUE_GUARD):
         return series_eval(model.coeffs, 1 - mp.mpmathify(u))
 
 
@@ -126,7 +150,7 @@ def parseval_defect(model: BandTransform):
     so the defect is computed exactly from the coefficients with no
     quadrature involved.
     """
-    with mp.workdps(model.digits + 20):
+    with mp.workdps(model.digits + _VALUE_GUARD):
         total = mp.fsum(
             model.coeffs[n] * mpf(2) ** (n + 1) / (n + 1)
             for n in range(1, model.terms + 1)
@@ -149,6 +173,15 @@ def default_pairs(digits: int) -> int:
     return digits // 3 + 8
 
 
+# The forward substitution runs at digits plus its amplification estimate
+# plus _LEGENDRE_GUARD, which covers the rounding the estimate leaves out,
+# and once more _LEGENDRE_SECOND_PASS digits higher; the two passes must
+# agree to 10^-(digits + TARGET_MARGIN), which checks the first.  Nothing
+# backs the 35 or the 48.
+_LEGENDRE_GUARD = 35
+_LEGENDRE_SECOND_PASS = 48
+
+
 def legendre_band_coefficients(consts: ExtremalConstants, pairs: int = None) -> list:
     """Even Legendre coefficients of the band transform, from the eigenvector.
 
@@ -162,9 +195,9 @@ def legendre_band_coefficients(consts: ExtremalConstants, pairs: int = None) -> 
     Returns the full list d_0, 0, d_2, 0, ... suitable for Clenshaw
     evaluation; d_0 = 1 holds identically (the normalized band mean).
     The forward substitution runs at two working precisions, and the
-    coefficients must agree to an absolute 10^-(digits+5); that is all
-    they are known to, however small an entry is (export legendre prints
-    them down to that place).
+    coefficients must agree to an absolute 10^-(digits + TARGET_MARGIN);
+    that is all they are known to, however small an entry is (export
+    legendre prints them down to that place).
     """
     digits = consts.digits_certified
     K = pairs if pairs is not None else default_pairs(digits)
@@ -178,10 +211,10 @@ def legendre_band_coefficients(consts: ExtremalConstants, pairs: int = None) -> 
     amplify = max(
         _double_factorial_log10(4 * m + 1) - m * 0.46 for m in range(1, K + 1)
     )
-    wd = digits + int(amplify) + 35
+    wd = digits + int(amplify) + _LEGENDRE_GUARD
     first = _legendre_forward(consts, K, wd)
-    second = _legendre_forward(consts, K, wd + 48)
-    tol = mpf(10) ** (-(digits + 5))
+    second = _legendre_forward(consts, K, wd + _LEGENDRE_SECOND_PASS)
+    tol = mpf(10) ** (-(digits + TARGET_MARGIN))
     with mp.workdps(wd):
         worst = max(abs(a - b) for a, b in zip(first, second))
         if worst > tol:
@@ -251,7 +284,7 @@ def endpoint_reflection_constants(consts: ExtremalConstants):
     k_plus e^{i pi/4} + k_minus e^{-i pi/4} = 0.
     """
     _C, samples = _reflection_samples(consts, 24, 41)
-    with mp.workdps(consts.digits_certified + 25):
+    with mp.workdps(consts.digits_certified + REFLECTION_GUARD):
         m00 = m01 = m11 = rhs0 = rhs1 = mp.mpc(0)
         for z, fz, ez, g_plus, g_minus in samples:
             y = z * fz * ez
@@ -271,19 +304,32 @@ def endpoint_reflection_constants(consts: ExtremalConstants):
 # even-window basis
 
 
+# The window fit reads the transform at _FIT_VALUE_EXTRA digits past the
+# certified ones, and solves at digits + 3 K + _FIT_GUARD: 3 K digits for
+# the fit matrix's conditioning, which grows with K (||A^+||_2 is 57,
+# 1.2e10 and 8.8e28 at K = 4, 15 and 40), and the guard for the rest.
+# What backs them is the error bound the fit returns; nothing backs the
+# 10 or the 40 themselves.
+_FIT_VALUE_EXTRA = 10
+_FIT_GUARD = 40
+
+
 def _value_error_on_nodes(model: BandTransform):
-    """Bound on the error of transform_value(model, u, digits + 10) for u
-    in [0, 1], where |1 - u| <= 1, from the bound pi^n / (C^n (n-1)! n!)
-    on the n-th coefficient (not proved; a test checks it on every
-    computed one at 30 and 100 digits): that bound summed past
-    model.terms (the terms fall like 1/n!^2); the coefficients' own
-    error, a relative 10^-(digits+35) (the working digits of
-    build_band_transform and of its factor model) of the bound summed up
-    to model.terms; and Horner's rounding in transform_value, at
-    digits + 30, 2 (terms + 1) units of 10^-(digits+30) times sum |h_n|.
+    """Bound on the error of transform_value(model, u, digits +
+    _FIT_VALUE_EXTRA) for u in [0, 1], where |1 - u| <= 1, from the bound
+    pi^n / (C^n (n-1)! n!) on the n-th coefficient (not proved; a test
+    checks it on every computed one at 30 and 100 digits): that bound
+    summed past model.terms (the terms fall like 1/n!^2); the
+    coefficients' own error, a relative 10^-(digits + _TRANSFORM_GUARD)
+    (the working digits of build_band_transform and of its factor model)
+    of the bound summed up to model.terms; and Horner's rounding in
+    transform_value, 2 (terms + 1) units of its last place times
+    sum |h_n|.  It is summed at ESTIMATE_DPS, in mpf: its terms leave the
+    range of floats.
     """
     N, digits = model.terms, model.digits
-    with mp.workdps(25):
+    horner_dps = digits + _FIT_VALUE_EXTRA + _VALUE_GUARD
+    with mp.workdps(ESTIMATE_DPS):
         q = mp.pi / mpf(model.C)
         head = tail = mpf(0)
         term, n = q, 1  # the bound at n
@@ -297,8 +343,8 @@ def _value_error_on_nodes(model: BandTransform):
         magnitude = mp.fsum(abs(h) for h in model.coeffs)
         return (
             tail
-            + head * mpf(10) ** -(digits + 35)
-            + 2 * (N + 1) * magnitude * mpf(10) ** -(digits + 30)
+            + head * mpf(10) ** -(digits + _TRANSFORM_GUARD)
+            + 2 * (N + 1) * magnitude * mpf(10) ** -horner_dps
         )
 
 
@@ -317,7 +363,8 @@ def window_basis_coefficients(model: BandTransform, K: int):
     of an error in the fitted values.  At 30 digits e is 4.0e-57.
     ||A^+||_2 = 1/sigma_min(A) is read off the singular values of A; it
     is 57, 1.2e10 and 8.8e28 at K = 4, 15 and 40.  The fit's own
-    rounding, at 3K + 40 digits past the certified ones, lies far below.
+    rounding, at 3K + _FIT_GUARD digits past the certified ones, lies far
+    below.
     """
     if K < 1:
         raise UsageError("K must be at least 1")
@@ -325,8 +372,7 @@ def window_basis_coefficients(model: BandTransform, K: int):
         raise UsageError("K beyond %d exceeds the supported range" % MAX_WINDOW)
     digits = model.digits
     points = max(3 * K, 48)
-    wd = digits + 3 * K + 40
-    with mp.workdps(wd):
+    with mp.workdps(digits + 3 * K + _FIT_GUARD):
         nodes = [mp.cos(mp.pi * (2 * i + 1) / (4 * points)) for i in range(points)]
         A = mp.matrix(points, K)
         b = mp.matrix(points, 1)
@@ -336,7 +382,7 @@ def window_basis_coefficients(model: BandTransform, K: int):
             for n in range(K):
                 power *= t
                 A[i, n] = power
-            b[i] = transform_value(model, u, digits=digits + 10)
+            b[i] = transform_value(model, u, digits=digits + _FIT_VALUE_EXTRA)
         solution, _qr_residual = mp.qr_solve(A, b)
         amplify = 1 / min(mp.svd_r(A, compute_uv=False))
         error = amplify * mp.sqrt(points) * _value_error_on_nodes(model)

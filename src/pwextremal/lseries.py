@@ -38,6 +38,7 @@ from mpmath import mp, mpf
 
 from .mpcore import (
     MAX_INTEGRALITY_DEPTH,
+    TARGET_MARGIN,
     SolverError,
     UsageError,
     alternating_halfinteger_tail,
@@ -87,27 +88,42 @@ def _is_integer(s) -> bool:
 # zeros summed directly before the lattice sums take over
 _N0 = 8
 
+# The precisions of this module.  l_series sums at digits +
+# _CONTINUATION_GUARD (plus the digits q^-s magnifies for s < 0) and a
+# residue at digits + _RESIDUE_GUARD: both cover the rounding of their
+# sums, which the error bound leaves out, and nothing backs the 30 or the
+# 25.  The checks run at digits + CHECK_GUARD, which cli's verify rows
+# take their discrepancies at too; nothing backs the 20.  A value read off
+# the certified inputs is granted _INPUT_LOSS digits of them, an
+# allowance nothing backs.
+_CONTINUATION_GUARD = 30
+_RESIDUE_GUARD = 25
+CHECK_GUARD = 20
+_INPUT_LOSS = 2
 
-def _expansion_order(s, digits: int) -> int:
+
+def _expansion_order(s: float, digits: int) -> int:
     """Smallest truncation order whose certified tail clears the target.
 
-    J runs from max(8, ceil|s| + 4, ceil(2 - s)), large enough that every
-    bounded term has exponent s + j >= 2, in steps of 2 until the tail
-    term of _certified_tail, at 30 digits, falls under 10^-(digits+5);
-    each step multiplies that term by x0^2.  An odd J is then rounded up
-    to even.
+    J starts at J0 = max(8, ceil|s| + 4, ceil(2 - s)), large enough that
+    every bounded term has exponent s + j >= 2, and steps by 2 until the
+    tail term of _certified_tail falls under 10^-(digits + TARGET_MARGIN).
+    Each step multiplies that term by x0^2 = q^-2, so the steps come in
+    closed form from log10 of the term at J0, in floats.  A step past 600
+    raises SolverError; a J0 past 600 that needs no step is kept.  An odd
+    J is then rounded up to even.
     """
-    with mp.workdps(30):
-        s = mpf(s)
-        target = mpf(10) ** -(digits + 5)
-        J = max(8, int(mp.ceil(abs(s))) + 4, int(mp.ceil(2 - s)))
-        tail = _certified_tail(s, J, 0)[0]
-        step = (2 / mpf(2 * _N0 + 3)) ** 2  # x0^2
-        while tail > target:
-            J += 2
-            tail *= step
-            if J > 600:
-                raise SolverError("continuation order exceeds 600 at s=%s" % s)
+    q = _N0 + 1.5
+    J = max(8, math.ceil(abs(s)) + 4, math.ceil(2 - s))
+    p = max(1, math.ceil(abs(s)))
+    log_tail = (
+        math.log10(1 + q) - s * math.log10(q) + p * math.log10(1.5)
+        - (J + 1) * math.log10(q) - math.log10(1 - 1 / q)
+    )
+    steps = math.ceil(max(0.0, log_tail + digits + TARGET_MARGIN) / (2 * math.log10(q)))
+    if steps and J + 2 * steps > 600:
+        raise SolverError("continuation order exceeds 600 at s=%s" % float(s))
+    J += 2 * steps
     return J + J % 2
 
 
@@ -173,21 +189,19 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
     if kind == "plus" and _is_integer(s) and int(mpf(s)) <= 1 and (1 - int(mpf(s))) % 2 == 0:
         k = int(mpf(s))
         J = (1 - k) + 6
-        with mp.workdps(digits + 25):
+        with mp.workdps(digits + _RESIDUE_GUARD):
             e = binomial_tail_expansion(zeros.rho_coeffs, mpf(k), J)
             residue = e[1 - k]
-            bound = (2 + abs(k)) * mpf(10) ** (-(digits - 2))
+            bound = (2 + abs(k)) * mpf(10) ** (-(digits - _INPUT_LOSS))
         return LSeriesValue(
             s=k, kind=kind, value=None, error_bound=bound, is_pole=True,
             residue=residue,
         )
 
-    with mp.workdps(30):
-        s_float = float(mpf(s))
+    s_float = float(s)
     J = order if order is not None else _expansion_order(s_float, digits)
     amp = max(0, int(-s_float * math.log10(_N0 + 1.5)) + 1) if s_float < 0 else 0
-    wd = digits + 30 + amp
-    with mp.workdps(wd):
+    with mp.workdps(digits + _CONTINUATION_GUARD + amp):
         s_mp = mpf(s)
         q = mpf(2 * _N0 + 3) / 2
         head = mpf(0)
@@ -227,6 +241,12 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
     return LSeriesValue(s=s, kind=kind, value=value, error_bound=bound)
 
 
+# digits past the certified ones that l_plus_even_from_phi asks of its
+# minimizer model, which cover the rounding of the reciprocal and of the
+# product the docstring bounds; nothing backs the 10
+_LOG_DERIVATIVE_EXTRA = 10
+
+
 def l_plus_even_from_phi(consts: ExtremalConstants, k_max: int):
     """Values of the plus series at 2, 4, .., 2*k_max from the minimizer.
 
@@ -242,9 +262,10 @@ def l_plus_even_from_phi(consts: ExtremalConstants, k_max: int):
     """
     if k_max < 1:
         raise UsageError("k_max must be at least 1")
-    digits = consts.digits_certified
-    model = taylor_extremal(consts, k_max + 1, digits=digits + 10)
-    with mp.workdps(digits + 20):
+    model = taylor_extremal(
+        consts, k_max + 1, digits=consts.digits_certified + _LOG_DERIVATIVE_EXTRA
+    )
+    with mp.workdps(model.dps):
         T = 2 * k_max
         phi = model.coeffs[: T + 1]
         log_derivative = series_multiply(
@@ -268,8 +289,8 @@ def check_Lodd(consts: ExtremalConstants, m_max: int) -> list:
     """
     digits = consts.digits_certified
     out = []
-    slack = mpf(10) ** (-(digits - 2))
-    with mp.workdps(digits + 20):
+    slack = mpf(10) ** (-(digits - _INPUT_LOSS))
+    with mp.workdps(digits + CHECK_GUARD):
         val = l_series(consts, "minus", -1)
         target = -1 / (4 * mpf(consts.C))
         out.append((-1, val.value - target, val.error_bound + slack))
@@ -291,7 +312,7 @@ def check_residue_identity(consts: ExtremalConstants, k_max: int) -> list:
     divided by (2 pi C)^{2k-1}.
     """
     out = []
-    with mp.workdps(consts.digits_certified + 20):
+    with mp.workdps(consts.digits_certified + CHECK_GUARD):
         C = mpf(consts.C)
         for k in range(1, k_max + 1):
             pole = l_series(consts, "plus", 1 - 2 * k)
@@ -307,7 +328,7 @@ def check_residue_identity(consts: ExtremalConstants, k_max: int) -> list:
             certified = (
                 pole.error_bound
                 + odd.error_bound / (2 * mp.pi * C) ** (2 * k - 1)
-                + mpf(10) ** (-(consts.digits_certified - 2))
+                + mpf(10) ** (-(consts.digits_certified - _INPUT_LOSS))
             )
             out.append((k, pole.residue - rhs, certified, pole.residue, odd.value))
     return out
@@ -325,7 +346,7 @@ def check_symmetry_conjecture(consts: ExtremalConstants, k_max: int) -> list:
     """
     digits = consts.digits_certified
     out = []
-    with mp.workdps(digits + 20):
+    with mp.workdps(digits + CHECK_GUARD):
         C = mpf(consts.C)
         for k in range(1, k_max + 1):
             J = _expansion_order(-2 * k, digits)
@@ -336,7 +357,7 @@ def check_symmetry_conjecture(consts: ExtremalConstants, k_max: int) -> list:
             certified = (
                 neg.error_bound
                 + pos.error_bound / (2 * mp.pi * C) ** (2 * k)
-                + mpf(10) ** (-(consts.digits_certified - 2))
+                + mpf(10) ** (-(consts.digits_certified - _INPUT_LOSS))
             )
             out.append((k, neg.value - rhs, certified, abs(neg.value - neg2.value)))
     return out
@@ -409,6 +430,15 @@ def check_integrality(n_max: int) -> int:
 # brute-force route (independent of the continuation machinery)
 
 
+# brute_force_value is capped near 2.5e-29 (s = 3, 600 terms), and ten
+# significant digits of a discrepancy need about 1e-39: work past
+# _BRUTE_RESOLVED digits resolves nothing, a measurement.  It sums at
+# _BRUTE_GUARD digits past those, which cover the rounding of its sums and
+# of mp.diffs' differences; nothing backs the 20.
+_BRUTE_RESOLVED = 40
+_BRUTE_GUARD = 20
+
+
 def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
     """Direct summation of the series at real s > 1, with an
     Euler-Maclaurin tail on the summand f: f(n) = tau_n^-s for the plus
@@ -420,26 +450,24 @@ def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
     mp.diffs.
 
     Returns (value, error estimate): |f^(7)(a)| / 1209600, the first
-    omitted correction, plus quad's error and 10^-min(digits, 40).  That
-    correction caps the route at any digits: 2.42e-29 (plus) and 5.01e-29
-    (alternating) for s = 3 and 600 terms, at 30 and at 60 digits.  Only
+    omitted correction, plus quad's error and 10^-min(digits,
+    _BRUTE_RESOLVED).  That correction caps the route at any digits:
+    2.42e-29 (plus) and 5.01e-29 (alternating) for s = 3 and 600 terms,
+    at 30 and at 60 digits.  Only
     the zero model is shared with l_series, so agreement of the two is a
     genuine cross-check.
     """
     if kind not in ("plus", "minus"):
         raise UsageError("kind must be 'plus' or 'minus'")
     _as_real(s)
-    with mp.workdps(25):
-        if mpf(s) <= 1:
-            raise UsageError("direct summation needs s > 1")
+    if s <= 1:
+        raise UsageError("direct summation needs s > 1")
     digits = consts.digits_certified
     if n_terms < 64:
         raise UsageError("n_terms too small for the tail expansion")
     zeros = build_zero_model(consts)
-    # capped near 2.5e-29 (s = 3, 600 terms), ten significant digits of a
-    # discrepancy need about 1e-39: work past 40 digits resolves nothing
-    resolved = min(digits, 40)
-    with mp.workdps(resolved + 20):
+    resolved = min(digits, _BRUTE_RESOLVED)
+    with mp.workdps(resolved + _BRUTE_GUARD):
         s_mp = mpf(s)
 
         def power(t):

@@ -19,7 +19,16 @@ Everything downstream runs on top of the ingredients collected here:
   Hurwitz zeta values, and a table of Hurwitz zeta values at one shift
   for a ladder of exponents w, w + 1, .. from a real w >= 2;
 * exact decimal truncation for the serialized output;
-* the size caps of the Legendre, window-basis and integrality layers.
+* the size caps of the Legendre, window-basis and integrality layers;
+* the two precision rules every stage shares, TARGET_MARGIN and
+  ESTIMATE_DPS.
+
+The precision policy: every working precision and tolerance in the
+package is digits plus a named constant, or is read from the object that
+owns it (a Taylor or zero model's dps).  Each stage's guards are named in
+the module that owns the stage, with the loss each covers and whether a
+bound, a measurement or nothing backs it; tests/test_precision_policy.py
+finds any digits plus a bare literal.
 
 Scalars are plain ``mpmath.mpf`` values ("big reals").  All functions expect
 to be called with the global mpmath precision already set, normally via
@@ -55,6 +64,20 @@ class SolverError(RuntimeError):
 MAX_PAIRS = 64
 MAX_WINDOW = 40
 MAX_INTEGRALITY_DEPTH = 400
+
+# A result said to hold `digits` decimals is searched and checked to
+# 10^-(digits + TARGET_MARGIN): a Newton search ends there, a two-run or
+# two-route check passes within it, and export legendre prints down to
+# that place.  The margin keeps the result's own error under its last
+# digit; nothing backs the 5, it is a choice.
+TARGET_MARGIN = 5
+
+# The decimal digits at which an error estimate is computed, of which only
+# the order of magnitude is read.  Measured: the lowest place of export
+# c-basis came out the same at 15 and 25 digits, and at the fit's own
+# precision, on 26 (digits, K) cases from 10 to 100 digits, and its
+# payload at 300 digits (--terms 5) did not move.
+ESTIMATE_DPS = 25
 
 
 # ----------------------------------------------------------------------
@@ -427,6 +450,16 @@ def hurwitz_zetas(q, w, n: int) -> list:
 # ----------------------------------------------------------------------
 # deterministic decimal serialization
 
+# The digits past the requested ones at which decimal_truncated converts a
+# non-mpf input: they cover that conversion's rounding, which an int does
+# not have; nothing backs the 15.
+_CONVERT_GUARD = 15
+
+# The payload layout is that of mp.nstr at digits + _LAYOUT_EXTRA
+# significant digits, which the first decimal_truncated cut down.  It
+# covers no loss; the payloads' bytes rest on it.
+_LAYOUT_EXTRA = 12
+
 
 def _decimal_string(n: int) -> str:
     """str(n) for an integer n >= 0, split on a power of ten until each
@@ -449,15 +482,15 @@ def decimal_truncated(x, digits: int, lowest: int = None) -> str:
     (`lowest` given, a negative place) prints no digit below that place,
     and reads 0.0 when it lies under 10^lowest.  The layout is mp.nstr's:
     fixed point for a decimal exponent e with
-    min(-((digits + 12) // 3), -5) < e < digits, scientific notation
-    otherwise, whatever `lowest` drops.
+    min(-((digits + _LAYOUT_EXTRA) // 3), -5) < e < digits, scientific
+    notation otherwise, whatever `lowest` drops.
     """
     if digits < 1:
         raise UsageError("digits must be positive")
     if not isinstance(x, mpf):
         # convert at a precision that covers the requested digits; an mpf
         # input keeps whatever precision it was computed at
-        with mp.workdps(digits + 15):
+        with mp.workdps(digits + _CONVERT_GUARD):
             x = mpf(x)
     if x == 0 or not mp.isfinite(x):
         return mp.nstr(x, digits, strip_zeros=False)
@@ -475,7 +508,7 @@ def decimal_truncated(x, digits: int, lowest: int = None) -> str:
     head = num // (den * 10 ** k) if k >= 0 else num * 10 ** -k // den
     kept = _decimal_string(head)
     sign = "-" if x < 0 else ""
-    if min(-((digits + 12) // 3), -5) < e < 0:
+    if min(-((digits + _LAYOUT_EXTRA) // 3), -5) < e < 0:
         return sign + "0." + "0" * (-e - 1) + kept
     if 0 <= e < digits:
         return sign + (kept[: e + 1] + "." + kept[e + 1 :]).rstrip(".")

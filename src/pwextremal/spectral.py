@@ -60,7 +60,7 @@ from collections.abc import Sequence
 from mpmath import mp, mpf
 from mpmath.libmp import mpf_div, mpf_rdiv_int, to_fixed
 
-from .mpcore import _SEED_DPS, SolverError, UsageError, bracketed_step, newton
+from .mpcore import _SEED_DPS, TARGET_MARGIN, SolverError, UsageError, bracketed_step, newton
 
 
 # ----------------------------------------------------------------------
@@ -102,6 +102,23 @@ _N_CAP = 4096
 # into before it is shifted down.
 _SWEEP_GUARD_BITS = 10
 _SWEEP_HEADROOM_BITS = 64
+
+# Digits under the working dps that the solve's tolerances give up.
+# _SIDE_NOISE: S sums the N + 1 entries of the sweep with alternating
+# signs, and the root's Newton ends at a step within 10^-(dps-6), its
+# noise floor; the root it leaves is taken to hold dps - 6 digits.
+# _RESIDUAL_LOSS: the eigenpair residual gate of _checked_pair.
+# _EIGEN_STEP_LOSS: the step that ends ground_eigenpair's Newton on g.
+# None of the three is derived from a bound; the residual gate checks
+# every pair the solve ends on.
+_SIDE_NOISE = 6
+_RESIDUAL_LOSS = 5
+_EIGEN_STEP_LOSS = 2
+
+# solve_constants' two runs agree to 10^-(digits + _AGREEMENT_MARGIN); the
+# margin keeps their difference under the last certified digit, a choice
+# that nothing backs.
+_AGREEMENT_MARGIN = 1
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +288,7 @@ def _checked_pair(sys: TridiagonalSystem, lam, xi: _SweptVector) -> EigenPair:
         row += odd * p * ((m * (m + 1) * y[m] << F) - L * y[m])
         worst = max(worst, abs(row) // abs(odd * p))
     residual = mpf(worst) / (max(map(abs, y)) << F)
-    target = mpf(10) ** (-(mp.dps - 5))
+    target = mpf(10) ** (-(mp.dps - _RESIDUAL_LOSS))
     if residual > target:
         raise SolverError(
             "eigenpair residual %s exceeds %s %s; raise the working precision"
@@ -299,7 +316,7 @@ def ground_eigenpair(sys: TridiagonalSystem) -> EigenPair:
     if not (0 < sys.a < mpf(3) / 2):
         raise UsageError("ground_eigenpair requires 0 < a < 3/2")
     step = bracketed_step(lambda x: _sweep(sys, x)[1:3], sys.a - 2, 2 - sys.a)
-    lam = newton(step, sys.a / 3, 0, mpf(10) ** (-(mp.dps - 2)))[1]
+    lam = newton(step, sys.a / 3, 0, mpf(10) ** (-(mp.dps - _EIGEN_STEP_LOSS)))[1]
     pair = _checked_pair(sys, lam, _sweep(sys, lam)[0])
     pair.xi = list(pair.xi)
     return pair
@@ -339,7 +356,7 @@ def truncation_size(digits: int) -> int:
     the factor two, raises UsageError naming `digits`.
     """
     try:
-        N = 2 * _tail_size(_N_FLOOR, digits + 5)
+        N = 2 * _tail_size(_N_FLOOR, digits + TARGET_MARGIN)
     except UsageError:
         raise UsageError(
             "%d digits need a truncation past N=%d" % (digits, _N_CAP)
@@ -384,8 +401,9 @@ def _side_root(N: int, bracket, start):
         dl = (g_a * S - S_a * g) / det
         return (sys.a - da, lam - dl), max(abs(da), abs(dl)), (sys, xi)
 
+    tol = mpf(10) ** (-(dps - _SIDE_NOISE))
     try:
-        (_a, lam), _nxt, (sys, xi) = newton(step, (a, lam), held, mpf(10) ** (-(dps - 6)))
+        (_a, lam), _nxt, (sys, xi) = newton(step, (a, lam), held, tol)
     except SolverError as err:
         raise SolverError("side condition on N=%d rows at %d dps: %s" % (N, dps, err)) from None
     return sys.a, _checked_pair(sys, lam, xi)
@@ -444,11 +462,11 @@ def solve_constants(digits: int) -> ExtremalConstants:
         with mp.workdps(dps):
             a_root, pair = _side_root(N, _BRACKET, start)
             C = mp.pi / (4 * a_root)
-        start = (a_root, pair.lam, dps - 6)
+        start = (a_root, pair.lam, dps - _SIDE_NOISE)
 
     with mp.workdps(dps):
         disagreement = abs(first - C)
-        allowed = mpf(10) ** (-(digits + 1))
+        allowed = mpf(10) ** (-(digits + _AGREEMENT_MARGIN))
         if disagreement > allowed:
             raise SolverError(
                 "certification failed: runs at guard %d and %d disagree by %s"

@@ -22,8 +22,10 @@ Lagrange-Buermann coefficients [z^(k+s)] f g^k from each power formed in
 full in exact rationals, against which the stepped powers of
 mpcore.series_power_diagonal are checked, and the truncation orders of
 the factor's Taylor model and of the band transform's series as
-products of terms accumulated at 25 digits, against which their
-closed-form log10 searches in floats are checked.
+products of terms accumulated at 25 digits, the continuation order of
+the L-series as a search stepping its tail term at 30 digits and the
+factor's cancellation headroom at 25 digits, against which their closed
+forms in floats are checked.
 """
 
 import math
@@ -32,6 +34,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from pwextremal.extremal import _test_function
+from pwextremal.lseries import _N0, _certified_tail
 from pwextremal.mpcore import SolverError, UsageError, _padded
 
 
@@ -310,3 +313,29 @@ def transform_terms(digits: int, C) -> int:
             n += 1
             term *= ratio / (n * (n - 1))
     raise SolverError("transform series did not reach the tail target")
+
+
+def expansion_order(s, digits: int) -> int:
+    """The continuation order of lseries.l_series: J from max(8, ceil|s| + 4,
+    ceil(2 - s)) in steps of 2, the tail term of _certified_tail multiplied
+    by x0^2 at each, at 30 digits, until it falls under 10^-(digits+5); a
+    step past 600 raises SolverError.  An odd J is rounded up to even."""
+    with mp.workdps(30):
+        s = mpf(s)
+        target = mpf(10) ** -(digits + 5)
+        J = max(8, int(mp.ceil(abs(s))) + 4, int(mp.ceil(2 - s)))
+        tail = _certified_tail(s, J, 0)[0]
+        step = (2 / mpf(2 * _N0 + 3)) ** 2  # x0^2
+        while tail > target:
+            J += 2
+            tail *= step
+            if J > 600:
+                raise SolverError("continuation order exceeds 600 at s=%s" % s)
+    return J + J % 2
+
+
+def cancellation_digits(radius) -> int:
+    """The factor's cancellation headroom on |z| <= radius,
+    log10 e^(pi radius / 2) truncated, plus 2, at 25 digits."""
+    with mp.workdps(25):
+        return int(mp.pi / 2 * mpf(radius) / mp.log(10)) + 2

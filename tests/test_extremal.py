@@ -15,6 +15,7 @@ from mpmath import mp, mpf
 
 import refvals
 from oracles import (
+    cancellation_digits,
     direct_summation,
     forward_even_coefficients,
     forward_factor_coefficients,
@@ -23,7 +24,7 @@ from oracles import (
     transform_terms,
     truncation_orders,
 )
-from pwextremal import extremal, fourier
+from pwextremal import extremal, fourier, lseries
 from pwextremal.mpcore import UsageError
 from pwextremal.spectral import SolverError
 
@@ -365,17 +366,28 @@ def test_newton_matches_series_within_tail_bound(consts30):
 
 
 def test_offset_table_is_kept_per_precision(consts30):
-    # the working precisions of the summation suite (digits + 15) and of
-    # brute_force_value (min(digits, 40) + 20), in turn and back: each read
-    # equals a fresh model's, which has made no table yet
+    # the model's own dps, at which the zeros and summation commands read
+    # it, and brute_force_value's, in turn and back: each read equals a
+    # fresh model's, which has made no table yet
     model = extremal.build_zero_model(consts30)
     digits = model.digits
-    for dps in (digits + 15, min(digits, 40) + 20, digits + 15):
+    brute = min(digits, lseries._BRUTE_RESOLVED) + lseries._BRUTE_GUARD
+    assert brute != model.dps
+    for dps in (model.dps, brute, model.dps):
         fresh = extremal.ZeroModel(model.rho_coeffs, model.refined, model.n0, digits)
         with mp.workdps(dps):
             for n in (1, model.n0, model.n0 + 1, 100):
                 assert extremal.tau_series(model, n) == extremal.tau_series(fresh, n)
                 assert extremal.tau(model, n) == extremal.tau(fresh, n)
+
+
+def test_cancellation_headroom_in_floats(consts30):
+    # the radii the package asks for, and tau_n + 1 for the refined head,
+    # as refine_zeros_newton takes them: the float form equals the mpf one
+    model = extremal.build_zero_model(consts30)
+    radii = [0.6, 2.5, 3, 5] + [float(t) + 1 for t in model.refined]
+    for radius in radii:
+        assert extremal._cancellation_digits(radius) == cancellation_digits(radius), radius
 
 
 def test_tau_gate(consts30):

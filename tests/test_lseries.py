@@ -15,9 +15,9 @@ import pytest
 from mpmath import mp, mpf
 
 import refvals
-from oracles import recursion_polynomials
+from oracles import expansion_order, recursion_polynomials
 from pwextremal import extremal, lseries
-from pwextremal.mpcore import UsageError
+from pwextremal.mpcore import SolverError, UsageError
 
 
 def test_minus_at_one_is_the_derivative_constant(consts30):
@@ -268,6 +268,28 @@ def test_l_series_work_count(consts30, monkeypatch):
         lseries.l_series(consts30, kind, s)
         assert sorted(zetas) == orders, (kind, s)
         assert sorted(tables) == lattice, (kind, s)
+
+
+def _order_or_refusal(order, s, digits):
+    try:
+        return order(s, digits)
+    except SolverError:
+        return "refused"
+
+
+def test_expansion_order_in_closed_form_matches_the_search():
+    # s: the half-integers in [-20, 20], the symmetry conjecture's -2 .. -14
+    # and, sparsely, the export lvalues range past 20; digits 10 to 600
+    grid = [k / 2 for k in range(-40, 41)] + list(range(-14, -1)) + list(range(21, 601, 29))
+    for s in grid:
+        for digits in range(10, 601, 37):
+            got = _order_or_refusal(lseries._expansion_order, float(s), digits)
+            assert got == _order_or_refusal(expansion_order, s, digits), (s, digits)
+    # a search that steps past 600 is refused; one that starts past 600 and
+    # needs no step runs there, as export lvalues --terms 600 does
+    with pytest.raises(SolverError, match="exceeds 600 at s=-20.0"):
+        lseries._expansion_order(-20.0, 600)
+    assert lseries._expansion_order(601.0, 600) == expansion_order(601, 600) == 606
 
 
 def test_order_override_stays_consistent(consts30):
