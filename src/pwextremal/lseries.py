@@ -28,8 +28,12 @@ check_integrality is the odd one out: it runs the coefficient recursion
 of the even minimizer over the formal symbols b^2 and lambda in Python
 integers, each u_n modulo A_n = n_max!/n!, which is exact enough to decide
 divisibility by n+1 at every step (see check_integrality), and returns
-how far every u_n has integer coefficients.  No floating point is
-involved on that path.
+how far every u_n has integer coefficients.  Each row of u_n, one power
+of b^2, is packed into one int with a slot per power of -lambda, so a step
+is a few big-integer operations a row (Kronecker substitution, see
+_packed_rows): 0.47 s at depth 200, 1.7 s at 300 and 5.5 s at 400 (see
+mpcore.MAX_INTEGRALITY_DEPTH).  No floating point is involved on that
+path.
 """
 
 import math
@@ -373,30 +377,104 @@ def _recursion_step(n: int):
     return n * (n + 1) * (4 * n + 2), 4 * n + 2, 4 * n, n + 1
 
 
-def integrality_residues(n_max: int):
-    """Iterator over u_0, u_1, .. modulo A_n = d_n d_{n+1} .. d_{n_max-1},
-    the divisors of the steps to come, stopping after u_n_max or before
-    the first u_n that is not integral.  rows[i][j] of u_n is the
-    coefficient of b^{2i} lambda^j, 0 <= i <= n/2, 0 <= j <= n - 2i."""
+# steps of the integrality scan between two reductions of its slots; fewer
+# reductions widen every slot by the growth of the steps between, and of
+# 4, 8, 12, 16 and 24, 8 and 12 were fastest at depth 200 (measured)
+_REDUCTION_STEPS = 8
+
+
+def _slot_mask(width: int, t: int, slots: int) -> int:
+    """The top t bits of each of `slots` slots of `width` bits."""
+    top = ((1 << t) - 1) << (width - t)
+    return int.from_bytes(top.to_bytes(width // 8, "little") * slots, "little")
+
+
+def _slot_quotient(num: int, d: int, mask: int):
+    """num // d if d divides every slot of num, else None, the mask
+    holding the top t bits of each width-bit slot; sound while d < 2^t
+    and every slot of num is below d 2^(width - t) (see _packed_rows)."""
+    q, r = divmod(num, d)
+    return None if r or q & mask else q
+
+
+def _repack(rows: list, width: int, new_width: int, modulus: int) -> list:
+    """rows with every slot reduced modulo `modulus`, packed anew at
+    new_width bits a slot; both widths are whole bytes."""
+    size, new_size = width // 8, new_width // 8
+    out = []
+    for row in rows:
+        raw = row.to_bytes(-(-row.bit_length() // width) * size, "little")
+        slots = [
+            int.from_bytes(raw[k:k + size], "little") % modulus
+            for k in range(0, len(raw), size)
+        ]
+        out.append(int.from_bytes(
+            b"".join([c.to_bytes(new_size, "little") for c in slots]), "little"
+        ))
+    return out
+
+
+def _packed_rows(n_max: int):
+    """Iterator over (rows, width) for u_0, u_1, .., stopping after u_n_max
+    or before the first u_n that is not integral.  Row i of u_n is one int
+    of width-bit slots, slot j congruent to the coefficient of
+    b^{2i} mu^j, mu = -lambda, modulo A_n = d_n d_{n+1} .. d_{n_max-1},
+    the divisors of the steps to come.
+
+    In mu every multiplier of the recursion is non-negative, and so is
+    every slot: step n forms row i of its numerator as
+    constant R + drift (R << width) + shift P, R row i of u_n and P row
+    i - 1 of u_{n-1}, and no slot borrows from the next.  Let t be the bit
+    length of the largest divisor, so every d < 2^t, and let every
+    numerator slot s satisfy s < d 2^(width - t).  Then each s lies below
+    2^width, the numerator's digits in base 2^width are its slots, and
+    with q, r = divmod(numerator, d):
+
+    * if d divides every slot, q has the slots s / d < 2^(width - t), so
+      r = 0 and no slot of q has a bit in its top t bits;
+    * if r = 0 and no slot q_j of q reaches 2^(width - t), then
+      d q_j < 2^width are the base-2^width digits of d q = numerator, so
+      s_j = d q_j for every j.
+
+    So d divides every slot exactly when r = 0 and q & mask = 0
+    (_slot_quotient), and then q is row i of u_{n+1}, its slots the
+    slots of the numerator over d.
+
+    Every _REDUCTION_STEPS steps, at step n, each slot of u_n and u_{n-1}
+    is reduced modulo A_n, all that step n needs of u_{n-1}, and the rows
+    are packed anew.  If the slots of u_k and u_{k-1} are below B, those
+    of the numerator of step k are below
+    (constant + drift + shift) B <= d_k g_k B, g_k the ceiling of
+    (constant + drift + shift) / d_k, and those of u_{k+1} below g_k B.
+    From B = A_n, every numerator slot up to the next reduction is so
+    below d_k 2^(bits(A_n) + G), G the sum of bits(g_k) over those steps,
+    and a width of bits(A_n) + G + t, rounded up to whole bytes, keeps it
+    below d_k 2^(width - t).  The mask covers the n_max + 1 slots of the
+    longest numerator row.
+    """
     steps = [_recursion_step(n) for n in range(n_max)]
+    t = max([d for *_, d in steps], default=1).bit_length()
+    growth = [(-(-(c + dr + sh) // d)).bit_length() for c, dr, sh, d in steps]
     modulus = math.prod(d for *_, d in steps)
-    rows, prev = [[1 % modulus]], []
-    yield rows
+    rows, prev, width = [1 % modulus], [], 8  # u_0 fits any width
+    yield rows, width
     for n, (constant, drift, shift, d) in enumerate(steps):
-        # row i of the numerator: row i of u_n and its lambda shift, and
-        # row i - 1 of u_{n-1}
+        if n % _REDUCTION_STEPS == 0:
+            bits = modulus.bit_length() + sum(growth[n:n + _REDUCTION_STEPS]) + t
+            new_width = -(-bits // 8) * 8
+            rows = _repack(rows, width, new_width, modulus)
+            prev = _repack(prev, width, new_width, modulus)
+            width = new_width
+            mask = _slot_mask(width, t, n_max + 1)
         out = []
-        for r, p in zip(rows + [[]], [[0] * (n + 2)] + prev):
-            row = [
-                (constant * a - drift * b + shift * c) % modulus
-                for a, b, c in zip(r + [0], [0] + r, p)
-            ]
-            if math.gcd(d, *row) != d:
+        for r, p in zip(rows + [0], [0] + prev):
+            q = _slot_quotient(constant * r + drift * (r << width) + shift * p, d, mask)
+            if q is None:
                 return
-            out.append([c // d for c in row])
+            out.append(q)
         modulus //= d
         prev, rows = rows, out
-        yield rows
+        yield rows, width
 
 
 def check_integrality(n_max: int) -> int:
@@ -409,21 +487,22 @@ def check_integrality(n_max: int) -> int:
     by n+1 is the only source of denominators, so that every u_n has
     integer coefficients is the nontrivial claim under test.
 
-    The scan carries u_n modulo A_n = n_max!/n! (integrality_residues),
-    never exactly.  Step n divides by d = n+1, and A_n = d A_{n+1}; u_n is
-    known modulo A_n and u_{n-1} modulo A_{n-1}, a multiple of A_n, so the
-    numerator is exact modulo d A_{n+1}.  While every u so far is
-    integral, d divides each numerator coefficient iff it divides its
-    residue, and then the quotient of the residue is u_{n+1} modulo
-    A_{n+1}.  So the first u_n with a non-integer coefficient is the same
-    as in exact arithmetic.
+    The scan carries u_n modulo A_n = n_max!/n! (_packed_rows), never
+    exactly.  Step n divides by d = n+1, and A_n = d A_{n+1}; u_n and
+    u_{n-1} are known modulo A_n, so the numerator is exact modulo
+    d A_{n+1}.  While every u so far is integral, d divides each numerator
+    coefficient iff it divides its residue, and then the quotient of the
+    residue is u_{n+1} modulo A_{n+1}.  So the first u_n with a
+    non-integer coefficient is the same as in exact arithmetic.  Each row
+    of residues is packed into one int, so a step costs a few big-integer
+    operations a row, not several a coefficient.
 
     Returns the largest n <= n_max through which every u is integral; a
     value below n_max names u_{n+1} as the first non-integral one.
     """
     if not 0 <= n_max <= MAX_INTEGRALITY_DEPTH:
         raise UsageError("n_max must lie in [0, %d]" % MAX_INTEGRALITY_DEPTH)
-    return sum(1 for _ in integrality_residues(n_max)) - 1
+    return sum(1 for _ in _packed_rows(n_max)) - 1
 
 
 # ----------------------------------------------------------------------

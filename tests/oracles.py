@@ -8,8 +8,9 @@ is checked, the backward sweep itself in plain mpf arithmetic, against
 which its block fixed-point kernel is checked, the summation identity as
 a plain sum over an explicit zero list, against which the head-plus-tail
 sums are checked, the integrality recursion in exact rational
-arithmetic, against which the residues of the integrality scan are
-checked, and the Taylor coefficients of the factor and of the even
+arithmetic, against which its residues reduced coefficient by
+coefficient are checked, and those residues, against which the packed
+rows of the integrality scan are checked, and the Taylor coefficients of the factor and of the even
 minimizer by their coefficient recursions run forward, against which the
 closed form on the eigenvector and the backward factor run are checked,
 the Cauchy product of two truncated power series by one mpf multiply
@@ -33,6 +34,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from pwextremal import lseries
 from pwextremal.extremal import _test_function
 from pwextremal.lseries import _N0, _certified_tail
 from pwextremal.mpcore import SolverError, UsageError, _padded
@@ -339,3 +341,32 @@ def cancellation_digits(radius) -> int:
     log10 e^(pi radius / 2) truncated, plus 2, at 25 digits."""
     with mp.workdps(25):
         return int(mp.pi / 2 * mpf(radius) / mp.log(10)) + 2
+
+
+def integrality_residues(n_max: int):
+    """Iterator over u_0, u_1, .. modulo A_n = d_n d_{n+1} .. d_{n_max-1},
+    the divisors of the steps to come, stopping after u_n_max or before
+    the first u_n that is not integral; the steps are read from
+    lseries._recursion_step.  rows[i][j] of u_n is the coefficient of
+    b^{2i} lambda^j, 0 <= i <= n/2, 0 <= j <= n - 2i, each reduced on its
+    own at every step.  Against it the packed rows of
+    lseries.check_integrality are checked."""
+    steps = [lseries._recursion_step(n) for n in range(n_max)]
+    modulus = math.prod(d for *_, d in steps)
+    rows, prev = [[1 % modulus]], []
+    yield rows
+    for n, (constant, drift, shift, d) in enumerate(steps):
+        # row i of the numerator: row i of u_n and its lambda shift, and
+        # row i - 1 of u_{n-1}
+        out = []
+        for r, p in zip(rows + [[]], [[0] * (n + 2)] + prev):
+            row = [
+                (constant * a - drift * b + shift * c) % modulus
+                for a, b, c in zip(r + [0], [0] + r, p)
+            ]
+            if math.gcd(d, *row) != d:
+                return
+            out.append([c // d for c in row])
+        modulus //= d
+        prev, rows = rows, out
+        yield rows

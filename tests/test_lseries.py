@@ -15,7 +15,7 @@ import pytest
 from mpmath import mp, mpf
 
 import refvals
-from oracles import expansion_order, recursion_polynomials
+from oracles import expansion_order, integrality_residues, recursion_polynomials
 from pwextremal import extremal, lseries
 from pwextremal.mpcore import SolverError, UsageError
 
@@ -106,12 +106,17 @@ def test_symmetry_conjecture_reports(consts50):
 
 
 def test_integrality_scan():
-    assert lseries.check_integrality(200) == 200
+    # the packed scan against the element-wise one, through the depth
+    # verify runs and past it
+    for depth in (0, 1, 40, 200, 300):
+        through = sum(1 for _ in integrality_residues(depth)) - 1
+        assert lseries.check_integrality(depth) == through == depth
 
 
 def test_integrality_scan_memory():
-    # at the depth verify runs, the residues modulo 200!/n! peak at about
-    # 1.5 MB of traced heap; the exact rows peaked at 7.1 MB
+    # at the depth verify runs, the packed rows modulo 200!/n! peak at
+    # about 1.7 MB of traced heap, the residues one an int at 1.5 MB and
+    # the exact rows at 7.1 MB
     tracemalloc.start()
     try:
         lseries.check_integrality(200)
@@ -162,34 +167,77 @@ def test_recursion_matches_fraction_oracle():
         assert _as_fractions(rows, den) == oracle[n], n
 
 
+def _unpacked(rows, width, n):
+    """The slots of the packed rows of u_n, row i holding n - 2i + 1."""
+    low = (1 << width) - 1
+    return [
+        [row >> (width * j) & low for j in range(n - 2 * i + 1)]
+        for i, row in enumerate(rows)
+    ]
+
+
 def test_residues_match_exact_rows():
-    # the scan's rows are the exact rows reduced modulo 40!/n!
-    residues = list(lseries.integrality_residues(40))
-    assert len(residues) == 41
-    for n, ((rows, den), got) in enumerate(zip(recursion_polynomials(40), residues)):
+    # the oracle's residues are the exact rows reduced modulo 40!/n!, and
+    # the scan's slots are those rows in mu = -lambda, reduced the same
+    # way; n <= 40 runs past five reductions
+    residues = list(integrality_residues(40))
+    packed = list(lseries._packed_rows(40))
+    assert len(residues) == len(packed) == 41
+    for n, ((rows, den), got, (slots, width)) in enumerate(
+        zip(recursion_polynomials(40), residues, packed)
+    ):
         assert den == 1
         modulus = math.factorial(40) // math.factorial(n)
         assert got == [[c % modulus for c in row] for row in rows], n
+        signed = [
+            [(-1) ** j * c % modulus for j, c in enumerate(row)]
+            for row in _unpacked(slots, width, n)
+        ]
+        assert signed == got, n
 
 
 def test_integrality_scan_stops_at_first_violation(monkeypatch):
     # with the divisor of the recursion changed, the scan reports the
     # first non-integral u_n of an exact Fraction run; dividing step 12
     # by 8 (n + 1) makes u_13 and u_14 integral and u_15 not, so the
-    # residues must carry the extra powers of 2 through two steps
+    # residues must carry the extra powers of 2 through two steps.  The
+    # changes at the steps around a reduction of the packed slots show
+    # the violation at once (a factor 3) or a step or two later (a
+    # factor 2), at every reduction cadence
     step = lseries._recursion_step
-    for divisor, expected in (
-        (lambda n: n + 3, 1),
-        (lambda n: 2 * (n + 1) if n >= 10 else n + 1, 12),
-        (lambda n: 8 * (n + 1) if n == 12 else n + 1, 15),
-    ):
-        exact = _fraction_recursion(40, divisor)
-        assert len(exact) - 1 == expected
-        assert any(v.denominator != 1 for v in exact[-1].values())
-        monkeypatch.setattr(
-            lseries, "_recursion_step", lambda n, d=divisor: step(n)[:3] + (d(n),)
-        )
-        assert lseries.check_integrality(40) == expected - 1
+    for cadence in (1, 3, lseries._REDUCTION_STEPS):
+        monkeypatch.setattr(lseries, "_REDUCTION_STEPS", cadence)
+        cases = [
+            (lambda n: n + 3, 1),
+            (lambda n: 2 * (n + 1) if n >= 10 else n + 1, 12),
+            (lambda n: 8 * (n + 1) if n == 12 else n + 1, 15),
+        ]
+        for at in (cadence - 1, cadence, cadence + 1, 2 * cadence):
+            for factor in (2, 3):
+                divisor = lambda n, at=at, f=factor: f * (n + 1) if n == at else n + 1
+                cases.append((divisor, len(_fraction_recursion(40, divisor)) - 1))
+        for divisor, expected in cases:
+            exact = _fraction_recursion(40, divisor)
+            assert len(exact) - 1 == expected
+            assert any(v.denominator != 1 for v in exact[-1].values())
+            monkeypatch.setattr(
+                lseries, "_recursion_step", lambda n, d=divisor: step(n)[:3] + (d(n),)
+            )
+            assert lseries.check_integrality(40) == expected - 1, (cadence, expected)
+
+
+def test_slot_mask_catches_what_the_remainder_misses():
+    # slots (d - 2^W mod d, 1) sum to a multiple of d, yet d does not
+    # divide the low slot: divmod leaves no remainder, and only the mask
+    # of the quotient's top t bits tells
+    width, d = 16, 7
+    t = d.bit_length()
+    mask = lseries._slot_mask(width, t, 2)
+    assert mask == 0xE000E000
+    num = d - (1 << width) % d + (1 << width)
+    assert num % d == 0
+    assert lseries._slot_quotient(num, d, mask) is None
+    assert lseries._slot_quotient(2 * d + (d << width), d, mask) == 2 + (1 << width)
 
 
 def test_recursion_polynomial_heads():

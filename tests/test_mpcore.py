@@ -414,6 +414,23 @@ def test_hurwitz_zetas_real_first_exponent():
             hurwitz_zetas(mpf(19) / 4, w, 4)
 
 
+def test_hurwitz_zetas_late_orders():
+    # 88 orders at q = 19/4 and the 60 digits l_series sums at for 30:
+    # the late orders' direct powers and Bernoulli terms reach 0 in fixed
+    # point, where both loops stop; checked as in the closed-form test
+    # against mpmath at three times the precision
+    q = mpf(19) / 4
+    with mp.workdps(60):
+        prec = mp.prec
+        got = hurwitz_zetas(q, 2, 88)
+        assert len(got) == 88
+        for j, value in enumerate(got, start=2):
+            with mp.workdps(3 * mp.dps):
+                ref = mp.zeta(j, q)
+                tol = mpf(2) ** -(prec + 10) + mpf(2) ** -prec * ref
+                assert abs(value - ref) < tol, j
+
+
 def test_newton_halves_toward_the_bracket():
     # plain Newton on atan diverges from 1.5 (it oscillates outward from
     # any |x| > 1.39); the half-way rule keeps it in (-2, 2) and it lands
