@@ -108,21 +108,23 @@ EXPORT_TARGETS = (
 # The caps _check_caps puts on each flag before the solve.  The largest
 # --digits of each command: for the fourier suite and export legendre the
 # largest whose default Legendre pair count, digits // 3 + 8, fits in
-# MAX_PAIRS; for the others where one run passes about 100 s, extrapolated
-# from the growth between the runs listed (2-core x86 VM, one run each, at
-# 300 and 450 digits where no digits are named; zeros with --count 40).
+# MAX_PAIRS; for the L-series rows the last before a continuation order
+# passes lseries' 600, short of 100 s; for the others where one run
+# passes about 100 s, extrapolated from the growth between the runs listed
+# (2-core x86 VM, one run each, at 300 and 450 digits where no digits are
+# named; zeros with --count 40).
 MAX_DIGITS = {
-    "zeros": 600,  # 300, 450, 600: 10.0 s, 42.7 s, 112 s
+    "zeros": 600,  # 300, 450, 600: 3.9 s, 18.4 s, 51.6 s; not re-derived past 600
     "export rho": 600,  # 9.9 s, 37.1 s
-    "export lvalues": 500,  # 15.9 s, 60.3 s
+    "export lvalues": 582,  # 300, 450, 582: 4.7 s, 19.2 s, 62.1 s
     "export legendre": 3 * (MAX_PAIRS - 8) + 2,
     "verify --suite ode": 3400,  # 1000, 3000, 3500: 2.8 s, 64.7 s, 108.9 s
     "verify --suite functional": 7300,  # 4000, 7000, 8000: 19.7 s, 85.2 s, 128 s
     "verify --suite quadratic": 6600,  # 4000, 6000, 7000: 29.7 s, 78.3 s, 110.9 s
     "verify --suite summation": 450,  # 33.3 s, 97.4 s
     "verify --suite fourier": 3 * (MAX_PAIRS - 8) + 2,
-    "verify --suite lseries": 500,  # 20.0 s, 64.6 s
-    "verify --suite conjectures": 500,  # 13.2 s, 68.4 s
+    "verify --suite lseries": 572,  # 300, 450, 572: 4.5 s, 19.5 s, 49.0 s
+    "verify --suite conjectures": 574,  # 300, 450, 574: 7.0 s, 19.8 s, 55.7 s
 }
 
 # The largest --digits of the targets whose default order follows --digits,
@@ -273,9 +275,31 @@ _DISCREPANCY_GUARD = 25
 _BRUTE_EXPONENT = 12
 
 
+# the m_max and k_max of the L-series checks, and the l_series calls
+# (kind, s) of the even-odd bridge and the brute-force rows
+_CHECK_ROWS = 3
+_BRIDGE_CALLS = [("plus", 2), ("minus", 1)]
+_BRUTE_CALLS = [("plus", 3), ("minus", 3)]
+
+
+def _lseries_calls(consts, names) -> list:
+    """The l_series calls (kind, s, order) of the suites `names`, whose
+    Hurwitz tables _cmd_verify makes before any suite runs."""
+    rows = range(1, _CHECK_ROWS + 1)
+    calls = []
+    if "lseries" in names:
+        calls += lseries.lodd_calls(_CHECK_ROWS)
+        calls += [(kind, s, None) for kind, s in _BRIDGE_CALLS + _BRUTE_CALLS]
+        calls += [call for k in rows for call in lseries.residue_calls(k)]
+    if "conjectures" in names:
+        digits = consts.digits_certified
+        calls += [call for k in rows for call in lseries.symmetry_calls(k, digits)]
+    return calls
+
+
 def _suite_lseries(consts, args):
-    lodd = lseries.check_Lodd(consts, 3)
-    residues = lseries.check_residue_identity(consts, 3)
+    lodd = lseries.check_Lodd(consts, _CHECK_ROWS)
+    residues = lseries.check_residue_identity(consts, _CHECK_ROWS)
     # a certified row takes |discrepancy| at the precision its check ran at
     with mp.workdps(consts.digits_certified + lseries.CHECK_GUARD):
         out = [_entry("lodd", {"s": s}, d, b, "certified_bound", s != 0) for s, d, b in lodd]
@@ -285,24 +309,23 @@ def _suite_lseries(consts, args):
             row.update(residue_sign=int(mp.sign(residue)), odd_value_sign=int(mp.sign(odd)))
             out.append(row)
     with mp.workdps(args.digits + _DISCREPANCY_GUARD):
-        plus2 = lseries.l_series(consts, "plus", 2)
-        minus1 = lseries.l_series(consts, "minus", 1)
+        plus2, minus1 = [lseries.l_series(consts, *call) for call in _BRIDGE_CALLS]
         C = mpf(consts.C)
         disc = abs(plus2.value + 4 * C * minus1.value)
     out.append(_entry("even-odd-bridge", {"s": 2}, disc, _bound(args, 5)))
     brute_bound = _bound(args, args.digits - _BRUTE_EXPONENT)
-    for kind in ("plus", "minus"):
-        value, _err = lseries.brute_force_value(consts, kind, 3, 600)
-        cont = lseries.l_series(consts, kind, 3)
+    for kind, s in _BRUTE_CALLS:
+        value, _err = lseries.brute_force_value(consts, kind, s, 600)
+        cont = lseries.l_series(consts, kind, s)
         with mp.workdps(args.digits + _DISCREPANCY_GUARD):
             disc = abs(value - cont.value)
-        parameters = {"kind": kind, "s": 3, "terms": 600}
+        parameters = {"kind": kind, "s": s, "terms": 600}
         out.append(_entry("brute-vs-continuation", parameters, disc, brute_bound))
     return out
 
 
 def _suite_conjectures(consts, args):
-    symmetry = lseries.check_symmetry_conjecture(consts, 3)
+    symmetry = lseries.check_symmetry_conjecture(consts, _CHECK_ROWS)
     with mp.workdps(consts.digits_certified + lseries.CHECK_GUARD):
         out = []
         for k, d, b, shift in symmetry:
@@ -419,6 +442,9 @@ def _cmd_verify(args):
     names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     _check_caps(args, ["verify --suite " + name for name in names])
     consts = solve_constants(args.digits)
+    calls = _lseries_calls(consts, names)
+    if calls:
+        lseries.reserve_lattice_tables(consts, calls)
     checks = [c for name in names for c in _SUITE_RUNNERS[name](consts, args)]
     failed = sum(1 for c in checks if c.get("status") == "fail")
     payload = {
@@ -482,15 +508,16 @@ def _cmd_export(args):
     consts = solve_constants(args.digits)
     if args.what == "lvalues":
         top = args.terms if args.terms is not None else 6
+        calls = [(kind, s, None) for s in range(1, top + 1) for kind in ("minus", "plus")]
+        lseries.reserve_lattice_tables(consts, calls)
         values = []
-        for s in range(1, top + 1):
-            for kind in ("minus", "plus"):
-                v = lseries.l_series(consts, kind, s)
-                key = "residue" if v.is_pole else "value"
-                row = {"s": str(v.s), "kind": kind, "is_pole": v.is_pole}
-                row["error_bound"] = mp.nstr(v.error_bound, 8)
-                row[key] = mp.nstr(getattr(v, key), 20)
-                values.append(row)
+        for kind, s, _order in calls:
+            v = lseries.l_series(consts, kind, s)
+            key = "residue" if v.is_pole else "value"
+            row = {"s": str(v.s), "kind": kind, "is_pole": v.is_pole}
+            row["error_bound"] = mp.nstr(v.error_bound, 8)
+            row[key] = mp.nstr(getattr(v, key), 20)
+            values.append(row)
         document = {"table": "lvalues", "digits": args.digits, "values": values}
         header = ["kind", "s", "is_pole", "value", "residue", "error_bound"]
         rows = [[v.get(k, "") for k in header] for v in values]

@@ -418,12 +418,15 @@ class ZeroModel:
     decreases in n, so it then holds at every n > n0, and tau and
     zeros_signed read the model without checks.
     build_zero_model makes the one model of a constants object and keeps
-    it on the object's `zeros` field.
+    it on the object's `zeros` field.  `lattice` holds the Hurwitz zeta
+    tables of the L-series tail, one per lattice point, which
+    lseries._hurwitz_table makes and reads.
     """
 
     def __init__(self, rho_coeffs: list, refined: list, n0: int, digits: int):
         self.rho_coeffs, self.refined, self.n0, self.digits = rho_coeffs, refined, n0, digits
         self._tables = {}  # wp -> offset_table at that wp
+        self.lattice = {}  # lattice point q -> (prec, zeta(2 + i, q) for i < n)
         bound = rho_tail_bound(self.M, mpf(2) / (2 * n0 + 3))
         if bound >= mpf(10) ** (-digits):
             raise UsageError(

@@ -7,10 +7,13 @@ half-integer power times a binomial correction series in 1/(n + 1/2), a
 short head is summed directly from the zero model, and the remaining
 lattice sums collapse to Hurwitz zeta values.  Every order with exponent
 w = s + j >= 2 takes its value from one mpcore.hurwitz_zetas table per
-lattice point and call, with a stated error; mpmath's zeta (and the
-digamma at w = 1) serves only the few orders with w < 2.  The one-signed
-series is meromorphic with simple poles on the negative odd integers (and
-at 1); the alternating one is entire.
+lattice point, kept on the zero model from w = 2 and made once per
+command at the longest length and the highest precision its calls read
+(reserve_lattice_tables), with a stated error; a non-integer w makes a
+table of its own, and mpmath's zeta (and the digamma at w = 1) serves
+only the few orders with w < 2.  The one-signed series is meromorphic
+with simple poles on the negative odd integers (and at 1); the
+alternating one is entire.
 
 The continuation carries an error bound built from the geometric
 majorant of the offset coefficients, a_m <= 2^{-m-1}, so every
@@ -31,12 +34,13 @@ divisibility by n+1 at every step (see check_integrality), and returns
 how far every u_n has integer coefficients.  Each row of u_n, one power
 of b^2, is packed into one int with a slot per power of -lambda, so a step
 is a few big-integer operations a row (Kronecker substitution, see
-_packed_rows): 0.47 s at depth 200, 1.7 s at 300 and 5.5 s at 400 (see
-mpcore.MAX_INTEGRALITY_DEPTH).  No floating point is involved on that
+_packed_rows): 0.46 s at depth 200, 2.1 s at 300 and 6.1 s at 400 on a
+slow stretch of the VM (see mpcore.MAX_INTEGRALITY_DEPTH).  No floating point is involved on that
 path.
 """
 
 import math
+import struct
 
 from mpmath import mp, mpf
 
@@ -149,23 +153,95 @@ def _certified_tail(s, J: int, M: int):
     return tail, rho_term
 
 
-def _lattice_sums(kind: str, w, n: int) -> list:
+def _lattice_points(kind: str) -> list:
+    """The Hurwitz parameters of a kind's lattice sums, q = _N0 + 3/2 for
+    the plus kind and q/2, (q + 1)/2 for the minus kind; all exact."""
+    q = mpf(2 * _N0 + 3) / 2
+    return [q] if kind == "plus" else [q / 2, (q + 1) / 2]
+
+
+def _is_pole(kind: str, s) -> bool:
+    """Whether s is a pole of the series: 1 or a negative odd integer of
+    the plus kind."""
+    return kind == "plus" and _is_integer(s) and int(mpf(s)) <= 1 and (1 - int(mpf(s))) % 2 == 0
+
+
+def _continuation_dps(s: float, digits: int) -> int:
+    """The working precision of l_series at s: digits +
+    _CONTINUATION_GUARD, plus the digits q^-s magnifies for s < 0."""
+    amp = max(0, int(-s * math.log10(_N0 + 1.5)) + 1) if s < 0 else 0
+    return digits + _CONTINUATION_GUARD + amp
+
+
+def _hurwitz_table(zeros, q, w, n: int) -> list:
+    """[zeta(w + i, q) for i < n] at the working precision p, each within
+    2^-(p+10) of its value before it is rounded (mpcore.hurwitz_zetas).
+
+    For an integer w >= 2 the values are read off the table of q kept on
+    the zero model, which starts at w = 2, and rounded to p.  It is made
+    at the first read, or made anew when a read needs more values or
+    more bits than it holds, at the most any read so far asked for;
+    reserve_lattice_tables makes it once, before the reads of a command.
+    A table made at P >= p bits keeps hurwitz_zetas' bound for the
+    reader at p: within 2^-(P+10) <= 2^-(p+10) before the roundings to P
+    and then to p, which together move a value by at most one unit in its
+    p-th bit, where a table made at p moves it by half of one.  Any other
+    w makes a table of its own.
+    """
+    if w != int(w):
+        return hurwitz_zetas(q, w, n)
+    start, prec = int(w) - 2, mp.prec
+    held_prec, held = zeros.lattice.get(q, (0, []))
+    if held_prec < prec or len(held) < start + n:
+        prec, length = max(prec, held_prec), max(start + n, len(held))
+        with mp.workprec(prec):
+            held = hurwitz_zetas(q, 2, length)
+        zeros.lattice[q] = (prec, held)
+    return [+z for z in held[start:start + n]]
+
+
+def _lattice_sums(zeros, kind: str, w, n: int) -> list:
     """Lattice sums of the tail past _N0 at exponents w + i, i < n, w >= 2:
     sum_{m > _N0} (m + 1/2)^-v = zeta(v, q) for the plus kind and
     sum_{m > _N0} (-1)^m (m + 1/2)^-v = (-1)^(_N0+1) 2^-v (zeta(v, q/2)
-    - zeta(v, (q+1)/2)) for the minus kind, q = _N0 + 3/2; one
-    hurwitz_zetas table per lattice point.
+    - zeta(v, (q+1)/2)) for the minus kind, q = _N0 + 3/2.  The zeta
+    values are sliced off the zero model's table of each lattice point
+    and rounded to the working precision (_hurwitz_table).
     """
-    q = mpf(2 * _N0 + 3) / 2
+    tables = [_hurwitz_table(zeros, q, w, n) for q in _lattice_points(kind)]
     if kind == "plus":
-        return hurwitz_zetas(q, w, n)
+        return tables[0]
     sign = 1 if _N0 % 2 else -1
-    low = hurwitz_zetas(q / 2, w, n)
-    high = hurwitz_zetas((q + 1) / 2, w, n)
+    low, high = tables
     return [
         sign * (mpf(2) ** -(w + i) * (a - b))
         for i, (a, b) in enumerate(zip(low, high))
     ]
+
+
+def reserve_lattice_tables(consts: ExtremalConstants, calls) -> None:
+    """Make the lattice tables that the l_series calls (kind, s, order) of
+    `calls` read: one per lattice point, from w = 2, at the longest length
+    and the highest precision any of the calls reads, so that none of them
+    makes one.  An integer s reads w = 2 .. s + J, J its order; a pole or a
+    non-integer s reads no kept table.
+    """
+    digits = consts.digits_certified
+    need = {}
+    for kind, s, order in calls:
+        if _is_pole(kind, s) or not _is_integer(s):
+            continue
+        s = int(mpf(s))
+        J = order if order is not None else _expansion_order(s, digits)
+        with mp.workdps(_continuation_dps(s, digits)):
+            prec = mp.prec
+        for q in _lattice_points(kind):
+            held_prec, length = need.get(q, (0, 0))
+            need[q] = (max(prec, held_prec), max(s + J - 1, length))
+    zeros = build_zero_model(consts)
+    for q, (prec, length) in need.items():
+        with mp.workprec(prec):
+            _hurwitz_table(zeros, q, 2, length)
 
 
 def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSeriesValue:
@@ -178,7 +254,10 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
     _lattice_sums for s + j >= 2, of mp.zeta (plus) or
     alternating_halfinteger_tail (minus) below 2.  The error bound adds
     the truncation past J, the offset series past M, the input digits and
-    2^-(prec+10) sum |e_j| for the tables.
+    table_term, 2^-(prec+10) sum |e_j| for the tables: each zeta value is
+    within 2^-(prec+10) before its rounding to prec, also when it is read
+    off a table made at more bits (_hurwitz_table); that rounding, at most
+    one unit in the last place, is left to the guard with the others.
 
     The plus kind has simple poles at s = 1 and the negative odd
     integers; there the returned record carries the residue instead of a
@@ -190,7 +269,7 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
     digits = consts.digits_certified
     zeros = build_zero_model(consts)
 
-    if kind == "plus" and _is_integer(s) and int(mpf(s)) <= 1 and (1 - int(mpf(s))) % 2 == 0:
+    if _is_pole(kind, s):
         k = int(mpf(s))
         J = (1 - k) + 6
         with mp.workdps(digits + _RESIDUE_GUARD):
@@ -204,8 +283,7 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
 
     s_float = float(s)
     J = order if order is not None else _expansion_order(s_float, digits)
-    amp = max(0, int(-s_float * math.log10(_N0 + 1.5)) + 1) if s_float < 0 else 0
-    with mp.workdps(digits + _CONTINUATION_GUARD + amp):
+    with mp.workdps(_continuation_dps(s_float, digits)):
         s_mp = mpf(s)
         q = mpf(2 * _N0 + 3) / 2
         head = mpf(0)
@@ -218,7 +296,7 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
             head_abs += abs(term)
         e = binomial_tail_expansion(zeros.rho_coeffs, s_mp, J)
         j0 = max(0, int(mp.ceil(2 - s_mp)))  # first order with s + j >= 2
-        table = _lattice_sums(kind, s_mp + j0, J + 1 - j0) if J >= j0 else []
+        table = _lattice_sums(zeros, kind, s_mp + j0, J + 1 - j0) if J >= j0 else []
         tail_sum = mpf(0)
         tail_abs = mpf(0)
         table_abs = mpf(0)
@@ -282,6 +360,24 @@ def l_plus_even_from_phi(consts: ExtremalConstants, k_max: int):
 # identity checks
 
 
+def lodd_calls(m_max: int) -> list:
+    """The l_series calls (kind, s, order) of check_Lodd, in its order."""
+    return [("minus", -1 - 2 * m, None) for m in range(m_max + 1)] + [("minus", 0, None)]
+
+
+def residue_calls(k: int) -> list:
+    """The l_series calls (kind, s, order) of check_residue_identity at k:
+    the pole of the plus series at 1 - 2k, the alternating value at 2k - 1."""
+    return [("plus", 1 - 2 * k, None), ("minus", 2 * k - 1, None)]
+
+
+def symmetry_calls(k: int, digits: int) -> list:
+    """The l_series calls (kind, s, order) of check_symmetry_conjecture at
+    k: the plus value at -2k at its order and at twice it, and at 2k."""
+    J = _expansion_order(-2 * k, digits)
+    return [("plus", -2 * k, J), ("plus", -2 * k, 2 * J), ("plus", 2 * k, None)]
+
+
 def check_Lodd(consts: ExtremalConstants, m_max: int) -> list:
     """Alternating series at the negative odd integers, as tuples
     (s, discrepancy, certified bound) for s = -1, -3, .., -1 - 2 m_max
@@ -295,14 +391,15 @@ def check_Lodd(consts: ExtremalConstants, m_max: int) -> list:
     out = []
     slack = mpf(10) ** (-(digits - _INPUT_LOSS))
     with mp.workdps(digits + CHECK_GUARD):
-        val = l_series(consts, "minus", -1)
         target = -1 / (4 * mpf(consts.C))
-        out.append((-1, val.value - target, val.error_bound + slack))
-        for m in range(1, m_max + 1):
-            val = l_series(consts, "minus", -1 - 2 * m)
-            out.append((-1 - 2 * m, val.value, val.error_bound + slack))
-        zero_val = l_series(consts, "minus", 0)
-        out.append((0, zero_val.value, zero_val.error_bound))
+        for kind, s, order in lodd_calls(m_max):
+            val = l_series(consts, kind, s, order=order)
+            if s == -1:
+                out.append((s, val.value - target, val.error_bound + slack))
+            elif s:
+                out.append((s, val.value, val.error_bound + slack))
+            else:
+                out.append((0, val.value, val.error_bound))
     return out
 
 
@@ -319,10 +416,11 @@ def check_residue_identity(consts: ExtremalConstants, k_max: int) -> list:
     with mp.workdps(consts.digits_certified + CHECK_GUARD):
         C = mpf(consts.C)
         for k in range(1, k_max + 1):
-            pole = l_series(consts, "plus", 1 - 2 * k)
+            pole, odd = [
+                l_series(consts, kind, s, order=order) for kind, s, order in residue_calls(k)
+            ]
             if not pole.is_pole:
                 raise SolverError("expected a pole at s=%d" % (1 - 2 * k))
-            odd = l_series(consts, "minus", 2 * k - 1)
             rhs = (
                 (2 / mp.pi)
                 * (-1) ** (k - 1)
@@ -353,10 +451,10 @@ def check_symmetry_conjecture(consts: ExtremalConstants, k_max: int) -> list:
     with mp.workdps(digits + CHECK_GUARD):
         C = mpf(consts.C)
         for k in range(1, k_max + 1):
-            J = _expansion_order(-2 * k, digits)
-            neg = l_series(consts, "plus", -2 * k, order=J)
-            neg2 = l_series(consts, "plus", -2 * k, order=2 * J)
-            pos = l_series(consts, "plus", 2 * k)
+            neg, neg2, pos = [
+                l_series(consts, kind, s, order=order)
+                for kind, s, order in symmetry_calls(k, digits)
+            ]
             rhs = (-1) ** k * pos.value / (2 * mp.pi * C) ** (2 * k)
             certified = (
                 neg.error_bound
@@ -378,8 +476,9 @@ def _recursion_step(n: int):
 
 
 # steps of the integrality scan between two reductions of its slots; fewer
-# reductions widen every slot by the growth of the steps between, and of
-# 4, 8, 12, 16 and 24, 8 and 12 were fastest at depth 200 (measured)
+# reductions widen every slot by the growth of the steps between.  Of 8,
+# 10, 12, 16 and 24, 8 to 12 ran within the noise of each other at depths
+# 200 and 300 and 16 and 24 slower (medians of 5 to 15 runs on one CPU)
 _REDUCTION_STEPS = 8
 
 
@@ -399,18 +498,16 @@ def _slot_quotient(num: int, d: int, mask: int):
 
 def _repack(rows: list, width: int, new_width: int, modulus: int) -> list:
     """rows with every slot reduced modulo `modulus`, packed anew at
-    new_width bits a slot; both widths are whole bytes."""
+    new_width bits a slot; both widths are whole bytes.  A row's big-endian
+    bytes are its slots, top first, each big-endian, so one struct.unpack
+    splits them and int.from_bytes reads each."""
     size, new_size = width // 8, new_width // 8
     out = []
     for row in rows:
-        raw = row.to_bytes(-(-row.bit_length() // width) * size, "little")
-        slots = [
-            int.from_bytes(raw[k:k + size], "little") % modulus
-            for k in range(0, len(raw), size)
-        ]
-        out.append(int.from_bytes(
-            b"".join([c.to_bytes(new_size, "little") for c in slots]), "little"
-        ))
+        count = -(-row.bit_length() // width)
+        slots = struct.unpack("%ds" % size * count, row.to_bytes(count * size, "big"))
+        reduced = [c % modulus for c in map(int.from_bytes, slots)]
+        out.append(int.from_bytes(b"".join([c.to_bytes(new_size) for c in reduced])))
     return out
 
 
@@ -524,9 +621,24 @@ def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
     kind, n <= n_terms; -tau_1^-s and then f(m) = tau_2m^-s - tau_(2m+1)^-s,
     m <= n_terms // 2, for the alternating kind (n_terms + 1 terms for an
     even n_terms).  From a, the first index not summed, the tail is the
-    integral of f over [a, infinity) by mp.quad plus
+    integral of f over [a, infinity) plus
     f(a)/2 - f'(a)/12 + f^(3)(a)/720 - f^(5)(a)/30240, the derivatives by
     mp.diffs.
+
+    The integral is taken in u = a/t, as the integral of f(a/u) a/u^2
+    over [0, 1], by mp.quad's tanh-sinh rule: in t the summand decays only
+    like t^-s, which tanh-sinh resolves slowly on [a, infinity): 571
+    summand evaluations a kind against 151 at s = 3 and 30 digits, the
+    integral's and the derivatives' together, with the same value to 50
+    digits and the same error.  u = 0 is safe.  The rule never evaluates
+    an endpoint, and tau_t = t + 1/2 - rho(1/(t + 1/2)), so
+    tau_t^-s = t^-s (1 + O(1/t))^-s = u^s a^-s (1 + O(u)): the pulled-back
+    summand is u^(s-2) times a power series in u, analytic at 0 for an
+    integer s >= 2 and an integrable endpoint singularity for real s > 1,
+    the kind tanh-sinh handles (Takahasi and Mori, 1974).  Near u = 0 the
+    alternating difference cancels, but each power is rounded relative to
+    itself, so the pulled-back difference carries about u^(s-2) a^(1-s)
+    units of the working precision, for s >= 2 no more than at u = 1.
 
     Returns (value, error estimate): |f^(7)(a)| / 1209600, the first
     omitted correction, plus quad's error and 10^-min(digits,
@@ -567,7 +679,10 @@ def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
             def summand(m):
                 return power(2 * m) - power(2 * m + 1)
 
-        integral, quad_err = mp.quad(summand, [a, mp.inf], error=True, maxdegree=10)
+        def pulled_back(u):
+            return summand(a / u) * a / u ** 2
+
+        integral, quad_err = mp.quad(pulled_back, [0, 1], error=True, maxdegree=10)
         f0, d1, _, d3, _, d5, _, d7 = mp.diffs(summand, a, 7)
         tail = integral + f0 / 2 - d1 / 12 + d3 / 720 - d5 / 30240
         return total + tail, abs(d7) / 1209600 + quad_err + mpf(10) ** (-resolved)

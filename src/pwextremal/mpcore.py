@@ -59,10 +59,11 @@ class SolverError(RuntimeError):
 # The package's size caps, here so that cli reads them without loading
 # fourier or lseries: the largest Legendre pair count and window-basis
 # order of fourier, and the deepest integrality scan of lseries, whose work
-# grows about as depth^3.5: on packed rows it took 0.47 s at 200, 1.7 s at
-# 300 and 5.5 s at 400, where the scan one residue an int took 0.61, 2.2
-# and 5.9 s (medians of 5, 5 and 3 interleaved runs on one core of a
-# shared 2-core x86 VM, Python 3.11; the VM's speed varies by up to 1.6x).
+# grows about as depth^3.5: on packed rows, repacked by one struct.unpack
+# a row, it took 0.46 s at 200, 2.1 s at 300 and 6.1 s at 400, where
+# repacking slot by slot took 0.52, 2.3 and 6.7 s (medians of 7, 5 and 3
+# interleaved runs on one core of a shared 2-core x86 VM, Python 3.11, in
+# a slow stretch: the VM's speed varies by up to 1.6x).
 MAX_PAIRS = 64
 MAX_WINDOW = 40
 MAX_INTEGRALITY_DEPTH = 400
@@ -366,7 +367,11 @@ def _euler_maclaurin_constants(P: int, wp: int):
 def hurwitz_zetas(q, w, n: int) -> list:
     """[zeta(w + i, q) for i in range(n)] for real w >= 2 and q > 0.  For
     q >= 1 each value is within 2^-(prec+10) before it is rounded to the
-    working precision; below 1, zeta(w, q) = q^-w + zeta(w, q + 1).
+    working precision; below 1, zeta(w, q) = q^-w + zeta(w, q + 1).  A
+    reader working at p < prec bits who rounds a value to p gets it within
+    2^-(prec+10) < 2^-(p+10) before the two roundings, to prec and then to
+    p, which together move it by at most one unit in its p-th bit, where
+    a table made at p bits moves it by half of one.
 
     One Euler-Maclaurin run serves every exponent.  N terms (q + m)^-w
     are summed directly, the first power of each m by one real power (by

@@ -29,6 +29,11 @@ def consts50():
     return solve_constants(50)
 
 
+@pytest.fixture(scope="session")
+def consts60():
+    return solve_constants(60)
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
     """(N, dps) of every backward sweep made while it is active, through

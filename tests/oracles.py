@@ -26,7 +26,9 @@ the factor's Taylor model and of the band transform's series as
 products of terms accumulated at 25 digits, the continuation order of
 the L-series as a search stepping its tail term at 30 digits and the
 factor's cancellation headroom at 25 digits, against which their closed
-forms in floats are checked.
+forms in floats are checked, and the brute-force tail integral of the
+L-series over [a, infinity) in t itself, against which its pulled-back
+form on [0, 1] is checked.
 """
 
 import math
@@ -34,7 +36,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from pwextremal import lseries
+from pwextremal import extremal, lseries
 from pwextremal.extremal import _test_function
 from pwextremal.lseries import _N0, _certified_tail
 from pwextremal.mpcore import SolverError, UsageError, _padded
@@ -370,3 +372,37 @@ def integrality_residues(n_max: int):
         modulus //= d
         prev, rows = rows, out
         yield rows
+
+
+def brute_force_on_t(consts, kind: str, s, n_terms: int):
+    """lseries.brute_force_value with its tail integral taken in t itself,
+    over [a, infinity) by mp.quad's tanh-sinh rule, as it was before the
+    substitution u = a/t: the same head sums, Euler-Maclaurin corrections
+    and error terms.  Against it the pulled-back integral is checked."""
+    zeros = extremal.build_zero_model(consts)
+    resolved = min(consts.digits_certified, lseries._BRUTE_RESOLVED)
+    with mp.workdps(resolved + lseries._BRUTE_GUARD):
+        s_mp = mpf(s)
+
+        def power(t):
+            return extremal.tau_series(zeros, t) ** (-s_mp)
+
+        if kind == "plus":
+            total = mp.fsum(extremal.tau(zeros, n) ** (-s_mp) for n in range(1, n_terms + 1))
+            a, summand = mpf(n_terms + 1), power
+        else:
+            pairs = n_terms // 2
+            total = -extremal.tau(zeros, 1) ** (-s_mp)
+            total += mp.fsum(
+                extremal.tau(zeros, 2 * m) ** (-s_mp) - extremal.tau(zeros, 2 * m + 1) ** (-s_mp)
+                for m in range(1, pairs + 1)
+            )
+            a = mpf(pairs + 1)
+
+            def summand(m):
+                return power(2 * m) - power(2 * m + 1)
+
+        integral, quad_err = mp.quad(summand, [a, mp.inf], error=True, maxdegree=10)
+        f0, d1, _, d3, _, d5, _, d7 = mp.diffs(summand, a, 7)
+        tail = integral + f0 / 2 - d1 / 12 + d3 / 720 - d5 / 30240
+        return total + tail, abs(d7) / 1209600 + quad_err + mpf(10) ** (-resolved)

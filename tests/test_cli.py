@@ -420,10 +420,10 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
         (["verify", "--suite", "all"], 170),
         (["zeros", "--count", "40"], 600),
         (["export", "rho"], 600),
-        (["export", "lvalues"], 500),
+        (["export", "lvalues"], 582),
         (["verify", "--suite", "summation"], 450),
-        (["verify", "--suite", "lseries"], 500),
-        (["verify", "--suite", "conjectures"], 500),
+        (["verify", "--suite", "lseries"], 572),
+        (["verify", "--suite", "conjectures"], 574),
         (["export", "h"], 1293),
         (["verify", "--suite", "ode"], 3400),
         (["verify", "--suite", "functional"], 7300),
@@ -462,6 +462,31 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
     assert "zeros needs --count 2000000 or less" in capsys.readouterr().err
     assert cli.main(["zeros", "--count", "2000000"]) == 1
     assert "solve reached" in capsys.readouterr().err
+
+
+def test_lseries_digit_caps_are_the_last_continuation_order():
+    # the L-series rows stop where a continuation order of one of their
+    # l_series calls would pass lseries' 600, before their runs pass
+    # 100 s: at the cap every order is found, one digit past it one is not
+    from pwextremal import cli, lseries
+
+    def orders(command, digits):
+        consts = SimpleNamespace(digits_certified=digits)
+        if command == "export lvalues":
+            calls = [(kind, s, None) for s in range(1, 7) for kind in ("minus", "plus")]
+        else:
+            calls = cli._lseries_calls(consts, [command.split()[-1]])
+        return [
+            lseries._expansion_order(s, digits)
+            for kind, s, order in calls
+            if order is None and not lseries._is_pole(kind, s)
+        ]
+
+    for command in ("verify --suite lseries", "verify --suite conjectures", "export lvalues"):
+        cap = cli.MAX_DIGITS[command]
+        assert max(orders(command, cap)) <= 600, command
+        with pytest.raises(cli.SolverError, match="exceeds 600"):
+            orders(command, cap + 1)
 
 
 def test_export_h_digit_cap_is_the_last_default_transform_order():

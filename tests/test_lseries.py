@@ -8,14 +8,21 @@ machinery, so the 1e-12 agreement is an independent confirmation.
 import copy
 import math
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 import refvals
-from oracles import expansion_order, integrality_residues, recursion_polynomials
+from oracles import (
+    brute_force_on_t,
+    expansion_order,
+    integrality_residues,
+    recursion_polynomials,
+)
 from pwextremal import extremal, lseries
 from pwextremal.mpcore import SolverError, UsageError
 
@@ -284,38 +291,148 @@ def test_brute_force_real_exponent(consts30):
     assert abs(cont.value - brute) <= err + cont.error_bound
 
 
-def test_l_series_work_count(consts30, monkeypatch):
-    # every order with exponent w = s + j >= 2 comes from one hurwitz_zetas
-    # table per lattice point of the call (q = 19/2, or 19/4 and 21/4 for
-    # the alternating kind); mpmath's zeta serves only w < 2, once per
-    # order for the plus kind and twice for the minus kind, whose w = 1
-    # order takes the digamma instead; counted by wrapping both
-    extremal.build_zero_model(consts30)
-    zetas, tables = [], []
-    zeta = mp.zeta
-    table = lseries.hurwitz_zetas
+@pytest.mark.parametrize("fixture", ["consts30", "consts60"])
+def test_brute_force_tail_in_u_matches_the_integral_in_t(fixture, request):
+    # the tail integral pulled back to [0, 1] by u = a/t against the
+    # integral over [a, infinity) in t, at an integer s, where the
+    # pulled-back summand is analytic at u = 0, and at a real s, where it
+    # has a u^(1/2) endpoint singularity
+    consts = request.getfixturevalue(fixture)
+    for kind in ("plus", "minus"):
+        for s in (3, mpf(5) / 2):
+            value, error = lseries.brute_force_value(consts, kind, s, 600)
+            reference, reference_error = brute_force_on_t(consts, kind, s, 600)
+            assert abs(value - reference) <= error, (kind, s)
+            assert error <= 2 * reference_error, (kind, s)
 
-    def counted_zeta(w, q, *args, **kwargs):
-        zetas.append(int(w))
-        return zeta(w, q, *args, **kwargs)
+
+def test_brute_force_tail_evaluation_count(consts30, monkeypatch):
+    # at s = 3 the pulled-back tail makes 151 summand evaluations a kind at
+    # 30 digits, the quadrature's and mp.diffs' together (571 in t),
+    # counted by wrapping the series value each summand reads
+    extremal.build_zero_model(consts30)
+    evaluations = []
+    tau_series = lseries.tau_series
+
+    def counted(model, t):
+        evaluations.append(t)
+        return tau_series(model, t)
+
+    monkeypatch.setattr(lseries, "tau_series", counted)
+    for kind, per_summand in (("plus", 1), ("minus", 2)):
+        evaluations.clear()
+        lseries.brute_force_value(consts30, kind, 3, 600)
+        assert len(evaluations) <= 200 * per_summand, kind
+
+
+def _fresh_tables(consts):
+    """A copy of consts whose zero model holds no lattice table yet."""
+    model = copy.copy(extremal.build_zero_model(consts))
+    model.lattice = {}
+    fresh = copy.copy(consts)
+    fresh.zeros = model
+    return fresh
+
+
+def _counted_tables(monkeypatch):
+    """The lattice points of every hurwitz_zetas call lseries makes while
+    the test runs, counted by wrapping its binding."""
+    tables = []
+    table = lseries.hurwitz_zetas
 
     def counted_table(q, w, n):
         tables.append(q)
         return table(q, w, n)
 
-    monkeypatch.setattr(mp, "zeta", counted_zeta)
     monkeypatch.setattr(lseries, "hurwitz_zetas", counted_table)
-    for kind, s, orders, lattice in (
-        ("plus", 3, [], [9.5]),
-        ("minus", 3, [], [4.75, 5.25]),
-        ("plus", -6, [-6, -4, -2, 0], [9.5]),
-        ("minus", -5, [-5, -5, -3, -3, -1, -1], [4.75, 5.25]),
+    return tables
+
+
+def test_l_series_work_count(consts30, monkeypatch):
+    # every order with exponent w = s + j >= 2 comes from one hurwitz_zetas
+    # table per lattice point (q = 19/2, or 19/4 and 21/4 for the
+    # alternating kind), made once for the calls reserved and kept on the
+    # zero model; mpmath's zeta serves only w < 2, once per order for the
+    # plus kind and twice for the minus kind, whose w = 1 order takes the
+    # digamma instead; counted by wrapping both
+    fresh = _fresh_tables(consts30)
+    calls = [("plus", 3, None), ("minus", 3, None), ("plus", -6, None), ("minus", -5, None)]
+    zetas = []
+    zeta = mp.zeta
+
+    def counted_zeta(w, q, *args, **kwargs):
+        zetas.append(int(w))
+        return zeta(w, q, *args, **kwargs)
+
+    monkeypatch.setattr(mp, "zeta", counted_zeta)
+    tables = _counted_tables(monkeypatch)
+    lseries.reserve_lattice_tables(fresh, calls)
+    assert sorted(tables) == [4.75, 5.25, 9.5]
+    tables.clear()
+    for (kind, s, _order), orders in zip(
+        calls, ([], [], [-6, -4, -2, 0], [-5, -5, -3, -3, -1, -1])
     ):
         zetas.clear()
-        tables.clear()
-        lseries.l_series(consts30, kind, s)
+        lseries.l_series(fresh, kind, s)
         assert sorted(zetas) == orders, (kind, s)
+    assert tables == []
+    # a call past what the tables hold makes its lattice points' tables
+    # anew, at the most any call so far read, and a later call reads them
+    for kind, s, lattice in (("plus", 9, [9.5]), ("minus", -7, [4.75, 5.25]), ("plus", 8, [])):
+        tables.clear()
+        lseries.l_series(fresh, kind, s)
         assert sorted(tables) == lattice, (kind, s)
+    # a non-integer exponent makes tables of its own, which are not kept
+    tables.clear()
+    lseries.l_series(fresh, "minus", mpf("2.5"))
+    assert sorted(tables) == [4.75, 5.25]
+    assert sorted(fresh.zeros.lattice) == [4.75, 5.25, 9.5]
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--suite", "lseries"], ["verify", "--suite", "conjectures"],
+             ["export", "lvalues"]],
+)
+def test_one_table_per_lattice_point_per_command(consts30, monkeypatch, payload, argv):
+    # the command makes the tables of every l_series call it will make
+    # before the first, so hurwitz_zetas runs at most once per lattice
+    # point however many calls read it (24 in verify --suite all)
+    fresh = _fresh_tables(consts30)
+    tables = _counted_tables(monkeypatch)
+    payload(fresh, *argv)
+    assert len(tables) == len(set(tables)) and tables
+    assert set(tables) <= {4.75, 5.25, 9.5}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q=st.sampled_from([mpf(19) / 4, mpf(21) / 4, mpf(19) / 2]),
+    prec=st.integers(60, 400),
+    extra_bits=st.integers(0, 80),
+    w=st.integers(2, 14),
+    n=st.integers(1, 16),
+    extra_length=st.integers(0, 24),
+)
+def test_table_read_at_fewer_bits_keeps_its_bound(q, prec, extra_bits, w, n, extra_length):
+    # a value sliced off a longer table made at more bits and rounded to
+    # the reader's precision p is within 2^-(p+10) plus one unit in its
+    # p-th bit of zeta, where a table made at p is within 2^-(p+10) plus
+    # half of one (_hurwitz_table); so the two lie within the sum
+    model = types.SimpleNamespace(lattice={})
+    with mp.workprec(prec + extra_bits):
+        lseries._hurwitz_table(model, q, 2, w - 2 + n + extra_length)
+    with mp.workprec(prec):
+        read = lseries._hurwitz_table(model, q, w, n)
+        own = lseries.hurwitz_zetas(q, w, n)
+    assert model.lattice[q][0] == prec + extra_bits
+    with mp.workprec(prec + 60):
+        for i, (r, o) in enumerate(zip(read, own)):
+            exact = mp.zeta(w + i, q)
+            unit = abs(exact) * mpf(2) ** (1 - prec)
+            floor = mpf(2) ** -(prec + 10)
+            assert abs(r - exact) <= floor + unit, i
+            assert abs(o - exact) <= floor + unit / 2, i
+            assert abs(r - o) <= 2 * floor + 3 * unit / 2, i
 
 
 def _order_or_refusal(order, s, digits):
