@@ -275,31 +275,9 @@ _DISCREPANCY_GUARD = 25
 _BRUTE_EXPONENT = 12
 
 
-# the m_max and k_max of the L-series checks, and the l_series calls
-# (kind, s) of the even-odd bridge and the brute-force rows
-_CHECK_ROWS = 3
-_BRIDGE_CALLS = [("plus", 2), ("minus", 1)]
-_BRUTE_CALLS = [("plus", 3), ("minus", 3)]
-
-
-def _lseries_calls(consts, names) -> list:
-    """The l_series calls (kind, s, order) of the suites `names`, whose
-    Hurwitz tables _cmd_verify makes before any suite runs."""
-    rows = range(1, _CHECK_ROWS + 1)
-    calls = []
-    if "lseries" in names:
-        calls += lseries.lodd_calls(_CHECK_ROWS)
-        calls += [(kind, s, None) for kind, s in _BRIDGE_CALLS + _BRUTE_CALLS]
-        calls += [call for k in rows for call in lseries.residue_calls(k)]
-    if "conjectures" in names:
-        digits = consts.digits_certified
-        calls += [call for k in rows for call in lseries.symmetry_calls(k, digits)]
-    return calls
-
-
 def _suite_lseries(consts, args):
-    lodd = lseries.check_Lodd(consts, _CHECK_ROWS)
-    residues = lseries.check_residue_identity(consts, _CHECK_ROWS)
+    lodd = lseries.check_Lodd(consts, lseries.SUITE_ROWS)
+    residues = lseries.check_residue_identity(consts, lseries.SUITE_ROWS)
     # a certified row takes |discrepancy| at the precision its check ran at
     with mp.workdps(consts.digits_certified + lseries.CHECK_GUARD):
         out = [_entry("lodd", {"s": s}, d, b, "certified_bound", s != 0) for s, d, b in lodd]
@@ -309,12 +287,12 @@ def _suite_lseries(consts, args):
             row.update(residue_sign=int(mp.sign(residue)), odd_value_sign=int(mp.sign(odd)))
             out.append(row)
     with mp.workdps(args.digits + _DISCREPANCY_GUARD):
-        plus2, minus1 = [lseries.l_series(consts, *call) for call in _BRIDGE_CALLS]
+        plus2, minus1 = [lseries.l_series(consts, *call) for call in lseries.BRIDGE_CALLS]
         C = mpf(consts.C)
         disc = abs(plus2.value + 4 * C * minus1.value)
     out.append(_entry("even-odd-bridge", {"s": 2}, disc, _bound(args, 5)))
     brute_bound = _bound(args, args.digits - _BRUTE_EXPONENT)
-    for kind, s in _BRUTE_CALLS:
+    for kind, s in lseries.BRUTE_CALLS:
         value, _err = lseries.brute_force_value(consts, kind, s, 600)
         cont = lseries.l_series(consts, kind, s)
         with mp.workdps(args.digits + _DISCREPANCY_GUARD):
@@ -325,7 +303,7 @@ def _suite_lseries(consts, args):
 
 
 def _suite_conjectures(consts, args):
-    symmetry = lseries.check_symmetry_conjecture(consts, _CHECK_ROWS)
+    symmetry = lseries.check_symmetry_conjecture(consts, lseries.SUITE_ROWS)
     with mp.workdps(consts.digits_certified + lseries.CHECK_GUARD):
         out = []
         for k, d, b, shift in symmetry:
@@ -442,9 +420,8 @@ def _cmd_verify(args):
     names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     _check_caps(args, ["verify --suite " + name for name in names])
     consts = solve_constants(args.digits)
-    calls = _lseries_calls(consts, names)
-    if calls:
-        lseries.reserve_lattice_tables(consts, calls)
+    if {"lseries", "conjectures"} & set(names):
+        lseries.reserve_for_suites(consts, names)
     checks = [c for name in names for c in _SUITE_RUNNERS[name](consts, args)]
     failed = sum(1 for c in checks if c.get("status") == "fail")
     payload = {
@@ -508,13 +485,10 @@ def _cmd_export(args):
     consts = solve_constants(args.digits)
     if args.what == "lvalues":
         top = args.terms if args.terms is not None else 6
-        calls = [(kind, s, None) for s in range(1, top + 1) for kind in ("minus", "plus")]
-        lseries.reserve_lattice_tables(consts, calls)
         values = []
-        for kind, s, _order in calls:
-            v = lseries.l_series(consts, kind, s)
+        for v in lseries.l_values(consts, top):
             key = "residue" if v.is_pole else "value"
-            row = {"s": str(v.s), "kind": kind, "is_pole": v.is_pole}
+            row = {"s": str(v.s), "kind": v.kind, "is_pole": v.is_pole}
             row["error_bound"] = mp.nstr(v.error_bound, 8)
             row[key] = mp.nstr(getattr(v, key), 20)
             values.append(row)

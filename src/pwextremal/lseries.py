@@ -9,11 +9,11 @@ lattice sums collapse to Hurwitz zeta values.  Every order with exponent
 w = s + j >= 2 takes its value from one mpcore.hurwitz_zetas table per
 lattice point, kept on the zero model from w = 2 and made once per
 command at the longest length and the highest precision its calls read
-(reserve_lattice_tables), with a stated error; a non-integer w makes a
-table of its own, and mpmath's zeta (and the digamma at w = 1) serves
-only the few orders with w < 2.  The one-signed series is meromorphic
-with simple poles on the negative odd integers (and at 1); the
-alternating one is entire.
+(reserve_for_suites, l_values), with a stated error; a non-integer w
+makes a table of its own, and mpmath's zeta (and the digamma at w = 1)
+serves only the few orders with w < 2.  The one-signed series is
+meromorphic with simple poles on the negative odd integers (and at 1);
+the alternating one is entire.
 
 The continuation carries an error bound built from the geometric
 majorant of the offset coefficients, a_m <= 2^{-m-1}, so every
@@ -41,6 +41,7 @@ path.
 
 import math
 import struct
+from itertools import repeat
 
 from mpmath import mp, mpf
 
@@ -187,6 +188,12 @@ def _hurwitz_table(zeros, q, w, n: int) -> list:
     and then to p, which together move a value by at most one unit in its
     p-th bit, where a table made at p moves it by half of one.  Any other
     w makes a table of its own.
+
+    So a value read at p depends, within that bound, on the bits of the
+    table the zero model already holds, and with it on the reads and
+    reservations made before on the same constants: the same call may
+    differ in its last bits between two orders of calls.  A command that
+    reserves first reads every value off one table, whatever its order.
     """
     if w != int(w):
         return hurwitz_zetas(q, w, n)
@@ -226,6 +233,8 @@ def reserve_lattice_tables(consts: ExtremalConstants, calls) -> None:
     makes one.  An integer s reads w = 2 .. s + J, J its order; a pole or a
     non-integer s reads no kept table.
     """
+    if not calls:
+        return
     digits = consts.digits_certified
     need = {}
     for kind, s, order in calls:
@@ -258,6 +267,8 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
     within 2^-(prec+10) before its rounding to prec, also when it is read
     off a table made at more bits (_hurwitz_table); that rounding, at most
     one unit in the last place, is left to the guard with the others.
+    Since the bits of that table follow the calls made before on the same
+    constants, so may the last bits of the value, within the bound.
 
     The plus kind has simple poles at s = 1 and the negative odd
     integers; there the returned record carries the residue instead of a
@@ -360,22 +371,65 @@ def l_plus_even_from_phi(consts: ExtremalConstants, k_max: int):
 # identity checks
 
 
-def lodd_calls(m_max: int) -> list:
+# the m_max and k_max cli's lseries and conjectures suites pass to the
+# checks below, and the l_series calls (kind, s) of the lseries suite's
+# even-odd bridge and brute-force rows
+SUITE_ROWS = 3
+BRIDGE_CALLS = (("plus", 2), ("minus", 1))
+BRUTE_CALLS = (("plus", 3), ("minus", 3))
+
+
+def _lodd_calls(m_max: int) -> list:
     """The l_series calls (kind, s, order) of check_Lodd, in its order."""
     return [("minus", -1 - 2 * m, None) for m in range(m_max + 1)] + [("minus", 0, None)]
 
 
-def residue_calls(k: int) -> list:
+def _residue_calls(k: int) -> list:
     """The l_series calls (kind, s, order) of check_residue_identity at k:
     the pole of the plus series at 1 - 2k, the alternating value at 2k - 1."""
     return [("plus", 1 - 2 * k, None), ("minus", 2 * k - 1, None)]
 
 
-def symmetry_calls(k: int, digits: int) -> list:
+def _symmetry_calls(k: int, digits: int) -> list:
     """The l_series calls (kind, s, order) of check_symmetry_conjecture at
     k: the plus value at -2k at its order and at twice it, and at 2k."""
     J = _expansion_order(-2 * k, digits)
     return [("plus", -2 * k, J), ("plus", -2 * k, 2 * J), ("plus", 2 * k, None)]
+
+
+def _suite_calls(consts: ExtremalConstants, names) -> list:
+    """The l_series calls (kind, s, order) of cli's verify suites among
+    `names`: the lseries suite's and the conjectures suite's."""
+    rows = range(1, SUITE_ROWS + 1)
+    calls = []
+    if "lseries" in names:
+        calls += _lodd_calls(SUITE_ROWS)
+        calls += [(kind, s, None) for kind, s in BRIDGE_CALLS + BRUTE_CALLS]
+        calls += [call for k in rows for call in _residue_calls(k)]
+    if "conjectures" in names:
+        digits = consts.digits_certified
+        calls += [call for k in rows for call in _symmetry_calls(k, digits)]
+    return calls
+
+
+def reserve_for_suites(consts: ExtremalConstants, names) -> None:
+    """Make the lattice tables that the verify suites `names` read, before
+    the first of them runs (reserve_lattice_tables)."""
+    reserve_lattice_tables(consts, _suite_calls(consts, names))
+
+
+def _lvalue_calls(top: int) -> list:
+    """The l_series calls (kind, s, order) of l_values, in its order."""
+    return [(kind, s, None) for s in range(1, top + 1) for kind in ("minus", "plus")]
+
+
+def l_values(consts: ExtremalConstants, top: int) -> list:
+    """l_series of the minus and then the plus kind at s = 1, 2, .., top,
+    the rows of cli's export lvalues, from one reservation of the lattice
+    tables they read."""
+    calls = _lvalue_calls(top)
+    reserve_lattice_tables(consts, calls)
+    return [l_series(consts, kind, s, order=order) for kind, s, order in calls]
 
 
 def check_Lodd(consts: ExtremalConstants, m_max: int) -> list:
@@ -392,7 +446,7 @@ def check_Lodd(consts: ExtremalConstants, m_max: int) -> list:
     slack = mpf(10) ** (-(digits - _INPUT_LOSS))
     with mp.workdps(digits + CHECK_GUARD):
         target = -1 / (4 * mpf(consts.C))
-        for kind, s, order in lodd_calls(m_max):
+        for kind, s, order in _lodd_calls(m_max):
             val = l_series(consts, kind, s, order=order)
             if s == -1:
                 out.append((s, val.value - target, val.error_bound + slack))
@@ -417,7 +471,7 @@ def check_residue_identity(consts: ExtremalConstants, k_max: int) -> list:
         C = mpf(consts.C)
         for k in range(1, k_max + 1):
             pole, odd = [
-                l_series(consts, kind, s, order=order) for kind, s, order in residue_calls(k)
+                l_series(consts, kind, s, order=order) for kind, s, order in _residue_calls(k)
             ]
             if not pole.is_pole:
                 raise SolverError("expected a pole at s=%d" % (1 - 2 * k))
@@ -453,7 +507,7 @@ def check_symmetry_conjecture(consts: ExtremalConstants, k_max: int) -> list:
         for k in range(1, k_max + 1):
             neg, neg2, pos = [
                 l_series(consts, kind, s, order=order)
-                for kind, s, order in symmetry_calls(k, digits)
+                for kind, s, order in _symmetry_calls(k, digits)
             ]
             rhs = (-1) ** k * pos.value / (2 * mp.pi * C) ** (2 * k)
             certified = (
@@ -499,15 +553,22 @@ def _slot_quotient(num: int, d: int, mask: int):
 def _repack(rows: list, width: int, new_width: int, modulus: int) -> list:
     """rows with every slot reduced modulo `modulus`, packed anew at
     new_width bits a slot; both widths are whole bytes.  A row's big-endian
-    bytes are its slots, top first, each big-endian, so one struct.unpack
-    splits them and int.from_bytes reads each."""
+    bytes are its slots, top first, each big-endian, so one unpack splits
+    them and int.from_bytes reads each; map passes the byte order, which
+    has no default before Python 3.11.  The Struct is made for the row and
+    dropped: struct.unpack would keep it in struct's cache of up to 100
+    formats, with one format code a slot, and so raise the scan's peak
+    memory by a sixth at depth 200."""
     size, new_size = width // 8, new_width // 8
     out = []
     for row in rows:
         count = -(-row.bit_length() // width)
-        slots = struct.unpack("%ds" % size * count, row.to_bytes(count * size, "big"))
-        reduced = [c % modulus for c in map(int.from_bytes, slots)]
-        out.append(int.from_bytes(b"".join([c.to_bytes(new_size) for c in reduced])))
+        split = struct.Struct("%ds" % size * count)
+        slots = split.unpack(row.to_bytes(count * size, "big"))
+        reduced = [c % modulus for c in map(int.from_bytes, slots, repeat("big"))]
+        out.append(int.from_bytes(
+            b"".join(map(int.to_bytes, reduced, repeat(new_size), repeat("big"))), "big"
+        ))
     return out
 
 

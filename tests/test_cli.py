@@ -473,9 +473,9 @@ def test_lseries_digit_caps_are_the_last_continuation_order():
     def orders(command, digits):
         consts = SimpleNamespace(digits_certified=digits)
         if command == "export lvalues":
-            calls = [(kind, s, None) for s in range(1, 7) for kind in ("minus", "plus")]
+            calls = lseries._lvalue_calls(6)
         else:
-            calls = cli._lseries_calls(consts, [command.split()[-1]])
+            calls = lseries._suite_calls(consts, [command.split()[-1]])
         return [
             lseries._expansion_order(s, digits)
             for kind, s, order in calls

@@ -404,6 +404,31 @@ def test_one_table_per_lattice_point_per_command(consts30, monkeypatch, payload,
     assert set(tables) <= {4.75, 5.25, 9.5}
 
 
+@pytest.mark.parametrize(
+    "argv, listed",
+    [
+        (["verify", "--suite", "lseries"], lambda c: lseries._suite_calls(c, ["lseries"])),
+        (["verify", "--suite", "conjectures"],
+         lambda c: lseries._suite_calls(c, ["conjectures"])),
+        (["export", "lvalues"], lambda c: lseries._lvalue_calls(6)),
+    ],
+)
+def test_reserved_calls_are_the_calls_made(consts30, monkeypatch, payload, argv, listed):
+    # the calls a command reserves tables for are the l_series calls it
+    # then makes, counted by wrapping the binding, so the lists in lseries
+    # cannot drift from the checks that read them
+    made = []
+    l_series = lseries.l_series
+
+    def recorded(consts, kind, s, order=None):
+        made.append((kind, s, order))
+        return l_series(consts, kind, s, order=order)
+
+    monkeypatch.setattr(lseries, "l_series", recorded)
+    payload(_fresh_tables(consts30), *argv)
+    assert sorted(made) == sorted(listed(consts30))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     q=st.sampled_from([mpf(19) / 4, mpf(21) / 4, mpf(19) / 2]),
