@@ -114,14 +114,14 @@ EXPORT_TARGETS = (
 # (2-core x86 VM, one run each, at 300 and 450 digits where no digits are
 # named; zeros with --count 40).
 MAX_DIGITS = {
-    "zeros": 600,  # 300, 450, 600: 3.9 s, 18.4 s, 51.6 s; not re-derived past 600
+    "zeros": 760,  # 450, 600, 750: 10.3 s, 35.3 s, 93.5 s
     "export rho": 600,  # 9.9 s, 37.1 s
     "export lvalues": 582,  # 300, 450, 582: 4.7 s, 19.2 s, 62.1 s
     "export legendre": 3 * (MAX_PAIRS - 8) + 2,
     "verify --suite ode": 3400,  # 1000, 3000, 3500: 2.8 s, 64.7 s, 108.9 s
     "verify --suite functional": 7300,  # 4000, 7000, 8000: 19.7 s, 85.2 s, 128 s
     "verify --suite quadratic": 6600,  # 4000, 6000, 7000: 29.7 s, 78.3 s, 110.9 s
-    "verify --suite summation": 450,  # 33.3 s, 97.4 s
+    "verify --suite summation": 580,  # 300, 450, 600: 8.5 s, 35.6 s, 113.3 s
     "verify --suite fourier": 3 * (MAX_PAIRS - 8) + 2,
     "verify --suite lseries": 572,  # 300, 450, 572: 4.5 s, 19.5 s, 49.0 s
     "verify --suite conjectures": 574,  # 300, 450, 574: 7.0 s, 19.8 s, 55.7 s

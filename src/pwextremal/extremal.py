@@ -274,6 +274,15 @@ def alternating_sums_odd(consts: ExtremalConstants, M: int, digits: int):
     coefficient of Theta at exponent 2m-1 is exactly the alternating sum
     S(2m-1) = sum_n (-1)^n tau_n^{-(2m-1)} over the unsigned zero
     parameters (S(1) is the classical first-derivative constant L1 < 0).
+
+    The reciprocal is series_reciprocal's, within its majorant
+    2^-(prec+64) e(z) |1/f~| (max|f| |1/f| + 1/2), at the model's dps.
+    Over the coefficients read, that majorant stayed within 2^19, 2^51
+    and 2^138 of each at 30, 100 and 300 digits (as offset_coefficients
+    calls it), so a sum keeps all prec bits at the first two and
+    prec - 74 at 300, inside the 40 digits offset_coefficients adds; the
+    offset coefficients built on them came out bit for bit as with the
+    mpf recurrence at 200 more digits, rounded once.
     """
     if M < 1:
         raise UsageError("M must be at least 1")
@@ -305,15 +314,19 @@ def offset_coefficients(consts: ExtremalConstants, M: int):
     roundoff raises.  The work runs at digits + _OFFSET_GUARD decimals,
     digits those certified; its loss is an estimate, not a bound: against
     a run at digits + M + 150, the largest relative error over a_1..a_M
-    was 2.2e-70 at 30 digits (M = 26), 1.2e-139 at 100 (M = 83) and
+    was 2.3e-70 at 30 digits (M = 26), 1.3e-139 at 100 (M = 83) and
     3.1e-338 at 300 (M = 245).
 
-    The products are series_multiply's, within an absolute
-    4n max|f| max|g| 2^-(prec+64), not relative to each coefficient.
-    The powers' entries grow (to 2^180 at 300 digits) while the
-    coefficients read fall, and the errors above, measured with these
-    products, are what backs them; with one rounded mpf multiply per
-    term they were 2.5e-70, 1.9e-139 and 2.8e-338.
+    The square is series_multiply's and the powers series_power_diagonal's,
+    each within an absolute bound in units of 2^-(prec+64) of its
+    largest entries, not relative to each coefficient.  The powers'
+    entries grow (to 2^180 at 300 digits) while the coefficients read
+    fall, and the errors above, measured with these integer powers, are
+    what backs them (2.2e-70, 1.2e-139 and 3.1e-338 when each step
+    rounded the power to the precision; 2.5e-70, 1.9e-139 and 2.8e-338
+    with one rounded mpf multiply per term).  At 30, 100 and 300 digits
+    they came out bit for bit as with the products, powers and
+    reciprocal of mpf recurrences at 200 more digits, rounded once.
     """
     if M < 1:
         raise UsageError("M must be at least 1")
@@ -948,11 +961,14 @@ def _lattice_tail(sigma, J: int, start: int, step: int, shift, alternate: bool):
     4T max|f| max|g| 2^-(prec+64), and the products of the factors'
     largest entries were at most 1 on every call measured (`verify
     --suite all --digits 30|100`, `--suite summation --digits 300`).
-    Coefficient j enters the value only times (5 step)^-j zeta(j, .) <=
+    The reciprocal and cosine and sine are mpcore's, within majorants
+    2^-(prec+64) e(z) times a series that stayed within 2^25, 2^53 and
+    2^119 of every coefficient at 30, 100 and 300 digits.  Coefficient j
+    enters the value only times (5 step)^-j zeta(j, .) <=
     Y_1^-j (1 + Y_1 / (step (j - 1))), Y_1 >= 8, so an absolute error
     costs less the smaller the coefficient; at those digits both
-    summation tails came out bit for bit as with products in exact
-    arithmetic rounded once.
+    summation tails came out bit for bit as with the mpf recurrences and
+    products at 200 more digits, rounded once.
     """
     T = J - 3  # coefficients of v^4 .. v^J
     sig = list(sigma[:T]) + [mpf(0)] * max(0, T - len(sigma))
@@ -1190,10 +1206,15 @@ def _phase_series(series: _BesselSeries, u_max) -> list:
 
     The products are series_multiply's, within an absolute
     4T max|f| max|g| 2^-(prec+64); the products of the factors' largest
-    entries were at most 1 on every call measured (as for _lattice_tail),
-    and psi is read only at u <= u_max < 1: in seeds, which Newton
-    certifies, and reverted in the ladder tails, which came out bit for
-    bit as with exact products.
+    entries were at most 1 on every call measured (as for _lattice_tail).
+    The reciprocal of a^2 + b^2 is series_reciprocal's, whose majorant
+    carries the error of each coefficient on to the later ones: at 300
+    digits it reached 2^897 times the smallest, so late coefficients of
+    psi keep few correct bits.  But psi is read only at u <= u_max < 1,
+    where max_k |psi_k - psi'_k| u_max^k stayed under 2^-(prec+150) on
+    every call measured, psi' from the mpf recurrence at 200 more
+    digits: in seeds, which Newton certifies, and reverted in the ladder
+    tails, which came out bit for bit as with those references.
     """
     wp = mp.prec + _HORNER_GUARD_BITS
     a = [mpf((c, -series.wp)) for c in series.sin_poly[1:]]
@@ -1305,14 +1326,16 @@ def _reverted_phase(psi, T: int) -> list:
     Lagrange-Buermann gives [w^n] v = [v^(n-1)] phi^n / n; then
     sigma(w) = 1/w - 1/v(w).
 
-    The powers of phi come from series_power_diagonal, each product
-    within an absolute 4T max|f| max|g| 2^-(prec+64), the product of
-    the largest entries reaching 2^25 at 100 digits and 2^69 at 300.
-    At 300 digits one product's bound is then about 2^-(prec-14) of the
-    first coefficients, inside the 33 bits that digits + _LADDER_TAIL_GUARD
-    holds past the tails' 10^-(digits+5), and sigma_m enters _lattice_tail
-    only times Y^-m, Y >= 8; the tails came out bit for bit as with exact
-    products (see _lattice_tail).
+    The powers of phi come from series_power_diagonal, each step within
+    an absolute bound in units of 2^-(prec+64) of the largest entries of
+    the power and of phi, their product reaching 2^25 at 100 digits and
+    2^69 at 300.  At 300 digits one step's bound is then about
+    2^-(prec-14) of the first coefficients, inside the 33 bits that
+    digits + _LADDER_TAIL_GUARD holds past the tails' 10^-(digits+5).
+    The reciprocal's majorant stayed within 2^14 of every coefficient,
+    and sigma_m enters _lattice_tail only times Y^-m, Y >= 8; the tails
+    came out bit for bit as with the mpf references at 200 more digits
+    (see _lattice_tail).
     """
     phi = [mpf(1)] + list(psi[:T])
     # v/w = sum_n [w^n] v w^(n-1), [v^(n-1)] phi^n = [v^k] phi phi^k

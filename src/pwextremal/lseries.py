@@ -346,12 +346,15 @@ def l_plus_even_from_phi(consts: ExtremalConstants, k_max: int):
     The minimizer is the product over its zeros, so the log-derivative
     route gives the even values as scaled Taylor coefficients of the log:
     value at 2k = -k times the coefficient of z^{2k}, which is the
-    coefficient of z^{2k-1} in phi'/phi over 2k.  That product takes
-    series_multiply's absolute bound, 4T max|phi'| max|1/phi|
-    2^-(prec+64): max|phi'| is under 2 and max|1/phi| is 1/phi(0) = 1
-    (measured at 30 digits for k_max = 3 and 6), while the coefficient
-    read, -2 L+(2k), is about 2^-k, so the bound stays below 2^-prec of
-    it while k + log2(8T) < 64.
+    coefficient of z^{2k-1} in phi'/phi over 2k.  The reciprocal takes
+    series_reciprocal's majorant 2^-(prec+64) e(z) |1/phi~|
+    (max|phi| |1/phi| + 1/2), which stayed within 2^9 of every
+    coefficient of 1/phi at 30, 100 and 300 digits (k_max = 6).  The
+    product takes series_multiply's absolute bound, 4T max|phi'|
+    max|1/phi| 2^-(prec+64): max|phi'| is under 2 and max|1/phi| is
+    1/phi(0) = 1 (measured at 30 digits for k_max = 3 and 6), while the
+    coefficient read, -2 L+(2k), is about 2^-k, so the bound stays below
+    2^-prec of it while k + log2(8T) < 64.
     """
     if k_max < 1:
         raise UsageError("k_max must be at least 1")

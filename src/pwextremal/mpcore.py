@@ -8,11 +8,10 @@ Everything downstream runs on top of the ingredients collected here:
   product, reciprocal, cosine and sine, derivative), the coefficients
   [z^(k+s)] f g^k that Lagrange-Buermann inversion reads
   (:func:`series_power_diagonal`) and Horner's rule on fixed-point
-  integers (:func:`fixed_horner`).  The mpf operations round every step
-  to the ambient precision, except :func:`series_multiply`, which forms
-  each coefficient as an exact sum of integer products, within an
-  absolute bound set by the factors' largest entries, and rounds it
-  once;
+  integers (:func:`fixed_horner`).  The operations that sum products
+  convert each input once to integers at one binary exponent, sum exact
+  integer products and round each coefficient once, within a bound in
+  units of 2^-(prec+64) set by the largest entries;
 * :func:`newton`, the package's one Newton loop, with precision doubling,
   and :func:`bracketed_step`, the step of every scalar root search;
 * the Dirichlet beta function and alternating half-integer tails, through
@@ -191,17 +190,14 @@ def series_eval_orbit(f, w):
     return even + odd, real_turn + imag_turn, even - odd, real_turn - imag_turn
 
 
-def _padded(f, n: int) -> list:
-    """The coefficients of z^0 .. z^(n-1) of f as mpf values, zero past
-    its end; an mpf entry is kept as it is."""
-    a = [c if isinstance(c, mpf) else mpf(c) for c in f[:n]]
-    return a + [mpf(0)] * (n - len(a))
-
-
-# bits past the precision at which series_multiply keeps each factor,
-# below its largest entry: they cover the rounding of the entries, summed
-# over up to n terms, and coefficients that lie under the product of the
-# factors' largest entries, by up to about 64 - log2(4n) bits
+# bits past the precision at which the series operations keep each input,
+# power and carried term, below the largest entry: they cover the rounding
+# of the entries, summed over up to n terms, and coefficients under the
+# scale of the largest entries, by up to about 64 - log2(4n) bits.  The
+# bounds below are in units of 2^-(prec+64); g << h says no coefficient of
+# |g|, the absolute values of g's, exceeds h's, e(z) = 1 + z + .. +
+# z^(n-1) for n returned, and f~ is f as _fixed_factor rounds it, within
+# half a unit of 2^(E-prec-64), E its top (|entries| < 2^E <= 2 max|f|).
 _PRODUCT_GUARD_BITS = 64
 
 
@@ -223,25 +219,31 @@ def _fixed_factor(f, n: int, wp: int):
     return ints, exp
 
 
+def _fixed_product(F, G, n: int) -> list:
+    """sum_i F[i] G[k-i] for k < n, exactly: the Cauchy product of
+    integer series."""
+    last = len(G) - 1
+    rev = G[::-1]
+    out = []
+    for k in range(n):
+        lo, hi = max(0, k - last), min(k, len(F) - 1) + 1
+        out.append(sum(map(mul, F[lo:hi], rev[last - k + lo : last - k + hi])))
+    return out
+
+
 def series_multiply(f, g, T: int) -> list:
     """Cauchy product of f and g, its coefficients of z^0 .. z^(n-1),
-    n = min(T, len(f) + len(g) - 1), as mpf values.
-
-    The first n entries of each factor become integers at one binary
-    exponent each (_fixed_factor), _PRODUCT_GUARD_BITS bits past the
-    precision below 2^E, E the least with every entry under 2^E; each
-    output coefficient is the exact integer sum of its products, rounded
-    once to the ambient precision.  With entries within half a unit and
-    at most n products a coefficient, the sum is off by under
-    n (2^(E_f+E_g) + 2^(E_f+E_g-prec-66)) 2^-(prec+64), and as
-    2^E <= 2 max |entry|, the error before the final rounding is at most
+    n = min(T, len(f) + len(g) - 1), as mpf values: the exact integer
+    sums of f~ g~, each rounded once to the ambient precision.  With at
+    most n products a coefficient, each sum is off by under
+    n (2^(E_f+E_g) + 2^(E_f+E_g-prec-66)) units, so before that rounding
+    by at most
 
         4 n max|f| max|g| 2^-(prec+64)  (1 + 2^-(prec+66)),
 
-    absolute, not relative to each coefficient: a coefficient far below
-    the product of the factors' largest entries keeps fewer correct bits
-    than the precision.  Each caller says why its coefficients can take
-    that.
+    absolute, not relative to each coefficient: one far below the
+    product of the factors' largest entries keeps fewer correct bits than
+    the precision.  Each caller says why its coefficients can take that.
     """
     if T < 1:
         raise UsageError("T must be positive")
@@ -249,72 +251,93 @@ def series_multiply(f, g, T: int) -> list:
     wp = mp.prec + _PRODUCT_GUARD_BITS
     F, ef = _fixed_factor(f, n, wp)
     G, eg = _fixed_factor(g, n, wp)
-    exp = ef + eg
-    last = len(G) - 1
-    rev = G[::-1]
-    out = []
-    for k in range(n):
-        lo, hi = max(0, k - last), min(k, len(F) - 1) + 1
-        out.append(mpf((sum(map(mul, F[lo:hi], rev[last - k + lo : last - k + hi])), exp)))
-    return out
+    return [mpf((c, ef + eg)) for c in _fixed_product(F, G, n)]
 
 
 def series_power_diagonal(f, g, shift: int, count: int, T: int) -> list:
     """[z^(k+shift)] f g^k for k < count, as Lagrange-Buermann inversion
-    reads them: f g^k is truncated to T coefficients and stepped from f by
-    count - 1 products with g (series_multiply).  Each step is within the
-    product's absolute bound in the largest entries of that power and of
-    g, and later steps carry its error on; callers say why the
-    coefficients they read can take that."""
-    power = f
-    out = [power[shift]]
+    reads them: f g^k truncated to T coefficients, stepped from p_0 = f~
+    by count - 1 exact integer products q_k = p_(k-1) g~ (_fixed_product),
+    whose [z^(k+shift)] is rounded once to the ambient precision; p_k is
+    q_k kept at prec + 64 bits below its top E_k, with no mpf round trip.
+    With eps_i = p_i - q_i,
+
+        q_k = f~ g~^k + sum_{i=1}^{k-1} eps_i g~^(k-i)   (mod z^T),
+        |eps_i| << 2^(E_i-prec-65) e(z),
+
+    absolute bounds set by each power's largest entries, which the later
+    factors carry on; callers say why the coefficients they read can take
+    them.  The entry for k = 0 is f[shift] itself.
+    """
+    wp = mp.prec + _PRODUCT_GUARD_BITS
+    power, exp = _fixed_factor(f, T, wp)
+    G, eg = _fixed_factor(g, T, wp)
+    out = [mpf(f[shift])]
     for k in range(1, count):
-        power = series_multiply(power, g, T)
-        out.append(power[k + shift])
+        power, exp = _fixed_product(power, G, T), exp + eg
+        out.append(mpf((power[k + shift], exp)))
+        drop = max(map(abs, power), default=0).bit_length() - wp
+        if drop > 0:
+            power, exp = [(c + (1 << drop - 1)) >> drop for c in power], exp + drop
     return out
 
 
 def series_reciprocal(f, T: int) -> list:
-    """1/f truncated to T coefficients; f(0) must be nonzero."""
-    if not f or f[0] == 0:
+    """1/f truncated to T coefficients; f(0) must not round to 0 in f~.
+
+    r_n = -sum_{j=1}^{n} f~_j r_(n-j) / f~_0 is carried in units of
+    v = 2^(-E-prec-64): an exact dot product against the output so far
+    and one rounded integer division; each r_n is then rounded once to
+    the ambient precision.  The recurrence carries every error on, so the
+    bound is a majorant: r = 1/f~ + v f~_0 d / f~ with |d| << e(z)/2, and
+    1/f~ - 1/f = (f - f~) / (f f~), so (mod z^T)
+
+        |r - 1/f| << 2^-(prec+64) e(z) |1/f~| (max|f| |1/f| + 1/2).
+
+    Each caller says why its coefficients can take that.
+    """
+    wp = mp.prec + _PRODUCT_GUARD_BITS
+    F, exp = _fixed_factor(f, T, wp)
+    if not F or not F[0]:
         raise UsageError("reciprocal needs a nonzero constant term")
-    inv0 = mpf(1) / f[0]
-    out = [inv0] + [mpf(0)] * (T - 1)
-    for n in range(1, T):
-        s = mpf(0)
-        jmax = min(n, len(f) - 1)
-        for j in range(1, jmax + 1):
-            if f[j] != 0:
-                s += f[j] * out[n - j]
-        out[n] = -inv0 * s
-    return out
+    head, rest = F[0], F[1:]
+    out = [((1 << 2 * wp + 1) + head) // (2 * head)]
+    for _ in range(1, T):
+        out.append((head - 2 * sum(map(mul, rest, reversed(out)))) // (2 * head))
+    return [mpf((c, -2 * wp - exp)) for c in out]
 
 
 def series_cos_sin(f, T: int):
-    """(cos f, sin f) for f(0) = 0, through exponent T.
+    """(cos f, sin f) for f(0) = 0, through exponent T, from C' = -f' S
+    and S' = f' C: C_0 = 1, S_0 = 0, e C_e = -sum_{j=1}^{e} j a~_j S_(e-j)
+    and e S_e = sum_{j=1}^{e} j a~_j C_(e-j), each an exact dot product
+    against the output so far, in units of 2^-(prec+64), and one rounded
+    integer division, then rounded once to the ambient precision.  The
+    recurrence carries the roundings on, within exp(|f~|) e(z) units of
+    (cos f~, sin f~), and cos f~ - cos f and sin f~ - sin f are each
+    within exp(|f|) (exp(|h|) - 1), h = f~ - f, so (mod z^(T+1))
 
-    Uses C' = -f' S and S' = f' C, so C_0 = 1, S_0 = 0 and
-    e*C_e = -sum_{j=1}^{e} j a_j S_{e-j}, e*S_e = sum_{j=1}^{e} j a_j C_{e-j}.
+        |C - cos f| + |S - sin f| << 2^-(prec+64) (1 + 2^E) e(z) exp(|f| + |h|).
     """
-    if f and f[0] != 0:
+    if f and f[0]:
         raise UsageError("series_cos_sin requires f(0) = 0")
-    a = _padded(f, T + 1)
-    C = [mpf(1)] + [mpf(0)] * T
-    S = [mpf(0)] * (T + 1)
+    wp = mp.prec + _PRODUCT_GUARD_BITS
+    F, exp = _fixed_factor(f, T + 1, wp)
+    slope = [j * c for j, c in enumerate(F)][1:]  # the j a~_j from j = 1
+    up, down = max(exp, 0), max(-exp, 0)
+    C, S = [1 << wp], [0]
     for e in range(1, T + 1):
-        c = s = mpf(0)
-        for j in range(1, e + 1):
-            if a[j] != 0:
-                c += j * a[j] * S[e - j]
-                s += j * a[j] * C[e - j]
-        C[e] = -c / e
-        S[e] = s / e
-    return C, S
+        den = e << down
+        c = sum(map(mul, slope, reversed(S))) << up
+        s = sum(map(mul, slope, reversed(C))) << up
+        C.append((den - 2 * c) // (2 * den))
+        S.append((2 * s + den) // (2 * den))
+    return [mpf((c, -wp)) for c in C], [mpf((s, -wp)) for s in S]
 
 
 def series_derivative(f) -> list:
-    """Term-wise derivative; the constant term drops out.  Like every
-    operation here it rounds to the ambient precision, so a series built
+    """Term-wise derivative; the constant term drops out.  Each term is
+    one mpf multiply, rounded to the ambient precision, so a series built
     at a higher one is differentiated under that (a Taylor model's dps)."""
     return [(k + 1) * f[k + 1] for k in range(len(f) - 1)] or [mpf(0)]
 

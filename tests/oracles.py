@@ -14,14 +14,17 @@ rows of the integrality scan are checked, and the Taylor coefficients of the fac
 minimizer by their coefficient recursions run forward, against which the
 closed form on the eigenvector and the backward factor run are checked,
 the Cauchy product of two truncated power series by one mpf multiply
-and one mpf add per term, against which the integer kernel of
-mpcore.series_multiply is checked, log(1+f) and exp(f) of a truncated
-power series by their derivative identities, against which the binomial
-tail expansion of the zero model is checked and which majorize cosine
-and sine of a series, and the
-Lagrange-Buermann coefficients [z^(k+s)] f g^k from each power formed in
-full in exact rationals, against which the stepped powers of
-mpcore.series_power_diagonal are checked, and the truncation orders of
+and one mpf add per term, the reciprocal and the cosine and sine of one
+by their recurrences in mpf, rounding every term, and the
+Lagrange-Buermann coefficients [z^(k+s)] f g^k stepped by those mpf
+products, against which the integer kernel of mpcore's series_multiply,
+series_reciprocal, series_cos_sin and series_power_diagonal is checked,
+log(1+f) and exp(f) of a truncated power series by their derivative
+identities, against which the binomial tail expansion of the zero model
+is checked and which majorize cosine and sine of a series, the same
+Lagrange-Buermann coefficients from each power formed in full in exact
+rationals, against which the stepped powers are checked, and the
+truncation orders of
 the factor's Taylor model and of the band transform's series as
 products of terms accumulated at 25 digits, the continuation order of
 the L-series as a search stepping its tail term at 30 digits and the
@@ -39,7 +42,14 @@ from mpmath import mp, mpf
 from pwextremal import extremal, lseries
 from pwextremal.extremal import _test_function
 from pwextremal.lseries import _N0, _certified_tail
-from pwextremal.mpcore import SolverError, UsageError, _padded
+from pwextremal.mpcore import SolverError, UsageError
+
+
+def _padded(f, n: int) -> list:
+    """The coefficients of z^0 .. z^(n-1) of f as mpf values, zero past
+    its end; an mpf entry is kept as it is."""
+    a = [c if isinstance(c, mpf) else mpf(c) for c in f[:n]]
+    return a + [mpf(0)] * (n - len(a))
 
 
 def legendre_pair(n: int, x):
@@ -216,6 +226,45 @@ def series_product(f, g, T: int) -> list:
     return out
 
 
+def series_inverse(f, T: int) -> list:
+    """1/f truncated to T coefficients by its recurrence in mpf at the
+    ambient precision, r_n = -(sum_{j=1}^{n} f_j r_(n-j)) / f_0, one
+    rounded multiply and one rounded add per nonzero f_j; f(0) must be
+    nonzero."""
+    if not f or f[0] == 0:
+        raise UsageError("reciprocal needs a nonzero constant term")
+    inv0 = mpf(1) / f[0]
+    out = [inv0] + [mpf(0)] * (T - 1)
+    for n in range(1, T):
+        s = mpf(0)
+        for j in range(1, min(n, len(f) - 1) + 1):
+            if f[j] != 0:
+                s += f[j] * out[n - j]
+        out[n] = -inv0 * s
+    return out
+
+
+def series_cos_sin(f, T: int):
+    """(cos f, sin f) for f(0) = 0, through exponent T, from C' = -f' S
+    and S' = f' C in mpf at the ambient precision:
+    e C_e = -sum_{j=1}^{e} j a_j S_{e-j}, e S_e = sum_{j=1}^{e} j a_j C_{e-j},
+    rounding every term."""
+    if f and f[0] != 0:
+        raise UsageError("series_cos_sin requires f(0) = 0")
+    a = _padded(f, T + 1)
+    C = [mpf(1)] + [mpf(0)] * T
+    S = [mpf(0)] * (T + 1)
+    for e in range(1, T + 1):
+        c = s = mpf(0)
+        for j in range(1, e + 1):
+            if a[j] != 0:
+                c += j * a[j] * S[e - j]
+                s += j * a[j] * C[e - j]
+        C[e] = -c / e
+        S[e] = s / e
+    return C, S
+
+
 def series_log1p(f, T: int) -> list:
     """log(1+f) = sum_{k>=1} (-1)^{k+1} f^k / k for f(0) = 0, through
     exponent T.
@@ -274,6 +323,19 @@ def power_diagonal(f, g, shift: int, count: int) -> list:
         for _ in range(k):
             power = product(power, g)
         out.append(power[k + shift] if k + shift < len(power) else Fraction(0))
+    return out
+
+
+def stepped_power_diagonal(f, g, shift: int, count: int, T: int) -> list:
+    """[z^(k+shift)] f g^k for k < count, f g^k truncated to T
+    coefficients and stepped from f by count - 1 products with g, each
+    the mpf product series_product, so every step rounds the power to the
+    ambient precision."""
+    power = f
+    out = [power[shift]]
+    for k in range(1, count):
+        power = series_product(power, g, T)
+        out.append(power[k + shift] if k + shift < len(power) else mpf(0))
     return out
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
+import oracles
 from oracles import (
     legendre_pair,
     power_diagonal,
@@ -118,6 +119,149 @@ def test_multiply_within_its_absolute_bound(a, b, decay_f, decay_g, extra, dps):
             assert abs(x - y) <= bound + abs(y) * mpf(2) ** -prec, k
 
 
+# the three bound tests below check mpcore's series operations against
+# their mpf references at 200 more digits, within the majorant each
+# docstring states in units of 2^-(prec+64), plus the final rounding of
+# each coefficient to prec bits
+
+
+def _within(got, want, bound, prec):
+    """Each |got - want| within its bound and the final rounding."""
+    assert len(got) == len(want) and all(isinstance(c, mpf) for c in got)
+    for k, (x, y, b) in enumerate(zip(got, want, bound)):
+        assert abs(x - y) <= b + (abs(y) + b) * mpf(2) ** -prec, k
+
+
+def _running(f):
+    """e(z) f: the partial sums of f."""
+    out, acc = [], mpf(0)
+    for c in f:
+        acc += c
+        out.append(acc)
+    return out
+
+
+def _top_scale(f, n):
+    """max |f[0..n-1]|, at least 2^E / 2 for the top E of _fixed_factor."""
+    return max((abs(mpf(c)) for c in f[:n]), default=mpf(0))
+
+
+@settings(deadline=None)
+@given(
+    st.lists(_entry, min_size=1, max_size=40),
+    st.booleans(),
+    st.integers(1, 45),
+    st.integers(15, 300),
+)
+@example([1, 1], False, 5, 40)
+@example([(1, -500), (1, 300), 3], False, 4, 15)  # f(0) rounds to 0
+def test_reciprocal_within_its_majorant(a, decay, T, dps):
+    # |r - 1/f| << 2^-(prec+64) e(z) |1/f~| (max|f| |1/f| + 1/2), f~ the
+    # input as the kernel rounds it; an f(0) that rounds to 0 is refused
+    f = _factor(a, decay)
+    with mp.workdps(dps):
+        prec = mp.prec
+        F, exp = mpcore._fixed_factor(f, T, prec + 64)
+        if not F or not F[0]:
+            with pytest.raises(UsageError):
+                series_reciprocal(f, T)
+            return
+        got = series_reciprocal(f, T)
+    with mp.workdps(dps + 200):
+        want = oracles.series_inverse(f, T)
+        rounded = oracles.series_inverse([mpf((c, exp)) for c in F], T)
+        big = _top_scale(f, T)
+        inner = [big * abs(c) + mpf(1) / 2 for c in want]
+        scale = _running(series_product([abs(c) for c in rounded], inner, T))
+        _within(got, want, [c * mpf(2) ** -(prec + 64) for c in scale], prec)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(_entry, max_size=40),
+    st.booleans(),
+    st.integers(0, 40),
+    st.integers(15, 300),
+)
+@example([1], False, 9, 40)
+@example([(3, 200), 0, (-5, -400)], False, 6, 15)
+def test_cos_sin_within_its_majorant(a, decay, T, dps):
+    # |C - cos f| + |S - sin f| << 2^-(prec+64) (1 + 2 max|f|) e(z)
+    # exp(|f| + |h|), |h| << max|f| 2^-(prec+64) e(z) past z^0
+    f = [0] + _factor(a, decay)
+    with mp.workdps(dps):
+        prec = mp.prec
+        C, S = series_cos_sin(f, T)
+    with mp.workdps(dps + 200):
+        want_c, want_s = oracles.series_cos_sin(f, T)
+        big = _top_scale(f, T + 1)
+        nudge = big * mpf(2) ** -(prec + 64)
+        padded = [abs(mpf(c)) for c in f[: T + 1]] + [mpf(0)] * (T + 1 - len(f))
+        majorant = series_exp0([0] + [c + nudge for c in padded[1:]], T)
+        bound = [
+            c * (1 + 2 * big) * mpf(2) ** -(prec + 64) for c in _running(majorant)
+        ]
+        _within(C, want_c, bound, prec)
+        _within(S, want_s, bound, prec)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(_entry, min_size=2, max_size=20),
+    st.lists(_entry, min_size=1, max_size=20),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 1),
+    st.integers(1, 10),
+    st.integers(0, 5),
+    st.integers(15, 300),
+)
+@example([1, 1], [1, 1], False, False, 0, 6, 0, 40)
+@example(
+    [(1, 290), 0, (-3, -480)], [0, (7, -500), (1, 300)], False, False, 1, 5, 2, 15
+)
+def test_power_diagonal_within_its_majorant(
+    a, b, decay_f, decay_g, shift, count, extra, dps
+):
+    # q_k = f~ g~^k + sum_{i<k} eps_i g~^(k-i), |eps_i| << 2^(E_i-prec-65)
+    # e(z), against count - 1 mpf products at 200 more digits; with
+    # |f~| << F = |f| + max|f| 2^-(prec+64) e(z), G likewise, and
+    # 2^E_i <= 2 max|q_i| <= 4 max F G^i, the error of [z^(k+s)] q_k is
+    # under that of F G^k - |f| |g|^k + 2^-(prec+62) sum_i max(F G^i)
+    # e(z) G^(k-i)
+    f, g = _factor(a, decay_f), _factor(b, decay_g)
+    T = count + shift + extra
+    with mp.workdps(dps):
+        prec = mp.prec
+        got = series_power_diagonal(f, g, shift, count, T)
+    with mp.workdps(dps + 200):
+        want = oracles.stepped_power_diagonal(f, g, shift, count, T)
+        unit = mpf(2) ** -(prec + 64)
+
+        def times(h, q):
+            """h q to T coefficients, zero past its end."""
+            out = series_product(h, q, T)
+            return out + [mpf(0)] * (T - len(out))
+
+        absf, absg = [abs(mpf(c)) for c in f[:T]], [abs(mpf(c)) for c in g[:T]]
+        F = [c + _top_scale(f, T) * unit for c in absf]
+        G = [c + _top_scale(g, T) * unit for c in absg]
+        powers, exact = [F], [absf]  # F G^k and |f| |g|^k
+        for _ in range(1, count):
+            powers.append(times(powers[-1], G))
+            exact.append(times(exact[-1], absg))
+        bound = [mpf(0)]  # f[shift] itself, rounded once
+        for k in range(1, count):
+            total = powers[k][k + shift] - exact[k][k + shift]
+            for i in range(1, k):
+                eps = [4 * max(powers[i]) * unit] * T
+                for _ in range(k - i):
+                    eps = times(eps, G)
+                total += eps[k + shift]
+            bound.append(total)
+        _within(got, want, bound, prec)
+
+
 def test_log1p_mercator():
     L = series_log1p([0, 1], 3)
     assert L[0] == 0
@@ -203,14 +347,21 @@ def test_power_diagonal_matches_full_powers(shift):
 
 @pytest.mark.parametrize("count", [1, 2, 7])
 def test_power_diagonal_makes_count_minus_one_products(count, monkeypatch):
+    # count - 1 integer products of the kernel, each to T coefficients,
+    # and none through series_multiply's mpf round trip; exact on
+    # integer input
     calls = []
-    multiply = mpcore.series_multiply
+    product = mpcore._fixed_product
 
-    def counted(f, g, T):
-        calls.append(T)
-        return multiply(f, g, T)
+    def counted(F, G, n):
+        calls.append(n)
+        return product(F, G, n)
 
-    monkeypatch.setattr(mpcore, "series_multiply", counted)
+    def refused(f, g, T):
+        raise AssertionError("an mpf product")
+
+    monkeypatch.setattr(mpcore, "_fixed_product", counted)
+    monkeypatch.setattr(mpcore, "series_multiply", refused)
     f, g = [mpf(2), mpf(3), mpf(-1)], [mpf(1), mpf(1)]
     got = series_power_diagonal(f, g, 0, count, count)
     assert calls == [count] * (count - 1)
