@@ -39,10 +39,10 @@ tail bound rests on the offset coefficients' majorant, checked on the
 computed coefficients only; the second system's is an estimate.
 
 One builder, _entry, writes every verify row.  A row's ``bound`` is a
-tolerance this module sets from --digits or --tolerance-exponent (plus
-the tail bound in the summation checks); its ``certified_bound`` is an
-error bound the computation itself carries: the L-series continuation's
-error bounds, plus 10^-(digits-2) on a claimed value.
+tolerance this module sets from --digits (plus the tail bound in the
+summation checks); its ``certified_bound`` is an error bound the
+computation itself carries: the L-series continuation's error bounds,
+plus 10^-(digits-2) on a claimed value.
 
 Exit codes: 0 on success and on a verify run whose theorem-backed checks
 all pass; 1 on solver or certification failure, on any failed check, or
@@ -115,7 +115,7 @@ EXPORT_TARGETS = (
 # named; zeros with --count 40).
 MAX_DIGITS = {
     "zeros": 760,  # 450, 600, 750: 10.3 s, 35.3 s, 93.5 s
-    "export rho": 600,  # 9.9 s, 37.1 s
+    "export rho": 720,  # 450, 600, 720: 15.3 s, 41.9 s, 95.5 s
     "export lvalues": 582,  # 300, 450, 582: 4.7 s, 19.2 s, 62.1 s
     "export legendre": 3 * (MAX_PAIRS - 8) + 2,
     "verify --suite ode": 3400,  # 1000, 3000, 3500: 2.8 s, 64.7 s, 108.9 s
@@ -170,27 +170,41 @@ def _entry(name, parameters, discrepancy, bound, key="bound", gated=True, **scan
 
 
 def _bound(args, drop: int):
-    """Pass threshold 10^-E: the flag when given, else E = digits - drop."""
-    if args.tolerance_exponent is not None:
-        e = args.tolerance_exponent
-    else:
-        e = max(2, args.digits - drop)
-    return mpf(10) ** (-e)
+    """Pass threshold 10^-E, E = digits - drop, at least 2."""
+    return mpf(10) ** (-max(2, args.digits - drop))
 
 
 # ----------------------------------------------------------------------
 # verification suites
+#
+# Each suite reads its checks off extremal, fourier or lseries when it
+# runs, so that defining it loads no module and the function read is the
+# one perfbench/tracer.py wraps.  A residual row passes within
+# 10^-(digits-10).
 
 
-def _residual_suite(*rows):
-    """A suite of rows (check name, parameters, check): each discrepancy
-    check(consts) passes within 10^-(digits-10)."""
+def _suite_ode(consts, args):
+    b = _bound(args, 10)
+    parameters = {"points": 20, "radius": 5}
+    return [
+        _entry("factor-ode", parameters, extremal.check_ode_residual(consts), b),
+        _entry("minimizer-ode", parameters, extremal.check_extremal_ode_residual(consts), b),
+    ]
 
-    def run(consts, args):
-        b = _bound(args, 10)
-        return [_entry(name, params, check(consts), b) for name, params, check in rows]
 
-    return run
+def _suite_functional(consts, args):
+    parameters = {"points": 20, "circle": "self-dual"}
+    defect = extremal.check_functional_equation(consts)
+    return [_entry("reflection-equation", parameters, defect, _bound(args, 10))]
+
+
+def _suite_quadratic(consts, args):
+    b = _bound(args, 10)
+    relation = extremal.check_quadratic_relation(consts)
+    return [
+        _entry("quadratic-first-integral", {"points": 20, "radius": 3}, relation, b),
+        _entry("zero-curvature", {"n": 1}, extremal.zero_curvature_residual(consts), b),
+    ]
 
 
 def _summation_head(digits: int) -> int:
@@ -270,8 +284,8 @@ _DISCREPANCY_GUARD = 25
 
 # brute_force_value's cap: four Euler-Maclaurin corrections leave it near
 # 2.5e-29 at s = 3 and 600 terms (601 for minus: -tau_1^-3 and 300 pairs)
-# whatever --digits is, so its gate stays 10^-_BRUTE_EXPONENT unless the
-# flag is given, a measurement
+# whatever --digits is, so its gate stays 10^-_BRUTE_EXPONENT, a
+# measurement
 _BRUTE_EXPONENT = 12
 
 
@@ -291,7 +305,7 @@ def _suite_lseries(consts, args):
         C = mpf(consts.C)
         disc = abs(plus2.value + 4 * C * minus1.value)
     out.append(_entry("even-odd-bridge", {"s": 2}, disc, _bound(args, 5)))
-    brute_bound = _bound(args, args.digits - _BRUTE_EXPONENT)
+    brute_bound = mpf(10) ** (-_BRUTE_EXPONENT)
     for kind, s in lseries.BRUTE_CALLS:
         value, _err = lseries.brute_force_value(consts, kind, s, 600)
         cont = lseries.l_series(consts, kind, s)
@@ -318,37 +332,11 @@ def _suite_conjectures(consts, args):
     return out
 
 
-# the verify suites, in the order `all` runs them; a residual check reads
-# its function off extremal when it runs, so building this table loads no
-# module, and the function read is the one perfbench/tracer.py wraps
+# the verify suites, in the order `all` runs them
 _SUITE_RUNNERS = {
-    "ode": _residual_suite(
-        (
-            "factor-ode",
-            {"points": 20, "radius": 5},
-            lambda c: extremal.check_ode_residual(c),
-        ),
-        (
-            "minimizer-ode",
-            {"points": 20, "radius": 5},
-            lambda c: extremal.check_extremal_ode_residual(c),
-        ),
-    ),
-    "functional": _residual_suite(
-        (
-            "reflection-equation",
-            {"points": 20, "circle": "self-dual"},
-            lambda c: extremal.check_functional_equation(c),
-        ),
-    ),
-    "quadratic": _residual_suite(
-        (
-            "quadratic-first-integral",
-            {"points": 20, "radius": 3},
-            lambda c: extremal.check_quadratic_relation(c),
-        ),
-        ("zero-curvature", {"n": 1}, lambda c: extremal.zero_curvature_residual(c)),
-    ),
+    "ode": _suite_ode,
+    "functional": _suite_functional,
+    "quadratic": _suite_quadratic,
     "summation": _suite_summation,
     "fourier": _suite_fourier,
     "lseries": _suite_lseries,
@@ -565,15 +553,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which checks to run (default all)",
     )
     p.add_argument(
-        "--tolerance-exponent",
-        dest="tolerance_exponent",
-        type=int,
-        default=None,
-        help="override residual pass thresholds, and the slack the "
-        "summation checks add to their tail bound, to 10^-E, E at least 2 "
-        "(certified-bound checks keep their own bounds)",
-    )
-    p.add_argument(
         "--terms",
         type=int,
         default=None,
@@ -659,11 +638,6 @@ def main(argv=None) -> int:
         parser.error("--count must be positive")
     if getattr(args, "terms", None) is not None and args.terms < 1:
         parser.error("--terms must be positive")
-    # the floor _bound puts on its default: at -3 every bound would be
-    # 1000 and every check would pass
-    exponent = getattr(args, "tolerance_exponent", None)
-    if exponent is not None and exponent < 2:
-        parser.error("--tolerance-exponent must be at least 2")
     try:
         _check_out(args.out)
         payload, code = _HANDLERS[args.command](args)

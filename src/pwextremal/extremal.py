@@ -1380,7 +1380,7 @@ def summation_system(a, head: int, digits: int):
     a, rescaled from the b = 1 frame to exponential type pi/2, for
     :func:`summation_check`, to `digits` digits.
 
-    zeros holds the first `head` (at least 3) zeros of each sign:
+    zeros holds the first `head` (at least 4) zeros of each sign:
     positive entries are the scaled zeros of the alternating Bessel
     series, negative entries the reflected zeros of its companion, in
     increasing absolute value.  Both ladders come from
@@ -1393,12 +1393,13 @@ def summation_system(a, head: int, digits: int):
     reported as a solver failure.  Each zero is scaled by +-2/pi with one
     multiply.  tail holds the zeros past the head of both ladders, each
     through its phase series (_ladder_tail; the reflected ladder's part
-    enters with a minus sign, as f is odd); its bound is an estimate.  At
-    the extremal drift the zeros reproduce 1/(2C) and the signed tau
-    ladder.
+    enters with a minus sign, as f is odd); its bound is an estimate.  A
+    tail from the fifth zero on puts every class sum of _lattice_tail at a
+    Hurwitz shift of at least 1, as mpcore.hurwitz_zetas needs.  At the
+    extremal drift the zeros reproduce 1/(2C) and the signed tau ladder.
     """
-    if head < 3:
-        raise UsageError("head must be at least 3")
+    if head < 4:
+        raise UsageError("head must be at least 4")
     with mp.workdps(digits + _LADDER_GUARD):
         a = mpf(a)
         if not (0 < a < mpf(3) / 2):

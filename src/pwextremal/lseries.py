@@ -2,18 +2,18 @@
 
 Two series are attached to the positive zero parameters tau_n: the
 one-signed sum of tau_n^{-s} and its alternating companion.  Both are
-computed for real s by analytic continuation: each term is expanded as a
-half-integer power times a binomial correction series in 1/(n + 1/2), a
-short head is summed directly from the zero model, and the remaining
-lattice sums collapse to Hurwitz zeta values.  Every order with exponent
-w = s + j >= 2 takes its value from one mpcore.hurwitz_zetas table per
-lattice point, kept on the zero model from w = 2 and made once per
-command at the longest length and the highest precision its calls read
-(reserve_for_suites, l_values), with a stated error; a non-integer w
-makes a table of its own, and mpmath's zeta (and the digamma at w = 1)
-serves only the few orders with w < 2.  The one-signed series is
-meromorphic with simple poles on the negative odd integers (and at 1);
-the alternating one is entire.
+computed at integer s by analytic continuation: each term is expanded as
+a half-integer power times a binomial correction series in 1/(n + 1/2),
+a short head is summed directly from the zero model, and the remaining
+lattice sums collapse to Hurwitz zeta values, the alternating ones
+folded in pairs (_fold).  Every order with exponent w = s + j >= 2 takes
+its value from one mpcore.hurwitz_zetas table per lattice point, kept on
+the zero model from w = 2 and made once per command at the longest
+length and the highest precision its calls read (reserve_for_suites,
+l_values), with a stated error; mpmath's zeta (and the digamma at w = 1)
+serves only the few orders with w < 2 (_lattice_sum_below_two).  The
+one-signed series is meromorphic with simple poles on the negative odd
+integers (and at 1); the alternating one is entire.
 
 The continuation carries an error bound built from the geometric
 majorant of the offset coefficients, a_m <= 2^{-m-1}, so every
@@ -50,7 +50,6 @@ from .mpcore import (
     TARGET_MARGIN,
     SolverError,
     UsageError,
-    alternating_halfinteger_tail,
     hurwitz_zetas,
     series_derivative,
     series_multiply,
@@ -81,17 +80,11 @@ class LSeriesValue:
         self.is_pole, self.residue = is_pole, residue
 
 
-def _as_real(s):
-    if isinstance(s, complex) or isinstance(s, mp.mpc):
-        raise UsageError("only real s is supported")
+def _integer(s) -> int:
+    """s itself, for an int; any other s is a UsageError."""
+    if not isinstance(s, int):
+        raise UsageError("s must be an integer, not %r" % (s,))
     return s
-
-
-def _is_integer(s) -> bool:
-    try:
-        return mpf(s) == int(mpf(s))
-    except (TypeError, ValueError):
-        return False
 
 
 # zeros summed directly before the lattice sums take over
@@ -161,13 +154,13 @@ def _lattice_points(kind: str) -> list:
     return [q] if kind == "plus" else [q / 2, (q + 1) / 2]
 
 
-def _is_pole(kind: str, s) -> bool:
+def _is_pole(kind: str, s: int) -> bool:
     """Whether s is a pole of the series: 1 or a negative odd integer of
     the plus kind."""
-    return kind == "plus" and _is_integer(s) and int(mpf(s)) <= 1 and (1 - int(mpf(s))) % 2 == 0
+    return kind == "plus" and s <= 1 and s % 2 == 1
 
 
-def _continuation_dps(s: float, digits: int) -> int:
+def _continuation_dps(s: int, digits: int) -> int:
     """The working precision of l_series at s: digits +
     _CONTINUATION_GUARD, plus the digits q^-s magnifies for s < 0."""
     amp = max(0, int(-s * math.log10(_N0 + 1.5)) + 1) if s < 0 else 0
@@ -175,19 +168,19 @@ def _continuation_dps(s: float, digits: int) -> int:
 
 
 def _hurwitz_table(zeros, q, w, n: int) -> list:
-    """[zeta(w + i, q) for i < n] at the working precision p, each within
-    2^-(p+10) of its value before it is rounded (mpcore.hurwitz_zetas).
+    """[zeta(w + i, q) for i < n] at the working precision p, for an
+    integer w >= 2, each within 2^-(p+10) of its value before it is
+    rounded (mpcore.hurwitz_zetas).
 
-    For an integer w >= 2 the values are read off the table of q kept on
-    the zero model, which starts at w = 2, and rounded to p.  It is made
-    at the first read, or made anew when a read needs more values or
-    more bits than it holds, at the most any read so far asked for;
-    reserve_lattice_tables makes it once, before the reads of a command.
-    A table made at P >= p bits keeps hurwitz_zetas' bound for the
-    reader at p: within 2^-(P+10) <= 2^-(p+10) before the roundings to P
-    and then to p, which together move a value by at most one unit in its
-    p-th bit, where a table made at p moves it by half of one.  Any other
-    w makes a table of its own.
+    The values are read off the table of q kept on the zero model, which
+    starts at w = 2, and rounded to p.  It is made at the first read, or
+    made anew when a read needs more values or more bits than it holds,
+    at the most any read so far asked for; reserve_lattice_tables makes
+    it once, before the reads of a command.  A table made at P >= p bits
+    keeps hurwitz_zetas' bound for the reader at p: within
+    2^-(P+10) <= 2^-(p+10) before the roundings to P and then to p, which
+    together move a value by at most one unit in its p-th bit, where a
+    table made at p moves it by half of one.
 
     So a value read at p depends, within that bound, on the bits of the
     table the zero model already holds, and with it on the reads and
@@ -195,8 +188,6 @@ def _hurwitz_table(zeros, q, w, n: int) -> list:
     differ in its last bits between two orders of calls.  A command that
     reserves first reads every value off one table, whatever its order.
     """
-    if w != int(w):
-        return hurwitz_zetas(q, w, n)
     start, prec = int(w) - 2, mp.prec
     held_prec, held = zeros.lattice.get(q, (0, []))
     if held_prec < prec or len(held) < start + n:
@@ -207,40 +198,55 @@ def _hurwitz_table(zeros, q, w, n: int) -> list:
     return [+z for z in held[start:start + n]]
 
 
+def _fold(v, low, high):
+    """The alternating lattice sum sum_{m > _N0} (-1)^m (m + 1/2)^-v from
+    low = zeta(v, q/2) and high = zeta(v, (q+1)/2), q = _N0 + 3/2: pairing
+    the terms gives (-1)^(_N0+1) 2^-v (low - high).  At v = 1, where the
+    two Hurwitz poles cancel, low and high are the digammas at (q+1)/2
+    and q/2, whose difference over 2 is the limit."""
+    sign = 1 if _N0 % 2 else -1
+    return sign * (mpf(2) ** -v * (low - high))
+
+
 def _lattice_sums(zeros, kind: str, w, n: int) -> list:
-    """Lattice sums of the tail past _N0 at exponents w + i, i < n, w >= 2:
-    sum_{m > _N0} (m + 1/2)^-v = zeta(v, q) for the plus kind and
-    sum_{m > _N0} (-1)^m (m + 1/2)^-v = (-1)^(_N0+1) 2^-v (zeta(v, q/2)
-    - zeta(v, (q+1)/2)) for the minus kind, q = _N0 + 3/2.  The zeta
-    values are sliced off the zero model's table of each lattice point
-    and rounded to the working precision (_hurwitz_table).
+    """Lattice sums of the tail past _N0 at exponents w + i, i < n, for an
+    integer w >= 2: sum_{m > _N0} (m + 1/2)^-v = zeta(v, q) for the plus
+    kind and _fold's alternating sum for the minus kind, q = _N0 + 3/2.
+    The zeta values are sliced off the zero model's table of each lattice
+    point and rounded to the working precision (_hurwitz_table).
     """
     tables = [_hurwitz_table(zeros, q, w, n) for q in _lattice_points(kind)]
     if kind == "plus":
         return tables[0]
-    sign = 1 if _N0 % 2 else -1
-    low, high = tables
-    return [
-        sign * (mpf(2) ** -(w + i) * (a - b))
-        for i, (a, b) in enumerate(zip(low, high))
-    ]
+    return [_fold(w + i, a, b) for i, (a, b) in enumerate(zip(*tables))]
+
+
+def _lattice_sum_below_two(kind: str, w):
+    """The lattice sum of _lattice_sums at one integer exponent w < 2, from
+    mpmath's Hurwitz zeta, or at w = 1 of the minus kind its digamma."""
+    points = _lattice_points(kind)
+    if kind == "plus":
+        return mp.zeta(w, *points)
+    low, high = points
+    if w == 1:
+        return _fold(w, mp.digamma(high), mp.digamma(low))
+    return _fold(w, mp.zeta(w, low), mp.zeta(w, high))
 
 
 def reserve_lattice_tables(consts: ExtremalConstants, calls) -> None:
     """Make the lattice tables that the l_series calls (kind, s, order) of
     `calls` read: one per lattice point, from w = 2, at the longest length
     and the highest precision any of the calls reads, so that none of them
-    makes one.  An integer s reads w = 2 .. s + J, J its order; a pole or a
-    non-integer s reads no kept table.
+    makes one.  A call at s reads w = 2 .. s + J, J its order; a pole reads
+    no table.
     """
     if not calls:
         return
     digits = consts.digits_certified
     need = {}
     for kind, s, order in calls:
-        if _is_pole(kind, s) or not _is_integer(s):
+        if _is_pole(kind, _integer(s)):
             continue
-        s = int(mpf(s))
         J = order if order is not None else _expansion_order(s, digits)
         with mp.workdps(_continuation_dps(s, digits)):
             prec = mp.prec
@@ -254,19 +260,19 @@ def reserve_lattice_tables(consts: ExtremalConstants, calls) -> None:
 
 
 def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSeriesValue:
-    """Continuation value of the zero-ladder series at real s, to the
-    certified digits of `consts`, with the first _N0 zeros of its zero
-    model summed directly.
+    """Continuation value of the zero-ladder series at an integer s, to
+    the certified digits of `consts`, with the first _N0 zeros of its zero
+    model summed directly; any other s is a UsageError.
 
     Past them the value is sum_j e_j T(s + j) through order J, e_j the
     coefficients of binomial_tail_expansion and T the lattice sums of
-    _lattice_sums for s + j >= 2, of mp.zeta (plus) or
-    alternating_halfinteger_tail (minus) below 2.  The error bound adds
-    the truncation past J, the offset series past M, the input digits and
-    table_term, 2^-(prec+10) sum |e_j| for the tables: each zeta value is
-    within 2^-(prec+10) before its rounding to prec, also when it is read
-    off a table made at more bits (_hurwitz_table); that rounding, at most
-    one unit in the last place, is left to the guard with the others.
+    _lattice_sums for s + j >= 2, of _lattice_sum_below_two below 2.  The
+    error bound adds the truncation past J, the offset series past M, the
+    input digits and table_term, 2^-(prec+10) sum |e_j| for the tables:
+    each zeta value is within 2^-(prec+10) before its rounding to prec,
+    also when it is read off a table made at more bits (_hurwitz_table);
+    that rounding, at most one unit in the last place, is left to the
+    guard with the others.
     Since the bits of that table follow the calls made before on the same
     constants, so may the last bits of the value, within the bound.
 
@@ -276,27 +282,24 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
     """
     if kind not in ("plus", "minus"):
         raise UsageError("kind must be 'plus' or 'minus'")
-    _as_real(s)
+    _integer(s)
     digits = consts.digits_certified
     zeros = build_zero_model(consts)
 
     if _is_pole(kind, s):
-        k = int(mpf(s))
-        J = (1 - k) + 6
+        J = (1 - s) + 6
         with mp.workdps(digits + _RESIDUE_GUARD):
-            e = binomial_tail_expansion(zeros.rho_coeffs, mpf(k), J)
-            residue = e[1 - k]
-            bound = (2 + abs(k)) * mpf(10) ** (-(digits - _INPUT_LOSS))
+            e = binomial_tail_expansion(zeros.rho_coeffs, mpf(s), J)
+            residue = e[1 - s]
+            bound = (2 + abs(s)) * mpf(10) ** (-(digits - _INPUT_LOSS))
         return LSeriesValue(
-            s=k, kind=kind, value=None, error_bound=bound, is_pole=True,
+            s=s, kind=kind, value=None, error_bound=bound, is_pole=True,
             residue=residue,
         )
 
-    s_float = float(s)
-    J = order if order is not None else _expansion_order(s_float, digits)
-    with mp.workdps(_continuation_dps(s_float, digits)):
+    J = order if order is not None else _expansion_order(s, digits)
+    with mp.workdps(_continuation_dps(s, digits)):
         s_mp = mpf(s)
-        q = mpf(2 * _N0 + 3) / 2
         head = mpf(0)
         head_abs = mpf(0)
         for n in range(1, _N0 + 1):
@@ -306,7 +309,7 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
             head += term
             head_abs += abs(term)
         e = binomial_tail_expansion(zeros.rho_coeffs, s_mp, J)
-        j0 = max(0, int(mp.ceil(2 - s_mp)))  # first order with s + j >= 2
+        j0 = max(0, 2 - s)  # first order with s + j >= 2
         table = _lattice_sums(zeros, kind, s_mp + j0, J + 1 - j0) if J >= j0 else []
         tail_sum = mpf(0)
         tail_abs = mpf(0)
@@ -314,14 +317,11 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
         for j, ej in enumerate(e):
             if ej == 0:
                 continue
-            w = s_mp + j
             if j >= j0:
                 T = table[j - j0]
                 table_abs += abs(ej)
-            elif kind == "plus":
-                T = mp.zeta(w, q)
             else:
-                T = -alternating_halfinteger_tail(w, _N0)
+                T = _lattice_sum_below_two(kind, s_mp + j)
             tail_sum += ej * T
             tail_abs += abs(ej * T)
         value = head + tail_sum
@@ -680,7 +680,7 @@ _BRUTE_GUARD = 20
 
 
 def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
-    """Direct summation of the series at real s > 1, with an
+    """Direct summation of the series at an integer s >= 2, with an
     Euler-Maclaurin tail on the summand f: f(n) = tau_n^-s for the plus
     kind, n <= n_terms; -tau_1^-s and then f(m) = tau_2m^-s - tau_(2m+1)^-s,
     m <= n_terms // 2, for the alternating kind (n_terms + 1 terms for an
@@ -697,12 +697,10 @@ def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
     digits and the same error.  u = 0 is safe.  The rule never evaluates
     an endpoint, and tau_t = t + 1/2 - rho(1/(t + 1/2)), so
     tau_t^-s = t^-s (1 + O(1/t))^-s = u^s a^-s (1 + O(u)): the pulled-back
-    summand is u^(s-2) times a power series in u, analytic at 0 for an
-    integer s >= 2 and an integrable endpoint singularity for real s > 1,
-    the kind tanh-sinh handles (Takahasi and Mori, 1974).  Near u = 0 the
-    alternating difference cancels, but each power is rounded relative to
-    itself, so the pulled-back difference carries about u^(s-2) a^(1-s)
-    units of the working precision, for s >= 2 no more than at u = 1.
+    summand is u^(s-2) times a power series in u, analytic at 0.  Near
+    u = 0 the alternating difference cancels, but each power is rounded
+    relative to itself, so the pulled-back difference carries about
+    u^(s-2) a^(1-s) units of the working precision, no more than at u = 1.
 
     Returns (value, error estimate): |f^(7)(a)| / 1209600, the first
     omitted correction, plus quad's error and 10^-min(digits,
@@ -714,9 +712,8 @@ def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
     """
     if kind not in ("plus", "minus"):
         raise UsageError("kind must be 'plus' or 'minus'")
-    _as_real(s)
-    if s <= 1:
-        raise UsageError("direct summation needs s > 1")
+    if _integer(s) < 2:
+        raise UsageError("direct summation needs s >= 2")
     digits = consts.digits_certified
     if n_terms < 64:
         raise UsageError("n_terms too small for the tail expansion")

@@ -14,10 +14,10 @@ Everything downstream runs on top of the ingredients collected here:
   units of 2^-(prec+64) set by the largest entries;
 * :func:`newton`, the package's one Newton loop, with precision doubling,
   and :func:`bracketed_step`, the step of every scalar root search;
-* the Dirichlet beta function and alternating half-integer tails, through
-  Hurwitz zeta values, and a table of Hurwitz zeta values at one shift
-  for a ladder of exponents w, w + 1, .. from a real w >= 2;
-* exact decimal truncation for the serialized output;
+* the Dirichlet beta function through Hurwitz zeta values, and a table
+  of Hurwitz zeta values at one shift q >= 1 for a ladder of integer
+  exponents w, w + 1, .. from w >= 2;
+* exact decimal truncation of an mpf for the serialized output;
 * the size caps of the Legendre, window-basis and integrality layers;
 * the two precision rules every stage shares, TARGET_MARGIN and
   ESTIMATE_DPS.
@@ -343,7 +343,7 @@ def series_derivative(f) -> list:
 
 
 # ----------------------------------------------------------------------
-# Dirichlet beta and alternating tails
+# Dirichlet beta and Hurwitz zeta tables
 
 
 def beta_numeric(s):
@@ -355,22 +355,6 @@ def beta_numeric(s):
     if s == 1:
         return mp.pi / 4
     return mpf(4) ** (-s) * (mp.zeta(s, mpf(1) / 4) - mp.zeta(s, mpf(3) / 4))
-
-
-def alternating_halfinteger_tail(w, n_start: int):
-    """sum_{m > n_start} (-1)^{m+1} (m + 1/2)^{-w}, exactly resummed.
-
-    Folding the alternating sum into Hurwitz zeta values:
-    sum_{j>=0} (-1)^j (j + q)^{-w} = 2^{-w} (zeta(w, q/2) - zeta(w, (q+1)/2))
-    with q = n_start + 3/2 and an overall sign (-1)^{n_start}.  At w = 1 the
-    two Hurwitz poles cancel and the digamma limit is used instead.
-    """
-    q = mpf(2 * n_start + 3) / 2
-    if mpf(w) == 1:
-        val = (mp.digamma((q + 1) / 2) - mp.digamma(q / 2)) / 2
-    else:
-        val = mpf(2) ** (-w) * (mp.zeta(w, q / 2) - mp.zeta(w, (q + 1) / 2))
-    return val if n_start % 2 == 0 else -val
 
 
 @lru_cache(maxsize=64)
@@ -388,19 +372,18 @@ def _euler_maclaurin_constants(P: int, wp: int):
 
 
 def hurwitz_zetas(q, w, n: int) -> list:
-    """[zeta(w + i, q) for i in range(n)] for real w >= 2 and q > 0.  For
-    q >= 1 each value is within 2^-(prec+10) before it is rounded to the
-    working precision; below 1, zeta(w, q) = q^-w + zeta(w, q + 1).  A
-    reader working at p < prec bits who rounds a value to p gets it within
-    2^-(prec+10) < 2^-(p+10) before the two roundings, to prec and then to
-    p, which together move it by at most one unit in its p-th bit, where
-    a table made at p bits moves it by half of one.
+    """[zeta(w + i, q) for i in range(n)] for an integer w >= 2 and
+    q >= 1, each within 2^-(prec+10) before it is rounded to the working
+    precision.  A reader working at p < prec bits who rounds a value to p
+    gets it within 2^-(prec+10) < 2^-(p+10) before the two roundings, to
+    prec and then to p, which together move it by at most one unit in its
+    p-th bit, where a table made at p bits moves it by half of one.
 
     One Euler-Maclaurin run serves every exponent.  N terms (q + m)^-w
-    are summed directly, the first power of each m by one real power (by
-    multiplies from 1/(q + m) when w is an integer) and each later one by
-    one multiply from the last, and at Q = q + N >= 2 (W + 2P + 1) / pi,
-    W = w + n - 1 the largest exponent,
+    are summed directly, the first power of each m by w - 1 multiplies
+    from 1/(q + m) and each later one by one multiply from the last, and
+    at Q = q + N >= 2 (W + 2P + 1) / pi, W = w + n - 1 the largest
+    exponent,
 
         zeta(v, Q) = Q^(1-v) / (v-1) + Q^-v / 2
                      + sum_{k=1}^{P} B_2k / (2k)! (v)_(2k-1) Q^(1-v-2k) + R,
@@ -415,13 +398,12 @@ def hurwitz_zetas(q, w, n: int) -> list:
     v + i are exact.  Every value in them is at most 1 but the scaled
     Bernoulli numbers b_k = B_2k (2 pi)^2k / (2k)!, |b_k| <= 4, each
     product is truncated by less than one unit of 2^-wp, and a truncation
-    is never magnified: the powers are of 1/(q + m) <= 1, a real power is
-    taken at wp + 10 bits and is within 2 units, and the Bernoulli terms
-    are carried as t_k = (v)_(2k-1) Q^(1-v-2k) / (2 pi)^2k, each k step a
-    factor (v + 2k - 1)(v + 2k) / (2 pi Q)^2 <= 1/16.  So the direct
-    powers are within 2v units each, Q^-v and Q^(1-v) / (v-1) within 2v,
-    t_k within 8 and b_k t_k within 40: at most 2 W N + 5 W + 40 P units,
-    which the wp - prec - 10 guard bits cover.
+    is never magnified: the powers are of 1/(q + m) <= 1, and the
+    Bernoulli terms are carried as t_k = (v)_(2k-1) Q^(1-v-2k) / (2 pi)^2k,
+    each k step a factor (v + 2k - 1)(v + 2k) / (2 pi Q)^2 <= 1/16.  So
+    the direct powers are within 2v units each, Q^-v and Q^(1-v) / (v-1)
+    within 2v, t_k within 8 and b_k t_k within 40: at most
+    2 W N + 5 W + 40 P units, which the wp - prec - 10 guard bits cover.
 
     Each power and each t_k is a product with the one before, so once one
     is 0 every later one is too: the loop over orders stops at the first
@@ -429,30 +411,23 @@ def hurwitz_zetas(q, w, n: int) -> list:
     changes.  Both get there early on late orders, since every factor is
     at most 1 (x <= one, the k step at most 1/16).
     """
-    if n < 1 or not w >= 2 or not q > 0:
-        raise UsageError("hurwitz_zetas needs n >= 1, w >= 2 and q > 0")
-    if q < 1:
-        shifted = hurwitz_zetas(q + 1, w, n)
-        return [mpf(q) ** -(w + i) + z for i, z in enumerate(shifted)]
+    if n < 1 or not isinstance(w, int) or w < 2 or not q >= 1:
+        raise UsageError("hurwitz_zetas needs n >= 1, an integer w >= 2 and q >= 1")
     prec = mp.prec
     P = -(-(prec + 10) // 4)
+    W = w + n - 1
     with mp.workprec(prec + 20):
-        W = int(mp.ceil(w)) + n - 1
         N = max(0, int(mp.ceil(2 * (w + n + 2 * P) / mp.pi - q)))
     wp = prec + 10 + (2 * W * N + 5 * W + 40 * P).bit_length()
     one = 1 << wp
-    whole = w == int(w)
     qf = to_fixed(mpf(q)._mpf_, wp)
-    wf = to_fixed(mpf(w)._mpf_, wp)
+    wf = w * one
     c, bern = _euler_maclaurin_constants(P, wp)
 
-    def first_power(y, x, v):
-        """y^-v in fixed point, x = 1/y: multiplies for an integer v."""
-        if not whole:
-            with mp.workprec(wp + 10):
-                return to_fixed((mpf((y, -wp)) ** -v)._mpf_, wp)
+    def first_power(x, v):
+        """x^v in fixed point, by v - 1 multiplies."""
         p = x
-        for _ in range(int(v) - 1):
+        for _ in range(v - 1):
             p = p * x >> wp
         return p
 
@@ -460,7 +435,7 @@ def hurwitz_zetas(q, w, n: int) -> list:
     for m in range(N):
         y = qf + m * one
         x = (one << wp) // y
-        p = first_power(y, x, w)
+        p = first_power(x, w)
         sums[0] += p
         for i in range(1, n):
             p = p * x >> wp
@@ -471,7 +446,7 @@ def hurwitz_zetas(q, w, n: int) -> list:
     inv = (one << wp) // y
     step = (inv * inv >> wp) * c >> wp  # 1 / (2 pi Q)^2
     out = []
-    prev = first_power(y, inv, w - 1)  # Q^(1-v) at step v
+    prev = first_power(inv, w - 1)  # Q^(1-v) at step v
     for i in range(n):
         v = wf + i * one
         power = prev * inv >> wp
@@ -489,11 +464,6 @@ def hurwitz_zetas(q, w, n: int) -> list:
 
 # ----------------------------------------------------------------------
 # deterministic decimal serialization
-
-# The digits past the requested ones at which decimal_truncated converts a
-# non-mpf input: they cover that conversion's rounding, which an int does
-# not have; nothing backs the 15.
-_CONVERT_GUARD = 15
 
 # The payload layout is that of mp.nstr at digits + _LAYOUT_EXTRA
 # significant digits, which the first decimal_truncated cut down.  It
@@ -513,7 +483,8 @@ def _decimal_string(n: int) -> str:
 
 
 def decimal_truncated(x, digits: int, lowest: int = None) -> str:
-    """Decimal string with `digits` significant digits, truncated not rounded.
+    """Decimal string of the mpf x with `digits` significant digits,
+    truncated not rounded.
 
     Truncation keeps the certified-digits semantics literal: every digit
     printed is a true digit of the value.  The digits come from integer
@@ -528,10 +499,7 @@ def decimal_truncated(x, digits: int, lowest: int = None) -> str:
     if digits < 1:
         raise UsageError("digits must be positive")
     if not isinstance(x, mpf):
-        # convert at a precision that covers the requested digits; an mpf
-        # input keeps whatever precision it was computed at
-        with mp.workdps(digits + _CONVERT_GUARD):
-            x = mpf(x)
+        raise UsageError("decimal_truncated takes an mpf, not %s" % type(x).__name__)
     if x == 0 or not mp.isfinite(x):
         return mp.nstr(x, digits, strip_zeros=False)
     man, exp = x.man_exp

@@ -239,7 +239,7 @@ def test_verify_count_is_gone(capsys):
 def _summation_args(digits):
     import argparse
 
-    return argparse.Namespace(digits=digits, tolerance_exponent=None)
+    return argparse.Namespace(digits=digits)
 
 
 @pytest.mark.parametrize("digits", [12, 30, 50])
@@ -419,7 +419,7 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
         (["verify", "--suite", "fourier"], 170),
         (["verify", "--suite", "all"], 170),
         (["zeros", "--count", "40"], 760),
-        (["export", "rho"], 600),
+        (["export", "rho"], 720),
         (["export", "lvalues"], 582),
         (["verify", "--suite", "summation"], 580),
         (["verify", "--suite", "lseries"], 572),
@@ -500,34 +500,19 @@ def test_export_h_digit_cap_is_the_last_default_transform_order():
         fourier._transform_terms(cap + 1, C_REF)
 
 
-def test_verify_exit_code_reflects_failure():
-    # an absurd threshold forces a fail status and a nonzero exit
-    proc = run_cli(
-        "verify", "--suite", "quadratic", "--digits", "12",
-        "--tolerance-exponent", "60",
-    )
-    assert proc.returncode == 1
-    report = json.loads(proc.stdout)
-    assert report["failed"] > 0
+def test_verify_exit_code_reflects_failure(consts12, capsys, monkeypatch):
+    # in process: a zero-curvature residual of 1, far past its bound of
+    # 10^-2, fails its row, and the failed row sets the exit code; the
+    # other row of the suite still passes
+    from pwextremal import cli, extremal
 
-
-def test_tolerance_exponent_floor_is_a_usage_error(capsys, monkeypatch):
-    # in process, with no solve: below 2 every bound would be 10^-E >= 100
-    # and every check would pass, so the flag is refused before the solve;
-    # 2, the floor of the default bound, goes on to it
-    from pwextremal import cli
-
-    def solve(digits):
-        raise cli.SolverError("solve reached")
-
-    monkeypatch.setattr(cli, "solve_constants", solve)
-    for exponent in ("-3", "0", "1"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--suite", "quadratic", "--tolerance-exponent", exponent])
-        assert exc.value.code == 2, exponent
-        assert "--tolerance-exponent must be at least 2" in capsys.readouterr().err
-    assert cli.main(["verify", "--suite", "quadratic", "--tolerance-exponent", "2"]) == 1
-    assert "solve reached" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "solve_constants", lambda digits: consts12)
+    monkeypatch.setattr(extremal, "zero_curvature_residual", lambda consts: mpf(1))
+    assert cli.main(["verify", "--suite", "quadratic", "--digits", "12"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    statuses = [(c["check"], c["status"]) for c in report["checks"]]
+    assert statuses == [("quadratic-first-integral", "pass"), ("zero-curvature", "fail")]
+    assert (report["failed"], report["passed"]) == (1, False)
 
 
 def test_verify_conjectures_report_only():

@@ -784,8 +784,11 @@ def test_zeros_solve_the_phase_equation():
 def test_summation_system_validation():
     with pytest.raises(UsageError):
         extremal.summation_system(mpf(2), 10, 20)
-    with pytest.raises(UsageError):
-        extremal.summation_system(mpf(1), 1, 20)
+    # a head of 3 would start the closed-form tail at the fourth zero,
+    # where one class sum's Hurwitz shift is 4/5
+    for head in (1, 3):
+        with pytest.raises(UsageError, match="head must be at least 4"):
+            extremal.summation_system(mpf(1), head, 20)
 
 
 # ----------------------------------------------------------------------

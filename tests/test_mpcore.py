@@ -1,12 +1,14 @@
 """Tests for the arithmetic substrate: series algebra, the Newton loop,
 the Legendre oracle (and fourier's Clenshaw sum against it), the
-Dirichlet beta function and truncated decimal output; also the reference
-log(1+f) and exp(f) of tests/oracles.py, which the series tests use as
-majorants."""
+Dirichlet beta function, the Hurwitz tables and the alternating lattice
+sums lseries folds from them, and truncated decimal output; also the
+reference log(1+f) and exp(f) of tests/oracles.py, which the series tests
+use as majorants."""
 
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,11 +22,10 @@ from oracles import (
     series_log1p,
     series_product,
 )
-from pwextremal import fourier, mpcore
+from pwextremal import fourier, lseries, mpcore
 from pwextremal.mpcore import (
     SolverError,
     UsageError,
-    alternating_halfinteger_tail,
     beta_numeric,
     bracketed_step,
     decimal_truncated,
@@ -516,9 +517,7 @@ def test_hurwitz_zetas_closed_forms():
     # at an integer shift zeta(j, q) = zeta(j) - sum_{m<q} m^-j: q = 1,
     # q = 23 (a short direct sum) and q = 200 (none), within 2^-(prec+10)
     # plus the final rounding of mpmath's Riemann zeta at three times the
-    # precision, which covers the cancellation; below 1 the shift
-    # q^-j + zeta(j, q + 1), checked relative to zeta(j, 1/2) =
-    # (2^j - 1) zeta(j)
+    # precision, which covers the cancellation
     def integer_shift(q):
         return lambda j: mp.zeta(j) - mp.fsum(mpf(m) ** -j for m in range(1, q))
 
@@ -531,38 +530,17 @@ def test_hurwitz_zetas_closed_forms():
                 ref = integer_shift(q)(j)
                 tol = mpf(2) ** -(prec + 10) + mpf(2) ** -prec * ref
                 assert abs(value - ref) < tol, (q, j)
-    got = hurwitz_zetas(mpf(1) / 2, 2, 23)
-    for j, value in enumerate(got, start=2):
-        with mp.workdps(3 * mp.dps):
-            ref = (2 ** j - 1) * mp.zeta(j)
-        assert abs(value / ref - 1) < mpf(10) ** -(mp.dps - 2), j
-    with pytest.raises(UsageError):
-        hurwitz_zetas(mpf(0), 2, 5)
     with pytest.raises(UsageError):
         hurwitz_zetas(mpf(1), 2, 0)
-
-
-def test_hurwitz_zetas_real_first_exponent():
-    # zeta(5/2 + i, q) at q = 19/4 and at q = 1/4, which goes through the
-    # shift q^-w + zeta(w, q + 1), against a direct sum of 30 terms plus
-    # mpmath's Hurwitz zeta at q + 30, both at three times the precision:
-    # within 2^-(prec+10) plus the rounding to the working precision, one
-    # rounding at q >= 1 and two below, where the shift adds a rounded term
-    prec = mp.prec
-    w = mpf(5) / 2
-    for q, roundings in ((mpf(19) / 4, 1), (mpf(1) / 4, 2)):
-        got = hurwitz_zetas(q, w, 24)
-        assert len(got) == 24
-        for i, value in enumerate(got):
-            with mp.workdps(3 * mp.dps):
-                v = w + i
-                ref = mp.fsum((q + m) ** -v for m in range(30)) + mp.zeta(v, q + 30)
-                tol = mpf(2) ** -(prec + 10) + roundings * mpf(2) ** -prec * ref
-                assert abs(value - ref) < tol, (q, i)
-    # the error proof needs a first exponent of at least 2
-    for w in (mpf("1.5"), 1, mpf(-3)):
+    # the error proof needs an integer first exponent of at least 2 and a
+    # shift of at least 1: a non-integer w, also one of integer value, a
+    # w below 2 and a q below 1 are usage errors
+    for w in (mpf("2.5"), mpf(3), 2.0, 1, -3):
         with pytest.raises(UsageError):
             hurwitz_zetas(mpf(19) / 4, w, 4)
+    for q in (mpf(1) / 2, mpf(0), mpf("0.999")):
+        with pytest.raises(UsageError):
+            hurwitz_zetas(q, 2, 4)
 
 
 def test_hurwitz_zetas_late_orders():
@@ -674,30 +652,31 @@ def test_beta_values():
     assert abs(beta_numeric(mpf(2)) - mp.catalan) < mpf(10) ** -38
 
 
+def _alternating_partial_sum(w, terms):
+    """sum_{m > _N0} (-1)^m (m + 1/2)^-w over its first `terms` terms, and
+    the first term dropped, which bounds what the partial sum misses."""
+    first = lseries._N0 + 1
+    brute = mp.fsum((-1) ** m * (mpf(2 * m + 1) / 2) ** -w for m in range(first, first + terms))
+    return brute, (mpf(2 * (first + terms) + 1) / 2) ** -w
+
+
 def test_alternating_halfinteger_tail_matches_bruteforce():
-    w = mpf(3)
-    for n_start in (4, 5, 40):
-        brute = mpf(0)
-        for m in range(n_start + 1, n_start + 4001):
-            term = mpf(2 * m + 1) / 2
-            brute += (-1) ** (m + 1) * term ** (-w)
-        # pair the remaining alternating tail crudely
-        closed = alternating_halfinteger_tail(w, n_start)
-        assert abs(closed - brute) < mpf(10) ** -9, n_start
+    # lseries' fold of the alternating lattice sum at w = 3, read off the
+    # kept Hurwitz tables as l_series reads it (_lattice_sums)
+    model = SimpleNamespace(lattice={})
+    [closed] = lseries._lattice_sums(model, "minus", mpf(3), 1)
+    brute, dropped = _alternating_partial_sum(3, 4000)
+    assert abs(closed - brute) < dropped
 
 
 def test_alternating_halfinteger_tail_at_one():
-    # w = 1 sits on the removable Hurwitz singularity; check the digamma
-    # branch against a paired brute-force sum
+    # w = 1 sits on the removable Hurwitz singularity, where the fold
+    # takes the digamma limit (_lattice_sum_below_two); against a partial
+    # sum, which is within the first dropped term
     with mp.workdps(30):
-        for n_start in (4, 5):
-            brute = mpf(0)
-            for m in range(n_start + 1, n_start + 200001):
-                brute += (-1) ** (m + 1) / (mpf(2 * m + 1) / 2)
-            closed = alternating_halfinteger_tail(mpf(1), n_start)
-            # partial alternating sum is within half the first dropped term
-            gap = abs(closed - brute)
-            assert gap < mpf(1) / (2 * (n_start + 200001)), n_start
+        closed = lseries._lattice_sum_below_two("minus", mpf(1))
+        brute, dropped = _alternating_partial_sum(1, 200000)
+        assert abs(closed - brute) < dropped
 
 
 def _exact(x):
@@ -794,3 +773,7 @@ def test_decimal_truncated_layout():
     assert decimal_truncated(mpf("12345.678"), 4) == "1.234e+4"
     with pytest.raises(UsageError):
         decimal_truncated(mpf(1), 0)
+    # only an mpf carries the bits the digits are read from
+    for value in (1, 0.5, "0.5"):
+        with pytest.raises(UsageError, match="takes an mpf"):
+            decimal_truncated(value, 5)
