@@ -9,16 +9,16 @@ Output conventions.  The payload goes to stdout, or to --out when given;
 numeric content is serialized as decimal strings truncated to the
 requested digits, and a payload rerun with the same parameters is
 byte-identical.  Only this module turns numbers into payload text; the
-others return numbers and records.  What backs the printed constants: two
-solves, at guard g and 2g extra digits, agree to 10^-(digits+1), and the
-truncation size N is picked from an estimate of the eigenvector's tail
-decay, not from a proved bound.  Each run also emits a manifest recording
-the command, parameters, and output files: as a ``.manifest.json``
-sidecar beside a regular --out file, as one line on stderr otherwise, a
-device --out included (the manifest carries a timestamp, which is why it
-never shares the payload channel).  CSV rows are written as they are
-made.  An --out that is a directory, or in no directory, is refused
-before the solve.
+others return numbers and records, each at the precision its module
+chose.  What backs the printed constants: two solves, at guard g and 2g
+extra digits, agree to 10^-(digits+1), and the truncation size N is
+picked from an estimate of the eigenvector's tail decay, not from a
+proved bound.  Each run also emits a manifest recording the command,
+parameters, and output files: as a ``.manifest.json`` sidecar beside a
+regular --out file, as one line on stderr otherwise, a device --out
+included (the manifest carries a timestamp, which is why it never shares
+the payload channel).  CSV rows are written as they are made.  An --out
+that is a directory, or in no directory, is refused before the solve.
 
 Which modules a command loads.  ``extremal``, ``fourier`` and
 ``lseries`` are registered on import but run only when a command first
@@ -31,18 +31,16 @@ or --terms past a command's row in MAX_DIGITS, MAX_DIGITS_WITHOUT_TERMS
 (when --terms is absent) or MAX_TERMS, and any --terms of a command with
 no MAX_TERMS row; a verify run takes the smallest cap of its suites.
 
-The summation checks of ``verify`` sum a head of 2 digits + 40 zeros
-directly and the zeros past it in closed form, as power series in the
-inverse lattice point whose class sums are Hurwitz zeta values; each
-passes within its tail bound plus 10^-(digits-10).  The first system's
-tail bound rests on the offset coefficients' majorant, checked on the
-computed coefficients only; the second system's is an estimate.
+Each summation check of ``verify`` passes within the tail bound that
+extremal.check_summation returns plus 10^-(digits-10).
 
-One builder, _entry, writes every verify row.  A row's ``bound`` is a
-tolerance this module sets from --digits (plus the tail bound in the
-summation checks); its ``certified_bound`` is an error bound the
-computation itself carries: the L-series continuation's error bounds,
-plus 10^-(digits-2) on a claimed value.
+Every number of a verify row comes from a check function of
+``extremal``, ``fourier`` or ``lseries``; one builder, _entry, writes the
+rows, and the gates are this module's.  A row's ``bound`` is a tolerance
+this module sets from --digits (plus the tail bound in the summation
+checks); its ``certified_bound`` is an error bound the computation itself
+carries: the L-series continuation's error bounds, plus 10^-(digits-2) on
+a claimed value.
 
 Exit codes: 0 on success and on a verify run whose theorem-backed checks
 all pass; 1 on solver or certification failure, on any failed check, or
@@ -160,10 +158,13 @@ def _entry(name, parameters, discrepancy, bound, key="bound", gated=True, **scan
     """One verify row: |discrepancy| to 10 digits and the bound to 8 under
     `key`, or on the integrality scan's row the `scan` fields in their
     place, then the status: pass or fail on a gated row, report-only on
-    any other.  A suite appends its notes to the row after the status."""
+    any other.  |discrepancy| is exact, the sign flipped without rounding,
+    so the row prints and gates the number its check returned.  A suite
+    appends its notes to the row after the status."""
     row = {"check": name, "parameters": parameters, **scan}
     if discrepancy is not None:
-        discrepancy = abs(discrepancy)
+        if discrepancy < 0:
+            discrepancy = mp.fneg(discrepancy, exact=True)
         row["discrepancy"], row[key] = mp.nstr(discrepancy, 10), mp.nstr(bound, 8)
     row["status"] = ("pass" if discrepancy <= bound else "fail") if gated else "report-only"
     return row
@@ -177,10 +178,13 @@ def _bound(args, drop: int):
 # ----------------------------------------------------------------------
 # verification suites
 #
-# Each suite reads its checks off extremal, fourier or lseries when it
-# runs, so that defining it loads no module and the function read is the
-# one perfbench/tracer.py wraps.  A residual row passes within
-# 10^-(digits-10).
+# Each suite calls check functions of extremal, fourier or lseries, which
+# compute the numbers of its rows at the precision they choose, and only
+# writes the rows: it sets no working precision and reads no other
+# module's guard (tests/test_payload_layer.py).  It reads the checks off
+# those modules when it runs, so that defining it loads no module and the
+# function read is the one perfbench/tracer.py wraps.  A residual row
+# passes within 10^-(digits-10).
 
 
 def _suite_ode(consts, args):
@@ -207,123 +211,61 @@ def _suite_quadratic(consts, args):
     ]
 
 
-def _summation_head(digits: int) -> int:
-    """Zeros each summation check sums directly, 2 digits + 40 (half of
-    them of each sign in the second system).  Past them the tail series
-    reach 10^-(digits+5) at an order of about digits / 2 + 4; heads of
-    3 digits + 60 and 4 digits + 80 were no faster at 30 and 50 digits."""
-    return 2 * digits + 40
-
-
 def _suite_summation(consts, args):
     b = _bound(args, 10)
-    head = _summation_head(args.digits)
-    model = extremal.build_zero_model(consts)
+    names = ("summation-extremal", "summation-second-system")
     out = []
-    with mp.workdps(model.dps):
-        a1 = 2 * mpf(consts.a_star) / mp.pi
-        mu1 = extremal.zeros_signed(model, head)
-        tail1 = extremal.zero_model_tail(model, head)
-        defect1 = extremal.summation_check(a1, mu1, tail1)
-        a2, mu2, tail2 = extremal.summation_system(mpf(1), head // 2, args.digits)
-        defect2 = extremal.summation_check(a2, mu2, tail2)
-    for name, defect, mu, tail, extra in (
-        ("summation-extremal", defect1, mu1, tail1, {}),
-        ("summation-second-system", defect2, mu2, tail2, {"matrix_drift": "1.0"}),
-    ):
-        parameters = {"head": len(mu), "order": tail.order, **extra}
+    for name, (defect, zeros, tail, drift) in zip(names, extremal.check_summation(consts)):
+        parameters = {"head": len(zeros), "order": tail.order}
+        if drift is not None:
+            parameters["matrix_drift"] = mp.nstr(drift, 8)
         parameters["tail_bound"] = mp.nstr(tail.bound, 8)
         out.append(_entry(name, parameters, defect, tail.bound + b))
     return out
 
 
 def _suite_fourier(consts, args):
-    d = args.digits
-    band = fourier.build_band_transform(consts)
-    leg = fourier.legendre_band_coefficients(consts)
-    with mp.workdps(d + extremal.REFLECTION_GUARD):
-        grid = [mpf(k) / 5 - 1 for k in range(11)]
-        route = max(
-            abs(fourier.transform_value(band, u) - fourier.legendre_band_value(leg, u))
-            for u in grid
-        )
-        edge = max(
-            abs(fourier.transform_value(band, 1)), abs(fourier.transform_value(band, -1))
-        )
-        mean = fourier.parseval_defect(band)
-        k_plus, k_minus = fourier.endpoint_reflection_constants(consts)
-        C = mpf(consts.C)
-        i = mp.mpc(0, 1)
-        kdev = max(
-            abs(k_plus ** 2 - k_minus ** 2 - i / (2 * mp.pi * C)),
-            abs(k_plus * mp.exp(i * mp.pi / 4) + k_minus * mp.exp(-i * mp.pi / 4)),
-            abs(abs(k_plus) - 1 / mp.sqrt(4 * mp.pi * C)),
-        )
+    terms, route, edge, mean = fourier.check_transform_routes(consts)
+    relations = fourier.check_endpoint_relations(consts)
+    parameters = {"grid_points": 11, "terms": terms}
     return [
-        _entry(
-            "transform-route-agreement",
-            {"grid_points": 11, "terms": band.terms},
-            route,
-            _bound(args, 15),
-        ),
+        _entry("transform-route-agreement", parameters, route, _bound(args, 15)),
         _entry("band-edge-vanishing", {"u": "+-1"}, edge, _bound(args, 10)),
         _entry("band-mean", {}, mean, _bound(args, 10)),
-        _entry(
-            "endpoint-reflection-constants",
-            {"relations": 3},
-            kdev,
-            _bound(args, 5),
-        ),
+        _entry("endpoint-reflection-constants", {"relations": 3}, relations, _bound(args, 5)),
     ]
 
 
-# the digits past --digits at which the lseries suite takes the
-# discrepancies of its uncertified rows: they cover the rounding of one
-# subtraction of values held to more; nothing backs the 25
-_DISCREPANCY_GUARD = 25
-
 # brute_force_value's cap: four Euler-Maclaurin corrections leave it near
-# 2.5e-29 at s = 3 and 600 terms (601 for minus: -tau_1^-3 and 300 pairs)
-# whatever --digits is, so its gate stays 10^-_BRUTE_EXPONENT, a
-# measurement
+# 2.5e-29 at s = 3 and the terms of lseries.check_brute_force whatever
+# --digits is, so its gate stays 10^-_BRUTE_EXPONENT, a measurement
 _BRUTE_EXPONENT = 12
 
 
 def _suite_lseries(consts, args):
     lodd = lseries.check_Lodd(consts, lseries.SUITE_ROWS)
     residues = lseries.check_residue_identity(consts, lseries.SUITE_ROWS)
-    # a certified row takes |discrepancy| at the precision its check ran at
-    with mp.workdps(consts.digits_certified + lseries.CHECK_GUARD):
-        out = [_entry("lodd", {"s": s}, d, b, "certified_bound", s != 0) for s, d, b in lodd]
-        out[-1]["note"] = "no claimed value; reported for the record"  # s = 0
-        for k, d, b, residue, odd in residues:
-            row = _entry("residue-identity", {"k": k, "s": 1 - 2 * k}, d, b, "certified_bound")
-            row.update(residue_sign=int(mp.sign(residue)), odd_value_sign=int(mp.sign(odd)))
-            out.append(row)
-    with mp.workdps(args.digits + _DISCREPANCY_GUARD):
-        plus2, minus1 = [lseries.l_series(consts, *call) for call in lseries.BRIDGE_CALLS]
-        C = mpf(consts.C)
-        disc = abs(plus2.value + 4 * C * minus1.value)
-    out.append(_entry("even-odd-bridge", {"s": 2}, disc, _bound(args, 5)))
+    out = [_entry("lodd", {"s": s}, d, b, "certified_bound", s != 0) for s, d, b in lodd]
+    out[-1]["note"] = "no claimed value; reported for the record"  # s = 0
+    for k, d, b, residue, odd in residues:
+        row = _entry("residue-identity", {"k": k, "s": 1 - 2 * k}, d, b, "certified_bound")
+        row.update(residue_sign=int(mp.sign(residue)), odd_value_sign=int(mp.sign(odd)))
+        out.append(row)
+    bridge = lseries.check_bridge(consts)
+    out.append(_entry("even-odd-bridge", {"s": 2}, bridge, _bound(args, 5)))
     brute_bound = mpf(10) ** (-_BRUTE_EXPONENT)
-    for kind, s in lseries.BRUTE_CALLS:
-        value, _err = lseries.brute_force_value(consts, kind, s, 600)
-        cont = lseries.l_series(consts, kind, s)
-        with mp.workdps(args.digits + _DISCREPANCY_GUARD):
-            disc = abs(value - cont.value)
-        parameters = {"kind": kind, "s": s, "terms": 600}
+    for kind, s, terms, disc in lseries.check_brute_force(consts):
+        parameters = {"kind": kind, "s": s, "terms": terms}
         out.append(_entry("brute-vs-continuation", parameters, disc, brute_bound))
     return out
 
 
 def _suite_conjectures(consts, args):
-    symmetry = lseries.check_symmetry_conjecture(consts, lseries.SUITE_ROWS)
-    with mp.workdps(consts.digits_certified + lseries.CHECK_GUARD):
-        out = []
-        for k, d, b, shift in symmetry:
-            row = _entry("symmetry-conjecture", {"k": k}, d, b, "certified_bound", False)
-            row["order_doubling_shift"] = mp.nstr(shift, 8)
-            out.append(row)
+    out = []
+    for k, d, b, shift in lseries.check_symmetry_conjecture(consts, lseries.SUITE_ROWS):
+        row = _entry("symmetry-conjecture", {"k": k}, d, b, "certified_bound", False)
+        row["order_doubling_shift"] = mp.nstr(shift, 8)
+        out.append(row)
     depth = args.terms if args.terms is not None else 200
     through = lseries.check_integrality(depth)
     first = None if through == depth else through + 1

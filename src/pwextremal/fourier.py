@@ -301,6 +301,39 @@ def endpoint_reflection_constants(consts: ExtremalConstants):
 
 
 # ----------------------------------------------------------------------
+# identity checks, at the certified digits plus REFLECTION_GUARD
+
+
+def check_transform_routes(consts: ExtremalConstants):
+    """(terms, route, edge, mean): the band series' order, the largest
+    |band series - Legendre expansion| on the 11 points u = -1, -4/5, .., 1,
+    the larger |transform| at u = +-1, where it must vanish, and the
+    parseval_defect of the band mean."""
+    band = build_band_transform(consts)
+    leg = legendre_band_coefficients(consts)
+    with mp.workdps(consts.digits_certified + REFLECTION_GUARD):
+        grid = [mpf(k) / 5 - 1 for k in range(11)]
+        route = max(abs(transform_value(band, u) - legendre_band_value(leg, u)) for u in grid)
+        edge = max(abs(transform_value(band, 1)), abs(transform_value(band, -1)))
+        return band.terms, route, edge, parseval_defect(band)
+
+
+def check_endpoint_relations(consts: ExtremalConstants):
+    """The largest defect of the three relations of the endpoint constants:
+    k_plus^2 - k_minus^2 = i / (2 pi C),
+    k_plus e^{i pi/4} + k_minus e^{-i pi/4} = 0 and
+    |k_plus| = 1 / sqrt(4 pi C)."""
+    with mp.workdps(consts.digits_certified + REFLECTION_GUARD):
+        k_plus, k_minus = endpoint_reflection_constants(consts)
+        C = mpf(consts.C)
+        return max(
+            abs(k_plus ** 2 - k_minus ** 2 - mp.j / (2 * mp.pi * C)),
+            abs(k_plus * mp.exp(mp.j * mp.pi / 4) + k_minus * mp.exp(-mp.j * mp.pi / 4)),
+            abs(abs(k_plus) - 1 / mp.sqrt(4 * mp.pi * C)),
+        )
+
+
+# ----------------------------------------------------------------------
 # even-window basis
 
 

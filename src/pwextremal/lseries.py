@@ -17,15 +17,18 @@ integers (and at 1); the alternating one is entire.
 
 The continuation carries an error bound built from the geometric
 majorant of the offset coefficients, a_m <= 2^{-m-1}, so every
-discrepancy the check functions return comes with the bound that decides
-calling it zero or not.  That majorant is the premise of the bound, and it
+discrepancy of check_Lodd, check_residue_identity and
+check_symmetry_conjecture comes with the bound that decides calling it
+zero or not.  That majorant is the premise of the bound, and it
 is checked on the computed a_1..a_M only (see extremal.rho_tail_bound);
 nothing here covers the coefficients past M.  Every function reads the
 one zero model of its constants, extremal.build_zero_model(consts).
 
-The check functions return numbers only, one tuple per identity tested;
-cli turns them into verify rows and decides which of them gate the exit
-code.
+The check functions return numbers only, one tuple per identity tested
+(check_bridge one number), at the precision they ran at; check_bridge
+and check_brute_force carry no bound.  cli turns them into verify rows,
+sets the gates of the unbounded ones and decides which rows gate the
+exit code.
 
 check_integrality is the odd one out: it runs the coefficient recursion
 of the even minimizer over the formal symbols b^2 and lambda in Python
@@ -34,8 +37,8 @@ divisibility by n+1 at every step (see check_integrality), and returns
 how far every u_n has integer coefficients.  Each row of u_n, one power
 of b^2, is packed into one int with a slot per power of -lambda, so a step
 is a few big-integer operations a row (Kronecker substitution, see
-_packed_rows): 0.46 s at depth 200, 2.1 s at 300 and 6.1 s at 400 on a
-slow stretch of the VM (see mpcore.MAX_INTEGRALITY_DEPTH).  No floating point is involved on that
+_packed_rows); mpcore.MAX_INTEGRALITY_DEPTH caps the depth, and its
+comment gives the scan's times.  No floating point is involved on that
 path.
 """
 
@@ -94,20 +97,24 @@ _N0 = 8
 # _CONTINUATION_GUARD (plus the digits q^-s magnifies for s < 0) and a
 # residue at digits + _RESIDUE_GUARD: both cover the rounding of their
 # sums, which the error bound leaves out, and nothing backs the 30 or the
-# 25.  The checks run at digits + CHECK_GUARD, which cli's verify rows
-# take their discrepancies at too; nothing backs the 20.  A value read off
-# the certified inputs is granted _INPUT_LOSS digits of them, an
+# 25.  The certified checks run at digits + _CHECK_GUARD, and return their
+# discrepancies at that precision; nothing backs the 20.  The uncertified
+# ones, check_bridge and check_brute_force, take their discrepancies at
+# digits + _DISCREPANCY_GUARD, which covers the rounding of one
+# subtraction of values held to more; nothing backs the 25.  A value read
+# off the certified inputs is granted _INPUT_LOSS digits of them, an
 # allowance nothing backs.
 _CONTINUATION_GUARD = 30
 _RESIDUE_GUARD = 25
-CHECK_GUARD = 20
+_CHECK_GUARD = 20
+_DISCREPANCY_GUARD = 25
 _INPUT_LOSS = 2
 
 
-def _expansion_order(s: float, digits: int) -> int:
+def _expansion_order(s: int, digits: int) -> int:
     """Smallest truncation order whose certified tail clears the target.
 
-    J starts at J0 = max(8, ceil|s| + 4, ceil(2 - s)), large enough that
+    J starts at J0 = max(8, |s| + 4, 2 - s), large enough that
     every bounded term has exponent s + j >= 2, and steps by 2 until the
     tail term of _certified_tail falls under 10^-(digits + TARGET_MARGIN).
     Each step multiplies that term by x0^2 = q^-2, so the steps come in
@@ -116,28 +123,28 @@ def _expansion_order(s: float, digits: int) -> int:
     J is then rounded up to even.
     """
     q = _N0 + 1.5
-    J = max(8, math.ceil(abs(s)) + 4, math.ceil(2 - s))
-    p = max(1, math.ceil(abs(s)))
+    J = max(8, abs(s) + 4, 2 - s)
+    p = max(1, abs(s))
     log_tail = (
         math.log10(1 + q) - s * math.log10(q) + p * math.log10(1.5)
         - (J + 1) * math.log10(q) - math.log10(1 - 1 / q)
     )
     steps = math.ceil(max(0.0, log_tail + digits + TARGET_MARGIN) / (2 * math.log10(q)))
     if steps and J + 2 * steps > 600:
-        raise SolverError("continuation order exceeds 600 at s=%s" % float(s))
+        raise SolverError("continuation order exceeds 600 at s=%d" % s)
     J += 2 * steps
     return J + J % 2
 
 
-def _certified_tail(s, J: int, M: int):
+def _certified_tail(s: int, J: int, M: int):
     """(tail past J, offset-series truncation term) at current precision:
     the tail of sum_j e_j(s) T(s+j) past order J is below
     (1+q) q^{-s} (3/2)^p x0^{J+1} / (1 - x0) with x0 = 1/q, q = _N0 + 3/2
-    and p = max(1, ceil|s|), and the offset series past M adds the second.
+    and p = max(1, |s|), and the offset series past M adds the second.
     """
     q = mpf(2 * _N0 + 3) / 2
     x0 = 1 / q
-    p = max(1, int(mp.ceil(abs(s))))
+    p = max(1, abs(s))
     scale = (1 + q) * q ** (-s)
     tail = scale * mpf(1.5) ** p * x0 ** (J + 1) / (1 - x0)
     rho_term = (
@@ -325,7 +332,7 @@ def l_series(consts: ExtremalConstants, kind: str, s, order: int = None) -> LSer
             tail_sum += ej * T
             tail_abs += abs(ej * T)
         value = head + tail_sum
-        tail, rho_term = _certified_tail(s_mp, J, zeros.M)
+        tail, rho_term = _certified_tail(s, J, zeros.M)
         input_term = 4 * (1 + abs(s_mp)) * (head_abs + tail_abs) * mpf(10) ** (
             -digits
         )
@@ -375,11 +382,11 @@ def l_plus_even_from_phi(consts: ExtremalConstants, k_max: int):
 
 
 # the m_max and k_max cli's lseries and conjectures suites pass to the
-# checks below, and the l_series calls (kind, s) of the lseries suite's
-# even-odd bridge and brute-force rows
+# checks below, and the l_series calls (kind, s) of check_bridge and
+# check_brute_force
 SUITE_ROWS = 3
-BRIDGE_CALLS = (("plus", 2), ("minus", 1))
-BRUTE_CALLS = (("plus", 3), ("minus", 3))
+_BRIDGE_CALLS = (("plus", 2), ("minus", 1))
+_BRUTE_CALLS = (("plus", 3), ("minus", 3))
 
 
 def _lodd_calls(m_max: int) -> list:
@@ -407,7 +414,7 @@ def _suite_calls(consts: ExtremalConstants, names) -> list:
     calls = []
     if "lseries" in names:
         calls += _lodd_calls(SUITE_ROWS)
-        calls += [(kind, s, None) for kind, s in BRIDGE_CALLS + BRUTE_CALLS]
+        calls += [(kind, s, None) for kind, s in _BRIDGE_CALLS + _BRUTE_CALLS]
         calls += [call for k in rows for call in _residue_calls(k)]
     if "conjectures" in names:
         digits = consts.digits_certified
@@ -447,7 +454,7 @@ def check_Lodd(consts: ExtremalConstants, m_max: int) -> list:
     digits = consts.digits_certified
     out = []
     slack = mpf(10) ** (-(digits - _INPUT_LOSS))
-    with mp.workdps(digits + CHECK_GUARD):
+    with mp.workdps(digits + _CHECK_GUARD):
         target = -1 / (4 * mpf(consts.C))
         for kind, s, order in _lodd_calls(m_max):
             val = l_series(consts, kind, s, order=order)
@@ -470,7 +477,7 @@ def check_residue_identity(consts: ExtremalConstants, k_max: int) -> list:
     divided by (2 pi C)^{2k-1}.
     """
     out = []
-    with mp.workdps(consts.digits_certified + CHECK_GUARD):
+    with mp.workdps(consts.digits_certified + _CHECK_GUARD):
         C = mpf(consts.C)
         for k in range(1, k_max + 1):
             pole, odd = [
@@ -505,7 +512,7 @@ def check_symmetry_conjecture(consts: ExtremalConstants, k_max: int) -> list:
     """
     digits = consts.digits_certified
     out = []
-    with mp.workdps(digits + CHECK_GUARD):
+    with mp.workdps(digits + _CHECK_GUARD):
         C = mpf(consts.C)
         for k in range(1, k_max + 1):
             neg, neg2, pos = [
@@ -520,6 +527,14 @@ def check_symmetry_conjecture(consts: ExtremalConstants, k_max: int) -> list:
             )
             out.append((k, neg.value - rhs, certified, abs(neg.value - neg2.value)))
     return out
+
+
+def check_bridge(consts: ExtremalConstants):
+    """|L+(2) + 4 C L-(1)|, the even-odd bridge between the two series,
+    which must vanish; no bound comes with it."""
+    with mp.workdps(consts.digits_certified + _DISCREPANCY_GUARD):
+        plus2, minus1 = [l_series(consts, kind, s) for kind, s in _BRIDGE_CALLS]
+        return abs(plus2.value + 4 * mpf(consts.C) * minus1.value)
 
 
 # ----------------------------------------------------------------------
@@ -678,6 +693,10 @@ def check_integrality(n_max: int) -> int:
 _BRUTE_RESOLVED = 40
 _BRUTE_GUARD = 20
 
+# the terms check_brute_force sums directly (601 for the alternating
+# series: -tau_1^-3 and 300 pairs)
+_BRUTE_TERMS = 600
+
 
 def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
     """Direct summation of the series at an integer s >= 2, with an
@@ -747,3 +766,16 @@ def brute_force_value(consts: ExtremalConstants, kind: str, s, n_terms: int):
         f0, d1, _, d3, _, d5, _, d7 = mp.diffs(summand, a, 7)
         tail = integral + f0 / 2 - d1 / 12 + d3 / 720 - d5 / 30240
         return total + tail, abs(d7) / 1209600 + quad_err + mpf(10) ** (-resolved)
+
+
+def check_brute_force(consts: ExtremalConstants) -> list:
+    """Direct summation against the continuation, as tuples (kind, s,
+    terms, |brute_force_value - l_series|) for the plus and the
+    alternating series at s = 3, _BRUTE_TERMS terms each."""
+    out = []
+    for kind, s in _BRUTE_CALLS:
+        value, _err = brute_force_value(consts, kind, s, _BRUTE_TERMS)
+        cont = l_series(consts, kind, s)
+        with mp.workdps(consts.digits_certified + _DISCREPANCY_GUARD):
+            out.append((kind, s, _BRUTE_TERMS, abs(value - cont.value)))
+    return out

@@ -58,11 +58,11 @@ class SolverError(RuntimeError):
 # The package's size caps, here so that cli reads them without loading
 # fourier or lseries: the largest Legendre pair count and window-basis
 # order of fourier, and the deepest integrality scan of lseries, whose work
-# grows about as depth^3.5: on packed rows, repacked by one struct.unpack
-# a row, it took 0.46 s at 200, 2.1 s at 300 and 6.1 s at 400, where
-# repacking slot by slot took 0.52, 2.3 and 6.7 s (medians of 7, 5 and 3
-# interleaved runs on one core of a shared 2-core x86 VM, Python 3.11, in
-# a slow stretch: the VM's speed varies by up to 1.6x).
+# grows about as depth^3.5: on packed rows it took 0.46 s at 200, 2.1 s at
+# 300 and 6.1 s at 400 (medians of 7, 5 and 3 interleaved runs on one core
+# of a shared 2-core x86 VM, Python 3.11, in a slow stretch: the VM's speed
+# varies by up to 1.6x), with a _repack that split each row by one
+# struct.unpack call, before it made one struct.Struct a row.
 MAX_PAIRS = 64
 MAX_WINDOW = 40
 MAX_INTEGRALITY_DEPTH = 400

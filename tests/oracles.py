@@ -381,22 +381,22 @@ def transform_terms(digits: int, C) -> int:
     raise SolverError("transform series did not reach the tail target")
 
 
-def expansion_order(s, digits: int) -> int:
-    """The continuation order of lseries.l_series: J from max(8, ceil|s| + 4,
-    ceil(2 - s)) in steps of 2, the tail term of _certified_tail multiplied
-    by x0^2 at each, at 30 digits, until it falls under 10^-(digits+5); a
-    step past 600 raises SolverError.  An odd J is rounded up to even."""
+def expansion_order(s: int, digits: int) -> int:
+    """The continuation order of lseries.l_series at an integer s: J from
+    max(8, |s| + 4, 2 - s) in steps of 2, the tail term of _certified_tail
+    multiplied by x0^2 at each, at 30 digits, until it falls under
+    10^-(digits+5); a step past 600 raises SolverError.  An odd J is
+    rounded up to even."""
     with mp.workdps(30):
-        s = mpf(s)
         target = mpf(10) ** -(digits + 5)
-        J = max(8, int(mp.ceil(abs(s))) + 4, int(mp.ceil(2 - s)))
+        J = max(8, abs(s) + 4, 2 - s)
         tail = _certified_tail(s, J, 0)[0]
         step = (2 / mpf(2 * _N0 + 3)) ** 2  # x0^2
         while tail > target:
             J += 2
             tail *= step
             if J > 600:
-                raise SolverError("continuation order exceeds 600 at s=%s" % s)
+                raise SolverError("continuation order exceeds 600 at s=%d" % s)
     return J + J % 2
 
 

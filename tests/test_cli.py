@@ -380,6 +380,23 @@ def test_lseries_rows_are_written_from_the_check_numbers(consts12, monkeypatch):
     assert "bound" in rows[4] and "certified_bound" not in rows[4]
 
 
+def test_entry_takes_the_discrepancy_exactly():
+    # |discrepancy| is taken without rounding to the working precision: at
+    # mpmath's default 53 bits, a discrepancy 2^-140 past a 53-bit bound
+    # would round onto the bound and pass
+    from pwextremal import cli
+
+    with mp.workdps(15):
+        bound = mpf(10) ** -20
+    with mp.workprec(200):
+        over = bound + mpf(2) ** -140
+        under = -over
+    with mp.workdps(15):
+        rows = [cli._entry("x", {}, d, bound) for d in (over, under)]
+    assert [row["status"] for row in rows] == ["fail", "fail"]
+    assert rows[0]["discrepancy"] == rows[1]["discrepancy"]
+
+
 def test_integrality_row_names_the_first_violation(consts12, monkeypatch):
     # in process: a scan integral through depth - 3 names depth - 2
     from pwextremal import cli, lseries
