@@ -10,8 +10,10 @@ numeric content is serialized as decimal strings truncated to the
 requested digits, and a payload rerun with the same parameters is
 byte-identical.  Only this module turns numbers into payload text; the
 others return numbers and records, each at the precision its module
-chose.  What backs the printed constants: two solves, at guard g and 2g
-extra digits, agree to 10^-(digits+1), and the truncation size N is
+chose; no function here sets one.  Each table comes from one function
+of its module; extremal.zero_table holds the zero model's precision over
+the whole table, so the zeros are formatted at it too.  What backs the
+printed constants: two solves, at guard g and 2g extra digits, agree to 10^-(digits+1), and the truncation size N is
 picked from an estimate of the eigenvector's tail decay, not from a
 proved bound.  Each run also emits a manifest recording the command,
 parameters, and output files: as a ``.manifest.json`` sidecar beside a
@@ -52,22 +54,20 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import io
 import itertools
 import json
 import os
 import stat
 import sys
 import time
+from types import SimpleNamespace
 
 from mpmath import mp, mpf
 
 from .mpcore import (
-    ESTIMATE_DPS,
     MAX_INTEGRALITY_DEPTH,
     MAX_PAIRS,
     MAX_WINDOW,
-    TARGET_MARGIN,
     SolverError,
     UsageError,
     decimal_truncated,
@@ -104,9 +104,16 @@ EXPORT_TARGETS = (
 )
 
 # The caps _check_caps puts on each flag before the solve.  The largest
-# --digits of each command: for the fourier suite and export legendre the
-# largest whose default Legendre pair count, digits // 3 + 8, fits in
-# MAX_PAIRS; for the L-series rows the last before a continuation order
+# --digits of the targets whose default order follows --digits, held when
+# --terms is absent: c-basis's window order digits // 2 is capped at
+# MAX_WINDOW, and past 1293 fourier._transform_terms finds no order of h
+# within its cap.
+MAX_DIGITS_WITHOUT_TERMS = {"export c-basis": 2 * MAX_WINDOW + 1, "export h": 1293}
+
+# The largest --digits of each command: for the fourier suite and export
+# legendre the largest whose default Legendre pair count, digits // 3 + 8,
+# fits in MAX_PAIRS; for c-basis h's, as its band transform takes h's
+# default order; for the L-series rows the last before a continuation order
 # passes lseries' 600, short of 100 s; for the others where one run
 # passes about 100 s, extrapolated from the growth between the runs listed
 # (2-core x86 VM, one run each, at 300 and 450 digits where no digits are
@@ -116,6 +123,7 @@ MAX_DIGITS = {
     "export rho": 720,  # 450, 600, 720: 15.3 s, 41.9 s, 95.5 s
     "export lvalues": 582,  # 300, 450, 582: 4.7 s, 19.2 s, 62.1 s
     "export legendre": 3 * (MAX_PAIRS - 8) + 2,
+    "export c-basis": MAX_DIGITS_WITHOUT_TERMS["export h"],
     "verify --suite ode": 3400,  # 1000, 3000, 3500: 2.8 s, 64.7 s, 108.9 s
     "verify --suite functional": 7300,  # 4000, 7000, 8000: 19.7 s, 85.2 s, 128 s
     "verify --suite quadratic": 6600,  # 4000, 6000, 7000: 29.7 s, 78.3 s, 110.9 s
@@ -124,12 +132,6 @@ MAX_DIGITS = {
     "verify --suite lseries": 572,  # 300, 450, 572: 4.5 s, 19.5 s, 49.0 s
     "verify --suite conjectures": 574,  # 300, 450, 574: 7.0 s, 19.8 s, 55.7 s
 }
-
-# The largest --digits of the targets whose default order follows --digits,
-# held when --terms is absent: c-basis's window order digits // 2 is capped
-# at MAX_WINDOW, and past 1293 fourier._transform_terms finds no order of
-# h within its cap.
-MAX_DIGITS_WITHOUT_TERMS = {"export c-basis": 2 * MAX_WINDOW + 1, "export h": 1293}
 
 # The largest --count of zeros and --terms of each command that reads it;
 # those not derived from a package cap where one run at --digits 30 passes
@@ -302,16 +304,12 @@ def _cmd_constants(args):
 
 
 def _csv(header, rows):
-    """The CSV lines of header and rows, each made when it is read."""
+    """The CSV lines of header and rows, each made when it is read: the
+    writer's file has str for its write, so writerow returns the line."""
     import csv  # here, not at the top: only the CSV payloads need it
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in itertools.chain([header], rows):
-        writer.writerow(row)
-        yield buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    return map(writer.writerow, itertools.chain([header], rows))
 
 
 def _check_caps(args, commands) -> None:
@@ -332,18 +330,13 @@ def _check_caps(args, commands) -> None:
 
 def _cmd_zeros(args):
     _check_caps(args, ["zeros"])
-    consts = solve_constants(args.digits)
-    model = extremal.build_zero_model(consts)
-
-    def rows():
-        # rows are made while _emit writes them, after this handler has
-        # returned, so the generator sets the working precision itself
-        with mp.workdps(model.dps):
-            for n in range(1, args.count + 1):
-                method = "newton" if n <= model.n0 else "series"
-                yield n, decimal_truncated(extremal.tau(model, n), args.digits), method
-
-    return _csv(["n", "tau_n", "method"], rows()), 0
+    model = extremal.build_zero_model(solve_constants(args.digits))
+    # rows are made while _emit writes them, after this handler has
+    # returned, and formatted at the model's precision, which zero_table
+    # holds from the first row to the last
+    table = extremal.zero_table(model, args.count)
+    rows = ((n, decimal_truncated(t, args.digits), method) for n, t, method in table)
+    return _csv(["n", "tau_n", "method"], rows), 0
 
 
 def _cmd_verify(args):
@@ -364,50 +357,6 @@ def _cmd_verify(args):
     return [json.dumps(payload, indent=2) + "\n"], 0 if failed == 0 else 1
 
 
-def _series_export(consts, args):
-    """(key, dense coefficient list from index 0 upward, lowest) for the
-    series targets: lowest is the absolute place 10^lowest that the
-    target's accuracy backs, below which no digit is printed, or None
-    where every significant digit printed is backed."""
-    what = args.what
-    terms = args.terms
-    if what == "taylor-phi":
-        n = terms if terms is not None else 24
-        model = extremal.taylor_extremal(consts, max(2, n // 2 + 1))
-        return "series", model.coeffs[: n + 1], None
-    if what == "taylor-Phi":
-        n = terms if terms is not None else 24
-        model = extremal.taylor_factor(consts, max(2, n))
-        return "series", model.coeffs[: n + 1], None
-    if what == "rho":
-        m_top = terms if terms is not None else extremal.zero_model_order(args.digits)
-        rho = extremal.offset_coefficients(consts, m_top)
-        return "series", [mpf(0)] + rho, None
-    if what == "h":
-        band = fourier.build_band_transform(consts, terms=terms)
-        return "basis", list(band.coeffs), None
-    if what == "c-basis":
-        band = fourier.build_band_transform(consts)
-        k_top = terms if terms is not None else max(1, args.digits // 2)
-        coeffs, error = fourier.window_basis_coefficients(band, k_top)
-        with mp.workdps(ESTIMATE_DPS):
-            lowest = int(mp.ceil(mp.log10(error)))
-        return "basis", [mpf(0)] + coeffs, lowest
-    # legendre, down to an absolute 10^-(digits + TARGET_MARGIN), what the
-    # two-pass check of legendre_band_coefficients backs
-    leg = fourier.legendre_band_coefficients(consts, pairs=_legendre_pairs(args))
-    return "basis", leg if terms is None else leg[: terms + 1], -(args.digits + TARGET_MARGIN)
-
-
-def _legendre_pairs(args) -> int:
-    """Legendre pair count of export legendre: the default depth, widened
-    only when --terms asks for more rows than its 2 * pairs + 1."""
-    pairs = fourier.default_pairs(args.digits)
-    if args.terms is not None and args.terms > 2 * pairs:
-        pairs = (args.terms + 2) // 2
-    return pairs
-
-
 def _cmd_export(args):
     _check_caps(args, ["export " + args.what])
     if args.what == "h" and args.terms == 1:
@@ -426,7 +375,12 @@ def _cmd_export(args):
         header = ["kind", "s", "is_pole", "value", "residue", "error_bound"]
         rows = [[v.get(k, "") for k in header] for v in values]
     else:
-        key, coeffs, lowest = _series_export(consts, args)
+        if args.what in ("taylor-phi", "taylor-Phi", "rho"):
+            key, lowest = "series", None
+            coeffs = extremal.series_table(consts, args.what, args.terms)
+        else:
+            key = "basis"
+            coeffs, lowest = fourier.basis_table(consts, args.what, args.terms)
         strings = [decimal_truncated(c, args.digits, lowest) for c in coeffs]
         label = "c" if args.what == "c-basis" else args.what
         document = {key: label, "digits": args.digits, "coeffs": strings}

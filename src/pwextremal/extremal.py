@@ -22,6 +22,9 @@ over the zeros (a head of zeros plus a closed-form tail) with the zero
 ladders of a second eigenfunction system, and a reconstruction of the
 central constant from the offset coefficients alone.  Every Newton
 search here, on the factor and on the Bessel series, is mpcore.newton's.
+Two functions make the tables ``pwx`` prints from them: zero_table the
+rows of ``zeros``, series_table the coefficients of export taylor-phi,
+taylor-Phi and rho.
 
 A note on precision.  Every working precision and tolerance here is
 digits plus a guard named beside the stage it serves, with the loss it
@@ -1498,3 +1501,38 @@ def constant_from_zeros_alternating(consts: ExtremalConstants):
                 continue
             total += a_m * mpf(2) ** m * (beta_numeric(m) - 1)
         return 1 / (2 + 4 * total)
+
+
+# ----------------------------------------------------------------------
+# export tables
+
+
+def zero_table(model: ZeroModel, count: int):
+    """(n, tau_n, method) for n = 1..count, made as they are read; method
+    is "newton" on the refined head and "series" past the crossover n0.
+
+    One block at the model's dps spans the whole table, not one a row (an
+    enter and exit costs 2 to 3 us, half a second over 200000 rows), so a
+    reader formatting the rows between them runs at that precision too."""
+    with mp.workdps(model.dps):
+        for n in range(1, count + 1):
+            yield n, tau(model, n), "newton" if n <= model.n0 else "series"
+
+
+def series_table(consts: ExtremalConstants, what: str, terms: int) -> list:
+    """Coefficients 0..n, lowest power first, of the export target `what`,
+    `terms` its --terms or None: the Taylor series of the minimizer
+    (taylor-phi) or of the factor (taylor-Phi), n = terms or 24, or the
+    offset series rho, 0 then a_1..a_M, M = terms or zero_model_order's
+    order at the certified digits.  The minimizer's model of T pairs holds
+    2T + 1 coefficients and the factor's of order T, T + 1; each takes
+    T >= 2."""
+    if what == "rho":
+        M = terms if terms is not None else zero_model_order(consts.digits_certified)
+        return [mpf(0)] + offset_coefficients(consts, M)
+    n = terms if terms is not None else 24
+    if what == "taylor-phi":
+        model = taylor_extremal(consts, max(2, n // 2 + 1))
+    else:
+        model = taylor_factor(consts, max(2, n))
+    return model.coeffs[: n + 1]

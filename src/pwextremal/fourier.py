@@ -17,7 +17,9 @@ package, since they consume different spectral data (Taylor recursion
 versus eigenvector) and different basis machinery.  Both the Clenshaw
 sum of the Legendre expansion and the least-squares fit of the endpoint
 constants of the factor's reflection law are computed here, the latter
-on the reflection samples of :mod:`pwextremal.extremal`.
+on the reflection samples of :mod:`pwextremal.extremal`.  basis_table
+makes the tables of export h, c-basis and legendre: their coefficients
+and the place below which no digit of them is backed.
 
 Everything here stays inside the band.  The transform convention is
 F(xi) = integral f(x) exp(-i xi x) dx, so the value at u = 0 is the
@@ -168,11 +170,6 @@ def _double_factorial_log10(n: int) -> float:
     ) / math.log(10)
 
 
-def default_pairs(digits: int) -> int:
-    """Pair count legendre_band_coefficients takes when none is given."""
-    return digits // 3 + 8
-
-
 # The forward substitution runs at digits plus its amplification estimate
 # plus _LEGENDRE_GUARD, which covers the rounding the estimate leaves out,
 # and once more _LEGENDRE_SECOND_PASS digits higher; the two passes must
@@ -182,7 +179,7 @@ _LEGENDRE_GUARD = 35
 _LEGENDRE_SECOND_PASS = 48
 
 
-def legendre_band_coefficients(consts: ExtremalConstants, pairs: int = None) -> list:
+def legendre_band_coefficients(consts: ExtremalConstants, terms: int = None) -> list:
     """Even Legendre coefficients of the band transform, from the eigenvector.
 
     Rescaling the even extremal function to exponential type 1 makes its
@@ -192,17 +189,20 @@ def legendre_band_coefficients(consts: ExtremalConstants, pairs: int = None) -> 
     coefficients by a triangular system, and those are, up to alternating
     signs, exactly the Legendre coefficients of the transform.
 
-    Returns the full list d_0, 0, d_2, 0, ... suitable for Clenshaw
-    evaluation; d_0 = 1 holds identically (the normalized band mean).
-    The forward substitution runs at two working precisions, and the
-    coefficients must agree to an absolute 10^-(digits + TARGET_MARGIN);
-    that is all they are known to, however small an entry is (export
-    legendre prints them down to that place).
+    Returns the list d_0, 0, d_2, 0, ... suitable for Clenshaw
+    evaluation, rows 0..terms of it when `terms` is given; d_0 = 1 holds
+    identically (the normalized band mean).  It is made from K pairs,
+    2K + 1 rows: K = digits // 3 + 8, widened to (terms + 2) // 2 when
+    `terms` asks for more rows than those.  The forward substitution runs
+    at two working precisions, and the coefficients must agree to an
+    absolute 10^-(digits + TARGET_MARGIN); that is all they are known to,
+    however small an entry is (export legendre prints them down to that
+    place).
     """
     digits = consts.digits_certified
-    K = pairs if pairs is not None else default_pairs(digits)
-    if K < 2:
-        raise UsageError("pairs must be at least 2")
+    K = digits // 3 + 8
+    if terms is not None and terms > 2 * K:
+        K = (terms + 2) // 2
     if K > MAX_PAIRS:
         raise UsageError("pairs beyond %d exceeds the supported range" % MAX_PAIRS)
     # precision budget: the triangular substitution multiplies by (4m+1)!!
@@ -223,8 +223,8 @@ def legendre_band_coefficients(consts: ExtremalConstants, pairs: int = None) -> 
                 % mp.nstr(worst, 3)
             )
         if abs(first[-1]) > tol or abs(first[-3]) > tol:
-            raise SolverError("legendre tail has not converged; increase pairs")
-    return second
+            raise SolverError("legendre tail has not converged at %d pairs" % K)
+    return second if terms is None else second[: terms + 1]
 
 
 def _legendre_forward(consts: ExtremalConstants, K: int, wd: int) -> list:
@@ -420,3 +420,33 @@ def window_basis_coefficients(model: BandTransform, K: int):
         amplify = 1 / min(mp.svd_r(A, compute_uv=False))
         error = amplify * mp.sqrt(points) * _value_error_on_nodes(model)
         return [solution[n] for n in range(K)], error
+
+
+# ----------------------------------------------------------------------
+# export tables
+
+
+def basis_table(consts: ExtremalConstants, what: str, terms: int):
+    """(coefficients, lowest) of the export target `what`, `terms` its
+    --terms or None: the band series h, entry n multiplying (1 - u)^n
+    (entry 0 unused, at zero); the window basis c-basis, 0 then the fit's
+    coefficients of n = 1..K, K = digits // 2 (at least 1) by default,
+    fitted to the band series of h's default order; or the Legendre
+    coefficients of legendre_band_coefficients, rows 0..terms.
+
+    lowest is the absolute place 10^lowest that the table's accuracy
+    backs, below which no digit is printed, or None where every
+    significant digit printed is backed: for c-basis the place of the
+    fit's error bound, for legendre 10^-(digits + TARGET_MARGIN), what
+    the two-pass check of legendre_band_coefficients backs.
+    """
+    digits = consts.digits_certified
+    if what == "h":
+        return list(build_band_transform(consts, terms=terms).coeffs), None
+    if what == "c-basis":
+        K = terms if terms is not None else max(1, digits // 2)
+        coeffs, error = window_basis_coefficients(build_band_transform(consts), K)
+        with mp.workdps(ESTIMATE_DPS):
+            lowest = int(mp.ceil(mp.log10(error)))
+        return [mpf(0)] + coeffs, lowest
+    return legendre_band_coefficients(consts, terms=terms), -(digits + TARGET_MARGIN)

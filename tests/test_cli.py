@@ -442,6 +442,7 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
         (["verify", "--suite", "lseries"], 572),
         (["verify", "--suite", "conjectures"], 574),
         (["export", "h"], 1293),
+        (["export", "c-basis", "--terms", "2"], 1293),
         (["verify", "--suite", "ode"], 3400),
         (["verify", "--suite", "functional"], 7300),
         (["verify", "--suite", "quadratic"], 6600),
@@ -515,6 +516,47 @@ def test_export_h_digit_cap_is_the_last_default_transform_order():
     assert fourier._transform_terms(cap, C_REF) == 399
     with pytest.raises(cli.SolverError):
         fourier._transform_terms(cap + 1, C_REF)
+    # export c-basis builds the transform at that order whatever --terms is
+    assert cli.MAX_DIGITS["export c-basis"] == cap
+
+
+def test_legendre_and_window_caps_are_the_last_depths_fourier_accepts(monkeypatch):
+    # the caps of export legendre, verify --suite fourier, export legendre
+    # --terms and export c-basis without --terms are the last values
+    # whose Legendre pair count or window order fourier accepts, run with
+    # the forward passes and the fit stubbed out: at each cap the table is
+    # made, one past it legendre_band_coefficients refuses the pairs or
+    # the window order passes window_basis_coefficients' MAX_WINDOW
+    from pwextremal import cli, fourier
+
+    def forward(consts, K, wd):
+        return [mpf(0)] * (2 * K + 1)
+
+    def legendre(digits, terms):
+        consts = SimpleNamespace(digits_certified=digits)
+        return fourier.legendre_band_coefficients(consts, terms)
+
+    monkeypatch.setattr(fourier, "_legendre_forward", forward)
+    for cap in (cli.MAX_DIGITS["export legendre"], cli.MAX_DIGITS["verify --suite fourier"]):
+        legendre(cap, None)
+        with pytest.raises(cli.UsageError, match="pairs beyond"):
+            legendre(cap + 1, None)
+    cap = cli.MAX_TERMS["export legendre"]
+    assert len(legendre(30, cap)) == cap + 1
+    with pytest.raises(cli.UsageError, match="pairs beyond"):
+        legendre(30, cap + 1)
+    orders = []
+
+    def fit(band, K):
+        orders.append(K)
+        return [mpf(0)] * K, mpf(1)
+
+    monkeypatch.setattr(fourier, "build_band_transform", lambda consts: None)
+    monkeypatch.setattr(fourier, "window_basis_coefficients", fit)
+    cap = cli.MAX_DIGITS_WITHOUT_TERMS["export c-basis"]
+    for digits in (cap, cap + 1):
+        fourier.basis_table(SimpleNamespace(digits_certified=digits), "c-basis", None)
+    assert orders[0] <= fourier.MAX_WINDOW < orders[1]
 
 
 def test_verify_exit_code_reflects_failure(consts12, capsys, monkeypatch):
@@ -758,6 +800,18 @@ SERIES_PAYLOADS = {
         "22542e31e3b4fc3ecdb1c1a3c39c12f566142ec03584f9bf4d88a6716896111d",
     "zeros --count 40 --digits 200":
         "1d58118e3de324acd7aad07fe372d9751c151801f12f9a465e7b84e813ee044c",
+    "export c-basis --digits 30":
+        "3f2bdb359ec31a84dd79c24ce01414d09902a627e7e7f214d92dbcc9249e93fb",
+    "export c-basis --digits 60 --terms 12 --format csv":
+        "067edf7bcad39b0c76e0466ba7b380269bdc95c4640f9d7b7be3ad5821ea3fa8",
+    "export legendre --digits 30":
+        "8abf375607a0ea623d525807182e01db6b91d53543244cf19a2fa87a8db9d36a",
+    # 60 rows pass the default 2 * 18, so 31 pairs are made
+    "export legendre --digits 30 --terms 60 --format csv":
+        "a6c1c7d3d27a6d579acfb8d5d9a7d0bf08b876d463b60f7781524f59836e550f",
+    # the factor model's floor of order 2
+    "export taylor-Phi --digits 30 --terms 1":
+        "555ffdcda70577fc340dea3f603a67873f0ded3a13eba9addaf10db93004c59d",
 }
 
 

@@ -9,13 +9,15 @@ finds each call of the two number formatters, ``mp.nstr`` and
 or in ``mpcore.decimal_truncated``, the formatter itself.  Any other call
 would make a second module that knows how a payload prints its numbers.
 
-The converse scan parses ``cli`` and finds, in each ``_suite_*`` function,
-every ``mp.workdps`` or ``mp.workprec`` block, every assignment to
-``mp.dps`` or ``mp.prec`` and every ``*_GUARD`` read off another module
-(an attribute, or a name ``cli`` does not assign itself).  A suite that
-sets a precision or borrows a guard computes numbers that belong in the
-check module owning the stage, where the precision policy names its
-guards.
+The converse scan parses ``cli`` and finds, in each of its functions,
+every ``mp.workdps`` or ``mp.workprec`` block, every use of a ``dps`` or
+``prec`` field (an assignment to ``mp.dps``, a read of a model's
+``dps``), every read of a zero model's crossover ``n0``, of the shared
+precision rules ``ESTIMATE_DPS`` and ``TARGET_MARGIN`` and of a
+``*_GUARD`` of another module (an attribute, or a name ``cli`` does not
+assign itself).  A handler or suite that sets or reads a precision, or
+borrows a guard or a model's layout, computes numbers that belong in the
+module owning the stage, where the precision policy names its guards.
 """
 
 import ast
@@ -27,7 +29,10 @@ FORMATTERS = {"nstr", "decimal_truncated"}
 
 PRECISION_BLOCKS = {"workdps", "workprec"}
 
-PRECISION_FIELDS = {"dps", "prec"}
+# fields of mp or of a model that only the module owning them reads
+MODEL_FIELDS = {"dps", "prec", "n0"}
+
+PRECISION_RULES = {"ESTIMATE_DPS", "TARGET_MARGIN"}
 
 # (module, function) whose body may format numbers for a message
 MESSAGE_WRITERS = {("spectral", "_where"), ("mpcore", "decimal_truncated")}
@@ -82,9 +87,10 @@ def test_the_scan_sees_a_formatter_outside_a_message():
     assert [_allowed("lseries", chain) for _call, chain in calls] == [False, True]
 
 
-def _suite_numerics(tree):
-    """(suite, line) for every precision a cli._suite_* sets and every
-    *_GUARD of another module it reads."""
+def _cli_numerics(tree):
+    """(function, line) for every precision a top-level function of cli
+    sets or reads, every model field of MODEL_FIELDS it reads, and every
+    shared precision rule or *_GUARD of another module it reads."""
     own = {
         target.id
         for node in tree.body
@@ -94,29 +100,26 @@ def _suite_numerics(tree):
     }
     stray = []
     for fn in tree.body:
-        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_suite_")):
+        if not isinstance(fn, ast.FunctionDef):
             continue
         for node in ast.walk(fn):
             if isinstance(node, ast.Attribute):
-                sets = node.attr in PRECISION_FIELDS and isinstance(node.ctx, ast.Store)
-                bad = sets or node.attr in PRECISION_BLOCKS or node.attr.endswith("_GUARD")
+                name, field = node.attr, node.attr in MODEL_FIELDS | PRECISION_BLOCKS
+            elif isinstance(node, ast.Name) and node.id not in own:
+                name, field = node.id, False
             else:
-                bad = (
-                    isinstance(node, ast.Name)
-                    and node.id.endswith("_GUARD")
-                    and node.id not in own
-                )
-            if bad:
+                continue
+            if field or name in PRECISION_RULES or name.endswith("_GUARD"):
                 stray.append((fn.name, node.lineno))
     return sorted(stray)
 
 
-def test_cli_suites_compute_no_numbers():
+def test_cli_functions_compute_no_numbers():
     path = PACKAGE / "cli.py"
-    assert _suite_numerics(ast.parse(path.read_text(), filename=str(path))) == []
+    assert _cli_numerics(ast.parse(path.read_text(), filename=str(path))) == []
 
 
-def test_the_scan_sees_a_suite_that_sets_a_precision_or_borrows_a_guard():
+def test_the_scan_sees_a_function_that_sets_a_precision_or_borrows_a_guard():
     tree = ast.parse(
         "from .lseries import CHECK_GUARD\n"
         "_OWN_GUARD = 5\n"
@@ -124,14 +127,26 @@ def test_the_scan_sees_a_suite_that_sets_a_precision_or_borrows_a_guard():
         "    with mp.workdps(args.digits + extremal.REFLECTION_GUARD):\n"
         "        x = 1\n"
         "    mp.prec = 80\n"
-        "    return [_entry('a', {}, x, _bound(args, consts.dps + _OWN_GUARD))]\n"
+        "    return [_entry('a', {}, x, _bound(args, _OWN_GUARD))]\n"
         "def _suite_b(consts, args):\n"
         "    with mp.workprec(mp.prec + CHECK_GUARD):\n"
         "        return []\n"
-        "def _check_caps(args):\n"
-        "    with mp.workdps(args.digits + lseries.CHECK_GUARD):\n"
-        "        return None\n"
+        "def _cmd_zeros(args):\n"
+        "    model = extremal.build_zero_model(solve_constants(args.digits))\n"
+        "    with mp.workdps(model.dps):\n"
+        "        return [decimal_truncated(t, args.digits) for t in model.refined[: model.n0]]\n"
+        "def _series_export(consts, args):\n"
+        "    lowest = -(args.digits + mpcore.TARGET_MARGIN)\n"
+        "    def rows():\n"
+        "        with mp.workdps(ESTIMATE_DPS):\n"
+        "            yield lowest\n"
+        "    return rows()\n"
+        "def _bound(args, drop):\n"
+        "    return mpf(10) ** (-max(2, args.digits - drop - _OWN_GUARD))\n"
     )
-    assert _suite_numerics(tree) == [
-        ("_suite_a", 4), ("_suite_a", 4), ("_suite_a", 6), ("_suite_b", 9), ("_suite_b", 9)
+    assert _cli_numerics(tree) == [
+        ("_cmd_zeros", 13), ("_cmd_zeros", 13), ("_cmd_zeros", 14),
+        ("_series_export", 16), ("_series_export", 18), ("_series_export", 18),
+        ("_suite_a", 4), ("_suite_a", 4), ("_suite_a", 6),
+        ("_suite_b", 9), ("_suite_b", 9), ("_suite_b", 9),
     ]
