@@ -13,14 +13,15 @@ others return numbers and records, each at the precision its module
 chose; no function here sets one.  Each table comes from one function
 of its module; extremal.zero_table holds the zero model's precision over
 the whole table, so the zeros are formatted at it too.  What backs the
-printed constants: two solves, at guard g and 2g extra digits, agree to 10^-(digits+1), and the truncation size N is
-picked from an estimate of the eigenvector's tail decay, not from a
-proved bound.  Each run also emits a manifest recording the command,
-parameters, and output files: as a ``.manifest.json`` sidecar beside a
-regular --out file, as one line on stderr otherwise, a device --out
-included (the manifest carries a timestamp, which is why it never shares
-the payload channel).  CSV rows are written as they are made.  An --out
-that is a directory, or in no directory, is refused before the solve.
+printed constants: two solves, at guard g and 2g extra digits, agree to
+10^-(digits+1), and the truncation size N is picked from an estimate of
+the eigenvector's tail decay, not from a proved bound.  Each run also
+emits a manifest recording the command, parameters, and output files: as
+a ``.manifest.json`` sidecar beside a regular --out file, as one line on
+stderr otherwise, a device --out included (the manifest carries a
+timestamp, which is why it never shares the payload channel).  CSV rows
+are written as they are made.  An --out that is a directory, or in no
+directory, is refused before the solve.
 
 Which modules a command loads.  ``extremal``, ``fourier`` and
 ``lseries`` are registered on import but run only when a command first
@@ -31,7 +32,12 @@ other three took about a fifth of each ``constants`` run.
 One check, _check_caps, refuses before the solve every --digits, --count
 or --terms past a command's row in MAX_DIGITS, MAX_DIGITS_WITHOUT_TERMS
 (when --terms is absent) or MAX_TERMS, and any --terms of a command with
-no MAX_TERMS row; a verify run takes the smallest cap of its suites.
+no MAX_TERMS row; a verify run takes the smallest cap of its suites.  A
+cap that a stage's limit sets is owned by the module that runs the
+stage, and read there only for a command being checked: extremal's for
+the zero model, lseries' for the continuation order and the integrality
+depth, fourier's for the Legendre pairs, window and transform orders.
+The numbers here are wall-time caps of stages that one command runs.
 
 Each summation check of ``verify`` passes within the tail bound that
 extremal.check_summation returns plus 10^-(digits-10).
@@ -64,14 +70,7 @@ from types import SimpleNamespace
 
 from mpmath import mp, mpf
 
-from .mpcore import (
-    MAX_INTEGRALITY_DEPTH,
-    MAX_PAIRS,
-    MAX_WINDOW,
-    SolverError,
-    UsageError,
-    decimal_truncated,
-)
+from .mpcore import SolverError, UsageError, decimal_truncated
 from .spectral import solve_constants
 
 
@@ -103,42 +102,36 @@ EXPORT_TARGETS = (
     "lvalues",
 )
 
-# The caps _check_caps puts on each flag before the solve.  The largest
-# --digits of the targets whose default order follows --digits, held when
-# --terms is absent: c-basis's window order digits // 2 is capped at
-# MAX_WINDOW, and past 1293 fourier._transform_terms finds no order of h
-# within its cap.
-MAX_DIGITS_WITHOUT_TERMS = {"export c-basis": 2 * MAX_WINDOW + 1, "export h": 1293}
+# The caps _check_caps puts on each flag before the solve.  A function
+# reads a stage's cap from the module that owns it, when a command that
+# runs the stage is checked.  A number is a wall-time cap, where one run
+# passes about 100 s, extrapolated from the growth between the runs
+# listed (2-core x86 VM, one run each, at 300 and 450 digits where no
+# digits are named; at --digits 30 for MAX_TERMS).
+MAX_DIGITS_WITHOUT_TERMS = {
+    "export c-basis": lambda: fourier.MAX_DIGITS_WITHOUT_TERMS["c-basis"],
+    "export h": lambda: fourier.MAX_DIGITS_WITHOUT_TERMS["h"],
+}
 
-# The largest --digits of each command: for the fourier suite and export
-# legendre the largest whose default Legendre pair count, digits // 3 + 8,
-# fits in MAX_PAIRS; for c-basis h's, as its band transform takes h's
-# default order; for the L-series rows the last before a continuation order
-# passes lseries' 600, short of 100 s; for the others where one run
-# passes about 100 s, extrapolated from the growth between the runs listed
-# (2-core x86 VM, one run each, at 300 and 450 digits where no digits are
-# named; zeros with --count 40).
 MAX_DIGITS = {
-    "zeros": 760,  # 450, 600, 750: 10.3 s, 35.3 s, 93.5 s
-    "export rho": 720,  # 450, 600, 720: 15.3 s, 41.9 s, 95.5 s
-    "export lvalues": 582,  # 300, 450, 582: 4.7 s, 19.2 s, 62.1 s
-    "export legendre": 3 * (MAX_PAIRS - 8) + 2,
-    "export c-basis": MAX_DIGITS_WITHOUT_TERMS["export h"],
+    "zeros": lambda: extremal.MAX_ZERO_MODEL_DIGITS,
+    "export rho": lambda: extremal.MAX_ZERO_MODEL_DIGITS,
+    "export lvalues": lambda: lseries.max_digits("lvalues"),
+    "export legendre": lambda: fourier.MAX_LEGENDRE_DIGITS,
+    "export c-basis": lambda: fourier.MAX_DIGITS_WITHOUT_TERMS["h"],
     "verify --suite ode": 3400,  # 1000, 3000, 3500: 2.8 s, 64.7 s, 108.9 s
     "verify --suite functional": 7300,  # 4000, 7000, 8000: 19.7 s, 85.2 s, 128 s
     "verify --suite quadratic": 6600,  # 4000, 6000, 7000: 29.7 s, 78.3 s, 110.9 s
     "verify --suite summation": 580,  # 300, 450, 600: 8.5 s, 35.6 s, 113.3 s
-    "verify --suite fourier": 3 * (MAX_PAIRS - 8) + 2,
-    "verify --suite lseries": 572,  # 300, 450, 572: 4.5 s, 19.5 s, 49.0 s
-    "verify --suite conjectures": 574,  # 300, 450, 574: 7.0 s, 19.8 s, 55.7 s
+    "verify --suite fourier": lambda: fourier.MAX_LEGENDRE_DIGITS,
+    "verify --suite lseries": lambda: lseries.max_digits("lseries"),
+    "verify --suite conjectures": lambda: lseries.max_digits("conjectures"),
 }
 
-# The largest --count of zeros and --terms of each command that reads it;
-# those not derived from a package cap where one run at --digits 30 passes
-# about 100 s, extrapolated from the runs listed (2-core x86 VM, one run
-# each).  taylor-phi stops before that: past 6500 terms its minimizer
-# sweep needs a truncation past spectral's N cap at some --digits the solve
-# accepts (at 30 digits past 8185 terms; 8000 took 18.0 s).
+# The largest --count of zeros and --terms of each command that reads it.
+# taylor-phi stops before 100 s: past 6500 terms its minimizer sweep needs
+# a truncation past spectral's N cap at some --digits the solve accepts
+# (at 30 digits past 8185 terms; 8000 took 18.0 s).
 MAX_TERMS = {
     "zeros": 2000000,  # 200 000, 500 000: 7.7 s, 22.0 s (168 MB)
     "export rho": 750,  # 200, 400, 560: 2.6 s, 19.3 s, 45.1 s
@@ -146,9 +139,9 @@ MAX_TERMS = {
     "export taylor-Phi": 25000,  # 8000, 16 000, 20 000: 6.5 s, 35.6 s, 56.8 s
     "export h": 5500,  # 1000, 2000, 4000: 2.3 s, 9.8 s, 45.3 s
     "export lvalues": 600,  # 150, 300, 600: 3.1 s, 14.2 s, 83.6 s
-    "export legendre": 2 * MAX_PAIRS - 1,  # (terms + 2) // 2 pairs
-    "export c-basis": MAX_WINDOW,  # the window order
-    "verify --suite conjectures": MAX_INTEGRALITY_DEPTH,  # the scan depth
+    "export legendre": lambda: fourier.MAX_LEGENDRE_TERMS,
+    "export c-basis": lambda: fourier.MAX_WINDOW,
+    "verify --suite conjectures": lambda: lseries.MAX_INTEGRALITY_DEPTH,
 }
 
 
@@ -315,14 +308,15 @@ def _csv(header, rows):
 def _check_caps(args, commands) -> None:
     """Refuse, before the solve, a --terms that none of `commands` reads (none
     has a MAX_TERMS row), and a flag past the smallest cap its tables give
-    those commands, naming the command whose cap that is."""
+    those commands, naming the command whose cap that is.  A function's cap
+    is read from its owner here, and only for the commands listed."""
     tables = [("digits", MAX_DIGITS, ""), ("count", MAX_TERMS, ""), ("terms", MAX_TERMS, "")]
     if getattr(args, "terms", None) is None:
         tables.append(("digits", MAX_DIGITS_WITHOUT_TERMS, " without --terms"))
     elif not any(c in MAX_TERMS for c in commands):
         raise UsageError("%s does not read --terms" % commands[0])
     for flag, caps, note in tables:
-        listed = [(caps[c], c) for c in commands if c in caps]
+        listed = [(caps[c]() if callable(caps[c]) else caps[c], c) for c in commands if c in caps]
         cap, command = min(listed, default=(float("inf"), ""))
         if (getattr(args, flag, None) or 0) > cap:
             raise UsageError("%s needs --%s %d or less%s" % (command, flag, cap, note))
@@ -452,8 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--terms",
         type=int,
         default=None,
-        help="integrality scan depth for the conjecture suite (default 200, "
-        "at most %d); other suites reject it" % MAX_INTEGRALITY_DEPTH,
+        help="integrality scan depth for the conjecture suite (default 200); "
+        "other suites reject it",
     )
     common(p)
 

@@ -419,6 +419,16 @@ def zero_model_order(digits: int) -> int:
     return int(digits / 1.23) + 2
 
 
+# The largest digits of the zero model, the cap of pwx zeros and export
+# rho, which spend their time in offset_coefficients at
+# zero_model_order(digits): about where one run passes 100 s, extrapolated
+# from the growth between the runs listed (2-core x86 VM, one run each;
+# zeros with --count 40).  zeros at 450, 600, 750: 10.3 s, 35.3 s, 93.5 s;
+# export rho at 450, 600, 720: 15.3 s, 41.9 s, 95.5 s, timed in a slower
+# stretch of the VM.
+MAX_ZERO_MODEL_DIGITS = 760
+
+
 class ZeroModel:
     """Offset-series description of the zeros with a refined head.
 

@@ -32,8 +32,6 @@ from mpmath import mp, mpf
 
 from .mpcore import (
     ESTIMATE_DPS,
-    MAX_PAIRS,
-    MAX_WINDOW,
     TARGET_MARGIN,
     SolverError,
     UsageError,
@@ -62,6 +60,22 @@ from .extremal import (
 _TRANSFORM_GUARD = 35
 _TRANSFORM_TAIL_MARGIN = 12
 _VALUE_GUARD = 20
+
+# The largest Legendre pair count and window-basis order, and the caps of
+# basis_table's targets they imply: the largest --terms of legendre, whose
+# rows 0..terms take (terms + 2) // 2 pairs; the largest digits of legendre
+# (and of pwx verify --suite fourier), whose default pair count is
+# digits // 3 + 8; and the largest digits of each target whose default
+# order follows digits, held when no order is given: c-basis's window
+# order digits // 2, and h's transform order, which past 1293 digits
+# _transform_terms finds nowhere below 400, and c-basis, fitted to h at
+# that order, is held to it with or without an order.  That cap is read
+# at C, which only the solve gives, so it is typed here.
+MAX_PAIRS = 64
+MAX_WINDOW = 40
+MAX_LEGENDRE_TERMS = 2 * MAX_PAIRS - 1
+MAX_LEGENDRE_DIGITS = 3 * (MAX_PAIRS - 8) + 2
+MAX_DIGITS_WITHOUT_TERMS = {"c-basis": 2 * MAX_WINDOW + 1, "h": 1293}
 
 
 class BandTransform:

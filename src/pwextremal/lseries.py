@@ -37,11 +37,12 @@ divisibility by n+1 at every step (see check_integrality), and returns
 how far every u_n has integer coefficients.  Each row of u_n, one power
 of b^2, is packed into one int with a slot per power of -lambda, so a step
 is a few big-integer operations a row (Kronecker substitution, see
-_packed_rows); mpcore.MAX_INTEGRALITY_DEPTH caps the depth, and its
-comment gives the scan's times.  No floating point is involved on that
+_packed_rows); MAX_INTEGRALITY_DEPTH caps the depth, and its comment
+gives the scan's times.  No floating point is involved on that
 path.
 """
 
+import bisect
 import math
 import struct
 from itertools import repeat
@@ -49,7 +50,6 @@ from itertools import repeat
 from mpmath import mp, mpf
 
 from .mpcore import (
-    MAX_INTEGRALITY_DEPTH,
     TARGET_MARGIN,
     SolverError,
     UsageError,
@@ -111,6 +111,14 @@ _DISCREPANCY_GUARD = 25
 _INPUT_LOSS = 2
 
 
+# The largest order _expansion_order's search may step to.  It bounds that
+# search only: an order passed to l_series is run as it is, and
+# check_symmetry_conjecture passes its doubled order 2J, 1200 at the
+# conjectures suite's cap of 574 digits.  Through max_digits it sets the
+# digit caps of the three pwx commands that run the continuation.
+MAX_CONTINUATION_ORDER = 600
+
+
 def _expansion_order(s: int, digits: int) -> int:
     """Smallest truncation order whose certified tail clears the target.
 
@@ -118,9 +126,9 @@ def _expansion_order(s: int, digits: int) -> int:
     every bounded term has exponent s + j >= 2, and steps by 2 until the
     tail term of _certified_tail falls under 10^-(digits + TARGET_MARGIN).
     Each step multiplies that term by x0^2 = q^-2, so the steps come in
-    closed form from log10 of the term at J0, in floats.  A step past 600
-    raises SolverError; a J0 past 600 that needs no step is kept.  An odd
-    J is then rounded up to even.
+    closed form from log10 of the term at J0, in floats.  A step past
+    MAX_CONTINUATION_ORDER raises SolverError; a J0 past it that needs no
+    step is kept.  An odd J is then rounded up to even.
     """
     q = _N0 + 1.5
     J = max(8, abs(s) + 4, 2 - s)
@@ -130,8 +138,8 @@ def _expansion_order(s: int, digits: int) -> int:
         - (J + 1) * math.log10(q) - math.log10(1 - 1 / q)
     )
     steps = math.ceil(max(0.0, log_tail + digits + TARGET_MARGIN) / (2 * math.log10(q)))
-    if steps and J + 2 * steps > 600:
-        raise SolverError("continuation order exceeds 600 at s=%d" % s)
+    if steps and J + 2 * steps > MAX_CONTINUATION_ORDER:
+        raise SolverError("continuation order exceeds %d at s=%d" % (MAX_CONTINUATION_ORDER, s))
     J += 2 * steps
     return J + J % 2
 
@@ -240,6 +248,15 @@ def _lattice_sum_below_two(kind: str, w):
     return _fold(w, mp.zeta(w, low), mp.zeta(w, high))
 
 
+def _call_orders(calls, digits: int):
+    """(kind, s, J) of each l_series call (kind, s, order) of `calls` off a
+    pole, J its order or, where that is None, the one _expansion_order
+    finds at `digits`."""
+    for kind, s, order in calls:
+        if not _is_pole(kind, _integer(s)):
+            yield kind, s, _expansion_order(s, digits) if order is None else order
+
+
 def reserve_lattice_tables(consts: ExtremalConstants, calls) -> None:
     """Make the lattice tables that the l_series calls (kind, s, order) of
     `calls` read: one per lattice point, from w = 2, at the longest length
@@ -251,10 +268,7 @@ def reserve_lattice_tables(consts: ExtremalConstants, calls) -> None:
         return
     digits = consts.digits_certified
     need = {}
-    for kind, s, order in calls:
-        if _is_pole(kind, _integer(s)):
-            continue
-        J = order if order is not None else _expansion_order(s, digits)
+    for kind, s, J in _call_orders(calls, digits):
         with mp.workdps(_continuation_dps(s, digits)):
             prec = mp.prec
         for q in _lattice_points(kind):
@@ -407,9 +421,9 @@ def _symmetry_calls(k: int, digits: int) -> list:
     return [("plus", -2 * k, J), ("plus", -2 * k, 2 * J), ("plus", 2 * k, None)]
 
 
-def _suite_calls(consts: ExtremalConstants, names) -> list:
-    """The l_series calls (kind, s, order) of cli's verify suites among
-    `names`: the lseries suite's and the conjectures suite's."""
+def _suite_calls(digits: int, names) -> list:
+    """The l_series calls (kind, s, order) at `digits` of cli's verify
+    suites among `names`: the lseries suite's and the conjectures suite's."""
     rows = range(1, SUITE_ROWS + 1)
     calls = []
     if "lseries" in names:
@@ -417,7 +431,6 @@ def _suite_calls(consts: ExtremalConstants, names) -> list:
         calls += [(kind, s, None) for kind, s in _BRIDGE_CALLS + _BRUTE_CALLS]
         calls += [call for k in rows for call in _residue_calls(k)]
     if "conjectures" in names:
-        digits = consts.digits_certified
         calls += [call for k in rows for call in _symmetry_calls(k, digits)]
     return calls
 
@@ -425,12 +438,40 @@ def _suite_calls(consts: ExtremalConstants, names) -> list:
 def reserve_for_suites(consts: ExtremalConstants, names) -> None:
     """Make the lattice tables that the verify suites `names` read, before
     the first of them runs (reserve_lattice_tables)."""
-    reserve_lattice_tables(consts, _suite_calls(consts, names))
+    reserve_lattice_tables(consts, _suite_calls(consts.digits_certified, names))
 
 
 def _lvalue_calls(top: int) -> list:
     """The l_series calls (kind, s, order) of l_values, in its order."""
     return [(kind, s, None) for s in range(1, top + 1) for kind in ("minus", "plus")]
+
+
+def max_digits(name: str) -> int:
+    """The largest digits at which _expansion_order finds, within
+    MAX_CONTINUATION_ORDER, the order of every l_series call of one pwx
+    command: the verify suite `name` (_suite_calls), or export lvalues for
+    "lvalues", held to its calls at s = 1, which every --terms makes and
+    which bind: at that cap every call of --terms 600 finds its order.
+    Found by bisection, as the order _expansion_order steps to grows with
+    digits, by about one a digit (a step of 2 gains 2 log10(9.5) digits),
+    so that none fits at twice the limit.
+
+    The order limit, not run time, sets these caps: at them export
+    lvalues, verify --suite lseries and --suite conjectures took 62.1 s,
+    49.0 s and 55.7 s (582, 572 and 574 digits; 4.7 s, 4.5 s and 7.0 s at
+    300 and 19.2 s, 19.5 s and 19.8 s at 450; 2-core x86 VM, one run each).
+    """
+
+    def refused(digits):
+        try:
+            calls = _lvalue_calls(1) if name == "lvalues" else _suite_calls(digits, [name])
+            list(_call_orders(calls, digits))
+        except SolverError:
+            return True
+        return False
+
+    # digits d sits at index d - 1, so the first refused one's index is the last accepted
+    return bisect.bisect_left(range(1, 2 * MAX_CONTINUATION_ORDER), True, key=refused)
 
 
 def l_values(consts: ExtremalConstants, top: int) -> list:
@@ -651,6 +692,15 @@ def _packed_rows(n_max: int):
         modulus //= d
         prev, rows = rows, out
         yield rows, width
+
+
+# The deepest integrality scan, whose work grows about as depth^3.5: on
+# packed rows it took 0.46 s at 200, 2.1 s at 300 and 6.1 s at 400
+# (medians of 7, 5 and 3 interleaved runs on one core of a shared 2-core
+# x86 VM, Python 3.11, in a slow stretch: the VM's speed varies by up to
+# 1.6x), with a _repack that split each row by one struct.unpack call,
+# before it made one struct.Struct a row.
+MAX_INTEGRALITY_DEPTH = 400
 
 
 def check_integrality(n_max: int) -> int:

@@ -18,7 +18,6 @@ Everything downstream runs on top of the ingredients collected here:
   of Hurwitz zeta values at one shift q >= 1 for a ladder of integer
   exponents w, w + 1, .. from w >= 2;
 * exact decimal truncation of an mpf for the serialized output;
-* the size caps of the Legendre, window-basis and integrality layers;
 * the two precision rules every stage shares, TARGET_MARGIN and
   ESTIMATE_DPS.
 
@@ -54,18 +53,6 @@ class UsageError(ValueError):
 class SolverError(RuntimeError):
     """Numerical failure: residual bound or certification not reached."""
 
-
-# The package's size caps, here so that cli reads them without loading
-# fourier or lseries: the largest Legendre pair count and window-basis
-# order of fourier, and the deepest integrality scan of lseries, whose work
-# grows about as depth^3.5: on packed rows it took 0.46 s at 200, 2.1 s at
-# 300 and 6.1 s at 400 (medians of 7, 5 and 3 interleaved runs on one core
-# of a shared 2-core x86 VM, Python 3.11, in a slow stretch: the VM's speed
-# varies by up to 1.6x), with a _repack that split each row by one
-# struct.unpack call, before it made one struct.Struct a row.
-MAX_PAIRS = 64
-MAX_WINDOW = 40
-MAX_INTEGRALITY_DEPTH = 400
 
 # A result said to hold `digits` decimals is searched and checked to
 # 10^-(digits + TARGET_MARGIN): a Newton search ends there, a two-run or

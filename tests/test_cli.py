@@ -436,7 +436,7 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
         (["verify", "--suite", "fourier"], 170),
         (["verify", "--suite", "all"], 170),
         (["zeros", "--count", "40"], 760),
-        (["export", "rho"], 720),
+        (["export", "rho"], 760),
         (["export", "lvalues"], 582),
         (["verify", "--suite", "summation"], 580),
         (["verify", "--suite", "lseries"], 572),
@@ -482,29 +482,78 @@ def test_default_depth_caps_are_checked_before_the_solve(capsys, monkeypatch):
     assert "solve reached" in capsys.readouterr().err
 
 
+def _lseries_orders(calls, digits):
+    """The orders _expansion_order finds for the l_series calls that take
+    their order from it."""
+    from pwextremal import lseries
+
+    return [
+        lseries._expansion_order(s, digits)
+        for kind, s, order in calls
+        if order is None and not lseries._is_pole(kind, s)
+    ]
+
+
 def test_lseries_digit_caps_are_the_last_continuation_order():
     # the L-series rows stop where a continuation order of one of their
     # l_series calls would pass lseries' 600, before their runs pass
-    # 100 s: at the cap every order is found, one digit past it one is not
+    # 100 s: at the cap every order is found, one digit past it one is not.
+    # export lvalues gets the same cap at every --terms: the calls of
+    # --terms 600 hold those of any fewer, and those at s = 1 bind
     from pwextremal import cli, lseries
 
-    def orders(command, digits):
-        consts = SimpleNamespace(digits_certified=digits)
+    def calls(command, digits, top=6):
         if command == "export lvalues":
-            calls = lseries._lvalue_calls(6)
-        else:
-            calls = lseries._suite_calls(consts, [command.split()[-1]])
-        return [
-            lseries._expansion_order(s, digits)
-            for kind, s, order in calls
-            if order is None and not lseries._is_pole(kind, s)
-        ]
+            return lseries._lvalue_calls(top)
+        return lseries._suite_calls(digits, [command.split()[-1]])
 
+    caps = {}
     for command in ("verify --suite lseries", "verify --suite conjectures", "export lvalues"):
-        cap = cli.MAX_DIGITS[command]
-        assert max(orders(command, cap)) <= 600, command
+        cap = caps[command] = cli.MAX_DIGITS[command]()
+        assert max(_lseries_orders(calls(command, cap), cap)) <= 600, command
         with pytest.raises(cli.SolverError, match="exceeds 600"):
-            orders(command, cap + 1)
+            _lseries_orders(calls(command, cap + 1), cap + 1)
+    assert list(caps.values()) == [572, 574, 582]
+    for top in (1, 600):
+        _lseries_orders(calls("export lvalues", 582, top), 582)
+        with pytest.raises(cli.SolverError, match="exceeds 600"):
+            _lseries_orders(calls("export lvalues", 583, top), 583)
+    # the doubled order of the symmetry conjecture is passed, not searched
+    orders = [order for *_, order in calls("verify --suite conjectures", 574) if order]
+    assert max(orders) == 1200
+
+
+def test_caps_are_read_from_the_stage_that_owns_them(monkeypatch, capsys):
+    # cli retypes no cap of a stage: a lower continuation order limit
+    # lowers the three L-series caps to the last digits _expansion_order
+    # accepts, and a lower zero-model cap holds both commands of that stage
+    from pwextremal import cli, extremal, lseries
+
+    def solve(digits):
+        raise cli.SolverError("solve reached")
+
+    monkeypatch.setattr(cli, "solve_constants", solve)
+    monkeypatch.setattr(lseries, "MAX_CONTINUATION_ORDER", 400)
+    monkeypatch.setattr(extremal, "MAX_ZERO_MODEL_DIGITS", 500)
+    for argv, calls in (
+        (["export", "lvalues"], lambda d: lseries._lvalue_calls(6)),
+        (["verify", "--suite", "lseries"], lambda d: lseries._suite_calls(d, ["lseries"])),
+        (["verify", "--suite", "conjectures"],
+         lambda d: lseries._suite_calls(d, ["conjectures"])),
+        (["zeros"], None),
+        (["export", "rho"], None),
+    ):
+        if calls is None:
+            largest = 500
+        else:
+            largest = cli.MAX_DIGITS[" ".join(argv)]()
+            assert max(_lseries_orders(calls(largest), largest)) <= 400, argv
+            with pytest.raises(cli.SolverError, match="exceeds 400"):
+                _lseries_orders(calls(largest + 1), largest + 1)
+        assert cli.main(argv + ["--digits", str(largest + 1)]) == 2, argv
+        assert "--digits %d or less" % largest in capsys.readouterr().err
+        assert cli.main(argv + ["--digits", str(largest)]) == 1, argv
+        assert "solve reached" in capsys.readouterr().err
 
 
 def test_export_h_digit_cap_is_the_last_default_transform_order():
@@ -512,12 +561,13 @@ def test_export_h_digit_cap_is_the_last_default_transform_order():
     # exists at the cap and not one digit past it
     from pwextremal import cli, fourier
 
-    cap = cli.MAX_DIGITS_WITHOUT_TERMS["export h"]
+    cap = cli.MAX_DIGITS_WITHOUT_TERMS["export h"]()
+    assert cap == fourier.MAX_DIGITS_WITHOUT_TERMS["h"] == 1293
     assert fourier._transform_terms(cap, C_REF) == 399
     with pytest.raises(cli.SolverError):
         fourier._transform_terms(cap + 1, C_REF)
     # export c-basis builds the transform at that order whatever --terms is
-    assert cli.MAX_DIGITS["export c-basis"] == cap
+    assert cli.MAX_DIGITS["export c-basis"]() == cap
 
 
 def test_legendre_and_window_caps_are_the_last_depths_fourier_accepts(monkeypatch):
@@ -537,11 +587,11 @@ def test_legendre_and_window_caps_are_the_last_depths_fourier_accepts(monkeypatc
         return fourier.legendre_band_coefficients(consts, terms)
 
     monkeypatch.setattr(fourier, "_legendre_forward", forward)
-    for cap in (cli.MAX_DIGITS["export legendre"], cli.MAX_DIGITS["verify --suite fourier"]):
+    for cap in (cli.MAX_DIGITS["export legendre"](), cli.MAX_DIGITS["verify --suite fourier"]()):
         legendre(cap, None)
         with pytest.raises(cli.UsageError, match="pairs beyond"):
             legendre(cap + 1, None)
-    cap = cli.MAX_TERMS["export legendre"]
+    cap = cli.MAX_TERMS["export legendre"]()
     assert len(legendre(30, cap)) == cap + 1
     with pytest.raises(cli.UsageError, match="pairs beyond"):
         legendre(30, cap + 1)
@@ -553,7 +603,7 @@ def test_legendre_and_window_caps_are_the_last_depths_fourier_accepts(monkeypatc
 
     monkeypatch.setattr(fourier, "build_band_transform", lambda consts: None)
     monkeypatch.setattr(fourier, "window_basis_coefficients", fit)
-    cap = cli.MAX_DIGITS_WITHOUT_TERMS["export c-basis"]
+    cap = cli.MAX_DIGITS_WITHOUT_TERMS["export c-basis"]()
     for digits in (cap, cap + 1):
         fourier.basis_table(SimpleNamespace(digits_certified=digits), "c-basis", None)
     assert orders[0] <= fourier.MAX_WINDOW < orders[1]
@@ -752,6 +802,40 @@ def test_export_c_basis_prints_only_true_digits(capsys):
     assert short[11] == "1.477066024598e-33"
     assert short[13] == "6.98e-43"
     assert short[14] == "0.0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeros", "--count", "40"],
+        ["export", "rho"],
+        ["export", "taylor-phi"],
+        ["export", "taylor-Phi"],
+        ["export", "h", "--terms", "20"],
+    ],
+)
+def test_tables_print_only_true_digits(argv, capsys):
+    # in process: each nonzero entry of a 30-digit table is its entry of a
+    # 60-digit run cut down to the 30-digit entry's last place.  Compared
+    # as Decimals, since decimal_truncated's layout follows --digits
+    from pwextremal.cli import main
+
+    runs = {}
+    for digits in ("30", "60"):
+        assert main(argv + ["--digits", digits]) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "zeros":
+            runs[digits] = [row.split(",")[1] for row in out.splitlines()[1:]]
+        else:
+            runs[digits] = json.loads(out)["coeffs"]
+    short, long = runs["30"], runs["60"]
+    assert len(short) <= len(long) and any(map(Decimal, short))
+    with localcontext() as ctx:
+        ctx.prec = 200
+        for n, (s, v) in enumerate(zip(short, long)):
+            if Decimal(s):
+                place = Decimal(1).scaleb(Decimal(s).as_tuple().exponent)
+                assert Decimal(v).quantize(place, rounding=ROUND_DOWN) == Decimal(s), n
 
 
 @pytest.mark.parametrize(

@@ -64,6 +64,13 @@ def test_a_command_runs_only_the_modules_it_reads(argv, reads):
     assert _python(PROBE, json.dumps(argv)) == [0, {m: m in reads for m in LAZY}]
 
 
+def test_a_refused_command_runs_no_module():
+    # a cap is checked before the solve, and a cap held in cli is read
+    # without running the modules that own the others
+    argv = ["verify", "--suite", "ode", "--digits", "3401"]
+    assert _python(PROBE, json.dumps(argv)) == [2, {m: False for m in LAZY}]
+
+
 def test_a_module_imported_first_is_the_one_cli_reads():
     # a second copy would hold its own functions, so a monkeypatch or a
     # tracer wrapper on one would miss the calls made through the other

@@ -394,9 +394,10 @@ def test_one_table_per_lattice_point_per_command(consts30, monkeypatch, payload,
 @pytest.mark.parametrize(
     "argv, listed",
     [
-        (["verify", "--suite", "lseries"], lambda c: lseries._suite_calls(c, ["lseries"])),
+        (["verify", "--suite", "lseries"],
+         lambda c: lseries._suite_calls(c.digits_certified, ["lseries"])),
         (["verify", "--suite", "conjectures"],
-         lambda c: lseries._suite_calls(c, ["conjectures"])),
+         lambda c: lseries._suite_calls(c.digits_certified, ["conjectures"])),
         (["export", "lvalues"], lambda c: lseries._lvalue_calls(6)),
     ],
 )
